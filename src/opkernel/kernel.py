@@ -10,9 +10,11 @@ Derivative kernels: for translation-invariant K(x, y) = F(x - y),
 
     d^alpha_x d^beta_y K(x, y) = (-1)^|beta| (d^(alpha+beta) F)(x - y),
 
-and for radial families (d^gamma F) comes from the squared-distance jets in
-profiles.py, evaluated atomwise. The askey family is not smooth, so it only
-gets a finite-difference fallback that refuses to evaluate near its kinks.
+and OperatorKernel.deriv_diffs batches (d^gamma F) over multi-indices and
+differences: jet monomials times vectorized profile jets for radial
+families, (-i xi)^gamma times the phases for plane waves. The askey family
+is not smooth, so it only gets a finite-difference fallback that refuses to
+evaluate near its kinks.
 
 Block Grams: for points x_1..x_n, the block Gram is the n*ell square matrix
 of blocks K(x_mu, x_nu); the derivative block Gram at jet order q carries
@@ -47,6 +49,7 @@ from .profiles import (
     jet_for_multi_index,
     multi_index_order,
     multi_indices_up_to,
+    omega_values,
     profile_value,
     sjet_derivatives,
     validate_multi_index,
@@ -158,12 +161,36 @@ class OperatorKernel:
             vals = np.clip(1.0 - np.outer(t, omegas), 0.0, None) ** (
                 self.profile.ell_smoothness - 1
             )
-        else:  # omega: exact-rational scalar path, small n only
-            vals = np.empty((npairs, omegas.size))
-            for p in range(npairs):
-                for a, omega in enumerate(omegas):
-                    vals[p, a] = profile_value(self.profile, omega, t[p])
+        else:
+            vals = omega_values(self.profile.m_source, np.outer(t, omegas))[0]
         return np.einsum("pa,aij->pij", vals.astype(complex), gs)
+
+    def deriv_diffs(self, gammas, diffs: np.ndarray) -> np.ndarray:
+        """(d^gamma F)(d) for each gamma and each difference vector, (npairs, m)
+        -> (len(gammas), npairs, ell, ell); profile jets are evaluated once."""
+        diffs = np.asarray(diffs, dtype=float)
+        shape = (len(gammas), diffs.shape[0], self.ell, self.ell)
+        if self.kind == "radial" and self.profile.kind == "askey":
+            raise UnsupportedJet("askey kernels have no analytic jets")
+        if max(map(sum, gammas), default=0) > JET_ORDER_CAP:
+            raise UnsupportedJet(f"derivative order exceeds cap {JET_ORDER_CAP}")
+        if not self.measure.atoms:
+            return np.zeros(shape, dtype=complex)
+        gs = np.stack([g.entries for _, g in self.measure.atoms])
+        if self.kind == "plane_wave":
+            xis = np.stack([xi for xi, _ in self.measure.atoms])
+            phases = np.exp(-1j * diffs @ xis.T)  # (npairs, natoms)
+            coeffs = np.stack([np.prod((-1j * xis) ** np.array(g), axis=1) for g in gammas])
+            vals = coeffs[:, None, :] * phases
+        else:
+            jets = [jet_for_multi_index(self.m, g) for g in gammas]
+            s = np.sum(diffs * diffs, axis=1)
+            omegas = np.array([omega for omega, _ in self.measure.atoms])
+            gvals = sjet_derivatives(
+                self.profile, omegas, s[:, None], max(jet.max_k for jet in jets)
+            )
+            vals = np.stack([jet_eval(jet, diffs, gvals) for jet in jets])
+        return (vals.reshape(-1, gs.shape[0]) @ gs.reshape(gs.shape[0], -1)).reshape(shape)
 
     def eval(self, x, y) -> np.ndarray:
         d = _check_point(x, self.m) - _check_point(y, self.m)
@@ -217,31 +244,6 @@ def radial_function_eval(kernel: OperatorKernel, t: float) -> np.ndarray:
     return out
 
 
-def _deriv_value_radial(kernel: OperatorKernel, gamma: MultiIndex, d: np.ndarray) -> np.ndarray:
-    """(d^gamma F)(d) for a radial kernel with jets, summed over atoms."""
-    jet = jet_for_multi_index(kernel.m, gamma)
-    s = float(d @ d)
-    kmax = jet.max_k
-    out = np.zeros((kernel.ell, kernel.ell), dtype=complex)
-    for omega, g in kernel.measure.atoms:
-        gvals = sjet_derivatives(kernel.profile, omega, s, kmax)
-        out += jet_eval(jet, d, gvals) * g.entries
-    return out
-
-
-def _deriv_value_plane_wave(kernel: OperatorKernel, gamma: MultiIndex, d: np.ndarray) -> np.ndarray:
-    """(d^gamma F)(d) for F(d) = sum_j exp(-i d.xi_j) G_j:
-    each atom contributes (-i)^|gamma| xi^gamma exp(-i d.xi) G."""
-    n = multi_index_order(gamma)
-    out = np.zeros((kernel.ell, kernel.ell), dtype=complex)
-    for xi, g in kernel.measure.atoms:
-        coeff = (-1j) ** n
-        for xij, gi in zip(xi, gamma):
-            coeff *= xij ** gi
-        out += coeff * np.exp(-1j * float(d @ xi)) * g.entries
-    return out
-
-
 def _fd_gamma(kernel: OperatorKernel, gamma: MultiIndex, d: np.ndarray, h: float) -> np.ndarray:
     """Nested central differences for (d^gamma F)(d)."""
     for i, gi in enumerate(gamma):
@@ -279,12 +281,8 @@ def kernel_deriv_eval(
     d = x - y
     gamma = tuple(a + b for a, b in zip(alpha, beta))
     sign = (-1.0) ** multi_index_order(beta)
-    if kernel.kind == "plane_wave":
-        # split the (-1)^|beta| off the d^gamma form:
-        # d^alpha_x d^beta_y exp(-i(x-y).xi) = (-1)^|beta| (d^gamma F)
-        return sign * _deriv_value_plane_wave(kernel, gamma, d)
-    if kernel.profile.kind in ("gaussian", "omega"):
-        return sign * _deriv_value_radial(kernel, gamma, d)
+    if kernel.kind == "plane_wave" or kernel.profile.kind != "askey":
+        return sign * kernel.deriv_diffs([gamma], d[None, :])[0, 0]
     # askey: finite differences only
     if not use_fd:
         raise UnsupportedJet(
@@ -337,16 +335,11 @@ def deriv_diag_identity_check(kernel: OperatorKernel, alpha: MultiIndex, beta: M
             half = g // 2
             f0 *= (-1.0) ** half * math.factorial(g) / math.factorial(half)
     else:
-        from fractions import Fraction
-
-        from .profiles import _pochhammer
-
-        kappa = tuple(g // 2 for g in gamma)
+        kappa = [g // 2 for g in gamma]
         k = sum(kappa)
-        val = Fraction(-1, 4) ** k / _pochhammer(Fraction(kernel.profile.m_source, 2), k)
+        f0 = (-0.25) ** k / math.prod(kernel.profile.m_source / 2 + i for i in range(k))
         for ki in kappa:
-            val *= Fraction(math.factorial(2 * ki), math.factorial(ki))
-        f0 = float(val)
+            f0 *= math.factorial(2 * ki) / math.factorial(ki)
 
     power = n // 2 if kernel.profile.kind == "gaussian" else n
     moment = np.zeros((kernel.ell, kernel.ell), dtype=complex)
@@ -418,8 +411,8 @@ def gram(kernel: OperatorKernel, points, tol: float = DUPLICATE_POINT_TOL) -> Bl
 def deriv_gram(kernel: OperatorKernel, points, q: int, tol: float = DUPLICATE_POINT_TOL) -> DerivBlockGram:
     """Assemble the derivative block Gram at jet order q (2q <= cap).
 
-    Blocks share the (d^gamma F) values across (alpha, beta) pairs with equal
-    gamma = alpha + beta, so each pair of points evaluates each gamma once.
+    One deriv_diffs call over all n^2 differences gives every gamma = alpha +
+    beta; block ((mu,alpha),(nu,beta)) is (-1)^|beta| times its gamma slab.
     """
     q = int(q)
     if q < 0 or 2 * q > JET_ORDER_CAP:
@@ -427,36 +420,36 @@ def deriv_gram(kernel: OperatorKernel, points, q: int, tol: float = DUPLICATE_PO
     pts = _check_points(points, kernel.m, tol)
     n = pts.shape[0]
     idxs = multi_indices_up_to(kernel.m, q)
-    na = len(idxs)
     ell = kernel.ell
 
     if q == 0:
         # only eval_diffs is needed here, so any kernel-shaped object works
         base = gram(kernel, pts, tol)
         return DerivBlockGram(points=pts, ell=ell, q=0, multi_indices=idxs, matrix=base.matrix)
-    if getattr(kernel, "is_radial", False) and kernel.profile.kind == "askey":
-        raise UnsupportedJet("askey kernels have no analytic jets for derivative Grams")
     if not isinstance(kernel, OperatorKernel):
         raise UnsupportedJet("derivative Grams need a kernel with analytic jets")
-
-    gammas = sorted({tuple(a + b for a, b in zip(alpha, beta)) for alpha in idxs for beta in idxs})
-    deriv_fn = _deriv_value_plane_wave if kernel.kind == "plane_wave" else _deriv_value_radial
-
-    big = np.zeros((n * na * ell, n * na * ell), dtype=complex)
-    for mu in range(n):
-        for nu in range(n):
-            d = pts[mu] - pts[nu]
-            gvals = {gamma: deriv_fn(kernel, gamma, d) for gamma in gammas}
-            for a, alpha in enumerate(idxs):
-                for b, beta in enumerate(idxs):
-                    gamma = tuple(ai + bi for ai, bi in zip(alpha, beta))
-                    block = (-1.0) ** multi_index_order(beta) * gvals[gamma]
-                    r = (mu * na + a) * ell
-                    c = (nu * na + b) * ell
-                    big[r : r + ell, c : c + ell] = block
+    big = deriv_blocks(kernel, pts, [(mu, alpha) for mu in range(n) for alpha in idxs])
     return DerivBlockGram(
         points=pts, ell=ell, q=q, multi_indices=idxs, matrix=HermitianMatrix(big)
     )
+
+
+def deriv_blocks(kernel: OperatorKernel, points: np.ndarray, rows) -> np.ndarray:
+    """Square block matrix with block (r, c) = d^a_1 d^b_2 K(x_p, x_q) for
+    rows r = (p, a) and columns c = (q, b) from the same list of (point
+    index, multi-index) pairs: one deriv_diffs call over all point pairs,
+    blocks gathered by array indexing. Not symmetrized."""
+    n, ell = points.shape[0], kernel.ell
+    sums = [[tuple(a + b for a, b in zip(alpha, beta)) for _, beta in rows] for _, alpha in rows]
+    gammas = sorted({gamma for row in sums for gamma in row})
+    rank = {gamma: r for r, gamma in enumerate(gammas)}
+    diffs = (points[:, None, :] - points[None, :, :]).reshape(n * n, kernel.m)
+    vals = kernel.deriv_diffs(gammas, diffs).reshape(len(gammas), n, n, ell, ell)
+    p = np.array([i for i, _ in rows])
+    signs = np.array([(-1.0) ** multi_index_order(beta) for _, beta in rows])
+    blocks = vals[np.array([[rank[g] for g in row] for row in sums]), p[:, None], p[None, :]]
+    blocks = blocks * signs[None, :, None, None]  # (row, column, i, j)
+    return blocks.transpose(0, 2, 1, 3).reshape(len(rows) * ell, len(rows) * ell)
 
 
 def scalar_projection_kernel(kernel: OperatorKernel, v):

@@ -9,15 +9,23 @@ Three radial families and the plane wave:
 
 Omega_m(t) is the mean of plane waves over the unit sphere S^{m-1}: the
 radial function whose value at t is the average of exp(-i t u.e) over unit
-vectors u.  As a power series,
+vectors u.  With nu = m/2 - 1,
 
-  Omega_m(t) = sum_k c_k(m) (-t^2/4)^k,  c_0 = 1,
-  term_{k+1}/term_k = (-t^2/4) / ((k+1)(k + m/2)),
+  Omega_m(t) = sum_k (-t^2/4)^k / (k! (m/2)_k) = Gamma(nu+1) (2/t)^nu J_nu(t),
 
-so Omega_1 = cos and Omega_3(t) = sin(t)/t.  The series alternates with
-huge intermediate terms (about 8e11 at t=30), so it is summed in exact
-rational arithmetic and rounded once at the end; float accumulation would
-lose five or six digits to cancellation there.
+so Omega_1 = cos and Omega_3(t) = sin(t)/t.  omega_values sums the series
+only for t <= 1 (its terms reach about 8e11 at t=30).  Above that it runs
+Miller's backward recurrence (DLMF 10.74) f_{k-1} = 2 (nu+k)/t f_k - f_{k+1}
+from f_N = 1, f_{N+1} = 0, N ~ t + 30 + 12 t^(1/3), so f_k is proportional
+to J_{nu+k}(t) (values past 2^330 are rescaled), and normalizes it with
+Neumann's sum (DLMF 10.23), free of powers of t and Gamma calls:
+
+  Omega_m(t) = f_0 / (f_0 + sum_{k>=1} (nu+2k) (nu+1)_{k-1} / k! f_{2k}).
+
+The recurrence tracks its own rounding error (error-free products and
+sums); in plain floats its phase error reaches 4e-13 at t = 1e4.  Beyond
+OMEGA_T_MAX = 1e4, the range checked against cos and sin(t)/t to 1e-13,
+omega_values raises NumericalFailure instead of returning a number.
 
 Derivative machinery uses squared-distance jets: write a radial atom as
 f(d) = g(s) with s = ||d||^2.  Differentiating multiplies in polynomial
@@ -28,14 +36,17 @@ factors via the chain rule
 so any mixed partial of f is a finite sum  sum_k poly_k(d) g^(k)(s)  -- a
 RadialJet.  The jets are family-independent; families plug in their own
 g^(k) values (gaussian and omega are smooth at 0; askey is not, so it has
-no jets here).
+no jets here).  For omega the series above differentiates termwise into
+
+  g^(k)(s) = (-w^2/2)^k / (m (m+2) ... (m+2k-2)) Omega_{m+2k}(w sqrt(s)),
+
+and Omega_{m+2k} = (nu+1)_k (2/t)^k f_k / (the same normalization sum).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -43,13 +54,14 @@ from .errors import (
     InvalidGrid,
     InvalidMeasure,
     InvalidParameter,
+    NumericalFailure,
     UnsupportedJet,
 )
 
-# Omega series controls: stop when |term| < 1e-17 * running magnitude of the
-# partial sum (floored at 1), hard cap on the number of terms.
-OMEGA_TERM_RTOL = Fraction(1, 10**17)
-OMEGA_MAX_TERMS = 500
+OMEGA_T_MAX = 1e4  # largest argument w*t evaluated (see the module docstring)
+OMEGA_SERIES_T = 1.0  # the float power series (12 terms) is used up to here
+_DEKKER = 134217729.0  # 2^27 + 1: splits a double into two 26-bit halves
+_RESCALE_EXP = 330  # recurrence values past 2^330 are scaled by 2^-330
 
 # Jets are capped at total derivative order 8.
 JET_ORDER_CAP = 8
@@ -146,58 +158,106 @@ class RadialProfile:
         return RadialProfile("omega", m_source=int(m_source))
 
 
-@dataclass(frozen=True)
-class PlaneWaveParam:
-    """Frequency vector xi of a plane wave exp(-i (x-y).xi)."""
+def omega_values(m: int, t, kmax: int = 0) -> np.ndarray:
+    """Omega_{m+2j}(t) for j = 0..kmax over an array t: shape (kmax+1, *t.shape).
 
-    xi: tuple[float, ...]
+    See the module docstring. Omega is even, so t enters through |t|. NaN
+    raises InvalidParameter; |t| > OMEGA_T_MAX or an overflow raises
+    NumericalFailure.
+    """
+    t = np.abs(np.asarray(t, dtype=float))
+    if m < 1 or np.isnan(t).any():
+        raise InvalidParameter("Omega_m needs m >= 1 and finite arguments")
+    tmax = float(t.max(initial=0.0))
+    if tmax > OMEGA_T_MAX:
+        raise NumericalFailure(
+            f"Omega_{m} is evaluated only for w*t <= {OMEGA_T_MAX:g} (the range "
+            f"checked against closed forms); got w*t = {tmax:.6g}"
+        )
+    flat = t.reshape(-1)
+    out = np.empty((kmax + 1, flat.size))
+    small = flat <= OMEGA_SERIES_T
+    x = -0.25 * flat[small] ** 2
+    for j in range(kmax + 1):
+        term = total = np.ones_like(x)
+        for k in range(1, 13):
+            term = term * x / (k * (m / 2.0 + j + k - 1))
+            total = total + term
+        out[j, small] = total
+    if not small.all():
+        out[:, ~small] = _omega_miller(m / 2.0 - 1.0, flat[~small], kmax)
+    if not np.all(np.isfinite(out)):
+        raise NumericalFailure(f"Omega_{m} evaluation overflowed (w*t up to {tmax:.6g})")
+    return out.reshape((kmax + 1,) + t.shape)
 
-    def __post_init__(self):
-        if len(self.xi) < 1 or not all(math.isfinite(v) for v in self.xi):
-            raise InvalidParameter("plane-wave frequency must be a finite nonempty vector")
 
+def _omega_miller(nu: float, t: np.ndarray, kmax: int) -> np.ndarray:
+    """Omega_{m+2j}(t), j <= kmax, for t > 1 by the backward recurrence.
 
-def _check_scale(omega: float) -> float:
-    omega = float(omega)
-    if not math.isfinite(omega) or omega < 0.0:
-        raise InvalidParameter(f"scale parameter must be finite and >= 0, got {omega}")
-    return omega
-
-
-def _check_t(t: float) -> float:
-    t = float(t)
-    if not math.isfinite(t) or t < 0.0:
-        raise InvalidParameter(f"radial argument must be finite and >= 0, got {t}")
-    return t
+    Every element starts at the largest t's start index; starting higher
+    only costs steps, and the steps are shared. Each step carries f and its
+    rounding error e: 2/t = uh + ul with uh of 11 bits, so (nu+k)*uh*f is
+    split exactly (Dekker), then Fast2Sum with the tail (nu+k)*ul*f and
+    TwoSum with -f_{k+1}. The loop body only uses arithmetic operators, so
+    one argument runs it on Python floats, free of numpy's per-call cost.
+    """
+    top = int(np.ceil(t.max() + 30.0 + 12.0 * np.cbrt(t.max())))
+    u = 2.0 / t
+    c = (2.0**42 + 1.0) * u
+    uh = c - (c - u)
+    th = _DEKKER * t
+    th = th - (th - t)
+    ul = ((2.0 - uh * th) - uh * (t - th)) / t  # exact residual of uh * t
+    if t.size == 1:
+        u, uh, ul = float(u[0]), float(uh[0]), float(ul[0])
+    # Neumann weights (nu+2j) (nu+1)_{j-1} / j! of f_{2j}
+    j = np.arange(1, top // 2 + 1)
+    poch = np.cumprod(np.concatenate([[1.0], (nu + j[:-1]) / (j[:-1] + 1)]))
+    weight = [0.0] + ((nu + 2 * j) * poch).tolist()
+    zero = uh * 0.0
+    f, f1, e, e1, norm = zero + 1.0, zero, zero, zero, zero  # f_k, f_{k+1}, errors
+    low = [zero] * (kmax + 1)
+    for k in range(top, 0, -1):
+        if k % 2 == 0:
+            norm = norm + weight[k // 2] * (f + e)
+        if k <= kmax:
+            low[k] = f + e
+        ah = (nu + k) * uh
+        al = (nu + k) * ul
+        p = ah * f
+        split = _DEKKER * f
+        fh = split - (split - f)
+        perr = (ah * fh - p) + ah * (f - fh)
+        tail = al * f
+        q = p + tail
+        qerr = tail - (q - p)
+        s = q - f1
+        back = s - q
+        serr = (q - (s - back)) - (f1 + back)
+        f1, e1, f, e = f, e, s, ((ah + al) * e - e1) + (perr + qerr + serr)
+        if k % 16 == 0:
+            sc = 2.0 ** (-_RESCALE_EXP * (abs(f) > 2.0**_RESCALE_EXP))
+            f, f1, e, e1, norm = f * sc, f1 * sc, e * sc, e1 * sc, norm * sc
+            low = [x * sc for x in low]
+    low[0] = f + e
+    scale = np.divide(1.0, norm + low[0])  # a zero sum gives inf, caught by the caller
+    out = np.empty((kmax + 1, t.size))
+    for j in range(kmax + 1):
+        out[j] = scale * low[j]
+        scale = scale * ((nu + j + 1) * u)
+    return out
 
 
 def omega_eval(m: int, t: float) -> float:
-    """Omega_m(t): spherical plane-wave mean, by its even power series.
-
-    Summed with exact Fraction arithmetic (see module docstring); truncation
-    when |term| < 1e-17 * max(|partial sum|, 1), hard cap 500 terms.
-    """
-    m = int(m)
-    if m < 1:
-        raise InvalidParameter("omega_eval needs m >= 1")
-    t = float(t)
-    if not math.isfinite(t):
-        raise InvalidParameter("omega_eval needs finite t")
-    x = Fraction(t) * Fraction(t) / 4  # exact t^2/4
-    term = Fraction(1)
-    total = Fraction(1)
-    for k in range(OMEGA_MAX_TERMS):
-        term *= -x / ((k + 1) * (k + Fraction(m, 2)))
-        total += term
-        if abs(term) < OMEGA_TERM_RTOL * max(abs(total), Fraction(1)):
-            break
-    return float(total)
+    """Omega_m(t) at one argument; see omega_values."""
+    return float(omega_values(int(m), float(t))[0])
 
 
 def profile_value(profile: RadialProfile, omega: float, t: float) -> float:
     """Scalar profile value p_omega at radial distance t >= 0."""
-    omega = _check_scale(omega)
-    t = _check_t(t)
+    omega, t = float(omega), float(t)
+    if not (math.isfinite(omega) and omega >= 0.0 and math.isfinite(t) and t >= 0.0):
+        raise InvalidParameter(f"need a finite scale and distance >= 0, got {omega}, {t}")
     if profile.kind == "gaussian":
         return math.exp(-omega * t * t)
     if profile.kind == "askey":
@@ -207,60 +267,40 @@ def profile_value(profile: RadialProfile, omega: float, t: float) -> float:
     raise InvalidParameter(f"unknown family {profile.kind!r}")
 
 
-def _pochhammer(a: Fraction, n: int) -> Fraction:
-    out = Fraction(1)
-    for i in range(n):
-        out *= a + i
-    return out
-
-
-def sjet_derivatives(profile: RadialProfile, omega: float, s: float, kmax: int) -> np.ndarray:
+def sjet_derivatives(profile: RadialProfile, omega, s, kmax: int) -> np.ndarray:
     """Derivatives g^(0..kmax)(s) of the squared-distance form g(s) = p_omega
     at squared distance s, where p_omega(x,y) = g(||x-y||^2).
 
+    omega and s broadcast against each other; the result has shape
+    (kmax+1, *broadcast shape), so scalars give a (kmax+1,) vector.
+
     gaussian: g(s) = exp(-omega s), so g^(k)(s) = (-omega)^k exp(-omega s).
-    omega(m): g(s) = sum_k c_k (-omega^2 s / 4)^k, differentiated termwise
-              and summed exactly like omega_eval.
+    omega(m): the Omega_{m+2k} identity of the module docstring.
     askey:    no jets (kink at the support edge and at 0) -> UnsupportedJet.
+    Overflowing jets (huge scales) raise NumericalFailure.
     """
-    omega = _check_scale(omega)
-    s = float(s)
-    if not math.isfinite(s) or s < 0.0:
-        raise InvalidParameter(f"squared distance must be finite and >= 0, got {s}")
+    omega, s = np.asarray(omega, dtype=float), np.asarray(s, dtype=float)
+    if not (np.all(np.isfinite(omega) & (omega >= 0.0)) and np.all(np.isfinite(s) & (s >= 0.0))):
+        raise InvalidParameter("scales and squared distances must be finite and >= 0")
     kmax = int(kmax)
     if kmax < 0 or kmax > JET_ORDER_CAP:
         raise InvalidParameter(f"kmax must be in [0, {JET_ORDER_CAP}]")
-
-    if profile.kind == "gaussian":
-        e = math.exp(-omega * s)
-        return np.array([(-omega) ** k * e for k in range(kmax + 1)], dtype=float)
-
-    if profile.kind == "omega":
-        msrc = profile.m_source
-        q = Fraction(omega) * Fraction(omega) / 4
-        sf = Fraction(s)
-        out = np.empty(kmax + 1, dtype=float)
-        for j in range(kmax + 1):
-            # k = j term: (-q)^j j! / (j! (m/2)_j) = (-q)^j / (m/2)_j
-            term = (-q) ** j / _pochhammer(Fraction(msrc, 2), j)
-            total = term
-            k = j
-            for _ in range(OMEGA_MAX_TERMS):
-                # ratio of consecutive termwise-differentiated terms
-                term *= -q * sf / ((k + Fraction(msrc, 2)) * (k + 1 - j))
-                total += term
-                k += 1
-                if abs(term) < OMEGA_TERM_RTOL * max(abs(total), Fraction(1)):
-                    break
-            out[j] = float(total)
-        return out
-
     if profile.kind == "askey":
         raise UnsupportedJet(
             "askey profiles have no squared-distance jets (kinks at t=0 and the "
             "support edge); use the finite-difference fallback away from kinks"
         )
-    raise InvalidParameter(f"unknown family {profile.kind!r}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        if profile.kind == "gaussian":
+            e = np.exp(-omega * s)
+            out = np.stack([(-omega) ** k * e for k in range(kmax + 1)])
+        else:
+            out = omega_values(profile.m_source, omega * np.sqrt(s), kmax)
+            for k in range(1, kmax + 1):
+                out[k:] *= -omega * omega / (2.0 * (profile.m_source + 2 * k - 2))
+    if not np.all(np.isfinite(out)):
+        raise NumericalFailure("squared-distance jets overflow at these scales")
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -353,43 +393,21 @@ def jet_for_multi_index(m: int, gamma: MultiIndex) -> RadialJet:
     return jet
 
 
-def jet_eval(jet: RadialJet, d: np.ndarray, gvals: np.ndarray) -> float:
-    """Evaluate sum_k poly_k(d) gvals[k] at displacement d."""
-    total = 0.0
-    for k, poly in jet.terms:
-        acc = 0.0
-        for exps, coeff in poly:
-            mono = coeff
-            for di, e in zip(d, exps):
-                if e:
-                    mono *= float(di) ** e
-            acc += mono
-        total += acc * float(gvals[k])
-    return total
+def jet_eval(jet: RadialJet, d: np.ndarray, gvals: np.ndarray) -> np.ndarray:
+    """sum_k poly_k(d) gvals[k] over a batch of displacements.
 
-
-def plane_wave_deriv(
-    xi: np.ndarray,
-    alpha: MultiIndex,
-    beta: MultiIndex,
-    x: np.ndarray,
-    y: np.ndarray,
-) -> complex:
-    """Mixed partial of the plane wave:
-
-        d^alpha_x d^beta_y exp(-i (x-y).xi)
-          = (-i)^|alpha| (i)^|beta| xi^(alpha+beta) exp(-i (x-y).xi).
+    d is (npairs, m) and gvals is (kmax+1, npairs, ...) as returned by
+    sjet_derivatives; the result has shape (npairs, ...).
     """
-    xi = np.asarray(xi, dtype=float)
-    m = xi.shape[0]
-    alpha = validate_multi_index(alpha, m)
-    beta = validate_multi_index(beta, m)
-    na, nb = multi_index_order(alpha), multi_index_order(beta)
-    coeff = (-1j) ** na * (1j) ** nb
-    for xij, a, b in zip(xi, alpha, beta):
-        coeff *= xij ** (a + b)
-    d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-    return complex(coeff * np.exp(-1j * float(d @ xi)))
+    exps = np.array([e for _, poly in jet.terms for e, _ in poly]).reshape(-1, jet.m)
+    powers = np.asarray(d, dtype=float)[:, :, None] ** np.arange(exps.max(initial=0) + 1)
+    monos = np.prod(powers[:, np.arange(jet.m), exps], axis=2)  # (npairs, terms)
+    out, col = 0.0, 0
+    for k, poly in jet.terms:
+        vals = monos[:, col : col + len(poly)] @ np.array([c for _, c in poly])
+        col += len(poly)
+        out = out + vals.reshape(vals.shape + (1,) * (gvals.ndim - 2)) * gvals[k]
+    return out
 
 
 # ----------------------------------------------------------------------

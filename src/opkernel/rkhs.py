@@ -16,9 +16,10 @@ of strict positive definiteness (and for q > 0, of the derivative kind).
 
 quadratic_form always computes Q twice -- once as w^H M w against the
 derivative block Gram, once by pairing the embedded function against the
-measure -- and asserts the two routes agree to 1e-12 * scale. The routes
-share no assembly code path, so agreement is a real dual check; it is never
-skipped.
+measure -- and asserts the two routes agree to 1e-12 * scale; the check is
+never skipped. Both routes evaluate blocks through the kernel's batched
+primitives, but route 2 never reads the assembled or symmetrized Gram: it
+pairs raw blocks in its own summation order, so agreement is a real check.
 
 Interpolation solves (Gram + ridge I) c = targets by PSD Cholesky and
 returns the combination as an element of the kernel space, so evaluation
@@ -44,6 +45,7 @@ from .errors import (
 from .hermitian import HermitianMatrix, cholesky_psd, solve_cholesky, trace
 from .kernel import (
     OperatorKernel,
+    deriv_blocks,
     deriv_gram,
     gram,
     kernel_deriv_eval,
@@ -174,28 +176,19 @@ def embed(kernel: OperatorKernel, eta: DerivVectorMeasure) -> RkhsElement:
 
 def rkhs_eval(element: RkhsElement, y) -> np.ndarray:
     """Value of the element at y: sum_i (d^{alpha_i}_1 K)(x_i, y)^H v_i."""
-    k = element.kernel
-    out = np.zeros(k.ell, dtype=complex)
-    zero = (0,) * k.m
-    for alpha, x, v in element.atoms:
-        if alpha == zero:
-            block = kernel_eval(k, x, y)
-        else:
-            block = kernel_deriv_eval(k, alpha, zero, x, y)
-        out += block.conj().T @ v
-    return out
+    return rkhs_deriv_eval(element, (0,) * element.kernel.m, y)
 
 
 def rkhs_deriv_eval(element: RkhsElement, beta: MultiIndex, y) -> np.ndarray:
     """Derivative of the element: sum_i (d^{alpha_i}_1 d^beta_2 K)(x_i, y)^H v_i."""
     k = element.kernel
     beta = validate_multi_index(beta, k.m)
-    zero = (0,) * k.m
-    if beta == zero:
-        return rkhs_eval(element, y)
     out = np.zeros(k.ell, dtype=complex)
     for alpha, x, v in element.atoms:
-        block = kernel_deriv_eval(k, alpha, beta, x, y)
+        if multi_index_order(alpha) + multi_index_order(beta) == 0:
+            block = kernel_eval(k, x, y)
+        else:
+            block = kernel_deriv_eval(k, alpha, beta, x, y)
         out += block.conj().T @ v
     return out
 
@@ -250,10 +243,10 @@ def quadratic_form_detail(kernel: OperatorKernel, eta: DerivVectorMeasure) -> Qu
     q1 = q1c.real
 
     # route 2: embed, then pair the function against the measure. Uses raw
-    # unsymmetrized kernel evaluations and a different summation order, so
-    # agreement genuinely cross-checks the Gram assembly. For q = 0 the
-    # pairing is batched (all atom pairs at once); for q > 0 it walks the
-    # atoms through the jet evaluator.
+    # unsymmetrized kernel evaluations and a different summation order, and
+    # never reads `mat`, so agreement genuinely cross-checks the Gram
+    # assembly. For q = 0 the pairing is batched (all atom pairs at once);
+    # for q > 0 it walks the atoms through kernel_deriv_eval.
     if eta.q == 0:
         vam0 = eta.components[0][1]
         xs = np.stack([x for x, _ in vam0.atoms])
@@ -375,13 +368,8 @@ def hermite_interpolate(kernel: OperatorKernel, data, ridge: float | None = None
 
     nrow = len(parsed)
     ell = kernel.ell
-    big = np.zeros((nrow * ell, nrow * ell), dtype=complex)
-    for i, (xi, ai, _) in enumerate(parsed):
-        for j, (xj, aj, _) in enumerate(parsed):
-            big[i * ell : (i + 1) * ell, j * ell : (j + 1) * ell] = kernel_deriv_eval(
-                kernel, ai, aj, xi, xj
-            )
-    mat = HermitianMatrix(big)
+    rows = [(i, alpha) for i, (_, alpha, _) in enumerate(parsed)]
+    mat = HermitianMatrix(deriv_blocks(kernel, np.stack([x for x, _, _ in parsed]), rows))
     if ridge is None:
         ridge = _default_ridge(mat)
     ridge = float(ridge)

@@ -1,9 +1,15 @@
 """End-to-end command-line tests: exit codes, report shape, determinism."""
 
+import contextlib
+import io
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from opkernel.cli import main
 
@@ -188,6 +194,66 @@ def test_deriv_gram_askey_rejected(tmp_path):
         tmp_path, ["deriv-gram"], {"kernel": askey, "points": [[0.0], [0.4]], "q": 1}
     )
     assert code == 2
+
+
+def _omega_kernel(m_source, scale, ambient_dim=1):
+    return {
+        "family": {"kind": "omega", "m": m_source},
+        "measure": {"dim": 1, "atoms": [{"omega": scale, "G": {"re": [[1.0]]}}]},
+        "ambient_dim": ambient_dim,
+    }
+
+
+@pytest.mark.parametrize("t", [380.0, 1000.0])
+def test_eval_omega_past_old_series_cap(tmp_path, t):
+    # the exact-rational series returned 1.9e8 at t = 380 and raised
+    # OverflowError out of main at t = 1000
+    code, rep = run(tmp_path, ["eval"], {"kernel": _omega_kernel(3, 1.0), "t": t})
+    assert code == 0
+    assert abs(rep["result"]["matrix"]["re"][0][0] - math.sin(t) / t) <= 1e-13
+
+
+def test_eval_omega_above_range_cap_exits_four(tmp_path, capsys):
+    code, rep = run(tmp_path, ["eval"], {"kernel": _omega_kernel(3, 1.0), "t": 1e6})
+    err = capsys.readouterr().err
+    assert code == 4 and rep is None
+    assert "w*t <= 10000" in err
+    assert "Traceback" not in err
+
+
+EXTREME_SCALARS = (0.0, 1e-300, 1.0, 369.0, 1e4, 1e6, 1e300)
+
+
+@given(
+    command=st.sampled_from(["eval", "gram", "deriv-gram", "classify"]),
+    m_source=st.integers(1, 7),
+    ambient_dim=st.integers(1, 3),
+    scale=st.sampled_from(EXTREME_SCALARS),
+    t=st.sampled_from(EXTREME_SCALARS),
+    q=st.integers(1, 2),
+)
+@settings(max_examples=40, deadline=None)
+def test_cli_omega_extreme_scalars_exit_cleanly(command, m_source, ambient_dim, scale, t, q):
+    """Every command on omega kernels ends in a result or a typed refusal."""
+    kernel = _omega_kernel(m_source, scale, ambient_dim)
+    far = [t] + [0.0] * (ambient_dim - 1)
+    if command == "eval":
+        obj = {"kernel": kernel, "t": t}
+    elif command == "classify":
+        obj = dict(kernel, n=3, trials=2, box=t)
+    else:
+        obj = {"kernel": kernel, "points": [[0.0] * ambient_dim, far]}
+        if command == "deriv-gram":
+            obj["q"] = q
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "in.json"
+        path.write_text(json.dumps(obj))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            out = str(Path(tmp) / "out.json")
+            code = main([command, "--input", str(path), "--output", out, "--no-timestamp"])
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
 
 
 # ---------------------------------------------------------------- classify

@@ -312,6 +312,32 @@ def test_deriv_gram_psd_random_gaussian_mixtures(seed):
         assert min_eigenvalue(dg.matrix) >= -1e-9 * max(1.0, trace(dg.matrix))
 
 
+@pytest.mark.parametrize("family", ["gaussian", "omega", "plane_wave"])
+def test_deriv_gram_blocks_match_pointwise_derivatives(family):
+    """The batched assembly puts d^a_1 d^b_2 K(x_mu, x_nu) at block ((mu,a),(nu,b))."""
+    rng = np.random.default_rng(4)
+    mats = []
+    for _ in range(2):
+        b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        mats.append(b.conj().T @ b)
+    if family == "plane_wave":
+        k = plane_wave_kernel(PlaneWaveMeasure(2, 2, [(rng.normal(size=2), g) for g in mats]))
+    else:
+        prof = RadialProfile.gaussian() if family == "gaussian" else RadialProfile.omega(3)
+        k = radial_kernel(prof, OperatorMeasure(2, [(0.7, mats[0]), (1.6, mats[1])]), 2)
+    pts = rng.uniform(-2.0, 2.0, size=(3, 2))
+    dg = deriv_gram(k, pts, q=2)
+    na = len(dg.multi_indices)
+    big = dg.matrix.entries.reshape(3, na, 2, 3, na, 2)
+    for mu in range(3):
+        for a, alpha in enumerate(dg.multi_indices):
+            for nu in range(3):
+                for b, beta in enumerate(dg.multi_indices):
+                    block = kernel_deriv_eval(k, alpha, beta, pts[mu], pts[nu])
+                    scale = max(1.0, float(np.max(np.abs(block))))
+                    assert np.max(np.abs(big[mu, a, :, nu, b, :] - block)) <= 1e-13 * scale
+
+
 def test_deriv_gram_hermitian_block_symmetry():
     """Block ((mu,a),(nu,b)) must equal the adjoint of ((nu,b),(mu,a))."""
     rng = np.random.default_rng(2)

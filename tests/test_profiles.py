@@ -3,18 +3,24 @@
 Oracle values for omega_eval were computed independently from the Bessel-J
 closed form Gamma(m/2) (2/s)^((m-2)/2) J_((m-2)/2)(s) via scipy.special.jv
 and frozen here as literals; the same closed form backs the dimension-walk
-recurrence check below.
+recurrence check below.  Two more oracles live here: the exact-rational
+power series of Omega_m and of its termwise squared-distance jets (valid
+where the series converges in a few hundred terms, t up to about 30), and
+the scalar per-point jet evaluator.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import gamma as sp_gamma, jv
 
-from opkernel.errors import InvalidGrid, InvalidParameter, UnsupportedJet
+from opkernel.errors import InvalidGrid, InvalidParameter, NumericalFailure, UnsupportedJet
+from opkernel.kernel import PlaneWaveMeasure, kernel_deriv_eval, plane_wave_kernel
 from opkernel.profiles import (
+    OMEGA_T_MAX,
     RadialProfile,
     completely_monotone_check,
     ell_cm_check,
@@ -22,8 +28,9 @@ from opkernel.profiles import (
     jet_eval,
     jet_for_multi_index,
     jet_order_zero,
+    multi_indices_up_to,
     omega_eval,
-    plane_wave_deriv,
+    omega_values,
     profile_value,
     sjet_derivatives,
     williamson_construct,
@@ -40,6 +47,61 @@ def omega_bessel_oracle(m, s):
     nu = (m - 2) / 2.0
     out[nz] = sp_gamma(m / 2.0) * (2.0 / s[nz]) ** nu * jv(nu, s[nz])
     return out
+
+
+def _pochhammer(a: Fraction, n: int) -> Fraction:
+    out = Fraction(1)
+    for i in range(n):
+        out *= a + i
+    return out
+
+
+def omega_series_oracle(m, t):
+    """Omega_m(t) by its even power series in exact rationals, rounded once."""
+    x = Fraction(t) * Fraction(t) / 4
+    term = total = Fraction(1)
+    for k in range(500):
+        term *= -x / ((k + 1) * (k + Fraction(m, 2)))
+        total += term
+        if abs(term) < Fraction(1, 10**17) * max(abs(total), Fraction(1)):
+            return float(total)
+    raise AssertionError(f"series oracle did not converge at t={t}")
+
+
+def sjet_series_oracle(m, omega, s, kmax):
+    """g^(0..kmax)(s) for g(s) = Omega_m(omega sqrt(s)), differentiating the
+    series termwise and summing each derivative exactly."""
+    q = Fraction(omega) * Fraction(omega) / 4
+    sf = Fraction(s)
+    out = []
+    for j in range(kmax + 1):
+        term = total = (-q) ** j / _pochhammer(Fraction(m, 2), j)
+        k = j
+        for _ in range(500):
+            term *= -q * sf / ((k + Fraction(m, 2)) * (k + 1 - j))
+            total += term
+            k += 1
+            if abs(term) < Fraction(1, 10**17) * max(abs(total), Fraction(1)):
+                break
+        else:
+            raise AssertionError(f"jet oracle did not converge at s={s}")
+        out.append(float(total))
+    return np.array(out)
+
+
+def jet_eval_oracle(jet, d, gvals):
+    """sum_k poly_k(d) gvals[k] at one displacement, monomial by monomial."""
+    total = 0.0
+    for k, poly in jet.terms:
+        acc = 0.0
+        for exps, coeff in poly:
+            mono = coeff
+            for di, e in zip(d, exps):
+                if e:
+                    mono *= float(di) ** e
+            acc += mono
+        total += acc * float(gvals[k])
+    return total
 
 
 # ---------------------------------------------------------------- profile_value
@@ -140,6 +202,66 @@ def test_omega_bounded_by_one():
         assert np.max(np.abs(vals)) <= 1.0 + 1e-12
 
 
+def _sinc(t):
+    t = np.asarray(t, dtype=float)
+    safe = np.where(t > 0, t, 1.0)
+    return np.where(t > 0, np.sin(safe) / safe, 1.0)
+
+
+def test_omega_values_match_cos_and_sinc_up_to_range_cap():
+    rng = np.random.default_rng(3)
+    ts = np.concatenate([np.linspace(0.0, OMEGA_T_MAX, 2001), rng.uniform(0.0, OMEGA_T_MAX, 500)])
+    # Omega_3 = Omega_{1+2}: the jet orders come out of the same recurrence
+    cos_vals, sinc_from_1 = omega_values(1, ts, 1)
+    assert np.max(np.abs(cos_vals - np.cos(ts))) <= 1e-13
+    assert np.max(np.abs(sinc_from_1 - _sinc(ts))) <= 1e-13
+    assert np.max(np.abs(omega_values(3, ts)[0] - _sinc(ts))) <= 1e-13
+
+
+@pytest.mark.parametrize("wt", [380.0, 412.0, 700.0, 1000.0])
+def test_omega_regressions_past_old_series_cap(wt):
+    # the exact-rational series stopped at 500 terms and returned 1.9e8 at
+    # 380 and 9.4e40 at 412; from about 700 its float() overflowed
+    for t in (wt, wt + 0.123456789):
+        assert abs(omega_eval(1, t) - math.cos(t)) <= 1e-13
+        assert abs(omega_eval(3, t) - math.sin(t) / t) <= 1e-13
+
+
+def test_omega_values_match_series_oracle():
+    ts = [0.0, 1e-300, 0.3, 0.999, 1.0, 1.001, 2.5, 7.0, 13.3, 21.0]
+    for m in range(1, 8):
+        ours = omega_values(m, np.array(ts))[0]
+        exact = np.array([omega_series_oracle(m, t) for t in ts])
+        assert np.max(np.abs(ours - exact)) <= 5e-15
+
+
+def test_omega_jet_orders_match_bessel():
+    ts = np.linspace(0.1, 30.0, 97)
+    for m in range(1, 8):
+        vals = omega_values(m, ts, 8)
+        for j in range(9):
+            assert np.max(np.abs(vals[j] - omega_bessel_oracle(m + 2 * j, ts))) <= 1e-11
+
+
+def test_omega_values_shape_and_symmetry():
+    t = np.array([[0.5, 3.0], [40.0, 900.0]])
+    vals = omega_values(5, t, 2)
+    assert vals.shape == (3, 2, 2)
+    assert np.array_equal(omega_values(5, -t, 2), vals)
+
+
+def test_omega_refuses_above_range_cap():
+    with pytest.raises(NumericalFailure, match="w\\*t <= 10000"):
+        omega_eval(3, 1e6)
+    with pytest.raises(NumericalFailure):
+        omega_values(1, np.array([1.0, OMEGA_T_MAX * 1.001]))
+    with pytest.raises(NumericalFailure):
+        omega_eval(1, math.inf)
+    with pytest.raises(InvalidParameter):
+        omega_eval(1, math.nan)
+    assert abs(omega_eval(1, OMEGA_T_MAX) - math.cos(OMEGA_T_MAX)) <= 1e-13
+
+
 def test_omega_dimension_walk_recurrence():
     """Omega_m(t) = c_m * int_0^1 Omega_{m-1}(rt) (1-r^2)^(-1/2) r^(m-2) dr.
 
@@ -175,6 +297,36 @@ def test_sjet_omega3_first_derivative_at_zero():
     g = sjet_derivatives(RadialProfile.omega(3), 1.0, 0.0, 1)
     assert g[0] == pytest.approx(1.0, abs=1e-15)
     assert g[1] == pytest.approx(-1.0 / 6.0, abs=1e-15)
+
+
+def test_sjet_omega_matches_termwise_series_oracle():
+    for m in range(1, 8):
+        for omega in (0.4, 1.3):
+            for s in (0.0, 0.5, 2.0, 9.0, 30.0):
+                ours = sjet_derivatives(RadialProfile.omega(m), omega, s, 8)
+                exact = sjet_series_oracle(m, omega, s, 8)
+                scale = max(1.0, float(np.max(np.abs(exact))))
+                assert np.max(np.abs(ours - exact)) <= 1e-13 * scale
+
+
+def test_sjet_broadcasts_over_scales_and_distances():
+    omegas = np.array([0.5, 2.0])
+    s = np.array([[0.0], [1.5], [4.0]])
+    batch = sjet_derivatives(RadialProfile.omega(5), omegas, s, 3)
+    assert batch.shape == (4, 3, 2)
+    for p in range(3):
+        for a in range(2):
+            one = sjet_derivatives(RadialProfile.omega(5), omegas[a], s[p, 0], 3)
+            assert np.allclose(batch[:, p, a], one, rtol=0.0, atol=1e-16)
+
+
+def test_sjet_refuses_overflowing_scales():
+    with pytest.raises(NumericalFailure):
+        sjet_derivatives(RadialProfile.omega(3), 1e300, 0.0, 2)
+    with pytest.raises(NumericalFailure):
+        sjet_derivatives(RadialProfile.gaussian(), 1e300, 0.0, 2)
+    with pytest.raises(NumericalFailure):
+        sjet_derivatives(RadialProfile.omega(3), 1e3, 1e3, 1)
 
 
 def test_sjet_askey_unsupported():
@@ -229,8 +381,8 @@ def test_jet_eval_matches_richardson():
     def f(d1):
         return math.exp(-1.0 * (d1 * d1 + d[1] * d[1]))
 
-    gvals = sjet_derivatives(prof, 1.0, float(d @ d), jet.max_k)
-    ours = jet_eval(jet, d, gvals)
+    gvals = sjet_derivatives(prof, 1.0, np.array([d @ d]), jet.max_k)
+    ours = float(jet_eval(jet, d[None, :], gvals)[0])
     h = 1e-4
     fine = (f(d[0] + h) - 2 * f(d[0]) + f(d[0] - h)) / h**2
     coarse = (f(d[0] + 2 * h) - 2 * f(d[0]) + f(d[0] - 2 * h)) / (2 * h) ** 2
@@ -238,27 +390,70 @@ def test_jet_eval_matches_richardson():
     assert ours == pytest.approx(richardson, rel=1e-6)
 
 
+def test_batched_jet_eval_matches_pointwise_oracle():
+    rng = np.random.default_rng(7)
+    for m in (1, 2, 3):
+        d = rng.uniform(-2.0, 2.0, size=(25, m))
+        for gamma in multi_indices_up_to(m, 4):
+            jet = jet_for_multi_index(m, gamma)
+            gvals = rng.normal(size=(jet.max_k + 1, 25, 2))
+            ours = jet_eval(jet, d, gvals)
+            for p in range(25):
+                for a in range(2):
+                    exact = jet_eval_oracle(jet, d[p], gvals[:, p, a])
+                    assert ours[p, a] == pytest.approx(exact, rel=1e-12, abs=1e-12)
+
+
 # ---------------------------------------------------------------- plane waves
+# d^alpha_x d^beta_y exp(-i (x-y).xi) = (-i)^|alpha| i^|beta| xi^(alpha+beta) exp(-i (x-y).xi)
+
+
+def _plane_wave_closed_form(xi, alpha, beta, x, y):
+    gamma = np.array(alpha) + np.array(beta)
+    coeff = (-1j) ** sum(alpha) * (1j) ** sum(beta) * np.prod(xi**gamma)
+    return coeff * np.exp(-1j * float((x - y) @ xi))
+
+
+def _unit_plane_wave(xi):
+    return plane_wave_kernel(PlaneWaveMeasure(1, xi.size, [(xi, np.array([[1.0]]))]))
 
 
 def test_plane_wave_no_derivatives():
     xi = np.array([2.0, -1.0])
     x = np.array([0.5, 0.25])
     y = np.array([0.0, 1.0])
-    val = plane_wave_deriv(xi, (0, 0), (0, 0), x, y)
+    val = kernel_deriv_eval(_unit_plane_wave(xi), (0, 0), (0, 0), x, y)[0, 0]
     assert val == pytest.approx(np.exp(-1j * float((x - y) @ xi)), abs=1e-15)
 
 
 def test_plane_wave_first_derivative():
     xi = np.array([3.0])
     z = np.array([0.7])
-    assert plane_wave_deriv(xi, (1,), (0,), z, z) == pytest.approx(-3.0j, abs=1e-15)
+    val = kernel_deriv_eval(_unit_plane_wave(xi), (1,), (0,), z, z)[0, 0]
+    assert val == pytest.approx(-3.0j, abs=1e-15)
 
 
 def test_plane_wave_mixed_derivative():
     xi = np.array([3.0])
     z = np.array([0.7])
-    assert plane_wave_deriv(xi, (1,), (1,), z, z) == pytest.approx(9.0, abs=1e-14)
+    val = kernel_deriv_eval(_unit_plane_wave(xi), (1,), (1,), z, z)[0, 0]
+    assert val == pytest.approx(9.0, abs=1e-14)
+
+
+def test_plane_wave_batched_derivatives_match_closed_form():
+    rng = np.random.default_rng(11)
+    xi = np.array([1.5, -0.5])
+    kernel = _unit_plane_wave(xi)
+    x = rng.uniform(-1, 1, size=(6, 2))
+    y = rng.uniform(-1, 1, size=(6, 2))
+    idxs = multi_indices_up_to(2, 2)
+    gammas = [tuple(a + b for a, b in zip(alpha, beta)) for alpha in idxs for beta in idxs]
+    batch = kernel.deriv_diffs(gammas, x - y)
+    for g, (alpha, beta) in enumerate((a, b) for a in idxs for b in idxs):
+        sign = (-1.0) ** sum(beta)
+        for p in range(6):
+            expected = _plane_wave_closed_form(xi, alpha, beta, x[p], y[p])
+            assert sign * batch[g, p, 0, 0] == pytest.approx(expected, abs=1e-13)
 
 
 # ---------------------------------------------------------------- CM checks
