@@ -36,14 +36,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidGrid, InvalidParameter, InvalidVector
-from .hermitian import PSD_TOL, eigen_hermitian, min_eigenvalue, trace
+from .hermitian import PSD_TOL, HermitianMatrix, eigen_hermitian, min_eigenvalue, trace
 from .kernel import (
     OperatorKernel,
     PlaneWaveMeasure,
+    close_pair,
     gram,
+    pair_diffs,
     plane_wave_kernel,
     radial_kernel,
-    scalar_projection_kernel,
 )
 from .measures import (
     VERDICT_STRICT,
@@ -121,15 +122,7 @@ def _seeded_design(m: int, n: int, seed_parts, box: float) -> np.ndarray:
     min_dist = 1e-2 * box
     for _ in range(64):
         pts = rng.uniform(-box, box, size=(n, m))
-        ok = True
-        for i in range(n):
-            for j in range(i + 1, n):
-                if float(np.linalg.norm(pts[i] - pts[j])) < min_dist:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if close_pair(pair_diffs(pts)[1], min_dist) is None:
             return pts
     raise InvalidParameter("could not draw a separated design; box too small for n")
 
@@ -148,17 +141,11 @@ def demo_counterexample_shifted_gaussian(w, seed: int = 0) -> CounterexampleResu
     )
     mixed = quadratic_form(kernel, eta)
 
-    directions = (e1, e2, e1 + e2, e1 + 1j * e2)
     floor = np.inf
     pts = _seeded_design(m, 6, (int(seed), 0), box=2.0)
-    for k, v in enumerate(directions):
-        sk = scalar_projection_kernel(kernel, v)
-        g = np.empty((6, 6), dtype=complex)
-        for i in range(6):
-            for j in range(6):
-                g[i, j] = sk(pts[i], pts[j])
-        from .hermitian import HermitianMatrix
-
+    blocks = kernel.eval_diffs(pair_diffs(pts)[0])
+    for v in (e1, e2, e1 + e2, e1 + 1j * e2):
+        g = np.array([complex(np.vdot(v, b @ v)) for b in blocks]).reshape(6, 6)
         floor = min(floor, min_eigenvalue(HermitianMatrix(g)))
     return CounterexampleResult(
         mixed_form=mixed,

@@ -39,8 +39,8 @@ from .errors import (
     NotRadial,
     UnsupportedJet,
 )
-from .hermitian import HermitianMatrix, is_psd, trace
-from .measures import OperatorMeasure, ScalarMeasure
+from .hermitian import HermitianMatrix
+from .measures import OperatorMeasure, ScalarMeasure, merge_psd_atoms
 from .profiles import (
     JET_ORDER_CAP,
     MultiIndex,
@@ -76,27 +76,13 @@ class PlaneWaveMeasure:
         dim, m = int(dim), int(m)
         if dim < 1 or m < 1:
             raise InvalidMeasure("need dim >= 1 and m >= 1")
-        merged: dict[tuple, np.ndarray] = {}
+        keyed = []
         for xi, g in atoms:
             xi = np.asarray(xi, dtype=float)
             if xi.shape != (m,) or not np.all(np.isfinite(xi)):
                 raise InvalidMeasure(f"frequency must be a finite vector of length {m}")
-            gh = g if isinstance(g, HermitianMatrix) else HermitianMatrix(g)
-            if gh.dim != dim:
-                raise InvalidMeasure(f"atom matrix has dim {gh.dim}, expected {dim}")
-            check = is_psd(gh)
-            if not check.ok:
-                raise InvalidMeasure(
-                    f"atom at xi={xi.tolist()} is not PSD "
-                    f"(min eigenvalue {check.min_eigenvalue:.3e})"
-                )
-            key = tuple(float(v) for v in xi)
-            merged[key] = merged[key] + gh.entries if key in merged else gh.entries
-        kept = []
-        for key in sorted(merged):
-            gh = HermitianMatrix(merged[key])
-            if trace(gh) > 0.0:
-                kept.append((np.array(key, dtype=float), gh))
+            keyed.append((tuple(float(v) for v in xi), g))
+        kept = [(np.array(key), g) for key, g in merge_psd_atoms(dim, keyed, lambda key: f"xi={list(key)}")[0]]
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "atoms", tuple(kept))
@@ -135,17 +121,19 @@ class OperatorKernel:
         """Kernel blocks F(d) for a batch of difference vectors, shape
         (npairs, m) -> (npairs, ell, ell) complex."""
         diffs = np.asarray(diffs, dtype=float)
-        npairs = diffs.shape[0]
-        # grids repeat differences heavily (a uniform n-point line has only
-        # 2n-1 distinct diffs among n^2 pairs); each row's value depends on
-        # that row alone, so computing unique rows and scattering back is
-        # exact, and it turns the demo-sized Gram assemblies from minutes
-        # into milliseconds
-        if npairs > 64:
-            uniq, inv = np.unique(diffs, axis=0, return_inverse=True)
-            if uniq.shape[0] <= npairs // 2:
-                return self.eval_diffs(uniq)[inv.reshape(-1)]
-        out = np.zeros((npairs, self.ell, self.ell), dtype=complex)
+        with np.errstate(over="ignore"):
+            sq = np.sum(diffs * diffs, axis=1)
+        # Grids repeat differences heavily (a uniform n-point line has only
+        # 2n-1 distinct differences among n^2 pairs), so each distinct key is
+        # evaluated once and scattered back. The key is exact: a radial block
+        # is computed from the squared norm alone, so rows with equal squared
+        # norms (d and -d among them) get bitwise equal blocks; a plane-wave
+        # block is computed from its own row, which is then the key.
+        if diffs.shape[0] > 64:
+            first, inverse = _unique_rows(sq[:, None] if self.kind == "radial" else diffs)
+            if first.size <= diffs.shape[0] // 2:
+                return self.eval_diffs(diffs[first])[inverse]
+        out = np.zeros((diffs.shape[0], self.ell, self.ell), dtype=complex)
         if not self.measure.atoms:
             return out
         gs = np.stack([g.entries for _, g in self.measure.atoms])
@@ -153,16 +141,18 @@ class OperatorKernel:
             xis = np.stack([xi for xi, _ in self.measure.atoms])
             phases = np.exp(-1j * diffs @ xis.T)  # (npairs, natoms)
             return np.einsum("pa,aij->pij", phases, gs)
-        t = np.sqrt(np.sum(diffs * diffs, axis=1))
+        t = np.sqrt(sq)
         omegas = np.array([omega for omega, _ in self.measure.atoms])
+        with np.errstate(invalid="ignore"):
+            # a scale-0 atom is constant: it keeps its t = 0 value even where
+            # the distance overflowed to inf (inf * 0 is nan)
+            arg = np.where(omegas > 0.0, np.outer(t * t if self.profile.kind == "gaussian" else t, omegas), 0.0)
         if self.profile.kind == "gaussian":
-            vals = np.exp(-np.outer(t * t, omegas))
+            vals = np.exp(-arg)
         elif self.profile.kind == "askey":
-            vals = np.clip(1.0 - np.outer(t, omegas), 0.0, None) ** (
-                self.profile.ell_smoothness - 1
-            )
+            vals = np.clip(1.0 - arg, 0.0, None) ** (self.profile.ell_smoothness - 1)
         else:
-            vals = omega_values(self.profile.m_source, np.outer(t, omegas))[0]
+            vals = omega_values(self.profile.m_source, arg)[0]
         return np.einsum("pa,aij->pij", vals.astype(complex), gs)
 
     def deriv_diffs(self, gammas, diffs: np.ndarray) -> np.ndarray:
@@ -184,12 +174,14 @@ class OperatorKernel:
             vals = coeffs[:, None, :] * phases
         else:
             jets = [jet_for_multi_index(self.m, g) for g in gammas]
-            s = np.sum(diffs * diffs, axis=1)
             omegas = np.array([omega for omega, _ in self.measure.atoms])
-            gvals = sjet_derivatives(
-                self.profile, omegas, s[:, None], max(jet.max_k for jet in jets)
-            )
-            vals = np.stack([jet_eval(jet, diffs, gvals) for jet in jets])
+            with np.errstate(over="ignore", invalid="ignore"):
+                s = np.where(omegas > 0.0, np.sum(diffs * diffs, axis=1)[:, None], 0.0)
+                gvals = sjet_derivatives(self.profile, omegas, s, max(jet.max_k for jet in jets))
+                vals = np.stack([jet_eval(jet, diffs, gvals) for jet in jets])
+            # a scale-0 atom is constant: its derivatives vanish even where a
+            # jet monomial overflowed to inf (inf * 0 is nan)
+            vals[np.isnan(vals) & (omegas == 0.0)] = 0.0
         return (vals.reshape(-1, gs.shape[0]) @ gs.reshape(gs.shape[0], -1)).reshape(shape)
 
     def eval(self, x, y) -> np.ndarray:
@@ -382,7 +374,40 @@ class DerivBlockGram:
     matrix: HermitianMatrix
 
 
-def _check_points(points, m: int, tol: float = DUPLICATE_POINT_TOL) -> np.ndarray:
+def _unique_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index of the first row of each distinct row of keys (n, c), and for
+    every row the position of its own distinct row in that list."""
+    order = np.lexsort(keys.T)
+    ordered = keys[order]
+    new = np.r_[True, np.any(ordered[1:] != ordered[:-1], axis=1)]
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
+
+
+def pair_diffs(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All n^2 differences x_i - x_j of an (n, m) array in row-major order,
+    and their squared norms. A difference or a square that overflows is inf,
+    so it counts as far; the overflow is not reported."""
+    n = points.shape[0]
+    with np.errstate(over="ignore"):
+        diffs = (points[:, None, :] - points[None, :, :]).reshape(n * n, points.shape[1])
+        return diffs, np.sum(diffs * diffs, axis=1)
+
+
+def close_pair(sq: np.ndarray, tol: float, same: np.ndarray | None = None) -> tuple[int, int] | None:
+    """The first pair (i, j), i < j in row-major order, of points closer than
+    tol, given their n^2 squared distances from pair_diffs; an (n, n) mask
+    `same` restricts the pairs that count. None if no pair is that close."""
+    n = math.isqrt(sq.size)
+    i, j = np.divmod(np.flatnonzero(np.sqrt(sq) < tol), n)
+    hit = i < j if same is None else (i < j) & same[i, j]
+    return (int(i[hit][0]), int(j[hit][0])) if hit.any() else None
+
+
+def _check_points(points, m: int, tol: float = DUPLICATE_POINT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Validated (n, m) points and their pair_diffs differences; two points
+    closer than tol raise DuplicatePoints naming the first such pair."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
@@ -390,19 +415,17 @@ def _check_points(points, m: int, tol: float = DUPLICATE_POINT_TOL) -> np.ndarra
         raise InvalidPoint(f"expected an (n, {m}) point array, got shape {pts.shape}")
     if not np.all(np.isfinite(pts)):
         raise InvalidPoint("points have non-finite entries")
-    n = pts.shape[0]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if float(np.linalg.norm(pts[i] - pts[j])) < tol:
-                raise DuplicatePoints(f"points {i} and {j} coincide to within {tol}")
-    return pts
+    diffs, sq = pair_diffs(pts)
+    pair = close_pair(sq, tol)
+    if pair is not None:
+        raise DuplicatePoints(f"points {pair[0]} and {pair[1]} coincide to within {tol}")
+    return pts, diffs
 
 
 def gram(kernel: OperatorKernel, points, tol: float = DUPLICATE_POINT_TOL) -> BlockGram:
     """Assemble and symmetrize the block Gram at pairwise-distinct points."""
-    pts = _check_points(points, kernel.m, tol)
+    pts, diffs = _check_points(points, kernel.m, tol)
     n = pts.shape[0]
-    diffs = (pts[:, None, :] - pts[None, :, :]).reshape(n * n, kernel.m)
     blocks = kernel.eval_diffs(diffs).reshape(n, n, kernel.ell, kernel.ell)
     big = blocks.transpose(0, 2, 1, 3).reshape(n * kernel.ell, n * kernel.ell)
     return BlockGram(points=pts, ell=kernel.ell, matrix=HermitianMatrix(big))
@@ -417,55 +440,36 @@ def deriv_gram(kernel: OperatorKernel, points, q: int, tol: float = DUPLICATE_PO
     q = int(q)
     if q < 0 or 2 * q > JET_ORDER_CAP:
         raise UnsupportedJet(f"need 0 <= 2q <= {JET_ORDER_CAP}, got q={q}")
-    pts = _check_points(points, kernel.m, tol)
-    n = pts.shape[0]
     idxs = multi_indices_up_to(kernel.m, q)
-    ell = kernel.ell
-
     if q == 0:
         # only eval_diffs is needed here, so any kernel-shaped object works
-        base = gram(kernel, pts, tol)
-        return DerivBlockGram(points=pts, ell=ell, q=0, multi_indices=idxs, matrix=base.matrix)
+        base = gram(kernel, points, tol)
+        return DerivBlockGram(points=base.points, ell=base.ell, q=0, multi_indices=idxs, matrix=base.matrix)
+    pts, diffs = _check_points(points, kernel.m, tol)
     if not isinstance(kernel, OperatorKernel):
         raise UnsupportedJet("derivative Grams need a kernel with analytic jets")
-    big = deriv_blocks(kernel, pts, [(mu, alpha) for mu in range(n) for alpha in idxs])
+    big = deriv_blocks(kernel, diffs, [(mu, alpha) for mu in range(pts.shape[0]) for alpha in idxs])
     return DerivBlockGram(
-        points=pts, ell=ell, q=q, multi_indices=idxs, matrix=HermitianMatrix(big)
+        points=pts, ell=kernel.ell, q=q, multi_indices=idxs, matrix=HermitianMatrix(big)
     )
 
 
-def deriv_blocks(kernel: OperatorKernel, points: np.ndarray, rows) -> np.ndarray:
+def deriv_blocks(kernel: OperatorKernel, diffs: np.ndarray, rows) -> np.ndarray:
     """Square block matrix with block (r, c) = d^a_1 d^b_2 K(x_p, x_q) for
     rows r = (p, a) and columns c = (q, b) from the same list of (point
-    index, multi-index) pairs: one deriv_diffs call over all point pairs,
-    blocks gathered by array indexing. Not symmetrized."""
-    n, ell = points.shape[0], kernel.ell
+    index, multi-index) pairs, given the pair_diffs differences of the
+    points: one deriv_diffs call, blocks gathered by array indexing. Not
+    symmetrized."""
+    n, ell = math.isqrt(diffs.shape[0]), kernel.ell
     sums = [[tuple(a + b for a, b in zip(alpha, beta)) for _, beta in rows] for _, alpha in rows]
     gammas = sorted({gamma for row in sums for gamma in row})
     rank = {gamma: r for r, gamma in enumerate(gammas)}
-    diffs = (points[:, None, :] - points[None, :, :]).reshape(n * n, kernel.m)
     vals = kernel.deriv_diffs(gammas, diffs).reshape(len(gammas), n, n, ell, ell)
     p = np.array([i for i, _ in rows])
     signs = np.array([(-1.0) ** multi_index_order(beta) for _, beta in rows])
     blocks = vals[np.array([[rank[g] for g in row] for row in sums]), p[:, None], p[None, :]]
     blocks = blocks * signs[None, :, None, None]  # (row, column, i, j)
     return blocks.transpose(0, 2, 1, 3).reshape(len(rows) * ell, len(rows) * ell)
-
-
-def scalar_projection_kernel(kernel: OperatorKernel, v):
-    """The scalar kernel k_v(x, y) = <K(x, y) v, v> as a callable.
-
-    Matches the kernel of the scalar projection measure: projecting the
-    measure and then mixing equals projecting the mixed kernel.
-    """
-    v = np.asarray(v, dtype=complex)
-    if v.shape != (kernel.ell,) or float(np.linalg.norm(v)) == 0.0:
-        raise InvalidPoint(f"projection direction must be a nonzero vector of length {kernel.ell}")
-
-    def k_v(x, y) -> complex:
-        return complex(np.vdot(v, kernel.eval(x, y) @ v))
-
-    return k_v
 
 
 def projected_scalar_measure_kernel(sm: ScalarMeasure, profile: RadialProfile):

@@ -20,18 +20,44 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidMeasure, InvalidVector, NotRadial, SchemaError
-from .hermitian import (
-    PSD_TOL,
-    HermitianMatrix,
-    eigen_hermitian,
-    is_psd,
-    trace,
-)
+from .errors import InvalidMatrix, InvalidMeasure, InvalidVector, NotRadial, SchemaError
+from .hermitian import PSD_TOL, HermitianMatrix, _eigh_checked, eigen_hermitian, trace
 from .profiles import RadialProfile
 
 # Weights this slightly negative are treated as roundoff and clamped to 0.
 WEIGHT_ROUNDOFF_TOL = 1e-12
+
+
+def merge_psd_atoms(dim: int, keyed, describe) -> tuple[list, list]:
+    """Validate, merge and prune matrix atoms given as (key, G) pairs.
+
+    Each G is symmetrized and must be a finite dim x dim PSD matrix at the
+    default tolerance; the whole stack is checked by one eigensolve, and the
+    first atom that fails is named by describe(key). Atoms with equal keys
+    merge by summing matrices. Returns the merged atoms with positive trace,
+    sorted by key, as (key, HermitianMatrix), and the keys of the others.
+    """
+    if not keyed:
+        return [], []
+    keys = [key for key, _ in keyed]
+    mats = [g.entries if isinstance(g, HermitianMatrix) else np.asarray(g, dtype=complex) for _, g in keyed]
+    for a in mats:
+        if a.shape != (dim, dim):
+            raise InvalidMeasure(f"atom matrix has shape {a.shape}, expected ({dim}, {dim})")
+    h = np.stack(mats)
+    h = (h + np.conj(np.swapaxes(h, 1, 2))) / 2
+    if not np.all(np.isfinite(h)):
+        raise InvalidMatrix("matrix has non-finite entries")
+    lam = _eigh_checked(h)[0][:, 0]
+    bad = np.flatnonzero(lam < -PSD_TOL * np.maximum(1.0, np.trace(h, axis1=1, axis2=2).real))
+    if bad.size:
+        i = int(bad[0])
+        raise InvalidMeasure(f"atom at {describe(keys[i])} is not PSD (min eigenvalue {lam[i]:.3e})")
+    merged: dict = {}
+    for key, g in zip(keys, h):
+        merged[key] = merged[key] + g if key in merged else g
+    atoms = [(key, HermitianMatrix(merged[key])) for key in sorted(merged)]
+    return [a for a in atoms if trace(a[1]) > 0.0], [key for key, g in atoms if trace(g) <= 0.0]
 
 
 class OperatorMeasure:
@@ -50,32 +76,13 @@ class OperatorMeasure:
         dim = int(dim)
         if dim < 1:
             raise InvalidMeasure("dim must be >= 1")
-        merged: dict[float, np.ndarray] = {}
+        keyed = []
         for omega, g in atoms:
             omega = float(omega)
             if not math.isfinite(omega) or omega < 0.0:
                 raise InvalidMeasure(f"support point must be finite and >= 0, got {omega}")
-            gh = g if isinstance(g, HermitianMatrix) else HermitianMatrix(g)
-            if gh.dim != dim:
-                raise InvalidMeasure(f"atom matrix has dim {gh.dim}, expected {dim}")
-            check = is_psd(gh)
-            if not check.ok:
-                raise InvalidMeasure(
-                    f"atom at omega={omega} is not PSD "
-                    f"(min eigenvalue {check.min_eigenvalue:.3e})"
-                )
-            if omega in merged:
-                merged[omega] = merged[omega] + gh.entries
-            else:
-                merged[omega] = gh.entries
-        kept = []
-        nulls = []
-        for omega in sorted(merged):
-            gh = HermitianMatrix(merged[omega])
-            if trace(gh) <= 0.0:
-                nulls.append(omega)
-            else:
-                kept.append((omega, gh))
+            keyed.append((omega, g))
+        kept, nulls = merge_psd_atoms(dim, keyed, lambda omega: f"omega={omega}")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "atoms", tuple(kept))
         object.__setattr__(self, "null_supports", tuple(nulls))

@@ -45,11 +45,13 @@ from .errors import (
 from .hermitian import HermitianMatrix, cholesky_psd, solve_cholesky, trace
 from .kernel import (
     OperatorKernel,
+    close_pair,
     deriv_blocks,
     deriv_gram,
     gram,
     kernel_deriv_eval,
     kernel_eval,
+    pair_diffs,
 )
 from .profiles import (
     JET_ORDER_CAP,
@@ -194,13 +196,8 @@ def rkhs_deriv_eval(element: RkhsElement, beta: MultiIndex, y) -> np.ndarray:
 
 
 def _collect_points(eta: DerivVectorMeasure) -> np.ndarray:
-    seen: list[tuple] = []
-    for _, vam in eta.components:
-        for x, _ in vam.atoms:
-            key = tuple(float(c) for c in x)
-            if key not in seen:
-                seen.append(key)
-    return np.array(seen, dtype=float).reshape(len(seen), eta.m)
+    seen = dict.fromkeys(tuple(float(c) for c in x) for _, vam in eta.components for x, _ in vam.atoms)
+    return np.array(list(seen), dtype=float).reshape(len(seen), eta.m)
 
 
 @dataclass(frozen=True)
@@ -252,8 +249,7 @@ def quadratic_form_detail(kernel: OperatorKernel, eta: DerivVectorMeasure) -> Qu
         xs = np.stack([x for x, _ in vam0.atoms])
         vs = np.stack([v for _, v in vam0.atoms])
         nat = xs.shape[0]
-        pair_diffs = (xs[:, None, :] - xs[None, :, :]).reshape(nat * nat, kernel.m)
-        blocks = kernel.eval_diffs(pair_diffs).reshape(nat, nat, ell, ell)
+        blocks = kernel.eval_diffs(pair_diffs(xs)[0]).reshape(nat, nat, ell, ell)
         # T[i] = sum_j K(x_j, x_i)^H v_j ;  q2 = sum_i <T[i], v_i>
         paired = np.einsum("jiba,jb->ia", blocks.conj(), vs)
         q2c = complex(np.sum(np.conj(vs) * paired))
@@ -359,17 +355,17 @@ def hermite_interpolate(kernel: OperatorKernel, data, ridge: float | None = None
         parsed.append((x, alpha, tgt))
     if not parsed:
         raise InvalidParameter("hermite_interpolate needs at least one datum")
-    for i in range(len(parsed)):
-        for j in range(i + 1, len(parsed)):
-            xi, ai, _ = parsed[i]
-            xj, aj, _ = parsed[j]
-            if ai == aj and float(np.linalg.norm(xi - xj)) < 1e-12:
-                raise DuplicatePoints(f"data {i} and {j} request the same (x, alpha)")
+    xs = np.stack([x for x, _, _ in parsed])
+    alphas = np.array([alpha for _, alpha, _ in parsed])
+    diffs, sq = pair_diffs(xs)
+    pair = close_pair(sq, 1e-12, np.all(alphas[:, None] == alphas[None, :], axis=2))
+    if pair is not None:
+        raise DuplicatePoints(f"data {pair[0]} and {pair[1]} request the same (x, alpha)")
 
     nrow = len(parsed)
     ell = kernel.ell
     rows = [(i, alpha) for i, (_, alpha, _) in enumerate(parsed)]
-    mat = HermitianMatrix(deriv_blocks(kernel, np.stack([x for x, _, _ in parsed]), rows))
+    mat = HermitianMatrix(deriv_blocks(kernel, diffs, rows))
     if ridge is None:
         ridge = _default_ridge(mat)
     ridge = float(ridge)

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from opkernel.certify import (
     ClassificationReport,
     ShiftedPairKernel,
+    _seeded_design,
     classify_and_report,
     demo_counterexample_radial_bump,
     demo_counterexample_shifted_gaussian,
@@ -17,6 +19,53 @@ from opkernel.errors import InvalidGrid, InvalidParameter
 from opkernel.kernel import gram, radial_kernel
 from opkernel.measures import VERDICT_NOT_STRICT, VERDICT_STRICT, OperatorMeasure
 from opkernel.profiles import RadialProfile
+
+
+# ---------------------------------------------------------------- seeded designs
+
+
+def _seeded_design_loop(m, n, seed_parts, box):
+    """The sampler as it was before its separation check was vectorized;
+    None where it refused."""
+    rng = np.random.default_rng(np.random.SeedSequence(list(seed_parts)))
+    min_dist = 1e-2 * box
+    for _ in range(64):
+        pts = rng.uniform(-box, box, size=(n, m))
+        ok = True
+        for i in range(n):
+            for j in range(i + 1, n):
+                if float(np.linalg.norm(pts[i] - pts[j])) < min_dist:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            return pts
+    return None
+
+
+@given(
+    m=st.integers(1, 3),
+    n=st.integers(2, 40),
+    box=st.sampled_from([0.05, 0.5, 2.0, 4.0]),
+    seed=st.integers(0, 2**31 - 1),
+    trial=st.integers(0, 40),
+)
+@example(m=1, n=40, box=2.0, seed=0, trial=0)  # refused, as in the strictness workload
+@settings(max_examples=40, deadline=None)
+def test_seeded_design_matches_pairwise_loop(m, n, box, seed, trial):
+    expected = _seeded_design_loop(m, n, (seed, trial), box)
+    if expected is None:
+        with pytest.raises(InvalidParameter, match="could not draw a separated design"):
+            _seeded_design(m, n, (seed, trial), box)
+    else:
+        assert np.array_equal(_seeded_design(m, n, (seed, trial), box), expected)
+
+
+def test_seeded_design_refuses_crowded_line():
+    assert _seeded_design_loop(1, 40, (0, 0), 2.0) is None
+    with pytest.raises(InvalidParameter):
+        _seeded_design(1, 40, (0, 0), 2.0)
 
 
 # ---------------------------------------------------------------- shifted pair

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -254,6 +255,30 @@ def test_cli_omega_extreme_scalars_exit_cleanly(command, m_source, ambient_dim, 
             code = main([command, "--input", str(path), "--output", out, "--no-timestamp"])
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "family, scale, g, expected",
+    [
+        # a scale-0 atom is constant: every block is G, however far apart
+        ({"kind": "omega", "m": 3}, 0.0, [[2.0, 0.5], [0.5, 1.0]], [[2.0, 0.5, 2.0, 0.5], [0.5, 1.0, 0.5, 1.0]] * 2),
+        ({"kind": "gaussian"}, 1.0, [[1.0, 0.0], [0.0, 1.0]], np.eye(4).tolist()),
+    ],
+)
+def test_gram_at_overflowing_distance(tmp_path, capsys, family, scale, g, expected):
+    """Points 1e300 apart: the squared distance overflows to inf, which counts
+    as far, with no numpy warning on stderr."""
+    kernel = {
+        "family": family,
+        "measure": {"dim": 2, "atoms": [{"omega": scale, "G": {"re": g}}]},
+        "ambient_dim": 1,
+    }
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, rep = run(tmp_path, ["gram"], {"kernel": kernel, "points": [[-1e300], [1e300]]})
+    assert code == 0
+    assert rep["result"]["matrix"]["re"] == expected
+    assert not caught and capsys.readouterr().err == ""
 
 
 # ---------------------------------------------------------------- classify

@@ -1,6 +1,7 @@
 """Operator kernels: pointwise values, derivative kernels, block Grams."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from opkernel.hermitian import min_eigenvalue, trace
 from opkernel.kernel import (
     DerivBlockGram,
     PlaneWaveMeasure,
+    _check_points,
     deriv_diag_identity_check,
     deriv_gram,
     gram,
@@ -26,7 +28,6 @@ from opkernel.kernel import (
     plane_wave_kernel,
     radial_function_eval,
     radial_kernel,
-    scalar_projection_kernel,
     projected_scalar_measure_kernel,
 )
 from opkernel.measures import OperatorMeasure, scalar_projection_measure
@@ -106,6 +107,89 @@ def test_eval_diffs_dedup_is_bitwise_exact():
     for i in range(200):
         single = k.eval_diffs(tiled[i : i + 1])[0]  # 1 row: plain path
         assert np.array_equal(batched[i], single)
+
+
+def _random_psd(rng, ell):
+    b = rng.normal(size=(ell, ell)) + 1j * rng.normal(size=(ell, ell))
+    return b.conj().T @ b
+
+
+def _dedup_kernel(family, m):
+    rng = np.random.default_rng(m)
+    atoms = [(w, _random_psd(rng, 2)) for w in (0.0, 0.6, 1.7)]
+    if family == "plane_wave":
+        return plane_wave_kernel(PlaneWaveMeasure(2, m, [(rng.normal(size=m), g) for _, g in atoms]))
+    profile = {
+        "gaussian": RadialProfile.gaussian(),
+        "askey": RadialProfile.askey(m + 2),
+        "omega": RadialProfile.omega(3),
+    }[family]
+    return radial_kernel(profile, OperatorMeasure(2, atoms), m)
+
+
+@pytest.mark.parametrize("family", ["gaussian", "askey", "omega", "plane_wave"])
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("design", ["grid", "random"])
+def test_eval_diffs_dedup_matches_row_by_row(family, m, design):
+    """De-duplication on squared norms (radial) or rows (plane wave) changes
+    no bit of any block, on grids (heavy repeats) and on random points."""
+    if design == "grid":
+        axis = np.linspace(-2.0, 2.0, 16 if m == 1 else 3)
+        pts = np.stack(np.meshgrid(*[axis] * m, indexing="ij"), axis=-1).reshape(-1, m)
+    else:
+        pts = np.random.default_rng(7).uniform(-2.0, 2.0, size=(14, m))
+    diffs = (pts[:, None, :] - pts[None, :, :]).reshape(-1, m)
+    k = _dedup_kernel(family, m)
+    batched = k.eval_diffs(diffs)
+    # each row is evaluated next to the farthest difference, as two rows
+    # (too few to de-duplicate): the omega recurrence starts from the largest
+    # argument of its batch, and a one-row product takes another BLAS path
+    far = diffs[np.argmax(np.sum(diffs * diffs, axis=1))]
+    for i, d in enumerate(diffs):
+        assert np.array_equal(batched[i], k.eval_diffs(np.stack([d, far]))[0])
+
+
+# ---------------------------------------------------------------- duplicate guard
+
+
+def _check_points_loop(pts, tol=1e-12):
+    """The pairwise loop the duplicate guard ran before it was vectorized."""
+    n = pts.shape[0]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if float(np.linalg.norm(pts[i] - pts[j])) < tol:
+                raise DuplicatePoints(f"points {i} and {j} coincide to within {tol}")
+
+
+@given(
+    m=st.integers(1, 3),
+    n=st.integers(2, 40),
+    box=st.sampled_from([1e-11, 1e-3, 1.0, 1e6]),
+    planted=st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39), st.floats(0.0, 2.0)), max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_check_points_matches_pairwise_loop(m, n, box, planted, seed):
+    pts = np.random.default_rng(seed).uniform(-box, box, size=(n, m))
+    for i, j, u in planted:  # near-duplicates on both sides of the tolerance
+        if i < n and j < n and i != j:
+            pts[j] = pts[i] + u * 1e-12 / math.sqrt(m)
+    try:
+        _check_points_loop(pts)
+    except DuplicatePoints as exc:
+        with pytest.raises(DuplicatePoints) as info:
+            _check_points(pts, m)
+        assert str(info.value) == str(exc)
+    else:
+        checked, diffs = _check_points(pts, m)
+        assert np.array_equal(checked, pts)
+        assert np.array_equal(diffs, (pts[:, None, :] - pts[None, :, :]).reshape(n * n, m))
+
+
+def test_check_points_names_first_pair_in_row_major_order():
+    pts = np.array([[0.0], [5.0], [1.0], [5.0], [0.0], [1.0]])
+    with pytest.raises(DuplicatePoints, match="points 0 and 4 "):
+        _check_points(pts, 1)
 
 
 # ---------------------------------------------------------------- derivatives
@@ -271,6 +355,18 @@ def test_deriv_gram_duck_typed_q0():
         deriv_gram(Const(), np.array([[0.0], [1.0]]), q=1)
 
 
+def test_deriv_gram_scale_zero_atom_at_overflowing_distance():
+    """A scale-0 atom is constant: its value is G and its derivatives vanish,
+    even where the squared distance and the jet monomials overflow."""
+    k = radial_kernel(RadialProfile.omega(3), OperatorMeasure(1, [(0.0, np.eye(1))]), 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dg = deriv_gram(k, np.array([[-1e300], [1e300]]), q=2)
+    expected = np.zeros((6, 6))
+    expected[np.ix_([0, 3], [0, 3])] = 1.0
+    assert np.array_equal(dg.matrix.entries, expected)
+
+
 def test_deriv_gram_rejects_askey():
     with pytest.raises(UnsupportedJet):
         deriv_gram(ASKEY_K, np.array([[0.0], [0.4]]), q=1)
@@ -358,12 +454,12 @@ def test_projection_commutes_with_mixing():
     )
     k = radial_kernel(RadialProfile.gaussian(), mu, 2)
     v = rng.normal(size=2) + 1j * rng.normal(size=2)
-    kv = scalar_projection_kernel(k, v)
     sm = scalar_projection_measure(mu, v)
     ks = projected_scalar_measure_kernel(sm, RadialProfile.gaussian())
     for _ in range(5):
         x, y = rng.normal(size=2), rng.normal(size=2)
-        assert complex(kv(x, y)) == pytest.approx(complex(ks(x, y)), abs=1e-13)
+        kv = np.vdot(v, kernel_eval(k, x, y) @ v)
+        assert complex(kv) == pytest.approx(complex(ks(x, y)), abs=1e-13)
 
 
 # ---------------------------------------------------------------- CSV

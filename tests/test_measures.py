@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from opkernel.errors import InvalidMeasure, InvalidVector, SchemaError
 from opkernel.hermitian import HermitianMatrix, is_psd, min_eigenvalue, trace
+from opkernel.kernel import PlaneWaveMeasure
 from opkernel.measures import (
     VERDICT_NOT_STRICT,
     VERDICT_STRICT,
@@ -54,6 +55,66 @@ def test_rejects_negative_support():
 def test_rejects_indefinite_atom():
     with pytest.raises(InvalidMeasure):
         OperatorMeasure(2, [(1.0, np.diag([1.0, -1.0]))])
+
+
+def _merge_loop(atoms, describe):
+    """The per-atom validate-merge-prune loop both measure classes ran before
+    their atoms were checked as one stack: (kept, null keys)."""
+    merged = {}
+    for key, g in atoms:
+        gh = HermitianMatrix(g)
+        check = is_psd(gh)
+        if not check.ok:
+            raise InvalidMeasure(
+                f"atom at {describe(key)} is not PSD (min eigenvalue {check.min_eigenvalue:.3e})"
+            )
+        merged[key] = merged[key] + gh.entries if key in merged else gh.entries
+    atoms = [(key, HermitianMatrix(merged[key])) for key in sorted(merged)]
+    return [a for a in atoms if trace(a[1]) > 0.0], [key for key, g in atoms if trace(g) <= 0.0]
+
+
+def _fifty_atoms(rng, dim=3):
+    """50 PSD atoms on 13 keys (so supports repeat), a fifth of them zero."""
+    atoms = []
+    for i in range(49):
+        b = rng.normal(size=(dim, 1)) + 1j * rng.normal(size=(dim, 1))
+        g = np.zeros((dim, dim)) if i % 5 == 2 else b @ b.conj().T + 0.1 * random_psd(rng, dim)
+        atoms.append((float(rng.integers(0, 12)) / 4.0, g))
+    atoms.append((11.0, np.zeros((dim, dim))))  # a support that only a zero atom has
+    return atoms
+
+
+def test_measures_merge_and_prune_like_the_loop():
+    atoms = _fifty_atoms(np.random.default_rng(21))
+    kept, nulls = _merge_loop(atoms, str)
+    mu = OperatorMeasure(3, atoms)
+    assert [w for w, _ in mu.atoms] == [w for w, _ in kept]
+    assert all(np.array_equal(a.entries, b.entries) for (_, a), (_, b) in zip(mu.atoms, kept))
+    assert mu.null_supports == tuple(nulls) and 11.0 in nulls
+    xi_atoms = [((w, -w), g) for w, g in atoms]
+    pw = PlaneWaveMeasure(3, 2, [(np.array(xi), g) for xi, g in xi_atoms])
+    kept, _ = _merge_loop(xi_atoms, str)
+    assert [tuple(xi) for xi, _ in pw.atoms] == [xi for xi, _ in kept]
+    assert all(np.array_equal(a.entries, b.entries) for (_, a), (_, b) in zip(pw.atoms, kept))
+
+
+def test_measures_name_the_first_indefinite_atom():
+    atoms = _fifty_atoms(np.random.default_rng(22))
+    atoms[37] = (7.5, np.diag([1.0, 2.0, -0.5]))
+    atoms[44] = (2.0, np.diag([-1.0, 2.0, 1.0]))
+    with pytest.raises(InvalidMeasure) as expected:
+        _merge_loop(atoms, lambda w: f"omega={w}")
+    assert "omega=7.5 " in str(expected.value)
+    with pytest.raises(InvalidMeasure) as info:
+        OperatorMeasure(3, atoms)
+    assert str(info.value) == str(expected.value)
+    xi_atoms = [(np.array([w, 1.0]), g) for w, g in atoms]
+    with pytest.raises(InvalidMeasure) as expected:
+        _merge_loop([(tuple(xi.tolist()), g) for xi, g in xi_atoms], lambda xi: f"xi={list(xi)}")
+    assert "xi=[7.5, 1.0] " in str(expected.value)
+    with pytest.raises(InvalidMeasure) as info:
+        PlaneWaveMeasure(3, 2, xi_atoms)
+    assert str(info.value) == str(expected.value)
 
 
 def test_scalar_measure_clamps_roundoff():

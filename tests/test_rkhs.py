@@ -200,6 +200,25 @@ def test_hermite_rejects_duplicate_requests():
         hermite_interpolate(SCALAR_GAUSS, [datum, datum])
 
 
+def test_hermite_names_first_duplicate_request_like_the_loop():
+    rng = np.random.default_rng(4)
+    xs = rng.uniform(-1.0, 1.0, size=(12, 2))
+    alphas = [(0, 0), (1, 0), (0, 1)] * 4
+    # (0, 4) repeats a point with another alpha; (1, 7), (2, 5) and (3, 9) repeat both
+    xs[4], xs[7], xs[5], xs[9] = xs[0], xs[1], xs[2], xs[3]
+    data = [(x, a, np.array([1.0])) for x, a in zip(xs, alphas)]
+    expected = None
+    for i in range(12):  # the pairwise loop this guard ran before it was vectorized
+        for j in range(i + 1, 12):
+            if expected is None and alphas[i] == alphas[j] and np.linalg.norm(xs[i] - xs[j]) < 1e-12:
+                expected = f"data {i} and {j} request the same (x, alpha)"
+    assert expected == "data 1 and 7 request the same (x, alpha)"
+    kernel = radial_kernel(RadialProfile.gaussian(), OperatorMeasure(1, [(1.0, np.eye(1))]), 2)
+    with pytest.raises(DuplicatePoints) as info:
+        hermite_interpolate(kernel, data)
+    assert str(info.value) == expected
+
+
 def test_hermite_matches_derivative_data():
     """Fit value+slope at two points; check slope reproduction."""
     data = [
