@@ -30,7 +30,7 @@ silently.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -266,15 +266,6 @@ class ProbeReport:
     violation: ProbeViolation | None = None
 
 
-def _probe_one(kernel, n: int, seed: int, trial: int, box: float):
-    pts = _seeded_design(kernel.m, n, (seed, trial), box)
-    g = gram(kernel, pts)
-    dec = eigen_hermitian(g.matrix)
-    lo = float(dec.eigenvalues[0])
-    scale = max(1.0, trace(g.matrix))
-    return pts, lo, scale, dec.eigenvectors[:, 0].copy()
-
-
 def probe_strict_pd(
     kernel,
     n: int = 4,
@@ -282,34 +273,29 @@ def probe_strict_pd(
     seed: int = 0,
     box: float = 2.0,
     tol: float = PROBE_TOL,
-    jobs: int = 1,
 ) -> ProbeReport:
     """Draw seeded random designs and eigen-check each block Gram.
 
-    A trial violates when min eig <= tol * max(1, trace). Results are
-    deterministic in (seed, trial) regardless of jobs: each trial derives
-    its own generator from SeedSequence([seed, trial])."""
-    n, trials, seed, jobs = int(n), int(trials), int(seed), int(jobs)
+    A trial violates when min eig <= tol * max(1, trace). Each trial
+    derives its own generator from SeedSequence([seed, trial]), so results
+    are deterministic in (seed, trial)."""
+    n, trials, seed = int(n), int(trials), int(seed)
     if n < 2 or trials < 1:
         raise InvalidParameter("need n >= 2 points and trials >= 1")
-    if jobs < 1:
-        raise InvalidParameter("jobs must be >= 1")
-    results: list = [None] * trials
-    if jobs == 1:
-        for t in range(trials):
-            results[t] = _probe_one(kernel, n, seed, t, box)
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            futs = {ex.submit(_probe_one, kernel, n, seed, t, box): t for t in range(trials)}
-            for fut, t in futs.items():
-                results[t] = fut.result()
-    mins = tuple(float(r[1]) for r in results)
+    if not (math.isfinite(box) and box > 0.0):
+        raise InvalidParameter("box must be finite and > 0")
+    results = []
+    for t in range(trials):
+        pts = _seeded_design(kernel.m, n, (seed, t), box)
+        g = gram(kernel, pts).matrix
+        dec = eigen_hermitian(g)
+        lo = float(dec.eigenvalues[0])
+        results.append((pts, lo, max(1.0, trace(g)), dec.eigenvectors[:, 0].copy()))
+    mins = tuple(lo for _, lo, _, _ in results)
     violation = None
     for t, (pts, lo, scale, vec) in enumerate(results):
         if lo <= tol * scale:
-            violation = ProbeViolation(
-                trial=t, points=pts, min_eigenvalue=lo, witness=vec
-            )
+            violation = ProbeViolation(trial=t, points=pts, min_eigenvalue=lo, witness=vec)
             break
     return ProbeReport(
         verdict="ViolationFound" if violation is not None else "NoViolationFound",
@@ -349,7 +335,7 @@ def find_null_direction(kernel, points) -> NullDirection:
     )
 
 
-def witness_design_mineig(kernel: OperatorKernel, witness: np.ndarray):
+def witness_design_mineig(kernel: OperatorKernel):
     """Smallest Gram eigenvalue on the canonical two-point design {0, e1}.
 
     For a kernel whose positive-frequency mass misses the witness direction,
@@ -410,7 +396,7 @@ def classify_and_report(
     else:
         # a degenerate kernel is singular on EVERY design (the eigensolver
         # finds the bad direction itself), so the probe must corroborate too
-        witness_design = witness_design_mineig(kernel, cls.witness)
+        witness_design = witness_design_mineig(kernel)
         corroborated = witness_design[0] <= WITNESS_DESIGN_TOL * witness_design[1]
         consistent = corroborated and probe.verdict == "ViolationFound"
         if not corroborated:

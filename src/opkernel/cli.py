@@ -59,7 +59,7 @@ from .kernel import (
     radial_function_eval,
     radial_kernel,
 )
-from .measures import _matrix_from_json, measure_from_json
+from .measures import OperatorMeasure, measure_from_json
 from .profiles import (
     CM_DEFAULT_H,
     RadialProfile,
@@ -68,6 +68,16 @@ from .profiles import (
     williamson_construct,
 )
 from .rkhs import hermite_interpolate, interpolate, rkhs_eval
+from .schema import (
+    _fields,
+    _float_field,
+    _int_field,
+    _list_field,
+    _point_field,
+    _points_field,
+    complex_from_json,
+    complex_to_json,
+)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -106,81 +116,6 @@ _TOL_DEFAULTS = {
 
 
 # ----------------------------------------------------------------------
-# small JSON plumbing
-# ----------------------------------------------------------------------
-
-
-def _fields(obj, what: str, required, optional=()):
-    if not isinstance(obj, dict):
-        raise SchemaError(f"{what} must be a JSON object")
-    unknown = set(obj) - set(required) - set(optional)
-    if unknown:
-        raise SchemaError(f"unknown fields {sorted(unknown)} in {what}")
-    for field in required:
-        if field not in obj:
-            raise SchemaError(f"missing field '{field}' in {what}")
-
-
-def _int_field(value, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"'{name}' must be an integer")
-    return value
-
-
-def _float_field(value, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"'{name}' must be a number")
-    return float(value)
-
-
-def _point_field(value, name: str, m: int) -> np.ndarray:
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"'{name}' must be a list of numbers") from exc
-    if arr.shape != (m,) or not np.all(np.isfinite(arr)):
-        raise SchemaError(f"'{name}' must be a finite vector of length {m}")
-    return arr
-
-
-def _points_field(value, name: str, m: int) -> np.ndarray:
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"'{name}' must be a list of points") from exc
-    if arr.ndim == 1 and m == 1:
-        arr = arr.reshape(-1, 1)
-    if arr.ndim != 2 or arr.shape[1] != m or arr.shape[0] < 1 or not np.all(
-        np.isfinite(arr)
-    ):
-        raise SchemaError(f"'{name}' must be a nonempty list of length-{m} points")
-    return arr
-
-
-def _cvec_json(v: np.ndarray) -> dict:
-    return {"re": [float(c) for c in v.real], "im": [float(c) for c in v.imag]}
-
-
-def _cmat_json(mat: np.ndarray) -> dict:
-    return {
-        "re": [[float(c) for c in row] for row in mat.real],
-        "im": [[float(c) for c in row] for row in mat.imag],
-    }
-
-
-def _cvec_from_json(obj, what: str) -> np.ndarray:
-    _fields(obj, what, ("re",), ("im",))
-    try:
-        re = np.asarray(obj["re"], dtype=float)
-        im = np.asarray(obj.get("im", np.zeros_like(re)), dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{what} entries must be numbers") from exc
-    if re.shape != im.shape:
-        raise SchemaError(f"'re' and 'im' shapes differ in {what}")
-    return re + 1j * im
-
-
-# ----------------------------------------------------------------------
 # kernel descriptors
 # ----------------------------------------------------------------------
 
@@ -209,14 +144,11 @@ def family_from_json(obj):
 def plane_wave_measure_from_json(obj, m: int) -> PlaneWaveMeasure:
     _fields(obj, "plane-wave measure", ("dim", "atoms"))
     dim = _int_field(obj["dim"], "dim")
-    if not isinstance(obj["atoms"], list):
-        raise SchemaError("'atoms' must be a list")
     atoms = []
-    for i, atom in enumerate(obj["atoms"]):
+    for i, atom in enumerate(_list_field(obj["atoms"], "atoms")):
         _fields(atom, f"plane-wave atom {i}", ("xi", "G"))
         xi = _point_field(atom["xi"], f"atom {i} 'xi'", m)
-        g = _matrix_from_json(atom["G"], f"plane-wave atom {i}")
-        atoms.append((xi, g.entries))
+        atoms.append((xi, complex_from_json(atom["G"], f"plane-wave atom {i} 'G'")))
     return PlaneWaveMeasure(dim, m, atoms)
 
 
@@ -306,7 +238,7 @@ def cmd_eval(args) -> int:
             _point_field(obj["x"], "x", kernel.m),
             _point_field(obj["y"], "y", kernel.m),
         )
-    _emit(args, _report(args, "eval", obj, {"matrix": _cmat_json(value)}))
+    _emit(args, _report(args, "eval", obj, {"matrix": complex_to_json(value)}))
     return EXIT_OK
 
 
@@ -357,7 +289,7 @@ def _run_gram(args, command: str) -> int:
         )
         return EXIT_OK
     result = dict(meta)
-    result["matrix"] = _cmat_json(g.matrix.entries)
+    result["matrix"] = complex_to_json(g.matrix.entries)
     _emit(args, _report(args, command, obj, result))
     return EXIT_OK
 
@@ -398,7 +330,7 @@ def cmd_classify(args) -> int:
     result = {
         "verdict": cls.verdict,
         "min_eigenvalue": float(cls.min_eigenvalue),
-        "witness": None if cls.witness is None else _cvec_json(cls.witness),
+        "witness": None if cls.witness is None else complex_to_json(cls.witness),
         "family_kind": cls.family_kind,
         "dim": cls.dim,
         "jet_order": rep.jet_order,
@@ -464,10 +396,7 @@ def cmd_demo(args) -> int:
 def _sin_cos_experiment(args) -> dict:
     """Interpolate (sin, cos) with the gaussian identity-measure kernel on
     [-1, 1] and report sup-grid errors for n = 5 and n = 20 centers."""
-    measure = measure_from_json(
-        {"dim": 2, "atoms": [{"omega": 1.0, "G": {"re": [[1.0, 0.0], [0.0, 1.0]]}}]}
-    )
-    kernel = radial_kernel(RadialProfile.gaussian(), measure, 1)
+    kernel = radial_kernel(RadialProfile.gaussian(), OperatorMeasure(2, [(1.0, np.eye(2))]), 1)
     grid = np.linspace(-1.0, 1.0, 201)
     errors = {}
     residuals = {}
@@ -509,14 +438,12 @@ def cmd_interp(args) -> int:
         _fields(obj, "interp input", ("kernel", "data"), ("ridge",))
         kernel = kernel_from_json(obj["kernel"])
         data = []
-        for i, datum in enumerate(obj["data"]):
+        for i, datum in enumerate(_list_field(obj["data"], "data")):
             _fields(datum, f"datum {i}", ("x", "alpha", "target"))
             x = _point_field(datum["x"], f"datum {i} 'x'", kernel.m)
-            try:
-                alpha = tuple(int(a) for a in datum["alpha"])
-            except (TypeError, ValueError) as exc:
-                raise SchemaError(f"bad 'alpha' in datum {i}") from exc
-            tgt = _cvec_from_json(datum["target"], f"datum {i} 'target'")
+            alpha_list = _list_field(datum["alpha"], f"datum {i} alpha")
+            alpha = tuple(_int_field(a, f"datum {i} alpha") for a in alpha_list)
+            tgt = complex_from_json(datum["target"], f"datum {i} 'target'")
             data.append((x, alpha, tgt))
         ridge = args.tols["ridge"]
         if ridge is None and "ridge" in obj:
@@ -526,7 +453,7 @@ def cmd_interp(args) -> int:
         _fields(obj, "interp input", ("kernel", "points", "targets"), ("ridge",))
         kernel = kernel_from_json(obj["kernel"])
         pts = _points_field(obj["points"], "points", kernel.m)
-        targets = _cvec_from_json(obj["targets"], "'targets'")
+        targets = complex_from_json(obj["targets"], "'targets'")
         if targets.shape != (pts.shape[0], kernel.ell):
             raise SchemaError(
                 f"'targets' must be {pts.shape[0]} x {kernel.ell} (re/im matrices)"
@@ -539,7 +466,7 @@ def cmd_interp(args) -> int:
         "residual": res.residual,
         "ridge": res.ridge,
         "coefficients": [
-            {"alpha": list(alpha), "x": [float(c) for c in x], "v": _cvec_json(v)}
+            {"alpha": list(alpha), "x": [float(c) for c in x], "v": complex_to_json(v)}
             for alpha, x, v in res.element.atoms
         ],
     }
@@ -651,7 +578,7 @@ def _probe_json(rep) -> dict:
             "trial": rep.violation.trial,
             "points": [[float(c) for c in p] for p in rep.violation.points],
             "min_eigenvalue": rep.violation.min_eigenvalue,
-            "witness": _cvec_json(rep.violation.witness),
+            "witness": complex_to_json(rep.violation.witness),
         }
     return out
 
@@ -667,7 +594,6 @@ def cmd_probe(args) -> int:
         seed=args.seed,
         box=_float_field(obj.get("box", 2.0), "box"),
         tol=args.tols["probe"],
-        jobs=args.jobs,
     )
     _emit(args, _report(args, "probe", obj, _probe_json(rep)))
     return EXIT_OK if rep.verdict == "NoViolationFound" else EXIT_NEGATIVE
@@ -685,20 +611,12 @@ def _nonneg_int(text: str) -> int:
     return value
 
 
-def _pos_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--input", metavar="PATH", help="JSON descriptor file")
     common.add_argument("--output", metavar="PATH", help="write the report here instead of stdout")
     common.add_argument("--seed", type=_nonneg_int, default=0, help="seed for randomized steps (default 0)")
     common.add_argument("--format", choices=("json", "csv"), default="json", help="output format (csv applies to gram matrices)")
-    common.add_argument("--jobs", type=_pos_int, default=1, help="worker threads for probe trials")
     common.add_argument("--no-timestamp", action="store_true", help="omit the timestamp (for byte-identical reruns)")
     common.add_argument(
         "--tol",

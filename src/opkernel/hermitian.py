@@ -122,31 +122,6 @@ def is_psd(a: HermitianMatrix | np.ndarray, tol: float = PSD_TOL) -> PsdCheck:
     return PsdCheck(False, lam, dec.eigenvectors[:, 0].copy())
 
 
-def psd_sqrt(a: HermitianMatrix | np.ndarray, tol: float = PSD_TOL) -> HermitianMatrix:
-    """Hermitian PSD square root via eigenvalue clamping.
-
-    Eigenvalues in [-tol*scale, 0) are treated as roundoff and clamped to 0;
-    anything below that raises NotPSD. The result satisfies
-    ||B @ B - A||_F <= 1e-10 * max(1, ||A||_F), enforced.
-    """
-    a = _as_hermitian(a)
-    dec = eigen_hermitian(a)
-    scale = max(1.0, trace(a))
-    lam_min = float(dec.eigenvalues[0])
-    if lam_min < -tol * scale:
-        raise NotPSD(
-            f"matrix is not PSD: min eigenvalue {lam_min:.3e} < {-tol * scale:.3e}",
-            witness=dec.eigenvectors[:, 0].copy(),
-        )
-    clamped = np.where(dec.eigenvalues > 0.0, dec.eigenvalues, 0.0)
-    v = dec.eigenvectors
-    b = HermitianMatrix((v * np.sqrt(clamped)) @ v.conj().T)
-    resid = float(np.linalg.norm(b.entries @ b.entries - a.entries))
-    if resid > 1e-10 * max(1.0, float(np.linalg.norm(a.entries))):
-        raise NumericalFailure("psd_sqrt residual too large")
-    return b
-
-
 def cholesky_psd(a: HermitianMatrix | np.ndarray, jitter: float = 0.0) -> np.ndarray:
     """Lower Cholesky factor of A + jitter*I, tolerant of PSD rank deficiency.
 

@@ -40,7 +40,7 @@ from .errors import (
     UnsupportedJet,
 )
 from .hermitian import HermitianMatrix
-from .measures import OperatorMeasure, ScalarMeasure, merge_psd_atoms
+from .measures import OperatorMeasure, merge_psd_atoms
 from .profiles import (
     JET_ORDER_CAP,
     MultiIndex,
@@ -470,18 +470,6 @@ def deriv_blocks(kernel: OperatorKernel, diffs: np.ndarray, rows) -> np.ndarray:
     blocks = vals[np.array([[rank[g] for g in row] for row in sums]), p[:, None], p[None, :]]
     blocks = blocks * signs[None, :, None, None]  # (row, column, i, j)
     return blocks.transpose(0, 2, 1, 3).reshape(len(rows) * ell, len(rows) * ell)
-
-
-def projected_scalar_measure_kernel(sm: ScalarMeasure, profile: RadialProfile):
-    """Scalar radial kernel from a scalar measure: sum_j w_j p_{omega_j}."""
-
-    def k(x, y) -> float:
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        t = float(np.linalg.norm(x - y))
-        return sum(w * profile_value(profile, omega, t) for omega, w in sm.atoms)
-
-    return k
 
 
 # ----------------------------------------------------------------------

@@ -20,9 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidMatrix, InvalidMeasure, InvalidVector, NotRadial, SchemaError
+from .errors import InvalidMatrix, InvalidMeasure, InvalidVector, NotRadial
 from .hermitian import PSD_TOL, HermitianMatrix, _eigh_checked, eigen_hermitian, trace
 from .profiles import RadialProfile
+from .schema import _fields, _float_field, _int_field, _list_field, complex_from_json
 
 # Weights this slightly negative are treated as roundoff and clamped to 0.
 WEIGHT_ROUNDOFF_TOL = 1e-12
@@ -236,73 +237,16 @@ def classify_radial(
 # ----------------------------------------------------------------------
 
 
-def _matrix_from_json(obj, what: str) -> HermitianMatrix:
-    if not isinstance(obj, dict):
-        raise SchemaError(f"{what} must be an object with 're' (and optional 'im')")
-    unknown = set(obj) - {"re", "im"}
-    if unknown:
-        raise SchemaError(f"unknown fields {sorted(unknown)} in {what}")
-    if "re" not in obj:
-        raise SchemaError(f"missing field 're' in {what}")
-    re = np.asarray(obj["re"], dtype=float)
-    if "im" in obj:
-        im = np.asarray(obj["im"], dtype=float)
-        if im.shape != re.shape:
-            raise SchemaError(f"'re' and 'im' shapes differ in {what}")
-    else:
-        im = np.zeros_like(re)
-    try:
-        return HermitianMatrix(re + 1j * im)
-    except Exception as exc:
-        raise SchemaError(f"bad matrix in {what}: {exc}") from exc
-
-
-def _matrix_to_json(g: HermitianMatrix) -> dict:
-    return {
-        "re": [[float(v) for v in row] for row in g.entries.real],
-        "im": [[float(v) for v in row] for row in g.entries.imag],
-    }
-
-
 def measure_from_json(obj) -> OperatorMeasure:
-    """Parse {"dim": l, "atoms": [{"omega": w, "G": {"re": [[..]], "im": [[..]]}}]}.
+    """Parse {"dim": l, "atoms": [{"omega": w, "G": matrix}]}, each matrix a
+    complex array as read by schema.complex_from_json.
 
     Unknown fields are rejected; matrices are symmetrized and PSD-validated.
     """
-    if not isinstance(obj, dict):
-        raise SchemaError("measure descriptor must be an object")
-    unknown = set(obj) - {"dim", "atoms"}
-    if unknown:
-        raise SchemaError(f"unknown fields {sorted(unknown)} in measure descriptor")
-    for field in ("dim", "atoms"):
-        if field not in obj:
-            raise SchemaError(f"missing field '{field}' in measure descriptor")
-    if not isinstance(obj["atoms"], list):
-        raise SchemaError("'atoms' must be a list")
+    _fields(obj, "measure descriptor", ("dim", "atoms"))
     atoms = []
-    for i, atom in enumerate(obj["atoms"]):
-        if not isinstance(atom, dict):
-            raise SchemaError(f"atom {i} must be an object")
-        unknown = set(atom) - {"omega", "G"}
-        if unknown:
-            raise SchemaError(f"unknown fields {sorted(unknown)} in atom {i}")
-        for field in ("omega", "G"):
-            if field not in atom:
-                raise SchemaError(f"missing field '{field}' in atom {i}")
-        if not isinstance(atom["omega"], (int, float)) or isinstance(atom["omega"], bool):
-            raise SchemaError(f"atom {i} 'omega' must be a number")
-        atoms.append((float(atom["omega"]), _matrix_from_json(atom["G"], f"atom {i} 'G'")))
-    try:
-        dim = int(obj["dim"])
-    except (TypeError, ValueError) as exc:
-        raise SchemaError("'dim' must be an integer") from exc
-    return OperatorMeasure(dim, atoms)
-
-
-def measure_to_json(measure: OperatorMeasure) -> dict:
-    return {
-        "dim": measure.dim,
-        "atoms": [
-            {"omega": float(omega), "G": _matrix_to_json(g)} for omega, g in measure.atoms
-        ],
-    }
+    for i, atom in enumerate(_list_field(obj["atoms"], "atoms")):
+        _fields(atom, f"atom {i}", ("omega", "G"))
+        omega = _float_field(atom["omega"], f"atom {i} omega")
+        atoms.append((omega, complex_from_json(atom["G"], f"atom {i} 'G'")))
+    return OperatorMeasure(_int_field(obj["dim"], "dim"), atoms)

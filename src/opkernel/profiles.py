@@ -324,9 +324,6 @@ class RadialJet:
     m: int
     terms: tuple[tuple[int, tuple[tuple[MultiIndex, float], ...]], ...]
 
-    def as_dict(self) -> dict[int, _Poly]:
-        return {k: dict(poly) for k, poly in self.terms}
-
     @property
     def max_k(self) -> int:
         return max((k for k, _ in self.terms), default=0)

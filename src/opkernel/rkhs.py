@@ -40,7 +40,6 @@ from .errors import (
     InvalidVector,
     NotPSD,
     NumericalFailure,
-    SchemaError,
 )
 from .hermitian import HermitianMatrix, cholesky_psd, solve_cholesky, trace
 from .kernel import (
@@ -389,90 +388,3 @@ def hermite_interpolate(kernel: OperatorKernel, data, ridge: float | None = None
         element=RkhsElement(kernel=kernel, atoms=atoms), residual=residual, ridge=ridge
     )
 
-
-# ----------------------------------------------------------------------
-# JSON schema for derivative vector measures
-# ----------------------------------------------------------------------
-
-
-def vector_measure_from_json(obj, m: int, ell: int) -> DerivVectorMeasure:
-    """Parse {"q": n, "components": [{"alpha": [..], "atoms": [{"x": [..],
-    "v": {"re": [..], "im": [..]}}]}]}. Unknown fields are rejected."""
-    if not isinstance(obj, dict):
-        raise SchemaError("vector measure descriptor must be an object")
-    unknown = set(obj) - {"q", "components"}
-    if unknown:
-        raise SchemaError(f"unknown fields {sorted(unknown)} in vector measure descriptor")
-    for field in ("q", "components"):
-        if field not in obj:
-            raise SchemaError(f"missing field '{field}' in vector measure descriptor")
-    if not isinstance(obj["components"], list):
-        raise SchemaError("'components' must be a list")
-    comps = {}
-    for i, comp in enumerate(obj["components"]):
-        if not isinstance(comp, dict):
-            raise SchemaError(f"component {i} must be an object")
-        unknown = set(comp) - {"alpha", "atoms"}
-        if unknown:
-            raise SchemaError(f"unknown fields {sorted(unknown)} in component {i}")
-        for field in ("alpha", "atoms"):
-            if field not in comp:
-                raise SchemaError(f"missing field '{field}' in component {i}")
-        atoms = []
-        for j, atom in enumerate(comp["atoms"]):
-            if not isinstance(atom, dict):
-                raise SchemaError(f"atom {j} of component {i} must be an object")
-            unknown = set(atom) - {"x", "v"}
-            if unknown:
-                raise SchemaError(f"unknown fields {sorted(unknown)} in atom {j} of component {i}")
-            for field in ("x", "v"):
-                if field not in atom:
-                    raise SchemaError(f"missing field '{field}' in atom {j} of component {i}")
-            vobj = atom["v"]
-            if not isinstance(vobj, dict):
-                raise SchemaError(f"'v' must be an object in atom {j} of component {i}")
-            unknown = set(vobj) - {"re", "im"}
-            if unknown:
-                raise SchemaError(f"unknown fields {sorted(unknown)} in 'v'")
-            if "re" not in vobj:
-                raise SchemaError("missing field 're' in 'v'")
-            re = np.asarray(vobj["re"], dtype=float)
-            im = np.asarray(vobj.get("im", np.zeros_like(re)), dtype=float)
-            if re.shape != im.shape:
-                raise SchemaError("'re' and 'im' shapes differ in 'v'")
-            atoms.append((np.asarray(atom["x"], dtype=float), re + 1j * im))
-        try:
-            alpha = tuple(int(a) for a in comp["alpha"])
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"bad 'alpha' in component {i}") from exc
-        comps[alpha] = atoms
-    try:
-        q = int(obj["q"])
-    except (TypeError, ValueError) as exc:
-        raise SchemaError("'q' must be an integer") from exc
-    try:
-        return DerivVectorMeasure(m, ell, q, comps)
-    except (InvalidParameter, InvalidVector) as exc:
-        raise SchemaError(f"bad vector measure: {exc}") from exc
-
-
-def vector_measure_to_json(eta: DerivVectorMeasure) -> dict:
-    return {
-        "q": eta.q,
-        "components": [
-            {
-                "alpha": [int(a) for a in alpha],
-                "atoms": [
-                    {
-                        "x": [float(c) for c in x],
-                        "v": {
-                            "re": [float(c) for c in v.real],
-                            "im": [float(c) for c in v.imag],
-                        },
-                    }
-                    for x, v in vam.atoms
-                ],
-            }
-            for alpha, vam in eta.components
-        ],
-    }

@@ -354,7 +354,7 @@ def test_c12_deterministic_outputs(tmp_path):
     inp = tmp_path / "probe.json"
     inp.write_text(json.dumps({"kernel": kernel_json, "trials": 10}))
     runs = {
-        "probe": ["probe", "--input", str(inp), "--seed", "5", "--jobs", "2"],
+        "probe": ["probe", "--input", str(inp), "--seed", "5"],
         "demo-shifted": ["demo", "shifted-gaussian", "--w", "1", "--seed", "5"],
         "demo-bump": ["demo", "radial-bump"],
     }

@@ -172,20 +172,17 @@ def test_probe_degenerate_kernel_flags_first_trial():
     assert rep.violation.trial == 0
 
 
-def test_probe_deterministic_across_jobs():
-    a = probe_strict_pd(STRICT_K, n=4, trials=12, seed=3, jobs=1)
-    b = probe_strict_pd(STRICT_K, n=4, trials=12, seed=3, jobs=4)
-    assert a.min_eigenvalues == b.min_eigenvalues
-    assert a.global_min == b.global_min
-
-
 def test_probe_rejects_bad_parameters():
     with pytest.raises(InvalidParameter):
         probe_strict_pd(STRICT_K, n=1)
     with pytest.raises(InvalidParameter):
         probe_strict_pd(STRICT_K, trials=0)
-    with pytest.raises(InvalidParameter):
-        probe_strict_pd(STRICT_K, jobs=0)
+
+
+@pytest.mark.parametrize("box", [float("nan"), float("inf"), -1.0, 0.0])
+def test_probe_rejects_bad_box(box):
+    with pytest.raises(InvalidParameter, match="box must be finite and > 0"):
+        probe_strict_pd(STRICT_K, box=box)
 
 
 def test_probe_design_separation_floor():
@@ -199,12 +196,12 @@ def test_probe_design_separation_floor():
 
 
 def test_witness_design_degenerates_for_rank_deficient_total():
-    lo, scale = witness_design_mineig(DEGENERATE_K, np.array([0.0, 1.0]))
+    lo, scale = witness_design_mineig(DEGENERATE_K)
     assert lo <= 1e-9 * scale
 
 
 def test_witness_design_positive_for_strict():
-    lo, scale = witness_design_mineig(STRICT_K, np.array([1.0, 0.0]))
+    lo, scale = witness_design_mineig(STRICT_K)
     assert lo > 1e-6
 
 

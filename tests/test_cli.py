@@ -471,18 +471,86 @@ def test_probe_degenerate(tmp_path):
     assert rep["result"]["violation"]["trial"] == 0
 
 
-def test_probe_jobs_do_not_change_output(tmp_path):
-    inp = write_json(tmp_path, "in.json", {"kernel": GAUSS_IDENTITY2, "trials": 8})
-    outs = []
-    for jobs, name in (("1", "j1.json"), ("4", "j4.json")):
-        out = tmp_path / name
-        argv = [
-            "probe", "--input", inp, "--output", str(out),
-            "--seed", "7", "--jobs", jobs, "--no-timestamp",
-        ]
-        assert main(argv) == 0
-        outs.append(out.read_bytes())
-    assert outs[0] == outs[1]
+# ---------------------------------------------------------------- malformed input
+
+
+def _with_g(kernel, **g):
+    """The kernel descriptor with its first atom's G replaced by g."""
+    kernel = json.loads(json.dumps(kernel))
+    kernel["measure"]["atoms"][0]["G"] = g
+    return kernel
+
+
+def _with_dim(kernel, dim):
+    kernel = json.loads(json.dumps(kernel))
+    kernel["measure"]["dim"] = dim
+    return kernel
+
+
+def _hermite(alpha=(0,), target=1.0, data=None):
+    datum = {"x": [0.0], "alpha": list(alpha), "target": {"re": [target]}}
+    return {"kernel": GAUSS_SCALAR, "data": [datum] if data is None else data}
+
+
+_EVAL_AT = {"x": [0.0], "y": [1.0]}
+INF = 1e400  # json.dumps writes Infinity, and 1e400 as JSON text parses to inf too
+
+MALFORMED = {
+    "radial-re-string": (["eval"], dict(_EVAL_AT, kernel=_with_g(GAUSS_SCALAR, re="abc"))),
+    "plane-wave-re-string": (["eval"], dict(_EVAL_AT, kernel=_with_g(PLANE_WAVE_SCALAR, re="abc"))),
+    "radial-re-ragged": (["eval"], dict(_EVAL_AT, kernel=_with_g(GAUSS_SCALAR, re=[[1.0], []]))),
+    "plane-wave-re-ragged": (["eval"], dict(_EVAL_AT, kernel=_with_g(PLANE_WAVE_SCALAR, re=[[1.0], []]))),
+    "radial-im-string": (["eval"], dict(_EVAL_AT, kernel=_with_g(GAUSS_SCALAR, re=[[1.0]], im="x"))),
+    "plane-wave-im-string": (["eval"], dict(_EVAL_AT, kernel=_with_g(PLANE_WAVE_SCALAR, re=[[1.0]], im="x"))),
+    "radial-re-infinite": (["eval"], dict(_EVAL_AT, kernel=_with_g(GAUSS_SCALAR, re=[[INF]]))),
+    "radial-dim-fraction": (["eval"], dict(_EVAL_AT, kernel=_with_dim(GAUSS_SCALAR, 1.7))),
+    "radial-dim-bool": (["eval"], dict(_EVAL_AT, kernel=_with_dim(GAUSS_SCALAR, True))),
+    "plane-wave-dim-fraction": (["eval"], dict(_EVAL_AT, kernel=_with_dim(PLANE_WAVE_SCALAR, 1.7))),
+    "plane-wave-dim-bool": (["eval"], dict(_EVAL_AT, kernel=_with_dim(PLANE_WAVE_SCALAR, True))),
+    "hermite-alpha-fraction": (["interp"], _hermite(alpha=(0.9,))),
+    "hermite-alpha-not-list": (["interp"], dict(_hermite(), data=[{"x": [0.0], "alpha": "0", "target": {"re": [1.0]}}])),
+    "hermite-data-not-list": (["interp"], _hermite(data=5)),
+    "hermite-target-infinite": (["interp"], _hermite(target=INF)),
+    "targets-infinite": (["interp"], {"kernel": GAUSS_SCALAR, "points": [[0.0]], "targets": {"re": [[INF]]}}),
+    "eval-t-infinite": (["eval"], {"kernel": GAUSS_SCALAR, "t": INF}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_two(tmp_path, capsys, case):
+    """Each of these once ended in a traceback, a silent cast or a NaN
+    report; now each is refused with exit 2 and one error line."""
+    argv, obj = MALFORMED[case]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, rep = run(tmp_path, argv, obj)
+    err = capsys.readouterr().err
+    assert code == 2 and rep is None
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err and "RuntimeWarning" not in err and not caught
+
+
+def test_json_infinity_literal_refused(tmp_path, capsys):
+    """1e400 in the JSON text itself (not written by json.dumps)."""
+    path = tmp_path / "in.json"
+    path.write_text('{"kernel": %s, "points": [[0.0]], "targets": {"re": [[1e400]]}}' % json.dumps(GAUSS_SCALAR))
+    assert main(["interp", "--input", str(path), "--no-timestamp"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["probe", "classify"])
+@pytest.mark.parametrize("box", [float("nan"), float("inf"), -1.0, 0.0])
+def test_bad_box_exits_two(tmp_path, capsys, command, box):
+    obj = {"kernel": GAUSS_IDENTITY2} if command == "probe" else dict(GAUSS_IDENTITY2)
+    obj.update(n=3, trials=2, box=box)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, rep = run(tmp_path, [command], obj)
+    err = capsys.readouterr().err
+    assert code == 2 and rep is None
+    assert err.startswith("error: ") and "box" in err
+    assert "Traceback" not in err and "DuplicatePoints" not in err and not caught
 
 
 # ---------------------------------------------------------------- tolerances

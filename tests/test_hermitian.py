@@ -11,7 +11,6 @@ from opkernel.hermitian import (
     eigen_hermitian,
     is_psd,
     min_eigenvalue,
-    psd_sqrt,
     solve_cholesky,
     trace,
 )
@@ -101,29 +100,6 @@ def test_is_psd_boundary():
     assert is_psd(H([[1, 1], [1, 1]])).ok
 
 
-# ---------------------------------------------------------------- psd_sqrt
-
-
-def test_psd_sqrt_diag():
-    b = psd_sqrt(H([[4, 0], [0, 9]]))
-    assert np.allclose(b.entries, [[2, 0], [0, 3]], atol=1e-12)
-
-
-def test_psd_sqrt_identity():
-    b = psd_sqrt(H(np.eye(3)))
-    assert np.allclose(b.entries, np.eye(3), atol=1e-12)
-
-
-def test_psd_sqrt_rank1():
-    b = psd_sqrt(H([[1, 1], [1, 1]]))
-    assert np.allclose(b.entries, np.ones((2, 2)) / np.sqrt(2), atol=1e-12)
-
-
-def test_psd_sqrt_rejects_indefinite():
-    with pytest.raises(NotPSD):
-        psd_sqrt(H([[1, 0], [0, -1]]))
-
-
 # ---------------------------------------------------------------- cholesky
 
 
@@ -175,17 +151,6 @@ def test_eigen_reconstruction_and_unitarity(seed, dim):
     scale = max(1.0, np.linalg.norm(a.entries))
     assert np.linalg.norm(recon - a.entries) <= 1e-12 * scale
     assert np.linalg.norm(v.conj().T @ v - np.eye(dim)) <= 1e-12
-
-
-@given(st.integers(0, 10_000), st.integers(1, 5))
-@settings(max_examples=100, deadline=None)
-def test_psd_sqrt_squares_back(seed, dim):
-    a = random_psd(seed, dim)
-    b = psd_sqrt(a)
-    scale = max(1.0, np.linalg.norm(a.entries))
-    assert np.linalg.norm(b.entries @ b.entries - a.entries) <= 1e-10 * scale
-    assert min_eigenvalue(b) >= -1e-12 * scale
-    assert abs(trace(HermitianMatrix(b.entries @ b.entries)) - trace(a)) <= 1e-10 * scale
 
 
 @given(st.integers(0, 10_000), st.integers(2, 5))

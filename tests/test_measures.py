@@ -1,5 +1,8 @@
 """Operator measures: projections, trace decomposition, exact classification."""
 
+import copy
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,12 +18,12 @@ from opkernel.measures import (
     c0_membership,
     classify_radial,
     measure_from_json,
-    measure_to_json,
     radon_nikodym,
     scalar_projection_measure,
     total_operator,
 )
 from opkernel.profiles import RadialProfile
+from opkernel.schema import complex_to_json
 
 I2 = np.eye(2)
 E1 = np.array([1.0, 0.0])
@@ -286,27 +289,70 @@ def test_not_strict_witness_has_no_projection_mass():
 # ---------------------------------------------------------------- JSON
 
 
+MEASURE_JSON = {
+    "dim": 2,
+    "atoms": [
+        {"omega": 0.0, "G": {"re": [[1.0, 0.0], [0.0, 2.0]], "im": [[0.0, 0.5], [-0.5, 0.0]]}},
+        {"omega": 1.5, "G": {"re": [[1, 0], [0, 1]]}},
+    ],
+}
+
+
 def test_json_roundtrip():
-    mu = OperatorMeasure(
-        2, [(0.0, np.array([[1.0, 0.5j], [-0.5j, 2.0]])), (1.5, I2)]
-    )
-    back = measure_from_json(measure_to_json(mu))
-    assert back.dim == mu.dim
-    assert len(back) == len(mu)
+    mu = measure_from_json(MEASURE_JSON)
+    expected = OperatorMeasure(2, [(0.0, np.array([[1.0, 0.5j], [-0.5j, 2.0]])), (1.5, I2)])
+    assert mu.dim == expected.dim
+    assert len(mu) == len(expected)
+    for (o1, g1), (o2, g2) in zip(mu.atoms, expected.atoms):
+        assert o1 == o2
+        assert np.array_equal(g1.entries, g2.entries)
+    written = {
+        "dim": mu.dim,
+        "atoms": [{"omega": omega, "G": complex_to_json(g.entries)} for omega, g in mu.atoms],
+    }
+    back = measure_from_json(json.loads(json.dumps(written)))
     for (o1, g1), (o2, g2) in zip(mu.atoms, back.atoms):
         assert o1 == o2
         assert np.array_equal(g1.entries, g2.entries)
 
 
+def _with(path, value):
+    """A copy of MEASURE_JSON with the field at path set to value."""
+    obj = copy.deepcopy(MEASURE_JSON)
+    target = obj
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return obj
+
+
 def test_json_rejects_unknown_field():
-    obj = measure_to_json(OperatorMeasure(2, [(1.0, I2)]))
-    obj["extra"] = 1
-    with pytest.raises(SchemaError):
-        measure_from_json(obj)
+    for path in (("extra",), ("atoms", 0, "extra"), ("atoms", 0, "G", "extra")):
+        with pytest.raises(SchemaError, match="unknown fields"):
+            measure_from_json(_with(path, 1))
 
 
 def test_json_rejects_bool_as_number():
-    obj = measure_to_json(OperatorMeasure(2, [(1.0, I2)]))
-    obj["atoms"][0]["omega"] = True
+    for path in (("atoms", 0, "omega"), ("dim",)):
+        with pytest.raises(SchemaError, match="must be"):
+            measure_from_json(_with(path, True))
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("dim",), 1.7),
+        (("dim",), "2"),
+        (("atoms", 1, "omega"), float("inf")),
+        (("atoms", 1, "omega"), 10**400),
+        (("atoms", 1, "G", "re"), [[1.0, 0.0], [0.0]]),
+        (("atoms", 0, "G", "im"), [[0.0, float("nan")], [0.0, 0.0]]),
+        (("atoms", 0, "G"), [[1.0, 0.0], [0.0, 1.0]]),
+        (("atoms",), {"omega": 1.0}),
+    ],
+)
+def test_json_rejects_malformed_entries(path, value):
+    """Fractional or string integers, non-finite, non-numeric and ragged
+    entries are schema errors, not tracebacks or silent casts."""
     with pytest.raises(SchemaError):
-        measure_from_json(obj)
+        measure_from_json(_with(path, value))
