@@ -63,6 +63,12 @@ from .rkhs import (
 PROBE_TOL = 1e-10
 PROJECTION_FLOOR_TOL = 1e-8
 WITNESS_DESIGN_TOL = 1e-9
+# Radial-bump grid bounds. Time and memory grow as grid_n^2; the benchmark's
+# largest grid is 2048. Past MAX_BUMP_BOX even the finest grid has spacing
+# over 200, far coarser than the bumps' support |x| < 1, and near 1e307 the
+# phases x * xi overflow.
+MAX_BUMP_GRID_N = 8192
+MAX_BUMP_BOX = 1e6
 
 
 class ShiftedPairKernel:
@@ -185,9 +191,13 @@ def demo_counterexample_radial_bump(
     grid_n = int(grid_n)
     if grid_n < 128:
         raise InvalidGrid("need grid_n >= 128 for a usable discretization")
+    if grid_n > MAX_BUMP_GRID_N:
+        raise InvalidGrid(f"need grid_n <= {MAX_BUMP_GRID_N}")
     box = float(box)
     if not box > 1.0:
         raise InvalidGrid("need box > 1 so the bumps are fully supported")
+    if not box <= MAX_BUMP_BOX:
+        raise InvalidGrid(f"need a finite box <= {MAX_BUMP_BOX:g}")
 
     x = np.linspace(-box, box, grid_n)
     dx = x[1] - x[0]

@@ -77,6 +77,7 @@ from .schema import (
     _points_field,
     complex_from_json,
     complex_to_json,
+    report_text,
 )
 
 EXIT_OK = 0
@@ -198,7 +199,7 @@ def _report(args, command: str, input_obj, result: dict) -> dict:
 
 
 def _emit(args, rep: dict) -> None:
-    text = json.dumps(rep, indent=2, sort_keys=True) + "\n"
+    text = report_text(rep) + "\n"
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
@@ -282,7 +283,7 @@ def _run_gram(args, command: str) -> int:
             fh.write(gram_to_csv(g))
         sidecar = _report(args, command, obj, meta)
         with open(args.output + ".meta.json", "w") as fh:
-            fh.write(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+            fh.write(report_text(sidecar) + "\n")
         sys.stdout.write(
             f"wrote {args.output} and {args.output}.meta.json "
             f"(dim {g.matrix.dim}, min eigenvalue {lo!r})\n"
@@ -513,10 +514,13 @@ def cmd_monotone(args) -> int:
 
     grid_spec = obj.get("grid", {"start": 0.5, "stop": 5.0, "num": 10})
     _fields(grid_spec, "'grid'", ("start", "stop", "num"))
+    num = _int_field(grid_spec["num"], "num")
+    if num < 1:
+        raise InvalidGrid(f"grid 'num' must be >= 1, got {num}")
     grid = np.linspace(
         _float_field(grid_spec["start"], "start"),
         _float_field(grid_spec["stop"], "stop"),
-        _int_field(grid_spec["num"], "num"),
+        num,
     )
     h = _float_field(obj.get("h", CM_DEFAULT_H), "h")
 

@@ -54,6 +54,7 @@ from .profiles import (
     sjet_derivatives,
     validate_multi_index,
 )
+from .schema import float_reprs
 
 # Two points closer than this are treated as duplicates in Gram assembly.
 DUPLICATE_POINT_TOL = 1e-12
@@ -502,10 +503,9 @@ def gram_to_csv(g: BlockGram | DerivBlockGram) -> str:
     buf.write("# points: " + ";".join(",".join(repr(float(v)) for v in p) for p in g.points) + "\n")
     buf.write("# each complex entry is a re,im cell pair\n")
     mat = g.matrix.entries
-    for row in mat:
-        cells = []
-        for v in row:
-            cells.append(repr(float(v.real)))
-            cells.append(repr(float(v.imag)))
-        buf.write(",".join(cells) + "\n")
+    cells = np.empty((mat.shape[0], 2 * mat.shape[1]))
+    cells[:, 0::2] = mat.real
+    cells[:, 1::2] = mat.imag
+    for row in float_reprs(cells).tolist():
+        buf.write(",".join(row) + "\n")
     return buf.getvalue()

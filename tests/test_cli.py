@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from opkernel.cli import main
+from opkernel.cli import kernel_from_json, main
+from opkernel.kernel import deriv_gram
 
 GAUSS_SCALAR = {
     "family": {"kind": "gaussian"},
@@ -380,6 +381,22 @@ def test_demo_byte_identical_reruns(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--box", "inf"], ["--box", "1e308"], ["--box", "2e6"], ["--grid-n", "100000000000"], ["--grid-n", "8193"]],
+)
+def test_demo_radial_bump_refuses_unusable_grid(tmp_path, capsys, flags):
+    """Each once printed RuntimeWarnings and a misleading non-finite-matrix
+    error, or ended in a MemoryError traceback."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, rep = run(tmp_path, ["demo", "radial-bump", *flags])
+    err = capsys.readouterr().err
+    assert code == 2 and rep is None and not caught
+    assert err.startswith("error: need") and err.count("\n") == 1
+    assert ("box" if flags[0] == "--box" else "grid_n") in err
+
+
 # ---------------------------------------------------------------- interp
 
 
@@ -454,6 +471,15 @@ def test_monotone_williamson_ell_cm(tmp_path):
 def test_monotone_unknown_function(tmp_path):
     code, _ = run(tmp_path, ["monotone"], {"function": "sqrt", "mode": "cm"})
     assert code == 2
+
+
+@pytest.mark.parametrize("num", [-1, 0])
+def test_monotone_grid_num_below_one_exits_two(tmp_path, capsys, num):
+    obj = {"function": "exp-neg", "mode": "cm", "grid": {"start": 0.5, "stop": 5.0, "num": num}}
+    code, rep = run(tmp_path, ["monotone"], obj)
+    err = capsys.readouterr().err
+    assert code == 2 and rep is None
+    assert err == f"error: grid 'num' must be >= 1, got {num}\n"
 
 
 # ---------------------------------------------------------------- probe
@@ -551,6 +577,59 @@ def test_bad_box_exits_two(tmp_path, capsys, command, box):
     assert code == 2 and rep is None
     assert err.startswith("error: ") and "box" in err
     assert "Traceback" not in err and "DuplicatePoints" not in err and not caught
+
+
+# ---------------------------------------------------------------- report bytes
+
+GAUSS_COMPLEX2 = {
+    "family": {"kind": "gaussian"},
+    "measure": {
+        "dim": 2,
+        "atoms": [
+            {"omega": 0.7, "G": {"re": [[2.0, 0.5], [0.5, 1.0]], "im": [[0.0, 0.3], [-0.3, 0.0]]}},
+            {"omega": 1.9, "G": {"re": [[1.0, 0.0], [0.0, 0.5]]}},
+        ],
+    },
+    "ambient_dim": 2,
+}
+POINTS2 = [[0.0, 0.0], [0.5, -0.25], [-1.0, 0.75]]
+REPORTS = {
+    "gram": (["gram"], {"kernel": GAUSS_COMPLEX2, "points": POINTS2}),
+    "deriv-gram": (["deriv-gram"], {"kernel": GAUSS_COMPLEX2, "points": POINTS2, "q": 1}),
+    "classify": (["classify"], GAUSS_COMPLEX2),
+    "demo-shifted-gaussian": (["demo", "shifted-gaussian", "--w", "1,0.5"], None),
+    "demo-radial-bump": (["demo", "radial-bump", "--grid-n", "128"], None),
+    "interp": (
+        ["interp"],
+        {"kernel": GAUSS_SCALAR, "points": [[-1.0], [0.0], [1.0]], "targets": {"re": [[0.5], [1.0], [-0.5]]}},
+    ),
+}
+
+
+def _is_stdlib_report(text):
+    return text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("case", sorted(REPORTS))
+def test_report_is_stdlib_indent_sort_keys(tmp_path, case):
+    argv, obj = REPORTS[case]
+    code, rep = run(tmp_path, argv, obj)
+    assert code == 0 and rep is not None
+    assert _is_stdlib_report((tmp_path / "out.json").read_text())
+
+
+def test_deriv_gram_csv_cells_are_exact_entries(tmp_path):
+    obj = {"kernel": GAUSS_COMPLEX2, "points": POINTS2, "q": 1}
+    out = tmp_path / "g.csv"
+    argv = ["deriv-gram", "--format", "csv", "--output", str(out), "--no-timestamp"]
+    assert main(argv + ["--input", write_json(tmp_path, "in.json", obj)]) == 0
+    assert _is_stdlib_report((tmp_path / "g.csv.meta.json").read_text())
+    rows = [ln.split(",") for ln in out.read_text().splitlines() if not ln.startswith("#")]
+    cells = np.array([[float(c) for c in row] for row in rows])
+    want = deriv_gram(kernel_from_json(GAUSS_COMPLEX2), np.array(POINTS2), 1).matrix.entries
+    for got, part in ((cells[:, 0::2], want.real), (cells[:, 1::2], want.imag)):
+        assert np.array_equal(got, part) and np.array_equal(np.signbit(got), np.signbit(part))
+    assert np.any(want.imag != 0.0)
 
 
 # ---------------------------------------------------------------- tolerances

@@ -14,8 +14,9 @@ from opkernel.errors import (
     NotRadial,
     UnsupportedJet,
 )
-from opkernel.hermitian import min_eigenvalue, trace
+from opkernel.hermitian import HermitianMatrix, min_eigenvalue, trace
 from opkernel.kernel import (
+    BlockGram,
     DerivBlockGram,
     PlaneWaveMeasure,
     _check_points,
@@ -472,6 +473,42 @@ def test_gram_csv_layout():
     lines = text.strip().split("\n")
     assert lines[0].startswith("# block gram: 1 points, ell=1")
     assert lines[-1] == "1.0,0.0"
+
+
+def _csv_body_oracle(mat):
+    """The per-entry repr loop that wrote gram_to_csv's cells before the
+    shared float_reprs formatter."""
+    out = []
+    for row in mat:
+        cells = []
+        for v in row:
+            cells.append(repr(float(v.real)))
+            cells.append(repr(float(v.imag)))
+        out.append(",".join(cells) + "\n")
+    return "".join(out)
+
+
+def _csv_body(text):
+    return "".join(ln for ln in text.splitlines(keepends=True) if not ln.startswith("#"))
+
+
+def test_csv_body_matches_repr_loop_plane_wave_deriv_gram():
+    rng = np.random.default_rng(11)
+    atoms = []
+    for _ in range(3):
+        b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        atoms.append((rng.normal(size=2), b.conj().T @ b))
+    pw = plane_wave_kernel(PlaneWaveMeasure(2, 2, atoms))
+    dg = deriv_gram(pw, rng.uniform(-1.0, 1.0, size=(4, 2)), q=1)
+    assert np.any(dg.matrix.entries.imag != 0.0)
+    assert _csv_body(gram_to_csv(dg)) == _csv_body_oracle(dg.matrix.entries)
+
+
+def test_csv_body_matches_repr_loop_signed_zeros():
+    a = np.array([[1.0, complex(-0.0, -0.0), 0.5j], [complex(-0.0, 0.0), 2.0, -0.0], [-0.5j, -0.0, 3.0]])
+    g = BlockGram(points=np.array([[0.0], [1.0], [2.0]]), ell=1, matrix=HermitianMatrix(a))
+    assert np.signbit(g.matrix.entries.real).any() and np.signbit(g.matrix.entries.imag).any()
+    assert _csv_body(gram_to_csv(g)) == _csv_body_oracle(g.matrix.entries)
 
 
 def test_deriv_gram_csv_headers_and_roundtrip():

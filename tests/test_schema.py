@@ -1,13 +1,21 @@
-"""The JSON descriptor layer: field checks and the re/im reader and writer."""
+"""The JSON layer: field checks, the re/im reader and writer, and the
+report serializer."""
 
 import json
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from opkernel.errors import SchemaError
-from opkernel.schema import _float_field, complex_from_json, complex_to_json
+from opkernel.schema import (
+    _float_field,
+    complex_from_json,
+    complex_to_json,
+    float_reprs,
+    report_text,
+)
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -62,4 +70,53 @@ def test_complex_from_json_refuses(obj, match):
 def test_float_field_refuses_non_finite(value):
     with pytest.raises(SchemaError, match="'t' must be finite"):
         _float_field(value, "t")
+
+
+# ---------------------------------------------------------------- report writer
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 1e-7, 1e16]
+NON_FINITE = [math.nan, math.inf, -math.inf]
+any_float = st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS + NON_FINITE))
+finite_float = st.one_of(finite, st.sampled_from(EDGE_FLOATS))
+keys = st.text(max_size=6)  # non-ASCII and escapes included
+scalars = st.one_of(st.none(), st.booleans(), st.integers(), any_float, keys)
+
+
+def matrices(entries):
+    """Rectangular lists of lists; square ones drawn about as often."""
+    shapes = st.tuples(st.integers(1, 5), st.integers(1, 5)) | st.integers(1, 5).map(lambda n: (n, n))
+    return shapes.flatmap(
+        lambda s: st.lists(st.lists(entries, min_size=s[1], max_size=s[1]), min_size=s[0], max_size=s[0])
+    )
+
+
+trees = st.recursive(
+    scalars | matrices(finite_float) | matrices(any_float),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(keys, children, max_size=4),
+    max_leaves=40,
+)
+
+
+@given(trees)
+@settings(max_examples=300, deadline=None)
+@example([[]])
+@example([[], []])
+@example([{}])
+@example([[1.0], [2.0, 3.0]])
+@example([[1.0, 2]])
+@example([[True, 1.0]])
+@example([[1.0, math.nan]])
+@example(("a", (1.0, -0.0)))
+def test_report_text_matches_stdlib_indent_sort_keys(obj):
+    assert report_text(obj) + "\n" == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+@given(st.lists(finite_float, min_size=1, max_size=30), st.integers(1, 3))
+@settings(max_examples=200, deadline=None)
+@example([0.0, -0.0, 5e-324, -5e-324, 0.1, -0.1], 2)
+def test_float_reprs_is_repr_of_each_entry(values, rows):
+    a = np.array(values * rows).reshape(rows, len(values))
+    got = float_reprs(a)
+    assert got.shape == a.shape
+    assert got.tolist() == [[repr(v) for v in row] for row in a.tolist()]
 
