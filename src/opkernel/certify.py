@@ -1,4 +1,4 @@
-"""Certification tools: strictness probes, null directions, and two concrete
+"""Certification tools: strictness probes and two concrete
 kernels that are positive definite but not strictly so.
 
 demo_counterexample_shifted_gaussian builds the 2x2 kernel
@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidGrid, InvalidParameter, InvalidVector
-from .hermitian import PSD_TOL, HermitianMatrix, eigen_hermitian, min_eigenvalue, trace
+from .hermitian import PSD_TOL, Frozen, HermitianMatrix, eigen_hermitian, min_eigenvalue, trace
 from .kernel import (
     OperatorKernel,
     PlaneWaveMeasure,
@@ -71,7 +71,7 @@ MAX_BUMP_GRID_N = 8192
 MAX_BUMP_BOX = 1e6
 
 
-class ShiftedPairKernel:
+class ShiftedPairKernel(Frozen):
     """The 2x2 shifted-gaussian kernel above; w is the shift vector."""
 
     __slots__ = ("w", "m", "ell", "kind")
@@ -86,9 +86,6 @@ class ShiftedPairKernel:
         object.__setattr__(self, "m", int(w.size))
         object.__setattr__(self, "ell", 2)
         object.__setattr__(self, "kind", "shifted_pair")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ShiftedPairKernel is immutable")
 
     def eval_diffs(self, diffs: np.ndarray) -> np.ndarray:
         diffs = np.asarray(diffs, dtype=float)
@@ -143,7 +140,7 @@ def demo_counterexample_shifted_gaussian(w, seed: int = 0) -> CounterexampleResu
     e1 = np.array([1.0, 0.0], dtype=complex)
     e2 = np.array([0.0, 1.0], dtype=complex)
     eta = DerivVectorMeasure.plain(
-        VectorAtomMeasure(m, 2, [(origin, e1), (shift, -e2)])
+        VectorAtomMeasure(m, 2, points=np.stack([origin, shift]), vectors=np.stack([e1, -e2]))
     )
     mixed = quadratic_form(kernel, eta)
 
@@ -167,11 +164,6 @@ def _bump(x: np.ndarray) -> np.ndarray:
     xi = x[inside]
     out[inside] = np.exp(-1.0 / (1.0 - xi * xi))
     return out
-
-
-def _cos_transform(values: np.ndarray, x: np.ndarray, wts: np.ndarray, xis: np.ndarray) -> np.ndarray:
-    """Real trapezoid cosine transform sum_i values_i cos(x_i xi) wts_i."""
-    return (values * wts) @ np.cos(np.outer(x, xis))
 
 
 def demo_counterexample_radial_bump(
@@ -213,24 +205,20 @@ def demo_counterexample_radial_bump(
     xiw = np.full(grid_n, dxi)
     xiw[0] = xiw[-1] = dxi / 2.0
 
-    a = _cos_transform(phi1, x, wts, xis)
-    b = _cos_transform(phi2, x, wts, xis)
+    # real trapezoid cosine transforms sum_i phi(x_i) cos(x_i xi) wts_i
+    cosines = np.cos(np.outer(x, xis))
+    a = (phi1 * wts) @ cosines
+    b = (phi2 * wts) @ cosines
 
-    atoms = []
-    for k in range(grid_n):
-        u = np.array([b[k], -a[k]], dtype=float)
-        atoms.append((np.array([xis[k]]), xiw[k] * np.outer(u, u)))
-    pw = PlaneWaveMeasure(2, 1, atoms)
-    kernel = plane_wave_kernel(pw)
+    u = np.stack([b, -a], axis=1)
+    gs = xiw[:, None, None] * (u[:, :, None] * u[:, None, :])
+    kernel = plane_wave_kernel(PlaneWaveMeasure(2, 1, xis=xis[:, None], gs=gs))
 
-    mixed_atoms = []
-    ref_atoms = []
-    for i in range(grid_n):
-        v = np.array([phi1[i] * wts[i], phi2[i] * wts[i]], dtype=complex)
-        mixed_atoms.append((np.array([x[i]]), v))
-        ref_atoms.append((np.array([x[i]]), np.array([phi1[i] * wts[i], 0.0], dtype=complex)))
-    eta = DerivVectorMeasure.plain(VectorAtomMeasure(1, 2, mixed_atoms))
-    eta_ref = DerivVectorMeasure.plain(VectorAtomMeasure(1, 2, ref_atoms))
+    points = x[:, None]
+    mixed_vectors = np.stack([phi1 * wts, phi2 * wts], axis=1).astype(complex)
+    ref_vectors = np.stack([phi1 * wts, np.zeros(grid_n)], axis=1).astype(complex)
+    eta = DerivVectorMeasure.plain(VectorAtomMeasure(1, 2, points=points, vectors=mixed_vectors))
+    eta_ref = DerivVectorMeasure.plain(VectorAtomMeasure(1, 2, points=points, vectors=ref_vectors))
 
     mixed = quadratic_form(kernel, eta)
     ref_detail = quadratic_form_detail(kernel, eta_ref)
@@ -317,31 +305,6 @@ def probe_strict_pd(
         min_eigenvalues=mins,
         global_min=float(min(mins)),
         violation=violation,
-    )
-
-
-@dataclass(frozen=True)
-class NullDirection:
-    eigenvalue: float
-    vector: np.ndarray  # stacked unit vector, length n*ell
-    measure: VectorAtomMeasure
-
-
-def find_null_direction(kernel, points) -> NullDirection:
-    """Smallest-eigenvalue direction of the block Gram on the given points,
-    repackaged as the vector atomic measure it represents."""
-    g = gram(kernel, points)
-    dec = eigen_hermitian(g.matrix)
-    vec = dec.eigenvectors[:, 0]
-    ell = g.ell
-    atoms = [
-        (g.points[i].copy(), vec[i * ell : (i + 1) * ell].copy())
-        for i in range(g.points.shape[0])
-    ]
-    return NullDirection(
-        eigenvalue=float(dec.eigenvalues[0]),
-        vector=vec.copy(),
-        measure=VectorAtomMeasure(kernel.m, ell, atoms),
     )
 
 

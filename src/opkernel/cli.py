@@ -88,6 +88,9 @@ EXIT_NUMERIC = 4
 DEMO_MIXED_TOL = 1e-12
 DEMO_RELATIVE_TOL = 1e-6
 DEMO_REFERENCE_FLOOR = 1e-4
+# Monotonicity checks take time and memory linear in the grid size; a
+# 1e5-point grid takes under a second.
+MAX_MONOTONE_GRID_NUM = 100_000
 
 _INPUT_ERRORS = (
     SchemaError,
@@ -517,6 +520,8 @@ def cmd_monotone(args) -> int:
     num = _int_field(grid_spec["num"], "num")
     if num < 1:
         raise InvalidGrid(f"grid 'num' must be >= 1, got {num}")
+    if num > MAX_MONOTONE_GRID_NUM:
+        raise InvalidGrid(f"grid 'num' must be <= {MAX_MONOTONE_GRID_NUM}, got {num}")
     grid = np.linspace(
         _float_field(grid_spec["start"], "start"),
         _float_field(grid_spec["stop"], "stop"),

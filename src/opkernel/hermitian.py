@@ -23,7 +23,17 @@ EIG_RECON_TOL = 1e-12
 EIG_UNITARY_TOL = 1e-12
 
 
-class HermitianMatrix:
+class Frozen:
+    """Base of the package's immutable classes: __init__ sets each attribute
+    once through object.__setattr__, and nothing can set one later."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class HermitianMatrix(Frozen):
     """Immutable square complex matrix, exactly self-adjoint.
 
     Construction symmetrizes via (A + A^H)/2, which also zeroes the
@@ -42,9 +52,6 @@ class HermitianMatrix:
         h = (a + a.conj().T) / 2
         h.flags.writeable = False
         object.__setattr__(self, "entries", h)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HermitianMatrix is immutable")
 
     @property
     def dim(self) -> int:

@@ -6,6 +6,10 @@ frequencies xi_j) and the G_j are the PSD matrix weights of the mixing
 measure. K maps points of R^m to ell x ell complex matrices and is
 Hermitian in the kernel sense, K(y, x) = K(x, y)^H.
 
+Measures keep their atoms as arrays, so OperatorKernel.eval_diffs takes one
+exp and one einsum over all atoms. Plane waves satisfy F(-d) = F(d)^H bit
+for bit, so a large batch evaluates one row of each pair d, -d.
+
 Derivative kernels: for translation-invariant K(x, y) = F(x - y),
 
     d^alpha_x d^beta_y K(x, y) = (-1)^|beta| (d^(alpha+beta) F)(x - y),
@@ -39,8 +43,8 @@ from .errors import (
     NotRadial,
     UnsupportedJet,
 )
-from .hermitian import HermitianMatrix
-from .measures import OperatorMeasure, merge_psd_atoms
+from .hermitian import Frozen, HermitianMatrix
+from .measures import OperatorMeasure, merge_psd_atoms, stack_atoms, unique_rows
 from .profiles import (
     JET_ORDER_CAP,
     MultiIndex,
@@ -63,39 +67,38 @@ FD_STEP_FACTOR = 1e-4
 FD_KINK_RADIUS = 10.0
 
 
-class PlaneWaveMeasure:
+class PlaneWaveMeasure(Frozen):
     """Finite atomic nonnegative operator measure on frequency space R^m.
 
-    Atoms are (xi, G) with xi a frequency vector and G PSD. Duplicate
-    frequencies merge by summing matrices; zero matrices are pruned. Atoms
-    are stored sorted by frequency tuple for determinism.
+    Atoms are (xi, G) pairs, or the arrays xis (A, m) and gs (A, dim, dim),
+    with xi a frequency vector and G PSD. Duplicate frequencies merge by
+    summing matrices; zero matrices are pruned. The atoms are stored as the
+    read-only arrays xis and gs, sorted by frequency (lexicographically).
     """
 
-    __slots__ = ("dim", "m", "atoms")
+    __slots__ = ("dim", "m", "xis", "gs")
 
-    def __init__(self, dim: int, m: int, atoms):
+    def __init__(self, dim: int, m: int, atoms=(), *, xis=None, gs=None):
         dim, m = int(dim), int(m)
         if dim < 1 or m < 1:
             raise InvalidMeasure("need dim >= 1 and m >= 1")
-        keyed = []
-        for xi, g in atoms:
-            xi = np.asarray(xi, dtype=float)
-            if xi.shape != (m,) or not np.all(np.isfinite(xi)):
-                raise InvalidMeasure(f"frequency must be a finite vector of length {m}")
-            keyed.append((tuple(float(v) for v in xi), g))
-        kept = [(np.array(key), g) for key, g in merge_psd_atoms(dim, keyed, lambda key: f"xi={list(key)}")[0]]
+        if xis is None:
+            xis, gs = tuple(zip(*atoms)) or ((), ())
+        bad = InvalidMeasure(f"frequency must be a finite vector of length {m}")
+        xis = stack_atoms(xis, (m,), float, lambda shape: bad)
+        if not np.all(np.isfinite(xis)):
+            raise bad
+        keys, kept, _ = merge_psd_atoms(dim, xis, gs, lambda key: f"xi={key.tolist()}")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "atoms", tuple(kept))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PlaneWaveMeasure is immutable")
+        object.__setattr__(self, "xis", keys)
+        object.__setattr__(self, "gs", kept)
 
     def __len__(self):
-        return len(self.atoms)
+        return self.xis.shape[0]
 
 
-class OperatorKernel:
+class OperatorKernel(Frozen):
     """A radial or plane-wave operator kernel on R^m with values in C^(ell x ell).
 
     Use radial_kernel() / plane_wave_kernel() to construct. Exposes m, ell,
@@ -110,9 +113,6 @@ class OperatorKernel:
         object.__setattr__(self, "measure", measure)
         object.__setattr__(self, "m", int(m))
         object.__setattr__(self, "ell", measure.dim)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OperatorKernel is immutable")
 
     @property
     def is_radial(self) -> bool:
@@ -131,19 +131,46 @@ class OperatorKernel:
         # norms (d and -d among them) get bitwise equal blocks; a plane-wave
         # block is computed from its own row, which is then the key.
         if diffs.shape[0] > 64:
-            first, inverse = _unique_rows(sq[:, None] if self.kind == "radial" else diffs)
+            first, inverse = unique_rows(sq[:, None] if self.kind == "radial" else diffs)
             if first.size <= diffs.shape[0] // 2:
-                return self.eval_diffs(diffs[first])[inverse]
-        out = np.zeros((diffs.shape[0], self.ell, self.ell), dtype=complex)
-        if not self.measure.atoms:
-            return out
-        gs = np.stack([g.entries for _, g in self.measure.atoms])
+                if self.kind == "plane_wave":
+                    return self._plane_wave_pairs(diffs[first])[inverse]
+                return self._blocks(diffs[first], sq[first])[inverse]
+        return self._blocks(diffs, sq)
+
+    def _plane_wave_pairs(self, diffs: np.ndarray) -> np.ndarray:
+        """Plane-wave blocks at distinct rows, one row of each pair d, -d
+        evaluated (its first nonzero entry positive): the phases of -d are the
+        exact conjugates of those of d and every G is exactly Hermitian, so
+        F(-d) = F(d)^H."""
+        n = diffs.shape[0]
+        lead = np.take_along_axis(diffs, np.argmax(diffs != 0.0, axis=1)[:, None], axis=1)[:, 0]
+        first, inverse = unique_rows(np.where(lead[:, None] < 0.0, -diffs, diffs))
+        # a single GEMV row rounds d @ xi differently from GEMM rows when m > 1
+        if first.size == n or first.size < 2:
+            return self._blocks(diffs)
+        out = self._blocks(diffs[first])[inverse]
+        flip = first[inverse] != np.arange(n)
+        out[flip] = np.conj(np.swapaxes(out[flip], 1, 2))
+        # the mirror is bitwise except for the sign of an exact zero, so a
+        # flipped block with a zero part is evaluated itself, next to its
+        # partner to keep the batch at two rows or more
+        redo = np.flatnonzero(flip & np.any((out.real == 0.0) | (out.imag == 0.0), axis=(1, 2)))
+        if redo.size:
+            out[redo] = self._blocks(np.concatenate([diffs[redo], diffs[first[inverse[redo]]]]))[: redo.size]
+        return out
+
+    def _blocks(self, diffs: np.ndarray, sq: np.ndarray | None = None) -> np.ndarray:
+        """F(d) for every row, evaluated directly; sq holds the squared norms
+        a radial kernel needs."""
+        if not len(self.measure):
+            return np.zeros((diffs.shape[0], self.ell, self.ell), dtype=complex)
+        gs = self.measure.gs
         if self.kind == "plane_wave":
-            xis = np.stack([xi for xi, _ in self.measure.atoms])
-            phases = np.exp(-1j * diffs @ xis.T)  # (npairs, natoms)
+            phases = np.exp(-1j * diffs @ self.measure.xis.T)  # (npairs, natoms)
             return np.einsum("pa,aij->pij", phases, gs)
+        omegas = self.measure.omegas
         t = np.sqrt(sq)
-        omegas = np.array([omega for omega, _ in self.measure.atoms])
         with np.errstate(invalid="ignore"):
             # a scale-0 atom is constant: it keeps its t = 0 value even where
             # the distance overflowed to inf (inf * 0 is nan)
@@ -165,17 +192,17 @@ class OperatorKernel:
             raise UnsupportedJet("askey kernels have no analytic jets")
         if max(map(sum, gammas), default=0) > JET_ORDER_CAP:
             raise UnsupportedJet(f"derivative order exceeds cap {JET_ORDER_CAP}")
-        if not self.measure.atoms:
+        if not len(self.measure):
             return np.zeros(shape, dtype=complex)
-        gs = np.stack([g.entries for _, g in self.measure.atoms])
+        gs = self.measure.gs
         if self.kind == "plane_wave":
-            xis = np.stack([xi for xi, _ in self.measure.atoms])
+            xis = self.measure.xis
             phases = np.exp(-1j * diffs @ xis.T)  # (npairs, natoms)
             coeffs = np.stack([np.prod((-1j * xis) ** np.array(g), axis=1) for g in gammas])
             vals = coeffs[:, None, :] * phases
         else:
             jets = [jet_for_multi_index(self.m, g) for g in gammas]
-            omegas = np.array([omega for omega, _ in self.measure.atoms])
+            omegas = self.measure.omegas
             with np.errstate(over="ignore", invalid="ignore"):
                 s = np.where(omegas > 0.0, np.sum(diffs * diffs, axis=1)[:, None], 0.0)
                 gvals = sjet_derivatives(self.profile, omegas, s, max(jet.max_k for jet in jets))
@@ -232,8 +259,8 @@ def radial_function_eval(kernel: OperatorKernel, t: float) -> np.ndarray:
     if not math.isfinite(t) or t < 0.0:
         raise InvalidPoint("radial argument must be finite and >= 0")
     out = np.zeros((kernel.ell, kernel.ell), dtype=complex)
-    for omega, g in kernel.measure.atoms:
-        out += profile_value(kernel.profile, omega, t) * g.entries
+    for omega, g in zip(kernel.measure.omegas.tolist(), kernel.measure.gs):
+        out += profile_value(kernel.profile, omega, t) * g
     return out
 
 
@@ -287,7 +314,7 @@ def kernel_deriv_eval(
     guard = FD_KINK_RADIUS * h
     if t < guard:
         raise NearKink(f"||x-y|| = {t:.3e} is within {guard:.3e} of the kink at 0")
-    for omega, _ in kernel.measure.atoms:
+    for omega in kernel.measure.omegas.tolist():
         if omega > 0.0 and abs(t - 1.0 / omega) < guard:
             raise NearKink(
                 f"||x-y|| = {t:.3e} is within {guard:.3e} of the support-edge "
@@ -337,8 +364,8 @@ def deriv_diag_identity_check(kernel: OperatorKernel, alpha: MultiIndex, beta: M
     power = n // 2 if kernel.profile.kind == "gaussian" else n
     moment = np.zeros((kernel.ell, kernel.ell), dtype=complex)
     if f0 != 0.0:
-        for omega, g in kernel.measure.atoms:
-            moment += omega ** power * g.entries
+        for omega, g in zip(kernel.measure.omegas.tolist(), kernel.measure.gs):
+            moment += omega ** power * g
     expected = (-1.0) ** multi_index_order(beta) * f0 * moment
 
     x0 = np.zeros(kernel.m)
@@ -373,17 +400,6 @@ class DerivBlockGram:
     q: int
     multi_indices: tuple[MultiIndex, ...]
     matrix: HermitianMatrix
-
-
-def _unique_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index of the first row of each distinct row of keys (n, c), and for
-    every row the position of its own distinct row in that list."""
-    order = np.lexsort(keys.T)
-    ordered = keys[order]
-    new = np.r_[True, np.any(ordered[1:] != ordered[:-1], axis=1)]
-    inverse = np.empty_like(order)
-    inverse[order] = np.cumsum(new) - 1
-    return order[new], inverse
 
 
 def pair_diffs(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -462,13 +478,13 @@ def deriv_blocks(kernel: OperatorKernel, diffs: np.ndarray, rows) -> np.ndarray:
     points: one deriv_diffs call, blocks gathered by array indexing. Not
     symmetrized."""
     n, ell = math.isqrt(diffs.shape[0]), kernel.ell
-    sums = [[tuple(a + b for a, b in zip(alpha, beta)) for _, beta in rows] for _, alpha in rows]
-    gammas = sorted({gamma for row in sums for gamma in row})
-    rank = {gamma: r for r, gamma in enumerate(gammas)}
-    vals = kernel.deriv_diffs(gammas, diffs).reshape(len(gammas), n, n, ell, ell)
     p = np.array([i for i, _ in rows])
-    signs = np.array([(-1.0) ** multi_index_order(beta) for _, beta in rows])
-    blocks = vals[np.array([[rank[g] for g in row] for row in sums]), p[:, None], p[None, :]]
+    idx = np.array([alpha for _, alpha in rows]).reshape(len(rows), kernel.m)
+    sums = idx[:, None, :] + idx[None, :, :]  # gamma = alpha + beta of every block
+    gammas, rank = np.unique(sums.reshape(-1, kernel.m), axis=0, return_inverse=True)
+    vals = kernel.deriv_diffs([tuple(g) for g in gammas.tolist()], diffs).reshape(len(gammas), n, n, ell, ell)
+    signs = np.where(idx.sum(axis=1) % 2, -1.0, 1.0)
+    blocks = vals[rank.reshape(len(rows), len(rows)), p[:, None], p[None, :]]
     blocks = blocks * signs[None, :, None, None]  # (row, column, i, j)
     return blocks.transpose(0, 2, 1, 3).reshape(len(rows) * ell, len(rows) * ell)
 

@@ -8,9 +8,11 @@ and universal is decided *exactly* here from the measure alone:
 
     strictly PD and universal  <=>  sum_{omega_j > 0} G_j is nonsingular.
 
-Also provides the discrete Radon-Nikodym decomposition against the trace
-measure (scalar weights tr G_j, trace-one PSD densities G_j / tr G_j) and
-scalar projection measures omega_j -> <G_j v, v>.
+Atoms are stored as arrays, supports omegas (A,) and weights gs (A, ell,
+ell), validated and merged in one vectorized pass; the plane-wave and
+vector measures of kernel.py and rkhs.py use the same row grouping. Also
+provides the discrete Radon-Nikodym decomposition against the trace measure
+(scalar weights tr G_j, trace-one PSD densities G_j / tr G_j).
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidMatrix, InvalidMeasure, InvalidVector, NotRadial
-from .hermitian import PSD_TOL, HermitianMatrix, _eigh_checked, eigen_hermitian, trace
+from .errors import InvalidMatrix, InvalidMeasure, NotRadial
+from .hermitian import PSD_TOL, Frozen, HermitianMatrix, _eigh_checked, eigen_hermitian, trace
 from .profiles import RadialProfile
 from .schema import _fields, _float_field, _int_field, _list_field, complex_from_json
 
@@ -29,23 +31,62 @@ from .schema import _fields, _float_field, _int_field, _list_field, complex_from
 WEIGHT_ROUNDOFF_TOL = 1e-12
 
 
-def merge_psd_atoms(dim: int, keyed, describe) -> tuple[list, list]:
-    """Validate, merge and prune matrix atoms given as (key, G) pairs.
+def unique_rows(keys: np.ndarray, in_order: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Index of the first row of each distinct row of keys (n, c), and for
+    every row the position of its own distinct row in that list. Distinct
+    rows come in lexicographic order, or with in_order in the order of their
+    first occurrence. Rows compare as floats, so -0.0 == 0.0."""
+    order = np.lexsort(keys.T[::-1])  # stable: equal rows keep input order
+    ordered = keys[order]
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    first, rank = order[new], new.cumsum() - 1
+    if in_order:
+        perm = np.argsort(first)
+        first, rank = first[perm], np.argsort(perm)[rank]
+    inverse = np.empty_like(order)
+    inverse[order] = rank
+    return first, inverse
+
+
+def merge_rows(keys: np.ndarray, values: np.ndarray, in_order: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Sum the values of equal key rows: unique_rows's first indices, and per
+    distinct key the sum of its values in input order, starting from the
+    first value (not from zero, so a lone -0.0 stays -0.0)."""
+    first, inverse = unique_rows(keys, in_order)
+    sums = values[first]
+    if first.size < keys.shape[0]:
+        later = np.ones(keys.shape[0], dtype=bool)
+        later[first] = False
+        np.add.at(sums, inverse[later], values[later])  # one add per row, in row order
+    return first, sums
+
+
+def stack_atoms(items, shape: tuple, dtype, error) -> np.ndarray:
+    """Per-atom items, given as one array or as a sequence, as one (A, *shape)
+    array; error(item_shape) is raised for the first item of another shape."""
+    if isinstance(items, np.ndarray) and items.shape[1:] == shape:
+        return items.astype(dtype)
+    arrs = [g.entries if isinstance(g, HermitianMatrix) else np.asarray(g, dtype=dtype) for g in items]
+    for a in arrs:
+        if a.shape != shape:
+            raise error(a.shape)
+    return np.stack(arrs) if arrs else np.zeros((0, *shape), dtype=dtype)
+
+
+def merge_psd_atoms(dim: int, keys: np.ndarray, gs, describe) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validate, merge and prune matrix atoms at the key rows keys (A, c).
 
     Each G is symmetrized and must be a finite dim x dim PSD matrix at the
     default tolerance; the whole stack is checked by one eigensolve, and the
-    first atom that fails is named by describe(key). Atoms with equal keys
-    merge by summing matrices. Returns the merged atoms with positive trace,
-    sorted by key, as (key, HermitianMatrix), and the keys of the others.
-    """
-    if not keyed:
-        return [], []
-    keys = [key for key, _ in keyed]
-    mats = [g.entries if isinstance(g, HermitianMatrix) else np.asarray(g, dtype=complex) for _, g in keyed]
-    for a in mats:
-        if a.shape != (dim, dim):
-            raise InvalidMeasure(f"atom matrix has shape {a.shape}, expected ({dim}, {dim})")
-    h = np.stack(mats)
+    first atom that fails is named by describe(key row). Atoms with equal
+    keys merge by summing matrices. Returns, sorted by key, the read-only
+    keys and matrices of the merged atoms with positive trace, and the keys
+    of the others."""
+    shape = (dim, dim)
+    h = stack_atoms(gs, shape, complex, lambda s: InvalidMeasure(f"atom matrix has shape {s}, expected {shape}"))
+    if h.shape[0] != keys.shape[0]:
+        raise InvalidMeasure(f"got {h.shape[0]} atom matrices for {keys.shape[0]} supports")
     h = (h + np.conj(np.swapaxes(h, 1, 2))) / 2
     if not np.all(np.isfinite(h)):
         raise InvalidMatrix("matrix has non-finite entries")
@@ -54,57 +95,59 @@ def merge_psd_atoms(dim: int, keyed, describe) -> tuple[list, list]:
     if bad.size:
         i = int(bad[0])
         raise InvalidMeasure(f"atom at {describe(keys[i])} is not PSD (min eigenvalue {lam[i]:.3e})")
-    merged: dict = {}
-    for key, g in zip(keys, h):
-        merged[key] = merged[key] + g if key in merged else g
-    atoms = [(key, HermitianMatrix(merged[key])) for key in sorted(merged)]
-    return [a for a in atoms if trace(a[1]) > 0.0], [key for key, g in atoms if trace(g) <= 0.0]
+    first, merged = merge_rows(keys, h)
+    if not np.all(np.isfinite(merged)):
+        raise InvalidMatrix("matrix has non-finite entries")
+    keep = np.trace(merged, axis1=1, axis2=2).real > 0.0
+    kept = keys[first][keep], merged[keep]
+    for a in kept:
+        a.setflags(write=False)
+    return *kept, keys[first][~keep]
 
 
-class OperatorMeasure:
+class OperatorMeasure(Frozen):
     """Finite atomic nonnegative operator measure on [0, infinity).
 
-    Atoms are (omega, G) with omega >= 0 and G PSD (checked at default
-    tolerance). Atoms at exactly equal supports are merged by summing their
-    matrices; atoms whose matrix is zero (trace 0) are pruned, but their
-    supports are remembered in null_supports for decomposition reports.
-    Atoms are stored sorted by support.
+    Atoms are (omega, G) pairs, or the arrays omegas (A,) and gs (A, dim,
+    dim), with omega >= 0 and G PSD (checked at default tolerance). Atoms at
+    exactly equal supports are merged by summing their matrices; atoms whose
+    matrix is zero (trace 0) are pruned, but their supports are remembered
+    in null_supports for decomposition reports. The atoms are stored as the
+    read-only arrays omegas and gs, sorted by support.
     """
 
-    __slots__ = ("dim", "atoms", "null_supports")
+    __slots__ = ("dim", "omegas", "gs", "null_supports")
 
-    def __init__(self, dim: int, atoms):
+    def __init__(self, dim: int, atoms=(), *, omegas=None, gs=None):
         dim = int(dim)
         if dim < 1:
             raise InvalidMeasure("dim must be >= 1")
-        keyed = []
-        for omega, g in atoms:
-            omega = float(omega)
-            if not math.isfinite(omega) or omega < 0.0:
-                raise InvalidMeasure(f"support point must be finite and >= 0, got {omega}")
-            keyed.append((omega, g))
-        kept, nulls = merge_psd_atoms(dim, keyed, lambda omega: f"omega={omega}")
+        if omegas is None:
+            omegas, gs = tuple(zip(*atoms)) or ((), ())
+            omegas = [float(omega) for omega in omegas]
+        omegas = np.array(omegas, dtype=float).reshape(-1)
+        bad = np.flatnonzero(~(np.isfinite(omegas) & (omegas >= 0.0)))
+        if bad.size:
+            raise InvalidMeasure(f"support point must be finite and >= 0, got {float(omegas[bad[0]])}")
+        keys, kept, nulls = merge_psd_atoms(dim, omegas[:, None], gs, lambda key: f"omega={float(key[0])}")
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "atoms", tuple(kept))
-        object.__setattr__(self, "null_supports", tuple(nulls))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OperatorMeasure is immutable")
+        object.__setattr__(self, "omegas", keys[:, 0])
+        object.__setattr__(self, "gs", kept)
+        object.__setattr__(self, "null_supports", tuple(nulls[:, 0].tolist()))
 
     def __len__(self):
-        return len(self.atoms)
+        return self.omegas.shape[0]
 
     def __repr__(self):
-        return f"OperatorMeasure(dim={self.dim}, atoms={len(self.atoms)})"
+        return f"OperatorMeasure(dim={self.dim}, atoms={len(self)})"
 
 
-class ScalarMeasure:
+class ScalarMeasure(Frozen):
     """Finite atomic scalar measure with nonnegative weights.
 
     Weights in [-1e-12, 0) are clamped to zero (roundoff from quadratic
     forms); genuinely negative weights raise InvalidMeasure. Zero-weight
-    atoms are kept: a projection can legitimately kill an atom, and the
-    support is still information.
+    atoms are kept: the support is still information.
     """
 
     __slots__ = ("atoms",)
@@ -124,12 +167,6 @@ class ScalarMeasure:
             out.append((omega, max(0.0, w)))
         object.__setattr__(self, "atoms", tuple(out))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ScalarMeasure is immutable")
-
-    def __len__(self):
-        return len(self.atoms)
-
 
 @dataclass(frozen=True)
 class RNDecomposition:
@@ -146,44 +183,20 @@ class RNDecomposition:
 
 
 def radon_nikodym(measure: OperatorMeasure) -> RNDecomposition:
-    traces = [(omega, trace(g)) for omega, g in measure.atoms]
-    densities = tuple(
-        HermitianMatrix(g.entries / tr) for (_, g), (_, tr) in zip(measure.atoms, traces)
-    )
+    traces = [float(np.trace(g).real) for g in measure.gs]
     return RNDecomposition(
-        trace_measure=ScalarMeasure(traces),
-        densities=densities,
+        trace_measure=ScalarMeasure(zip(measure.omegas.tolist(), traces)),
+        densities=tuple(HermitianMatrix(g / tr) for g, tr in zip(measure.gs, traces)),
         null_atoms=measure.null_supports,
-    )
-
-
-def scalar_projection_measure(measure: OperatorMeasure, v) -> ScalarMeasure:
-    """Project onto direction v: atom weights become <G_j v, v> (real >= 0)."""
-    v = np.asarray(v, dtype=complex)
-    if v.ndim != 1 or v.shape[0] != measure.dim:
-        raise InvalidVector(f"expected a vector of length {measure.dim}")
-    if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
-        raise InvalidVector("vector has non-finite entries")
-    if float(np.linalg.norm(v)) == 0.0:
-        raise InvalidVector("projection direction must be nonzero")
-    return ScalarMeasure(
-        (omega, float(np.vdot(v, g.entries @ v).real)) for omega, g in measure.atoms
     )
 
 
 def total_operator(measure: OperatorMeasure, restrict_positive_support: bool = False) -> HermitianMatrix:
     """Sum of atom matrices; restricted variant drops any atom at omega = 0."""
     total = np.zeros((measure.dim, measure.dim), dtype=complex)
-    for omega, g in measure.atoms:
-        if restrict_positive_support and omega == 0.0:
-            continue
-        total = total + g.entries
+    for g in measure.gs[measure.omegas != 0.0] if restrict_positive_support else measure.gs:
+        total = total + g
     return HermitianMatrix(total)
-
-
-def c0_membership(measure: OperatorMeasure) -> bool:
-    """True iff no surviving atom sits at omega = 0 (kernel decays at infinity)."""
-    return all(omega > 0.0 for omega, _ in measure.atoms)
 
 
 VERDICT_STRICT = "StrictlyPD_and_Universal"

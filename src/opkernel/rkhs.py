@@ -13,6 +13,9 @@ quadratic form
 
 nonnegative for PSD kernels; Q(eta) = 0 with eta != 0 is exactly a failure
 of strict positive definiteness (and for q > 0, of the derivative kind).
+A VectorAtomMeasure keeps its atoms as the arrays points (A, m) and vectors
+(A, ell), merged in one pass, so both routes read them without a per-atom
+loop.
 
 quadratic_form always computes Q twice -- once as w^H M w against the
 derivative block Gram, once by pairing the embedded function against the
@@ -41,7 +44,7 @@ from .errors import (
     NotPSD,
     NumericalFailure,
 )
-from .hermitian import HermitianMatrix, cholesky_psd, solve_cholesky, trace
+from .hermitian import Frozen, HermitianMatrix, cholesky_psd, solve_cholesky, trace
 from .kernel import (
     OperatorKernel,
     close_pair,
@@ -52,6 +55,7 @@ from .kernel import (
     kernel_eval,
     pair_diffs,
 )
+from .measures import merge_rows, stack_atoms, unique_rows
 from .profiles import (
     JET_ORDER_CAP,
     MultiIndex,
@@ -63,58 +67,55 @@ from .profiles import (
 TWO_ROUTE_TOL = 1e-12
 
 
-class VectorAtomMeasure:
+class VectorAtomMeasure(Frozen):
     """Finite vector-valued atomic measure sum_i v_i delta_{x_i}.
 
-    Atoms at exactly equal points are merged by summing vectors; atoms whose
-    merged vector is exactly zero are dropped (they contribute nothing to any
-    pairing). The measure is nonzero iff any atom survives.
+    Atoms are (x, v) pairs, or the arrays points (A, m) and vectors (A,
+    ell). Atoms at exactly equal points are merged by summing vectors;
+    atoms whose merged vector is exactly zero are dropped (they contribute
+    nothing to any pairing). The atoms are stored as the read-only arrays
+    points and vectors, in the order in which each point first occurs. The
+    measure is nonzero iff any atom survives.
     """
 
-    __slots__ = ("m", "ell", "atoms")
+    __slots__ = ("m", "ell", "points", "vectors")
 
-    def __init__(self, m: int, ell: int, atoms):
+    def __init__(self, m: int, ell: int, atoms=(), *, points=None, vectors=None):
         m, ell = int(m), int(ell)
         if m < 1 or ell < 1:
             raise InvalidVector("need m >= 1 and ell >= 1")
-        merged: dict[tuple, np.ndarray] = {}
-        order: list[tuple] = []
-        for x, v in atoms:
-            x = np.asarray(x, dtype=float)
-            v = np.asarray(v, dtype=complex)
-            if x.shape != (m,) or not np.all(np.isfinite(x)):
-                raise InvalidVector(f"atom point must be a finite vector of length {m}")
-            if v.shape != (ell,) or not np.all(np.isfinite(v.real)) or not np.all(
-                np.isfinite(v.imag)
-            ):
-                raise InvalidVector(f"atom vector must be a finite vector of length {ell}")
-            key = tuple(float(c) for c in x)
-            if key in merged:
-                merged[key] = merged[key] + v
-            else:
-                merged[key] = v.copy()
-                order.append(key)
-        kept = []
-        for key in order:
-            v = merged[key]
-            if float(np.linalg.norm(v)) > 0.0:
-                kept.append((np.array(key, dtype=float), v))
+        if points is None:
+            points, vectors = tuple(zip(*atoms)) or ((), ())
+        bad_point = InvalidVector(f"atom point must be a finite vector of length {m}")
+        bad_vector = InvalidVector(f"atom vector must be a finite vector of length {ell}")
+        pts = stack_atoms(points, (m,), float, lambda shape: bad_point)
+        vecs = stack_atoms(vectors, (ell,), complex, lambda shape: bad_vector)
+        if pts.shape[0] != vecs.shape[0]:
+            raise InvalidVector(f"got {vecs.shape[0]} atom vectors for {pts.shape[0]} points")
+        finite_point = np.isfinite(pts).all(axis=1)
+        bad = np.flatnonzero(~(finite_point & np.isfinite(vecs).all(axis=1)))
+        if bad.size:
+            raise bad_vector if finite_point[bad[0]] else bad_point
+        first, vecs = merge_rows(pts, vecs, in_order=True)
+        # np.linalg.norm(v) > 0 exactly when some square does not underflow
+        keep = (vecs.real ** 2 + vecs.imag ** 2).sum(axis=1) > 0.0
+        pts, vecs = pts[first][keep], vecs[keep]
+        for a in (pts, vecs):
+            a.setflags(write=False)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "ell", ell)
-        object.__setattr__(self, "atoms", tuple(kept))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("VectorAtomMeasure is immutable")
+        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "vectors", vecs)
 
     def __len__(self):
-        return len(self.atoms)
+        return self.points.shape[0]
 
     @property
     def is_nonzero(self) -> bool:
-        return len(self.atoms) > 0
+        return len(self) > 0
 
 
-class DerivVectorMeasure:
+class DerivVectorMeasure(Frozen):
     """A family of vector atomic measures indexed by multi-indices |alpha| <= q."""
 
     __slots__ = ("m", "ell", "q", "components")
@@ -143,9 +144,6 @@ class DerivVectorMeasure:
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "components", tuple(comps))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("DerivVectorMeasure is immutable")
-
     @staticmethod
     def plain(vam: VectorAtomMeasure) -> "DerivVectorMeasure":
         """Wrap an order-0 measure."""
@@ -168,11 +166,10 @@ def embed(kernel: OperatorKernel, eta: DerivVectorMeasure) -> RkhsElement:
     """Embed a derivative vector measure as an element of the kernel space."""
     if eta.m != kernel.m or eta.ell != kernel.ell:
         raise InvalidVector("measure dimensions do not match the kernel")
-    atoms = []
-    for alpha, vam in eta.components:
-        for x, v in vam.atoms:
-            atoms.append((alpha, x, v))
-    return RkhsElement(kernel=kernel, atoms=tuple(atoms))
+    atoms = tuple(
+        (alpha, x, v) for alpha, vam in eta.components for x, v in zip(vam.points, vam.vectors)
+    )
+    return RkhsElement(kernel=kernel, atoms=atoms)
 
 
 def rkhs_eval(element: RkhsElement, y) -> np.ndarray:
@@ -194,11 +191,6 @@ def rkhs_deriv_eval(element: RkhsElement, beta: MultiIndex, y) -> np.ndarray:
     return out
 
 
-def _collect_points(eta: DerivVectorMeasure) -> np.ndarray:
-    seen = dict.fromkeys(tuple(float(c) for c in x) for _, vam in eta.components for x, _ in vam.atoms)
-    return np.array(list(seen), dtype=float).reshape(len(seen), eta.m)
-
-
 @dataclass(frozen=True)
 class QuadraticFormDetail:
     value: float
@@ -214,7 +206,10 @@ def quadratic_form_detail(kernel: OperatorKernel, eta: DerivVectorMeasure) -> Qu
     if not eta.is_nonzero:
         return QuadraticFormDetail(value=0.0, scale=1.0, route_gap=0.0)
 
-    pts = _collect_points(eta)
+    # the distinct atom points of all components, in first-occurrence order
+    allpts = np.concatenate([vam.points for _, vam in eta.components])
+    first, atom_point = unique_rows(allpts, in_order=True)
+    pts = allpts[first]
     n = pts.shape[0]
     idxs = multi_indices_up_to(kernel.m, eta.q)
     na = len(idxs)
@@ -224,15 +219,14 @@ def quadratic_form_detail(kernel: OperatorKernel, eta: DerivVectorMeasure) -> Qu
     dg = deriv_gram(kernel, pts, eta.q)
     mat = dg.matrix.entries
 
-    pt_rank = {tuple(float(c) for c in p): mu for mu, p in enumerate(pts)}
+    # every (point, multi-index) slot holds at most one atom vector
+    vs = np.concatenate([vam.vectors for _, vam in eta.components])
+    slot = atom_point * na + np.concatenate([np.full(len(vam), rank[alpha]) for alpha, vam in eta.components])
     w = np.zeros(n * na * ell, dtype=complex)
-    sum_v2 = 0.0
-    for alpha, vam in eta.components:
-        a = rank[alpha]
-        for x, v in vam.atoms:
-            mu = pt_rank[tuple(float(c) for c in x)]
-            w[(mu * na + a) * ell : (mu * na + a + 1) * ell] += v
-            sum_v2 += float(np.vdot(v, v).real)
+    w[slot[:, None] * ell + np.arange(ell)] += vs
+    sum_v2 = 0.0  # per-atom vdot: a stacked |v|^2 rounds differently for ell > 1
+    for v in vs:
+        sum_v2 += float(np.vdot(v, v).real)
 
     # route 1: stacked quadratic form against the derivative block Gram
     q1c = complex(np.vdot(w, mat @ w))
@@ -245,8 +239,7 @@ def quadratic_form_detail(kernel: OperatorKernel, eta: DerivVectorMeasure) -> Qu
     # for q > 0 it walks the atoms through kernel_deriv_eval.
     if eta.q == 0:
         vam0 = eta.components[0][1]
-        xs = np.stack([x for x, _ in vam0.atoms])
-        vs = np.stack([v for _, v in vam0.atoms])
+        xs, vs = vam0.points, vam0.vectors
         nat = xs.shape[0]
         blocks = kernel.eval_diffs(pair_diffs(xs)[0]).reshape(nat, nat, ell, ell)
         # T[i] = sum_j K(x_j, x_i)^H v_j ;  q2 = sum_i <T[i], v_i>
@@ -256,7 +249,7 @@ def quadratic_form_detail(kernel: OperatorKernel, eta: DerivVectorMeasure) -> Qu
         element = embed(kernel, eta)
         q2c = 0.0 + 0.0j
         for alpha, vam in eta.components:
-            for x, v in vam.atoms:
+            for x, v in zip(vam.points, vam.vectors):
                 val = rkhs_deriv_eval(element, alpha, x)
                 q2c += np.vdot(v, val)
     q2 = q2c.real

@@ -11,11 +11,11 @@ from opkernel.certify import (
     classify_and_report,
     demo_counterexample_radial_bump,
     demo_counterexample_shifted_gaussian,
-    find_null_direction,
     probe_strict_pd,
     witness_design_mineig,
 )
 from opkernel.errors import InvalidGrid, InvalidParameter
+from opkernel.hermitian import eigen_hermitian
 from opkernel.kernel import gram, radial_kernel
 from opkernel.measures import VERDICT_NOT_STRICT, VERDICT_STRICT, OperatorMeasure
 from opkernel.profiles import RadialProfile
@@ -107,10 +107,10 @@ def test_shifted_demo_vector_shift():
 def test_shifted_gram_has_exact_null_direction():
     """On {0, 2w} the 4x4 block Gram annihilates (e1, -e2)/sqrt(2)."""
     k = ShiftedPairKernel([1.0])
-    nd = find_null_direction(k, np.array([[0.0], [2.0]]))
-    assert abs(nd.eigenvalue) <= 1e-12
+    dec = eigen_hermitian(gram(k, np.array([[0.0], [2.0]])).matrix)
+    assert abs(dec.eigenvalues[0]) <= 1e-12
     target = np.array([1.0, 0.0, 0.0, -1.0]) / np.sqrt(2.0)
-    overlap = abs(np.vdot(nd.vector, target))
+    overlap = abs(np.vdot(dec.eigenvectors[:, 0], target))
     assert overlap == pytest.approx(1.0, abs=1e-10)
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from opkernel.cli import kernel_from_json, main
+from opkernel.cli import MAX_MONOTONE_GRID_NUM, kernel_from_json, main
 from opkernel.kernel import deriv_gram
 
 GAUSS_SCALAR = {
@@ -362,6 +362,18 @@ def test_demo_radial_bump(tmp_path):
     assert res["relative_form"] <= 1e-6
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("grid_n, box", [(256, "1.5"), (640, "2.2")])
+def test_demo_radial_bump_golden_bytes(capsys, grid_n, box):
+    """The bump demo's report stays byte for byte the one in tests/golden."""
+    argv = ["demo", "radial-bump", "--grid-n", str(grid_n), "--box", box, "--no-timestamp"]
+    assert main(argv) == 0
+    golden = (GOLDEN / f"demo_radial_bump_{grid_n}_{box}.json").read_text()
+    assert capsys.readouterr().out == golden
+
+
 def test_demo_bump_m2_rejected(tmp_path):
     code, _ = run(tmp_path, ["demo", "radial-bump", "--m", "2"])
     assert code == 2
@@ -480,6 +492,21 @@ def test_monotone_grid_num_below_one_exits_two(tmp_path, capsys, num):
     err = capsys.readouterr().err
     assert code == 2 and rep is None
     assert err == f"error: grid 'num' must be >= 1, got {num}\n"
+
+
+@pytest.mark.parametrize("num", [MAX_MONOTONE_GRID_NUM + 1, 10**12, 10**400])
+def test_monotone_grid_num_above_cap_exits_two(tmp_path, capsys, monkeypatch, num):
+    """A huge grid is refused before anything is allocated."""
+
+    def no_linspace(*args, **kwargs):
+        raise AssertionError("np.linspace reached")
+
+    monkeypatch.setattr(np, "linspace", no_linspace)
+    obj = {"function": "exp-neg", "mode": "cm", "grid": {"start": 0.5, "stop": 5.0, "num": num}}
+    code, rep = run(tmp_path, ["monotone"], obj)
+    err = capsys.readouterr().err
+    assert code == 2 and rep is None
+    assert err == f"error: grid 'num' must be <= {MAX_MONOTONE_GRID_NUM}, got {num}\n"
 
 
 # ---------------------------------------------------------------- probe

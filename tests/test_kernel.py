@@ -20,18 +20,20 @@ from opkernel.kernel import (
     DerivBlockGram,
     PlaneWaveMeasure,
     _check_points,
+    deriv_blocks,
     deriv_diag_identity_check,
     deriv_gram,
     gram,
     gram_to_csv,
     kernel_deriv_eval,
     kernel_eval,
+    pair_diffs,
     plane_wave_kernel,
     radial_function_eval,
     radial_kernel,
 )
-from opkernel.measures import OperatorMeasure, scalar_projection_measure
-from opkernel.profiles import RadialProfile, profile_value
+from opkernel.measures import OperatorMeasure
+from opkernel.profiles import RadialProfile, multi_index_order, multi_indices_up_to, profile_value
 
 GAUSS_12 = radial_kernel(
     RadialProfile.gaussian(), OperatorMeasure(2, [(1.0, np.diag([1.0, 2.0]))]), 1
@@ -443,6 +445,35 @@ def test_deriv_gram_hermitian_block_symmetry():
     assert np.allclose(mat, mat.conj().T, atol=1e-15)
 
 
+def _deriv_blocks_oracle(kernel, diffs, rows):
+    """deriv_blocks as it was with per-entry tuple sums and rank lookups."""
+    n, ell = math.isqrt(diffs.shape[0]), kernel.ell
+    sums = [[tuple(a + b for a, b in zip(alpha, beta)) for _, beta in rows] for _, alpha in rows]
+    gammas = sorted({gamma for row in sums for gamma in row})
+    rank = {gamma: r for r, gamma in enumerate(gammas)}
+    vals = kernel.deriv_diffs(gammas, diffs).reshape(len(gammas), n, n, ell, ell)
+    p = np.array([i for i, _ in rows])
+    signs = np.array([(-1.0) ** multi_index_order(beta) for _, beta in rows])
+    blocks = vals[np.array([[rank[g] for g in row] for row in sums]), p[:, None], p[None, :]]
+    blocks = blocks * signs[None, :, None, None]
+    return blocks.transpose(0, 2, 1, 3).reshape(len(rows) * ell, len(rows) * ell)
+
+
+@pytest.mark.parametrize("m, q", [(1, 4), (2, 2), (3, 1)])
+def test_deriv_blocks_match_the_tuple_sums(m, q):
+    """Integer-array index sums gather the same blocks, bit for bit, for
+    full derivative Grams and for Hermite-style rows in any order."""
+    rng = np.random.default_rng(40 + m)
+    pts = rng.uniform(-1.0, 1.0, size=(4, m))
+    diffs = pair_diffs(pts)[0]
+    idxs = multi_indices_up_to(m, q)
+    full = [(mu, alpha) for mu in range(4) for alpha in idxs]
+    shuffled = [full[i] for i in rng.permutation(len(full))[: len(full) // 2]]
+    for k in (random_gaussian_kernel(rng, 2, m, 3), plane_wave_kernel(_plane_wave_measures(rng, m)[1])):
+        for rows in (full, shuffled):
+            assert deriv_blocks(k, diffs, rows).tobytes() == _deriv_blocks_oracle(k, diffs, rows).tobytes()
+
+
 # ---------------------------------------------------------------- projections
 
 
@@ -454,12 +485,12 @@ def test_projection_commutes_with_mixing():
     )
     k = radial_kernel(RadialProfile.gaussian(), mu, 2)
     v = rng.normal(size=2) + 1j * rng.normal(size=2)
-    sm = scalar_projection_measure(mu, v)
+    weights = np.einsum("i,aij,j->a", np.conj(v), mu.gs, v).real  # <G_j v, v>
     for _ in range(5):
         x, y = rng.normal(size=2), rng.normal(size=2)
         kv = np.vdot(v, kernel_eval(k, x, y) @ v)
         t = float(np.linalg.norm(x - y))
-        mixed = sum(w * profile_value(RadialProfile.gaussian(), omega, t) for omega, w in sm.atoms)
+        mixed = sum(w * profile_value(RadialProfile.gaussian(), omega, t) for omega, w in zip(mu.omegas, weights))
         assert complex(kv) == pytest.approx(complex(mixed), abs=1e-13)
 
 
@@ -526,3 +557,105 @@ def test_deriv_gram_csv_headers_and_roundtrip():
     )
     recon = parsed[:, 0::2] + 1j * parsed[:, 1::2]
     assert np.array_equal(recon, dg.matrix.entries)
+
+
+# ---------------------------------------------------------------- plane-wave pairs
+
+
+def _direct_plane_wave(measure, diffs):
+    """Every row evaluated on its own bits, with no de-duplication and no
+    mirroring of -d onto d: the formula the pairing must reproduce bit for
+    bit. The batch is evaluated as one GEMM; a single row would go through
+    GEMV, whose last bits differ for m > 1."""
+    return np.einsum("pa,aij->pij", np.exp(-1j * diffs @ measure.xis.T), measure.gs)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _pair_rows(rng, m, nbase, nrows):
+    """nrows rows drawn from nbase base differences, each row a base row or
+    its negation: zero rows, -0.0 components, and rows whose first nonzero
+    component is negative or comes after zeros all occur."""
+    base = rng.normal(size=(nbase, m))
+    base[rng.random(size=(nbase, m)) < 0.3] = 0.0
+    base[0] = 0.0
+    base[1] = -0.0
+    if m > 1:
+        base[2, 0] = -0.0
+    pick = rng.integers(0, nbase, size=nrows)
+    sign = np.where(rng.random(nrows) < 0.5, -1.0, 1.0)
+    return base[pick] * sign[:, None]
+
+
+def _plane_wave_measures(rng, m):
+    """A generic complex measure, a real one with a frequency at 0 (blocks
+    with exactly zero imaginary parts), and a constant kernel."""
+    generic = []
+    for ell in (1, 2, 3):
+        atoms = []
+        for _ in range(5):
+            b = rng.normal(size=(ell, ell)) + 1j * rng.normal(size=(ell, ell))
+            atoms.append((rng.normal(size=m) * 3.0, b.conj().T @ b))
+        generic.append(PlaneWaveMeasure(ell, m, atoms))
+    u = rng.normal(size=(4, 2))
+    real = PlaneWaveMeasure(
+        2, m, [(np.zeros(m), np.outer(u[0], u[0]))] + [(rng.normal(size=m), np.outer(v, v)) for v in u[1:]]
+    )
+    constant = PlaneWaveMeasure(2, m, [(np.zeros(m), np.array([[2.0, 1.0], [1.0, 3.0]]))])
+    return generic + [real, constant]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_plane_wave_eval_diffs_mirrors_pairs_bitwise(m):
+    """eval_diffs evaluates one row of each +-d pair and mirrors the other
+    (above the 64-row de-dup threshold); every block must carry the bits of
+    its own direct evaluation, signed zeros included."""
+    rng = np.random.default_rng(100 + m)
+    for measure in _plane_wave_measures(rng, m):
+        k = plane_wave_kernel(measure)
+        for nrows in (40, 64, 65, 300):
+            diffs = _pair_rows(rng, m, 12, nrows)
+            assert _same_bits(k.eval_diffs(diffs), _direct_plane_wave(measure, diffs))
+
+
+def _diagonal_measure(rng, m, natoms=64):
+    """Real diagonal weights: every block has exactly zero off-diagonal and
+    imaginary parts, so every mirrored block is re-evaluated directly."""
+    return PlaneWaveMeasure(
+        2, m, [(rng.normal(size=m) * 3.0, np.diag(rng.uniform(0.5, 2.0, size=2))) for _ in range(natoms)]
+    )
+
+
+def test_plane_wave_eval_diffs_single_pair_batch():
+    """A large batch holding only d and -d has one canonical row; it is still
+    evaluated as a batch of two or more rows, which round d @ xi like every
+    other batch."""
+    rng = np.random.default_rng(7)
+    measure = _plane_wave_measures(rng, 3)[1]
+    for d in rng.normal(size=(20, 3)):
+        diffs = np.tile([d, -d], (50, 1))
+        assert _same_bits(plane_wave_kernel(measure).eval_diffs(diffs), _direct_plane_wave(measure, diffs))
+
+
+def test_plane_wave_eval_diffs_redoes_one_mirrored_block_in_a_batch():
+    """One mirrored block with a zero part is re-evaluated as a batch row too."""
+    rng = np.random.default_rng(9)
+    measure = _diagonal_measure(rng, 3)
+    for _ in range(20):
+        base = rng.normal(size=(10, 3))
+        base[:, 0] = np.abs(base[:, 0])
+        diffs = np.repeat(np.vstack([base, -base[:1]]), 7, axis=0)
+        assert _same_bits(plane_wave_kernel(measure).eval_diffs(diffs), _direct_plane_wave(measure, diffs))
+
+
+def test_plane_wave_eval_diffs_row_by_row_m1():
+    """On the line a single row rounds like a batch row, so a large batch
+    equals its rows evaluated one at a time."""
+    rng = np.random.default_rng(8)
+    for measure in _plane_wave_measures(rng, 1):
+        k = plane_wave_kernel(measure)
+        diffs = _pair_rows(rng, 1, 12, 300)
+        rows = np.stack([k.eval_diffs(d[None, :])[0] for d in diffs])
+        assert _same_bits(k.eval_diffs(diffs), rows)

@@ -1,4 +1,5 @@
-"""Operator measures: projections, trace decomposition, exact classification."""
+"""Operator measures: construction, projections, trace decomposition, exact
+classification."""
 
 import copy
 import json
@@ -7,19 +8,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from opkernel.errors import InvalidMeasure, InvalidVector, SchemaError
+from opkernel.errors import InvalidMeasure, SchemaError
 from opkernel.hermitian import HermitianMatrix, is_psd, min_eigenvalue, trace
-from opkernel.kernel import PlaneWaveMeasure
+from opkernel.kernel import PlaneWaveMeasure, kernel_eval, radial_kernel
 from opkernel.measures import (
     VERDICT_NOT_STRICT,
     VERDICT_STRICT,
     OperatorMeasure,
     ScalarMeasure,
-    c0_membership,
     classify_radial,
     measure_from_json,
     radon_nikodym,
-    scalar_projection_measure,
     total_operator,
 )
 from opkernel.profiles import RadialProfile
@@ -40,8 +39,8 @@ def random_psd(rng, dim):
 
 def test_atoms_sorted_and_merged():
     mu = OperatorMeasure(2, [(2.0, I2), (1.0, I2), (2.0, I2)])
-    assert [omega for omega, _ in mu.atoms] == [1.0, 2.0]
-    assert np.allclose(mu.atoms[1][1].entries, 2 * I2)
+    assert mu.omegas.tolist() == [1.0, 2.0]
+    assert np.allclose(mu.gs[1], 2 * I2)
 
 
 def test_zero_atom_pruned_but_remembered():
@@ -91,14 +90,14 @@ def test_measures_merge_and_prune_like_the_loop():
     atoms = _fifty_atoms(np.random.default_rng(21))
     kept, nulls = _merge_loop(atoms, str)
     mu = OperatorMeasure(3, atoms)
-    assert [w for w, _ in mu.atoms] == [w for w, _ in kept]
-    assert all(np.array_equal(a.entries, b.entries) for (_, a), (_, b) in zip(mu.atoms, kept))
+    assert mu.omegas.tolist() == [w for w, _ in kept]
+    assert np.array_equal(mu.gs, np.stack([g.entries for _, g in kept]))
     assert mu.null_supports == tuple(nulls) and 11.0 in nulls
     xi_atoms = [((w, -w), g) for w, g in atoms]
     pw = PlaneWaveMeasure(3, 2, [(np.array(xi), g) for xi, g in xi_atoms])
     kept, _ = _merge_loop(xi_atoms, str)
-    assert [tuple(xi) for xi, _ in pw.atoms] == [xi for xi, _ in kept]
-    assert all(np.array_equal(a.entries, b.entries) for (_, a), (_, b) in zip(pw.atoms, kept))
+    assert [tuple(xi) for xi in pw.xis.tolist()] == [xi for xi, _ in kept]
+    assert np.array_equal(pw.gs, np.stack([g.entries for _, g in kept]))
 
 
 def test_measures_name_the_first_indefinite_atom():
@@ -120,6 +119,74 @@ def test_measures_name_the_first_indefinite_atom():
     assert str(info.value) == str(expected.value)
 
 
+def _bits(a):
+    return np.asarray(a).tobytes()
+
+
+def _signed_zero_atoms(rng, keys, dim=2):
+    """Rank-one PSD atoms at the given keys; some entries are signed zeros,
+    and one matrix is zero (so its key is pruned)."""
+    atoms = []
+    for i, key in enumerate(keys):
+        u = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        u[i % dim] = complex(-0.0, 0.0) if i % 3 else 0.0
+        g = np.zeros((dim, dim)) if i == 4 else np.outer(u, np.conj(u))
+        atoms.append((key, g))
+    return atoms
+
+
+def test_measures_merge_signed_zero_keys_like_the_loop():
+    """Equal keys merge left to right from the first matrix; a key seen as
+    both -0.0 and 0.0 keeps the sign of its first occurrence, as a dict
+    did; arrays match the per-atom loop bit for bit."""
+    rng = np.random.default_rng(23)
+    keys = [0.5, -0.0, 0.0, 0.5, 3.0, -0.0, 2.0, 0.0, 0.5]
+    atoms = _signed_zero_atoms(rng, keys)
+    kept, nulls = _merge_loop(atoms, str)
+    mu = OperatorMeasure(2, atoms)
+    assert _bits(mu.omegas) == _bits([w for w, _ in kept])
+    assert np.signbit(mu.omegas[0])
+    assert _bits(mu.gs) == _bits(np.stack([g.entries for _, g in kept]))
+    assert _bits(mu.null_supports) == _bits(nulls) and nulls == [3.0]
+    arrays = OperatorMeasure(2, omegas=np.array(keys), gs=np.stack([g for _, g in atoms]))
+    assert _bits(arrays.omegas) == _bits(mu.omegas) and _bits(arrays.gs) == _bits(mu.gs)
+    assert arrays.null_supports == mu.null_supports
+
+    xi_keys = [(0.0, 1.0), (-0.0, 1.0), (1.0, -0.0), (0.0, 1.0), (-2.0, 5.0), (1.0, 0.0), (-0.0, -0.0), (0.0, 0.0)]
+    atoms = _signed_zero_atoms(rng, xi_keys)
+    kept, _ = _merge_loop(atoms, str)
+    pw = PlaneWaveMeasure(2, 2, [(np.array(xi), g) for xi, g in atoms])
+    assert _bits(pw.xis) == _bits(np.array([xi for xi, _ in kept]))
+    assert _bits(pw.gs) == _bits(np.stack([g.entries for _, g in kept]))
+    arrays = PlaneWaveMeasure(2, 2, xis=np.array(xi_keys), gs=np.stack([g for _, g in atoms]))
+    assert _bits(arrays.xis) == _bits(pw.xis) and _bits(arrays.gs) == _bits(pw.gs)
+
+
+def test_measures_from_arrays_name_the_first_indefinite_atom():
+    atoms = _fifty_atoms(np.random.default_rng(22))
+    atoms[37] = (7.5, np.diag([1.0, 2.0, -0.5]))
+    atoms[44] = (2.0, np.diag([-1.0, 2.0, 1.0]))
+    omegas, gs = np.array([w for w, _ in atoms]), np.stack([g for _, g in atoms])
+    with pytest.raises(InvalidMeasure) as pairs:
+        OperatorMeasure(3, atoms)
+    with pytest.raises(InvalidMeasure) as arrays:
+        OperatorMeasure(3, omegas=omegas, gs=gs)
+    assert str(arrays.value) == str(pairs.value) and "omega=7.5 " in str(pairs.value)
+    with pytest.raises(InvalidMeasure, match=r"xi=\[7\.5, 1\.0\] "):
+        PlaneWaveMeasure(3, 2, xis=np.stack([omegas, np.ones(50)], axis=1), gs=gs)
+
+
+def test_measures_reject_malformed_arrays():
+    with pytest.raises(InvalidMeasure, match="support point must be finite and >= 0, got -1.0"):
+        OperatorMeasure(2, omegas=np.array([1.0, -1.0]), gs=np.stack([I2, I2]))
+    with pytest.raises(InvalidMeasure, match="atom matrix has shape"):
+        OperatorMeasure(2, omegas=np.array([1.0]), gs=np.eye(3)[None])
+    with pytest.raises(InvalidMeasure, match="2 atom matrices for 1 supports"):
+        OperatorMeasure(2, omegas=np.array([1.0]), gs=np.stack([I2, I2]))
+    with pytest.raises(InvalidMeasure, match="frequency must be a finite vector of length 2"):
+        PlaneWaveMeasure(2, 2, xis=np.array([[0.0, np.inf]]), gs=I2[None])
+
+
 def test_scalar_measure_clamps_roundoff():
     sm = ScalarMeasure([(1.0, -1e-13)])
     assert sm.atoms == ((1.0, 0.0),)
@@ -130,40 +197,46 @@ def test_scalar_measure_clamps_roundoff():
 # ---------------------------------------------------------------- projection
 
 
+def _projected(mu, v, ts):
+    """v^H K(t) v of the gaussian mixture of mu (m = 1) at distances ts: the
+    scalar measure omega_j -> <G_j v, v> mixed at t, read through eval_diffs."""
+    k = radial_kernel(RadialProfile.gaussian(), mu, 1)
+    blocks = k.eval_diffs(np.asarray(ts, dtype=float)[:, None])
+    return np.einsum("i,pij,j->p", np.conj(v), blocks, v)
+
+
+TS = [0.0, 0.5, 2.0]
+
+
 def test_projection_identity_direction():
     mu = OperatorMeasure(2, [(1.0, I2)])
-    sm = scalar_projection_measure(mu, E1)
-    assert sm.atoms == ((1.0, 1.0),)
+    assert np.array_equal(_projected(mu, E1, TS), np.exp(-np.square(TS)))
 
 
 def test_projection_scales_quadratically():
     mu = OperatorMeasure(2, [(1.0, I2)])
-    sm = scalar_projection_measure(mu, 2.0 * E1)
-    assert sm.atoms == ((1.0, 4.0),)
+    assert np.array_equal(_projected(mu, 2.0 * E1, TS), 4.0 * np.exp(-np.square(TS)))
 
 
 def test_projection_can_kill_an_atom():
     mu = OperatorMeasure(2, [(0.0, np.diag([1.0, 0.0])), (2.0, np.diag([0.0, 1.0]))])
-    sm = scalar_projection_measure(mu, E2)
-    # the killed atom is kept with weight zero
-    assert sm.atoms == ((0.0, 0.0), (2.0, 1.0))
-
-
-def test_projection_rejects_zero_vector():
-    mu = OperatorMeasure(2, [(1.0, I2)])
-    with pytest.raises(InvalidVector):
-        scalar_projection_measure(mu, np.zeros(2))
+    # the omega = 0 atom would add a constant 1; E2 sees only the omega = 2 atom
+    assert np.array_equal(_projected(mu, E2, TS), np.exp(-2.0 * np.square(TS)))
+    assert np.array_equal(_projected(mu, E1, TS), np.ones(3))
 
 
 @given(st.integers(0, 10_000))
 @settings(max_examples=50, deadline=None)
 def test_projection_weights_nonnegative(seed):
     rng = np.random.default_rng(seed)
-    mu = OperatorMeasure(3, [(float(k), random_psd(rng, 3)) for k in range(3)])
-    v = rng.normal(size=3) + 1j * rng.normal(size=3)
-    v /= np.linalg.norm(v)
-    sm = scalar_projection_measure(mu, v)
-    assert all(w >= 0.0 for _, w in sm.atoms)
+    for k in range(3):
+        mu = OperatorMeasure(3, [(float(k), random_psd(rng, 3))])
+        v = rng.normal(size=3) + 1j * rng.normal(size=3)
+        v /= np.linalg.norm(v)
+        # at t = 0 the one atom's profile is 1, so the value is its weight
+        weight = _projected(mu, v, [0.0])[0]
+        assert weight.real >= 0.0
+        assert abs(weight.imag) <= 1e-12 * max(1.0, weight.real)
 
 
 # ---------------------------------------------------------------- radon-nikodym
@@ -225,10 +298,15 @@ def test_total_operator_empty():
 
 
 def test_c0_membership():
-    assert c0_membership(OperatorMeasure(2, [(1.0, I2)]))
-    assert not c0_membership(OperatorMeasure(2, [(0.0, I2)]))
-    # zero matrix at 0 is pruned, so the remainder decays
-    assert c0_membership(OperatorMeasure(2, [(0.0, np.zeros((2, 2))), (1.0, I2)]))
+    """The kernel decays at infinity iff no surviving atom sits at omega = 0."""
+    far = np.array([1e3])
+    decays = OperatorMeasure(2, [(1.0, I2)])
+    constant = OperatorMeasure(2, [(0.0, I2)])
+    # a zero matrix at 0 is pruned, so the remainder decays
+    pruned = OperatorMeasure(2, [(0.0, np.zeros((2, 2))), (1.0, I2)])
+    for mu, limit in ((decays, 0.0 * I2), (constant, I2), (pruned, 0.0 * I2)):
+        k = radial_kernel(RadialProfile.gaussian(), mu, 1)
+        assert np.array_equal(kernel_eval(k, far, np.zeros(1)), limit)
 
 
 # ---------------------------------------------------------------- classification
@@ -282,8 +360,8 @@ def test_classify_scaling_invariance(seed, c):
 def test_not_strict_witness_has_no_projection_mass():
     mu = OperatorMeasure(2, [(1.0, np.diag([1.0, 0.0])), (2.0, np.diag([1.0, 0.0]))])
     res = classify_radial(mu, RadialProfile.gaussian())
-    sm = scalar_projection_measure(mu, res.witness)
-    assert all(w <= 1e-12 for omega, w in sm.atoms if omega > 0.0)
+    # both atoms sit at omega > 0, so the witness sees no mass at any distance
+    assert np.all(np.abs(_projected(mu, res.witness, TS)) <= 1e-12)
 
 
 # ---------------------------------------------------------------- JSON
@@ -303,17 +381,15 @@ def test_json_roundtrip():
     expected = OperatorMeasure(2, [(0.0, np.array([[1.0, 0.5j], [-0.5j, 2.0]])), (1.5, I2)])
     assert mu.dim == expected.dim
     assert len(mu) == len(expected)
-    for (o1, g1), (o2, g2) in zip(mu.atoms, expected.atoms):
-        assert o1 == o2
-        assert np.array_equal(g1.entries, g2.entries)
+    assert np.array_equal(mu.omegas, expected.omegas)
+    assert np.array_equal(mu.gs, expected.gs)
     written = {
         "dim": mu.dim,
-        "atoms": [{"omega": omega, "G": complex_to_json(g.entries)} for omega, g in mu.atoms],
+        "atoms": [{"omega": omega, "G": complex_to_json(g)} for omega, g in zip(mu.omegas.tolist(), mu.gs)],
     }
     back = measure_from_json(json.loads(json.dumps(written)))
-    for (o1, g1), (o2, g2) in zip(mu.atoms, back.atoms):
-        assert o1 == o2
-        assert np.array_equal(g1.entries, g2.entries)
+    assert np.array_equal(mu.omegas, back.omegas)
+    assert np.array_equal(mu.gs, back.gs)
 
 
 def _with(path, value):

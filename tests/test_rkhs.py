@@ -80,6 +80,70 @@ def test_measure_merges_coincident_atoms():
     assert not vam.is_nonzero
 
 
+def _vector_merge_loop(m, ell, atoms):
+    """The per-atom loop VectorAtomMeasure ran before its atoms became
+    arrays: (points, vectors) of the kept atoms."""
+    merged, order = {}, []
+    for x, v in atoms:
+        x, v = np.asarray(x, dtype=float), np.asarray(v, dtype=complex)
+        if x.shape != (m,) or not np.all(np.isfinite(x)):
+            raise InvalidVector(f"atom point must be a finite vector of length {m}")
+        if v.shape != (ell,) or not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
+            raise InvalidVector(f"atom vector must be a finite vector of length {ell}")
+        key = tuple(float(c) for c in x)
+        if key in merged:
+            merged[key] = merged[key] + v
+        else:
+            merged[key] = v.copy()
+            order.append(key)
+    kept = [(np.array(key, dtype=float), merged[key]) for key in order if float(np.linalg.norm(merged[key])) > 0.0]
+    return (
+        np.array([x for x, _ in kept]).reshape(len(kept), m),
+        np.array([v for _, v in kept], dtype=complex).reshape(len(kept), ell),
+    )
+
+
+def test_vector_measure_merges_like_the_loop():
+    """Duplicate points merge in input order from the first vector, a point
+    seen as -0.0 and 0.0 keeps its first sign, points keep first-occurrence
+    order, and vectors that merge to zero (or whose norm underflows) drop."""
+    rng = np.random.default_rng(31)
+    base = [(0.5, 1.0), (-0.0, 2.0), (0.0, 2.0), (-3.0, 0.0), (0.5, 1.0), (7.0, -0.0), (0.0, -0.0)]
+    atoms = []
+    for i, x in enumerate(base):
+        v = rng.normal(size=2) + 1j * rng.normal(size=2)
+        v[i % 2] = complex(-0.0, -0.0)
+        atoms.append((np.array(x), v))
+    atoms.append((np.array([-3.0, -0.0]), -atoms[3][1]))  # cancels the atom at (-3, 0)
+    atoms.append((np.array([9.0, 9.0]), np.array([1e-170, 0.0])))  # norm underflows to 0
+    atoms.append((np.array([0.5, 1.0]), np.array([1e-300, -0.0])))
+    pts, vecs = _vector_merge_loop(2, 2, atoms)
+    assert len(pts) == 4 and np.signbit(pts[1, 0])
+    for vam in (
+        VectorAtomMeasure(2, 2, atoms),
+        VectorAtomMeasure(2, 2, points=np.array([x for x, _ in atoms]), vectors=np.array([v for _, v in atoms])),
+    ):
+        assert vam.points.tobytes() == pts.tobytes()
+        assert vam.vectors.tobytes() == vecs.tobytes()
+
+
+def test_vector_measure_rejects_like_the_loop():
+    good = (np.zeros(2), np.ones(2))
+    for bad in (
+        (np.array([0.0, np.nan]), np.ones(2)),
+        (np.zeros(3), np.ones(2)),
+        (np.zeros(2), np.array([1.0, np.inf * 1j])),
+        (np.zeros(2), np.ones(3)),
+    ):
+        with pytest.raises(InvalidVector) as expected:
+            _vector_merge_loop(2, 2, [good, bad, good])
+        with pytest.raises(InvalidVector) as info:
+            VectorAtomMeasure(2, 2, [good, bad, good])
+        assert str(info.value) == str(expected.value)
+    with pytest.raises(InvalidVector, match="got 1 atom vectors for 2 points"):
+        VectorAtomMeasure(2, 2, points=np.zeros((2, 2)), vectors=np.ones((1, 2)))
+
+
 def test_zero_measure_has_zero_form():
     vam = VectorAtomMeasure(
         1, 1, [(np.array([0.5]), np.array([1.0])), (np.array([0.5]), np.array([-1.0]))]
@@ -242,18 +306,17 @@ def test_vector_measure_json_roundtrip():
     one re/im reader and writer and come back bitwise."""
     rng = np.random.default_rng(3)
     eta = random_deriv_measure(rng, 2, 2, 1)
-    text = json.dumps([[complex_to_json(v) for _, v in vam.atoms] for _, vam in eta.components])
+    text = json.dumps([[complex_to_json(v) for v in vam.vectors] for _, vam in eta.components])
     comps = {
-        alpha: [(x, complex_from_json(obj, "'v'")) for (x, _), obj in zip(vam.atoms, objs)]
+        alpha: [(x, complex_from_json(obj, "'v'")) for x, obj in zip(vam.points, objs)]
         for (alpha, vam), objs in zip(eta.components, json.loads(text))
     }
     back = DerivVectorMeasure(2, 2, eta.q, comps)
     assert len(back.components) == len(eta.components)
     for (a1, v1), (a2, v2) in zip(eta.components, back.components):
         assert a1 == a2
-        for (x1, c1), (x2, c2) in zip(v1.atoms, v2.atoms):
-            assert np.array_equal(x1, x2)
-            assert np.array_equal(c1, c2)
+        assert np.array_equal(v1.points, v2.points)
+        assert np.array_equal(v1.vectors, v2.vectors)
 
 
 def test_vector_measure_json_rejects_unknown_field():
