@@ -59,11 +59,9 @@ def sup_error(kernel, n: int, grid: np.ndarray, ridge):
             attempt = 1e-8 if attempt is None else attempt * 1e3
     if res is None:
         raise last
-    worst = 0.0
-    for y in grid:
-        val = rkhs_eval(res.element, np.array([y]))
-        worst = max(worst, abs(val[0].real - np.sin(y)), abs(val[1].real - np.cos(y)))
-    return worst, res.residual, res.ridge
+    val = rkhs_eval(res.element, grid[:, None])
+    worst = max(np.max(np.abs(val[:, 0].real - np.sin(grid))), np.max(np.abs(val[:, 1].real - np.cos(grid))))
+    return float(worst), res.residual, res.ridge
 
 
 def main(argv=None) -> int:

@@ -40,7 +40,6 @@ from .errors import (
     InvalidParameter,
     InvalidPoint,
     InvalidVector,
-    NearKink,
     NotPSD,
     NotRadial,
     NumericalFailure,
@@ -103,7 +102,6 @@ _INPUT_ERRORS = (
     NotRadial,
     DuplicatePoints,
     UnsupportedJet,
-    NearKink,
     FileNotFoundError,
     IsADirectoryError,
 )
@@ -409,15 +407,11 @@ def _sin_cos_experiment(args) -> dict:
         centers = np.linspace(-1.0, 1.0, n).reshape(n, 1)
         targets = np.stack([np.sin(centers[:, 0]), np.cos(centers[:, 0])], axis=1)
         res = interpolate(kernel, centers, targets, ridge=args.tols["ridge"])
-        worst = 0.0
-        for y in grid:
-            val = rkhs_eval(res.element, np.array([y]))
-            worst = max(
-                worst,
-                abs(val[0].real - np.sin(y)),
-                abs(val[1].real - np.cos(y)),
-            )
-        errors[str(n)] = worst
+        val = rkhs_eval(res.element, grid[:, None])
+        errors[str(n)] = max(
+            float(np.max(np.abs(val[:, 0].real - np.sin(grid)))),
+            float(np.max(np.abs(val[:, 1].real - np.cos(grid)))),
+        )
         residuals[str(n)] = res.residual
         ridges[str(n)] = res.ridge
     return {
@@ -470,8 +464,8 @@ def cmd_interp(args) -> int:
         "residual": res.residual,
         "ridge": res.ridge,
         "coefficients": [
-            {"alpha": list(alpha), "x": [float(c) for c in x], "v": complex_to_json(v)}
-            for alpha, x, v in res.element.atoms
+            {"alpha": alpha, "x": x, "v": complex_to_json(v)}
+            for alpha, x, v in zip(res.element.alphas.tolist(), res.element.points.tolist(), res.element.vectors)
         ],
     }
     _emit(args, _report(args, "interp", obj, result))

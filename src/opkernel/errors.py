@@ -56,10 +56,6 @@ class UnsupportedJet(OpKernelError):
     """Derivative jets are not available for this family / order."""
 
 
-class NearKink(OpKernelError):
-    """Finite-difference stencil would straddle a kink of the profile."""
-
-
 # --- numerical-side errors ---------------------------------------------
 
 

@@ -33,10 +33,23 @@ class Frozen:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
 
+def hermitian_part(a: np.ndarray) -> np.ndarray:
+    """(A + A^H)/2 over the last two axes. Where that sum is not finite (it
+    overflows above about 9e307), the halves are added instead; elsewhere
+    halving first would drop the last bit of a subnormal entry."""
+    b = np.conj(np.swapaxes(a, -1, -2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = (a + b) / 2
+    big = ~np.isfinite(h)
+    if big.any():
+        h[big] = a[big] / 2 + b[big] / 2
+    return h
+
+
 class HermitianMatrix(Frozen):
     """Immutable square complex matrix, exactly self-adjoint.
 
-    Construction symmetrizes via (A + A^H)/2, which also zeroes the
+    Construction symmetrizes via hermitian_part, which also zeroes the
     imaginary part of the diagonal exactly (x + conj(x) has imag 0 in
     IEEE arithmetic). Non-finite or non-square input raises InvalidMatrix.
     """
@@ -49,7 +62,7 @@ class HermitianMatrix(Frozen):
             raise InvalidMatrix(f"expected a square matrix, got shape {a.shape}")
         if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
             raise InvalidMatrix("matrix has non-finite entries")
-        h = (a + a.conj().T) / 2
+        h = hermitian_part(a)
         h.flags.writeable = False
         object.__setattr__(self, "entries", h)
 
@@ -79,13 +92,27 @@ def _as_hermitian(a) -> HermitianMatrix:
     return a if isinstance(a, HermitianMatrix) else HermitianMatrix(a)
 
 
+def _frobenius(x: np.ndarray) -> np.ndarray:
+    """Frobenius norms over the last two axes. A matrix whose sum of squares
+    overflows (entries above about 1e154) is divided by its largest entry
+    first, so its norm stays finite."""
+    with np.errstate(over="ignore"):
+        n = np.asarray(np.linalg.norm(x, axis=(-2, -1)))
+    big = np.isinf(n)
+    if big.any():
+        xs = x[big] if x.ndim > 2 else x[None]
+        top = np.max(np.abs(xs), axis=(-2, -1))
+        n[big] = top * np.linalg.norm(xs / top[:, None, None], axis=(-2, -1))
+    return n
+
+
 def _eigh_checked(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """np.linalg.eigh over the last two axes of Hermitian h, with the
     reconstruction and unitarity residuals of every matrix enforced."""
     w, v = np.linalg.eigh(h)
     vh = np.conj(np.swapaxes(v, -1, -2))
-    scale = np.maximum(1.0, np.linalg.norm(h, axis=(-2, -1)))
-    if np.any(np.linalg.norm((v * w[..., None, :]) @ vh - h, axis=(-2, -1)) > EIG_RECON_TOL * scale):
+    scale = np.maximum(1.0, _frobenius(h))
+    if np.any(_frobenius((v * w[..., None, :]) @ vh - h) > EIG_RECON_TOL * scale):
         raise NumericalFailure("eigendecomposition reconstruction residual too large")
     if np.any(np.linalg.norm(vh @ v - np.eye(h.shape[-1]), axis=(-2, -1)) > EIG_UNITARY_TOL):
         raise NumericalFailure("eigenvector matrix is not unitary to tolerance")
@@ -132,18 +159,35 @@ def is_psd(a: HermitianMatrix | np.ndarray, tol: float = PSD_TOL) -> PsdCheck:
 def cholesky_psd(a: HermitianMatrix | np.ndarray, jitter: float = 0.0) -> np.ndarray:
     """Lower Cholesky factor of A + jitter*I, tolerant of PSD rank deficiency.
 
-    Pivots within tolerance of zero are clamped to zero and their column is
-    zeroed, which is exact for genuinely PSD inputs. A pivot below
-    -1e-10*scale raises NotPSD carrying the pivot index. The final residual
-    ||L L^H - (A + jitter I)||_F <= 1e-10 * scale is enforced.
+    LAPACK factors every positive definite input. Only when it refuses does
+    a pivot loop run, which clamps pivots within 1e-10*scale of zero and
+    zeroes their column (exact for genuinely PSD inputs) and raises NotPSD
+    carrying the index of a pivot below -1e-10*scale. Either way the
+    residual ||L L^H - (A + jitter I)||_F <= 1e-10 * scale is enforced.
     """
     a = _as_hermitian(a)
     if not np.isfinite(jitter) or jitter < 0.0:
         raise InvalidMatrix("jitter must be a finite nonnegative real")
-    n = a.dim
-    m = a.entries + jitter * np.eye(n)
-    scale = max(1.0, float(np.linalg.norm(m)))
-    piv_tol = 1e-10 * scale
+    m = a.entries + jitter * np.eye(a.dim)
+    scale = max(1.0, float(_frobenius(m)))
+    try:
+        low = np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        low = _clamped_cholesky(m, 1e-10 * scale)
+    resid = float(_frobenius(low @ low.conj().T - m))
+    if resid > 1e-10 * scale:
+        raise NotPSD(
+            f"Cholesky residual {resid:.3e} exceeds tolerance; "
+            "matrix is indefinite in a rank-deficient direction",
+            pivot_index=None,
+        )
+    return low
+
+
+def _clamped_cholesky(m: np.ndarray, piv_tol: float) -> np.ndarray:
+    """Column-by-column Cholesky of m that zeroes the column of a pivot in
+    [-piv_tol, piv_tol] and raises NotPSD at a pivot below -piv_tol."""
+    n = m.shape[0]
     low = np.zeros((n, n), dtype=complex)
     for k in range(n):
         d = float(m[k, k].real - np.sum(np.abs(low[k, :k]) ** 2))
@@ -161,30 +205,18 @@ def cholesky_psd(a: HermitianMatrix | np.ndarray, jitter: float = 0.0) -> np.nda
         if k + 1 < n:
             col = m[k + 1 :, k] - low[k + 1 :, :k] @ low[k, :k].conj()
             low[k + 1 :, k] = col / low[k, k]
-    resid = float(np.linalg.norm(low @ low.conj().T - m))
-    if resid > 1e-10 * scale:
-        raise NotPSD(
-            f"Cholesky residual {resid:.3e} exceeds tolerance; "
-            "matrix is indefinite in a rank-deficient direction",
-            pivot_index=None,
-        )
     return low
 
 
 def solve_cholesky(low: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve L L^H x = rhs given the lower factor from cholesky_psd.
 
-    Zero pivots (rank-deficient PSD directions) get a zero component, i.e.
-    the minimum-norm-flavored solution on the range of L.
+    Zero pivots (rank-deficient PSD directions) get a zero component, and
+    the rest solve L_P L_P^H x_P = rhs_P on the block P of nonzero pivots,
+    i.e. the minimum-norm-flavored solution on the range of L.
     """
-    n = low.shape[0]
-    y = np.zeros(n, dtype=complex)
-    for i in range(n):
-        s = rhs[i] - low[i, :i] @ y[:i]
-        y[i] = s / low[i, i] if low[i, i] != 0 else 0.0
-    x = np.zeros(n, dtype=complex)
-    upper = low.conj().T
-    for i in range(n - 1, -1, -1):
-        s = y[i] - upper[i, i + 1 :] @ x[i + 1 :]
-        x[i] = s / upper[i, i] if upper[i, i] != 0 else 0.0
+    x = np.zeros(low.shape[0], dtype=complex)
+    keep = np.diagonal(low) != 0
+    lp = low[np.ix_(keep, keep)]
+    x[keep] = np.linalg.solve(lp.conj().T, np.linalg.solve(lp, rhs[keep]))
     return x

@@ -17,8 +17,7 @@ Derivative kernels: for translation-invariant K(x, y) = F(x - y),
 and OperatorKernel.deriv_diffs batches (d^gamma F) over multi-indices and
 differences: jet monomials times vectorized profile jets for radial
 families, (-i xi)^gamma times the phases for plane waves. The askey family
-is not smooth, so it only gets a finite-difference fallback that refuses to
-evaluate near its kinks.
+is not smooth at its kinks, so it has no derivative kernels.
 
 Block Grams: for points x_1..x_n, the block Gram is the n*ell square matrix
 of blocks K(x_mu, x_nu); the derivative block Gram at jet order q carries
@@ -39,7 +38,6 @@ from .errors import (
     DuplicatePoints,
     InvalidMeasure,
     InvalidPoint,
-    NearKink,
     NotRadial,
     UnsupportedJet,
 )
@@ -62,9 +60,6 @@ from .schema import float_reprs
 
 # Two points closer than this are treated as duplicates in Gram assembly.
 DUPLICATE_POINT_TOL = 1e-12
-# Finite-difference fallback step factor and kink exclusion radius (in steps).
-FD_STEP_FACTOR = 1e-4
-FD_KINK_RADIUS = 10.0
 
 
 class PlaneWaveMeasure(Frozen):
@@ -264,113 +259,20 @@ def radial_function_eval(kernel: OperatorKernel, t: float) -> np.ndarray:
     return out
 
 
-def _fd_gamma(kernel: OperatorKernel, gamma: MultiIndex, d: np.ndarray, h: float) -> np.ndarray:
-    """Nested central differences for (d^gamma F)(d)."""
-    for i, gi in enumerate(gamma):
-        if gi > 0:
-            lowered = gamma[:i] + (gi - 1,) + gamma[i + 1 :]
-            step = np.zeros_like(d)
-            step[i] = h
-            return (_fd_gamma(kernel, lowered, d + step, h) - _fd_gamma(kernel, lowered, d - step, h)) / (2 * h)
-    return kernel.eval_diffs(d[None, :])[0]
-
-
-def kernel_deriv_eval(
-    kernel: OperatorKernel,
-    alpha: MultiIndex,
-    beta: MultiIndex,
-    x,
-    y,
-    use_fd: bool = False,
-) -> np.ndarray:
+def kernel_deriv_eval(kernel: OperatorKernel, alpha: MultiIndex, beta: MultiIndex, x, y) -> np.ndarray:
     """Mixed partial d^alpha_x d^beta_y K(x, y), total order capped at 8.
 
-    Radial gaussian/omega and plane-wave kernels evaluate analytically.
-    The askey family has no jets: with use_fd=True a central-difference
-    fallback runs with step h = 1e-4 * max(1, ||x-y||), refusing (NearKink)
-    whenever ||x-y|| is within 10h of a profile kink (t = 1/omega_j or 0);
-    without use_fd it raises UnsupportedJet.
+    Radial gaussian/omega and plane-wave kernels evaluate analytically; the
+    askey family has no jets and raises UnsupportedJet.
     """
     alpha = validate_multi_index(alpha, kernel.m)
     beta = validate_multi_index(beta, kernel.m)
     total_order = multi_index_order(alpha) + multi_index_order(beta)
     if total_order > JET_ORDER_CAP:
         raise UnsupportedJet(f"derivative order {total_order} exceeds cap {JET_ORDER_CAP}")
-    x = _check_point(x, kernel.m)
-    y = _check_point(y, kernel.m)
-    d = x - y
+    d = _check_point(x, kernel.m) - _check_point(y, kernel.m)
     gamma = tuple(a + b for a, b in zip(alpha, beta))
-    sign = (-1.0) ** multi_index_order(beta)
-    if kernel.kind == "plane_wave" or kernel.profile.kind != "askey":
-        return sign * kernel.deriv_diffs([gamma], d[None, :])[0, 0]
-    # askey: finite differences only
-    if not use_fd:
-        raise UnsupportedJet(
-            "askey kernels have no analytic jets; pass use_fd=True to use the "
-            "finite-difference fallback away from kinks"
-        )
-    t = float(np.linalg.norm(d))
-    h = FD_STEP_FACTOR * max(1.0, t)
-    guard = FD_KINK_RADIUS * h
-    if t < guard:
-        raise NearKink(f"||x-y|| = {t:.3e} is within {guard:.3e} of the kink at 0")
-    for omega in kernel.measure.omegas.tolist():
-        if omega > 0.0 and abs(t - 1.0 / omega) < guard:
-            raise NearKink(
-                f"||x-y|| = {t:.3e} is within {guard:.3e} of the support-edge "
-                f"kink at {1.0 / omega:.3e}"
-            )
-    return sign * _fd_gamma(kernel, gamma, d, h)
-
-
-def deriv_diag_identity_check(kernel: OperatorKernel, alpha: MultiIndex, beta: MultiIndex) -> float:
-    """Max entrywise |difference| between the derivative kernel on the
-    diagonal and the closed-form moment expression.
-
-    For gaussian atoms, p_w(x,y) = f(sqrt(w)(x-y)) with f(d) = exp(-||d||^2),
-    so d^alpha_1 d^beta_2 K(x,x) = (-1)^|beta| (d^gamma f)(0) sum_j w_j^(|gamma|/2) G_j,
-    with (d^gamma f)(0) = prod_i [gamma_i even: (-1)^(g/2) g!/(g/2)!, else 0].
-
-    For omega(msrc) atoms, p_w(x,y) = f(w(x-y)) with f(d) = Omega_msrc(||d||),
-    and (d^gamma f)(0) is read off the even power series of Omega: nonzero
-    only for gamma = 2*kappa, where it equals
-    (-1/4)^|kappa| / (kappa! (msrc/2)_|kappa|) * prod_i (2 kappa_i)!.
-
-    Both closed forms are independent of the jet engine.
-    """
-    if not kernel.is_radial or kernel.profile.kind not in ("gaussian", "omega"):
-        raise UnsupportedJet("diagonal identity check needs a gaussian or omega kernel")
-    alpha = validate_multi_index(alpha, kernel.m)
-    beta = validate_multi_index(beta, kernel.m)
-    gamma = tuple(a + b for a, b in zip(alpha, beta))
-    n = multi_index_order(gamma)
-    if n > JET_ORDER_CAP:
-        raise UnsupportedJet(f"derivative order {n} exceeds cap {JET_ORDER_CAP}")
-
-    if any(g % 2 for g in gamma):
-        f0 = 0.0
-    elif kernel.profile.kind == "gaussian":
-        f0 = 1.0
-        for g in gamma:
-            half = g // 2
-            f0 *= (-1.0) ** half * math.factorial(g) / math.factorial(half)
-    else:
-        kappa = [g // 2 for g in gamma]
-        k = sum(kappa)
-        f0 = (-0.25) ** k / math.prod(kernel.profile.m_source / 2 + i for i in range(k))
-        for ki in kappa:
-            f0 *= math.factorial(2 * ki) / math.factorial(ki)
-
-    power = n // 2 if kernel.profile.kind == "gaussian" else n
-    moment = np.zeros((kernel.ell, kernel.ell), dtype=complex)
-    if f0 != 0.0:
-        for omega, g in zip(kernel.measure.omegas.tolist(), kernel.measure.gs):
-            moment += omega ** power * g
-    expected = (-1.0) ** multi_index_order(beta) * f0 * moment
-
-    x0 = np.zeros(kernel.m)
-    actual = kernel_deriv_eval(kernel, alpha, beta, x0, x0)
-    return float(np.max(np.abs(actual - expected)))
+    return (-1.0) ** multi_index_order(beta) * kernel.deriv_diffs([gamma], d[None, :])[0, 0]
 
 
 # ----------------------------------------------------------------------

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidMatrix, InvalidMeasure, NotRadial
-from .hermitian import PSD_TOL, Frozen, HermitianMatrix, _eigh_checked, eigen_hermitian, trace
+from .hermitian import PSD_TOL, Frozen, HermitianMatrix, _eigh_checked, eigen_hermitian, hermitian_part, trace
 from .profiles import RadialProfile
 from .schema import _fields, _float_field, _int_field, _list_field, complex_from_json
 
@@ -87,7 +87,7 @@ def merge_psd_atoms(dim: int, keys: np.ndarray, gs, describe) -> tuple[np.ndarra
     h = stack_atoms(gs, shape, complex, lambda s: InvalidMeasure(f"atom matrix has shape {s}, expected {shape}"))
     if h.shape[0] != keys.shape[0]:
         raise InvalidMeasure(f"got {h.shape[0]} atom matrices for {keys.shape[0]} supports")
-    h = (h + np.conj(np.swapaxes(h, 1, 2))) / 2
+    h = hermitian_part(h)
     if not np.all(np.isfinite(h)):
         raise InvalidMatrix("matrix has non-finite entries")
     lam = _eigh_checked(h)[0][:, 0]

@@ -288,7 +288,7 @@ def sjet_derivatives(profile: RadialProfile, omega, s, kmax: int) -> np.ndarray:
     if profile.kind == "askey":
         raise UnsupportedJet(
             "askey profiles have no squared-distance jets (kinks at t=0 and the "
-            "support edge); use the finite-difference fallback away from kinks"
+            "support edge)"
         )
     with np.errstate(over="ignore", invalid="ignore"):
         if profile.kind == "gaussian":

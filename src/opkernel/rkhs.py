@@ -14,15 +14,17 @@ quadratic form
 nonnegative for PSD kernels; Q(eta) = 0 with eta != 0 is exactly a failure
 of strict positive definiteness (and for q > 0, of the derivative kind).
 A VectorAtomMeasure keeps its atoms as the arrays points (A, m) and vectors
-(A, ell), merged in one pass, so both routes read them without a per-atom
-loop.
+(A, ell), merged in one pass, and an embedded element keeps its atoms as
+the arrays alphas, points and vectors. rkhs_deriv_eval evaluates an element
+at a batch of points with one call to the kernel's batched primitives, over
+all atom-minus-point differences.
 
 quadratic_form always computes Q twice -- once as w^H M w against the
 derivative block Gram, once by pairing the embedded function against the
-measure -- and asserts the two routes agree to 1e-12 * scale; the check is
-never skipped. Both routes evaluate blocks through the kernel's batched
-primitives, but route 2 never reads the assembled or symmetrized Gram: it
-pairs raw blocks in its own summation order, so agreement is a real check.
+measure, one batched evaluation per component -- and asserts the two routes
+agree to 1e-12 * scale; the check is never skipped. Route 2 never reads the
+assembled or symmetrized Gram: it pairs raw blocks in its own summation
+order, so agreement is a real check.
 
 Interpolation solves (Gram + ridge I) c = targets by PSD Cholesky and
 returns the combination as an element of the kernel space, so evaluation
@@ -40,6 +42,7 @@ from .errors import (
     DuplicatePoints,
     IllConditioned,
     InvalidParameter,
+    InvalidPoint,
     InvalidVector,
     NotPSD,
     NumericalFailure,
@@ -51,8 +54,6 @@ from .kernel import (
     deriv_blocks,
     deriv_gram,
     gram,
-    kernel_deriv_eval,
-    kernel_eval,
     pair_diffs,
 )
 from .measures import merge_rows, stack_atoms, unique_rows
@@ -156,20 +157,27 @@ class DerivVectorMeasure(Frozen):
 
 @dataclass(frozen=True)
 class RkhsElement:
-    """A finite combination sum_i (d^{alpha_i}_1 K)(x_i, .)^H v_i."""
+    """A finite combination sum_i (d^{alpha_i}_1 K)(x_i, .)^H v_i, with atom
+    i stored as row i of alphas (A, m), points (A, m) and vectors (A, ell)."""
 
     kernel: OperatorKernel
-    atoms: tuple[tuple[MultiIndex, np.ndarray, np.ndarray], ...]  # (alpha, x, v)
+    alphas: np.ndarray
+    points: np.ndarray
+    vectors: np.ndarray
 
 
 def embed(kernel: OperatorKernel, eta: DerivVectorMeasure) -> RkhsElement:
     """Embed a derivative vector measure as an element of the kernel space."""
     if eta.m != kernel.m or eta.ell != kernel.ell:
         raise InvalidVector("measure dimensions do not match the kernel")
-    atoms = tuple(
-        (alpha, x, v) for alpha, vam in eta.components for x, v in zip(vam.points, vam.vectors)
+    comps = eta.components
+    alphas = np.array([alpha for alpha, _ in comps], dtype=int).reshape(-1, eta.m)
+    return RkhsElement(
+        kernel=kernel,
+        alphas=np.repeat(alphas, [len(vam) for _, vam in comps], axis=0),
+        points=np.concatenate([np.zeros((0, eta.m)), *(vam.points for _, vam in comps)]),
+        vectors=np.concatenate([np.zeros((0, eta.ell), dtype=complex), *(vam.vectors for _, vam in comps)]),
     )
-    return RkhsElement(kernel=kernel, atoms=atoms)
 
 
 def rkhs_eval(element: RkhsElement, y) -> np.ndarray:
@@ -178,17 +186,39 @@ def rkhs_eval(element: RkhsElement, y) -> np.ndarray:
 
 
 def rkhs_deriv_eval(element: RkhsElement, beta: MultiIndex, y) -> np.ndarray:
-    """Derivative of the element: sum_i (d^{alpha_i}_1 d^beta_2 K)(x_i, y)^H v_i."""
+    """Derivative of the element: sum_i (d^{alpha_i}_1 d^beta_2 K)(x_i, y)^H v_i,
+    at one point y (m,) -> (ell,) or at a batch (k, m) -> (k, ell).
+
+    All atom-minus-point differences go through one kernel call: eval_diffs
+    when every alpha_i + beta is zero (so kernels without jets work at order
+    0), otherwise one deriv_diffs over the distinct gamma = alpha_i + beta,
+    each block times (-1)^|beta|.
+    """
     k = element.kernel
     beta = validate_multi_index(beta, k.m)
-    out = np.zeros(k.ell, dtype=complex)
-    for alpha, x, v in element.atoms:
-        if multi_index_order(alpha) + multi_index_order(beta) == 0:
-            block = kernel_eval(k, x, y)
-        else:
-            block = kernel_deriv_eval(k, alpha, beta, x, y)
-        out += block.conj().T @ v
-    return out
+    ys = np.asarray(y, dtype=float)
+    single = ys.ndim == 1
+    if single:
+        ys = ys[None, :]
+    if ys.ndim != 2 or ys.shape[1] != k.m:
+        raise InvalidPoint(f"expected a point in R^{k.m} or a (k, {k.m}) batch, got shape {np.shape(y)}")
+    if not np.all(np.isfinite(ys)):
+        raise InvalidPoint("point has non-finite entries")
+    na, npt = element.points.shape[0], ys.shape[0]
+    # row (i, j) is x_i - y_j, the row-major layout of pair_diffs
+    with np.errstate(over="ignore"):
+        diffs = (element.points[:, None, :] - ys[None, :, :]).reshape(na * npt, k.m)
+    gammas = element.alphas + np.array(beta)
+    if not gammas.any():
+        blocks = k.eval_diffs(diffs).reshape(na, npt, k.ell, k.ell)
+    else:
+        distinct, rank = np.unique(gammas, axis=0, return_inverse=True)
+        vals = k.deriv_diffs([tuple(g) for g in distinct.tolist()], diffs)
+        vals = vals.reshape(len(distinct), na, npt, k.ell, k.ell)
+        blocks = (-1.0) ** multi_index_order(beta) * vals[rank.reshape(-1), np.arange(na)]
+    # out[j] = sum_i K_i(x_i, y_j)^H v_i
+    out = np.einsum("ijba,ib->ja", blocks.conj(), element.vectors)
+    return out[0] if single else out
 
 
 @dataclass(frozen=True)
@@ -206,8 +236,9 @@ def quadratic_form_detail(kernel: OperatorKernel, eta: DerivVectorMeasure) -> Qu
     if not eta.is_nonzero:
         return QuadraticFormDetail(value=0.0, scale=1.0, route_gap=0.0)
 
+    element = embed(kernel, eta)
     # the distinct atom points of all components, in first-occurrence order
-    allpts = np.concatenate([vam.points for _, vam in eta.components])
+    allpts, vs = element.points, element.vectors
     first, atom_point = unique_rows(allpts, in_order=True)
     pts = allpts[first]
     n = pts.shape[0]
@@ -220,7 +251,6 @@ def quadratic_form_detail(kernel: OperatorKernel, eta: DerivVectorMeasure) -> Qu
     mat = dg.matrix.entries
 
     # every (point, multi-index) slot holds at most one atom vector
-    vs = np.concatenate([vam.vectors for _, vam in eta.components])
     slot = atom_point * na + np.concatenate([np.full(len(vam), rank[alpha]) for alpha, vam in eta.components])
     w = np.zeros(n * na * ell, dtype=complex)
     w[slot[:, None] * ell + np.arange(ell)] += vs
@@ -232,26 +262,13 @@ def quadratic_form_detail(kernel: OperatorKernel, eta: DerivVectorMeasure) -> Qu
     q1c = complex(np.vdot(w, mat @ w))
     q1 = q1c.real
 
-    # route 2: embed, then pair the function against the measure. Uses raw
-    # unsymmetrized kernel evaluations and a different summation order, and
-    # never reads `mat`, so agreement genuinely cross-checks the Gram
-    # assembly. For q = 0 the pairing is batched (all atom pairs at once);
-    # for q > 0 it walks the atoms through kernel_deriv_eval.
-    if eta.q == 0:
-        vam0 = eta.components[0][1]
-        xs, vs = vam0.points, vam0.vectors
-        nat = xs.shape[0]
-        blocks = kernel.eval_diffs(pair_diffs(xs)[0]).reshape(nat, nat, ell, ell)
-        # T[i] = sum_j K(x_j, x_i)^H v_j ;  q2 = sum_i <T[i], v_i>
-        paired = np.einsum("jiba,jb->ia", blocks.conj(), vs)
-        q2c = complex(np.sum(np.conj(vs) * paired))
-    else:
-        element = embed(kernel, eta)
-        q2c = 0.0 + 0.0j
-        for alpha, vam in eta.components:
-            for x, v in zip(vam.points, vam.vectors):
-                val = rkhs_deriv_eval(element, alpha, x)
-                q2c += np.vdot(v, val)
+    # route 2: embed, then pair the function against the measure, one
+    # batched evaluation per component. Uses raw unsymmetrized kernel blocks
+    # and a different summation order, and never reads `mat`, so agreement
+    # genuinely cross-checks the Gram assembly.
+    q2c = 0.0 + 0.0j
+    for alpha, vam in eta.components:
+        q2c += complex(np.sum(np.conj(vam.vectors) * rkhs_deriv_eval(element, alpha, vam.points)))
     q2 = q2c.real
 
     diag_max = float(np.max(np.abs(np.diag(mat).real))) if mat.size else 1.0
@@ -289,8 +306,23 @@ class InterpolationResult:
     ridge: float
 
 
-def _default_ridge(mat: HermitianMatrix) -> float:
-    return 1e-10 * trace(mat) / mat.dim
+def _ridge_solve(
+    mat: HermitianMatrix, rhs: np.ndarray, ell: int, ridge: float | None, what: str
+) -> tuple[np.ndarray, float, float]:
+    """Solve (mat + ridge I) c = rhs by PSD Cholesky: (c, residual, ridge),
+    the residual being the largest ell-block norm of (mat + ridge I) c - rhs.
+    ridge defaults to 1e-10 * trace/dim; a failed factorization raises
+    IllConditioned naming `what`."""
+    ridge = 1e-10 * trace(mat) / mat.dim if ridge is None else float(ridge)
+    if not math.isfinite(ridge) or ridge < 0.0:
+        raise InvalidParameter("ridge must be finite and >= 0")
+    try:
+        low = cholesky_psd(mat, jitter=ridge)
+    except NotPSD as exc:
+        raise IllConditioned(f"{what} factorization failed ({exc}); increase the ridge") from exc
+    c = solve_cholesky(low, rhs)
+    resid_vec = (mat.entries @ c + ridge * c - rhs).reshape(-1, ell)
+    return c, float(np.max(np.linalg.norm(resid_vec, axis=1))), ridge
 
 
 def interpolate(kernel: OperatorKernel, points, targets, ridge: float | None = None) -> InterpolationResult:
@@ -304,26 +336,11 @@ def interpolate(kernel: OperatorKernel, points, targets, ridge: float | None = N
     t = np.asarray(targets, dtype=complex)
     if t.shape != (n, ell):
         raise InvalidVector(f"targets must have shape ({n}, {ell}), got {t.shape}")
-    if ridge is None:
-        ridge = _default_ridge(g.matrix)
-    ridge = float(ridge)
-    if not math.isfinite(ridge) or ridge < 0.0:
-        raise InvalidParameter("ridge must be finite and >= 0")
-    try:
-        low = cholesky_psd(g.matrix, jitter=ridge)
-    except NotPSD as exc:
-        raise IllConditioned(
-            f"Gram factorization failed ({exc}); increase the ridge"
-        ) from exc
-    rhs = t.reshape(n * ell)
-    c = solve_cholesky(low, rhs)
-    resid_vec = (g.matrix.entries @ c + ridge * c - rhs).reshape(n, ell)
-    residual = float(np.max(np.linalg.norm(resid_vec, axis=1)))
-    zero = (0,) * kernel.m
-    atoms = tuple((zero, g.points[i].copy(), c[i * ell : (i + 1) * ell].copy()) for i in range(n))
-    return InterpolationResult(
-        element=RkhsElement(kernel=kernel, atoms=atoms), residual=residual, ridge=ridge
+    c, residual, ridge = _ridge_solve(g.matrix, t.reshape(n * ell), ell, ridge, "Gram")
+    element = RkhsElement(
+        kernel=kernel, alphas=np.zeros((n, kernel.m), dtype=int), points=g.points, vectors=c.reshape(n, ell)
     )
+    return InterpolationResult(element=element, residual=residual, ridge=ridge)
 
 
 def hermite_interpolate(kernel: OperatorKernel, data, ridge: float | None = None) -> InterpolationResult:
@@ -347,37 +364,13 @@ def hermite_interpolate(kernel: OperatorKernel, data, ridge: float | None = None
         parsed.append((x, alpha, tgt))
     if not parsed:
         raise InvalidParameter("hermite_interpolate needs at least one datum")
-    xs = np.stack([x for x, _, _ in parsed])
-    alphas = np.array([alpha for _, alpha, _ in parsed])
+    xs, alphas, tgts = (np.stack(col) for col in zip(*parsed))
     diffs, sq = pair_diffs(xs)
     pair = close_pair(sq, 1e-12, np.all(alphas[:, None] == alphas[None, :], axis=2))
     if pair is not None:
         raise DuplicatePoints(f"data {pair[0]} and {pair[1]} request the same (x, alpha)")
 
-    nrow = len(parsed)
-    ell = kernel.ell
-    rows = [(i, alpha) for i, (_, alpha, _) in enumerate(parsed)]
-    mat = HermitianMatrix(deriv_blocks(kernel, diffs, rows))
-    if ridge is None:
-        ridge = _default_ridge(mat)
-    ridge = float(ridge)
-    if not math.isfinite(ridge) or ridge < 0.0:
-        raise InvalidParameter("ridge must be finite and >= 0")
-    try:
-        low = cholesky_psd(mat, jitter=ridge)
-    except NotPSD as exc:
-        raise IllConditioned(
-            f"derivative Gram factorization failed ({exc}); increase the ridge"
-        ) from exc
-    rhs = np.concatenate([tgt for _, _, tgt in parsed])
-    c = solve_cholesky(low, rhs)
-    resid_vec = (mat.entries @ c + ridge * c - rhs).reshape(nrow, ell)
-    residual = float(np.max(np.linalg.norm(resid_vec, axis=1)))
-    atoms = tuple(
-        (ai, xi.copy(), c[i * ell : (i + 1) * ell].copy())
-        for i, (xi, ai, _) in enumerate(parsed)
-    )
-    return InterpolationResult(
-        element=RkhsElement(kernel=kernel, atoms=atoms), residual=residual, ridge=ridge
-    )
-
+    mat = HermitianMatrix(deriv_blocks(kernel, diffs, [(i, alpha) for i, (_, alpha, _) in enumerate(parsed)]))
+    c, residual, ridge = _ridge_solve(mat, tgts.reshape(-1), kernel.ell, ridge, "derivative Gram")
+    element = RkhsElement(kernel=kernel, alphas=alphas, points=xs, vectors=c.reshape(len(parsed), kernel.ell))
+    return InterpolationResult(element=element, residual=residual, ridge=ridge)

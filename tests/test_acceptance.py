@@ -20,7 +20,6 @@ from opkernel.certify import (
 from opkernel.cli import main
 from opkernel.hermitian import is_psd, min_eigenvalue, trace
 from opkernel.kernel import deriv_gram, gram, kernel_deriv_eval, radial_kernel
-from opkernel.kernel import deriv_diag_identity_check
 from opkernel.measures import (
     VERDICT_NOT_STRICT,
     VERDICT_STRICT,
@@ -45,6 +44,8 @@ from opkernel.rkhs import (
     rkhs_deriv_eval,
     rkhs_eval,
 )
+
+from kernel_oracles import deriv_diag_identity_check
 
 
 def report(cid: str, ok: bool, detail: str):

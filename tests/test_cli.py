@@ -223,6 +223,22 @@ def test_eval_omega_above_range_cap_exits_four(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_eval_weight_near_float_max(tmp_path, capsys):
+    """A weight of 1e308 is symmetrized without overflow: K(0, 0.5) is
+    e^-0.25 * 1e308, with no numpy warning and no non-finite complaint."""
+    kernel = {
+        "family": {"kind": "gaussian"},
+        "measure": {"dim": 1, "atoms": [{"omega": 1.0, "G": {"re": [[1e308]]}}]},
+        "ambient_dim": 1,
+    }
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, rep = run(tmp_path, ["eval"], {"kernel": kernel, "x": [0.0], "y": [0.5]})
+    assert code == 0
+    assert rep["result"]["matrix"]["re"][0][0] == pytest.approx(math.exp(-0.25) * 1e308, rel=1e-15)
+    assert not caught and capsys.readouterr().err == ""
+
+
 EXTREME_SCALARS = (0.0, 1e-300, 1.0, 369.0, 1e4, 1e6, 1e300)
 
 

@@ -1,5 +1,7 @@
 """Hermitian linear algebra: closed-form cases and random-draw invariants."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,11 +11,15 @@ from opkernel.hermitian import (
     HermitianMatrix,
     cholesky_psd,
     eigen_hermitian,
+    hermitian_part,
     is_psd,
     min_eigenvalue,
     solve_cholesky,
     trace,
 )
+from opkernel.kernel import gram, radial_kernel
+from opkernel.measures import OperatorMeasure
+from opkernel.profiles import RadialProfile
 
 
 def H(rows):
@@ -58,6 +64,29 @@ def test_eigen_rejects_nonfinite():
 def test_eigen_sorted_ascending():
     dec = eigen_hermitian(random_hermitian(7, 6))
     assert np.all(np.diff(dec.eigenvalues) >= 0)
+
+
+def test_hermitian_part_keeps_entries_near_float_max():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h = H([[1e308, 0], [0, 1]])
+        assert h.entries[0, 0] == 1e308
+        assert is_psd(h).ok
+        assert cholesky_psd(h)[0, 0] == 1e154
+        off = hermitian_part(np.array([[[1.0, 1.5e308], [1.7e308, 2.0]]], dtype=complex))
+    assert off[0, 0, 1] == off[0, 1, 0] == 1.6e308
+
+
+def test_hermitian_part_bitwise_equals_halved_sum():
+    """Wherever (A + A^H)/2 is finite it is the result, bit for bit, also
+    for subnormal entries whose last bit halving first would drop."""
+    rng = np.random.default_rng(11)
+    for scale in (1.0, 1e-300, 5e-324, 1e150):
+        a = (rng.normal(size=(4, 3, 3)) + 1j * rng.normal(size=(4, 3, 3))) * scale
+        a[0, 0, 1] = complex(-0.0, 5e-324)
+        expected = (a + np.conj(np.swapaxes(a, 1, 2))) / 2
+        assert hermitian_part(a).tobytes() == expected.tobytes()
+        assert H(a[1]).entries.tobytes() == expected[1].tobytes()
 
 
 # ---------------------------------------------------------------- min eig / trace
@@ -136,6 +165,51 @@ def test_solve_cholesky_roundtrip():
     x = rng.normal(size=5) + 1j * rng.normal(size=5)
     b = shifted.entries @ x
     assert np.allclose(solve_cholesky(low, b), x, atol=1e-7)
+
+
+def _substitution_solve(low, rhs):
+    """The forward and back substitution loops solve_cholesky ran before it
+    called LAPACK; a zero pivot gives a zero component."""
+    n = low.shape[0]
+    y = np.zeros(n, dtype=complex)
+    for i in range(n):
+        s = rhs[i] - low[i, :i] @ y[:i]
+        y[i] = s / low[i, i] if low[i, i] != 0 else 0.0
+    x = np.zeros(n, dtype=complex)
+    upper = low.conj().T
+    for i in range(n - 1, -1, -1):
+        s = y[i] - upper[i, i + 1 :] @ x[i + 1 :]
+        x[i] = s / upper[i, i] if upper[i, i] != 0 else 0.0
+    return x
+
+
+def test_solve_cholesky_matches_substitution_loops():
+    rng = np.random.default_rng(8)
+    b = rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))
+    rank3 = HermitianMatrix(b @ b.conj().T)  # LAPACK refuses; the loop clamps pivots
+    for a in (rank3, H([[1, 1], [1, 1]]), random_psd(5, 6)):
+        low = cholesky_psd(a, jitter=0.0)
+        rhs = rng.normal(size=a.dim) + 1j * rng.normal(size=a.dim)
+        expected = _substitution_solve(low, rhs)
+        got = solve_cholesky(low, rhs)
+        assert np.array_equal(got == 0, expected == 0)
+        assert np.max(np.abs(got - expected)) <= 1e-10 * max(1.0, np.max(np.abs(expected)))
+    assert np.count_nonzero(np.diagonal(cholesky_psd(rank3)) == 0) >= 2
+
+
+def test_cholesky_default_ridge_at_cond_1e11():
+    """A gaussian Gram at 40 points with the interpolation default ridge,
+    1e-10 * trace/dim, has condition number about 1.5e11. It is strictly
+    positive definite, and LAPACK factors it; clamping pivots below
+    1e-10 * ||M||_F to zero used to break the residual guard here."""
+    kernel = radial_kernel(RadialProfile.gaussian(), OperatorMeasure(1, [(1.5, np.eye(1))]), 1)
+    pts = np.sort(np.random.default_rng(0).uniform(-2.0, 2.0, 40))[:, None]
+    g = gram(kernel, pts).matrix
+    m = g.entries + 1e-10 * trace(g) / g.dim * np.eye(g.dim)
+    assert 1e11 <= np.linalg.cond(m) <= 1e12
+    low = cholesky_psd(HermitianMatrix(m))
+    assert np.all(np.diagonal(low).real > 0.0)
+    assert np.linalg.norm(low @ low.conj().T - m) <= 1e-15 * np.linalg.norm(m)
 
 
 # ---------------------------------------------------------------- properties

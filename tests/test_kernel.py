@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from opkernel.errors import (
     DuplicatePoints,
     InvalidMeasure,
-    NearKink,
     NotRadial,
     UnsupportedJet,
 )
@@ -21,7 +20,6 @@ from opkernel.kernel import (
     PlaneWaveMeasure,
     _check_points,
     deriv_blocks,
-    deriv_diag_identity_check,
     deriv_gram,
     gram,
     gram_to_csv,
@@ -34,6 +32,8 @@ from opkernel.kernel import (
 )
 from opkernel.measures import OperatorMeasure
 from opkernel.profiles import RadialProfile, multi_index_order, multi_indices_up_to, profile_value
+
+from kernel_oracles import deriv_diag_identity_check
 
 GAUSS_12 = radial_kernel(
     RadialProfile.gaussian(), OperatorMeasure(2, [(1.0, np.diag([1.0, 2.0]))]), 1
@@ -252,7 +252,7 @@ def test_deriv_order_cap():
         kernel_deriv_eval(GAUSS_12, (5,), (4,), z, z)
 
 
-# ---------------------------------------------------------------- askey FD path
+# ---------------------------------------------------------------- askey
 
 
 ASKEY_K = radial_kernel(
@@ -263,28 +263,6 @@ ASKEY_K = radial_kernel(
 def test_askey_requires_fd_flag():
     with pytest.raises(UnsupportedJet):
         kernel_deriv_eval(ASKEY_K, (1,), (0,), np.array([0.9]), np.array([0.0]))
-
-
-def test_askey_fd_matches_closed_form():
-    # K(x,y) = (1 - 0.5|x-y|)^4; d/dx at x-y=0.9 is -2 (0.55)^3 = -0.33275
-    val = kernel_deriv_eval(
-        ASKEY_K, (1,), (0,), np.array([0.9]), np.array([0.0]), use_fd=True
-    )[0, 0].real
-    assert val == pytest.approx(-2.0 * 0.55**3, abs=1e-7)
-
-
-def test_askey_fd_refuses_near_support_edge():
-    with pytest.raises(NearKink):
-        kernel_deriv_eval(
-            ASKEY_K, (1,), (0,), np.array([2.0]), np.array([0.0]), use_fd=True
-        )
-
-
-def test_askey_fd_refuses_near_origin():
-    with pytest.raises(NearKink):
-        kernel_deriv_eval(
-            ASKEY_K, (1,), (0,), np.array([1e-6]), np.array([0.0]), use_fd=True
-        )
 
 
 # ---------------------------------------------------------------- diagonal identity

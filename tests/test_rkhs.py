@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from opkernel.errors import DuplicatePoints, InvalidParameter, InvalidVector, SchemaError
-from opkernel.kernel import radial_kernel
+from opkernel.errors import DuplicatePoints, InvalidParameter, InvalidPoint, InvalidVector, SchemaError
+from opkernel.kernel import PlaneWaveMeasure, kernel_deriv_eval, plane_wave_kernel, radial_kernel
 from opkernel.measures import OperatorMeasure
-from opkernel.profiles import RadialProfile
+from opkernel.profiles import RadialProfile, multi_indices_up_to
 from opkernel.rkhs import (
     DerivVectorMeasure,
     VectorAtomMeasure,
@@ -37,8 +37,6 @@ def plain_measure(kernel, atoms):
 
 
 def random_deriv_measure(rng, m, ell, q):
-    from opkernel.profiles import multi_indices_up_to
-
     idxs = multi_indices_up_to(m, q)
     comps = {}
     for alpha in idxs:
@@ -70,6 +68,61 @@ def test_rkhs_deriv_eval_single_atom():
     el = embed(SCALAR_GAUSS, eta)
     val = rkhs_deriv_eval(el, (1,), np.array([1.0]))
     assert val[0] == pytest.approx(-2.0 * math.exp(-1.0), abs=1e-14)
+
+
+def _per_atom_deriv_eval(element, beta, y):
+    """rkhs_deriv_eval as it was: one kernel_deriv_eval call per atom."""
+    out = np.zeros(element.kernel.ell, dtype=complex)
+    for alpha, x, v in zip(element.alphas.tolist(), element.points, element.vectors):
+        out += kernel_deriv_eval(element.kernel, tuple(alpha), beta, x, y).conj().T @ v
+    return out
+
+
+def _complex_psd(rng, ell):
+    b = rng.normal(size=(ell, ell)) + 1j * rng.normal(size=(ell, ell))
+    return b.conj().T @ b
+
+
+def _kernel(family, rng, m, ell=2):
+    """A two-atom kernel with complex weights, so no block is symmetric."""
+    if family == "plane_wave":
+        return plane_wave_kernel(PlaneWaveMeasure(ell, m, [(rng.normal(size=m), _complex_psd(rng, ell)) for _ in range(2)]))
+    prof = RadialProfile.gaussian() if family == "gaussian" else RadialProfile.omega(3)
+    return radial_kernel(prof, OperatorMeasure(ell, [(0.6, _complex_psd(rng, ell)), (1.4, _complex_psd(rng, ell))]), m)
+
+
+@pytest.mark.parametrize("family", ["gaussian", "omega", "plane_wave"])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_rkhs_deriv_eval_matches_per_atom_loop(family, m):
+    """Every atom order |alpha| <= 2 in one element, every |beta| <= 2, at
+    one point and at a batch of five."""
+    rng = np.random.default_rng(10 * m + len(family))
+    kernel = _kernel(family, rng, m)
+    idxs = multi_indices_up_to(m, 2)
+    eta = DerivVectorMeasure(m, 2, 2, {
+        alpha: VectorAtomMeasure(m, 2, [(rng.uniform(-1, 1, m), rng.normal(size=2) + 1j * rng.normal(size=2)) for _ in range(2)])
+        for alpha in idxs
+    })
+    el = embed(kernel, eta)
+    ys = rng.uniform(-1.5, 1.5, size=(5, m))
+    for beta in idxs:
+        batch = rkhs_deriv_eval(el, beta, ys)
+        assert batch.shape == (5, 2)
+        for i, y in enumerate(ys):
+            expected = _per_atom_deriv_eval(el, beta, y)
+            scale = max(1.0, float(np.max(np.abs(expected))))
+            for got in (batch[i], rkhs_deriv_eval(el, beta, y)):
+                assert got.shape == (2,)
+                assert np.max(np.abs(got - expected)) <= 1e-13 * scale
+    plain = embed(kernel, DerivVectorMeasure.plain(eta.components[0][1]))
+    assert np.max(np.abs(rkhs_eval(plain, ys)[2] - _per_atom_deriv_eval(plain, (0,) * m, ys[2]))) <= 1e-13
+
+
+def test_rkhs_eval_rejects_bad_points():
+    el = embed(DIAG_GAUSS, plain_measure(DIAG_GAUSS, [(np.array([0.0]), np.array([1.0, 0.0]))]))
+    for bad in (np.zeros((3, 2)), np.zeros((2, 2, 1)), np.array([np.nan]), np.array([[0.0], [np.inf]])):
+        with pytest.raises(InvalidPoint):
+            rkhs_eval(el, bad)
 
 
 def test_measure_merges_coincident_atoms():
@@ -215,6 +268,35 @@ def test_two_routes_agree_on_random_measures(seed, q):
     detail = quadratic_form_detail(kernel, eta)
     assert detail.route_gap <= 1e-12 * detail.scale
     assert detail.value >= -1e-9 * detail.scale
+
+
+def _gram_route_oracle(kernel, eta):
+    """Q(eta) = sum_ij <d^{a_i}_1 d^{a_j}_2 K(x_i, x_j) v_j, v_i>, one
+    kernel_deriv_eval call per pair of atoms."""
+    atoms = [(alpha, x, v) for alpha, vam in eta.components for x, v in zip(vam.points, vam.vectors)]
+    total = 0.0 + 0.0j
+    for ai, xi, vi in atoms:
+        for aj, xj, vj in atoms:
+            total += np.vdot(vi, kernel_deriv_eval(kernel, ai, aj, xi, xj) @ vj)
+    return total.real
+
+
+@pytest.mark.parametrize("family", ["gaussian", "omega", "plane_wave"])
+@pytest.mark.parametrize("q", [1, 2])
+def test_two_routes_agree_at_derivative_orders(family, q):
+    """Components of every order up to q, atoms shared between components:
+    both routes agree with each other and with the per-pair sum."""
+    rng = np.random.default_rng(7 * q + len(family))
+    kernel = _kernel(family, rng, 2)
+    shared = rng.uniform(-1, 1, size=(3, 2))
+    eta = DerivVectorMeasure(2, 2, q, {
+        alpha: VectorAtomMeasure(2, 2, [(x, rng.normal(size=2) + 1j * rng.normal(size=2)) for x in shared[: 1 + r % 3]])
+        for r, alpha in enumerate(multi_indices_up_to(2, q))
+    })
+    detail = quadratic_form_detail(kernel, eta)
+    assert detail.route_gap <= 1e-12 * detail.scale
+    assert detail.value == pytest.approx(_gram_route_oracle(kernel, eta), abs=1e-12 * detail.scale)
+    assert detail.value > 0.0
 
 
 # ---------------------------------------------------------------- interpolation
