@@ -69,6 +69,9 @@ WITNESS_DESIGN_TOL = 1e-9
 # phases x * xi overflow.
 MAX_BUMP_GRID_N = 8192
 MAX_BUMP_BOX = 1e6
+# Probe design size: each trial forms n^2 differences and eigensolves an
+# (n*ell)^2 Gram, O(n^3) time; the benchmark's largest n is 40.
+MAX_PROBE_N = 1024
 
 
 class ShiftedPairKernel(Frozen):
@@ -99,10 +102,6 @@ class ShiftedPairKernel(Frozen):
         out[:, 0, 1] = np.exp(-sp)
         out[:, 1, 0] = np.exp(-sm)
         return out
-
-    def eval(self, x, y) -> np.ndarray:
-        d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-        return self.eval_diffs(d.reshape(1, self.m))[0]
 
 
 @dataclass(frozen=True)
@@ -278,8 +277,8 @@ def probe_strict_pd(
     derives its own generator from SeedSequence([seed, trial]), so results
     are deterministic in (seed, trial)."""
     n, trials, seed = int(n), int(trials), int(seed)
-    if n < 2 or trials < 1:
-        raise InvalidParameter("need n >= 2 points and trials >= 1")
+    if not 2 <= n <= MAX_PROBE_N or trials < 1:
+        raise InvalidParameter(f"need 2 <= n <= {MAX_PROBE_N} points and trials >= 1")
     if not (math.isfinite(box) and box > 0.0):
         raise InvalidParameter("box must be finite and > 0")
     results = []

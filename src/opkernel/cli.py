@@ -406,7 +406,7 @@ def _sin_cos_experiment(args) -> dict:
     for n in (5, 20):
         centers = np.linspace(-1.0, 1.0, n).reshape(n, 1)
         targets = np.stack([np.sin(centers[:, 0]), np.cos(centers[:, 0])], axis=1)
-        res = interpolate(kernel, centers, targets, ridge=args.tols["ridge"])
+        res = interpolate(kernel, centers, targets, ridge=args.tols["ridge"], tol=args.tols["duplicate"])
         val = rkhs_eval(res.element, grid[:, None])
         errors[str(n)] = max(
             float(np.max(np.abs(val[:, 0].real - np.sin(grid)))),
@@ -446,7 +446,7 @@ def cmd_interp(args) -> int:
         ridge = args.tols["ridge"]
         if ridge is None and "ridge" in obj:
             ridge = _float_field(obj["ridge"], "ridge")
-        res = hermite_interpolate(kernel, data, ridge=ridge)
+        res = hermite_interpolate(kernel, data, ridge=ridge, tol=args.tols["duplicate"])
     else:
         _fields(obj, "interp input", ("kernel", "points", "targets"), ("ridge",))
         kernel = kernel_from_json(obj["kernel"])
@@ -459,7 +459,7 @@ def cmd_interp(args) -> int:
         ridge = args.tols["ridge"]
         if ridge is None and "ridge" in obj:
             ridge = _float_field(obj["ridge"], "ridge")
-        res = interpolate(kernel, pts, targets, ridge=ridge)
+        res = interpolate(kernel, pts, targets, ridge=ridge, tol=args.tols["duplicate"])
     result = {
         "residual": res.residual,
         "ridge": res.ridge,

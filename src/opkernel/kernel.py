@@ -96,8 +96,8 @@ class PlaneWaveMeasure(Frozen):
 class OperatorKernel(Frozen):
     """A radial or plane-wave operator kernel on R^m with values in C^(ell x ell).
 
-    Use radial_kernel() / plane_wave_kernel() to construct. Exposes m, ell,
-    eval(x, y) and the vectorized eval_diffs(diffs) that Gram assembly uses.
+    Use radial_kernel() / plane_wave_kernel() to construct. Exposes m, ell
+    and the vectorized eval_diffs(diffs) that every evaluation uses.
     """
 
     __slots__ = ("kind", "profile", "measure", "m", "ell")
@@ -207,10 +207,6 @@ class OperatorKernel(Frozen):
             vals[np.isnan(vals) & (omegas == 0.0)] = 0.0
         return (vals.reshape(-1, gs.shape[0]) @ gs.reshape(gs.shape[0], -1)).reshape(shape)
 
-    def eval(self, x, y) -> np.ndarray:
-        d = _check_point(x, self.m) - _check_point(y, self.m)
-        return self.eval_diffs(d[None, :])[0]
-
 
 def radial_kernel(profile: RadialProfile, measure: OperatorMeasure, m: int) -> OperatorKernel:
     if not isinstance(profile, RadialProfile):
@@ -239,7 +235,8 @@ def _check_point(x, m: int) -> np.ndarray:
 
 def kernel_eval(kernel: OperatorKernel, x, y) -> np.ndarray:
     """K(x, y) as an ell x ell complex matrix (Hermitian only when x = y)."""
-    return kernel.eval(x, y)
+    d = _check_point(x, kernel.m) - _check_point(y, kernel.m)
+    return kernel.eval_diffs(d[None, :])[0]
 
 
 def radial_function_eval(kernel: OperatorKernel, t: float) -> np.ndarray:

@@ -28,15 +28,20 @@ OMEGA_T_MAX = 1e4, the range checked against cos and sin(t)/t to 1e-13,
 omega_values raises NumericalFailure instead of returning a number.
 
 Derivative machinery uses squared-distance jets: write a radial atom as
-f(d) = g(s) with s = ||d||^2.  Differentiating multiplies in polynomial
-factors via the chain rule
+f(d) = g(s) with s = ||d||^2.  A mixed partial of f is a finite sum
+sum_k poly_k(d) g^(k)(s) -- a RadialJet -- with the closed form
 
-  d/d d_i [ q(d) g^(k)(s) ] = (dq/d d_i) g^(k)(s) + 2 d_i q(d) g^(k+1)(s),
+  d^gamma g(s) = sum over (k_1..k_m) of g^(k)(s) prod_i a(gamma_i, k_i) d_i^(2k_i - gamma_i),
+  k = k_1 + .. + k_m,  a(n, k) = n! 2^(2k-n) / ((2k-n)! (n-k)!),  ceil(n/2) <= k <= n.
 
-so any mixed partial of f is a finite sum  sum_k poly_k(d) g^(k)(s)  -- a
-RadialJet.  The jets are family-independent; families plug in their own
-g^(k) values (gaussian and omega are smooth at 0; askey is not, so it has
-no jets here).  For omega the series above differentiates termwise into
+It holds because the chain rule d/dd_i [q(d) g^(k)(s)] = (dq/dd_i) g^(k)(s)
++ 2 d_i q(d) g^(k+1)(s) is the rule by which d/dd_i acts on q(d) lam^k
+exp(lam s).  So d^gamma acts on g(s) as it does on prod_i exp(lam d_i^2),
+with lam^k standing for g^(k), and the n-th derivative of exp(lam x^2) is
+sum_k a(n, k) x^(2k-n) lam^k exp(lam x^2).  The jets are family-independent;
+families plug in their own g^(k) values (gaussian and omega are smooth at
+0; askey is not, so it has no jets here).  For omega the series above
+differentiates termwise into
 
   g^(k)(s) = (-w^2/2)^k / (m (m+2) ... (m+2k-2)) Omega_{m+2k}(w sqrt(s)),
 
@@ -45,6 +50,8 @@ and Omega_{m+2k} = (nu+1)_k (2/t)^k f_k / (the same normalization sum).
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -91,23 +98,16 @@ def multi_indices_up_to(m: int, q: int) -> tuple[MultiIndex, ...]:
     """All multi-indices of length m with |alpha| <= q, graded lexicographic.
 
     Sorted by total order first, then componentwise lexicographically, e.g.
-    m=2, q=2: (0,0), (0,1), (1,0), (0,2), (1,1), (2,0).
+    m=2, q=2: (0,0), (0,1), (1,0), (0,2), (1,1), (2,0). Each index is built
+    from the coordinates it differentiates (a multiset of order <= q), so the
+    work is the C(m+q, q) indices returned, not (q+1)^m.
     """
     if m < 1 or q < 0:
         raise InvalidParameter("need m >= 1 and q >= 0")
-
-    def gen(length, total):
-        if length == 1:
-            yield (total,)
-            return
-        for head in range(total + 1):
-            for rest in gen(length - 1, total - head):
-                yield (head,) + rest
-
-    out = []
-    for total in range(q + 1):
-        out.extend(sorted(gen(m, total)))
-    return tuple(out)
+    coords = itertools.chain.from_iterable(
+        itertools.combinations_with_replacement(range(m), total) for total in range(q + 1)
+    )
+    return tuple(sorted((tuple(c.count(i) for i in range(m)) for c in coords), key=lambda a: (sum(a), a)))
 
 
 # ----------------------------------------------------------------------
@@ -307,18 +307,15 @@ def sjet_derivatives(profile: RadialProfile, omega, s, kmax: int) -> np.ndarray:
 # radial jets: mixed partials of f(d) = g(||d||^2)
 # ----------------------------------------------------------------------
 
-# A polynomial in d_1..d_m: {exponent tuple -> coefficient}.
-_Poly = dict[MultiIndex, float]
-
-
 @dataclass(frozen=True)
 class RadialJet:
     """A mixed partial of a radial function in jet form:
 
         (partial^gamma f)(d) = sum_k poly_k(d) * g^(k)(||d||^2)
 
-    terms maps k -> polynomial. The order-0 jet is {0: 1}; after |gamma|
-    differentiations the maximal k is at most |gamma|.
+    terms holds (k, ((exponents, coefficient), ...)) pairs sorted by k, each
+    polynomial sorted by exponent tuple. The order-0 jet is {0: 1}; the
+    maximal k is |gamma|.
     """
 
     m: int
@@ -329,65 +326,32 @@ class RadialJet:
         return max((k for k, _ in self.terms), default=0)
 
 
-def _freeze_jet(m: int, terms: dict[int, _Poly]) -> RadialJet:
-    frozen = tuple(
-        (k, tuple(sorted(poly.items())))
-        for k, poly in sorted(terms.items())
-        if poly
+def _jet_1d(n: int) -> tuple[tuple[int, int, int], ...]:
+    """(k, 2k - n, a(n, k)): the n-th derivative of exp(lam x^2) is
+    sum_k a(n, k) x^(2k-n) lam^k exp(lam x^2), a(n, k) an exact integer."""
+    return tuple(
+        (k, 2 * k - n, math.factorial(n) * 2 ** (2 * k - n) // (math.factorial(2 * k - n) * math.factorial(n - k)))
+        for k in range((n + 1) // 2, n + 1)
     )
-    return RadialJet(m=m, terms=frozen)
 
 
-def jet_order_zero(m: int) -> RadialJet:
-    if m < 1:
-        raise InvalidParameter("need m >= 1")
-    return _freeze_jet(m, {0: {(0,) * m: 1.0}})
-
-
-def jet_differentiate(jet: RadialJet, i: int) -> RadialJet:
-    """Differentiate a jet with respect to coordinate i (1-based)."""
-    if not (1 <= i <= jet.m):
-        raise InvalidParameter(f"coordinate index {i} out of range 1..{jet.m}")
-    idx = i - 1
-    new: dict[int, _Poly] = {}
-
-    def add(k: int, exps: MultiIndex, coeff: float):
-        if coeff == 0.0:
-            return
-        poly = new.setdefault(k, {})
-        poly[exps] = poly.get(exps, 0.0) + coeff
-        if poly[exps] == 0.0:
-            del poly[exps]
-
-    for k, poly in jet.terms:
-        for exps, coeff in poly:
-            if exps[idx] > 0:  # product rule on the polynomial factor
-                lowered = exps[:idx] + (exps[idx] - 1,) + exps[idx + 1 :]
-                add(k, lowered, coeff * exps[idx])
-            # chain rule: * 2 d_i, bumps the g-derivative order
-            raised = exps[:idx] + (exps[idx] + 1,) + exps[idx + 1 :]
-            add(k + 1, raised, 2.0 * coeff)
-    return _freeze_jet(jet.m, new)
-
-
-_JET_CACHE: dict[tuple[int, MultiIndex], RadialJet] = {}
+@functools.cache
+def _radial_jet(gamma: MultiIndex) -> RadialJet:
+    """The closed form of the module docstring: one monomial per choice of
+    (k_1..k_m), grouped by k = k_1 + .. + k_m."""
+    terms: dict[int, list[tuple[MultiIndex, float]]] = {}
+    for choice in itertools.product(*map(_jet_1d, gamma)):
+        k = sum(c[0] for c in choice)
+        terms.setdefault(k, []).append((tuple(c[1] for c in choice), float(math.prod(c[2] for c in choice))))
+    return RadialJet(m=len(gamma), terms=tuple((k, tuple(sorted(poly))) for k, poly in sorted(terms.items())))
 
 
 def jet_for_multi_index(m: int, gamma: MultiIndex) -> RadialJet:
-    """The jet of partial^gamma applied to a radial f, cached by (m, gamma)."""
+    """The jet of partial^gamma applied to a radial f, cached by gamma."""
     gamma = validate_multi_index(gamma, m)
     if multi_index_order(gamma) > JET_ORDER_CAP:
         raise UnsupportedJet(f"derivative order {multi_index_order(gamma)} exceeds cap {JET_ORDER_CAP}")
-    key = (m, gamma)
-    cached = _JET_CACHE.get(key)
-    if cached is not None:
-        return cached
-    jet = jet_order_zero(m)
-    for coord, reps in enumerate(gamma, start=1):
-        for _ in range(reps):
-            jet = jet_differentiate(jet, coord)
-    _JET_CACHE[key] = jet
-    return jet
+    return _radial_jet(gamma)
 
 
 def jet_eval(jet: RadialJet, d: np.ndarray, gvals: np.ndarray) -> np.ndarray:
@@ -412,6 +376,11 @@ def jet_eval(jet: RadialJet, d: np.ndarray, gvals: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 CM_DEFAULT_H = 1e-2
+# Largest forward-difference order (cm nmax, ell-cm ell): the checks fill a
+# grid size x (order + 1) value table, one Python call of the function per
+# entry. Orders past about 24 already test roundoff: binomial weights up to
+# 2^n against a 1e-9 tolerance (exp(-t) fails at 26 with h = 1e-2).
+MAX_DIFFERENCE_ORDER = 64
 
 
 @dataclass(frozen=True)
@@ -433,8 +402,8 @@ def completely_monotone_check(g, t_grid, nmax: int = 6, h: float = CM_DEFAULT_H)
         raise InvalidGrid("grid must be a finite 1-d array")
     if np.any(t <= 0.0) or np.any(np.diff(t) <= 0.0):
         raise InvalidGrid("grid must be strictly increasing and positive")
-    if not (isinstance(nmax, int) and nmax >= 0):
-        raise InvalidParameter("nmax must be a nonnegative integer")
+    if not (isinstance(nmax, int) and 0 <= nmax <= MAX_DIFFERENCE_ORDER):
+        raise InvalidParameter(f"nmax must be an integer in [0, {MAX_DIFFERENCE_ORDER}]")
     h = float(h)
     if not math.isfinite(h) or h <= 0.0:
         raise InvalidParameter("h must be finite and > 0")
@@ -506,8 +475,8 @@ def ell_cm_check(f, ell: int, t_grid, h: float = CM_DEFAULT_H) -> EllCMResult:
       * convexity of D(t) = (-1)^(ell-2) Delta_h^(ell-2) f(t), via
         nonnegative second forward differences with the same step h.
     """
-    if not (isinstance(ell, int) and ell >= 2):
-        raise InvalidParameter("ell must be an integer >= 2")
+    if not (isinstance(ell, int) and 2 <= ell <= MAX_DIFFERENCE_ORDER):
+        raise InvalidParameter(f"ell must be an integer in [2, {MAX_DIFFERENCE_ORDER}]")
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size < 4 or not np.all(np.isfinite(t)):
         raise InvalidGrid("grid must be a finite 1-d array with at least 4 points")

@@ -49,6 +49,7 @@ from .errors import (
 )
 from .hermitian import Frozen, HermitianMatrix, cholesky_psd, solve_cholesky, trace
 from .kernel import (
+    DUPLICATE_POINT_TOL,
     OperatorKernel,
     close_pair,
     deriv_blocks,
@@ -325,13 +326,16 @@ def _ridge_solve(
     return c, float(np.max(np.linalg.norm(resid_vec, axis=1))), ridge
 
 
-def interpolate(kernel: OperatorKernel, points, targets, ridge: float | None = None) -> InterpolationResult:
+def interpolate(
+    kernel: OperatorKernel, points, targets, ridge: float | None = None, tol: float = DUPLICATE_POINT_TOL
+) -> InterpolationResult:
     """Solve (Gram + ridge I) c = targets; the element has atoms (0, x_i, c_i).
 
     targets is an (n, ell) complex array. ridge defaults to
     1e-10 * trace(Gram)/dim; a Cholesky failure raises IllConditioned.
+    Points closer than tol raise DuplicatePoints.
     """
-    g = gram(kernel, points)
+    g = gram(kernel, points, tol)
     n, ell = g.points.shape[0], g.ell
     t = np.asarray(targets, dtype=complex)
     if t.shape != (n, ell):
@@ -343,7 +347,9 @@ def interpolate(kernel: OperatorKernel, points, targets, ridge: float | None = N
     return InterpolationResult(element=element, residual=residual, ridge=ridge)
 
 
-def hermite_interpolate(kernel: OperatorKernel, data, ridge: float | None = None) -> InterpolationResult:
+def hermite_interpolate(
+    kernel: OperatorKernel, data, ridge: float | None = None, tol: float = DUPLICATE_POINT_TOL
+) -> InterpolationResult:
     """Interpolate values of derivatives: data is a list of (x_i, alpha_i,
     target_i) with distinct (x_i, alpha_i) pairs and ell-vector targets.
 
@@ -351,6 +357,8 @@ def hermite_interpolate(kernel: OperatorKernel, data, ridge: float | None = None
     (rows of the derivative block Gram restricted to the requested pairs),
     solves (M + ridge I) c = targets, and returns the element with atoms
     (alpha_i, x_i, c_i), so rkhs_deriv_eval(element, alpha_i, x_i) ~ target_i.
+    Two data with the same alpha at points closer than tol raise
+    DuplicatePoints.
     """
     parsed = []
     for x, alpha, tgt in data:
@@ -366,7 +374,7 @@ def hermite_interpolate(kernel: OperatorKernel, data, ridge: float | None = None
         raise InvalidParameter("hermite_interpolate needs at least one datum")
     xs, alphas, tgts = (np.stack(col) for col in zip(*parsed))
     diffs, sq = pair_diffs(xs)
-    pair = close_pair(sq, 1e-12, np.all(alphas[:, None] == alphas[None, :], axis=2))
+    pair = close_pair(sq, tol, np.all(alphas[:, None] == alphas[None, :], axis=2))
     if pair is not None:
         raise DuplicatePoints(f"data {pair[0]} and {pair[1]} request the same (x, alpha)")
 

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from opkernel import certify
 from opkernel.certify import (
+    MAX_PROBE_N,
     ClassificationReport,
     ShiftedPairKernel,
     _seeded_design,
@@ -16,7 +18,7 @@ from opkernel.certify import (
 )
 from opkernel.errors import InvalidGrid, InvalidParameter
 from opkernel.hermitian import eigen_hermitian
-from opkernel.kernel import gram, radial_kernel
+from opkernel.kernel import gram, kernel_eval, radial_kernel
 from opkernel.measures import VERDICT_NOT_STRICT, VERDICT_STRICT, OperatorMeasure
 from opkernel.profiles import RadialProfile
 
@@ -74,7 +76,7 @@ def test_seeded_design_refuses_crowded_line():
 def test_shifted_pair_kernel_shape():
     k = ShiftedPairKernel([1.0])
     assert k.m == 1 and k.ell == 2
-    v = k.eval(np.array([0.5]), np.array([0.5]))
+    v = kernel_eval(k, np.array([0.5]), np.array([0.5]))
     assert np.allclose(np.diag(v), [1.0, 1.0])
 
 
@@ -179,6 +181,27 @@ def test_probe_rejects_bad_parameters():
         probe_strict_pd(STRICT_K, trials=0)
 
 
+class _DesignDrawn(Exception):
+    pass
+
+
+def _no_design(*args, **kwargs):
+    raise _DesignDrawn
+
+
+@pytest.mark.parametrize("run", [
+    lambda n: probe_strict_pd(STRICT_K, n=n),
+    lambda n: classify_and_report(STRICT_K.measure, RadialProfile.gaussian(), 2, n=n),
+])
+def test_probe_design_size_cap(monkeypatch, run):
+    """n = MAX_PROBE_N reaches the design draw; one more is refused first."""
+    monkeypatch.setattr(certify, "_seeded_design", _no_design)
+    with pytest.raises(_DesignDrawn):
+        run(MAX_PROBE_N)
+    with pytest.raises(InvalidParameter, match=f"need 2 <= n <= {MAX_PROBE_N} points"):
+        run(MAX_PROBE_N + 1)
+
+
 @pytest.mark.parametrize("box", [float("nan"), float("inf"), -1.0, 0.0])
 def test_probe_rejects_bad_box(box):
     with pytest.raises(InvalidParameter, match="box must be finite and > 0"):
@@ -267,8 +290,8 @@ def test_shifted_kernel_diag_blocks_are_gaussian():
         RadialProfile.gaussian(), OperatorMeasure(1, [(1.0, np.array([[1.0]]))]), 1
     )
     for d in (0.0, 0.5, 1.7):
-        v = k.eval(np.array([d]), np.array([0.0]))
-        r = ref.eval(np.array([d]), np.array([0.0]))[0, 0]
+        v = kernel_eval(k, np.array([d]), np.array([0.0]))
+        r = kernel_eval(ref, np.array([d]), np.array([0.0]))[0, 0]
         assert v[0, 0] == pytest.approx(r, abs=1e-15)
         assert v[1, 1] == pytest.approx(r, abs=1e-15)
 

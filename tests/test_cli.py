@@ -12,8 +12,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from opkernel import certify
+from opkernel.certify import MAX_PROBE_N
 from opkernel.cli import MAX_MONOTONE_GRID_NUM, kernel_from_json, main
 from opkernel.kernel import deriv_gram
+from opkernel.profiles import MAX_DIFFERENCE_ORDER
 
 GAUSS_SCALAR = {
     "family": {"kind": "gaussian"},
@@ -390,6 +393,18 @@ def test_demo_radial_bump_golden_bytes(capsys, grid_n, box):
     assert capsys.readouterr().out == golden
 
 
+@pytest.mark.parametrize("command, name", [
+    ("deriv-gram", "deriv_gram_gaussian_m2_q2"),
+    ("deriv-gram", "deriv_gram_omega5_m3_q1"),
+    ("interp", "interp_hermite_gaussian_m2"),
+])
+def test_jet_reports_golden_bytes(capsys, command, name):
+    """Derivative Grams of a complex gaussian (ell = 2) and of omega(5), and
+    a Hermite interpolation, stay byte for byte the reports in tests/golden."""
+    assert main([command, "--input", str(GOLDEN / f"{name}.input.json"), "--no-timestamp"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text()
+
+
 def test_demo_bump_m2_rejected(tmp_path):
     code, _ = run(tmp_path, ["demo", "radial-bump", "--m", "2"])
     assert code == 2
@@ -462,6 +477,26 @@ def test_interp_hermite_data(tmp_path):
     assert rep["result"]["residual"] <= 1e-12
     alphas = [c["alpha"] for c in rep["result"]["coefficients"]]
     assert alphas == [[0], [1]]
+
+
+@pytest.mark.parametrize("obj", [
+    {"kernel": GAUSS_SCALAR, "points": [[0.0], [0.1]], "targets": {"re": [[1.0], [0.5]]}},
+    {"kernel": GAUSS_SCALAR, "data": [
+        {"x": [0.0], "alpha": [1], "target": {"re": [1.0]}},
+        {"x": [0.1], "alpha": [1], "target": {"re": [0.5]}},
+    ]},
+    {"experiment": "sin-cos"},
+])
+def test_interp_honours_duplicate_tolerance(tmp_path, capsys, obj):
+    """Points 0.1 apart solve at the default tolerance and are refused at
+    --tol duplicate=0.5, as gram refuses them."""
+    code, rep = run(tmp_path, ["interp"], obj)
+    assert code == 0 and rep["tolerances"]["duplicate"] == 1e-12
+    (tmp_path / "wide").mkdir()
+    code, rep = run(tmp_path / "wide", ["interp", "--tol", "duplicate=0.5"], obj)
+    err = capsys.readouterr().err
+    assert code == 2 and rep is None
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_interp_unknown_experiment(tmp_path):
@@ -538,6 +573,38 @@ def test_probe_degenerate(tmp_path):
     code, rep = run(tmp_path, ["probe"], {"kernel": GAUSS_RANK_DEFICIENT, "trials": 8})
     assert code == 3
     assert rep["result"]["violation"]["trial"] == 0
+
+
+@pytest.mark.parametrize("n", [MAX_PROBE_N + 1, 100_000])
+@pytest.mark.parametrize("command", ["probe", "classify"])
+def test_probe_design_size_above_cap_exits_two(tmp_path, capsys, monkeypatch, command, n):
+    """A huge probe design is refused before any design is drawn."""
+
+    def no_design(*args, **kwargs):
+        raise AssertionError("_seeded_design reached")
+
+    monkeypatch.setattr(certify, "_seeded_design", no_design)
+    obj = {"kernel": GAUSS_SCALAR, "n": n} if command == "probe" else {**GAUSS_SCALAR, "n": n}
+    code, rep = run(tmp_path, [command], obj)
+    err = capsys.readouterr().err
+    assert code == 2 and rep is None
+    assert err == f"error: need 2 <= n <= {MAX_PROBE_N} points and trials >= 1\n"
+
+
+@pytest.mark.parametrize("order", [MAX_DIFFERENCE_ORDER + 1, 10**9])
+@pytest.mark.parametrize("mode, field, low", [("cm", "nmax", 0), ("ell-cm", "ell", 2)])
+def test_monotone_difference_order_above_cap_exits_two(tmp_path, capsys, monkeypatch, mode, field, low, order):
+    """A huge difference order is refused before its value table is built."""
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("np.empty reached")
+
+    monkeypatch.setattr(np, "empty", no_table)
+    obj = {"function": "exp-neg", "mode": mode, field: order, "h": 1e-12}
+    code, rep = run(tmp_path, ["monotone"], obj)
+    err = capsys.readouterr().err
+    assert code == 2 and rep is None
+    assert err == f"error: {field} must be an integer in [{low}, {MAX_DIFFERENCE_ORDER}]\n"
 
 
 # ---------------------------------------------------------------- malformed input

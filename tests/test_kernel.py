@@ -88,7 +88,7 @@ def test_plane_wave_eval():
     pw = plane_wave_kernel(PlaneWaveMeasure(1, 2, [(xi, np.eye(1))]))
     x = np.array([0.3, -0.1])
     y = np.array([1.0, 0.2])
-    val = pw.eval(x, y)[0, 0]
+    val = kernel_eval(pw, x, y)[0, 0]
     assert val == pytest.approx(np.exp(-1j * float((x - y) @ xi)), abs=1e-15)
 
 

@@ -3,10 +3,12 @@
 Oracle values for omega_eval were computed independently from the Bessel-J
 closed form Gamma(m/2) (2/s)^((m-2)/2) J_((m-2)/2)(s) via scipy.special.jv
 and frozen here as literals; the same closed form backs the dimension-walk
-recurrence check below.  Two more oracles live here: the exact-rational
+recurrence check below.  More oracles live here: the exact-rational
 power series of Omega_m and of its termwise squared-distance jets (valid
-where the series converges in a few hundred terms, t up to about 30), and
-the scalar per-point jet evaluator.
+where the series converges in a few hundred terms, t up to about 30), the
+scalar per-point jet evaluator, the symbolic jet engine that applies the
+product and chain rules once per coordinate, and the recursive multi-index
+enumeration.
 """
 
 import math
@@ -20,14 +22,14 @@ from scipy.special import gamma as sp_gamma, jv
 from opkernel.errors import InvalidGrid, InvalidParameter, NumericalFailure, UnsupportedJet
 from opkernel.kernel import PlaneWaveMeasure, kernel_deriv_eval, plane_wave_kernel
 from opkernel.profiles import (
+    MAX_DIFFERENCE_ORDER,
     OMEGA_T_MAX,
+    RadialJet,
     RadialProfile,
     completely_monotone_check,
     ell_cm_check,
-    jet_differentiate,
     jet_eval,
     jet_for_multi_index,
-    jet_order_zero,
     multi_indices_up_to,
     omega_eval,
     omega_values,
@@ -102,6 +104,60 @@ def jet_eval_oracle(jet, d, gvals):
             acc += mono
         total += acc * float(gvals[k])
     return total
+
+
+def _freeze_jet(m, terms):
+    frozen = tuple((k, tuple(sorted(poly.items()))) for k, poly in sorted(terms.items()) if poly)
+    return RadialJet(m=m, terms=frozen)
+
+
+def jet_order_zero(m):
+    return _freeze_jet(m, {0: {(0,) * m: 1.0}})
+
+
+def jet_differentiate(jet, i):
+    """Differentiate a jet with respect to coordinate i (1-based) by the
+    product rule on each monomial and the chain rule d/dd_i g^(k)(s) =
+    2 d_i g^(k+1)(s), in floats, dropping terms that cancel to zero."""
+    idx = i - 1
+    new = {}
+
+    def add(k, exps, coeff):
+        if coeff == 0.0:
+            return
+        poly = new.setdefault(k, {})
+        poly[exps] = poly.get(exps, 0.0) + coeff
+        if poly[exps] == 0.0:
+            del poly[exps]
+
+    for k, poly in jet.terms:
+        for exps, coeff in poly:
+            if exps[idx] > 0:
+                add(k, exps[:idx] + (exps[idx] - 1,) + exps[idx + 1 :], coeff * exps[idx])
+            add(k + 1, exps[:idx] + (exps[idx] + 1,) + exps[idx + 1 :], 2.0 * coeff)
+    return _freeze_jet(jet.m, new)
+
+
+def jet_oracle(m, gamma):
+    jet = jet_order_zero(m)
+    for coord, reps in enumerate(gamma, start=1):
+        for _ in range(reps):
+            jet = jet_differentiate(jet, coord)
+    return jet
+
+
+def multi_indices_oracle(m, q):
+    """Graded-lex multi-indices by recursion over the first component."""
+
+    def gen(length, total):
+        if length == 1:
+            yield (total,)
+            return
+        for head in range(total + 1):
+            for rest in gen(length - 1, total - head):
+                yield (head,) + rest
+
+    return tuple(alpha for total in range(q + 1) for alpha in sorted(gen(m, total)))
 
 
 # ---------------------------------------------------------------- profile_value
@@ -352,13 +408,40 @@ def test_sjet_gaussian_closed_form(omega, s):
 
 
 def test_jet_single_derivative():
-    jet = jet_differentiate(jet_order_zero(2), 1)
+    jet = jet_for_multi_index(2, (1, 0))
     assert jet.terms == ((1, (((1, 0), 2.0),)),)
 
 
 def test_jet_second_derivative():
-    jet = jet_differentiate(jet_differentiate(jet_order_zero(2), 1), 1)
+    jet = jet_for_multi_index(2, (2, 0))
     assert jet.terms == ((1, (((0, 0), 2.0),)), (2, (((2, 0), 4.0),)))
+
+
+def test_jet_closed_form_matches_symbolic_engine():
+    """Term for term, as floats, for every m <= 4 and |gamma| <= 8."""
+    checked = 0
+    for m in range(1, 5):
+        for gamma in multi_indices_oracle(m, 8):
+            jet = jet_for_multi_index(m, gamma)
+            oracle = jet_oracle(m, gamma)
+            assert jet.m == m
+            assert jet.terms == oracle.terms, gamma
+            checked += 1
+    assert checked == 714
+
+
+def test_multi_indices_match_recursive_enumeration():
+    for m in range(1, 6):
+        for q in range(9):
+            assert multi_indices_up_to(m, q) == multi_indices_oracle(m, q)
+
+
+def test_multi_indices_cost_what_they_return():
+    """A wide ambient dimension lists C(m+q, q) indices without visiting
+    the (q+1)^m candidates of a cube."""
+    idxs = multi_indices_up_to(60, 2)
+    assert len(idxs) == math.comb(62, 2)
+    assert idxs[:3] == ((0,) * 60, (0,) * 59 + (1,), (0,) * 58 + (1, 0))
 
 
 def test_jet_for_multi_index_cached_equal():
@@ -457,6 +540,29 @@ def test_plane_wave_batched_derivatives_match_closed_form():
 
 
 # ---------------------------------------------------------------- CM checks
+
+
+class _TableBuilt(Exception):
+    pass
+
+
+def _no_table(*args, **kwargs):
+    raise _TableBuilt
+
+
+@pytest.mark.parametrize("check", [
+    lambda order: completely_monotone_check(lambda t: math.exp(-t), GRID, nmax=order, h=1e-12),
+    lambda order: ell_cm_check(lambda t: math.exp(-t), order, GRID),
+])
+def test_difference_order_cap(monkeypatch, check):
+    """Order MAX_DIFFERENCE_ORDER reaches the value table; one more is
+    refused before it is allocated."""
+    monkeypatch.setattr(np, "empty", _no_table)
+    with pytest.raises(_TableBuilt):
+        check(MAX_DIFFERENCE_ORDER)
+    for order in (MAX_DIFFERENCE_ORDER + 1, 10**9):
+        with pytest.raises(InvalidParameter, match=f"must be an integer in \\[.*, {MAX_DIFFERENCE_ORDER}\\]"):
+            check(order)
 
 
 def test_cm_exp_neg_passes():
