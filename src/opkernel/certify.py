@@ -35,14 +35,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidGrid, InvalidParameter, InvalidVector
-from .hermitian import PSD_TOL, Frozen, HermitianMatrix, eigen_hermitian, min_eigenvalue, trace
+from .errors import DuplicatePoints, InvalidGrid, InvalidParameter, InvalidVector
+from .hermitian import PSD_TOL, Frozen, HermitianMatrix, min_eigenvalue, psd_margin
 from .kernel import (
+    DUPLICATE_POINT_TOL,
+    BlockGram,
     OperatorKernel,
     PlaneWaveMeasure,
-    close_pair,
     gram,
-    pair_diffs,
     plane_wave_kernel,
     radial_kernel,
 )
@@ -72,6 +72,12 @@ MAX_BUMP_BOX = 1e6
 # Probe design size: each trial forms n^2 differences and eigensolves an
 # (n*ell)^2 Gram, O(n^3) time; the benchmark's largest n is 40.
 MAX_PROBE_N = 1024
+# Probe dimension: no input bounds a drawn design, and each trial holds n^2 * m
+# difference coordinates (128 MB at n = MAX_PROBE_N); the benchmark's largest m is 3.
+MAX_PROBE_DIM = 16
+# Probe trials: each runs a design and an eigensolve, and the report lists
+# one eigenvalue per trial; the benchmark's largest count is 40.
+MAX_PROBE_TRIALS = 10_000
 
 
 class ShiftedPairKernel(Frozen):
@@ -113,19 +119,22 @@ class CounterexampleResult:
     relative_form: float | None = None
 
 
-def _seeded_design(m: int, n: int, seed_parts, box: float) -> np.ndarray:
-    """n points in [-box, box]^m, seeded, with a minimum-separation retry.
+def _seeded_design(kernel, n: int, seed_parts, box: float) -> BlockGram:
+    """Block Gram of kernel on n seeded points in [-box, box]^m, redrawn
+    until no two points are closer than the separation floor 1e-2 * box;
+    gram's duplicate check is the floor, so each draw costs one pairwise pass.
 
-    The separation floor (1e-2 * box) keeps near-coincident points from
-    collapsing a genuinely strict Gram to numerical zero, which would fake
-    a strictness violation; a truly degenerate kernel is singular on every
-    design, so the floor costs nothing there."""
+    The floor keeps near-coincident points from collapsing a genuinely
+    strict Gram to numerical zero, which would fake a strictness violation;
+    a truly degenerate kernel is singular on every design, so the floor
+    costs nothing there. Below box = 1e-10 the floor is the Gram's own
+    duplicate tolerance."""
     rng = np.random.default_rng(np.random.SeedSequence(list(seed_parts)))
-    min_dist = 1e-2 * box
     for _ in range(64):
-        pts = rng.uniform(-box, box, size=(n, m))
-        if close_pair(pair_diffs(pts)[1], min_dist) is None:
-            return pts
+        try:
+            return gram(kernel, rng.uniform(-box, box, size=(n, kernel.m)), max(1e-2 * box, DUPLICATE_POINT_TOL))
+        except DuplicatePoints:
+            pass
     raise InvalidParameter("could not draw a separated design; box too small for n")
 
 
@@ -144,8 +153,10 @@ def demo_counterexample_shifted_gaussian(w, seed: int = 0) -> CounterexampleResu
     mixed = quadratic_form(kernel, eta)
 
     floor = np.inf
-    pts = _seeded_design(m, 6, (int(seed), 0), box=2.0)
-    blocks = kernel.eval_diffs(pair_diffs(pts)[0])
+    # the shifted-pair Gram is exactly Hermitian (|-d + 2w| = |d - 2w| in
+    # floats), so its blocks are the eval_diffs blocks bit for bit
+    design = _seeded_design(kernel, 6, (int(seed), 0), box=2.0)
+    blocks = design.matrix.entries.reshape(6, 2, 6, 2).transpose(0, 2, 1, 3).reshape(36, 2, 2)
     for v in (e1, e2, e1 + e2, e1 + 1j * e2):
         g = np.array([complex(np.vdot(v, b @ v)) for b in blocks]).reshape(6, 6)
         floor = min(floor, min_eigenvalue(HermitianMatrix(g)))
@@ -279,21 +290,19 @@ def probe_strict_pd(
     n, trials, seed = int(n), int(trials), int(seed)
     if not 2 <= n <= MAX_PROBE_N or trials < 1:
         raise InvalidParameter(f"need 2 <= n <= {MAX_PROBE_N} points and trials >= 1")
+    if trials > MAX_PROBE_TRIALS:
+        raise InvalidParameter(f"need trials <= {MAX_PROBE_TRIALS}")
+    if kernel.m > MAX_PROBE_DIM:
+        raise InvalidParameter(f"need ambient dimension <= {MAX_PROBE_DIM} for a probe design")
     if not (math.isfinite(box) and box > 0.0):
         raise InvalidParameter("box must be finite and > 0")
-    results = []
+    mins, violation = [], None
     for t in range(trials):
-        pts = _seeded_design(kernel.m, n, (seed, t), box)
-        g = gram(kernel, pts).matrix
-        dec = eigen_hermitian(g)
-        lo = float(dec.eigenvalues[0])
-        results.append((pts, lo, max(1.0, trace(g)), dec.eigenvectors[:, 0].copy()))
-    mins = tuple(lo for _, lo, _, _ in results)
-    violation = None
-    for t, (pts, lo, scale, vec) in enumerate(results):
-        if lo <= tol * scale:
-            violation = ProbeViolation(trial=t, points=pts, min_eigenvalue=lo, witness=vec)
-            break
+        g = _seeded_design(kernel, n, (seed, t), box)
+        lo, scale, vec = psd_margin(g.matrix)
+        mins.append(lo)
+        if violation is None and lo <= tol * scale:
+            violation = ProbeViolation(trial=t, points=g.points, min_eigenvalue=lo, witness=vec)
     return ProbeReport(
         verdict="ViolationFound" if violation is not None else "NoViolationFound",
         trials=trials,
@@ -301,7 +310,7 @@ def probe_strict_pd(
         box=box,
         seed=seed,
         tol=tol,
-        min_eigenvalues=mins,
+        min_eigenvalues=tuple(mins),
         global_min=float(min(mins)),
         violation=violation,
     )
@@ -312,13 +321,9 @@ def witness_design_mineig(kernel: OperatorKernel):
 
     For a kernel whose positive-frequency mass misses the witness direction,
     this eigenvalue sits at numerical zero (<= 1e-9 * scale)."""
-    m = kernel.m
-    pts = np.zeros((2, m))
+    pts = np.zeros((2, kernel.m))
     pts[1, 0] = 1.0
-    g = gram(kernel, pts)
-    lo = min_eigenvalue(g.matrix)
-    scale = max(1.0, trace(g.matrix))
-    return float(lo), float(scale)
+    return psd_margin(gram(kernel, pts).matrix)[:2]
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,10 @@ JSON with sorted keys, embed the parsed input descriptor plus the seed and
 effective tolerances, and are byte-identical across reruns with the same
 seed under --no-timestamp.
 
-Exit codes: 0 success / affirmative verdict, 2 input error, 3 negative
-verdict (NotStrictlyPD, failed monotonicity, probe violation, demo sign
-pattern not reproduced), 4 numerical failure (NotPSD / IllConditioned /
-NumericalFailure).
+Exit codes: 0 success / affirmative verdict, 2 input error (InputError, or
+an OSError reading or writing a file), 3 negative verdict (NotStrictlyPD,
+failed monotonicity, probe violation, demo sign pattern not reproduced), 4
+numerical failure (NumericalError).
 """
 
 from __future__ import annotations
@@ -31,21 +31,7 @@ from .certify import (
     demo_counterexample_shifted_gaussian,
     probe_strict_pd,
 )
-from .errors import (
-    DuplicatePoints,
-    IllConditioned,
-    InvalidGrid,
-    InvalidMatrix,
-    InvalidMeasure,
-    InvalidParameter,
-    InvalidPoint,
-    InvalidVector,
-    NotPSD,
-    NotRadial,
-    NumericalFailure,
-    SchemaError,
-    UnsupportedJet,
-)
+from .errors import InputError, InvalidGrid, NumericalError, SchemaError
 from .hermitian import PSD_TOL, min_eigenvalue
 from .kernel import (
     DUPLICATE_POINT_TOL,
@@ -90,22 +76,6 @@ DEMO_REFERENCE_FLOOR = 1e-4
 # Monotonicity checks take time and memory linear in the grid size; a
 # 1e5-point grid takes under a second.
 MAX_MONOTONE_GRID_NUM = 100_000
-
-_INPUT_ERRORS = (
-    SchemaError,
-    InvalidParameter,
-    InvalidGrid,
-    InvalidMeasure,
-    InvalidVector,
-    InvalidPoint,
-    InvalidMatrix,
-    NotRadial,
-    DuplicatePoints,
-    UnsupportedJet,
-    FileNotFoundError,
-    IsADirectoryError,
-)
-_NUMERIC_ERRORS = (NotPSD, IllConditioned, NumericalFailure)
 
 # tolerance registry: every CLI-level knob defaults from a module constant
 # and lands in the report so pinned numbers stay reproducible
@@ -212,9 +182,9 @@ def _load_input(args):
     if not args.input:
         raise SchemaError("this command requires --input PATH (a JSON descriptor)")
     try:
-        with open(args.input) as fh:
+        with open(args.input, encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SchemaError(f"input is not valid JSON: {exc}") from exc
 
 
@@ -616,10 +586,8 @@ def _nonneg_int(text: str) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--input", metavar="PATH", help="JSON descriptor file")
     common.add_argument("--output", metavar="PATH", help="write the report here instead of stdout")
     common.add_argument("--seed", type=_nonneg_int, default=0, help="seed for randomized steps (default 0)")
-    common.add_argument("--format", choices=("json", "csv"), default="json", help="output format (csv applies to gram matrices)")
     common.add_argument("--no-timestamp", action="store_true", help="omit the timestamp (for byte-identical reruns)")
     common.add_argument(
         "--tol",
@@ -627,6 +595,10 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAME=VALUE",
         help=f"override a tolerance; names: {sorted(_TOL_DEFAULTS)}",
     )
+    described = argparse.ArgumentParser(add_help=False, parents=[common])
+    described.add_argument("--input", metavar="PATH", help="JSON descriptor file")
+    matrix = argparse.ArgumentParser(add_help=False, parents=[described])
+    matrix.add_argument("--format", choices=("json", "csv"), default="json", help="output format of the matrix")
 
     parser = argparse.ArgumentParser(
         prog="opkernel",
@@ -635,13 +607,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("eval", parents=[common], help="evaluate a kernel block at (x, y) or radial t")
+    p = sub.add_parser("eval", parents=[described], help="evaluate a kernel block at (x, y) or radial t")
     p.set_defaults(func=cmd_eval)
-    p = sub.add_parser("gram", parents=[common], help="block Gram matrix at a point design")
+    p = sub.add_parser("gram", parents=[matrix], help="block Gram matrix at a point design")
     p.set_defaults(func=cmd_gram)
-    p = sub.add_parser("deriv-gram", parents=[common], help="derivative block Gram at jet order q")
+    p = sub.add_parser("deriv-gram", parents=[matrix], help="derivative block Gram at jet order q")
     p.set_defaults(func=cmd_deriv_gram)
-    p = sub.add_parser("classify", parents=[common], help="exact strictness classification plus probe")
+    p = sub.add_parser("classify", parents=[described], help="exact strictness classification plus probe")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("demo", parents=[common], help="reproduce a counterexample")
@@ -652,11 +624,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=1, help="ambient dimension (radial-bump; only 1 is implemented)")
     p.set_defaults(func=cmd_demo)
 
-    p = sub.add_parser("interp", parents=[common], help="kernel interpolation / the sin-cos experiment")
+    p = sub.add_parser("interp", parents=[described], help="kernel interpolation / the sin-cos experiment")
     p.set_defaults(func=cmd_interp)
-    p = sub.add_parser("monotone", parents=[common], help="complete/multiple monotonicity checks")
+    p = sub.add_parser("monotone", parents=[described], help="complete/multiple monotonicity checks")
     p.set_defaults(func=cmd_monotone)
-    p = sub.add_parser("probe", parents=[common], help="random-design strictness probe")
+    p = sub.add_parser("probe", parents=[described], help="random-design strictness probe")
     p.set_defaults(func=cmd_probe)
     return parser
 
@@ -667,10 +639,10 @@ def main(argv=None) -> int:
     try:
         args.tols = _parse_tols(args.tol)
         return args.func(args)
-    except _INPUT_ERRORS as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except _NUMERIC_ERRORS as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -1,11 +1,11 @@
 """Exception types shared across the toolkit.
 
-Everything derives from OpKernelError so callers (and the CLI) can map
-failures to exit codes without fishing for individual classes:
+Everything derives from OpKernelError through exactly one of two bases, so
+callers (and the CLI) map failures to exit codes by class:
 
-  * input problems (bad descriptors, bad grids, bad measures) -> exit 2
-  * negative verdicts are not exceptions at all               -> exit 3
-  * numerical failures (ill conditioning, broken invariants)  -> exit 4
+  * InputError: bad descriptors, grids, measures, points  -> exit 2
+  * negative verdicts are not exceptions at all           -> exit 3
+  * NumericalError: ill conditioning, broken invariants   -> exit 4
 """
 
 
@@ -13,53 +13,61 @@ class OpKernelError(Exception):
     """Base class for all toolkit errors."""
 
 
+class InputError(OpKernelError):
+    """The input is malformed or out of range (exit 2)."""
+
+
+class NumericalError(OpKernelError):
+    """A computation on valid input failed a numerical guard (exit 4)."""
+
+
 # --- input-side errors -------------------------------------------------
 
 
-class InvalidMatrix(OpKernelError):
+class InvalidMatrix(InputError):
     """Matrix input is not square / finite / the expected shape."""
 
 
-class InvalidMeasure(OpKernelError):
+class InvalidMeasure(InputError):
     """Measure atoms violate an invariant (negative weight, non-PSD matrix...)."""
 
 
-class InvalidVector(OpKernelError):
+class InvalidVector(InputError):
     """Vector input is zero, wrong length, or non-finite."""
 
 
-class InvalidPoint(OpKernelError):
+class InvalidPoint(InputError):
     """Evaluation point has the wrong dimension or non-finite entries."""
 
 
-class InvalidGrid(OpKernelError):
+class InvalidGrid(InputError):
     """Grid is too coarse / not increasing / incompatible with the stencil."""
 
 
-class InvalidParameter(OpKernelError):
+class InvalidParameter(InputError):
     """A scalar parameter is out of its documented range."""
 
 
-class SchemaError(OpKernelError):
+class SchemaError(InputError):
     """JSON descriptor violates the documented schema (unknown or missing fields)."""
 
 
-class NotRadial(OpKernelError):
+class NotRadial(InputError):
     """A radial-only operation was applied to a plane-wave kernel."""
 
 
-class DuplicatePoints(OpKernelError):
+class DuplicatePoints(InputError):
     """Point set contains (nearly) coincident points."""
 
 
-class UnsupportedJet(OpKernelError):
+class UnsupportedJet(InputError):
     """Derivative jets are not available for this family / order."""
 
 
 # --- numerical-side errors ---------------------------------------------
 
 
-class NotPSD(OpKernelError):
+class NotPSD(NumericalError):
     """Matrix failed a positive-semidefiniteness requirement.
 
     pivot_index is set when the failure came from a Cholesky pivot,
@@ -72,10 +80,10 @@ class NotPSD(OpKernelError):
         self.witness = witness
 
 
-class IllConditioned(OpKernelError):
+class IllConditioned(NumericalError):
     """Linear system too ill-conditioned at the requested ridge."""
 
 
-class NumericalFailure(OpKernelError):
+class NumericalFailure(NumericalError):
     """An internal numerical invariant (decomposition residual, dual-route
     agreement) was violated beyond tolerance."""

@@ -142,18 +142,22 @@ def trace(a: HermitianMatrix | np.ndarray) -> float:
     return float(np.trace(a.entries).real)
 
 
+def psd_margin(a: HermitianMatrix | np.ndarray) -> tuple[float, float, np.ndarray]:
+    """(lambda_min, max(1, trace), a unit eigenvector of lambda_min): every
+    eigenvalue verdict compares lambda_min against tol * max(1, trace)."""
+    a = _as_hermitian(a)
+    dec = eigen_hermitian(a)
+    return float(dec.eigenvalues[0]), max(1.0, trace(a)), dec.eigenvectors[:, 0].copy()
+
+
 def is_psd(a: HermitianMatrix | np.ndarray, tol: float = PSD_TOL) -> PsdCheck:
     """PSD test: min eigenvalue >= -tol * max(1, trace).
 
     On failure the witness is a unit eigenvector of the offending eigenvalue.
     """
-    a = _as_hermitian(a)
-    dec = eigen_hermitian(a)
-    lam = float(dec.eigenvalues[0])
-    cutoff = -tol * max(1.0, trace(a))
-    if lam >= cutoff:
-        return PsdCheck(True, lam, None)
-    return PsdCheck(False, lam, dec.eigenvectors[:, 0].copy())
+    lam, scale, vec = psd_margin(a)
+    ok = lam >= -tol * scale
+    return PsdCheck(ok, lam, None if ok else vec)
 
 
 def cholesky_psd(a: HermitianMatrix | np.ndarray, jitter: float = 0.0) -> np.ndarray:

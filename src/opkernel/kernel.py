@@ -37,6 +37,7 @@ import numpy as np
 from .errors import (
     DuplicatePoints,
     InvalidMeasure,
+    InvalidParameter,
     InvalidPoint,
     NotRadial,
     UnsupportedJet,
@@ -60,6 +61,10 @@ from .schema import float_reprs
 
 # Two points closer than this are treated as duplicates in Gram assembly.
 DUPLICATE_POINT_TOL = 1e-12
+# Derivative Gram rows n * C(m + q, q) * ell: the Gram and its per-gamma blocks
+# hold rows^2 complex entries (64 MB each at the cap), and the number of
+# multi-indices is not bounded by the input; the benchmark's largest is 320.
+MAX_DERIV_GRAM_ROWS = 2048
 
 
 class PlaneWaveMeasure(Frozen):
@@ -356,14 +361,18 @@ def deriv_gram(kernel: OperatorKernel, points, q: int, tol: float = DUPLICATE_PO
     q = int(q)
     if q < 0 or 2 * q > JET_ORDER_CAP:
         raise UnsupportedJet(f"need 0 <= 2q <= {JET_ORDER_CAP}, got q={q}")
-    idxs = multi_indices_up_to(kernel.m, q)
     if q == 0:
         # only eval_diffs is needed here, so any kernel-shaped object works
         base = gram(kernel, points, tol)
+        idxs = multi_indices_up_to(kernel.m, 0)  # one multi-index; m is bounded by the points
         return DerivBlockGram(points=base.points, ell=base.ell, q=0, multi_indices=idxs, matrix=base.matrix)
     pts, diffs = _check_points(points, kernel.m, tol)
     if not isinstance(kernel, OperatorKernel):
         raise UnsupportedJet("derivative Grams need a kernel with analytic jets")
+    rows = pts.shape[0] * math.comb(kernel.m + q, q) * kernel.ell
+    if rows > MAX_DERIV_GRAM_ROWS:
+        raise InvalidParameter(f"derivative Gram would have {rows} rows; need <= {MAX_DERIV_GRAM_ROWS}")
+    idxs = multi_indices_up_to(kernel.m, q)
     big = deriv_blocks(kernel, diffs, [(mu, alpha) for mu in range(pts.shape[0]) for alpha in idxs])
     return DerivBlockGram(
         points=pts, ell=kernel.ell, q=q, multi_indices=idxs, matrix=HermitianMatrix(big)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidMatrix, InvalidMeasure, NotRadial
-from .hermitian import PSD_TOL, Frozen, HermitianMatrix, _eigh_checked, eigen_hermitian, hermitian_part, trace
+from .hermitian import PSD_TOL, Frozen, HermitianMatrix, _eigh_checked, hermitian_part, psd_margin
 from .profiles import RadialProfile
 from .schema import _fields, _float_field, _int_field, _list_field, complex_from_json
 
@@ -224,22 +224,12 @@ def classify_radial(
     """
     if not isinstance(family, RadialProfile):
         raise NotRadial("classification applies to radial families only")
-    total = total_operator(measure, restrict_positive_support=True)
-    dec = eigen_hermitian(total)
-    lam = float(dec.eigenvalues[0])
-    cutoff = tol * max(1.0, trace(total))
-    if lam > cutoff:
-        return RadialClassification(
-            verdict=VERDICT_STRICT,
-            min_eigenvalue=lam,
-            witness=None,
-            family_kind=family.kind,
-            dim=measure.dim,
-        )
+    lam, scale, vec = psd_margin(total_operator(measure, restrict_positive_support=True))
+    strict = lam > tol * scale
     return RadialClassification(
-        verdict=VERDICT_NOT_STRICT,
+        verdict=VERDICT_STRICT if strict else VERDICT_NOT_STRICT,
         min_eigenvalue=lam,
-        witness=dec.eigenvectors[:, 0].copy(),
+        witness=None if strict else vec,
         family_kind=family.kind,
         dim=measure.dim,
     )

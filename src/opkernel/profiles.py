@@ -376,11 +376,11 @@ def jet_eval(jet: RadialJet, d: np.ndarray, gvals: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 CM_DEFAULT_H = 1e-2
-# Largest forward-difference order (cm nmax, ell-cm ell): the checks fill a
-# grid size x (order + 1) value table, one Python call of the function per
-# entry. Orders past about 24 already test roundoff: binomial weights up to
-# 2^n against a 1e-9 tolerance (exp(-t) fails at 26 with h = 1e-2).
-MAX_DIFFERENCE_ORDER = 64
+# Largest forward-difference order (cm nmax, ell-cm ell). The binomial
+# weights of Delta_h^n sum to 2^n, so its rounding error is about
+# 2^n * 1.1e-16 * max|f|, which meets the 1e-9 cm tolerance near n = 23 and
+# the 1e-8 ell-cm tolerance near n = 26: exp(-t) fails cm from n = 25.
+MAX_DIFFERENCE_ORDER = 20
 
 
 @dataclass(frozen=True)

@@ -376,7 +376,8 @@ def hermite_interpolate(
     diffs, sq = pair_diffs(xs)
     pair = close_pair(sq, tol, np.all(alphas[:, None] == alphas[None, :], axis=2))
     if pair is not None:
-        raise DuplicatePoints(f"data {pair[0]} and {pair[1]} request the same (x, alpha)")
+        i, j = pair
+        raise DuplicatePoints(f"data {i} and {j} request alpha {parsed[i][1]} at points closer than {tol}")
 
     mat = HermitianMatrix(deriv_blocks(kernel, diffs, [(i, alpha) for i, (_, alpha, _) in enumerate(parsed)]))
     c, residual, ridge = _ridge_solve(mat, tgts.reshape(-1), kernel.ell, ridge, "derivative Gram")

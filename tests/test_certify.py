@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from opkernel import certify
+from opkernel import certify, kernel as kernel_module
 from opkernel.certify import (
     MAX_PROBE_N,
     ClassificationReport,
@@ -18,7 +18,7 @@ from opkernel.certify import (
 )
 from opkernel.errors import InvalidGrid, InvalidParameter
 from opkernel.hermitian import eigen_hermitian
-from opkernel.kernel import gram, kernel_eval, radial_kernel
+from opkernel.kernel import gram, kernel_eval, pair_diffs, radial_kernel
 from opkernel.measures import VERDICT_NOT_STRICT, VERDICT_STRICT, OperatorMeasure
 from opkernel.profiles import RadialProfile
 
@@ -57,17 +57,73 @@ def _seeded_design_loop(m, n, seed_parts, box):
 @settings(max_examples=40, deadline=None)
 def test_seeded_design_matches_pairwise_loop(m, n, box, seed, trial):
     expected = _seeded_design_loop(m, n, (seed, trial), box)
+    kernel = _scalar_gaussian(m)
     if expected is None:
         with pytest.raises(InvalidParameter, match="could not draw a separated design"):
-            _seeded_design(m, n, (seed, trial), box)
+            _seeded_design(kernel, n, (seed, trial), box)
     else:
-        assert np.array_equal(_seeded_design(m, n, (seed, trial), box), expected)
+        g = _seeded_design(kernel, n, (seed, trial), box)
+        assert np.array_equal(g.points, expected)
+        assert np.array_equal(g.matrix.entries, gram(kernel, expected).matrix.entries)
 
 
 def test_seeded_design_refuses_crowded_line():
     assert _seeded_design_loop(1, 40, (0, 0), 2.0) is None
     with pytest.raises(InvalidParameter):
-        _seeded_design(1, 40, (0, 0), 2.0)
+        _seeded_design(_scalar_gaussian(1), 40, (0, 0), 2.0)
+
+
+def _scalar_gaussian(m):
+    return radial_kernel(RadialProfile.gaussian(), OperatorMeasure(1, [(1.0, np.eye(1))]), m)
+
+
+def test_seeded_design_floor_never_drops_below_the_duplicate_tolerance():
+    """Below box = 1e-10 the separation floor is the Gram's duplicate
+    tolerance, so points that gram would call coincident are redrawn."""
+    with pytest.raises(InvalidParameter, match="could not draw a separated design"):
+        _seeded_design(_scalar_gaussian(1), 2, (0, 0), 1e-13)
+
+
+def test_probe_takes_one_pairwise_pass_per_accepted_design(monkeypatch):
+    """Each design accepted at its first draw costs one pair_diffs call."""
+    n, trials, box = 3, 6, 2.0
+    for t in range(trials):  # every trial's first draw is separated
+        rng = np.random.default_rng(np.random.SeedSequence([0, t]))
+        pts = rng.uniform(-box, box, size=(n, 2))
+        assert min(np.linalg.norm(pts[i] - pts[j]) for i in range(n) for j in range(i)) >= 1e-2 * box
+    calls = []
+
+    def counted(points):
+        calls.append(points.shape)
+        return pair_diffs(points)
+
+    for module in (kernel_module, certify):  # wherever the pass is reachable
+        if getattr(module, "pair_diffs", None) is pair_diffs:
+            monkeypatch.setattr(module, "pair_diffs", counted)
+    probe_strict_pd(STRICT_K, n=n, trials=trials, seed=0, box=box)
+    assert calls == [(n, 2)] * trials
+
+
+def test_probe_keeps_the_first_violation():
+    rep = probe_strict_pd(DEGENERATE_K, n=4, trials=5, seed=3)
+    assert rep.violation.trial == 0 and len(rep.min_eigenvalues) == 5
+    g = _seeded_design(DEGENERATE_K, 4, (3, 0), 2.0)
+    assert np.array_equal(rep.violation.points, g.points)
+    assert rep.violation.min_eigenvalue == rep.min_eigenvalues[0]
+
+
+@given(
+    w=st.lists(st.floats(-3.0, 3.0).filter(lambda c: abs(c) > 1e-3), min_size=1, max_size=3),
+    seed=st.integers(0, 2**31 - 1),
+)
+@settings(max_examples=30, deadline=None)
+def test_shifted_pair_gram_blocks_are_the_eval_diffs_blocks(w, seed):
+    """The shifted-pair Gram is exactly Hermitian, so symmetrizing it keeps
+    every block bitwise equal to eval_diffs at the design's differences."""
+    kernel = ShiftedPairKernel(w)
+    g = _seeded_design(kernel, 6, (seed, 0), 2.0)
+    blocks = g.matrix.entries.reshape(6, 2, 6, 2).transpose(0, 2, 1, 3).reshape(36, 2, 2)
+    assert np.array_equal(blocks, kernel.eval_diffs(pair_diffs(g.points)[0]))
 
 
 # ---------------------------------------------------------------- shifted pair

@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from opkernel import certify
-from opkernel.certify import MAX_PROBE_N
+from opkernel import certify, kernel as kernel_module
+from opkernel.certify import MAX_PROBE_DIM, MAX_PROBE_N, MAX_PROBE_TRIALS
 from opkernel.cli import MAX_MONOTONE_GRID_NUM, kernel_from_json, main
-from opkernel.kernel import deriv_gram
+from opkernel.kernel import MAX_DERIV_GRAM_ROWS, deriv_gram
 from opkernel.profiles import MAX_DIFFERENCE_ORDER
 
 GAUSS_SCALAR = {
@@ -605,6 +605,134 @@ def test_monotone_difference_order_above_cap_exits_two(tmp_path, capsys, monkeyp
     err = capsys.readouterr().err
     assert code == 2 and rep is None
     assert err == f"error: {field} must be an integer in [{low}, {MAX_DIFFERENCE_ORDER}]\n"
+
+
+class _Reached(Exception):
+    pass
+
+
+def _reached(*args, **kwargs):
+    raise _Reached
+
+
+def _probe_obj(command, kernel, **fields):
+    return {"kernel": kernel, **fields} if command == "probe" else {**kernel, **fields}
+
+
+@pytest.mark.parametrize("command", ["probe", "classify"])
+@pytest.mark.parametrize("field, cap, message", [
+    ("trials", MAX_PROBE_TRIALS, f"need trials <= {MAX_PROBE_TRIALS}"),
+    ("ambient_dim", MAX_PROBE_DIM, f"need ambient dimension <= {MAX_PROBE_DIM} for a probe design"),
+])
+def test_probe_trials_and_dimension_caps(tmp_path, capsys, monkeypatch, command, field, cap, message):
+    """At the cap the design is drawn; above it, and at 1e9, the input is
+    refused with one error line before any design exists."""
+    monkeypatch.setattr(certify, "_seeded_design", _reached)
+
+    def obj(value):
+        if field == "trials":
+            return _probe_obj(command, GAUSS_SCALAR, trials=value)
+        return _probe_obj(command, dict(GAUSS_SCALAR, ambient_dim=value))
+
+    with pytest.raises(_Reached):
+        run(tmp_path, [command], obj(cap))
+    for value in (cap + 1, 10**9):
+        code, rep = run(tmp_path, [command], obj(value))
+        assert code == 2 and rep is None
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _line(n, m):
+    """n distinct points on a line in R^m."""
+    pts = np.zeros((n, m))
+    pts[:, 0] = np.arange(n)
+    return pts.tolist()
+
+
+@pytest.mark.parametrize("points, q, rows", [
+    (_line(683, 2), 1, 683 * 3),  # cap + 1
+    (_line(1, 200), 4, math.comb(204, 4)),  # one 200-coordinate point, about 6.9e7 rows
+    (_line(1, 1000), 4, math.comb(1004, 4)),  # over 1e9 rows
+])
+def test_deriv_gram_row_cap_refuses_before_enumerating(tmp_path, capsys, monkeypatch, points, q, rows):
+    monkeypatch.setattr(kernel_module, "multi_indices_up_to", _reached)
+    obj = {"kernel": dict(GAUSS_SCALAR, ambient_dim=len(points[0])), "points": points, "q": q}
+    code, rep = run(tmp_path, ["deriv-gram"], obj)
+    assert code == 2 and rep is None
+    err = capsys.readouterr().err
+    assert err == f"error: derivative Gram would have {rows} rows; need <= {MAX_DERIV_GRAM_ROWS}\n"
+
+
+def test_deriv_gram_row_cap_admits_the_cap(tmp_path, monkeypatch):
+    monkeypatch.setattr(kernel_module, "multi_indices_up_to", _reached)
+    assert MAX_DERIV_GRAM_ROWS % 2 == 0
+    obj = {"kernel": GAUSS_SCALAR, "points": _line(MAX_DERIV_GRAM_ROWS // 2, 1), "q": 1}
+    with pytest.raises(_Reached):
+        run(tmp_path, ["deriv-gram"], obj)
+
+
+@pytest.mark.parametrize("h", [1e-2, 1e-3])
+@pytest.mark.parametrize("function, mode, field", [
+    ("exp-neg", "cm", "nmax"),
+    ("inv-1p", "cm", "nmax"),
+    ("exp-neg", "ell-cm", "ell"),
+    ({"williamson": {"atoms": [[1.0, 1.0], [0.5, 0.5]], "ell": MAX_DIFFERENCE_ORDER}}, "ell-cm", "ell"),
+])
+def test_monotone_order_cap_is_above_roundoff(tmp_path, function, mode, field, h):
+    """Exactly completely or ell-monotone functions pass at the largest
+    admitted order on the default grid (at 64, roundoff failed them)."""
+    obj = {"function": function, "mode": mode, field: MAX_DIFFERENCE_ORDER, "h": h}
+    code, rep = run(tmp_path, ["monotone"], obj)
+    assert code == 0 and rep["result"]["ok"] is True
+
+
+# ---------------------------------------------------------------- errors and flags
+
+
+def test_non_utf8_input_exits_two(tmp_path, capsys):
+    path = tmp_path / "in.json"
+    path.write_bytes(b'{"kernel": "\xff"}')
+    assert main(["probe", "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: input is not valid JSON: ") and err.count("\n") == 1
+
+
+def test_output_under_a_regular_file_exits_two(tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    argv = ["gram", "--output", str(tmp_path / "file" / "x")]
+    argv += ["--input", write_json(tmp_path, "in.json", {"kernel": GAUSS_SCALAR, "points": [[0.0]]})]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno 20] Not a directory") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["probe", "--format", "csv"],
+    ["classify", "--format", "json"],
+    ["demo", "shifted-gaussian", "--input", "in.json"],
+])
+def test_flags_are_offered_only_where_read(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _golden_input(name):
+    return ["--input", str(GOLDEN / f"{name}.input.json")]
+
+
+@pytest.mark.parametrize("argv, name, code", [
+    (["probe", "--seed", "5", *_golden_input("probe_gaussian_rank_one")], "probe_gaussian_rank_one", 3),
+    (["classify", "--seed", "2", *_golden_input("classify_omega3_strict")], "classify_omega3_strict", 0),
+    (["demo", "shifted-gaussian", "--w", "1,0.5", "--seed", "3"], "demo_shifted_gaussian_1_0.5_3", 0),
+])
+def test_strictness_reports_golden_bytes(capsys, argv, name, code):
+    """A degenerate probe with its violation witness, a strict
+    classification and a shifted-gaussian demo stay byte for byte the
+    reports in tests/golden."""
+    assert main(argv + ["--no-timestamp"]) == code
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text()
 
 
 # ---------------------------------------------------------------- malformed input

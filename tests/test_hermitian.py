@@ -13,6 +13,7 @@ from opkernel.hermitian import (
     eigen_hermitian,
     hermitian_part,
     is_psd,
+    psd_margin,
     min_eigenvalue,
     solve_cholesky,
     trace,
@@ -127,6 +128,15 @@ def test_is_psd_indefinite_witness():
 
 def test_is_psd_boundary():
     assert is_psd(H([[1, 1], [1, 1]])).ok
+
+
+def test_psd_margin_reads_min_eigenvalue_scale_and_vector():
+    lam, scale, vec = psd_margin(H([[3, 1j], [-1j, 3]]))
+    assert lam == pytest.approx(2.0, abs=1e-12) and scale == 6.0
+    assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
+    assert np.allclose(H([[3, 1j], [-1j, 3]]).entries @ vec, lam * vec, atol=1e-12)
+    # the scale is max(1, trace), so small matrices are judged absolutely
+    assert psd_margin(H([[1e-3, 0], [0, 0]]))[1] == 1.0
 
 
 # ---------------------------------------------------------------- cholesky

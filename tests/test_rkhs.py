@@ -357,8 +357,8 @@ def test_hermite_names_first_duplicate_request_like_the_loop():
     for i in range(12):  # the pairwise loop this guard ran before it was vectorized
         for j in range(i + 1, 12):
             if expected is None and alphas[i] == alphas[j] and np.linalg.norm(xs[i] - xs[j]) < 1e-12:
-                expected = f"data {i} and {j} request the same (x, alpha)"
-    assert expected == "data 1 and 7 request the same (x, alpha)"
+                expected = f"data {i} and {j} request alpha {alphas[i]} at points closer than 1e-12"
+    assert expected == "data 1 and 7 request alpha (1, 0) at points closer than 1e-12"
     kernel = radial_kernel(RadialProfile.gaussian(), OperatorMeasure(1, [(1.0, np.eye(1))]), 2)
     with pytest.raises(DuplicatePoints) as info:
         hermite_interpolate(kernel, data)
