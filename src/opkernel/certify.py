@@ -78,6 +78,10 @@ MAX_PROBE_DIM = 16
 # Probe trials: each runs a design and an eigensolve, and the report lists
 # one eigenvalue per trial; the benchmark's largest count is 40.
 MAX_PROBE_TRIALS = 10_000
+# Probe box: designs are drawn from [-box, box]^m, and past about 9e307 the
+# width 2 * box overflows; the separation floor 1e-2 * box is compared as a
+# squared distance, which overflows past about 1e156. The benchmark's box is 2.
+MAX_PROBE_BOX = 1e6
 
 
 class ShiftedPairKernel(Frozen):
@@ -230,9 +234,10 @@ def demo_counterexample_radial_bump(
     eta = DerivVectorMeasure.plain(VectorAtomMeasure(1, 2, points=points, vectors=mixed_vectors))
     eta_ref = DerivVectorMeasure.plain(VectorAtomMeasure(1, 2, points=points, vectors=ref_vectors))
 
-    mixed = quadratic_form(kernel, eta)
-    ref_detail = quadratic_form_detail(kernel, eta_ref)
-    reference = ref_detail.value
+    # both measures have the grid points with |x| < 1 as atoms, so one call
+    # builds the Gram and the pairing blocks once for the two forms
+    mixed_detail, ref_detail = quadratic_form_detail(kernel, [eta, eta_ref])
+    mixed, reference = mixed_detail.value, ref_detail.value
     relative = abs(mixed) / reference if reference > 0 else float("inf")
     return CounterexampleResult(
         mixed_form=mixed,
@@ -296,6 +301,8 @@ def probe_strict_pd(
         raise InvalidParameter(f"need ambient dimension <= {MAX_PROBE_DIM} for a probe design")
     if not (math.isfinite(box) and box > 0.0):
         raise InvalidParameter("box must be finite and > 0")
+    if box > MAX_PROBE_BOX:
+        raise InvalidParameter(f"need box <= {MAX_PROBE_BOX:g}")
     mins, violation = [], None
     for t in range(trials):
         g = _seeded_design(kernel, n, (seed, t), box)

@@ -186,6 +186,8 @@ def _load_input(args):
             return json.load(fh)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SchemaError(f"input is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise SchemaError("input JSON is nested too deeply to parse") from exc
 
 
 # ----------------------------------------------------------------------

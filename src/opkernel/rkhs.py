@@ -24,7 +24,9 @@ derivative block Gram, once by pairing the embedded function against the
 measure, one batched evaluation per component -- and asserts the two routes
 agree to 1e-12 * scale; the check is never skipped. Route 2 never reads the
 assembled or symmetrized Gram: it pairs raw blocks in its own summation
-order, so agreement is a real check.
+order, so agreement is a real check. Measures with the same atom points
+(the radial-bump demo's mixed and reference measures) share one Gram and
+one set of route-2 blocks, and each measure's two routes stay independent.
 
 Interpolation solves (Gram + ridge I) c = targets by PSD Cholesky and
 returns the combination as an element of the kernel space, so evaluation
@@ -205,11 +207,19 @@ def rkhs_deriv_eval(element: RkhsElement, beta: MultiIndex, y) -> np.ndarray:
         raise InvalidPoint(f"expected a point in R^{k.m} or a (k, {k.m}) batch, got shape {np.shape(y)}")
     if not np.all(np.isfinite(ys)):
         raise InvalidPoint("point has non-finite entries")
-    na, npt = element.points.shape[0], ys.shape[0]
+    # out[j] = sum_i K_i(x_i, y_j)^H v_i
+    out = np.einsum("ijba,ib->ja", _conj_blocks(k, element.alphas, element.points, beta, ys), element.vectors)
+    return out[0] if single else out
+
+
+def _conj_blocks(k: OperatorKernel, alphas: np.ndarray, points: np.ndarray, beta: MultiIndex, ys: np.ndarray):
+    """Conjugated blocks conj((d^{alpha_i}_1 d^beta_2 K)(x_i, y_j)), shape
+    (A, k, ell, ell), for atoms (alphas, points) and validated points ys."""
+    na, npt = points.shape[0], ys.shape[0]
     # row (i, j) is x_i - y_j, the row-major layout of pair_diffs
     with np.errstate(over="ignore"):
-        diffs = (element.points[:, None, :] - ys[None, :, :]).reshape(na * npt, k.m)
-    gammas = element.alphas + np.array(beta)
+        diffs = (points[:, None, :] - ys[None, :, :]).reshape(na * npt, k.m)
+    gammas = alphas + np.array(beta)
     if not gammas.any():
         blocks = k.eval_diffs(diffs).reshape(na, npt, k.ell, k.ell)
     else:
@@ -217,9 +227,7 @@ def rkhs_deriv_eval(element: RkhsElement, beta: MultiIndex, y) -> np.ndarray:
         vals = k.deriv_diffs([tuple(g) for g in distinct.tolist()], diffs)
         vals = vals.reshape(len(distinct), na, npt, k.ell, k.ell)
         blocks = (-1.0) ** multi_index_order(beta) * vals[rank.reshape(-1), np.arange(na)]
-    # out[j] = sum_i K_i(x_i, y_j)^H v_i
-    out = np.einsum("ijba,ib->ja", blocks.conj(), element.vectors)
-    return out[0] if single else out
+    return blocks.conj()
 
 
 @dataclass(frozen=True)
@@ -229,58 +237,77 @@ class QuadraticFormDetail:
     route_gap: float
 
 
-def quadratic_form_detail(kernel: OperatorKernel, eta: DerivVectorMeasure) -> QuadraticFormDetail:
-    """Quadratic form of eta against the kernel, with its scale and the
-    dual-route residual. See quadratic_form."""
-    if eta.m != kernel.m or eta.ell != kernel.ell:
-        raise InvalidVector("measure dimensions do not match the kernel")
-    if not eta.is_nonzero:
-        return QuadraticFormDetail(value=0.0, scale=1.0, route_gap=0.0)
+def quadratic_form_detail(kernel: OperatorKernel, etas) -> tuple[QuadraticFormDetail, ...]:
+    """Quadratic form of each measure in etas against the kernel, with its
+    scale and dual-route residual; see quadratic_form.
 
-    element = embed(kernel, eta)
+    The measures must share q, component multi-indices (in order) and atom
+    points (as bytes, so -0.0 is not 0.0), or InvalidParameter is raised.
+    The Gram and the route-2 blocks are built once; each measure's vectors
+    go through the operations a lone measure gets, so each detail is bitwise
+    its one-measure detail."""
+    etas = tuple(etas)
+
+    def atoms(eta):
+        return eta.q, [(alpha, vam.points.tobytes()) for alpha, vam in eta.components]
+
+    for eta in etas:
+        if eta.m != kernel.m or eta.ell != kernel.ell:
+            raise InvalidVector("measure dimensions do not match the kernel")
+        if atoms(eta) != atoms(etas[0]):
+            raise InvalidParameter("measures must share q, components and atom points")
+    if not etas[0].is_nonzero:
+        return tuple(QuadraticFormDetail(value=0.0, scale=1.0, route_gap=0.0) for _ in etas)
+
+    elements = [embed(kernel, eta) for eta in etas]
     # the distinct atom points of all components, in first-occurrence order
-    allpts, vs = element.points, element.vectors
+    alphas, allpts = elements[0].alphas, elements[0].points
     first, atom_point = unique_rows(allpts, in_order=True)
     pts = allpts[first]
     n = pts.shape[0]
-    idxs = multi_indices_up_to(kernel.m, eta.q)
+    idxs = multi_indices_up_to(kernel.m, etas[0].q)
     na = len(idxs)
     ell = kernel.ell
     rank = {alpha: a for a, alpha in enumerate(idxs)}
 
-    dg = deriv_gram(kernel, pts, eta.q)
+    dg = deriv_gram(kernel, pts, etas[0].q)
     mat = dg.matrix.entries
-
+    diag_max = float(np.max(np.abs(np.diag(mat).real))) if mat.size else 1.0
     # every (point, multi-index) slot holds at most one atom vector
-    slot = atom_point * na + np.concatenate([np.full(len(vam), rank[alpha]) for alpha, vam in eta.components])
-    w = np.zeros(n * na * ell, dtype=complex)
-    w[slot[:, None] * ell + np.arange(ell)] += vs
-    sum_v2 = 0.0  # per-atom vdot: a stacked |v|^2 rounds differently for ell > 1
-    for v in vs:
-        sum_v2 += float(np.vdot(v, v).real)
-
-    # route 1: stacked quadratic form against the derivative block Gram
-    q1c = complex(np.vdot(w, mat @ w))
-    q1 = q1c.real
+    slot = atom_point * na + np.concatenate([np.full(len(vam), rank[alpha]) for alpha, vam in etas[0].components])
 
     # route 2: embed, then pair the function against the measure, one
     # batched evaluation per component. Uses raw unsymmetrized kernel blocks
     # and a different summation order, and never reads `mat`, so agreement
     # genuinely cross-checks the Gram assembly.
-    q2c = 0.0 + 0.0j
-    for alpha, vam in eta.components:
-        q2c += complex(np.sum(np.conj(vam.vectors) * rkhs_deriv_eval(element, alpha, vam.points)))
-    q2 = q2c.real
+    q2c = [0.0 + 0.0j] * len(etas)
+    for c, (alpha, vam) in enumerate(etas[0].components):
+        cblocks = _conj_blocks(kernel, alphas, allpts, alpha, vam.points)
+        for e, (eta, element) in enumerate(zip(etas, elements)):
+            values = np.einsum("ijba,ib->ja", cblocks, element.vectors)
+            q2c[e] += complex(np.sum(np.conj(eta.components[c][1].vectors) * values))
 
-    diag_max = float(np.max(np.abs(np.diag(mat).real))) if mat.size else 1.0
-    scale = max(1.0, sum_v2 * max(1.0, diag_max))
-    gap = abs(q1 - q2)
-    if gap > TWO_ROUTE_TOL * scale or abs(q1c.imag) > TWO_ROUTE_TOL * scale:
-        raise NumericalFailure(
-            f"quadratic form routes disagree: gram route {q1!r}, pairing route "
-            f"{q2!r}, gap {gap:.3e} > {TWO_ROUTE_TOL * scale:.3e}"
-        )
-    return QuadraticFormDetail(value=q1, scale=scale, route_gap=gap)
+    details = []
+    for element, z2 in zip(elements, q2c):
+        w = np.zeros(n * na * ell, dtype=complex)
+        w[slot[:, None] * ell + np.arange(ell)] += element.vectors
+        sum_v2 = 0.0  # per-atom vdot: a stacked |v|^2 rounds differently for ell > 1
+        for v in element.vectors:
+            sum_v2 += float(np.vdot(v, v).real)
+
+        # route 1: w^H M w against the derivative block Gram, one
+        # matrix-vector product per measure
+        q1c = complex(np.vdot(w, mat @ w))
+        q1, q2 = q1c.real, z2.real
+        scale = max(1.0, sum_v2 * max(1.0, diag_max))
+        gap = abs(q1 - q2)
+        if gap > TWO_ROUTE_TOL * scale or abs(q1c.imag) > TWO_ROUTE_TOL * scale:
+            raise NumericalFailure(
+                f"quadratic form routes disagree: gram route {q1!r}, pairing route "
+                f"{q2!r}, gap {gap:.3e} > {TWO_ROUTE_TOL * scale:.3e}"
+            )
+        details.append(QuadraticFormDetail(value=q1, scale=scale, route_gap=gap))
+    return tuple(details)
 
 
 def quadratic_form(kernel: OperatorKernel, eta: DerivVectorMeasure) -> float:
@@ -292,7 +319,7 @@ def quadratic_form(kernel: OperatorKernel, eta: DerivVectorMeasure) -> float:
     max(1, largest Gram diagonal))) or NumericalFailure is raised. For the
     PSD kernels constructed by this package the value is >= -1e-9 * scale.
     """
-    return quadratic_form_detail(kernel, eta).value
+    return quadratic_form_detail(kernel, [eta])[0].value
 
 
 # ----------------------------------------------------------------------
@@ -312,9 +339,17 @@ def _ridge_solve(
 ) -> tuple[np.ndarray, float, float]:
     """Solve (mat + ridge I) c = rhs by PSD Cholesky: (c, residual, ridge),
     the residual being the largest ell-block norm of (mat + ridge I) c - rhs.
-    ridge defaults to 1e-10 * trace/dim; a failed factorization raises
+    ridge defaults to 1e-10 * trace/dim (1e-10 times the mean of the
+    diagonal if the trace overflows); a failed factorization raises
     IllConditioned naming `what`."""
-    ridge = 1e-10 * trace(mat) / mat.dim if ridge is None else float(ridge)
+    if ridge is None:
+        with np.errstate(over="ignore"):
+            tr = trace(mat)
+        if math.isfinite(tr):
+            ridge = 1e-10 * tr / mat.dim
+        else:
+            ridge = 1e-10 * float(np.sum(mat.entries.diagonal().real / mat.dim))
+    ridge = float(ridge)
     if not math.isfinite(ridge) or ridge < 0.0:
         raise InvalidParameter("ridge must be finite and >= 0")
     try:

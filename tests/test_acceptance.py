@@ -229,7 +229,7 @@ def test_c07_two_route_quadratic_form():
             ]
             comps[alpha] = VectorAtomMeasure(m, ell, atoms)
         eta = DerivVectorMeasure(m, ell, q, comps)
-        detail = quadratic_form_detail(k, eta)
+        detail = quadratic_form_detail(k, [eta])[0]
         worst = max(worst, detail.route_gap / (1e-12 * detail.scale))
     ok = worst <= 1.0
     report(

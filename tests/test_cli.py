@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from opkernel import certify, kernel as kernel_module
-from opkernel.certify import MAX_PROBE_DIM, MAX_PROBE_N, MAX_PROBE_TRIALS
+from opkernel.certify import MAX_PROBE_BOX, MAX_PROBE_DIM, MAX_PROBE_N, MAX_PROBE_TRIALS
 from opkernel.cli import MAX_MONOTONE_GRID_NUM, kernel_from_json, main
 from opkernel.kernel import MAX_DERIV_GRAM_ROWS, deriv_gram
 from opkernel.profiles import MAX_DIFFERENCE_ORDER
@@ -384,7 +384,7 @@ def test_demo_radial_bump(tmp_path):
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
-@pytest.mark.parametrize("grid_n, box", [(256, "1.5"), (640, "2.2")])
+@pytest.mark.parametrize("grid_n, box", [(256, "1.5"), (640, "2.2"), (2048, "5.6")])
 def test_demo_radial_bump_golden_bytes(capsys, grid_n, box):
     """The bump demo's report stays byte for byte the one in tests/golden."""
     argv = ["demo", "radial-bump", "--grid-n", str(grid_n), "--box", box, "--no-timestamp"]
@@ -497,6 +497,20 @@ def test_interp_honours_duplicate_tolerance(tmp_path, capsys, obj):
     err = capsys.readouterr().err
     assert code == 2 and rep is None
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_interp_default_ridge_survives_trace_overflow(tmp_path, capsys):
+    """A Gram diagonal of 1e308 at two points overflows the trace; the
+    default ridge is then 1e-10 times the mean of the diagonal. This once
+    printed a RuntimeWarning and exited 2 with "ridge must be finite"."""
+    kernel = {**GAUSS_SCALAR, "measure": {"dim": 1, "atoms": [{"omega": 1.0, "G": {"re": [[1e308]]}}]}}
+    obj = {"kernel": kernel, "points": [[0.0], [1.0]], "targets": {"re": [[1.0], [2.0]]}}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, rep = run(tmp_path, ["interp"], obj)
+    assert code == 0 and capsys.readouterr().err == "" and not caught
+    assert rep["result"]["ridge"] == 1e-10 * 1e308
+    assert rep["result"]["residual"] <= 1e-15
 
 
 def test_interp_unknown_experiment(tmp_path):
@@ -642,6 +656,22 @@ def test_probe_trials_and_dimension_caps(tmp_path, capsys, monkeypatch, command,
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("command", ["probe", "classify"])
+def test_probe_box_cap(tmp_path, capsys, monkeypatch, command):
+    """At the cap the design is drawn; above it, and at 1e308 (where the
+    draw's width 2 * box overflowed with a traceback), the box is refused
+    with one error line and no warning before any design exists."""
+    monkeypatch.setattr(certify, "_seeded_design", _reached)
+    with pytest.raises(_Reached):
+        run(tmp_path, [command], _probe_obj(command, GAUSS_SCALAR, box=MAX_PROBE_BOX))
+    for box in (math.nextafter(MAX_PROBE_BOX, math.inf), 1e308):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, rep = run(tmp_path, [command], _probe_obj(command, GAUSS_SCALAR, box=box))
+        assert code == 2 and rep is None and not caught
+        assert capsys.readouterr().err == f"error: need box <= {MAX_PROBE_BOX:g}\n"
+
+
 def _line(n, m):
     """n distinct points on a line in R^m."""
     pts = np.zeros((n, m))
@@ -695,6 +725,17 @@ def test_non_utf8_input_exits_two(tmp_path, capsys):
     assert main(["probe", "--input", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: input is not valid JSON: ") and err.count("\n") == 1
+
+
+def test_deeply_nested_input_exits_two(tmp_path, capsys):
+    """100000 nested arrays once ended in a RecursionError traceback."""
+    path = tmp_path / "in.json"
+    path.write_text("[" * 100_000)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["probe", "--input", str(path)]) == 2
+    assert capsys.readouterr().err == "error: input JSON is nested too deeply to parse\n"
+    assert not caught
 
 
 def test_output_under_a_regular_file_exits_two(tmp_path, capsys):

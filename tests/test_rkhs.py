@@ -2,12 +2,21 @@
 
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from opkernel.errors import DuplicatePoints, InvalidParameter, InvalidPoint, InvalidVector, SchemaError
+from opkernel import rkhs as rkhs_module
+from opkernel.errors import (
+    DuplicatePoints,
+    InvalidParameter,
+    InvalidPoint,
+    InvalidVector,
+    NumericalFailure,
+    SchemaError,
+)
 from opkernel.kernel import PlaneWaveMeasure, kernel_deriv_eval, plane_wave_kernel, radial_kernel
 from opkernel.measures import OperatorMeasure
 from opkernel.profiles import RadialProfile, multi_indices_up_to
@@ -201,7 +210,7 @@ def test_zero_measure_has_zero_form():
     vam = VectorAtomMeasure(
         1, 1, [(np.array([0.5]), np.array([1.0])), (np.array([0.5]), np.array([-1.0]))]
     )
-    detail = quadratic_form_detail(SCALAR_GAUSS, DerivVectorMeasure.plain(vam))
+    detail = quadratic_form_detail(SCALAR_GAUSS, [DerivVectorMeasure.plain(vam)])[0]
     assert detail.value == 0.0 and detail.route_gap == 0.0
 
 
@@ -242,7 +251,7 @@ def test_quadratic_form_scales_with_modulus_squared():
 
 def test_quadratic_form_detail_reports_scale():
     eta = plain_measure(SCALAR_GAUSS, [(np.array([0.0]), np.array([1.0]))])
-    detail = quadratic_form_detail(SCALAR_GAUSS, eta)
+    detail = quadratic_form_detail(SCALAR_GAUSS, [eta])[0]
     assert detail.scale >= 1.0
     assert detail.route_gap <= 1e-12 * detail.scale
 
@@ -265,7 +274,7 @@ def test_two_routes_agree_on_random_measures(seed, q):
         atoms.append((float(rng.uniform(0.2, 2.0)), b.conj().T @ b))
     kernel = radial_kernel(RadialProfile.gaussian(), OperatorMeasure(ell, atoms), m)
     eta = random_deriv_measure(rng, m, ell, q)
-    detail = quadratic_form_detail(kernel, eta)
+    detail = quadratic_form_detail(kernel, [eta])[0]
     assert detail.route_gap <= 1e-12 * detail.scale
     assert detail.value >= -1e-9 * detail.scale
 
@@ -293,10 +302,94 @@ def test_two_routes_agree_at_derivative_orders(family, q):
         alpha: VectorAtomMeasure(2, 2, [(x, rng.normal(size=2) + 1j * rng.normal(size=2)) for x in shared[: 1 + r % 3]])
         for r, alpha in enumerate(multi_indices_up_to(2, q))
     })
-    detail = quadratic_form_detail(kernel, eta)
+    detail = quadratic_form_detail(kernel, [eta])[0]
     assert detail.route_gap <= 1e-12 * detail.scale
     assert detail.value == pytest.approx(_gram_route_oracle(kernel, eta), abs=1e-12 * detail.scale)
     assert detail.value > 0.0
+
+
+def _shared_measures(rng, m, ell, q, count):
+    """count measures with the same q, components and atom points, and
+    independent random atom vectors."""
+    comps = [alpha for r, alpha in enumerate(multi_indices_up_to(m, q)) if r == 0 or rng.random() < 0.7]
+    points = {alpha: rng.uniform(-1, 1, size=(int(rng.integers(1, 4)), m)) for alpha in comps}
+    return [
+        DerivVectorMeasure(m, ell, q, {
+            alpha: VectorAtomMeasure(m, ell, points=pts, vectors=rng.normal(size=(len(pts), ell)) + 1j * rng.normal(size=(len(pts), ell)))
+            for alpha, pts in points.items()
+        })
+        for _ in range(count)
+    ]
+
+
+def _bits(detail):
+    return tuple(float(x).hex() for x in (detail.value, detail.scale, detail.route_gap))
+
+
+@given(
+    st.integers(0, 10_000),
+    st.sampled_from(["gaussian", "plane_wave"]),
+    st.integers(0, 2),
+    st.integers(1, 2),
+    st.integers(1, 2),
+    st.integers(2, 3),
+)
+@settings(max_examples=60, deadline=None)
+def test_several_measures_match_one_measure_calls_bit_for_bit(seed, family, q, m, ell, count):
+    """One call over measures that share their atom points gives, for each
+    measure, the value, scale and route gap of its own one-measure call."""
+    rng = np.random.default_rng(seed)
+    kernel = _kernel(family, rng, m, ell)
+    etas = _shared_measures(rng, m, ell, q, count)
+    details = quadratic_form_detail(kernel, etas)
+    assert len(details) == count
+    for eta, detail in zip(etas, details):
+        assert _bits(detail) == _bits(quadratic_form_detail(kernel, [eta])[0])
+
+
+def _measure_at(points, q=0, alpha=(0,)):
+    vam = VectorAtomMeasure(1, 1, points=np.asarray(points, dtype=float)[:, None], vectors=np.ones((len(points), 1)))
+    return DerivVectorMeasure(1, 1, q, {alpha: vam})
+
+
+@pytest.mark.parametrize("other", [
+    _measure_at([0.0, 0.5 + 1e-15]),  # different points
+    _measure_at([-0.0, 0.5]),  # -0.0 against 0.0
+    _measure_at([0.0, 0.5], q=1, alpha=(1,)),  # different components
+    _measure_at([0.0, 0.5], q=1),  # different q
+    _measure_at([0.0]),  # different number of atoms
+])
+def test_measures_with_different_atoms_are_refused(other):
+    base = _measure_at([0.0, 0.5])
+    for etas in ([base, other], [other, base]):
+        with pytest.raises(InvalidParameter, match="must share q, components and atom points"):
+            quadratic_form_detail(SCALAR_GAUSS, etas)
+
+
+@pytest.mark.parametrize("family", ["gaussian", "plane_wave"])
+def test_pairing_route_never_reads_the_gram(monkeypatch, family):
+    """Perturb the assembled derivative Gram by 1e-6 * I: the Gram route
+    moves and the pairing route does not, so the routes disagree for every
+    measure of a shared call. A pairing route fed from the Gram would move
+    with it and agree."""
+    rng = np.random.default_rng(3)
+    kernel = _kernel(family, rng, 2)
+    etas = _shared_measures(rng, 2, 2, 1, 2)
+    clean = quadratic_form_detail(kernel, etas)
+    assert all(d.route_gap <= 1e-12 * d.scale for d in clean)
+
+    real = rkhs_module.deriv_gram
+
+    def perturbed(k, pts, q):
+        entries = real(k, pts, q).matrix.entries
+        return SimpleNamespace(matrix=SimpleNamespace(entries=entries + 1e-6 * np.eye(entries.shape[0])))
+
+    monkeypatch.setattr(rkhs_module, "deriv_gram", perturbed)
+    with pytest.raises(NumericalFailure, match="routes disagree"):
+        quadratic_form_detail(kernel, etas)
+    # the second measure alone fails too: no measure is checked against a shared route
+    with pytest.raises(NumericalFailure, match="routes disagree"):
+        quadratic_form_detail(kernel, etas[1:])
 
 
 # ---------------------------------------------------------------- interpolation
