@@ -6,9 +6,11 @@ frequencies xi_j) and the G_j are the PSD matrix weights of the mixing
 measure. K maps points of R^m to ell x ell complex matrices and is
 Hermitian in the kernel sense, K(y, x) = K(x, y)^H.
 
-Measures keep their atoms as arrays, so OperatorKernel.eval_diffs takes one
-exp and one einsum over all atoms. Plane waves satisfy F(-d) = F(d)^H bit
-for bit, so a large batch evaluates one row of each pair d, -d.
+Measures keep their atoms as arrays, so OperatorKernel.eval_diffs makes one
+family evaluation and one einsum over all atoms: profiles.profile_value, the
+one batched evaluator of the radial families, or the plane-wave phases. The
+radial function F(t) is eval_diffs at t e_1. Plane waves satisfy F(-d) =
+F(d)^H bit for bit, so a large batch evaluates one row of each pair d, -d.
 
 Derivative kernels: for translation-invariant K(x, y) = F(x - y),
 
@@ -40,6 +42,7 @@ from .errors import (
     InvalidParameter,
     InvalidPoint,
     NotRadial,
+    NumericalFailure,
     UnsupportedJet,
 )
 from .hermitian import Frozen, HermitianMatrix
@@ -52,7 +55,6 @@ from .profiles import (
     jet_for_multi_index,
     multi_index_order,
     multi_indices_up_to,
-    omega_values,
     profile_value,
     sjet_derivatives,
     validate_multi_index,
@@ -65,6 +67,12 @@ DUPLICATE_POINT_TOL = 1e-12
 # hold rows^2 complex entries (64 MB each at the cap), and the number of
 # multi-indices is not bounded by the input; the benchmark's largest is 320.
 MAX_DERIV_GRAM_ROWS = 2048
+# Entries len(gammas) * pairs * atoms of the jet tables of deriv_diffs: the
+# profile jets, the per-gamma values and the plane-wave phases each hold that
+# many floats or complex numbers (128 or 256 MiB at the cap), and neither the
+# Gram cap nor the input bounds the atom count; the benchmark's largest is
+# about 27k.
+MAX_JET_TABLE_ENTRIES = 2**24
 
 
 class PlaneWaveMeasure(Frozen):
@@ -162,26 +170,12 @@ class OperatorKernel(Frozen):
 
     def _blocks(self, diffs: np.ndarray, sq: np.ndarray | None = None) -> np.ndarray:
         """F(d) for every row, evaluated directly; sq holds the squared norms
-        a radial kernel needs."""
-        if not len(self.measure):
-            return np.zeros((diffs.shape[0], self.ell, self.ell), dtype=complex)
-        gs = self.measure.gs
+        a radial kernel needs. An empty measure gives zero blocks."""
         if self.kind == "plane_wave":
-            phases = np.exp(-1j * diffs @ self.measure.xis.T)  # (npairs, natoms)
-            return np.einsum("pa,aij->pij", phases, gs)
-        omegas = self.measure.omegas
-        t = np.sqrt(sq)
-        with np.errstate(invalid="ignore"):
-            # a scale-0 atom is constant: it keeps its t = 0 value even where
-            # the distance overflowed to inf (inf * 0 is nan)
-            arg = np.where(omegas > 0.0, np.outer(t * t if self.profile.kind == "gaussian" else t, omegas), 0.0)
-        if self.profile.kind == "gaussian":
-            vals = np.exp(-arg)
-        elif self.profile.kind == "askey":
-            vals = np.clip(1.0 - arg, 0.0, None) ** (self.profile.ell_smoothness - 1)
+            vals = _phases(diffs, self.measure.xis)
         else:
-            vals = omega_values(self.profile.m_source, arg)[0]
-        return np.einsum("pa,aij->pij", vals.astype(complex), gs)
+            vals = profile_value(self.profile, self.measure.omegas, np.sqrt(sq)).astype(complex)
+        return np.einsum("pa,aij->pij", vals, self.measure.gs)
 
     def deriv_diffs(self, gammas, diffs: np.ndarray) -> np.ndarray:
         """(d^gamma F)(d) for each gamma and each difference vector, (npairs, m)
@@ -192,25 +186,42 @@ class OperatorKernel(Frozen):
             raise UnsupportedJet("askey kernels have no analytic jets")
         if max(map(sum, gammas), default=0) > JET_ORDER_CAP:
             raise UnsupportedJet(f"derivative order exceeds cap {JET_ORDER_CAP}")
+        entries = len(gammas) * diffs.shape[0] * len(self.measure)
+        if entries > MAX_JET_TABLE_ENTRIES:
+            raise InvalidParameter(
+                f"jet tables would hold {entries} entries (gammas x pairs x atoms); need <= {MAX_JET_TABLE_ENTRIES}"
+            )
         if not len(self.measure):
             return np.zeros(shape, dtype=complex)
         gs = self.measure.gs
-        if self.kind == "plane_wave":
-            xis = self.measure.xis
-            phases = np.exp(-1j * diffs @ xis.T)  # (npairs, natoms)
-            coeffs = np.stack([np.prod((-1j * xis) ** np.array(g), axis=1) for g in gammas])
-            vals = coeffs[:, None, :] * phases
-        else:
-            jets = [jet_for_multi_index(self.m, g) for g in gammas]
-            omegas = self.measure.omegas
-            with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.kind == "plane_wave":
+                xis = self.measure.xis
+                coeffs = np.stack([np.prod((-1j * xis) ** np.array(g), axis=1) for g in gammas])
+                vals = coeffs[:, None, :] * _phases(diffs, xis)
+            else:
+                jets = [jet_for_multi_index(self.m, g) for g in gammas]
+                omegas = self.measure.omegas
                 s = np.where(omegas > 0.0, np.sum(diffs * diffs, axis=1)[:, None], 0.0)
                 gvals = sjet_derivatives(self.profile, omegas, s, max(jet.max_k for jet in jets))
                 vals = np.stack([jet_eval(jet, diffs, gvals) for jet in jets])
-            # a scale-0 atom is constant: its derivatives vanish even where a
-            # jet monomial overflowed to inf (inf * 0 is nan)
-            vals[np.isnan(vals) & (omegas == 0.0)] = 0.0
-        return (vals.reshape(-1, gs.shape[0]) @ gs.reshape(gs.shape[0], -1)).reshape(shape)
+                # a scale-0 atom is constant: its derivatives vanish even where
+                # a jet monomial overflowed to inf (inf * 0 is nan)
+                vals[np.isnan(vals) & (omegas == 0.0)] = 0.0
+            out = vals.reshape(-1, gs.shape[0]) @ gs.reshape(gs.shape[0], -1)
+        if not np.all(np.isfinite(out)):
+            raise NumericalFailure("derivative kernel blocks (jets times atom matrices) overflow the float range")
+        return out.reshape(shape)
+
+
+def _phases(diffs: np.ndarray, xis: np.ndarray) -> np.ndarray:
+    """exp(-i d . xi) for every difference row d and frequency xi, (npairs,
+    natoms). A phase d . xi that overflows has no value: NumericalFailure."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        arg = -1j * diffs @ xis.T
+    if not np.all(np.isfinite(arg.imag)):
+        raise NumericalFailure("plane-wave phase d . xi overflows the float range")
+    return np.exp(arg)
 
 
 def radial_kernel(profile: RadialProfile, measure: OperatorMeasure, m: int) -> OperatorKernel:
@@ -245,7 +256,8 @@ def kernel_eval(kernel: OperatorKernel, x, y) -> np.ndarray:
 
 
 def radial_function_eval(kernel: OperatorKernel, t: float) -> np.ndarray:
-    """The radial matrix function F with K(x, y) = F(||x - y||), at t >= 0.
+    """The radial matrix function F with K(x, y) = F(||x - y||), at t >= 0:
+    the kernel at the difference t e_1, so it is bitwise K(t e_1, 0).
 
     Plane-wave kernels are not radial -> NotRadial. F(0) equals the
     unrestricted total operator of the measure.
@@ -255,10 +267,7 @@ def radial_function_eval(kernel: OperatorKernel, t: float) -> np.ndarray:
     t = float(t)
     if not math.isfinite(t) or t < 0.0:
         raise InvalidPoint("radial argument must be finite and >= 0")
-    out = np.zeros((kernel.ell, kernel.ell), dtype=complex)
-    for omega, g in zip(kernel.measure.omegas.tolist(), kernel.measure.gs):
-        out += profile_value(kernel.profile, omega, t) * g
-    return out
+    return kernel.eval_diffs(np.eye(1, kernel.m) * t)[0]
 
 
 def kernel_deriv_eval(kernel: OperatorKernel, alpha: MultiIndex, beta: MultiIndex, x, y) -> np.ndarray:

@@ -17,7 +17,6 @@ provides the discrete Radon-Nikodym decomposition against the trace measure
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,9 +25,6 @@ from .errors import InvalidMatrix, InvalidMeasure, NotRadial
 from .hermitian import PSD_TOL, Frozen, HermitianMatrix, _eigh_checked, hermitian_part, psd_margin
 from .profiles import RadialProfile
 from .schema import _fields, _float_field, _int_field, _list_field, complex_from_json
-
-# Weights this slightly negative are treated as roundoff and clamped to 0.
-WEIGHT_ROUNDOFF_TOL = 1e-12
 
 
 def unique_rows(keys: np.ndarray, in_order: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -142,50 +138,27 @@ class OperatorMeasure(Frozen):
         return f"OperatorMeasure(dim={self.dim}, atoms={len(self)})"
 
 
-class ScalarMeasure(Frozen):
-    """Finite atomic scalar measure with nonnegative weights.
-
-    Weights in [-1e-12, 0) are clamped to zero (roundoff from quadratic
-    forms); genuinely negative weights raise InvalidMeasure. Zero-weight
-    atoms are kept: the support is still information.
-    """
-
-    __slots__ = ("atoms",)
-
-    def __init__(self, atoms):
-        merged: dict[float, float] = {}
-        for omega, w in atoms:
-            omega, w = float(omega), float(w)
-            if not (math.isfinite(omega) and math.isfinite(w)) or omega < 0.0:
-                raise InvalidMeasure("scalar atoms must be finite with omega >= 0")
-            merged[omega] = merged.get(omega, 0.0) + w
-        out = []
-        for omega in sorted(merged):
-            w = merged[omega]
-            if w < -WEIGHT_ROUNDOFF_TOL:
-                raise InvalidMeasure(f"negative weight {w} at omega={omega}")
-            out.append((omega, max(0.0, w)))
-        object.__setattr__(self, "atoms", tuple(out))
-
-
 @dataclass(frozen=True)
 class RNDecomposition:
     """Discrete Radon-Nikodym decomposition against the trace measure.
 
-    trace_measure carries weights tr G_j > 0; densities[j] is the trace-one
-    PSD matrix G_j / tr G_j at the same support; null_atoms lists supports
-    whose matrix was zero (no density there).
+    The trace measure is trace_weights[j] = tr G_j > 0 at supports[j] (read-only
+    arrays (A,)); densities[j] is the trace-one PSD matrix G_j / tr G_j there;
+    null_atoms lists supports whose matrix was zero (no density there).
     """
 
-    trace_measure: ScalarMeasure
+    supports: np.ndarray
+    trace_weights: np.ndarray
     densities: tuple[HermitianMatrix, ...]
     null_atoms: tuple[float, ...]
 
 
 def radon_nikodym(measure: OperatorMeasure) -> RNDecomposition:
-    traces = [float(np.trace(g).real) for g in measure.gs]
+    traces = np.trace(measure.gs, axis1=1, axis2=2).real
+    traces.setflags(write=False)
     return RNDecomposition(
-        trace_measure=ScalarMeasure(zip(measure.omegas.tolist(), traces)),
+        supports=measure.omegas,
+        trace_weights=traces,
         densities=tuple(HermitianMatrix(g / tr) for g, tr in zip(measure.gs, traces)),
         null_atoms=measure.null_supports,
     )

@@ -7,6 +7,9 @@ Three radial families and the plane wave:
   omega(m)      p_w(x, y) = Omega_m(w ||x-y||)         (w scales distance)
   plane wave    p_xi(x, y) = exp(-i (x-y) . xi)
 
+profile_value, scales (A,) against distances (n,) -> (n, A), is the one
+batched evaluator of the radial families: every radial kernel block uses it.
+
 Omega_m(t) is the mean of plane waves over the unit sphere S^{m-1}: the
 radial function whose value at t is the average of exp(-i t u.e) over unit
 vectors u.  With nu = m/2 - 1,
@@ -253,18 +256,21 @@ def omega_eval(m: int, t: float) -> float:
     return float(omega_values(int(m), float(t))[0])
 
 
-def profile_value(profile: RadialProfile, omega: float, t: float) -> float:
-    """Scalar profile value p_omega at radial distance t >= 0."""
-    omega, t = float(omega), float(t)
-    if not (math.isfinite(omega) and omega >= 0.0 and math.isfinite(t) and t >= 0.0):
-        raise InvalidParameter(f"need a finite scale and distance >= 0, got {omega}, {t}")
+def profile_value(profile: RadialProfile, omegas, t) -> np.ndarray:
+    """p_omega(t) at scales omegas and distances t >= 0, shape t.shape +
+    omegas.shape. The argument rounds as (t*t)*omega (gaussian) or t*omega;
+    one that overflows counts as far, where a scale-0 atom keeps its t = 0
+    value. NaN or negative t, negative or infinite scales: InvalidParameter."""
+    omegas, t = np.asarray(omegas, dtype=float), np.asarray(t, dtype=float)
+    if not (np.all(np.isfinite(omegas) & (omegas >= 0.0)) and np.all(t >= 0.0)):
+        raise InvalidParameter("need finite scales >= 0 and distances >= 0 (not NaN)")
+    with np.errstate(over="ignore", invalid="ignore"):
+        arg = np.where(omegas > 0.0, np.multiply.outer(t * t if profile.kind == "gaussian" else t, omegas), 0.0)
     if profile.kind == "gaussian":
-        return math.exp(-omega * t * t)
+        return np.exp(-arg)
     if profile.kind == "askey":
-        return max(0.0, 1.0 - omega * t) ** (profile.ell_smoothness - 1)
-    if profile.kind == "omega":
-        return omega_eval(profile.m_source, omega * t)
-    raise InvalidParameter(f"unknown family {profile.kind!r}")
+        return np.clip(1.0 - arg, 0.0, None) ** (profile.ell_smoothness - 1)
+    return omega_values(profile.m_source, arg)[0]
 
 
 def sjet_derivatives(profile: RadialProfile, omega, s, kmax: int) -> np.ndarray:

@@ -49,7 +49,7 @@ from .errors import (
     NotPSD,
     NumericalFailure,
 )
-from .hermitian import Frozen, HermitianMatrix, cholesky_psd, solve_cholesky, trace
+from .hermitian import Frozen, HermitianMatrix, _frobenius, cholesky_psd, solve_cholesky, trace
 from .kernel import (
     DUPLICATE_POINT_TOL,
     OperatorKernel,
@@ -338,10 +338,11 @@ def _ridge_solve(
     mat: HermitianMatrix, rhs: np.ndarray, ell: int, ridge: float | None, what: str
 ) -> tuple[np.ndarray, float, float]:
     """Solve (mat + ridge I) c = rhs by PSD Cholesky: (c, residual, ridge),
-    the residual being the largest ell-block norm of (mat + ridge I) c - rhs.
-    ridge defaults to 1e-10 * trace/dim (1e-10 times the mean of the
-    diagonal if the trace overflows); a failed factorization raises
-    IllConditioned naming `what`."""
+    the residual being the largest ell-block norm of (mat + ridge I) c - rhs,
+    taken without overflow. ridge defaults to 1e-10 * trace/dim (1e-10 times
+    the mean of the diagonal if the trace overflows). A failed factorization
+    raises IllConditioned naming `what`; a solution or residual outside the
+    float range raises NumericalFailure."""
     if ridge is None:
         with np.errstate(over="ignore"):
             tr = trace(mat)
@@ -357,8 +358,12 @@ def _ridge_solve(
     except NotPSD as exc:
         raise IllConditioned(f"{what} factorization failed ({exc}); increase the ridge") from exc
     c = solve_cholesky(low, rhs)
-    resid_vec = (mat.entries @ c + ridge * c - rhs).reshape(-1, ell)
-    return c, float(np.max(np.linalg.norm(resid_vec, axis=1))), ridge
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = mat.entries @ c + ridge * c - rhs
+    # a non-finite solution leaves a non-finite residual
+    if not np.all(np.isfinite(resid)):
+        raise NumericalFailure(f"{what} solve overflows the float range")
+    return c, float(np.max(_frobenius(resid.reshape(-1, ell, 1)))), ridge
 
 
 def interpolate(

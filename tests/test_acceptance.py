@@ -277,7 +277,7 @@ def test_c09_radon_nikodym():
         mu = OperatorMeasure(dim, atoms)
         dec = radon_nikodym(mu)
         recon = sum(
-            w * d.entries for (_, w), d in zip(dec.trace_measure.atoms, dec.densities)
+            w * d.entries for w, d in zip(dec.trace_weights, dec.densities)
         )
         total = total_operator(mu).entries
         err = np.max(np.abs(recon - total)) / max(1.0, np.max(np.abs(total)))

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -15,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 from opkernel import certify, kernel as kernel_module
 from opkernel.certify import MAX_PROBE_BOX, MAX_PROBE_DIM, MAX_PROBE_N, MAX_PROBE_TRIALS
 from opkernel.cli import MAX_MONOTONE_GRID_NUM, kernel_from_json, main
-from opkernel.kernel import MAX_DERIV_GRAM_ROWS, deriv_gram
+from opkernel.errors import InvalidParameter
+from opkernel.kernel import MAX_DERIV_GRAM_ROWS, MAX_JET_TABLE_ENTRIES, deriv_gram
 from opkernel.profiles import MAX_DIFFERENCE_ORDER
 
 GAUSS_SCALAR = {
@@ -80,6 +82,32 @@ def test_eval_radial_t(tmp_path):
     code, rep = run(tmp_path, ["eval"], {"kernel": GAUSS_SCALAR, "t": 0.0})
     assert code == 0
     assert rep["result"]["matrix"]["re"][0][0] == 1.0
+
+
+EVAL_T_ATOMS = [
+    {"omega": 0.0, "G": {"re": [[1.0, 0.5], [0.5, 2.0]], "im": [[0.0, 0.25], [-0.25, 0.0]]}},
+    {"omega": 0.3, "G": {"re": [[2.0, 0.0], [0.0, 1.0]]}},
+    {"omega": 1.7, "G": {"re": [[0.5, -0.25], [-0.25, 0.5]]}},
+]
+
+
+@pytest.mark.parametrize("family", [{"kind": "gaussian"}, {"kind": "askey", "ell": 3}, {"kind": "omega", "m": 3}],
+                         ids=lambda f: f["kind"])
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("t", [0.0, 0.7, 1e200])  # at 1e200 the square overflows
+def test_eval_t_is_eval_at_t_e1(tmp_path, capsys, family, m, t):
+    """eval --t reports bitwise what eval reports at x = t e_1, y = 0: the
+    same exit code, result bytes and stderr, a scale-0 atom included."""
+    kernel = {"family": family, "measure": {"dim": 2, "atoms": EVAL_T_ATOMS}, "ambient_dim": m}
+    outs = []
+    at_t_e1 = {"kernel": kernel, "x": [t] + [0.0] * (m - 1), "y": [0.0] * m}
+    for i, obj in enumerate([{"kernel": kernel, "t": t}, at_t_e1]):
+        (tmp_path / str(i)).mkdir()
+        code, rep = run(tmp_path / str(i), ["eval"], obj)
+        outs.append((code, rep and json.dumps(rep["result"]), capsys.readouterr().err))
+    assert outs[0] == outs[1]
+    # Omega is evaluated only up to w*t = 1e4
+    assert outs[0][0] == (4 if family["kind"] == "omega" and t == 1e200 else 0)
 
 
 def test_eval_report_echoes_input(tmp_path):
@@ -513,6 +541,51 @@ def test_interp_default_ridge_survives_trace_overflow(tmp_path, capsys):
     assert rep["result"]["residual"] <= 1e-15
 
 
+def test_interp_residual_stays_finite(tmp_path, capsys):
+    """Targets of +-1e308 solve to coefficients near the float maximum; the
+    residual's block norms are taken without overflow. This once printed a
+    RuntimeWarning and wrote "residual": Infinity, which is not JSON."""
+    obj = {"kernel": GAUSS_SCALAR, "points": [[0.0], [1.0]], "targets": {"re": [[1e308], [-1e308]]}}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _ = run(tmp_path, ["interp"], obj)
+    assert code == 0 and capsys.readouterr().err == "" and not caught
+    rep = json.loads((tmp_path / "out.json").read_text(), parse_constant=lambda c: pytest.fail(f"report has {c}"))
+    assert 0.0 <= rep["result"]["residual"] < math.inf
+
+
+def _one_atom(family, key, value, g):
+    return {"family": family, "measure": {"dim": 1, "atoms": [{key: value, "G": {"re": [[g]]}}]}, "ambient_dim": 1}
+
+
+@pytest.mark.parametrize("command, obj, stage", [
+    # the phase d . xi = 1e310 overflows
+    ("gram", {"kernel": _one_atom({"kind": "plane_wave"}, "xi", [1e300], 1.0), "points": [[0.0], [1e10]]},
+     "plane-wave phase"),
+    # the fourth derivative (about 1e24) times G = 1e300 overflows
+    ("deriv-gram", {"kernel": _one_atom({"kind": "gaussian"}, "omega", 1e3, 1e300), "points": [[0.0], [0.5]], "q": 4},
+     "derivative kernel blocks"),
+    ("interp", {"kernel": _one_atom({"kind": "gaussian"}, "omega", 1.0, 1e308), "data": [
+        {"x": [0.0], "alpha": [0], "target": {"re": [0.0]}},
+        {"x": [0.0], "alpha": [1], "target": {"re": [0.0]}},
+        {"x": [1.0], "alpha": [0], "target": {"re": [0.0]}},
+    ]}, "derivative kernel blocks"),
+    # the jet coefficient (-i xi)^2 = -1e400 overflows
+    ("deriv-gram", {"kernel": _one_atom({"kind": "plane_wave"}, "xi", [1e200], 1.0), "points": [[0.0], [1.0]], "q": 1},
+     "derivative kernel blocks"),
+])
+def test_kernel_overflow_is_a_numerical_failure(tmp_path, capsys, command, obj, stage):
+    """Finite input whose kernel values overflow exits 4 with one line naming
+    the stage, and no numpy warning. These once printed RuntimeWarnings and
+    exited 2 with "matrix has non-finite entries"."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, rep = run(tmp_path, [command], obj)
+    err = capsys.readouterr().err
+    assert code == 4 and rep is None and not caught
+    assert err.startswith(f"numerical failure: {stage}") and err.count("\n") == 1
+
+
 def test_interp_unknown_experiment(tmp_path):
     code, _ = run(tmp_path, ["interp"], {"experiment": "nonexistent"})
     assert code == 2
@@ -691,6 +764,53 @@ def test_deriv_gram_row_cap_refuses_before_enumerating(tmp_path, capsys, monkeyp
     assert code == 2 and rep is None
     err = capsys.readouterr().err
     assert err == f"error: derivative Gram would have {rows} rows; need <= {MAX_DERIV_GRAM_ROWS}\n"
+
+
+def test_deriv_gram_jet_tables_refused_before_allocating(tmp_path, capsys, monkeypatch):
+    """1024 points (m = 1, q = 1) against 60 atoms would need jet tables of
+    3 gammas x 1024^2 pairs x 60 atoms (480 MiB per gamma): deriv_diffs
+    refuses them with exit 2 before it allocates anything (the command once
+    ran out of memory)."""
+    original, peaks = kernel_module.OperatorKernel.deriv_diffs, []
+
+    def measured(self, gammas, diffs):
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        try:
+            return original(self, gammas, diffs)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+
+    monkeypatch.setattr(kernel_module.OperatorKernel, "deriv_diffs", measured)
+    measure = {"dim": 1, "atoms": [{"omega": 1.0 + j, "G": {"re": [[1.0]]}} for j in range(60)]}
+    obj = {"kernel": dict(GAUSS_SCALAR, measure=measure), "points": _line(1024, 1), "q": 1}
+    tracemalloc.start()
+    try:
+        code, rep = run(tmp_path, ["deriv-gram"], obj)
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and rep is None
+    entries = 3 * 1024**2 * 60
+    assert capsys.readouterr().err == (
+        f"error: jet tables would hold {entries} entries (gammas x pairs x atoms); need <= {MAX_JET_TABLE_ENTRIES}\n"
+    )
+    assert len(peaks) == 1 and peaks[0] < 2**16
+
+
+@pytest.mark.parametrize("family, key, scales", [
+    ("gaussian", "omega", (1.0, 2.0)),
+    ("plane_wave", "xi", ([1.0], [2.0])),
+])
+def test_jet_table_cap_both_sides(monkeypatch, family, key, scales):
+    """Two points, q = 1 (gammas 0, 1, 2) and two atoms: 3 x 4 x 2 = 24
+    entries pass a cap of 24 and are refused at 23."""
+    atoms = [{key: w, "G": {"re": [[1.0]]}} for w in scales]
+    k = kernel_from_json({"family": {"kind": family}, "measure": {"dim": 1, "atoms": atoms}, "ambient_dim": 1})
+    monkeypatch.setattr(kernel_module, "MAX_JET_TABLE_ENTRIES", 24)
+    deriv_gram(k, np.array([[0.0], [0.5]]), q=1)
+    monkeypatch.setattr(kernel_module, "MAX_JET_TABLE_ENTRIES", 23)
+    with pytest.raises(InvalidParameter, match="jet tables would hold 24 entries"):
+        deriv_gram(k, np.array([[0.0], [0.5]]), q=1)
 
 
 def test_deriv_gram_row_cap_admits_the_cap(tmp_path, monkeypatch):

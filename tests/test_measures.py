@@ -15,7 +15,6 @@ from opkernel.measures import (
     VERDICT_NOT_STRICT,
     VERDICT_STRICT,
     OperatorMeasure,
-    ScalarMeasure,
     classify_radial,
     measure_from_json,
     radon_nikodym,
@@ -187,13 +186,6 @@ def test_measures_reject_malformed_arrays():
         PlaneWaveMeasure(2, 2, xis=np.array([[0.0, np.inf]]), gs=I2[None])
 
 
-def test_scalar_measure_clamps_roundoff():
-    sm = ScalarMeasure([(1.0, -1e-13)])
-    assert sm.atoms == ((1.0, 0.0),)
-    with pytest.raises(InvalidMeasure):
-        ScalarMeasure([(1.0, -1e-6)])
-
-
 # ---------------------------------------------------------------- projection
 
 
@@ -245,14 +237,14 @@ def test_projection_weights_nonnegative(seed):
 def test_rn_rank_one():
     mu = OperatorMeasure(2, [(1.0, np.diag([4.0, 0.0]))])
     dec = radon_nikodym(mu)
-    assert dec.trace_measure.atoms == ((1.0, 4.0),)
+    assert dec.supports.tolist() == [1.0] and dec.trace_weights.tolist() == [4.0]
     assert np.allclose(dec.densities[0].entries, np.diag([1.0, 0.0]))
 
 
 def test_rn_identity():
     mu = OperatorMeasure(2, [(1.0, I2)])
     dec = radon_nikodym(mu)
-    assert dec.trace_measure.atoms == ((1.0, 2.0),)
+    assert dec.supports.tolist() == [1.0] and dec.trace_weights.tolist() == [2.0]
     assert np.allclose(dec.densities[0].entries, I2 / 2)
 
 
@@ -260,6 +252,7 @@ def test_rn_null_atom_recorded():
     mu = OperatorMeasure(2, [(1.0, np.zeros((2, 2)))])
     dec = radon_nikodym(mu)
     assert dec.densities == ()
+    assert dec.supports.size == 0 and dec.trace_weights.size == 0
     assert dec.null_atoms == (1.0,)
 
 
@@ -269,9 +262,11 @@ def test_rn_reconstruction(seed, dim, natoms):
     rng = np.random.default_rng(seed)
     mu = OperatorMeasure(dim, [(float(k), random_psd(rng, dim)) for k in range(natoms)])
     dec = radon_nikodym(mu)
+    # the trace measure needs no merge or clamp: distinct sorted supports, positive weights
+    assert np.all(np.diff(dec.supports) > 0.0) and np.all(dec.trace_weights > 0.0)
     recon = sum(
         w * dens.entries
-        for (_, w), dens in zip(dec.trace_measure.atoms, dec.densities)
+        for w, dens in zip(dec.trace_weights, dec.densities)
     )
     total = total_operator(mu).entries
     # division then re-multiplication: a couple of ulps, not exact

@@ -192,6 +192,41 @@ def test_profile_rejects_negative_scale():
         profile_value(RadialProfile.gaussian(), -1.0, 0.5)
 
 
+FAMILIES = (RadialProfile.gaussian(), RadialProfile.askey(3), RadialProfile.omega(3))
+
+
+@pytest.mark.parametrize("prof", FAMILIES, ids=lambda p: p.kind)
+def test_profile_value_shapes(prof):
+    """Distances (n,) against scales (A,) give (n, A); scalars give 0-d, and
+    each entry is the scalar value at its own (scale, distance)."""
+    omegas, ts = np.array([0.0, 0.5, 2.0]), np.array([0.0, 0.25, 0.4, 3.0])
+    batch = profile_value(prof, omegas, ts)
+    assert batch.shape == (4, 3)
+    one = profile_value(prof, 0.5, 0.4)
+    assert np.shape(one) == ()
+    assert one == batch[2, 1]
+    assert all(profile_value(prof, w, t) == batch[i, j] for i, t in enumerate(ts) for j, w in enumerate(omegas))
+
+
+@pytest.mark.parametrize("prof", FAMILIES, ids=lambda p: p.kind)
+def test_profile_value_scale_zero_is_constant_at_infinity(prof):
+    """A distance that overflowed to inf counts as far, but a scale-0 atom
+    keeps its t = 0 value there (inf * 0 would be nan)."""
+    assert np.array_equal(profile_value(prof, [0.0], [math.inf, 0.0, 1e200]), np.ones((3, 1)))
+    if prof.kind != "omega":  # Omega is evaluated only up to OMEGA_T_MAX
+        assert np.array_equal(profile_value(prof, [0.0, 1.0], [math.inf]), [[1.0, 0.0]])
+
+
+@pytest.mark.parametrize(
+    "omegas, t",
+    [([1.0], [math.nan]), ([1.0], [0.5, -0.1]), ([1.0, -1.0], [0.5]), ([math.inf], [0.5]), ([math.nan], [0.5])],
+)
+def test_profile_value_refuses_bad_input(omegas, t):
+    for prof in FAMILIES:
+        with pytest.raises(InvalidParameter):
+            profile_value(prof, omegas, t)
+
+
 def test_askey_parameter_validation():
     with pytest.raises(InvalidParameter):
         RadialProfile.askey(1)
