@@ -238,7 +238,12 @@ def demo_counterexample_radial_bump(
     # builds the Gram and the pairing blocks once for the two forms
     mixed_detail, ref_detail = quadratic_form_detail(kernel, [eta, eta_ref])
     mixed, reference = mixed_detail.value, ref_detail.value
-    relative = abs(mixed) / reference if reference > 0 else float("inf")
+    relative = abs(mixed) / reference if reference > 0.0 else math.inf
+    if not math.isfinite(relative):
+        raise InvalidGrid(
+            f"need a grid that resolves the bumps: grid_n = {grid_n} over box = {box!r} "
+            f"gives the reference form {reference!r}, against which no relative form exists"
+        )
     return CounterexampleResult(
         mixed_form=mixed,
         projection_floor=reference,

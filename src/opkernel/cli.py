@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import sys
 
 import numpy as np
@@ -152,6 +153,8 @@ def _parse_tols(pairs) -> dict:
             tols[name] = float(value)
         except ValueError as exc:
             raise SchemaError(f"--tol {name} needs a numeric value") from exc
+        if not math.isfinite(tols[name]) or tols[name] < 0.0:
+            raise SchemaError(f"--tol {name} must be finite and >= 0, got '{value}'")
     return tols
 
 
@@ -232,9 +235,10 @@ def _gram_layout(g, q=None) -> dict:
     return layout
 
 
-def _run_gram(args, command: str) -> int:
+def cmd_gram(args) -> int:
+    """gram, and deriv-gram at the jet order q of its input."""
     obj = _load_input(args)
-    if command == "deriv-gram":
+    if args.command == "deriv-gram":
         _fields(obj, "deriv-gram input", ("kernel", "points", "q"))
         q = _int_field(obj["q"], "q")
     else:
@@ -253,8 +257,8 @@ def _run_gram(args, command: str) -> int:
         if not args.output:
             raise SchemaError("--format csv needs --output PATH for the matrix")
         with open(args.output, "w") as fh:
-            fh.write(gram_to_csv(g))
-        sidecar = _report(args, command, obj, meta)
+            fh.write(gram_to_csv(g, q))
+        sidecar = _report(args, args.command, obj, meta)
         with open(args.output + ".meta.json", "w") as fh:
             fh.write(report_text(sidecar) + "\n")
         sys.stdout.write(
@@ -264,16 +268,8 @@ def _run_gram(args, command: str) -> int:
         return EXIT_OK
     result = dict(meta)
     result["matrix"] = complex_to_json(g.matrix.entries)
-    _emit(args, _report(args, command, obj, result))
+    _emit(args, _report(args, args.command, obj, result))
     return EXIT_OK
-
-
-def cmd_gram(args) -> int:
-    return _run_gram(args, "gram")
-
-
-def cmd_deriv_gram(args) -> int:
-    return _run_gram(args, "deriv-gram")
 
 
 def cmd_classify(args) -> int:
@@ -614,7 +610,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gram", parents=[matrix], help="block Gram matrix at a point design")
     p.set_defaults(func=cmd_gram)
     p = sub.add_parser("deriv-gram", parents=[matrix], help="derivative block Gram at jet order q")
-    p.set_defaults(func=cmd_deriv_gram)
+    p.set_defaults(func=cmd_gram)
     p = sub.add_parser("classify", parents=[described], help="exact strictness classification plus probe")
     p.set_defaults(func=cmd_classify)
 

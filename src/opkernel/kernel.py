@@ -21,11 +21,12 @@ differences: jet monomials times vectorized profile jets for radial
 families, (-i xi)^gamma times the phases for plane waves. The askey family
 is not smooth at its kinks, so it has no derivative kernels.
 
-Block Grams: for points x_1..x_n, the block Gram is the n*ell square matrix
-of blocks K(x_mu, x_nu); the derivative block Gram at jet order q carries
-one block row/column per (point, multi-index) pair with |alpha| <= q in
+Block Grams: for points x_1..x_n, the block Gram at jet order q carries one
+block row/column per (point, multi-index) pair with |alpha| <= q in
 graded-lexicographic order, block ((mu,alpha),(nu,beta)) being
-d^alpha_1 d^beta_2 K(x_mu, x_nu). Both are symmetrized on assembly.
+d^alpha_1 d^beta_2 K(x_mu, x_nu). The plain Gram of blocks K(x_mu, x_nu)
+is q = 0, whose one multi-index is (0,...,0). Grams are symmetrized on
+assembly.
 """
 
 from __future__ import annotations
@@ -205,9 +206,12 @@ class OperatorKernel(Frozen):
                 s = np.where(omegas > 0.0, np.sum(diffs * diffs, axis=1)[:, None], 0.0)
                 gvals = sjet_derivatives(self.profile, omegas, s, max(jet.max_k for jet in jets))
                 vals = np.stack([jet_eval(jet, diffs, gvals) for jet in jets])
-                # a scale-0 atom is constant: its derivatives vanish even where
-                # a jet monomial overflowed to inf (inf * 0 is nan)
-                vals[np.isnan(vals) & (omegas == 0.0)] = 0.0
+                # where every g^(k), k >= 1, is zero (a scale-0 atom, or a far
+                # pair) every derivative vanishes, also where a jet monomial
+                # overflowed to inf (inf * 0 is nan)
+                nan = np.isnan(vals)
+                if nan.any():
+                    vals[nan & np.all(gvals[1:] == 0.0, axis=0)] = 0.0
             out = vals.reshape(-1, gs.shape[0]) @ gs.reshape(gs.shape[0], -1)
         if not np.all(np.isfinite(out)):
             raise NumericalFailure("derivative kernel blocks (jets times atom matrices) overflow the float range")
@@ -293,20 +297,11 @@ def kernel_deriv_eval(kernel: OperatorKernel, alpha: MultiIndex, beta: MultiInde
 
 @dataclass(frozen=True)
 class BlockGram:
-    """Gram of K at n points: matrix is n*ell square, block (mu, nu) =
-    K(x_mu, x_nu); row index = point_index * ell + component."""
-
-    points: np.ndarray
-    ell: int
-    matrix: HermitianMatrix
-
-
-@dataclass(frozen=True)
-class DerivBlockGram:
-    """Derivative Gram at jet order q: one block row per (point, multi-index)
+    """Block Gram at jet order q: one block row per (point, multi-index)
     pair, multi-indices graded-lexicographic with |alpha| <= q; row index =
     (point_index * n_indices + index_rank) * ell + component; block
-    ((mu,alpha),(nu,beta)) = d^alpha_1 d^beta_2 K(x_mu, x_nu)."""
+    ((mu,alpha),(nu,beta)) = d^alpha_1 d^beta_2 K(x_mu, x_nu). The plain
+    Gram is q = 0, with the one multi-index (0,...,0)."""
 
     points: np.ndarray
     ell: int
@@ -353,16 +348,17 @@ def _check_points(points, m: int, tol: float = DUPLICATE_POINT_TOL) -> tuple[np.
 
 
 def gram(kernel: OperatorKernel, points, tol: float = DUPLICATE_POINT_TOL) -> BlockGram:
-    """Assemble and symmetrize the block Gram at pairwise-distinct points."""
+    """Assemble and symmetrize the block Gram (q = 0) at pairwise-distinct points."""
     pts, diffs = _check_points(points, kernel.m, tol)
     n = pts.shape[0]
     blocks = kernel.eval_diffs(diffs).reshape(n, n, kernel.ell, kernel.ell)
     big = blocks.transpose(0, 2, 1, 3).reshape(n * kernel.ell, n * kernel.ell)
-    return BlockGram(points=pts, ell=kernel.ell, matrix=HermitianMatrix(big))
+    zero = ((0,) * kernel.m,)
+    return BlockGram(points=pts, ell=kernel.ell, q=0, multi_indices=zero, matrix=HermitianMatrix(big))
 
 
-def deriv_gram(kernel: OperatorKernel, points, q: int, tol: float = DUPLICATE_POINT_TOL) -> DerivBlockGram:
-    """Assemble the derivative block Gram at jet order q (2q <= cap).
+def deriv_gram(kernel: OperatorKernel, points, q: int, tol: float = DUPLICATE_POINT_TOL) -> BlockGram:
+    """Assemble the block Gram at jet order q (2q <= cap); q = 0 is gram.
 
     One deriv_diffs call over all n^2 differences gives every gamma = alpha +
     beta; block ((mu,alpha),(nu,beta)) is (-1)^|beta| times its gamma slab.
@@ -371,39 +367,35 @@ def deriv_gram(kernel: OperatorKernel, points, q: int, tol: float = DUPLICATE_PO
     if q < 0 or 2 * q > JET_ORDER_CAP:
         raise UnsupportedJet(f"need 0 <= 2q <= {JET_ORDER_CAP}, got q={q}")
     if q == 0:
-        # only eval_diffs is needed here, so any kernel-shaped object works
-        base = gram(kernel, points, tol)
-        idxs = multi_indices_up_to(kernel.m, 0)  # one multi-index; m is bounded by the points
-        return DerivBlockGram(points=base.points, ell=base.ell, q=0, multi_indices=idxs, matrix=base.matrix)
+        return gram(kernel, points, tol)  # only eval_diffs is needed, so any kernel-shaped object works
     pts, diffs = _check_points(points, kernel.m, tol)
     if not isinstance(kernel, OperatorKernel):
         raise UnsupportedJet("derivative Grams need a kernel with analytic jets")
-    rows = pts.shape[0] * math.comb(kernel.m + q, q) * kernel.ell
+    n = pts.shape[0]
+    rows = n * math.comb(kernel.m + q, q) * kernel.ell
     if rows > MAX_DERIV_GRAM_ROWS:
         raise InvalidParameter(f"derivative Gram would have {rows} rows; need <= {MAX_DERIV_GRAM_ROWS}")
     idxs = multi_indices_up_to(kernel.m, q)
-    big = deriv_blocks(kernel, diffs, [(mu, alpha) for mu in range(pts.shape[0]) for alpha in idxs])
-    return DerivBlockGram(
-        points=pts, ell=kernel.ell, q=q, multi_indices=idxs, matrix=HermitianMatrix(big)
-    )
+    big = deriv_blocks(kernel, diffs, np.repeat(np.arange(n), len(idxs)), np.tile(idxs, (n, 1)))
+    return BlockGram(points=pts, ell=kernel.ell, q=q, multi_indices=idxs, matrix=HermitianMatrix(big))
 
 
-def deriv_blocks(kernel: OperatorKernel, diffs: np.ndarray, rows) -> np.ndarray:
-    """Square block matrix with block (r, c) = d^a_1 d^b_2 K(x_p, x_q) for
-    rows r = (p, a) and columns c = (q, b) from the same list of (point
-    index, multi-index) pairs, given the pair_diffs differences of the
-    points: one deriv_diffs call, blocks gathered by array indexing. Not
-    symmetrized."""
-    n, ell = math.isqrt(diffs.shape[0]), kernel.ell
-    p = np.array([i for i, _ in rows])
-    idx = np.array([alpha for _, alpha in rows]).reshape(len(rows), kernel.m)
-    sums = idx[:, None, :] + idx[None, :, :]  # gamma = alpha + beta of every block
-    gammas, rank = np.unique(sums.reshape(-1, kernel.m), axis=0, return_inverse=True)
+def deriv_blocks(kernel: OperatorKernel, diffs: np.ndarray, p: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """Square block matrix with block (r, c) = d^alphas[r]_1 d^alphas[c]_2
+    K(x_p[r], x_p[c]), given the pair_diffs differences of the points, each
+    row's point index p (rows,) and multi-index alphas (rows, m). The sums
+    gamma = alpha + beta are formed over the distinct multi-indices only; one
+    deriv_diffs call, blocks gathered by array indexing. Not symmetrized."""
+    n, ell, nrows = math.isqrt(diffs.shape[0]), kernel.ell, len(p)
+    idx, which = np.unique(alphas, axis=0, return_inverse=True)
+    sums = (idx[:, None, :] + idx[None, :, :]).reshape(-1, kernel.m)
+    gammas, rank = np.unique(sums, axis=0, return_inverse=True)
     vals = kernel.deriv_diffs([tuple(g) for g in gammas.tolist()], diffs).reshape(len(gammas), n, n, ell, ell)
-    signs = np.where(idx.sum(axis=1) % 2, -1.0, 1.0)
-    blocks = vals[rank.reshape(len(rows), len(rows)), p[:, None], p[None, :]]
+    which, rank = which.reshape(-1), rank.reshape(len(idx), len(idx))
+    signs = np.where(idx.sum(axis=1) % 2, -1.0, 1.0)[which]
+    blocks = vals[rank[which[:, None], which[None, :]], p[:, None], p[None, :]]
     blocks = blocks * signs[None, :, None, None]  # (row, column, i, j)
-    return blocks.transpose(0, 2, 1, 3).reshape(len(rows) * ell, len(rows) * ell)
+    return blocks.transpose(0, 2, 1, 3).reshape(nrows * ell, nrows * ell)
 
 
 # ----------------------------------------------------------------------
@@ -411,28 +403,28 @@ def deriv_blocks(kernel: OperatorKernel, diffs: np.ndarray, rows) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
-def gram_to_csv(g: BlockGram | DerivBlockGram) -> str:
+def gram_to_csv(g: BlockGram, q: int | None = None) -> str:
     """Row-major CSV of the (complex) Gram, each entry flattened to a
-    're,im' pair of cells, preceded by '#' header lines naming the layout."""
+    're,im' pair of cells, preceded by '#' header lines naming the layout:
+    the plain Gram's layout when q is None (the gram command), the jet-order
+    layout otherwise (deriv-gram)."""
     buf = io.StringIO()
     n = g.points.shape[0]
-    if isinstance(g, DerivBlockGram):
+    if q is None:
+        buf.write(f"# block gram: {n} points, ell={g.ell}, dim={g.matrix.dim}\n")
+        buf.write("# row = point_index * ell + component\n")
+    else:
         buf.write(
             f"# deriv block gram: {n} points, jet order q={g.q}, "
             f"{len(g.multi_indices)} multi-indices, ell={g.ell}, "
             f"dim={g.matrix.dim}\n"
         )
-        buf.write(
-            "# row = (point_index * n_indices + index_rank) * ell + component\n"
-        )
+        buf.write("# row = (point_index * n_indices + index_rank) * ell + component\n")
         buf.write(
             "# multi-indices (graded lex): "
             + ";".join(str(list(a)).replace(" ", "") for a in g.multi_indices)
             + "\n"
         )
-    else:
-        buf.write(f"# block gram: {n} points, ell={g.ell}, dim={g.matrix.dim}\n")
-        buf.write("# row = point_index * ell + component\n")
     buf.write("# points: " + ";".join(",".join(repr(float(v)) for v in p) for p in g.points) + "\n")
     buf.write("# each complex entry is a re,im cell pair\n")
     mat = g.matrix.entries

@@ -283,11 +283,13 @@ def sjet_derivatives(profile: RadialProfile, omega, s, kmax: int) -> np.ndarray:
     gaussian: g(s) = exp(-omega s), so g^(k)(s) = (-omega)^k exp(-omega s).
     omega(m): the Omega_{m+2k} identity of the module docstring.
     askey:    no jets (kink at the support edge and at 0) -> UnsupportedJet.
-    Overflowing jets (huge scales) raise NumericalFailure.
+    s = inf (a squared distance that overflowed) is far, where a scale-0
+    atom keeps its s = 0 jet. Overflowing jets (huge scales) raise
+    NumericalFailure.
     """
     omega, s = np.asarray(omega, dtype=float), np.asarray(s, dtype=float)
-    if not (np.all(np.isfinite(omega) & (omega >= 0.0)) and np.all(np.isfinite(s) & (s >= 0.0))):
-        raise InvalidParameter("scales and squared distances must be finite and >= 0")
+    if not (np.all(np.isfinite(omega) & (omega >= 0.0)) and np.all(s >= 0.0)):
+        raise InvalidParameter("need finite scales >= 0 and squared distances >= 0 (not NaN)")
     kmax = int(kmax)
     if kmax < 0 or kmax > JET_ORDER_CAP:
         raise InvalidParameter(f"kmax must be in [0, {JET_ORDER_CAP}]")
@@ -298,10 +300,10 @@ def sjet_derivatives(profile: RadialProfile, omega, s, kmax: int) -> np.ndarray:
         )
     with np.errstate(over="ignore", invalid="ignore"):
         if profile.kind == "gaussian":
-            e = np.exp(-omega * s)
+            e = np.exp(np.where(omega > 0.0, -omega * s, 0.0))
             out = np.stack([(-omega) ** k * e for k in range(kmax + 1)])
         else:
-            out = omega_values(profile.m_source, omega * np.sqrt(s), kmax)
+            out = omega_values(profile.m_source, np.where(omega > 0.0, omega * np.sqrt(s), 0.0), kmax)
             for k in range(1, kmax + 1):
                 out[k:] *= -omega * omega / (2.0 * (profile.m_source + 2 * k - 2))
     if not np.all(np.isfinite(out)):
@@ -396,6 +398,18 @@ class CMCheckResult:
     tolerance: float
 
 
+def _stencil_values(f, t: np.ndarray, depth: int, h: float) -> np.ndarray:
+    """The table f(t_i + j*h), j = 0..depth, shape (t.size, depth + 1). A
+    stencil whose last point t_max + depth*h leaves the float range raises
+    InvalidGrid before f is evaluated."""
+    if not math.isfinite(float(t[-1]) + depth * h):
+        raise InvalidGrid(f"the difference stencil reaches t_max + {depth}*h = inf; shrink h or the grid")
+    vals = np.empty((t.size, depth + 1), dtype=float)
+    for j in range(depth + 1):
+        vals[:, j] = [float(f(ti + j * h)) for ti in t]
+    return vals
+
+
 def completely_monotone_check(g, t_grid, nmax: int = 6, h: float = CM_DEFAULT_H) -> CMCheckResult:
     """Sampled complete-monotonicity test via forward differences.
 
@@ -418,9 +432,7 @@ def completely_monotone_check(g, t_grid, nmax: int = 6, h: float = CM_DEFAULT_H)
             f"t_min = {t[0]} must exceed nmax*h = {nmax * h} for the difference stencil"
         )
 
-    vals = np.empty((t.size, nmax + 1), dtype=float)
-    for j in range(nmax + 1):
-        vals[:, j] = [float(g(ti + j * h)) for ti in t]
+    vals = _stencil_values(g, t, nmax, h)
     tol = 1e-9 * abs(vals[0, 0])
 
     for n in range(nmax + 1):
@@ -492,10 +504,7 @@ def ell_cm_check(f, ell: int, t_grid, h: float = CM_DEFAULT_H) -> EllCMResult:
     if not math.isfinite(h) or h <= 0.0:
         raise InvalidParameter("h must be finite and > 0")
 
-    nsten = (ell - 2) + 2  # forward-difference depth: ell-2 for D, +2 for convexity
-    vals = np.empty((t.size, nsten + 1), dtype=float)
-    for j in range(nsten + 1):
-        vals[:, j] = [float(f(ti + j * h)) for ti in t]
+    vals = _stencil_values(f, t, ell, h)  # forward-difference depth: ell-2 for D, +2 for convexity
     tol = 1e-8 * abs(vals[0, 0])
 
     failed = []

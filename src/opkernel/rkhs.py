@@ -419,7 +419,7 @@ def hermite_interpolate(
         i, j = pair
         raise DuplicatePoints(f"data {i} and {j} request alpha {parsed[i][1]} at points closer than {tol}")
 
-    mat = HermitianMatrix(deriv_blocks(kernel, diffs, [(i, alpha) for i, (_, alpha, _) in enumerate(parsed)]))
+    mat = HermitianMatrix(deriv_blocks(kernel, diffs, np.arange(len(parsed)), alphas))
     c, residual, ridge = _ridge_solve(mat, tgts.reshape(-1), kernel.ell, ridge, "derivative Gram")
     element = RkhsElement(kernel=kernel, alphas=alphas, points=xs, vectors=c.reshape(len(parsed), kernel.ell))
     return InterpolationResult(element=element, residual=residual, ridge=ridge)

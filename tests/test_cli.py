@@ -329,6 +329,47 @@ def test_gram_at_overflowing_distance(tmp_path, capsys, family, scale, g, expect
     assert not caught and capsys.readouterr().err == ""
 
 
+def _strict_json(text):
+    """json.loads that refuses NaN and Infinity."""
+    def refuse(name):
+        raise AssertionError(f"report has {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("q", [1, 2])
+def test_deriv_gram_at_overflowing_distance(tmp_path, capsys, q):
+    """As in gram, a squared distance that overflows counts as far: the two
+    points' blocks vanish, where jet monomials overflowed to inf times a
+    zero jet, and each diagonal block is the Gram of one point."""
+    obj = {"kernel": GAUSS_SCALAR, "points": [[-1e300], [1e300]], "q": q}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _ = run(tmp_path, ["deriv-gram"], obj)
+    assert code == 0
+    assert not caught and capsys.readouterr().err == ""
+    rep = _strict_json((tmp_path / "out.json").read_text())
+    one = deriv_gram(kernel_from_json(GAUSS_SCALAR), [[0.0]], q).matrix.entries
+    expected = np.kron(np.eye(2), one)
+    assert np.array_equal(np.array(rep["result"]["matrix"]["re"]), expected.real)
+    assert np.array_equal(np.array(rep["result"]["matrix"]["im"]), expected.imag)
+
+
+def test_omega_deriv_gram_at_overflowing_distance_fails_as_gram(tmp_path, capsys):
+    """An omega kernel is evaluated only up to w*t <= OMEGA_T_MAX, so at an
+    infinite distance deriv-gram fails exactly as gram does."""
+    kernel = _omega_kernel(3, 1.0, 1)
+    errs = []
+    for command, extra in (("gram", {}), ("deriv-gram", {"q": 1}), ("deriv-gram", {"q": 2})):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, rep = run(tmp_path, [command], dict({"kernel": kernel, "points": [[-1e300], [1e300]]}, **extra))
+        assert code == 4 and rep is None and not caught
+        errs.append(capsys.readouterr().err)
+    assert errs[0].startswith("numerical failure: ") and errs[0].count("\n") == 1
+    assert errs[1] == errs[2] == errs[0]
+
+
 # ---------------------------------------------------------------- classify
 
 
@@ -407,6 +448,18 @@ def test_demo_radial_bump(tmp_path):
     res = rep["result"]
     assert res["reproduced"] is True
     assert res["relative_form"] <= 1e-6
+
+
+def test_demo_radial_bump_refuses_a_zero_reference_form(tmp_path, capsys):
+    """No point of this grid has |x| < 1/2, so phi2 vanishes on it and so
+    does the reference form; the relative form once read Infinity."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, rep = run(tmp_path, ["demo", "radial-bump", "--grid-n", "128", "--box", "100"])
+    err = capsys.readouterr().err
+    assert code == 2 and rep is None and not caught
+    assert err.startswith("error: need a grid that resolves the bumps") and err.count("\n") == 1
+    assert "reference form 0.0" in err
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -645,6 +698,21 @@ def test_monotone_grid_num_above_cap_exits_two(tmp_path, capsys, monkeypatch, nu
     err = capsys.readouterr().err
     assert code == 2 and rep is None
     assert err == f"error: grid 'num' must be <= {MAX_MONOTONE_GRID_NUM}, got {num}\n"
+
+
+@pytest.mark.parametrize("obj, depth", [
+    ({"function": "two-plus-sin", "mode": "ell-cm", "ell": 3, "h": 1e308}, 3),
+    ({"function": "exp-neg", "mode": "cm", "grid": {"start": 1e308, "stop": 1.7e308, "num": 10}, "h": 1e307}, 6),
+])
+def test_monotone_stencil_past_the_float_range_exits_two(tmp_path, capsys, obj, depth):
+    """Both once passed with "ok": true, printing RuntimeWarnings from
+    sin(inf) or an overflowing scalar add."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, rep = run(tmp_path, ["monotone"], obj)
+    err = capsys.readouterr().err
+    assert code == 2 and rep is None and not caught
+    assert err == f"error: the difference stencil reaches t_max + {depth}*h = inf; shrink h or the grid\n"
 
 
 # ---------------------------------------------------------------- probe
@@ -1061,6 +1129,24 @@ def test_tol_unknown_name_rejected(tmp_path):
         "bogus=1",
     ]
     assert main(argv) == 2
+
+
+@pytest.mark.parametrize("tol", ["psd=nan", "duplicate=inf", "psd=-1"])
+def test_tol_must_be_finite_and_nonnegative(tmp_path, capsys, tol):
+    """psd=nan once made a strictly PD gaussian NotStrictlyPD and wrote NaN
+    into the report; duplicate=inf wrote Infinity; psd=-1 made every kernel
+    strict."""
+    obj = dict(GAUSS_SCALAR, n=3, trials=2)
+    code, rep = run(tmp_path, ["classify", "--tol", tol], obj)
+    err = capsys.readouterr().err
+    name, _, value = tol.partition("=")
+    assert code == 2 and rep is None
+    assert err == f"error: --tol {name} must be finite and >= 0, got '{value}'\n"
+
+
+def test_tol_zero_is_accepted(tmp_path):
+    code, rep = run(tmp_path, ["classify", "--tol", "psd=0"], dict(GAUSS_SCALAR, n=3, trials=2))
+    assert code == 0 and rep["tolerances"]["psd"] == 0.0
 
 
 def test_tol_ridge_controls_interp(tmp_path):

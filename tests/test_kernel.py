@@ -1,6 +1,7 @@
 """Operator kernels: pointwise values, derivative kernels, block Grams."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,7 +17,7 @@ from opkernel.errors import (
 from opkernel.hermitian import HermitianMatrix, min_eigenvalue, trace
 from opkernel.kernel import (
     BlockGram,
-    DerivBlockGram,
+    OperatorKernel,
     PlaneWaveMeasure,
     _check_points,
     deriv_blocks,
@@ -312,12 +313,21 @@ def test_deriv_gram_single_point_q1():
     assert min_eigenvalue(dg.matrix) == pytest.approx(1.0, abs=1e-14)
 
 
+def test_gram_is_the_jet_order_zero_record():
+    k = random_gaussian_kernel(np.random.default_rng(3), 2, 3, 2)
+    g = gram(k, np.array([[0.0, 0.0, 0.0], [0.5, -0.2, 1.0]]))
+    assert isinstance(g, BlockGram)
+    assert g.q == 0 and g.multi_indices == ((0, 0, 0),) and g.matrix.dim == 4
+
+
 def test_deriv_gram_q0_matches_gram():
+    """deriv_gram at q = 0 returns gram's record as it is."""
     pts = np.array([[0.0], [0.7], [1.9]])
     g = gram(GAUSS_12, pts)
     dg = deriv_gram(GAUSS_12, pts, q=0)
-    assert np.array_equal(g.matrix.entries, dg.matrix.entries)
-    assert dg.multi_indices == ((0,),)
+    assert (dg.q, dg.multi_indices, dg.ell) == (g.q, g.multi_indices, g.ell) == (0, ((0,),), 2)
+    assert np.array_equal(dg.points, g.points)
+    assert dg.matrix.entries.tobytes() == g.matrix.entries.tobytes()
 
 
 def test_deriv_gram_duck_typed_q0():
@@ -329,7 +339,7 @@ def test_deriv_gram_duck_typed_q0():
             return np.ones((diffs.shape[0], 1, 1), dtype=complex)
 
     dg = deriv_gram(Const(), np.array([[0.0], [1.0]]), q=0)
-    assert isinstance(dg, DerivBlockGram)
+    assert isinstance(dg, BlockGram) and dg.q == 0
     assert np.allclose(dg.matrix.entries, np.ones((2, 2)))
     with pytest.raises(UnsupportedJet):
         deriv_gram(Const(), np.array([[0.0], [1.0]]), q=1)
@@ -437,19 +447,66 @@ def _deriv_blocks_oracle(kernel, diffs, rows):
     return blocks.transpose(0, 2, 1, 3).reshape(len(rows) * ell, len(rows) * ell)
 
 
+def _deriv_blocks_of_rows(kernel, diffs, rows):
+    """deriv_blocks on a list of (point index, multi-index) rows."""
+    p = np.array([i for i, _ in rows])
+    return deriv_blocks(kernel, diffs, p, np.array([alpha for _, alpha in rows]).reshape(len(rows), kernel.m))
+
+
 @pytest.mark.parametrize("m, q", [(1, 4), (2, 2), (3, 1)])
 def test_deriv_blocks_match_the_tuple_sums(m, q):
-    """Integer-array index sums gather the same blocks, bit for bit, for
-    full derivative Grams and for Hermite-style rows in any order."""
+    """Sums over the distinct multi-indices gather the same blocks, bit for
+    bit, for full derivative Grams and for Hermite-style rows: a shuffled
+    subset, rows drawn with repeats in any order, and one multi-index on
+    every row."""
     rng = np.random.default_rng(40 + m)
     pts = rng.uniform(-1.0, 1.0, size=(4, m))
     diffs = pair_diffs(pts)[0]
     idxs = multi_indices_up_to(m, q)
     full = [(mu, alpha) for mu in range(4) for alpha in idxs]
     shuffled = [full[i] for i in rng.permutation(len(full))[: len(full) // 2]]
+    repeated = [full[i] for i in rng.integers(0, len(full), size=len(full))]
+    single = [(mu, idxs[-1]) for mu in (2, 0, 3)]
     for k in (random_gaussian_kernel(rng, 2, m, 3), plane_wave_kernel(_plane_wave_measures(rng, m)[1])):
-        for rows in (full, shuffled):
-            assert deriv_blocks(k, diffs, rows).tobytes() == _deriv_blocks_oracle(k, diffs, rows).tobytes()
+        for rows in (full, shuffled, repeated, single):
+            got = _deriv_blocks_of_rows(k, diffs, rows)
+            assert got.tobytes() == _deriv_blocks_oracle(k, diffs, rows).tobytes()
+
+
+def test_deriv_gram_matches_the_oracle_rows():
+    rng = np.random.default_rng(7)
+    k = random_gaussian_kernel(rng, 2, 2, 2)
+    pts = rng.uniform(-1.0, 1.0, size=(3, 2))
+    dg = deriv_gram(k, pts, q=2)
+    rows = [(mu, alpha) for mu in range(3) for alpha in dg.multi_indices]
+    expected = HermitianMatrix(_deriv_blocks_oracle(k, pair_diffs(pts)[0], rows)).entries
+    assert dg.matrix.entries.tobytes() == expected.tobytes()
+
+
+def test_deriv_blocks_memory_before_kernel_values(monkeypatch):
+    """At the row cap (1024 points, m = 1, q = 1: 2048 rows) the gamma
+    sums are formed over the two distinct multi-indices, not over all
+    2048^2 row pairs, which peaked near 200 MiB before any kernel value."""
+
+    class Reached(Exception):
+        pass
+
+    def stop(self, gammas, diffs):
+        raise Reached(gammas)
+
+    monkeypatch.setattr(OperatorKernel, "deriv_diffs", stop)
+    k = random_gaussian_kernel(np.random.default_rng(1), 1, 1, 1)
+    diffs = pair_diffs(np.arange(1024.0)[:, None])[0]
+    p, alphas = np.repeat(np.arange(1024), 2), np.tile([[0], [1]], (1024, 1))
+    tracemalloc.start()
+    try:
+        with pytest.raises(Reached) as info:
+            deriv_blocks(k, diffs, p, alphas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert info.value.args[0] == [(0,), (1,), (2,)]
+    assert peak < 64 * 2**20
 
 
 # ---------------------------------------------------------------- projections
@@ -484,6 +541,20 @@ def test_gram_csv_layout():
     assert lines[-1] == "1.0,0.0"
 
 
+def test_gram_csv_header_follows_the_commands_q():
+    """One q = 0 record: the gram command's header without q, the
+    deriv-gram header with q = 0; the cells are the same."""
+    g = gram(GAUSS_12, np.array([[0.0], [0.5]]))
+    plain, jet = gram_to_csv(g), gram_to_csv(g, 0)
+    assert plain.splitlines()[:2] == ["# block gram: 2 points, ell=2, dim=4", "# row = point_index * ell + component"]
+    assert jet.splitlines()[:3] == [
+        "# deriv block gram: 2 points, jet order q=0, 1 multi-indices, ell=2, dim=4",
+        "# row = (point_index * n_indices + index_rank) * ell + component",
+        "# multi-indices (graded lex): [0]",
+    ]
+    assert _csv_body(plain) == _csv_body(jet)
+
+
 def _csv_body_oracle(mat):
     """The per-entry repr loop that wrote gram_to_csv's cells before the
     shared float_reprs formatter."""
@@ -510,12 +581,12 @@ def test_csv_body_matches_repr_loop_plane_wave_deriv_gram():
     pw = plane_wave_kernel(PlaneWaveMeasure(2, 2, atoms))
     dg = deriv_gram(pw, rng.uniform(-1.0, 1.0, size=(4, 2)), q=1)
     assert np.any(dg.matrix.entries.imag != 0.0)
-    assert _csv_body(gram_to_csv(dg)) == _csv_body_oracle(dg.matrix.entries)
+    assert _csv_body(gram_to_csv(dg, 1)) == _csv_body_oracle(dg.matrix.entries)
 
 
 def test_csv_body_matches_repr_loop_signed_zeros():
     a = np.array([[1.0, complex(-0.0, -0.0), 0.5j], [complex(-0.0, 0.0), 2.0, -0.0], [-0.5j, -0.0, 3.0]])
-    g = BlockGram(points=np.array([[0.0], [1.0], [2.0]]), ell=1, matrix=HermitianMatrix(a))
+    g = BlockGram(points=np.array([[0.0], [1.0], [2.0]]), ell=1, q=0, multi_indices=((0,),), matrix=HermitianMatrix(a))
     assert np.signbit(g.matrix.entries.real).any() and np.signbit(g.matrix.entries.imag).any()
     assert _csv_body(gram_to_csv(g)) == _csv_body_oracle(g.matrix.entries)
 
@@ -524,7 +595,7 @@ def test_deriv_gram_csv_headers_and_roundtrip():
     mu = OperatorMeasure(1, [(1.0, np.array([[1.0]]))])
     k = radial_kernel(RadialProfile.gaussian(), mu, 1)
     dg = deriv_gram(k, np.array([[0.0], [0.5]]), q=1)
-    text = gram_to_csv(dg)
+    text = gram_to_csv(dg, 1)
     lines = text.strip().split("\n")
     header = [ln for ln in lines if ln.startswith("#")]
     data = [ln for ln in lines if not ln.startswith("#")]

@@ -420,6 +420,24 @@ def test_sjet_refuses_overflowing_scales():
         sjet_derivatives(RadialProfile.omega(3), 1e3, 1e3, 1)
 
 
+def test_sjet_infinite_distance_is_far():
+    """A squared distance that overflowed is far; a scale-0 atom keeps its
+    s = 0 jet there."""
+    gauss = RadialProfile.gaussian()
+    assert sjet_derivatives(gauss, 1.0, np.inf, 3).tolist() == [0.0, 0.0, 0.0, 0.0]
+    assert sjet_derivatives(gauss, 0.0, np.inf, 2).tolist() == [1.0, 0.0, 0.0]
+    assert sjet_derivatives(RadialProfile.omega(3), 0.0, np.inf, 2).tolist() == [1.0, 0.0, 0.0]
+    with pytest.raises(NumericalFailure):
+        sjet_derivatives(RadialProfile.omega(3), 1.0, np.inf, 1)
+
+
+@pytest.mark.parametrize("omega, s", [(1.0, np.nan), (1.0, -1.0), (np.nan, 1.0), (np.inf, 1.0), (-1.0, 1.0)])
+def test_sjet_refuses_nan_and_negative_arguments(omega, s):
+    for profile in (RadialProfile.gaussian(), RadialProfile.omega(3)):
+        with pytest.raises(InvalidParameter):
+            sjet_derivatives(profile, omega, s, 2)
+
+
 def test_sjet_askey_unsupported():
     with pytest.raises(UnsupportedJet):
         sjet_derivatives(RadialProfile.askey(4), 1.0, 0.5, 1)
@@ -619,6 +637,18 @@ def test_cm_two_plus_sin_fails_with_witness():
 def test_cm_rejects_bad_grid():
     with pytest.raises(InvalidGrid):
         completely_monotone_check(math.exp, np.array([0.01, 0.02]), nmax=6)
+
+
+def test_stencil_past_the_float_range_refused_before_evaluating():
+    def never(t):
+        raise AssertionError("f evaluated")
+
+    with pytest.raises(InvalidGrid, match="stencil"):
+        completely_monotone_check(never, np.array([1e308, 1.7e308]), nmax=6, h=1e307)
+    with pytest.raises(InvalidGrid, match="stencil"):
+        ell_cm_check(never, 3, GRID, h=1e308)
+    # a stencil that ends just below the float maximum is evaluated
+    assert completely_monotone_check(lambda t: math.exp(-t), np.array([1e308, 1.5e308]), nmax=2, h=1e307).ok
 
 
 # ---------------------------------------------------------------- williamson
