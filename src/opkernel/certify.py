@@ -69,6 +69,13 @@ WITNESS_DESIGN_TOL = 1e-9
 # phases x * xi overflow.
 MAX_BUMP_GRID_N = 8192
 MAX_BUMP_BOX = 1e6
+# Radial-bump atoms, counted as the grid points where the bump phi1 > 0: the
+# Gram holds (2 atoms)^2 complex entries and its pairwise pass atoms^2 2 x 2
+# blocks (64 MiB each at the cap). At the cap a demo peaks near 300 MiB at
+# grid 2048 and 900 MiB at grid 8192, where the grid_n^2 cosine table and the
+# phases of the distinct differences grow; grid 8192 at box 1.2 (6822 atoms)
+# needed over 2 GiB. The benchmark's largest is 366 atoms.
+MAX_BUMP_ATOMS = 1024
 # Probe design size: each trial forms n^2 differences and eigensolves an
 # (n*ell)^2 Gram, O(n^3) time; the benchmark's largest n is 40.
 MAX_PROBE_N = 1024
@@ -127,13 +134,18 @@ def _seeded_design(kernel, n: int, seed_parts, box: float) -> BlockGram:
     """Block Gram of kernel on n seeded points in [-box, box]^m, redrawn
     until no two points are closer than the separation floor 1e-2 * box;
     gram's duplicate check is the floor, so each draw costs one pairwise pass.
+    seed_parts seeds a new stream (SeedSequence(seed_parts)), or is a numpy
+    Generator whose stream the draws continue.
 
     The floor keeps near-coincident points from collapsing a genuinely
     strict Gram to numerical zero, which would fake a strictness violation;
     a truly degenerate kernel is singular on every design, so the floor
     costs nothing there. Below box = 1e-10 the floor is the Gram's own
     duplicate tolerance."""
-    rng = np.random.default_rng(np.random.SeedSequence(list(seed_parts)))
+    if isinstance(seed_parts, np.random.Generator):
+        rng = seed_parts
+    else:
+        rng = np.random.default_rng(np.random.SeedSequence(list(seed_parts)))
     for _ in range(64):
         try:
             return gram(kernel, rng.uniform(-box, box, size=(n, kernel.m)), max(1e-2 * box, DUPLICATE_POINT_TOL))
@@ -144,7 +156,10 @@ def _seeded_design(kernel, n: int, seed_parts, box: float) -> BlockGram:
 
 def demo_counterexample_shifted_gaussian(w, seed: int = 0) -> CounterexampleResult:
     """Quadratic form of the annihilated measure (exactly 0.0 in floats) and
-    the smallest scalar-projection Gram eigenvalue over a seeded design."""
+    the smallest scalar-projection Gram eigenvalue over a seeded design: the
+    first of at most 64 designs, drawn on one stream, whose floor is above
+    PROJECTION_FLOOR_TOL (else the last). params has design_redraws when
+    that is not 0."""
     kernel = ShiftedPairKernel(w)
     m = kernel.m
     origin = np.zeros(m)
@@ -156,19 +171,24 @@ def demo_counterexample_shifted_gaussian(w, seed: int = 0) -> CounterexampleResu
     )
     mixed = quadratic_form(kernel, eta)
 
-    floor = np.inf
-    # the shifted-pair Gram is exactly Hermitian (|-d + 2w| = |d - 2w| in
-    # floats), so its blocks are the eval_diffs blocks bit for bit
-    design = _seeded_design(kernel, 6, (int(seed), 0), box=2.0)
-    blocks = design.matrix.entries.reshape(6, 2, 6, 2).transpose(0, 2, 1, 3).reshape(36, 2, 2)
-    for v in (e1, e2, e1 + e2, e1 + 1j * e2):
-        g = np.array([complex(np.vdot(v, b @ v)) for b in blocks]).reshape(6, 6)
-        floor = min(floor, min_eigenvalue(HermitianMatrix(g)))
-    return CounterexampleResult(
-        mixed_form=mixed,
-        projection_floor=float(floor),
-        params={"w": [float(c) for c in kernel.w], "seed": int(seed), "design_n": 6},
-    )
+    # every projection is strictly PD, but a drawn design can be so badly
+    # conditioned that its floor drops to the tolerance
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0]))
+    for redraws in range(64):
+        floor = np.inf
+        # the shifted-pair Gram is exactly Hermitian (|-d + 2w| = |d - 2w| in
+        # floats), so its blocks are the eval_diffs blocks bit for bit
+        design = _seeded_design(kernel, 6, rng, box=2.0)
+        blocks = design.matrix.entries.reshape(6, 2, 6, 2).transpose(0, 2, 1, 3).reshape(36, 2, 2)
+        for v in (e1, e2, e1 + e2, e1 + 1j * e2):
+            g = np.array([complex(np.vdot(v, b @ v)) for b in blocks]).reshape(6, 6)
+            floor = min(floor, min_eigenvalue(HermitianMatrix(g)))
+        if floor > PROJECTION_FLOOR_TOL:
+            break
+    params = {"w": [float(c) for c in kernel.w], "seed": int(seed), "design_n": 6}
+    if redraws:
+        params["design_redraws"] = redraws
+    return CounterexampleResult(mixed_form=mixed, projection_floor=float(floor), params=params)
 
 
 def _bump(x: np.ndarray) -> np.ndarray:
@@ -212,6 +232,13 @@ def demo_counterexample_radial_bump(
 
     phi1 = _bump(x)
     phi2 = _bump(2.0 * x)
+    # the atoms are the grid points where phi1 > 0 (phi2 vanishes wherever phi1 does)
+    atoms = int(np.count_nonzero(phi1))
+    if atoms > MAX_BUMP_ATOMS:
+        raise InvalidGrid(
+            f"grid_n = {grid_n} over box = {box!r} puts {atoms} grid points in the bumps' support; "
+            f"need <= {MAX_BUMP_ATOMS}"
+        )
 
     xi_max = 32.0
     xis = np.linspace(-xi_max, xi_max, grid_n)
@@ -219,8 +246,12 @@ def demo_counterexample_radial_bump(
     xiw = np.full(grid_n, dxi)
     xiw[0] = xiw[-1] = dxi / 2.0
 
-    # real trapezoid cosine transforms sum_i phi(x_i) cos(x_i xi) wts_i
-    cosines = np.cos(np.outer(x, xis))
+    # real trapezoid cosine transforms sum_i phi(x_i) cos(x_i xi) wts_i; the
+    # rows outside |x| < 1, where both bumps vanish, stay zero, so the GEMV
+    # keeps the full table's shape and its bits
+    inside = np.abs(x) < 1.0
+    cosines = np.zeros((grid_n, grid_n))
+    cosines[inside] = np.cos(np.outer(x[inside], xis))
     a = (phi1 * wts) @ cosines
     b = (phi2 * wts) @ cosines
 

@@ -176,7 +176,11 @@ class OperatorKernel(Frozen):
             vals = _phases(diffs, self.measure.xis)
         else:
             vals = profile_value(self.profile, self.measure.omegas, np.sqrt(sq)).astype(complex)
-        return np.einsum("pa,aij->pij", vals, self.measure.gs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = np.einsum("pa,aij->pij", vals, self.measure.gs)
+        if not np.all(np.isfinite(out)):
+            raise NumericalFailure("kernel blocks (family values times atom matrices) overflow the float range")
+        return out
 
     def deriv_diffs(self, gammas, diffs: np.ndarray) -> np.ndarray:
         """(d^gamma F)(d) for each gamma and each difference vector, (npairs, m)

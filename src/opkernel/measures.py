@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidMatrix, InvalidMeasure, NotRadial
+from .errors import InvalidMatrix, InvalidMeasure, NotRadial, NumericalFailure
 from .hermitian import PSD_TOL, Frozen, HermitianMatrix, _eigh_checked, hermitian_part, psd_margin
 from .profiles import RadialProfile
 from .schema import _fields, _float_field, _int_field, _list_field, complex_from_json
@@ -167,8 +167,11 @@ def radon_nikodym(measure: OperatorMeasure) -> RNDecomposition:
 def total_operator(measure: OperatorMeasure, restrict_positive_support: bool = False) -> HermitianMatrix:
     """Sum of atom matrices; restricted variant drops any atom at omega = 0."""
     total = np.zeros((measure.dim, measure.dim), dtype=complex)
-    for g in measure.gs[measure.omegas != 0.0] if restrict_positive_support else measure.gs:
-        total = total + g
+    with np.errstate(over="ignore", invalid="ignore"):
+        for g in measure.gs[measure.omegas != 0.0] if restrict_positive_support else measure.gs:
+            total = total + g
+    if not np.all(np.isfinite(total)):
+        raise NumericalFailure("total operator (sum of atom matrices) overflows the float range")
     return HermitianMatrix(total)
 
 

@@ -19,14 +19,18 @@ the arrays alphas, points and vectors. rkhs_deriv_eval evaluates an element
 at a batch of points with one call to the kernel's batched primitives, over
 all atom-minus-point differences.
 
-quadratic_form always computes Q twice -- once as w^H M w against the
-derivative block Gram, once by pairing the embedded function against the
-measure, one batched evaluation per component -- and asserts the two routes
-agree to 1e-12 * scale; the check is never skipped. Route 2 never reads the
-assembled or symmetrized Gram: it pairs raw blocks in its own summation
-order, so agreement is a real check. Measures with the same atom points
-(the radial-bump demo's mixed and reference measures) share one Gram and
-one set of route-2 blocks, and each measure's two routes stay independent.
+quadratic_form always computes Q twice and asserts the two routes agree to
+1e-12 * scale; the check is never skipped. Route 1 is w^H M w against the
+derivative block Gram. Route 2 never reads the Gram. For a plane-wave kernel
+K(x, y) = sum_a e^{-i (x - y) . xi_a} G_a it is the frequency-side sum
+sum_a u_a^H G_a u_a, u_a = sum_c (i xi_a)^alpha_c e^{i x_c . xi_a} v_c, read
+from the measure's atoms without a kernel block, so it also checks the
+kernel values. For radial and other kernels it pairs the embedded function
+against the measure, one batched evaluation per component, from the raw
+unsymmetrized blocks in its own summation order: that checks the Gram's
+assembly, not the kernel values. Measures with the same atom points (the
+radial-bump demo's mixed and reference measures) share one Gram and one
+route-2 table, and each measure's two routes stay independent.
 
 Interpolation solves (Gram + ridge I) c = targets by PSD Cholesky and
 returns the combination as an element of the kernel space, so evaluation
@@ -276,16 +280,19 @@ def quadratic_form_detail(kernel: OperatorKernel, etas) -> tuple[QuadraticFormDe
     # every (point, multi-index) slot holds at most one atom vector
     slot = atom_point * na + np.concatenate([np.full(len(vam), rank[alpha]) for alpha, vam in etas[0].components])
 
-    # route 2: embed, then pair the function against the measure, one
-    # batched evaluation per component. Uses raw unsymmetrized kernel blocks
-    # and a different summation order, and never reads `mat`, so agreement
-    # genuinely cross-checks the Gram assembly.
-    q2c = [0.0 + 0.0j] * len(etas)
-    for c, (alpha, vam) in enumerate(etas[0].components):
-        cblocks = _conj_blocks(kernel, alphas, allpts, alpha, vam.points)
-        for e, (eta, element) in enumerate(zip(etas, elements)):
-            values = np.einsum("ijba,ib->ja", cblocks, element.vectors)
-            q2c[e] += complex(np.sum(np.conj(eta.components[c][1].vectors) * values))
+    if kernel.kind == "plane_wave":
+        q2c = _frequency_route(kernel, elements, pts, atom_point)
+    else:
+        # route 2: embed, then pair the function against the measure, one
+        # batched evaluation per component. Uses raw unsymmetrized kernel
+        # blocks and a different summation order, and never reads `mat`, so
+        # agreement genuinely cross-checks the Gram assembly.
+        q2c = [0.0 + 0.0j] * len(etas)
+        for c, (alpha, vam) in enumerate(etas[0].components):
+            cblocks = _conj_blocks(kernel, alphas, allpts, alpha, vam.points)
+            for e, (eta, element) in enumerate(zip(etas, elements)):
+                values = np.einsum("ijba,ib->ja", cblocks, element.vectors)
+                q2c[e] += complex(np.sum(np.conj(eta.components[c][1].vectors) * values))
 
     details = []
     for element, z2 in zip(elements, q2c):
@@ -308,6 +315,31 @@ def quadratic_form_detail(kernel: OperatorKernel, etas) -> tuple[QuadraticFormDe
             )
         details.append(QuadraticFormDetail(value=q1, scale=scale, route_gap=gap))
     return tuple(details)
+
+
+def _frequency_route(kernel: OperatorKernel, elements, pts: np.ndarray, atom_point: np.ndarray) -> list[complex]:
+    """Route 2 of a plane-wave kernel K(x, y) = sum_a e^{-i (x - y) . xi_a} G_a
+    for elements that share their atoms: Q = sum_a u_a^H G_a u_a with
+    u_a = sum_c (i xi_a)^alpha_c e^{i x_c . xi_a} v_c, read from the measure's
+    atoms; no kernel block is evaluated. Atom c sits at pts[atom_point[c]].
+    The phases are taken at x_c - x_0 for the first point x_0: the common
+    factor e^{-i x_0 . xi_a} cancels in Q, and far from the origin it would
+    cost the phases their accuracy."""
+    xis, gs = kernel.measure.xis, kernel.measure.gs
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta = (pts - pts[0]) @ xis.T
+    if not np.all(np.isfinite(theta)):
+        raise NumericalFailure("plane-wave phase (x - x0) . xi overflows the float range")
+    # one row per atom: (i xi)^alpha e^{i (x - x0) . xi}
+    lift = np.exp(1j * theta)[atom_point]
+    alphas = elements[0].alphas
+    if alphas.any():
+        lift *= np.prod((1j * xis) ** alphas[:, None, :], axis=2)
+    values = []
+    for element in elements:
+        u = lift.T @ element.vectors
+        values.append(complex(np.sum(np.conj(u) * np.einsum("aij,aj->ai", gs, u))))
+    return values
 
 
 def quadratic_form(kernel: OperatorKernel, eta: DerivVectorMeasure) -> float:

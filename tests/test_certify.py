@@ -1,12 +1,17 @@
 """Counterexample demos, the random-design probe, and verdict consistency."""
 
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from opkernel import certify, kernel as kernel_module
+from opkernel import certify, cli, kernel as kernel_module
 from opkernel.certify import (
+    MAX_BUMP_ATOMS,
     MAX_PROBE_N,
+    PROJECTION_FLOOR_TOL,
     ClassificationReport,
     ShiftedPairKernel,
     _seeded_design,
@@ -18,7 +23,7 @@ from opkernel.certify import (
 )
 from opkernel.errors import InvalidGrid, InvalidParameter
 from opkernel.hermitian import eigen_hermitian
-from opkernel.kernel import gram, kernel_eval, pair_diffs, radial_kernel
+from opkernel.kernel import PlaneWaveMeasure, gram, kernel_eval, pair_diffs, radial_kernel
 from opkernel.measures import VERDICT_NOT_STRICT, VERDICT_STRICT, OperatorMeasure
 from opkernel.profiles import RadialProfile
 
@@ -172,6 +177,53 @@ def test_shifted_gram_has_exact_null_direction():
     assert overlap == pytest.approx(1.0, abs=1e-10)
 
 
+def test_shifted_demo_reports_no_redraw_when_the_first_design_clears():
+    for w, seed in (([1.0], 0), ([0.5], 1), ([2.0], 7), ([0.5, -0.25], 0)):
+        assert "design_redraws" not in demo_counterexample_shifted_gaussian(w, seed=seed).params
+
+
+def test_shifted_demo_redraws_a_design_at_the_floor(monkeypatch):
+    """The first design of this seed is so badly conditioned that its
+    projection floor, 8.64e-9, is under the tolerance although every
+    projection is strictly PD; the demo once reported "not reproduced"
+    here. It now redraws once, on the same stream."""
+    w, seed = [0.4067], 1164430487
+    res = demo_counterexample_shifted_gaussian(w, seed=seed)
+    assert res.mixed_form == 0.0 and res.projection_floor > PROJECTION_FLOOR_TOL
+    assert res.params["design_redraws"] == 1
+
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
+    expected = [_seeded_design(ShiftedPairKernel(w), 6, rng, 2.0).points for _ in range(2)]
+    drawn = []
+
+    def recorded(*args, **kwargs):
+        g = _seeded_design(*args, **kwargs)
+        drawn.append(g.points)
+        return g
+
+    monkeypatch.setattr(certify, "_seeded_design", recorded)
+    assert demo_counterexample_shifted_gaussian(w, seed=seed) == res
+    assert len(drawn) == 2 and all(np.array_equal(d, e) for d, e in zip(drawn, expected))
+
+    monkeypatch.setattr(certify, "PROJECTION_FLOOR_TOL", 0.0)  # the first design clears
+    first = demo_counterexample_shifted_gaussian(w, seed=seed)
+    assert "design_redraws" not in first.params
+    assert first.projection_floor <= PROJECTION_FLOOR_TOL
+    assert first.projection_floor == pytest.approx(8.637339446840337e-09, rel=1e-6)
+
+
+def test_shifted_demo_gives_up_after_64_designs(monkeypatch, tmp_path):
+    """A kernel whose designs never clear the floor keeps its negative
+    verdict (exit 3) after 63 redraws."""
+    monkeypatch.setattr(certify, "PROJECTION_FLOOR_TOL", 1.0)
+    monkeypatch.setattr(cli, "PROJECTION_FLOOR_TOL", 1.0)
+    res = demo_counterexample_shifted_gaussian([1.0], seed=0)
+    assert res.params["design_redraws"] == 63 and res.projection_floor <= 1.0
+    out = tmp_path / "out.json"
+    assert cli.main(["demo", "shifted-gaussian", "--w", "1", "--output", str(out), "--no-timestamp"]) == 3
+    assert json.loads(out.read_text())["result"]["params"]["design_redraws"] == 63
+
+
 # ---------------------------------------------------------------- radial bump
 
 
@@ -201,6 +253,60 @@ def test_bump_demo_rejects_coarse_grid():
 def test_bump_demo_rejects_small_box():
     with pytest.raises(InvalidGrid):
         demo_counterexample_radial_bump(box=0.5)
+
+
+class _FormReached(Exception):
+    pass
+
+
+@pytest.mark.parametrize("grid_n, box, atoms", [(2048, 1.998, MAX_BUMP_ATOMS), (1024, 1.5, 682), (2048, 2.2, 930)])
+def test_bump_grid_up_to_the_atom_cap_reaches_the_forms(monkeypatch, grid_n, box, atoms):
+    """The cap itself and the largest grids in use are accepted. The cap
+    counts the grid points where phi1 > 0, a bound on the atoms (a vector
+    whose square underflows is dropped)."""
+
+    def reached(kernel, etas):
+        raise _FormReached
+
+    assert np.count_nonzero(certify._bump(np.linspace(-box, box, grid_n))) == atoms
+    monkeypatch.setattr(certify, "quadratic_form_detail", reached)
+    with pytest.raises(_FormReached):
+        demo_counterexample_radial_bump(grid_n=grid_n, box=box)
+
+
+@pytest.mark.parametrize("grid_n, box, atoms", [(2049, 1.996, MAX_BUMP_ATOMS + 1), (8192, 1.2, 6822)])
+def test_bump_grid_past_the_atom_cap_is_refused_before_allocation(grid_n, box, atoms):
+    """One atom past the cap is refused before any grid_n^2 or atoms^2
+    array: grid 8192 at box 1.2 once died allocating 2 GiB."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidGrid, match=f"puts {atoms} grid points in the bumps' support; need <= {MAX_BUMP_ATOMS}"):
+            demo_counterexample_radial_bump(grid_n=grid_n, box=box)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("grid_n, box", [(128, 1.01), (257, 1.5), (640, 2.2), (1001, 7.0)])
+def test_bump_weights_match_the_full_cosine_table(monkeypatch, grid_n, box):
+    """The cosine table is filled on the rows |x| < 1 only; the bumps vanish
+    elsewhere, so the frequency weights are those of the full table, bit for
+    bit."""
+    measures = []
+    real = certify.plane_wave_kernel
+    monkeypatch.setattr(certify, "plane_wave_kernel", lambda measure: measures.append(measure) or real(measure))
+    demo_counterexample_radial_bump(grid_n=grid_n, box=box)
+    x = np.linspace(-box, box, grid_n)
+    wts = np.full(grid_n, x[1] - x[0])
+    wts[0] = wts[-1] = wts[0] / 2.0
+    xis = np.linspace(-32.0, 32.0, grid_n)
+    xiw = np.full(grid_n, xis[1] - xis[0])
+    xiw[0] = xiw[-1] = xiw[0] / 2.0
+    cosines = np.cos(np.outer(x, xis))
+    u = np.stack([(certify._bump(2.0 * x) * wts) @ cosines, -((certify._bump(x) * wts) @ cosines)], axis=1)
+    expected = PlaneWaveMeasure(2, 1, xis=xis[:, None], gs=xiw[:, None, None] * (u[:, :, None] * u[:, None, :]))
+    assert np.array_equal(measures[0].xis, expected.xis) and np.array_equal(measures[0].gs, expected.gs)
 
 
 # ---------------------------------------------------------------- probe

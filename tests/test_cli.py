@@ -462,6 +462,29 @@ def test_demo_radial_bump_refuses_a_zero_reference_form(tmp_path, capsys):
     assert "reference form 0.0" in err
 
 
+def test_demo_radial_bump_refuses_a_grid_past_the_atom_cap(tmp_path, capsys):
+    """6822 grid points inside |x| < 1, past the cap of 1024: this grid once
+    died allocating 2 GiB (or exited 1 under a memory limit)."""
+    code, rep = run(tmp_path, ["demo", "radial-bump", "--grid-n", "8192", "--box", "1.2"])
+    err = capsys.readouterr().err
+    assert code == 2 and rep is None
+    assert err == (
+        "error: grid_n = 8192 over box = 1.2 puts 6822 grid points in the bumps' support; need <= 1024\n"
+    )
+
+
+def test_demo_shifted_gaussian_redraws_an_ill_conditioned_design(tmp_path, capsys):
+    """This design's projection floor was 8.64e-9, under the 1e-8 tolerance,
+    and the demo exited 3; one redraw on the same stream clears it."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, rep = run(tmp_path, ["demo", "shifted-gaussian", "--w=0.4067", "--seed", "1164430487"])
+    assert code == 0 and capsys.readouterr().err == "" and not caught
+    res = rep["result"]
+    assert res["reproduced"] is True and res["params"]["design_redraws"] == 1
+    assert res["projection_floor"] > res["criteria"]["projection_floor_tol"]
+
+
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
@@ -611,6 +634,13 @@ def _one_atom(family, key, value, g):
     return {"family": family, "measure": {"dim": 1, "atoms": [{key: value, "G": {"re": [[g]]}}]}, "ambient_dim": 1}
 
 
+_TWO_HUGE_ATOMS = {
+    "family": {"kind": "gaussian"},
+    "measure": {"dim": 1, "atoms": [{"omega": w, "G": {"re": [[1e308]]}} for w in (1.0, 2.0)]},
+    "ambient_dim": 1,
+}
+
+
 @pytest.mark.parametrize("command, obj, stage", [
     # the phase d . xi = 1e310 overflows
     ("gram", {"kernel": _one_atom({"kind": "plane_wave"}, "xi", [1e300], 1.0), "points": [[0.0], [1e10]]},
@@ -626,6 +656,14 @@ def _one_atom(family, key, value, g):
     # the jet coefficient (-i xi)^2 = -1e400 overflows
     ("deriv-gram", {"kernel": _one_atom({"kind": "plane_wave"}, "xi", [1e200], 1.0), "points": [[0.0], [1.0]], "q": 1},
      "derivative kernel blocks"),
+    # two radial atoms of G = 1e308 sum to inf: eval once wrote Infinity and
+    # exited 0, and classify once printed a RuntimeWarning
+    ("eval", {"kernel": _TWO_HUGE_ATOMS, "x": [0.0], "y": [0.0]}, "kernel blocks"),
+    ("eval", {"kernel": _TWO_HUGE_ATOMS, "t": 0.0}, "kernel blocks"),
+    ("gram", {"kernel": _TWO_HUGE_ATOMS, "points": [[0.0], [1.0]]}, "kernel blocks"),
+    ("interp", {"kernel": _TWO_HUGE_ATOMS, "points": [[0.0], [1.0]], "targets": {"re": [[1.0], [0.0]]}}, "kernel blocks"),
+    ("probe", {"kernel": _TWO_HUGE_ATOMS, "n": 3, "trials": 2}, "kernel blocks"),
+    ("classify", {**_TWO_HUGE_ATOMS, "n": 3, "trials": 2}, "total operator"),
 ])
 def test_kernel_overflow_is_a_numerical_failure(tmp_path, capsys, command, obj, stage):
     """Finite input whose kernel values overflow exits 4 with one line naming

@@ -3,12 +3,13 @@ classification."""
 
 import copy
 import json
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from opkernel.errors import InvalidMeasure, SchemaError
+from opkernel.errors import InvalidMeasure, NumericalFailure, SchemaError
 from opkernel.hermitian import HermitianMatrix, is_psd, min_eigenvalue, trace
 from opkernel.kernel import PlaneWaveMeasure, kernel_eval, radial_kernel
 from opkernel.measures import (
@@ -279,6 +280,17 @@ def test_rn_reconstruction(seed, dim, natoms):
 
 
 # ---------------------------------------------------------------- totals / c0
+
+
+def test_total_operator_overflow_is_a_numerical_failure():
+    """Two finite atoms of 1e308 sum past the float range: the sum is taken
+    without a numpy warning and refused, not passed on as inf."""
+    mu = OperatorMeasure(1, [(1.0, np.array([[1e308]])), (2.0, np.array([[1e308]]))])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for restrict in (False, True):
+            with pytest.raises(NumericalFailure, match="total operator"):
+                total_operator(mu, restrict_positive_support=restrict)
 
 
 def test_total_operator_restriction():

@@ -6,8 +6,9 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from opkernel import kernel as kernel_module
 from opkernel import rkhs as rkhs_module
 from opkernel.errors import (
     DuplicatePoints,
@@ -17,7 +18,7 @@ from opkernel.errors import (
     NumericalFailure,
     SchemaError,
 )
-from opkernel.kernel import PlaneWaveMeasure, kernel_deriv_eval, plane_wave_kernel, radial_kernel
+from opkernel.kernel import OperatorKernel, PlaneWaveMeasure, kernel_deriv_eval, plane_wave_kernel, radial_kernel
 from opkernel.measures import OperatorMeasure
 from opkernel.profiles import RadialProfile, multi_indices_up_to
 from opkernel.rkhs import (
@@ -334,6 +335,8 @@ def _bits(detail):
     st.integers(1, 2),
     st.integers(2, 3),
 )
+@example(seed=0, family="plane_wave", q=2, m=2, ell=2, count=3)  # the frequency route
+@example(seed=1, family="plane_wave", q=0, m=1, ell=2, count=2)
 @settings(max_examples=60, deadline=None)
 def test_several_measures_match_one_measure_calls_bit_for_bit(seed, family, q, m, ell, count):
     """One call over measures that share their atom points gives, for each
@@ -390,6 +393,80 @@ def test_pairing_route_never_reads_the_gram(monkeypatch, family):
     # the second measure alone fails too: no measure is checked against a shared route
     with pytest.raises(NumericalFailure, match="routes disagree"):
         quadratic_form_detail(kernel, etas[1:])
+
+
+# ---------------------------------------------------------------- frequency route
+
+
+def _frequency_case(m, q, shift=0.0):
+    """A three-atom plane-wave kernel with |xi| about 3 sqrt(m), and a measure
+    with a component at every |alpha| <= q, whose atoms are shared among
+    three points translated by shift."""
+    rng = np.random.default_rng(10 * m + q)
+    kernel = plane_wave_kernel(PlaneWaveMeasure(2, m, [(3.0 * rng.normal(size=m), _complex_psd(rng, 2)) for _ in range(3)]))
+    shared = shift + rng.uniform(-1, 1, size=(3, m))
+    eta = DerivVectorMeasure(m, 2, q, {
+        alpha: VectorAtomMeasure(m, 2, points=shared[: 3 - r % 3], vectors=rng.normal(size=(3 - r % 3, 2)) + 1j * rng.normal(size=(3 - r % 3, 2)))
+        for r, alpha in enumerate(multi_indices_up_to(m, q))
+    })
+    return kernel, eta
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e6, 1e9])
+@pytest.mark.parametrize("q", [0, 1, 2])
+@pytest.mark.parametrize("m", [1, 2])
+def test_frequency_route_agrees_without_kernel_blocks(monkeypatch, m, q, shift):
+    """Route 2 of a plane-wave kernel is the frequency-side sum: once the Gram
+    is built, every way to a kernel block raises, and the routes still agree
+    with each other and with the per-pair sum, also with the atoms far from
+    the origin (phases taken at x - x0)."""
+    kernel, eta = _frequency_case(m, q, shift)
+    expected = _gram_route_oracle(kernel, eta)
+    real = rkhs_module.deriv_gram
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("route 2 evaluated a kernel block")
+
+    def gram_then_refuse(k, pts, q):
+        g = real(k, pts, q)
+        for name in ("eval_diffs", "deriv_diffs", "_plane_wave_pairs"):
+            monkeypatch.setattr(OperatorKernel, name, refuse)
+        monkeypatch.setattr(kernel_module, "_phases", refuse)
+        return g
+
+    monkeypatch.setattr(rkhs_module, "deriv_gram", gram_then_refuse)
+    detail = quadratic_form_detail(kernel, [eta])[0]
+    assert detail.route_gap <= 1e-12 * detail.scale
+    assert detail.value == pytest.approx(expected, abs=1e-12 * detail.scale)
+
+
+@pytest.mark.parametrize("mutation, q", [("extra phase", 0), ("extra phase", 1), ("blocks x 1.7", 0)])
+def test_frequency_route_catches_a_wrong_kernel_value(monkeypatch, mutation, q):
+    """A wrong plane-wave kernel value moves the Gram route and not the
+    frequency route, so the routes disagree. A pairing route fed by the same
+    wrong blocks would agree with it."""
+    kernel, eta = _frequency_case(2, q)
+    detail = quadratic_form_detail(kernel, [eta])[0]
+    assert detail.route_gap <= 1e-12 * detail.scale
+    if mutation == "extra phase":
+        phases = kernel_module._phases
+        monkeypatch.setattr(kernel_module, "_phases", lambda diffs, xis: phases(diffs, xis) * np.exp(-0.5j * diffs[:, :1]))
+    else:
+        blocks = OperatorKernel._blocks
+        monkeypatch.setattr(OperatorKernel, "_blocks", lambda self, *args: 1.7 * blocks(self, *args))
+    with pytest.raises(NumericalFailure, match="routes disagree"):
+        quadratic_form_detail(kernel, [eta])
+
+
+def test_frequency_route_refuses_an_overflowing_phase():
+    """Points 1e300 apart at frequency 1e10: the Gram's phases overflow first;
+    past the Gram, the frequency route's own phase check raises."""
+    kernel = plane_wave_kernel(PlaneWaveMeasure(1, 1, [(np.array([1e10]), np.eye(1))]))
+    eta = plain_measure(kernel, [(np.array([-1e300]), np.array([1.0])), (np.array([1e300]), np.array([1.0]))])
+    with pytest.raises(NumericalFailure, match="plane-wave phase"):
+        quadratic_form(kernel, eta)
+    with pytest.raises(NumericalFailure, match=r"plane-wave phase \(x - x0\) \. xi overflows"):
+        rkhs_module._frequency_route(kernel, [embed(kernel, eta)], np.array([[-1e300], [1e300]]), np.arange(2))
 
 
 # ---------------------------------------------------------------- interpolation
