@@ -35,8 +35,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DuplicatePoints, InvalidGrid, InvalidParameter, InvalidVector
-from .hermitian import PSD_TOL, Frozen, HermitianMatrix, min_eigenvalue, psd_margin
+from .errors import DuplicatePoints, InvalidGrid, InvalidMatrix, InvalidParameter, InvalidVector
+from .hermitian import PSD_TOL, Frozen, _eigh_checked, hermitian_part, psd_margin
 from .kernel import (
     DUPLICATE_POINT_TOL,
     BlockGram,
@@ -100,8 +100,11 @@ class ShiftedPairKernel(Frozen):
         w = np.asarray(w, dtype=float)
         if w.ndim != 1 or w.size < 1 or not np.all(np.isfinite(w)):
             raise InvalidVector("shift w must be a finite nonempty vector")
-        if float(np.linalg.norm(w)) == 0.0:
-            raise InvalidParameter("shift w must be nonzero")
+        if not np.all(np.abs(w) <= np.finfo(float).max / 2):
+            raise InvalidParameter("shift w is too large: 2w must be finite")
+        with np.errstate(over="ignore"):
+            if float(np.linalg.norm(w)) == 0.0:
+                raise InvalidParameter("shift w must be nonzero")
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "m", int(w.size))
         object.__setattr__(self, "ell", 2)
@@ -111,9 +114,11 @@ class ShiftedPairKernel(Frozen):
         diffs = np.asarray(diffs, dtype=float)
         n = diffs.shape[0]
         out = np.zeros((n, 2, 2), dtype=complex)
-        s0 = np.sum(diffs * diffs, axis=1)
-        sp = np.sum((diffs + 2.0 * self.w) ** 2, axis=1)
-        sm = np.sum((diffs - 2.0 * self.w) ** 2, axis=1)
+        # a squared distance that overflows is inf, and its block entry 0
+        with np.errstate(over="ignore"):
+            s0 = np.sum(diffs * diffs, axis=1)
+            sp = np.sum((diffs + 2.0 * self.w) ** 2, axis=1)
+            sm = np.sum((diffs - 2.0 * self.w) ** 2, axis=1)
         out[:, 0, 0] = np.exp(-s0)
         out[:, 1, 1] = np.exp(-s0)
         out[:, 0, 1] = np.exp(-sp)
@@ -170,19 +175,24 @@ def demo_counterexample_shifted_gaussian(w, seed: int = 0) -> CounterexampleResu
         VectorAtomMeasure(m, 2, points=np.stack([origin, shift]), vectors=np.stack([e1, -e2]))
     )
     mixed = quadratic_form(kernel, eta)
+    # the projections v, one per column
+    vs = np.stack([e1, e2, e1 + e2, e1 + 1j * e2], axis=1)
 
     # every projection is strictly PD, but a drawn design can be so badly
     # conditioned that its floor drops to the tolerance
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0]))
     for redraws in range(64):
-        floor = np.inf
         # the shifted-pair Gram is exactly Hermitian (|-d + 2w| = |d - 2w| in
         # floats), so its blocks are the eval_diffs blocks bit for bit
         design = _seeded_design(kernel, 6, rng, box=2.0)
         blocks = design.matrix.entries.reshape(6, 2, 6, 2).transpose(0, 2, 1, 3).reshape(36, 2, 2)
-        for v in (e1, e2, e1 + e2, e1 + 1j * e2):
-            g = np.array([complex(np.vdot(v, b @ v)) for b in blocks]).reshape(6, 6)
-            floor = min(floor, min_eigenvalue(HermitianMatrix(g)))
+        # the (4, 6, 6) stack of projection Grams v^H (b v): the entries of v
+        # are 0, +-1 and +-i, so every product is exact and every two-term sum
+        # rounds alike in any order, and the bits are np.vdot(v, b @ v)'s
+        g = hermitian_part((np.conj(vs) * (blocks @ vs)).sum(axis=1).T.reshape(4, 6, 6))
+        if not np.all(np.isfinite(g)):
+            raise InvalidMatrix("matrix has non-finite entries")
+        floor = float(_eigh_checked(g)[0][:, 0].min())
         if floor > PROJECTION_FLOOR_TOL:
             break
     params = {"w": [float(c) for c in kernel.w], "seed": int(seed), "design_n": 6}

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import math
 import sys
@@ -187,7 +188,7 @@ def _load_input(args):
     try:
         with open(args.input, encoding="utf-8") as fh:
             return json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # bad JSON or UTF-8, or an integer past 4300 digits
         raise SchemaError(f"input is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise SchemaError("input JSON is nested too deeply to parse") from exc
@@ -631,9 +632,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built by the first main() call and shared by later calls in the process;
+# each parse_args returns a fresh Namespace, so no call sees another's options
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         args.tols = _parse_tols(args.tol)
         return args.func(args)

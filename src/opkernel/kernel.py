@@ -74,6 +74,12 @@ MAX_DERIV_GRAM_ROWS = 2048
 # Gram cap nor the input bounds the atom count; the benchmark's largest is
 # about 27k.
 MAX_JET_TABLE_ENTRIES = 2**24
+# Ambient dimension m of a plane-wave measure and of a radial evaluation at
+# t. A point, difference or frequency holds m floats, and the input bounds
+# every such buffer but these two: the difference t e_1 (8 KiB at the cap),
+# and the row sort of the measure's frequencies, which takes memory per
+# coordinate even with no atoms. The benchmark's largest m is 3.
+MAX_AMBIENT_DIM = 1024
 
 
 class PlaneWaveMeasure(Frozen):
@@ -91,6 +97,8 @@ class PlaneWaveMeasure(Frozen):
         dim, m = int(dim), int(m)
         if dim < 1 or m < 1:
             raise InvalidMeasure("need dim >= 1 and m >= 1")
+        if m > MAX_AMBIENT_DIM:
+            raise InvalidParameter(f"need ambient dimension <= {MAX_AMBIENT_DIM}")
         if xis is None:
             xis, gs = tuple(zip(*atoms)) or ((), ())
         bad = InvalidMeasure(f"frequency must be a finite vector of length {m}")
@@ -275,6 +283,8 @@ def radial_function_eval(kernel: OperatorKernel, t: float) -> np.ndarray:
     t = float(t)
     if not math.isfinite(t) or t < 0.0:
         raise InvalidPoint("radial argument must be finite and >= 0")
+    if kernel.m > MAX_AMBIENT_DIM:
+        raise InvalidParameter(f"need ambient dimension <= {MAX_AMBIENT_DIM}")
     return kernel.eval_diffs(np.eye(1, kernel.m) * t)[0]
 
 

@@ -26,6 +26,11 @@ from .hermitian import PSD_TOL, Frozen, HermitianMatrix, _eigh_checked, hermitia
 from .profiles import RadialProfile
 from .schema import _fields, _float_field, _int_field, _list_field, complex_from_json
 
+# Matrix dimension of a measure's atoms: each atom matrix, and the identity
+# of the checked eigensolve over them, holds dim^2 entries (1 MiB at the
+# cap) even when the measure has no atoms; the benchmark's largest is 3.
+MAX_MEASURE_DIM = 256
+
 
 def unique_rows(keys: np.ndarray, in_order: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Index of the first row of each distinct row of keys (n, c), and for
@@ -73,12 +78,14 @@ def stack_atoms(items, shape: tuple, dtype, error) -> np.ndarray:
 def merge_psd_atoms(dim: int, keys: np.ndarray, gs, describe) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Validate, merge and prune matrix atoms at the key rows keys (A, c).
 
-    Each G is symmetrized and must be a finite dim x dim PSD matrix at the
-    default tolerance; the whole stack is checked by one eigensolve, and the
-    first atom that fails is named by describe(key row). Atoms with equal
-    keys merge by summing matrices. Returns, sorted by key, the read-only
-    keys and matrices of the merged atoms with positive trace, and the keys
-    of the others."""
+    dim is at most MAX_MEASURE_DIM. Each G is symmetrized and must be a
+    finite dim x dim PSD matrix at the default tolerance; the whole stack is
+    checked by one eigensolve, and the first atom that fails is named by
+    describe(key row). Atoms with equal keys merge by summing matrices.
+    Returns, sorted by key, the read-only keys and matrices of the merged
+    atoms with positive trace, and the keys of the others."""
+    if dim > MAX_MEASURE_DIM:
+        raise InvalidMeasure(f"need dim <= {MAX_MEASURE_DIM}")
     shape = (dim, dim)
     h = stack_atoms(gs, shape, complex, lambda s: InvalidMeasure(f"atom matrix has shape {s}, expected {shape}"))
     if h.shape[0] != keys.shape[0]:

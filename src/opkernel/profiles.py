@@ -75,6 +75,15 @@ _RESCALE_EXP = 330  # recurrence values past 2^330 are scaled by 2^-330
 
 # Jets are capped at total derivative order 8.
 JET_ORDER_CAP = 8
+# Askey ell: no memory grows with it, but it enters float arithmetic as the
+# exponent ell - 1, which a Python integer past about 1e308 cannot. The
+# benchmark's largest is 3.
+MAX_ASKEY_ELL = 1_000_000
+# Omega m: no memory grows with it either, but the Neumann weights
+# (nu+1)_{k-1} / k! of the recurrence, nu = m/2 - 1, overflow near
+# w*t = OMEGA_T_MAX from m = 300 on; up to the cap every w*t <= OMEGA_T_MAX
+# evaluates, jets included. The benchmark's largest is 5.
+MAX_OMEGA_M = 256
 
 MultiIndex = tuple[int, ...]
 
@@ -125,6 +134,8 @@ class RadialProfile:
     kind            "gaussian" | "askey" | "omega"
     ell_smoothness  askey exponent parameter l >= 2 (profile is (1-wt)_+^(l-1))
     m_source        omega source dimension m >= 1 (sphere S^{m-1})
+
+    ell_smoothness is at most MAX_ASKEY_ELL, m_source at most MAX_OMEGA_M.
     """
 
     kind: str
@@ -138,11 +149,15 @@ class RadialProfile:
         elif self.kind == "askey":
             if self.ell_smoothness is None or self.ell_smoothness < 2:
                 raise InvalidParameter("askey needs integer ell_smoothness >= 2")
+            if self.ell_smoothness > MAX_ASKEY_ELL:
+                raise InvalidParameter(f"askey needs ell_smoothness <= {MAX_ASKEY_ELL}")
             if self.m_source is not None:
                 raise InvalidParameter("askey takes no m_source")
         elif self.kind == "omega":
             if self.m_source is None or self.m_source < 1:
                 raise InvalidParameter("omega needs integer m_source >= 1")
+            if self.m_source > MAX_OMEGA_M:
+                raise InvalidParameter(f"omega needs m_source <= {MAX_OMEGA_M}")
             if self.ell_smoothness is not None:
                 raise InvalidParameter("omega takes no ell_smoothness")
         else:

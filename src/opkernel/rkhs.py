@@ -39,6 +39,7 @@ goes through the same reproducing formulas being tested.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -105,8 +106,10 @@ class VectorAtomMeasure(Frozen):
         if bad.size:
             raise bad_vector if finite_point[bad[0]] else bad_point
         first, vecs = merge_rows(pts, vecs, in_order=True)
-        # np.linalg.norm(v) > 0 exactly when some square does not underflow
-        keep = (vecs.real ** 2 + vecs.imag ** 2).sum(axis=1) > 0.0
+        # np.linalg.norm(v) > 0 exactly when some square does not underflow;
+        # a square that overflows is inf, so a large vector is kept
+        with np.errstate(over="ignore"):
+            keep = (vecs.real ** 2 + vecs.imag ** 2).sum(axis=1) > 0.0
         pts, vecs = pts[first][keep], vecs[keep]
         for a in (pts, vecs):
             a.setflags(write=False)
@@ -280,19 +283,21 @@ def quadratic_form_detail(kernel: OperatorKernel, etas) -> tuple[QuadraticFormDe
     # every (point, multi-index) slot holds at most one atom vector
     slot = atom_point * na + np.concatenate([np.full(len(vam), rank[alpha]) for alpha, vam in etas[0].components])
 
-    if kernel.kind == "plane_wave":
-        q2c = _frequency_route(kernel, elements, pts, atom_point)
-    else:
-        # route 2: embed, then pair the function against the measure, one
-        # batched evaluation per component. Uses raw unsymmetrized kernel
-        # blocks and a different summation order, and never reads `mat`, so
-        # agreement genuinely cross-checks the Gram assembly.
-        q2c = [0.0 + 0.0j] * len(etas)
-        for c, (alpha, vam) in enumerate(etas[0].components):
-            cblocks = _conj_blocks(kernel, alphas, allpts, alpha, vam.points)
-            for e, (eta, element) in enumerate(zip(etas, elements)):
-                values = np.einsum("ijba,ib->ja", cblocks, element.vectors)
-                q2c[e] += complex(np.sum(np.conj(eta.components[c][1].vectors) * values))
+    # a form that overflows is refused below, by the stage it overflows in
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kernel.kind == "plane_wave":
+            q2c = _frequency_route(kernel, elements, pts, atom_point)
+        else:
+            # route 2: embed, then pair the function against the measure, one
+            # batched evaluation per component. Uses raw unsymmetrized kernel
+            # blocks and a different summation order, and never reads `mat`, so
+            # agreement genuinely cross-checks the Gram assembly.
+            q2c = [0.0 + 0.0j] * len(etas)
+            for c, (alpha, vam) in enumerate(etas[0].components):
+                cblocks = _conj_blocks(kernel, alphas, allpts, alpha, vam.points)
+                for e, (eta, element) in enumerate(zip(etas, elements)):
+                    values = np.einsum("ijba,ib->ja", cblocks, element.vectors)
+                    q2c[e] += complex(np.sum(np.conj(eta.components[c][1].vectors) * values))
 
     details = []
     for element, z2 in zip(elements, q2c):
@@ -304,9 +309,14 @@ def quadratic_form_detail(kernel: OperatorKernel, etas) -> tuple[QuadraticFormDe
 
         # route 1: w^H M w against the derivative block Gram, one
         # matrix-vector product per measure
-        q1c = complex(np.vdot(w, mat @ w))
+        with np.errstate(over="ignore", invalid="ignore"):
+            q1c = complex(np.vdot(w, mat @ w))
         q1, q2 = q1c.real, z2.real
         scale = max(1.0, sum_v2 * max(1.0, diag_max))
+        stages = [name for name, x in (("gram route", q1c), ("pairing route", q2), ("scale", scale))
+                  if not cmath.isfinite(x)]
+        if stages:
+            raise NumericalFailure(f"quadratic form overflows the float range in: {', '.join(stages)}")
         gap = abs(q1 - q2)
         if gap > TWO_ROUTE_TOL * scale or abs(q1c.imag) > TWO_ROUTE_TOL * scale:
             raise NumericalFailure(

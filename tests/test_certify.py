@@ -1,7 +1,9 @@
 """Counterexample demos, the random-design probe, and verdict consistency."""
 
 import json
+import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from opkernel.certify import (
     witness_design_mineig,
 )
 from opkernel.errors import InvalidGrid, InvalidParameter
-from opkernel.hermitian import eigen_hermitian
+from opkernel.hermitian import HermitianMatrix, eigen_hermitian, min_eigenvalue
 from opkernel.kernel import PlaneWaveMeasure, gram, kernel_eval, pair_diffs, radial_kernel
 from opkernel.measures import VERDICT_NOT_STRICT, VERDICT_STRICT, OperatorMeasure
 from opkernel.profiles import RadialProfile
@@ -222,6 +224,73 @@ def test_shifted_demo_gives_up_after_64_designs(monkeypatch, tmp_path):
     out = tmp_path / "out.json"
     assert cli.main(["demo", "shifted-gaussian", "--w", "1", "--output", str(out), "--no-timestamp"]) == 3
     assert json.loads(out.read_text())["result"]["params"]["design_redraws"] == 63
+
+
+def _projection_floor_loop(w, seed, floor_tol):
+    """(projection_floor, design_redraws) as the demo found them with one
+    np.vdot per block and one checked eigensolve per projection Gram."""
+    kernel = ShiftedPairKernel(w)
+    e1, e2 = np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex)
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
+    for redraws in range(64):
+        floor = np.inf
+        design = _seeded_design(kernel, 6, rng, box=2.0)
+        blocks = design.matrix.entries.reshape(6, 2, 6, 2).transpose(0, 2, 1, 3).reshape(36, 2, 2)
+        for v in (e1, e2, e1 + e2, e1 + 1j * e2):
+            g = np.array([complex(np.vdot(v, b @ v)) for b in blocks]).reshape(6, 6)
+            floor = min(floor, min_eigenvalue(HermitianMatrix(g)))
+        if floor > floor_tol:
+            break
+    return float(floor), redraws
+
+
+@given(
+    w=st.lists(st.floats(-3.0, 3.0).filter(lambda c: abs(c) > 1e-3), min_size=1, max_size=3),
+    seed=st.integers(0, 2**31 - 1),
+)
+@example(w=[0.4067], seed=1164430487)
+@example(w=[-0.3], seed=42)  # summing v^H b v in another order changes this floor
+@example(w=[0.5, -0.25], seed=0)
+@example(w=[0.2, -0.4, 0.9], seed=5)
+@settings(max_examples=60, deadline=None)
+def test_projection_floor_is_the_per_vector_loop_bit_for_bit(w, seed):
+    """One stacked eigensolve over the four projection Grams gives the floor
+    and redraw count of the per-block, per-projection loop, bit for bit;
+    seed 1164430487 redraws once."""
+    res = demo_counterexample_shifted_gaussian(w, seed=seed)
+    floor, redraws = _projection_floor_loop(w, seed, PROJECTION_FLOOR_TOL)
+    assert res.projection_floor.hex() == floor.hex()
+    assert res.params.get("design_redraws", 0) == redraws
+
+
+def test_projection_floor_loop_agrees_after_63_redraws(monkeypatch):
+    monkeypatch.setattr(certify, "PROJECTION_FLOOR_TOL", 1.0)
+    res = demo_counterexample_shifted_gaussian([1.0], seed=0)
+    floor, redraws = _projection_floor_loop([1.0], 0, 1.0)
+    assert res.projection_floor.hex() == floor.hex() and res.params["design_redraws"] == redraws == 63
+
+
+@pytest.mark.parametrize("w", ["1e308", "-1e308", "0.5,8.98846567431158e307"])
+def test_shifted_demo_refuses_a_shift_whose_double_overflows(tmp_path, capsys, w):
+    """2w must be finite; --w 1e308 once printed two RuntimeWarnings and
+    exited 2 blaming an atom point the user never gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["demo", "shifted-gaussian", f"--w={w}", "--output", str(tmp_path / "out.json")])
+    assert code == 2 and not caught and not (tmp_path / "out.json").exists()
+    assert capsys.readouterr().err == "error: shift w is too large: 2w must be finite\n"
+
+
+def test_shifted_demo_at_the_largest_shift_runs_without_warnings():
+    """Past |w| of about 1e154 the squared distances overflow to inf and their
+    block entries are 0; the demo still reproduces, with no warning."""
+    for w in ([np.finfo(float).max / 2], [1e200], [-3e300, 1.0]):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = demo_counterexample_shifted_gaussian(w, seed=0)
+        assert not caught and res.mixed_form == 0.0 and res.projection_floor > PROJECTION_FLOOR_TOL
+    with pytest.raises(InvalidParameter, match="2w must be finite"):
+        ShiftedPairKernel([math.nextafter(np.finfo(float).max / 2, math.inf)])
 
 
 # ---------------------------------------------------------------- radial bump

@@ -13,12 +13,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from opkernel import certify, kernel as kernel_module
+from opkernel import certify, cli, kernel as kernel_module
 from opkernel.certify import MAX_PROBE_BOX, MAX_PROBE_DIM, MAX_PROBE_N, MAX_PROBE_TRIALS
 from opkernel.cli import MAX_MONOTONE_GRID_NUM, kernel_from_json, main
 from opkernel.errors import InvalidParameter
-from opkernel.kernel import MAX_DERIV_GRAM_ROWS, MAX_JET_TABLE_ENTRIES, deriv_gram
-from opkernel.profiles import MAX_DIFFERENCE_ORDER
+from opkernel.kernel import MAX_AMBIENT_DIM, MAX_DERIV_GRAM_ROWS, MAX_JET_TABLE_ENTRIES, deriv_gram
+from opkernel.measures import MAX_MEASURE_DIM, OperatorMeasure
+from opkernel.profiles import MAX_ASKEY_ELL, MAX_DIFFERENCE_ORDER, MAX_OMEGA_M
 
 GAUSS_SCALAR = {
     "family": {"kind": "gaussian"},
@@ -953,6 +954,17 @@ def test_non_utf8_input_exits_two(tmp_path, capsys):
     assert err.startswith("error: input is not valid JSON: ") and err.count("\n") == 1
 
 
+def test_integer_past_the_digit_limit_exits_two(tmp_path, capsys):
+    """Python parses no integer of more than 4300 digits; such an askey ell
+    once ended in a ValueError traceback."""
+    path = tmp_path / "in.json"
+    kernel = json.dumps(dict(GAUSS_SCALAR, family={"kind": "askey", "ell": 0})).replace('"ell": 0', '"ell": 1' + "0" * 5000)
+    path.write_text('{"kernel": %s, "t": 0.5}' % kernel)
+    assert main(["eval", "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: input is not valid JSON: ") and err.count("\n") == 1
+
+
 def test_deeply_nested_input_exits_two(tmp_path, capsys):
     """100000 nested arrays once ended in a RecursionError traceback."""
     path = tmp_path / "in.json"
@@ -1000,6 +1012,125 @@ def test_strictness_reports_golden_bytes(capsys, argv, name, code):
     reports in tests/golden."""
     assert main(argv + ["--no-timestamp"]) == code
     assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text()
+
+
+# ---------------------------------------------------------------- one parser per process
+
+
+def _outcome(capsys, argv):
+    """Exit code, stdout and stderr of one main() call, argparse exits included."""
+    try:
+        code = main(argv + ["--no-timestamp"])
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_main_shares_one_parser_and_no_state_between_calls(tmp_path, capsys, monkeypatch):
+    """Calls interleaved in one process, through the shared parser, give the
+    bytes, exit codes and stderr of a freshly built parser per call: an
+    override --tol followed by a call without it, an argparse error followed
+    by a valid call, and every subcommand in turn."""
+    classify = ["classify", "--seed", "2", *_golden_input("classify_omega3_strict")]
+    calls = [
+        classify + ["--tol", "psd=1e-6", "--tol", "probe=1e-9"],
+        classify,
+        ["probe", "--format", "csv"],
+        ["probe", "--seed", "5", *_golden_input("probe_gaussian_rank_one")],
+        ["classify", "--tol", "bogus=1", *_golden_input("classify_omega3_strict")],
+        ["eval", "--input", write_json(tmp_path, "eval.json", {"kernel": GAUSS_SCALAR, "x": [1.0], "y": [0.0]})],
+        ["gram", "--input", write_json(tmp_path, "gram.json", {"kernel": GAUSS_COMPLEX2, "points": POINTS2})],
+        ["deriv-gram", *_golden_input("deriv_gram_gaussian_m2_q2")],
+        ["demo", "shifted-gaussian", "--w", "1,0.5", "--seed", "3"],
+        ["demo", "radial-bump", "--grid-n", "256", "--box", "1.5"],
+        ["interp", *_golden_input("interp_hermite_gaussian_m2")],
+        ["monotone", "--input", write_json(tmp_path, "mono.json", {"function": "exp-neg", "mode": "cm"})],
+        ["gram", "--help"],
+        ["demo"],
+        ["demo", "shifted-gaussian"],
+    ]
+    shared = [_outcome(capsys, argv) for argv in calls]
+    assert cli._parser() is cli._parser()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)  # a new parser per call
+    assert [_outcome(capsys, argv) for argv in calls] == shared
+    assert [code for code, _, _ in shared] == [0, 0, 2, 3, 2, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0]
+    assert shared[0][1] != shared[1][1] and '"psd": 1e-10' in shared[1][1]
+
+
+# ---------------------------------------------------------------- integer caps
+
+
+def _refused_small(tmp_path, argv, obj):
+    """Run a command that must be refused, and its traced allocation peak."""
+    (tmp_path / "out.json").unlink(missing_ok=True)
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, rep = run(tmp_path, argv, obj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and rep is None and not caught
+    return peak
+
+
+@pytest.mark.parametrize("family, field, cap, past, message", [
+    ("askey", "ell", MAX_ASKEY_ELL, [MAX_ASKEY_ELL + 1, 10**400], f"askey needs ell_smoothness <= {MAX_ASKEY_ELL}"),
+    ("omega", "m", MAX_OMEGA_M, [MAX_OMEGA_M + 1, 10**5, 10**400], f"omega needs m_source <= {MAX_OMEGA_M}"),
+])
+def test_family_parameter_cap(tmp_path, capsys, family, field, cap, past, message):
+    """At the cap the kernel evaluates, at w * t = 1e4 for omega; past it,
+    and at 10**400 (which ended in an OverflowError traceback), the family
+    is refused with one line. Omega m = 100000 at w * t = 9999 printed two
+    RuntimeWarnings and gave 0.0 for 6.3e-219."""
+    def obj(value, y=0.5):
+        kernel = dict(GAUSS_SCALAR, family={"kind": family, field: value})
+        return {"kernel": kernel, "x": [0.0], "y": [y]}
+
+    for y in (0.5, 1e4):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, rep = run(tmp_path, ["eval"], obj(cap, y))
+        assert code == 0 and abs(rep["result"]["matrix"]["re"][0][0]) <= 1.0 and not caught
+    for value in past:
+        assert _refused_small(tmp_path, ["eval"], obj(value, 9999.0)) < 2**20
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("kernel", [GAUSS_SCALAR, PLANE_WAVE_SCALAR])
+def test_measure_dim_cap(tmp_path, capsys, kernel):
+    """A measure with no atoms at the cap is built; past it, and at 10**6
+    (which once raised a 7.28 TiB MemoryError), the descriptor is refused
+    with one line before any matrix is allocated."""
+    assert OperatorMeasure(MAX_MEASURE_DIM).dim == MAX_MEASURE_DIM
+    assert kernel_module.PlaneWaveMeasure(MAX_MEASURE_DIM, 1).dim == MAX_MEASURE_DIM
+    for dim in (MAX_MEASURE_DIM + 1, 10**6):
+        obj = {"kernel": dict(kernel, measure={"dim": dim, "atoms": []}), "points": [[0.0], [1.0]]}
+        assert _refused_small(tmp_path, ["gram"], obj) < 2**20
+        assert capsys.readouterr().err == f"error: need dim <= {MAX_MEASURE_DIM}\n"
+
+
+@pytest.mark.parametrize("kernel, argv, fields", [
+    (GAUSS_SCALAR, ["eval"], {"t": 0.5}),
+    (dict(PLANE_WAVE_SCALAR, measure={"dim": 1, "atoms": []}), ["gram"], {"points": [[0.0]]}),
+])
+def test_ambient_dim_cap(tmp_path, capsys, kernel, argv, fields):
+    """A radial evaluation at t and a plane-wave measure at the cap run; past
+    it, and at 10**8 (where eval --t allocated 800 MB and exited 0), they are
+    refused with one line before the coordinates are allocated."""
+    def obj(m):
+        out = {"kernel": dict(kernel, ambient_dim=m), **fields}
+        if "points" in out:  # past the cap the measure is refused before the points are read
+            out["points"] = [[0.0] * min(m, MAX_AMBIENT_DIM)]
+        return out
+
+    code, rep = run(tmp_path, argv, obj(MAX_AMBIENT_DIM))
+    assert code == 0
+    for m in (MAX_AMBIENT_DIM + 1, 10**8):
+        assert _refused_small(tmp_path, argv, obj(m)) < 2**20
+        assert capsys.readouterr().err == f"error: need ambient dimension <= {MAX_AMBIENT_DIM}\n"
 
 
 # ---------------------------------------------------------------- malformed input

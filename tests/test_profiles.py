@@ -12,6 +12,7 @@ enumeration.
 """
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -22,7 +23,9 @@ from scipy.special import gamma as sp_gamma, jv
 from opkernel.errors import InvalidGrid, InvalidParameter, NumericalFailure, UnsupportedJet
 from opkernel.kernel import PlaneWaveMeasure, kernel_deriv_eval, plane_wave_kernel
 from opkernel.profiles import (
+    JET_ORDER_CAP,
     MAX_DIFFERENCE_ORDER,
+    MAX_OMEGA_M,
     OMEGA_T_MAX,
     RadialJet,
     RadialProfile,
@@ -49,6 +52,21 @@ def omega_bessel_oracle(m, s):
     nu = (m - 2) / 2.0
     out[nz] = sp_gamma(m / 2.0) * (2.0 / s[nz]) ** nu * jv(nu, s[nz])
     return out
+
+
+def test_omega_at_the_m_cap_evaluates_every_argument():
+    """At m = MAX_OMEGA_M every w * t up to OMEGA_T_MAX evaluates, jets up to
+    the order cap included, with no warning and |Omega| <= 1; from m = 300
+    the Neumann weights overflow near OMEGA_T_MAX."""
+    t = np.concatenate([np.logspace(-3, 4, 120), [OMEGA_T_MAX]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = np.stack([omega_values(MAX_OMEGA_M, np.array([x]), JET_ORDER_CAP)[:, 0] for x in t])
+    assert np.all(np.abs(values) <= 1.0)
+    recurrence = t > 1.0  # below, the oracle's (2/t)^nu overflows
+    assert np.allclose(values[recurrence, 0], omega_bessel_oracle(MAX_OMEGA_M, t[recurrence]), rtol=0, atol=1e-13)
+    with pytest.raises(NumericalFailure):
+        omega_values(300, np.array([OMEGA_T_MAX]))
 
 
 def _pochhammer(a: Fraction, n: int) -> Fraction:

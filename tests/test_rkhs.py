@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -205,6 +206,41 @@ def test_vector_measure_rejects_like_the_loop():
         assert str(info.value) == str(expected.value)
     with pytest.raises(InvalidVector, match="got 1 atom vectors for 2 points"):
         VectorAtomMeasure(2, 2, points=np.zeros((2, 2)), vectors=np.ones((1, 2)))
+
+
+def test_vector_measure_keeps_large_vectors_without_warning():
+    """Squares of entries past about 1.3e154 overflow to inf, which is > 0,
+    so those vectors are kept, with no warning; a vector whose squares all
+    underflow is still dropped."""
+    big = [np.array([1e200, 0.0]), np.array([0.0, 1e300j]), np.array([-1.7e308, 1e308 + 1e308j])]
+    atoms = [(np.array([float(i)]), v) for i, v in enumerate(big)] + [(np.array([9.0]), np.array([1e-170, 0.0]))]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        vam = VectorAtomMeasure(1, 2, atoms)
+    assert not caught
+    assert vam.vectors.tobytes() == np.array(big, dtype=complex).tobytes()
+    assert vam.points.tolist() == [[0.0], [1.0], [2.0]]
+
+
+_PLANE_WAVE = plane_wave_kernel(PlaneWaveMeasure(1, 1, [(np.array([0.5]), np.eye(1))]))
+_HUGE_G = radial_kernel(RadialProfile.gaussian(), OperatorMeasure(1, [(1.0, np.array([[1e300]]))]), 1)
+
+
+@pytest.mark.parametrize("kernel, size", [
+    (SCALAR_GAUSS, 1e200), (SCALAR_GAUSS, 1e155), (_PLANE_WAVE, 1e200), (_PLANE_WAVE, 1e155),
+    (_HUGE_G, 1e10),  # the Gram-times-vector product overflows
+])
+def test_quadratic_form_overflow_is_a_numerical_failure(kernel, size):
+    """Two atom vectors of 1e200 once gave value inf, scale inf and route_gap
+    nan with no error (the gap check is false for nan), and numpy printed
+    "overflow encountered in multiply"."""
+    eta = plain_measure(kernel, [(np.array([0.0]), np.array([size])), (np.array([1.0]), np.array([size]))])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NumericalFailure) as info:
+            quadratic_form_detail(kernel, [eta])
+    assert not caught
+    assert str(info.value) == "quadratic form overflows the float range in: gram route, pairing route, scale"
 
 
 def test_zero_measure_has_zero_form():
