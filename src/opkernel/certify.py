@@ -102,9 +102,15 @@ class ShiftedPairKernel(Frozen):
             raise InvalidVector("shift w must be a finite nonempty vector")
         if not np.all(np.abs(w) <= np.finfo(float).max / 2):
             raise InvalidParameter("shift w is too large: 2w must be finite")
-        with np.errstate(over="ignore"):
-            if float(np.linalg.norm(w)) == 0.0:
-                raise InvalidParameter("shift w must be nonzero")
+        # the atoms sit at 0 and 2w, and gram refuses points closer than
+        # DUPLICATE_POINT_TOL; |2w| is scaled by max|w| so it cannot underflow
+        top = float(np.max(np.abs(w)))
+        if top == 0.0:
+            raise InvalidParameter("shift w must be nonzero")
+        if 2.0 * top * float(np.linalg.norm(w / top)) < DUPLICATE_POINT_TOL:
+            raise InvalidParameter(
+                f"shift w = {w.tolist()} is too small: need |2w| >= {DUPLICATE_POINT_TOL} to separate the atoms"
+            )
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "m", int(w.size))
         object.__setattr__(self, "ell", 2)

@@ -70,14 +70,12 @@ class UnsupportedJet(InputError):
 class NotPSD(NumericalError):
     """Matrix failed a positive-semidefiniteness requirement.
 
-    pivot_index is set when the failure came from a Cholesky pivot,
-    witness when it came from an eigenvector certificate.
+    pivot_index is set when the failure came from a Cholesky pivot.
     """
 
-    def __init__(self, message, pivot_index=None, witness=None):
+    def __init__(self, message, pivot_index=None):
         super().__init__(message)
         self.pivot_index = pivot_index
-        self.witness = witness
 
 
 class IllConditioned(NumericalError):

@@ -64,10 +64,15 @@ from .schema import float_reprs
 
 # Two points closer than this are treated as duplicates in Gram assembly.
 DUPLICATE_POINT_TOL = 1e-12
-# Derivative Gram rows n * C(m + q, q) * ell: the Gram and its per-gamma blocks
-# hold rows^2 complex entries (64 MB each at the cap), and the number of
-# multi-indices is not bounded by the input; the benchmark's largest is 320.
-MAX_DERIV_GRAM_ROWS = 2048
+# Block Gram rows: n * ell for a plain Gram, n * C(m + q, q) * ell at jet
+# order q, one ell per datum for Hermite data. The Gram and its kernel blocks
+# hold rows^2 complex entries (64 MiB each at the cap), and the number of
+# multi-indices is not bounded by the input; the benchmark's largest is 732.
+MAX_GRAM_ROWS = 2048
+# Floats n^2 * m of the pairwise differences of n points in R^m (128 MiB at
+# the cap, where the probe's n = 1024 and m = 16 sit); the benchmark's largest
+# is about 134k.
+MAX_PAIR_DIFF_ENTRIES = 2**24
 # Entries len(gammas) * pairs * atoms of the jet tables of deriv_diffs: the
 # profile jets, the per-gamma values and the plane-wave phases each hold that
 # many floats or complex numbers (128 or 256 MiB at the cap), and neither the
@@ -105,7 +110,7 @@ class PlaneWaveMeasure(Frozen):
         xis = stack_atoms(xis, (m,), float, lambda shape: bad)
         if not np.all(np.isfinite(xis)):
             raise bad
-        keys, kept, _ = merge_psd_atoms(dim, xis, gs, lambda key: f"xi={key.tolist()}")
+        keys, kept = merge_psd_atoms(dim, xis, gs, lambda key: f"xi={key.tolist()}")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "xis", keys)
@@ -275,8 +280,8 @@ def radial_function_eval(kernel: OperatorKernel, t: float) -> np.ndarray:
     """The radial matrix function F with K(x, y) = F(||x - y||), at t >= 0:
     the kernel at the difference t e_1, so it is bitwise K(t e_1, 0).
 
-    Plane-wave kernels are not radial -> NotRadial. F(0) equals the
-    unrestricted total operator of the measure.
+    Plane-wave kernels are not radial -> NotRadial. F(0) equals the sum of
+    all atom matrices.
     """
     if not kernel.is_radial:
         raise NotRadial("plane-wave kernels have no radial function")
@@ -344,9 +349,24 @@ def close_pair(sq: np.ndarray, tol: float, same: np.ndarray | None = None) -> tu
     return (int(i[hit][0]), int(j[hit][0])) if hit.any() else None
 
 
-def _check_points(points, m: int, tol: float = DUPLICATE_POINT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Validated (n, m) points and their pair_diffs differences; two points
-    closer than tol raise DuplicatePoints naming the first such pair."""
+def check_gram_size(n: int, m: int, rows: int, what: str) -> None:
+    """Refuse, with InvalidParameter, a block Gram (`what`) of more than
+    MAX_GRAM_ROWS rows, or n points in R^m whose pair_diffs would hold more
+    than MAX_PAIR_DIFF_ENTRIES floats, before either is allocated."""
+    if rows > MAX_GRAM_ROWS:
+        raise InvalidParameter(f"{what} would have {rows} rows; need <= {MAX_GRAM_ROWS}")
+    if n * n * m > MAX_PAIR_DIFF_ENTRIES:
+        raise InvalidParameter(
+            f"pairwise differences would hold {n * n * m} floats (n^2 x m); need <= {MAX_PAIR_DIFF_ENTRIES}"
+        )
+
+
+def _check_points(
+    points, m: int, tol: float = DUPLICATE_POINT_TOL, point_rows: int = 1, what: str = "block Gram"
+) -> tuple[np.ndarray, np.ndarray]:
+    """Validated (n, m) points and their pair_diffs differences, for a Gram
+    of point_rows rows per point (check_gram_size); two points closer than
+    tol raise DuplicatePoints naming the first such pair."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
@@ -354,6 +374,7 @@ def _check_points(points, m: int, tol: float = DUPLICATE_POINT_TOL) -> tuple[np.
         raise InvalidPoint(f"expected an (n, {m}) point array, got shape {pts.shape}")
     if not np.all(np.isfinite(pts)):
         raise InvalidPoint("points have non-finite entries")
+    check_gram_size(pts.shape[0], m, pts.shape[0] * point_rows, what)
     diffs, sq = pair_diffs(pts)
     pair = close_pair(sq, tol)
     if pair is not None:
@@ -363,7 +384,7 @@ def _check_points(points, m: int, tol: float = DUPLICATE_POINT_TOL) -> tuple[np.
 
 def gram(kernel: OperatorKernel, points, tol: float = DUPLICATE_POINT_TOL) -> BlockGram:
     """Assemble and symmetrize the block Gram (q = 0) at pairwise-distinct points."""
-    pts, diffs = _check_points(points, kernel.m, tol)
+    pts, diffs = _check_points(points, kernel.m, tol, kernel.ell)
     n = pts.shape[0]
     blocks = kernel.eval_diffs(diffs).reshape(n, n, kernel.ell, kernel.ell)
     big = blocks.transpose(0, 2, 1, 3).reshape(n * kernel.ell, n * kernel.ell)
@@ -382,13 +403,10 @@ def deriv_gram(kernel: OperatorKernel, points, q: int, tol: float = DUPLICATE_PO
         raise UnsupportedJet(f"need 0 <= 2q <= {JET_ORDER_CAP}, got q={q}")
     if q == 0:
         return gram(kernel, points, tol)  # only eval_diffs is needed, so any kernel-shaped object works
-    pts, diffs = _check_points(points, kernel.m, tol)
+    pts, diffs = _check_points(points, kernel.m, tol, math.comb(kernel.m + q, q) * kernel.ell, "derivative Gram")
     if not isinstance(kernel, OperatorKernel):
         raise UnsupportedJet("derivative Grams need a kernel with analytic jets")
     n = pts.shape[0]
-    rows = n * math.comb(kernel.m + q, q) * kernel.ell
-    if rows > MAX_DERIV_GRAM_ROWS:
-        raise InvalidParameter(f"derivative Gram would have {rows} rows; need <= {MAX_DERIV_GRAM_ROWS}")
     idxs = multi_indices_up_to(kernel.m, q)
     big = deriv_blocks(kernel, diffs, np.repeat(np.arange(n), len(idxs)), np.tile(idxs, (n, 1)))
     return BlockGram(points=pts, ell=kernel.ell, q=q, multi_indices=idxs, matrix=HermitianMatrix(big))

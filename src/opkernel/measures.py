@@ -10,9 +10,7 @@ and universal is decided *exactly* here from the measure alone:
 
 Atoms are stored as arrays, supports omegas (A,) and weights gs (A, ell,
 ell), validated and merged in one vectorized pass; the plane-wave and
-vector measures of kernel.py and rkhs.py use the same row grouping. Also
-provides the discrete Radon-Nikodym decomposition against the trace measure
-(scalar weights tr G_j, trace-one PSD densities G_j / tr G_j).
+vector measures of kernel.py and rkhs.py use the same row grouping.
 """
 
 from __future__ import annotations
@@ -75,7 +73,7 @@ def stack_atoms(items, shape: tuple, dtype, error) -> np.ndarray:
     return np.stack(arrs) if arrs else np.zeros((0, *shape), dtype=dtype)
 
 
-def merge_psd_atoms(dim: int, keys: np.ndarray, gs, describe) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def merge_psd_atoms(dim: int, keys: np.ndarray, gs, describe) -> tuple[np.ndarray, np.ndarray]:
     """Validate, merge and prune matrix atoms at the key rows keys (A, c).
 
     dim is at most MAX_MEASURE_DIM. Each G is symmetrized and must be a
@@ -83,7 +81,7 @@ def merge_psd_atoms(dim: int, keys: np.ndarray, gs, describe) -> tuple[np.ndarra
     checked by one eigensolve, and the first atom that fails is named by
     describe(key row). Atoms with equal keys merge by summing matrices.
     Returns, sorted by key, the read-only keys and matrices of the merged
-    atoms with positive trace, and the keys of the others."""
+    atoms with positive trace; the others are pruned."""
     if dim > MAX_MEASURE_DIM:
         raise InvalidMeasure(f"need dim <= {MAX_MEASURE_DIM}")
     shape = (dim, dim)
@@ -105,7 +103,7 @@ def merge_psd_atoms(dim: int, keys: np.ndarray, gs, describe) -> tuple[np.ndarra
     kept = keys[first][keep], merged[keep]
     for a in kept:
         a.setflags(write=False)
-    return *kept, keys[first][~keep]
+    return kept
 
 
 class OperatorMeasure(Frozen):
@@ -114,12 +112,11 @@ class OperatorMeasure(Frozen):
     Atoms are (omega, G) pairs, or the arrays omegas (A,) and gs (A, dim,
     dim), with omega >= 0 and G PSD (checked at default tolerance). Atoms at
     exactly equal supports are merged by summing their matrices; atoms whose
-    matrix is zero (trace 0) are pruned, but their supports are remembered
-    in null_supports for decomposition reports. The atoms are stored as the
+    matrix is zero (trace 0) are pruned. The atoms are stored as the
     read-only arrays omegas and gs, sorted by support.
     """
 
-    __slots__ = ("dim", "omegas", "gs", "null_supports")
+    __slots__ = ("dim", "omegas", "gs")
 
     def __init__(self, dim: int, atoms=(), *, omegas=None, gs=None):
         dim = int(dim)
@@ -132,11 +129,10 @@ class OperatorMeasure(Frozen):
         bad = np.flatnonzero(~(np.isfinite(omegas) & (omegas >= 0.0)))
         if bad.size:
             raise InvalidMeasure(f"support point must be finite and >= 0, got {float(omegas[bad[0]])}")
-        keys, kept, nulls = merge_psd_atoms(dim, omegas[:, None], gs, lambda key: f"omega={float(key[0])}")
+        keys, kept = merge_psd_atoms(dim, omegas[:, None], gs, lambda key: f"omega={float(key[0])}")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "omegas", keys[:, 0])
         object.__setattr__(self, "gs", kept)
-        object.__setattr__(self, "null_supports", tuple(nulls[:, 0].tolist()))
 
     def __len__(self):
         return self.omegas.shape[0]
@@ -145,37 +141,11 @@ class OperatorMeasure(Frozen):
         return f"OperatorMeasure(dim={self.dim}, atoms={len(self)})"
 
 
-@dataclass(frozen=True)
-class RNDecomposition:
-    """Discrete Radon-Nikodym decomposition against the trace measure.
-
-    The trace measure is trace_weights[j] = tr G_j > 0 at supports[j] (read-only
-    arrays (A,)); densities[j] is the trace-one PSD matrix G_j / tr G_j there;
-    null_atoms lists supports whose matrix was zero (no density there).
-    """
-
-    supports: np.ndarray
-    trace_weights: np.ndarray
-    densities: tuple[HermitianMatrix, ...]
-    null_atoms: tuple[float, ...]
-
-
-def radon_nikodym(measure: OperatorMeasure) -> RNDecomposition:
-    traces = np.trace(measure.gs, axis1=1, axis2=2).real
-    traces.setflags(write=False)
-    return RNDecomposition(
-        supports=measure.omegas,
-        trace_weights=traces,
-        densities=tuple(HermitianMatrix(g / tr) for g, tr in zip(measure.gs, traces)),
-        null_atoms=measure.null_supports,
-    )
-
-
-def total_operator(measure: OperatorMeasure, restrict_positive_support: bool = False) -> HermitianMatrix:
-    """Sum of atom matrices; restricted variant drops any atom at omega = 0."""
+def total_operator(measure: OperatorMeasure) -> HermitianMatrix:
+    """Sum of the atom matrices at positive supports (omega = 0 dropped)."""
     total = np.zeros((measure.dim, measure.dim), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        for g in measure.gs[measure.omegas != 0.0] if restrict_positive_support else measure.gs:
+        for g in measure.gs[measure.omegas != 0.0]:
             total = total + g
     if not np.all(np.isfinite(total)):
         raise NumericalFailure("total operator (sum of atom matrices) overflows the float range")
@@ -207,7 +177,7 @@ def classify_radial(
     """
     if not isinstance(family, RadialProfile):
         raise NotRadial("classification applies to radial families only")
-    lam, scale, vec = psd_margin(total_operator(measure, restrict_positive_support=True))
+    lam, scale, vec = psd_margin(total_operator(measure))
     strict = lam > tol * scale
     return RadialClassification(
         verdict=VERDICT_STRICT if strict else VERDICT_NOT_STRICT,

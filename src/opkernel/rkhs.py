@@ -58,6 +58,7 @@ from .hermitian import Frozen, HermitianMatrix, _frobenius, cholesky_psd, solve_
 from .kernel import (
     DUPLICATE_POINT_TOL,
     OperatorKernel,
+    check_gram_size,
     close_pair,
     deriv_blocks,
     deriv_gram,
@@ -455,6 +456,7 @@ def hermite_interpolate(
     if not parsed:
         raise InvalidParameter("hermite_interpolate needs at least one datum")
     xs, alphas, tgts = (np.stack(col) for col in zip(*parsed))
+    check_gram_size(len(parsed), kernel.m, len(parsed) * kernel.ell, "derivative Gram")
     diffs, sq = pair_diffs(xs)
     pair = close_pair(sq, tol, np.all(alphas[:, None] == alphas[None, :], axis=2))
     if pair is not None:

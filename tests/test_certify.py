@@ -281,6 +281,33 @@ def test_shifted_demo_refuses_a_shift_whose_double_overflows(tmp_path, capsys, w
     assert capsys.readouterr().err == "error: shift w is too large: 2w must be finite\n"
 
 
+@pytest.mark.parametrize("w, message", [
+    ("1e-200", "shift w = [1e-200] is too small: need |2w| >= 1e-12 to separate the atoms"),
+    ("1e-200,0", "shift w = [1e-200, 0.0] is too small: need |2w| >= 1e-12 to separate the atoms"),
+    ("1e-13", "shift w = [1e-13] is too small: need |2w| >= 1e-12 to separate the atoms"),
+    ("0", "shift w must be nonzero"),
+    ("-0.0,0", "shift w must be nonzero"),
+])
+def test_shifted_demo_refuses_a_shift_too_small_to_separate_the_atoms(tmp_path, capsys, w, message):
+    """The atoms sit at 0 and 2w. A shift of 1e-200 (whose norm underflows)
+    was once called zero, and one of 1e-13 was refused as two coincident
+    points the user never gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["demo", "shifted-gaussian", f"--w={w}", "--output", str(tmp_path / "out.json")])
+    assert code == 2 and not caught and not (tmp_path / "out.json").exists()
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_shifted_demo_at_the_smallest_shift_runs():
+    """|2w| = 1e-12 is the duplicate tolerance itself, which gram accepts;
+    one ulp less is refused."""
+    res = demo_counterexample_shifted_gaussian([5e-13], seed=0)
+    assert res.mixed_form == 0.0 and res.params["w"] == [5e-13]
+    with pytest.raises(InvalidParameter, match="too small"):
+        ShiftedPairKernel([math.nextafter(5e-13, 0.0)])
+
+
 def test_shifted_demo_at_the_largest_shift_runs_without_warnings():
     """Past |w| of about 1e154 the squared distances overflow to inf and their
     block entries are 0; the demo still reproduces, with no warning."""

@@ -13,11 +13,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from opkernel import certify, cli, kernel as kernel_module
+from opkernel import certify, cli, kernel as kernel_module, rkhs as rkhs_module
 from opkernel.certify import MAX_PROBE_BOX, MAX_PROBE_DIM, MAX_PROBE_N, MAX_PROBE_TRIALS
 from opkernel.cli import MAX_MONOTONE_GRID_NUM, kernel_from_json, main
 from opkernel.errors import InvalidParameter
-from opkernel.kernel import MAX_AMBIENT_DIM, MAX_DERIV_GRAM_ROWS, MAX_JET_TABLE_ENTRIES, deriv_gram
+from opkernel.kernel import MAX_AMBIENT_DIM, MAX_GRAM_ROWS, MAX_JET_TABLE_ENTRIES, MAX_PAIR_DIFF_ENTRIES, deriv_gram
 from opkernel.measures import MAX_MEASURE_DIM, OperatorMeasure
 from opkernel.profiles import MAX_ASKEY_ELL, MAX_DIFFERENCE_ORDER, MAX_OMEGA_M
 
@@ -870,7 +870,7 @@ def test_deriv_gram_row_cap_refuses_before_enumerating(tmp_path, capsys, monkeyp
     code, rep = run(tmp_path, ["deriv-gram"], obj)
     assert code == 2 and rep is None
     err = capsys.readouterr().err
-    assert err == f"error: derivative Gram would have {rows} rows; need <= {MAX_DERIV_GRAM_ROWS}\n"
+    assert err == f"error: derivative Gram would have {rows} rows; need <= {MAX_GRAM_ROWS}\n"
 
 
 def test_deriv_gram_jet_tables_refused_before_allocating(tmp_path, capsys, monkeypatch):
@@ -922,10 +922,99 @@ def test_jet_table_cap_both_sides(monkeypatch, family, key, scales):
 
 def test_deriv_gram_row_cap_admits_the_cap(tmp_path, monkeypatch):
     monkeypatch.setattr(kernel_module, "multi_indices_up_to", _reached)
-    assert MAX_DERIV_GRAM_ROWS % 2 == 0
-    obj = {"kernel": GAUSS_SCALAR, "points": _line(MAX_DERIV_GRAM_ROWS // 2, 1), "q": 1}
+    assert MAX_GRAM_ROWS % 2 == 0
+    obj = {"kernel": GAUSS_SCALAR, "points": _line(MAX_GRAM_ROWS // 2, 1), "q": 1}
     with pytest.raises(_Reached):
         run(tmp_path, ["deriv-gram"], obj)
+
+
+def _gram_fields(n):
+    return {"points": _line(n, 1)}
+
+
+def _interp_fields(n):
+    return {"points": _line(n, 1), "targets": {"re": [[0.0]] * n}}
+
+
+def _hermite_fields(n):
+    return {"data": [{"x": [float(i)], "alpha": [0], "target": {"re": [0.0]}} for i in range(n)]}
+
+
+@pytest.mark.parametrize("argv, fields, module, what", [
+    (["gram"], _gram_fields, kernel_module, "block Gram"),
+    (["interp"], _interp_fields, kernel_module, "block Gram"),
+    (["interp"], _hermite_fields, rkhs_module, "derivative Gram"),
+], ids=["gram", "interp", "hermite"])
+def test_gram_row_cap_both_sides(tmp_path, capsys, monkeypatch, argv, fields, module, what):
+    """A Gram of MAX_GRAM_ROWS rows reaches the pairwise pass; one row more
+    is refused with one line before the pass."""
+    monkeypatch.setattr(module, "pair_diffs", _reached)
+    with pytest.raises(_Reached):
+        run(tmp_path, argv, {"kernel": GAUSS_SCALAR, **fields(MAX_GRAM_ROWS)})
+    code, rep = run(tmp_path, argv, {"kernel": GAUSS_SCALAR, **fields(MAX_GRAM_ROWS + 1)})
+    assert code == 2 and rep is None
+    assert capsys.readouterr().err == f"error: {what} would have {MAX_GRAM_ROWS + 1} rows; need <= {MAX_GRAM_ROWS}\n"
+
+
+def test_pair_diff_cap_both_sides(tmp_path, capsys, monkeypatch):
+    """The probe's own caps sit exactly at the bound on n^2 * m: a design of
+    MAX_PROBE_N points in R^MAX_PROBE_DIM reaches the pairwise pass, and as
+    many points in one more dimension are refused before it."""
+    assert MAX_PROBE_N**2 * MAX_PROBE_DIM == MAX_PAIR_DIFF_ENTRIES
+    monkeypatch.setattr(kernel_module, "pair_diffs", _reached)
+    with pytest.raises(_Reached):
+        run(tmp_path, ["probe"], _probe_obj("probe", dict(GAUSS_SCALAR, ambient_dim=MAX_PROBE_DIM), n=MAX_PROBE_N))
+    m = MAX_PROBE_DIM + 1
+    obj = {"kernel": dict(GAUSS_SCALAR, ambient_dim=m), "points": _line(MAX_PROBE_N, m)}
+    code, rep = run(tmp_path, ["gram"], obj)
+    assert code == 2 and rep is None
+    assert capsys.readouterr().err == (
+        f"error: pairwise differences would hold {MAX_PROBE_N**2 * m} floats (n^2 x m); need <= {MAX_PAIR_DIFF_ENTRIES}\n"
+    )
+    k = kernel_from_json(dict(GAUSS_SCALAR, ambient_dim=2))
+    monkeypatch.setattr(kernel_module, "MAX_PAIR_DIFF_ENTRIES", 18)
+    with pytest.raises(_Reached):
+        kernel_module.gram(k, np.array(_line(3, 2)))
+    monkeypatch.setattr(kernel_module, "MAX_PAIR_DIFF_ENTRIES", 17)
+    with pytest.raises(InvalidParameter, match="pairwise differences would hold 18 floats"):
+        kernel_module.gram(k, np.array(_line(3, 2)))
+
+
+def _identity_kernel(family, dim, m):
+    key, scale = ("xi", [1.0] * m) if family == "plane_wave" else ("omega", 1.0)
+    atom = {key: scale, "G": {"re": np.eye(dim).tolist()}}
+    return {"family": {"kind": family}, "ambient_dim": m, "measure": {"dim": dim, "atoms": [atom]}}
+
+
+@pytest.mark.parametrize("argv, obj, rows", [
+    (["gram"], {"kernel": _identity_kernel("gaussian", 256, 1), "points": _line(64, 1)}, 64 * 256),
+    (["gram"], {"kernel": _identity_kernel("gaussian", 1, 1), "points": _line(20000, 1)}, 20000),
+    (["probe"], {"kernel": _identity_kernel("plane_wave", 256, 2), "n": 64, "trials": 2}, 64 * 256),
+    (["classify"], {**_identity_kernel("gaussian", 256, 2), "n": 64, "trials": 2}, 64 * 256),
+], ids=["gram-dim256", "gram-20000-points", "probe-plane-wave-dim256", "classify-dim256"])
+def test_large_block_grams_refused_before_allocating(tmp_path, capsys, monkeypatch, argv, obj, rows):
+    """Each of these once ended in an _ArrayMemoryError traceback (exit 1)
+    while it allocated 2 to 4 GiB; from the point check on, less than 1 MiB
+    is allocated before the one-line refusal."""
+    original, peaks = kernel_module._check_points, []
+
+    def measured(*args, **kwargs):
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        try:
+            return original(*args, **kwargs)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+
+    monkeypatch.setattr(kernel_module, "_check_points", measured)
+    tracemalloc.start()
+    try:
+        code, rep = run(tmp_path, argv, obj)
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and rep is None
+    assert capsys.readouterr().err == f"error: block Gram would have {rows} rows; need <= {MAX_GRAM_ROWS}\n"
+    assert len(peaks) == 1 and peaks[0] < 2**20
 
 
 @pytest.mark.parametrize("h", [1e-2, 1e-3])

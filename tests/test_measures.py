@@ -1,5 +1,4 @@
-"""Operator measures: construction, projections, trace decomposition, exact
-classification."""
+"""Operator measures: construction, projections, exact classification."""
 
 import copy
 import json
@@ -18,7 +17,6 @@ from opkernel.measures import (
     OperatorMeasure,
     classify_radial,
     measure_from_json,
-    radon_nikodym,
     total_operator,
 )
 from opkernel.profiles import RadialProfile
@@ -46,7 +44,7 @@ def test_atoms_sorted_and_merged():
 def test_zero_atom_pruned_but_remembered():
     mu = OperatorMeasure(2, [(0.5, np.zeros((2, 2))), (1.0, I2)])
     assert len(mu) == 1
-    assert mu.null_supports == (0.5,)
+    assert 0.5 not in mu.omegas
 
 
 def test_rejects_negative_support():
@@ -92,7 +90,9 @@ def test_measures_merge_and_prune_like_the_loop():
     mu = OperatorMeasure(3, atoms)
     assert mu.omegas.tolist() == [w for w, _ in kept]
     assert np.array_equal(mu.gs, np.stack([g.entries for _, g in kept]))
-    assert mu.null_supports == tuple(nulls) and 11.0 in nulls
+    assert not set(nulls) & set(mu.omegas.tolist()) and 11.0 in nulls
+    # merged supports are strictly increasing and every kept atom has positive trace
+    assert np.all(np.diff(mu.omegas) > 0.0) and np.all(np.trace(mu.gs, axis1=1, axis2=2).real > 0.0)
     xi_atoms = [((w, -w), g) for w, g in atoms]
     pw = PlaneWaveMeasure(3, 2, [(np.array(xi), g) for xi, g in xi_atoms])
     kept, _ = _merge_loop(xi_atoms, str)
@@ -147,10 +147,9 @@ def test_measures_merge_signed_zero_keys_like_the_loop():
     assert _bits(mu.omegas) == _bits([w for w, _ in kept])
     assert np.signbit(mu.omegas[0])
     assert _bits(mu.gs) == _bits(np.stack([g.entries for _, g in kept]))
-    assert _bits(mu.null_supports) == _bits(nulls) and nulls == [3.0]
+    assert nulls == [3.0] and 3.0 not in mu.omegas
     arrays = OperatorMeasure(2, omegas=np.array(keys), gs=np.stack([g for _, g in atoms]))
     assert _bits(arrays.omegas) == _bits(mu.omegas) and _bits(arrays.gs) == _bits(mu.gs)
-    assert arrays.null_supports == mu.null_supports
 
     xi_keys = [(0.0, 1.0), (-0.0, 1.0), (1.0, -0.0), (0.0, 1.0), (-2.0, 5.0), (1.0, 0.0), (-0.0, -0.0), (0.0, 0.0)]
     atoms = _signed_zero_atoms(rng, xi_keys)
@@ -232,53 +231,6 @@ def test_projection_weights_nonnegative(seed):
         assert abs(weight.imag) <= 1e-12 * max(1.0, weight.real)
 
 
-# ---------------------------------------------------------------- radon-nikodym
-
-
-def test_rn_rank_one():
-    mu = OperatorMeasure(2, [(1.0, np.diag([4.0, 0.0]))])
-    dec = radon_nikodym(mu)
-    assert dec.supports.tolist() == [1.0] and dec.trace_weights.tolist() == [4.0]
-    assert np.allclose(dec.densities[0].entries, np.diag([1.0, 0.0]))
-
-
-def test_rn_identity():
-    mu = OperatorMeasure(2, [(1.0, I2)])
-    dec = radon_nikodym(mu)
-    assert dec.supports.tolist() == [1.0] and dec.trace_weights.tolist() == [2.0]
-    assert np.allclose(dec.densities[0].entries, I2 / 2)
-
-
-def test_rn_null_atom_recorded():
-    mu = OperatorMeasure(2, [(1.0, np.zeros((2, 2)))])
-    dec = radon_nikodym(mu)
-    assert dec.densities == ()
-    assert dec.supports.size == 0 and dec.trace_weights.size == 0
-    assert dec.null_atoms == (1.0,)
-
-
-@given(st.integers(0, 10_000), st.integers(1, 4), st.integers(1, 4))
-@settings(max_examples=60, deadline=None)
-def test_rn_reconstruction(seed, dim, natoms):
-    rng = np.random.default_rng(seed)
-    mu = OperatorMeasure(dim, [(float(k), random_psd(rng, dim)) for k in range(natoms)])
-    dec = radon_nikodym(mu)
-    # the trace measure needs no merge or clamp: distinct sorted supports, positive weights
-    assert np.all(np.diff(dec.supports) > 0.0) and np.all(dec.trace_weights > 0.0)
-    recon = sum(
-        w * dens.entries
-        for w, dens in zip(dec.trace_weights, dec.densities)
-    )
-    total = total_operator(mu).entries
-    # division then re-multiplication: a couple of ulps, not exact
-    assert np.max(np.abs(recon - total)) <= 4 * np.finfo(float).eps * max(
-        1.0, np.max(np.abs(total))
-    )
-    for dens in dec.densities:
-        assert abs(trace(dens) - 1.0) <= 1e-14
-        assert is_psd(dens).ok
-
-
 # ---------------------------------------------------------------- totals / c0
 
 
@@ -288,15 +240,13 @@ def test_total_operator_overflow_is_a_numerical_failure():
     mu = OperatorMeasure(1, [(1.0, np.array([[1e308]])), (2.0, np.array([[1e308]]))])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for restrict in (False, True):
-            with pytest.raises(NumericalFailure, match="total operator"):
-                total_operator(mu, restrict_positive_support=restrict)
+        with pytest.raises(NumericalFailure, match="total operator"):
+            total_operator(mu)
 
 
 def test_total_operator_restriction():
     mu = OperatorMeasure(2, [(0.0, I2), (1.0, np.diag([1.0, 0.0]))])
-    assert np.allclose(total_operator(mu, restrict_positive_support=True).entries, np.diag([1.0, 0.0]))
-    assert np.allclose(total_operator(mu).entries, np.diag([2.0, 1.0]))
+    assert np.allclose(total_operator(mu).entries, np.diag([1.0, 0.0]))
 
 
 def test_total_operator_empty():
@@ -358,7 +308,7 @@ def test_classify_scaling_invariance(seed, c):
         if r1.verdict == VERDICT_NOT_STRICT:
             # same null space: both witnesses are killed by the total operator
             for res, mu in ((r1, mu1), (r2, mu2)):
-                tot = total_operator(mu, restrict_positive_support=True).entries
+                tot = total_operator(mu).entries
                 assert np.linalg.norm(tot @ res.witness) <= 1e-8 * max(
                     1.0, np.linalg.norm(tot)
                 )
