@@ -53,12 +53,7 @@ from .measures import (
     classify_radial,
 )
 from .profiles import RadialProfile
-from .rkhs import (
-    DerivVectorMeasure,
-    VectorAtomMeasure,
-    quadratic_form,
-    quadratic_form_detail,
-)
+from .rkhs import VectorAtomMeasure, quadratic_form, quadratic_form_detail
 
 PROBE_TOL = 1e-10
 PROJECTION_FLOOR_TOL = 1e-8
@@ -177,9 +172,7 @@ def demo_counterexample_shifted_gaussian(w, seed: int = 0) -> CounterexampleResu
     shift = 2.0 * kernel.w
     e1 = np.array([1.0, 0.0], dtype=complex)
     e2 = np.array([0.0, 1.0], dtype=complex)
-    eta = DerivVectorMeasure.plain(
-        VectorAtomMeasure(m, 2, points=np.stack([origin, shift]), vectors=np.stack([e1, -e2]))
-    )
+    eta = VectorAtomMeasure(m, 2, points=np.stack([origin, shift]), vectors=np.stack([e1, -e2]))
     mixed = quadratic_form(kernel, eta)
     # the projections v, one per column
     vs = np.stack([e1, e2, e1 + e2, e1 + 1j * e2], axis=1)
@@ -278,8 +271,8 @@ def demo_counterexample_radial_bump(
     points = x[:, None]
     mixed_vectors = np.stack([phi1 * wts, phi2 * wts], axis=1).astype(complex)
     ref_vectors = np.stack([phi1 * wts, np.zeros(grid_n)], axis=1).astype(complex)
-    eta = DerivVectorMeasure.plain(VectorAtomMeasure(1, 2, points=points, vectors=mixed_vectors))
-    eta_ref = DerivVectorMeasure.plain(VectorAtomMeasure(1, 2, points=points, vectors=ref_vectors))
+    eta = VectorAtomMeasure(1, 2, points=points, vectors=mixed_vectors)
+    eta_ref = VectorAtomMeasure(1, 2, points=points, vectors=ref_vectors)
 
     # both measures have the grid points with |x| < 1 as atoms, so one call
     # builds the Gram and the pairing blocks once for the two forms

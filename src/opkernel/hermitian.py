@@ -142,12 +142,20 @@ def trace(a: HermitianMatrix | np.ndarray) -> float:
     return float(np.trace(a.entries).real)
 
 
-def psd_margin(a: HermitianMatrix | np.ndarray) -> tuple[float, float, np.ndarray]:
+def psd_margin(a: HermitianMatrix | np.ndarray) -> tuple:
     """(lambda_min, max(1, trace), a unit eigenvector of lambda_min): every
-    eigenvalue verdict compares lambda_min against tol * max(1, trace)."""
-    a = _as_hermitian(a)
-    dec = eigen_hermitian(a)
-    return float(dec.eigenvalues[0]), max(1.0, trace(a)), dec.eigenvectors[:, 0].copy()
+    eigenvalue verdict compares lambda_min against tol * max(1, trace).
+
+    One matrix gives two floats and a vector. A stack (..., n, n) of
+    Hermitian matrices, such as hermitian_part returns, is taken as given,
+    with one checked eigensolve, and gives arrays over its leading axes."""
+    stacked = isinstance(a, np.ndarray) and a.ndim > 2
+    h = a if stacked else _as_hermitian(a).entries
+    w, v = _eigh_checked(h)
+    tr = np.trace(h, axis1=-2, axis2=-1).real
+    if stacked:
+        return w[..., 0], np.maximum(1.0, tr), v[..., 0]
+    return float(w[0]), max(1.0, float(tr)), v[:, 0].copy()
 
 
 def is_psd(a: HermitianMatrix | np.ndarray, tol: float = PSD_TOL) -> PsdCheck:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidMatrix, InvalidMeasure, NotRadial, NumericalFailure
-from .hermitian import PSD_TOL, Frozen, HermitianMatrix, _eigh_checked, hermitian_part, psd_margin
+from .hermitian import PSD_TOL, Frozen, HermitianMatrix, hermitian_part, psd_margin
 from .profiles import RadialProfile
 from .schema import _fields, _float_field, _int_field, _list_field, complex_from_json
 
@@ -91,8 +91,8 @@ def merge_psd_atoms(dim: int, keys: np.ndarray, gs, describe) -> tuple[np.ndarra
     h = hermitian_part(h)
     if not np.all(np.isfinite(h)):
         raise InvalidMatrix("matrix has non-finite entries")
-    lam = _eigh_checked(h)[0][:, 0]
-    bad = np.flatnonzero(lam < -PSD_TOL * np.maximum(1.0, np.trace(h, axis1=1, axis2=2).real))
+    lam, scale, _ = psd_margin(h)
+    bad = np.flatnonzero(lam < -PSD_TOL * scale)
     if bad.size:
         i = int(bad[0])
         raise InvalidMeasure(f"atom at {describe(keys[i])} is not PSD (min eigenvalue {lam[i]:.3e})")

@@ -97,12 +97,17 @@ def multi_index_order(alpha: MultiIndex) -> int:
     return int(sum(alpha))
 
 
-def validate_multi_index(alpha, m: int) -> MultiIndex:
+def validate_multi_index(alpha, m: int, q: int | None = None) -> MultiIndex:
+    """alpha as a tuple of Python ints of length m, each >= 0, and with q
+    given of order |alpha| <= q. The checks run before any array holds alpha:
+    numpy would store 2**63 as uint64, where alpha + alpha wraps to 0."""
     alpha = tuple(int(a) for a in alpha)
     if len(alpha) != m:
         raise InvalidParameter(f"multi-index {alpha} has length {len(alpha)}, expected {m}")
     if any(a < 0 for a in alpha):
         raise InvalidParameter(f"multi-index {alpha} has a negative component")
+    if q is not None and sum(alpha) > q:
+        raise UnsupportedJet(f"derivative order exceeds cap {q}")
     return alpha
 
 
@@ -416,13 +421,27 @@ class CMCheckResult:
 def _stencil_values(f, t: np.ndarray, depth: int, h: float) -> np.ndarray:
     """The table f(t_i + j*h), j = 0..depth, shape (t.size, depth + 1). A
     stencil whose last point t_max + depth*h leaves the float range raises
-    InvalidGrid before f is evaluated."""
+    InvalidGrid before f is evaluated. f gets Python floats, so a Williamson
+    mixture overflows to inf without a warning, and a table that is not
+    finite raises NumericalFailure."""
     if not math.isfinite(float(t[-1]) + depth * h):
         raise InvalidGrid(f"the difference stencil reaches t_max + {depth}*h = inf; shrink h or the grid")
     vals = np.empty((t.size, depth + 1), dtype=float)
     for j in range(depth + 1):
-        vals[:, j] = [float(f(ti + j * h)) for ti in t]
+        vals[:, j] = [float(f(ti + j * h)) for ti in t.tolist()]
+    if not np.all(np.isfinite(vals)):
+        raise NumericalFailure("function values on the difference stencil are not finite")
     return vals
+
+
+def _forward_difference(vals: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """vals @ coeffs, the forward difference of order coeffs.size - 1 at each
+    grid point; one that overflows raises NumericalFailure."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        fd = vals @ coeffs
+    if not np.all(np.isfinite(fd)):
+        raise NumericalFailure(f"forward difference of order {coeffs.size - 1} overflows the float range")
+    return fd
 
 
 def completely_monotone_check(g, t_grid, nmax: int = 6, h: float = CM_DEFAULT_H) -> CMCheckResult:
@@ -454,7 +473,7 @@ def completely_monotone_check(g, t_grid, nmax: int = 6, h: float = CM_DEFAULT_H)
         coeffs = np.array(
             [(-1) ** (n - j) * math.comb(n, j) for j in range(n + 1)], dtype=float
         )
-        fd = vals[:, : n + 1] @ coeffs  # Delta_h^n g(t)
+        fd = _forward_difference(vals[:, : n + 1], coeffs)  # Delta_h^n g(t)
         signed = (-1.0) ** n * fd
         bad = np.nonzero(signed < -tol)[0]
         if bad.size:
@@ -536,10 +555,12 @@ def ell_cm_check(f, ell: int, t_grid, h: float = CM_DEFAULT_H) -> EllCMResult:
     coeffs = np.array([(-1) ** (n - j) * math.comb(n, j) for j in range(n + 1)], dtype=float)
     sign = (-1.0) ** n
     # D at t, t+h, t+2h assembled from the f-value table
-    d0 = sign * (vals[:, 0 : n + 1] @ coeffs)
-    d1 = sign * (vals[:, 1 : n + 2] @ coeffs)
-    d2 = sign * (vals[:, 2 : n + 3] @ coeffs)
-    if np.any(d2 - 2.0 * d1 + d0 < -tol):
+    d0, d1, d2 = (sign * _forward_difference(vals[:, j : n + 1 + j], coeffs) for j in range(3))
+    with np.errstate(over="ignore", invalid="ignore"):
+        second = d2 - 2.0 * d1 + d0
+    if not np.all(np.isfinite(second)):
+        raise NumericalFailure("second difference of D overflows the float range")
+    if np.any(second < -tol):
         failed.append("convexity")
 
     return EllCMResult(

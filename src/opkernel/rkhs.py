@@ -5,17 +5,17 @@ embeds into the kernel space as
 
     K_eta(y) = sum_i K(x_i, y)^H v_i,
 
-and more generally a derivative component at multi-index alpha contributes
-(d^alpha_1 K)(x_i, y)^H v_i. The squared norm of the embedding is the
+and more generally an atom with multi-index alpha_i contributes
+(d^{alpha_i}_1 K)(x_i, y)^H v_i. The squared norm of the embedding is the
 quadratic form
 
     Q(eta) = sum_{i,j} < d^{a_i}_1 d^{a_j}_2 K(x_i, x_j) v_j, v_i >,
 
 nonnegative for PSD kernels; Q(eta) = 0 with eta != 0 is exactly a failure
 of strict positive definiteness (and for q > 0, of the derivative kind).
-A VectorAtomMeasure keeps its atoms as the arrays points (A, m) and vectors
-(A, ell), merged in one pass, and an embedded element keeps its atoms as
-the arrays alphas, points and vectors. rkhs_deriv_eval evaluates an element
+A VectorAtomMeasure keeps its atoms as the arrays alphas (A, m), points
+(A, m) and vectors (A, ell), merged in one pass, and an embedded element
+keeps the same three arrays. rkhs_deriv_eval evaluates an element
 at a batch of points with one call to the kernel's batched primitives, over
 all atom-minus-point differences.
 
@@ -26,7 +26,7 @@ K(x, y) = sum_a e^{-i (x - y) . xi_a} G_a it is the frequency-side sum
 sum_a u_a^H G_a u_a, u_a = sum_c (i xi_a)^alpha_c e^{i x_c . xi_a} v_c, read
 from the measure's atoms without a kernel block, so it also checks the
 kernel values. For radial and other kernels it pairs the embedded function
-against the measure, one batched evaluation per component, from the raw
+against the measure, one batched evaluation per distinct alpha, from the raw
 unsymmetrized blocks in its own summation order: that checks the Gram's
 assembly, not the kernel values. Measures with the same atom points (the
 radial-bump demo's mixed and reference measures) share one Gram and one
@@ -78,22 +78,28 @@ TWO_ROUTE_TOL = 1e-12
 
 
 class VectorAtomMeasure(Frozen):
-    """Finite vector-valued atomic measure sum_i v_i delta_{x_i}.
+    """Finite vector-valued derivative measure sum_i v_i d^{alpha_i} delta_{x_i}
+    of declared order q: its atom i pairs as (d^{alpha_i} f)(x_i) against v_i.
 
     Atoms are (x, v) pairs, or the arrays points (A, m) and vectors (A,
-    ell). Atoms at exactly equal points are merged by summing vectors;
-    atoms whose merged vector is exactly zero are dropped (they contribute
-    nothing to any pairing). The atoms are stored as the read-only arrays
-    points and vectors, in the order in which each point first occurs. The
-    measure is nonzero iff any atom survives.
+    ell); alphas gives one multi-index per atom, zeros by default, each
+    checked as Python ints with |alpha| <= q <= JET_ORDER_CAP. Atoms at
+    exactly equal (alpha, x) are merged by summing vectors; atoms whose
+    merged vector is exactly zero are dropped (they contribute nothing to
+    any pairing). The atoms are stored as the read-only arrays alphas,
+    points and vectors, sorted stably by (|alpha|, alpha) from the order in
+    which each (alpha, x) first occurs. The measure is nonzero iff any atom
+    survives.
     """
 
-    __slots__ = ("m", "ell", "points", "vectors")
+    __slots__ = ("m", "ell", "q", "alphas", "points", "vectors")
 
-    def __init__(self, m: int, ell: int, atoms=(), *, points=None, vectors=None):
-        m, ell = int(m), int(ell)
+    def __init__(self, m: int, ell: int, atoms=(), *, points=None, vectors=None, alphas=None, q: int = 0):
+        m, ell, q = int(m), int(ell), int(q)
         if m < 1 or ell < 1:
             raise InvalidVector("need m >= 1 and ell >= 1")
+        if q < 0 or q > JET_ORDER_CAP:
+            raise InvalidParameter(f"need 0 <= q <= {JET_ORDER_CAP}")
         if points is None:
             points, vectors = tuple(zip(*atoms)) or ((), ())
         bad_point = InvalidVector(f"atom point must be a finite vector of length {m}")
@@ -102,20 +108,30 @@ class VectorAtomMeasure(Frozen):
         vecs = stack_atoms(vectors, (ell,), complex, lambda shape: bad_vector)
         if pts.shape[0] != vecs.shape[0]:
             raise InvalidVector(f"got {vecs.shape[0]} atom vectors for {pts.shape[0]} points")
+        if alphas is None:
+            alps = np.zeros(pts.shape, dtype=int)
+        else:
+            alps = np.array([validate_multi_index(a, m, q) for a in alphas], dtype=int).reshape(-1, m)
+            if alps.shape[0] != pts.shape[0]:
+                raise InvalidVector(f"got {alps.shape[0]} multi-indices for {pts.shape[0]} points")
         finite_point = np.isfinite(pts).all(axis=1)
         bad = np.flatnonzero(~(finite_point & np.isfinite(vecs).all(axis=1)))
         if bad.size:
             raise bad_vector if finite_point[bad[0]] else bad_point
-        first, vecs = merge_rows(pts, vecs, in_order=True)
+        first, vecs = merge_rows(np.concatenate([alps, pts], axis=1), vecs, in_order=True)
         # np.linalg.norm(v) > 0 exactly when some square does not underflow;
         # a square that overflows is inf, so a large vector is kept
         with np.errstate(over="ignore"):
             keep = (vecs.real ** 2 + vecs.imag ** 2).sum(axis=1) > 0.0
-        pts, vecs = pts[first][keep], vecs[keep]
-        for a in (pts, vecs):
+        alps, pts, vecs = alps[first][keep], pts[first][keep], vecs[keep]
+        order = np.lexsort([*alps.T[::-1], alps.sum(axis=1)])
+        alps, pts, vecs = alps[order], pts[order], vecs[order]
+        for a in (alps, pts, vecs):
             a.setflags(write=False)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "alphas", alps)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "vectors", vecs)
 
@@ -125,45 +141,6 @@ class VectorAtomMeasure(Frozen):
     @property
     def is_nonzero(self) -> bool:
         return len(self) > 0
-
-
-class DerivVectorMeasure(Frozen):
-    """A family of vector atomic measures indexed by multi-indices |alpha| <= q."""
-
-    __slots__ = ("m", "ell", "q", "components")
-
-    def __init__(self, m: int, ell: int, q: int, components):
-        m, ell, q = int(m), int(ell), int(q)
-        if q < 0 or q > JET_ORDER_CAP:
-            raise InvalidParameter(f"need 0 <= q <= {JET_ORDER_CAP}")
-        comps = []
-        seen = set()
-        for alpha, vam in components.items() if isinstance(components, dict) else components:
-            alpha = validate_multi_index(alpha, m)
-            if multi_index_order(alpha) > q:
-                raise InvalidParameter(f"component {alpha} exceeds declared order q={q}")
-            if alpha in seen:
-                raise InvalidParameter(f"duplicate component {alpha}")
-            seen.add(alpha)
-            if not isinstance(vam, VectorAtomMeasure):
-                vam = VectorAtomMeasure(m, ell, vam)
-            if vam.m != m or vam.ell != ell:
-                raise InvalidVector("component measure has mismatched dimensions")
-            comps.append((alpha, vam))
-        comps.sort(key=lambda av: (multi_index_order(av[0]), av[0]))
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "ell", ell)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "components", tuple(comps))
-
-    @staticmethod
-    def plain(vam: VectorAtomMeasure) -> "DerivVectorMeasure":
-        """Wrap an order-0 measure."""
-        return DerivVectorMeasure(vam.m, vam.ell, 0, {(0,) * vam.m: vam})
-
-    @property
-    def is_nonzero(self) -> bool:
-        return any(vam.is_nonzero for _, vam in self.components)
 
 
 @dataclass(frozen=True)
@@ -177,18 +154,11 @@ class RkhsElement:
     vectors: np.ndarray
 
 
-def embed(kernel: OperatorKernel, eta: DerivVectorMeasure) -> RkhsElement:
+def embed(kernel: OperatorKernel, eta: VectorAtomMeasure) -> RkhsElement:
     """Embed a derivative vector measure as an element of the kernel space."""
     if eta.m != kernel.m or eta.ell != kernel.ell:
         raise InvalidVector("measure dimensions do not match the kernel")
-    comps = eta.components
-    alphas = np.array([alpha for alpha, _ in comps], dtype=int).reshape(-1, eta.m)
-    return RkhsElement(
-        kernel=kernel,
-        alphas=np.repeat(alphas, [len(vam) for _, vam in comps], axis=0),
-        points=np.concatenate([np.zeros((0, eta.m)), *(vam.points for _, vam in comps)]),
-        vectors=np.concatenate([np.zeros((0, eta.ell), dtype=complex), *(vam.vectors for _, vam in comps)]),
-    )
+    return RkhsElement(kernel=kernel, alphas=eta.alphas, points=eta.points, vectors=eta.vectors)
 
 
 def rkhs_eval(element: RkhsElement, y) -> np.ndarray:
@@ -206,7 +176,7 @@ def rkhs_deriv_eval(element: RkhsElement, beta: MultiIndex, y) -> np.ndarray:
     each block times (-1)^|beta|.
     """
     k = element.kernel
-    beta = validate_multi_index(beta, k.m)
+    beta = validate_multi_index(beta, k.m, JET_ORDER_CAP)
     ys = np.asarray(y, dtype=float)
     single = ys.ndim == 1
     if single:
@@ -249,15 +219,15 @@ def quadratic_form_detail(kernel: OperatorKernel, etas) -> tuple[QuadraticFormDe
     """Quadratic form of each measure in etas against the kernel, with its
     scale and dual-route residual; see quadratic_form.
 
-    The measures must share q, component multi-indices (in order) and atom
-    points (as bytes, so -0.0 is not 0.0), or InvalidParameter is raised.
-    The Gram and the route-2 blocks are built once; each measure's vectors
-    go through the operations a lone measure gets, so each detail is bitwise
-    its one-measure detail."""
+    The measures must share q and their alphas and points rows (as bytes,
+    so -0.0 is not 0.0), or InvalidParameter is raised. The Gram and the
+    route-2 blocks are built once; each measure's vectors go through the
+    operations a lone measure gets, so each detail is bitwise its
+    one-measure detail."""
     etas = tuple(etas)
 
     def atoms(eta):
-        return eta.q, [(alpha, vam.points.tobytes()) for alpha, vam in eta.components]
+        return eta.q, eta.alphas.tobytes(), eta.points.tobytes()
 
     for eta in etas:
         if eta.m != kernel.m or eta.ell != kernel.ell:
@@ -267,45 +237,48 @@ def quadratic_form_detail(kernel: OperatorKernel, etas) -> tuple[QuadraticFormDe
     if not etas[0].is_nonzero:
         return tuple(QuadraticFormDetail(value=0.0, scale=1.0, route_gap=0.0) for _ in etas)
 
-    elements = [embed(kernel, eta) for eta in etas]
-    # the distinct atom points of all components, in first-occurrence order
-    alphas, allpts = elements[0].alphas, elements[0].points
+    q, alphas, allpts = etas[0].q, etas[0].alphas, etas[0].points
+    # the distinct atom points in first-occurrence order, and the distinct
+    # alphas, each a run of rows [lo, hi) since the rows are sorted by alpha
     first, atom_point = unique_rows(allpts, in_order=True)
     pts = allpts[first]
     n = pts.shape[0]
-    idxs = multi_indices_up_to(kernel.m, etas[0].q)
+    starts, component = unique_rows(alphas, in_order=True)
+    bounds = [*starts.tolist(), len(alphas)]
+    runs = [(tuple(alphas[lo].tolist()), lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    idxs = multi_indices_up_to(kernel.m, q)
     na = len(idxs)
     ell = kernel.ell
     rank = {alpha: a for a, alpha in enumerate(idxs)}
 
-    dg = deriv_gram(kernel, pts, etas[0].q)
+    dg = deriv_gram(kernel, pts, q)
     mat = dg.matrix.entries
     diag_max = float(np.max(np.abs(np.diag(mat).real))) if mat.size else 1.0
     # every (point, multi-index) slot holds at most one atom vector
-    slot = atom_point * na + np.concatenate([np.full(len(vam), rank[alpha]) for alpha, vam in etas[0].components])
+    slot = atom_point * na + np.array([rank[alpha] for alpha, _, _ in runs])[component]
 
     # a form that overflows is refused below, by the stage it overflows in
     with np.errstate(over="ignore", invalid="ignore"):
         if kernel.kind == "plane_wave":
-            q2c = _frequency_route(kernel, elements, pts, atom_point)
+            q2c = _frequency_route(kernel, etas, pts, atom_point)
         else:
             # route 2: embed, then pair the function against the measure, one
-            # batched evaluation per component. Uses raw unsymmetrized kernel
-            # blocks and a different summation order, and never reads `mat`, so
-            # agreement genuinely cross-checks the Gram assembly.
+            # batched evaluation per distinct alpha. Uses raw unsymmetrized
+            # kernel blocks and a different summation order, and never reads
+            # `mat`, so agreement genuinely cross-checks the Gram assembly.
             q2c = [0.0 + 0.0j] * len(etas)
-            for c, (alpha, vam) in enumerate(etas[0].components):
-                cblocks = _conj_blocks(kernel, alphas, allpts, alpha, vam.points)
-                for e, (eta, element) in enumerate(zip(etas, elements)):
-                    values = np.einsum("ijba,ib->ja", cblocks, element.vectors)
-                    q2c[e] += complex(np.sum(np.conj(eta.components[c][1].vectors) * values))
+            for alpha, lo, hi in runs:
+                cblocks = _conj_blocks(kernel, alphas, allpts, alpha, allpts[lo:hi])
+                for e, eta in enumerate(etas):
+                    values = np.einsum("ijba,ib->ja", cblocks, eta.vectors)
+                    q2c[e] += complex(np.sum(np.conj(eta.vectors[lo:hi]) * values))
 
     details = []
-    for element, z2 in zip(elements, q2c):
+    for eta, z2 in zip(etas, q2c):
         w = np.zeros(n * na * ell, dtype=complex)
-        w[slot[:, None] * ell + np.arange(ell)] += element.vectors
+        w[slot[:, None] * ell + np.arange(ell)] += eta.vectors
         sum_v2 = 0.0  # per-atom vdot: a stacked |v|^2 rounds differently for ell > 1
-        for v in element.vectors:
+        for v in eta.vectors:
             sum_v2 += float(np.vdot(v, v).real)
 
         # route 1: w^H M w against the derivative block Gram, one
@@ -328,9 +301,9 @@ def quadratic_form_detail(kernel: OperatorKernel, etas) -> tuple[QuadraticFormDe
     return tuple(details)
 
 
-def _frequency_route(kernel: OperatorKernel, elements, pts: np.ndarray, atom_point: np.ndarray) -> list[complex]:
+def _frequency_route(kernel: OperatorKernel, etas, pts: np.ndarray, atom_point: np.ndarray) -> list[complex]:
     """Route 2 of a plane-wave kernel K(x, y) = sum_a e^{-i (x - y) . xi_a} G_a
-    for elements that share their atoms: Q = sum_a u_a^H G_a u_a with
+    for measures that share their atoms: Q = sum_a u_a^H G_a u_a with
     u_a = sum_c (i xi_a)^alpha_c e^{i x_c . xi_a} v_c, read from the measure's
     atoms; no kernel block is evaluated. Atom c sits at pts[atom_point[c]].
     The phases are taken at x_c - x_0 for the first point x_0: the common
@@ -343,17 +316,17 @@ def _frequency_route(kernel: OperatorKernel, elements, pts: np.ndarray, atom_poi
         raise NumericalFailure("plane-wave phase (x - x0) . xi overflows the float range")
     # one row per atom: (i xi)^alpha e^{i (x - x0) . xi}
     lift = np.exp(1j * theta)[atom_point]
-    alphas = elements[0].alphas
+    alphas = etas[0].alphas
     if alphas.any():
         lift *= np.prod((1j * xis) ** alphas[:, None, :], axis=2)
     values = []
-    for element in elements:
-        u = lift.T @ element.vectors
+    for eta in etas:
+        u = lift.T @ eta.vectors
         values.append(complex(np.sum(np.conj(u) * np.einsum("aij,aj->ai", gs, u))))
     return values
 
 
-def quadratic_form(kernel: OperatorKernel, eta: DerivVectorMeasure) -> float:
+def quadratic_form(kernel: OperatorKernel, eta: VectorAtomMeasure) -> float:
     """The (real) quadratic form of a derivative vector measure.
 
     Computed as w^H M w against the derivative block Gram AND independently
@@ -446,7 +419,7 @@ def hermite_interpolate(
     parsed = []
     for x, alpha, tgt in data:
         x = np.asarray(x, dtype=float)
-        alpha = validate_multi_index(alpha, kernel.m)
+        alpha = validate_multi_index(alpha, kernel.m, JET_ORDER_CAP)
         tgt = np.asarray(tgt, dtype=complex)
         if x.shape != (kernel.m,) or not np.all(np.isfinite(x)):
             raise InvalidVector(f"data point must be a finite vector of length {kernel.m}")

@@ -35,7 +35,6 @@ from opkernel.profiles import (
     williamson_construct,
 )
 from opkernel.rkhs import (
-    DerivVectorMeasure,
     VectorAtomMeasure,
     hermite_interpolate,
     quadratic_form_detail,
@@ -219,14 +218,12 @@ def test_c07_two_route_quadratic_form():
         m = int(rng.integers(1, 3))
         ell = int(rng.integers(1, 3))
         k = random_gaussian_kernel(rng, ell, m, max_atoms=3)
-        comps = {}
+        alphas, atoms = [], []
         for alpha in multi_indices_up_to(m, q):
-            atoms = [
-                (rng.normal(size=m), rng.normal(size=ell) + 1j * rng.normal(size=ell))
-                for _ in range(int(rng.integers(1, 4)))
-            ]
-            comps[alpha] = VectorAtomMeasure(m, ell, atoms)
-        eta = DerivVectorMeasure(m, ell, q, comps)
+            for _ in range(int(rng.integers(1, 4))):
+                alphas.append(alpha)
+                atoms.append((rng.normal(size=m), rng.normal(size=ell) + 1j * rng.normal(size=ell)))
+        eta = VectorAtomMeasure(m, ell, atoms, alphas=alphas, q=q)
         detail = quadratic_form_detail(k, [eta])[0]
         worst = max(worst, detail.route_gap / (1e-12 * detail.scale))
     ok = worst <= 1.0

@@ -584,6 +584,19 @@ def test_interp_hermite_data(tmp_path):
     assert alphas == [[0], [1]]
 
 
+@pytest.mark.parametrize("order", [9, 2**63, 2**64])
+def test_interp_hermite_alpha_past_the_jet_cap_exits_two(tmp_path, capsys, order):
+    """An alpha of 2**63 once became uint64 in np.stack, where alpha + alpha
+    wraps to 0: interp exited 0 with the order-0 interpolant. 2**64 exited 1
+    with a numpy TypeError. Both are now refused as 9 is."""
+    obj = {"kernel": GAUSS_SCALAR, "data": [{"x": [0.0], "alpha": [order], "target": {"re": [1.0]}}]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, rep = run(tmp_path, ["interp"], obj)
+    assert code == 2 and rep is None
+    assert capsys.readouterr().err == "error: derivative order exceeds cap 8\n"
+
+
 @pytest.mark.parametrize("obj", [
     {"kernel": GAUSS_SCALAR, "points": [[0.0], [0.1]], "targets": {"re": [[1.0], [0.5]]}},
     {"kernel": GAUSS_SCALAR, "data": [
@@ -752,6 +765,43 @@ def test_monotone_stencil_past_the_float_range_exits_two(tmp_path, capsys, obj, 
     err = capsys.readouterr().err
     assert code == 2 and rep is None and not caught
     assert err == f"error: the difference stencil reaches t_max + {depth}*h = inf; shrink h or the grid\n"
+
+
+def _williamson(atoms, mode):
+    return {"function": {"williamson": {"atoms": atoms, "ell": 3}}, "mode": mode}
+
+
+@pytest.mark.parametrize("atoms, mode, stage", [
+    # f = 1e308 is constant, but its second difference 1e308 - 2e308 + 1e308 overflows
+    ([[0.0, 1e308]], "cm", "forward difference of order 2 overflows the float range"),
+    # f = 2e308 overflows
+    ([[0.0, 1e308], [0.0, 1e308]], "cm", "function values on the difference stencil are not finite"),
+    ([[0.0, 1e308], [0.0, 1e308]], "ell-cm", "function values on the difference stencil are not finite"),
+])
+def test_monotone_overflowing_mixture_is_a_numerical_failure(tmp_path, capsys, atoms, mode, stage):
+    """The first once exited 3 ("not completely monotone") with a
+    RuntimeWarning; the other two exited 0 with "ok": true and "tolerance":
+    Infinity, which is not JSON, and printed warnings."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, rep = run(tmp_path, ["monotone"], _williamson(atoms, mode))
+    assert code == 4 and rep is None
+    assert capsys.readouterr().err == f"numerical failure: {stage}\n"
+
+
+@pytest.mark.parametrize("atoms, mode, tolerance", [
+    ([[0.0, 1e308]], "ell-cm", 1e300),  # the ell-cm differences of a constant stay finite
+    ([[1e308, 1e308]], "cm", 0.0),  # r * t overflows, so f = 0 on the grid
+    ([[1e308, 1e308]], "ell-cm", 0.0),
+])
+def test_monotone_large_mixture_passes_without_warning(tmp_path, capsys, atoms, mode, tolerance):
+    """[[1e308, 1e308]] once warned from r * t."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _ = run(tmp_path, ["monotone"], _williamson(atoms, mode))
+    assert code == 0 and capsys.readouterr().err == ""
+    rep = json.loads((tmp_path / "out.json").read_text(), parse_constant=lambda c: pytest.fail(f"report has {c}"))
+    assert rep["result"]["ok"] is True and rep["result"]["tolerance"] == tolerance
 
 
 # ---------------------------------------------------------------- probe

@@ -139,6 +139,40 @@ def test_psd_margin_reads_min_eigenvalue_scale_and_vector():
     assert psd_margin(H([[1e-3, 0], [0, 0]]))[1] == 1.0
 
 
+def test_psd_margin_of_a_stack_matches_each_matrix():
+    """A stack (..., n, n) gives arrays over its leading axes, bit for bit
+    the margins of its matrices taken one at a time."""
+    mats = [random_psd(seed, 3).entries for seed in range(3)] + [random_hermitian(9, 3).entries, H(np.eye(3) * 1e-3).entries]
+    lam, scale, vec = psd_margin(np.stack(mats))
+    assert lam.shape == scale.shape == (5,) and vec.shape == (5, 3)
+    for i, a in enumerate(mats):
+        one_lam, one_scale, one_vec = psd_margin(HermitianMatrix(a))
+        assert lam[i].tobytes() == np.float64(one_lam).tobytes()
+        assert scale[i].tobytes() == np.float64(one_scale).tobytes()
+        assert vec[i].tobytes() == one_vec.tobytes()
+    assert scale[4] == 1.0 and lam[3] < 0.0
+    lam2, scale2, vec2 = psd_margin(np.stack(mats[:4]).reshape(2, 2, 3, 3))
+    assert lam2.shape == scale2.shape == (2, 2) and vec2.shape == (2, 2, 3)
+    assert lam2.tobytes() == lam[:4].tobytes() and vec2.tobytes() == vec[:4].tobytes()
+    empty = psd_margin(np.zeros((0, 2, 2), dtype=complex))
+    assert [x.shape for x in empty] == [(0,), (0,), (0, 2)]
+
+
+def test_measure_atoms_are_judged_by_psd_margin(monkeypatch):
+    """merge_psd_atoms reads the one eigenvalue margin, over its whole stack."""
+    from opkernel import measures
+
+    seen = []
+
+    def spy(a):
+        seen.append(np.shape(a))
+        return psd_margin(a)
+
+    monkeypatch.setattr(measures, "psd_margin", spy)
+    OperatorMeasure(2, [(1.0, np.eye(2)), (2.0, np.eye(2)), (1.0, np.eye(2))])
+    assert seen == [(3, 2, 2)]
+
+
 # ---------------------------------------------------------------- cholesky
 
 

@@ -39,6 +39,7 @@ from opkernel.profiles import (
     profile_value,
     sjet_derivatives,
     williamson_construct,
+    _stencil_values,
 )
 
 GRID = np.linspace(0.5, 5.0, 10)
@@ -739,3 +740,29 @@ def test_askey_continuous_at_support_edge():
 def test_askey_in_unit_interval(ell, omega, t):
     v = profile_value(RadialProfile.askey(ell), omega, t)
     assert 0.0 <= v <= 1.0
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_stencil_values_match_the_numpy_scalar_loop(seed):
+    """The value table is evaluated at Python floats, so a Williamson mixture
+    overflows without a warning; its bits are those of the loop over numpy
+    scalars that it replaced."""
+    rng = np.random.default_rng(seed)
+    atoms = [(float(r), float(lam)) for r, lam in zip(rng.uniform(0.0, 0.5, 3), rng.uniform(0.0, 2.0, 3))]
+    grid = np.sort(rng.uniform(0.1, 4.0, 12))
+    h = float(rng.uniform(1e-3, 0.1))
+    for f in (williamson_construct(atoms, 2 + seed % 4), lambda t: np.exp(-t), lambda t: 2.0 + np.sin(t)):
+        old = np.array([[float(f(ti + j * h)) for j in range(7)] for ti in grid])
+        assert _stencil_values(f, grid, 6, h).tobytes() == old.tobytes()
+
+
+def test_ell_cm_second_difference_overflow_is_a_numerical_failure():
+    """D = f(t) - f(t + h) stays finite at every point, but its second
+    difference 0 - 2 * 1.7e308 - 1.7e308 does not."""
+    def spike(t):
+        return 1.7e308 if t == 2.0 else 0.0
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailure, match="^second difference of D overflows the float range$"):
+            ell_cm_check(spike, 3, np.array([1.0, 2.0, 3.0, 4.0]), h=1.0)

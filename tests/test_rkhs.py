@@ -18,12 +18,12 @@ from opkernel.errors import (
     InvalidVector,
     NumericalFailure,
     SchemaError,
+    UnsupportedJet,
 )
 from opkernel.kernel import OperatorKernel, PlaneWaveMeasure, kernel_deriv_eval, plane_wave_kernel, radial_kernel
 from opkernel.measures import OperatorMeasure
 from opkernel.profiles import RadialProfile, multi_indices_up_to
 from opkernel.rkhs import (
-    DerivVectorMeasure,
     VectorAtomMeasure,
     embed,
     hermite_interpolate,
@@ -44,22 +44,18 @@ DIAG_GAUSS = radial_kernel(
 
 
 def plain_measure(kernel, atoms):
-    return DerivVectorMeasure.plain(VectorAtomMeasure(kernel.m, kernel.ell, atoms))
+    return VectorAtomMeasure(kernel.m, kernel.ell, atoms)
 
 
 def random_deriv_measure(rng, m, ell, q):
-    idxs = multi_indices_up_to(m, q)
-    comps = {}
-    for alpha in idxs:
-        if rng.random() < 0.3 and len(comps) > 0:
-            continue  # leave some components absent
-        atoms = []
+    alphas, atoms = [], []
+    for alpha in multi_indices_up_to(m, q):
+        if rng.random() < 0.3 and alphas:
+            continue  # leave some multi-indices absent
         for _ in range(int(rng.integers(1, 4))):
-            atoms.append(
-                (rng.normal(size=m), rng.normal(size=ell) + 1j * rng.normal(size=ell))
-            )
-        comps[alpha] = atoms
-    return DerivVectorMeasure(m, ell, q, {a: VectorAtomMeasure(m, ell, v) for a, v in comps.items()})
+            alphas.append(alpha)
+            atoms.append((rng.normal(size=m), rng.normal(size=ell) + 1j * rng.normal(size=ell)))
+    return VectorAtomMeasure(m, ell, atoms, alphas=alphas, q=q)
 
 
 # ---------------------------------------------------------------- eval
@@ -110,10 +106,10 @@ def test_rkhs_deriv_eval_matches_per_atom_loop(family, m):
     rng = np.random.default_rng(10 * m + len(family))
     kernel = _kernel(family, rng, m)
     idxs = multi_indices_up_to(m, 2)
-    eta = DerivVectorMeasure(m, 2, 2, {
-        alpha: VectorAtomMeasure(m, 2, [(rng.uniform(-1, 1, m), rng.normal(size=2) + 1j * rng.normal(size=2)) for _ in range(2)])
-        for alpha in idxs
-    })
+    alphas = [alpha for alpha in idxs for _ in range(2)]
+    eta = VectorAtomMeasure(
+        m, 2, [(rng.uniform(-1, 1, m), rng.normal(size=2) + 1j * rng.normal(size=2)) for _ in alphas], alphas=alphas, q=2
+    )
     el = embed(kernel, eta)
     ys = rng.uniform(-1.5, 1.5, size=(5, m))
     for beta in idxs:
@@ -125,8 +121,17 @@ def test_rkhs_deriv_eval_matches_per_atom_loop(family, m):
             for got in (batch[i], rkhs_deriv_eval(el, beta, y)):
                 assert got.shape == (2,)
                 assert np.max(np.abs(got - expected)) <= 1e-13 * scale
-    plain = embed(kernel, DerivVectorMeasure.plain(eta.components[0][1]))
+    plain = embed(kernel, VectorAtomMeasure(m, 2, points=eta.points[:2], vectors=eta.vectors[:2]))
     assert np.max(np.abs(rkhs_eval(plain, ys)[2] - _per_atom_deriv_eval(plain, (0,) * m, ys[2]))) <= 1e-13
+
+
+@pytest.mark.parametrize("order", [9, 2**63, 2**64])
+def test_rkhs_deriv_eval_refuses_beta_past_the_jet_cap(order):
+    """A beta of 2**64 once reached np.unique as an object array and raised
+    a numpy TypeError."""
+    el = embed(SCALAR_GAUSS, plain_measure(SCALAR_GAUSS, [(np.array([0.0]), np.array([1.0]))]))
+    with pytest.raises(UnsupportedJet, match="^derivative order exceeds cap 8$"):
+        rkhs_deriv_eval(el, (order,), np.array([0.5]))
 
 
 def test_rkhs_eval_rejects_bad_points():
@@ -222,6 +227,61 @@ def test_vector_measure_keeps_large_vectors_without_warning():
     assert vam.points.tolist() == [[0.0], [1.0], [2.0]]
 
 
+def _derivative_merge_loop(m, ell, rows):
+    """The layout derivative measures had before their atoms became flat
+    rows: one order-0 measure per alpha, alphas sorted by (|alpha|, alpha).
+    Returns the arrays (alphas, points, vectors) of the kept atoms."""
+    by_alpha = {}
+    for alpha, x, v in rows:
+        by_alpha.setdefault(alpha, []).append((x, v))
+    alphas, points, vectors = [], [], []
+    for alpha in sorted(by_alpha, key=lambda a: (sum(a), a)):
+        pts, vecs = _vector_merge_loop(m, ell, by_alpha[alpha])
+        alphas += [alpha] * len(pts)
+        points.append(pts)
+        vectors.append(vecs)
+    return np.array(alphas, dtype=int).reshape(-1, m), np.concatenate(points), np.concatenate(vectors)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_derivative_rows_merge_like_the_per_alpha_loop(seed):
+    """Rows merge on equal (alpha, x) only, -0.0 and 0.0 being one point,
+    and are stored sorted by (|alpha|, alpha), each alpha's points in order
+    of first occurrence: the atoms one order-0 measure per alpha kept."""
+    rng = np.random.default_rng(seed)
+    m, q = 1 + seed % 2, 2
+    xs = [np.array(x[:m], dtype=float) for x in ([0.0, 1.0], [-0.0, 1.0], [0.5, -0.5], [2.0, 0.0])]
+    idxs = multi_indices_up_to(m, q)
+    rows = [(idxs[int(rng.integers(len(idxs)))], xs[int(rng.integers(4))], rng.normal(size=2) + 1j * rng.normal(size=2))
+            for _ in range(14)]
+    rows.append((rows[0][0], rows[0][1], -rows[0][2]))  # cancels the first row, unless its key recurs
+    expected = _derivative_merge_loop(m, 2, rows)
+    eta = VectorAtomMeasure(m, 2, [(x, v) for _, x, v in rows], alphas=[a for a, _, _ in rows], q=q)
+    assert eta.q == q and eta.alphas.dtype == np.int_
+    for got, want in zip((eta.alphas, eta.points, eta.vectors), expected):
+        assert got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+
+
+@pytest.mark.parametrize("alphas, q, error, message", [
+    ([(0,), (2,)], 1, UnsupportedJet, "derivative order exceeds cap 1"),
+    ([(0,), (2**63,)], 8, UnsupportedJet, "derivative order exceeds cap 8"),
+    ([(0,), (2**64,)], 8, UnsupportedJet, "derivative order exceeds cap 8"),
+    ([(0,), (-1,)], 1, InvalidParameter, "multi-index (-1,) has a negative component"),
+    ([(0,), (0, 0)], 1, InvalidParameter, "multi-index (0, 0) has length 2, expected 1"),
+    ([(0,)], 1, InvalidVector, "got 1 multi-indices for 2 points"),
+    ([(0,), (0,)], 9, InvalidParameter, "need 0 <= q <= 8"),
+    ([(0,), (0,)], -1, InvalidParameter, "need 0 <= q <= 8"),
+])
+def test_measure_alphas_are_checked_as_python_ints(alphas, q, error, message):
+    """Each alpha is checked as Python ints before numpy holds it, which
+    would store 2**63 as uint64 and refuse 2**64."""
+    atoms = [(np.array([0.0]), np.array([1.0])), (np.array([1.0]), np.array([1.0]))]
+    with pytest.raises(error) as info:
+        VectorAtomMeasure(1, 1, atoms, alphas=alphas, q=q)
+    assert str(info.value) == message
+
+
 _PLANE_WAVE = plane_wave_kernel(PlaneWaveMeasure(1, 1, [(np.array([0.5]), np.eye(1))]))
 _HUGE_G = radial_kernel(RadialProfile.gaussian(), OperatorMeasure(1, [(1.0, np.array([[1e300]]))]), 1)
 
@@ -247,14 +307,8 @@ def test_zero_measure_has_zero_form():
     vam = VectorAtomMeasure(
         1, 1, [(np.array([0.5]), np.array([1.0])), (np.array([0.5]), np.array([-1.0]))]
     )
-    detail = quadratic_form_detail(SCALAR_GAUSS, [DerivVectorMeasure.plain(vam)])[0]
+    detail = quadratic_form_detail(SCALAR_GAUSS, [vam])[0]
     assert detail.value == 0.0 and detail.route_gap == 0.0
-
-
-def test_duplicate_component_rejected():
-    vam = VectorAtomMeasure(1, 1, [(np.array([0.0]), np.array([1.0]))])
-    with pytest.raises(InvalidParameter):
-        DerivVectorMeasure(1, 1, 1, [((0,), vam), ((0,), vam)])
 
 
 # ---------------------------------------------------------------- quadratic form
@@ -272,9 +326,9 @@ def test_quadratic_form_two_points_at_distance():
 def test_quadratic_form_first_derivative_component():
     """One plain atom and one d/dx atom at the same point, scalar gaussian:
     Q = K(0,0) + 2 Re<d1 K e, e> + d1 d2 K = 1 + 0 + 2w = 9 for v = 2."""
-    vam0 = VectorAtomMeasure(1, 1, [(np.array([0.0]), np.array([1.0]))])
-    vam1 = VectorAtomMeasure(1, 1, [(np.array([0.0]), np.array([2.0]))])
-    eta = DerivVectorMeasure(1, 1, 1, {(0,): vam0, (1,): vam1})
+    eta = VectorAtomMeasure(
+        1, 1, [(np.array([0.0]), np.array([2.0])), (np.array([0.0]), np.array([1.0]))], alphas=[(1,), (0,)], q=1
+    )
     assert quadratic_form(SCALAR_GAUSS, eta) == pytest.approx(9.0, abs=1e-12)
 
 
@@ -319,7 +373,7 @@ def test_two_routes_agree_on_random_measures(seed, q):
 def _gram_route_oracle(kernel, eta):
     """Q(eta) = sum_ij <d^{a_i}_1 d^{a_j}_2 K(x_i, x_j) v_j, v_i>, one
     kernel_deriv_eval call per pair of atoms."""
-    atoms = [(alpha, x, v) for alpha, vam in eta.components for x, v in zip(vam.points, vam.vectors)]
+    atoms = list(zip(map(tuple, eta.alphas.tolist()), eta.points, eta.vectors))
     total = 0.0 + 0.0j
     for ai, xi, vi in atoms:
         for aj, xj, vj in atoms:
@@ -330,31 +384,88 @@ def _gram_route_oracle(kernel, eta):
 @pytest.mark.parametrize("family", ["gaussian", "omega", "plane_wave"])
 @pytest.mark.parametrize("q", [1, 2])
 def test_two_routes_agree_at_derivative_orders(family, q):
-    """Components of every order up to q, atoms shared between components:
+    """Atoms at every order up to q, points shared between multi-indices:
     both routes agree with each other and with the per-pair sum."""
     rng = np.random.default_rng(7 * q + len(family))
     kernel = _kernel(family, rng, 2)
     shared = rng.uniform(-1, 1, size=(3, 2))
-    eta = DerivVectorMeasure(2, 2, q, {
-        alpha: VectorAtomMeasure(2, 2, [(x, rng.normal(size=2) + 1j * rng.normal(size=2)) for x in shared[: 1 + r % 3]])
-        for r, alpha in enumerate(multi_indices_up_to(2, q))
-    })
+    rows = [(alpha, x) for r, alpha in enumerate(multi_indices_up_to(2, q)) for x in shared[: 1 + r % 3]]
+    eta = VectorAtomMeasure(
+        2, 2, [(x, rng.normal(size=2) + 1j * rng.normal(size=2)) for _, x in rows], alphas=[a for a, _ in rows], q=q
+    )
     detail = quadratic_form_detail(kernel, [eta])[0]
     assert detail.route_gap <= 1e-12 * detail.scale
     assert detail.value == pytest.approx(_gram_route_oracle(kernel, eta), abs=1e-12 * detail.scale)
     assert detail.value > 0.0
 
 
+def _pinned_case(family, q, seed):
+    """A kernel and the rows (alpha, x, v) of a derivative measure: a run of
+    1-3 atoms per |alpha| <= q over three shared points, one more row at
+    the first (alpha, x), which merges with it, all in a shuffled order."""
+    rng = np.random.default_rng([seed, q, len(family)])
+    m, ell = 1 + seed % 2, 1 + seed // 2 % 2
+    kernel = _kernel(family, rng, m, ell)
+    shared = rng.uniform(-1, 1, size=(3, m))
+    rows = [
+        (alpha, shared[i], rng.normal(size=ell) + 1j * rng.normal(size=ell))
+        for r, alpha in enumerate(multi_indices_up_to(m, q))
+        for i in range(1 + (r + seed) % 3)
+    ]
+    rows.append((rows[0][0], rows[0][1], rng.normal(size=ell) + 1j * rng.normal(size=ell)))
+    rows = [rows[i] for i in rng.permutation(len(rows))]
+    return kernel, VectorAtomMeasure(m, ell, [(x, v) for _, x, v in rows], alphas=[a for a, _, _ in rows], q=q)
+
+
+# (value, scale, route_gap) as float.hex, computed when a derivative measure
+# was a family of one order-0 measure per alpha (rows grouped by alpha)
+_PINNED_FORMS = {
+    ('gaussian', 1, 0): ('0x1.0a95728979d92p+3', '0x1.8239b9547307bp+3', '0x0.0p+0'),
+    ('gaussian', 1, 1): ('0x1.d274233805262p+5', '0x1.fb6937b7b7eb0p+5', '0x0.0p+0'),
+    ('gaussian', 1, 2): ('0x1.0a54a7ec742a9p+8', '0x1.2e1a3ecaeda11p+9', '0x1.0000000000000p-44'),
+    ('gaussian', 1, 3): ('0x1.85f8286109684p+8', '0x1.42215862effa6p+9', '0x0.0p+0'),
+    ('gaussian', 2, 0): ('0x1.513042d9b154bp+6', '0x1.8f26fbbcb3beep+7', '0x1.0000000000000p-46'),
+    ('gaussian', 2, 1): ('0x1.bb49953afcd19p+9', '0x1.6efcaec81a6fep+10', '0x0.0p+0'),
+    ('gaussian', 2, 2): ('0x1.f07ff1998b2d6p+9', '0x1.d9e2ca8ab632cp+11', '0x1.0000000000000p-42'),
+    ('gaussian', 2, 3): ('0x1.0f630dfd87c86p+12', '0x1.1c51ae394dd35p+13', '0x0.0p+0'),
+    ('omega', 1, 0): ('0x1.03a645b8468a4p+3', '0x1.53bc3015671b9p+4', '0x0.0p+0'),
+    ('omega', 1, 1): ('0x1.cb3edfa5da3bcp+5', '0x1.09b16b21cc070p+6', '0x1.0000000000000p-47'),
+    ('omega', 1, 2): ('0x1.6f279c6549f81p+7', '0x1.63666c3a7f410p+8', '0x0.0p+0'),
+    ('omega', 1, 3): ('0x1.5070e028359fcp+7', '0x1.0c220017f82a6p+8', '0x0.0p+0'),
+    ('omega', 2, 0): ('0x1.e6f6ce32be348p+4', '0x1.3825c9869ad27p+5', '0x0.0p+0'),
+    ('omega', 2, 1): ('0x1.fc1652415e2c0p+4', '0x1.a7784f830992ep+5', '0x0.0p+0'),
+    ('omega', 2, 2): ('0x1.bfaf6439d58aep+6', '0x1.0f15acaa4e1a3p+8', '0x0.0p+0'),
+    ('omega', 2, 3): ('0x1.c9a198ea339cap+6', '0x1.a4c25fc832183p+8', '0x1.0000000000000p-46'),
+    ('plane_wave', 1, 0): ('0x1.cdc328862ebf8p+6', '0x1.03db6e30c086bp+8', '0x1.0000000000000p-46'),
+    ('plane_wave', 1, 1): ('0x1.44207facce13dp+6', '0x1.40142700a7e35p+6', '0x1.0000000000000p-45'),
+    ('plane_wave', 1, 2): ('0x1.61c0c481f2867p+3', '0x1.b5be568ff826fp+4', '0x1.0000000000000p-49'),
+    ('plane_wave', 1, 3): ('0x1.837de9573afb3p+8', '0x1.e4723917fafe3p+8', '0x0.0p+0'),
+    ('plane_wave', 2, 0): ('0x1.8a7ffefb8cb4fp+6', '0x1.071b4344681bcp+6', '0x1.0000000000000p-46'),
+    ('plane_wave', 2, 1): ('0x1.75fa663fd56c9p+6', '0x1.85ac538475e1ep+7', '0x1.0000000000000p-45'),
+    ('plane_wave', 2, 2): ('0x1.16ccd23d36c51p+6', '0x1.23eaca5f72ec0p+9', '0x1.0000000000000p-46'),
+    ('plane_wave', 2, 3): ('0x1.0262a2b06688ep+10', '0x1.d77438cf95d3ap+12', '0x1.0000000000000p-42'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PINNED_FORMS))
+def test_derivative_forms_match_the_pinned_bits(case):
+    """The flat (alpha, x, v) rows give the forms of the per-alpha layout
+    bit for bit, for gaussian, omega and plane-wave kernels at q = 1 and 2."""
+    kernel, eta = _pinned_case(*case)
+    assert _bits(quadratic_form_detail(kernel, [eta])[0]) == _PINNED_FORMS[case]
+
+
 def _shared_measures(rng, m, ell, q, count):
-    """count measures with the same q, components and atom points, and
+    """count measures with the same q, alphas and atom points, and
     independent random atom vectors."""
     comps = [alpha for r, alpha in enumerate(multi_indices_up_to(m, q)) if r == 0 or rng.random() < 0.7]
-    points = {alpha: rng.uniform(-1, 1, size=(int(rng.integers(1, 4)), m)) for alpha in comps}
+    alphas = [alpha for alpha in comps for _ in range(int(rng.integers(1, 4)))]
+    points = rng.uniform(-1, 1, size=(len(alphas), m))
     return [
-        DerivVectorMeasure(m, ell, q, {
-            alpha: VectorAtomMeasure(m, ell, points=pts, vectors=rng.normal(size=(len(pts), ell)) + 1j * rng.normal(size=(len(pts), ell)))
-            for alpha, pts in points.items()
-        })
+        VectorAtomMeasure(
+            m, ell, points=points, vectors=rng.normal(size=(len(alphas), ell)) + 1j * rng.normal(size=(len(alphas), ell)),
+            alphas=alphas, q=q,
+        )
         for _ in range(count)
     ]
 
@@ -387,14 +498,15 @@ def test_several_measures_match_one_measure_calls_bit_for_bit(seed, family, q, m
 
 
 def _measure_at(points, q=0, alpha=(0,)):
-    vam = VectorAtomMeasure(1, 1, points=np.asarray(points, dtype=float)[:, None], vectors=np.ones((len(points), 1)))
-    return DerivVectorMeasure(1, 1, q, {alpha: vam})
+    return VectorAtomMeasure(
+        1, 1, points=np.asarray(points, dtype=float)[:, None], vectors=np.ones((len(points), 1)), alphas=[alpha] * len(points), q=q
+    )
 
 
 @pytest.mark.parametrize("other", [
     _measure_at([0.0, 0.5 + 1e-15]),  # different points
     _measure_at([-0.0, 0.5]),  # -0.0 against 0.0
-    _measure_at([0.0, 0.5], q=1, alpha=(1,)),  # different components
+    _measure_at([0.0, 0.5], q=1, alpha=(1,)),  # different alphas
     _measure_at([0.0, 0.5], q=1),  # different q
     _measure_at([0.0]),  # different number of atoms
 ])
@@ -441,10 +553,9 @@ def _frequency_case(m, q, shift=0.0):
     rng = np.random.default_rng(10 * m + q)
     kernel = plane_wave_kernel(PlaneWaveMeasure(2, m, [(3.0 * rng.normal(size=m), _complex_psd(rng, 2)) for _ in range(3)]))
     shared = shift + rng.uniform(-1, 1, size=(3, m))
-    eta = DerivVectorMeasure(m, 2, q, {
-        alpha: VectorAtomMeasure(m, 2, points=shared[: 3 - r % 3], vectors=rng.normal(size=(3 - r % 3, 2)) + 1j * rng.normal(size=(3 - r % 3, 2)))
-        for r, alpha in enumerate(multi_indices_up_to(m, q))
-    })
+    rows = [(alpha, x) for r, alpha in enumerate(multi_indices_up_to(m, q)) for x in shared[: 3 - r % 3]]
+    vectors = rng.normal(size=(len(rows), 2)) + 1j * rng.normal(size=(len(rows), 2))
+    eta = VectorAtomMeasure(m, 2, points=np.array([x for _, x in rows]), vectors=vectors, alphas=[a for a, _ in rows], q=q)
     return kernel, eta
 
 
@@ -502,7 +613,7 @@ def test_frequency_route_refuses_an_overflowing_phase():
     with pytest.raises(NumericalFailure, match="plane-wave phase"):
         quadratic_form(kernel, eta)
     with pytest.raises(NumericalFailure, match=r"plane-wave phase \(x - x0\) \. xi overflows"):
-        rkhs_module._frequency_route(kernel, [embed(kernel, eta)], np.array([[-1e300], [1e300]]), np.arange(2))
+        rkhs_module._frequency_route(kernel, [eta], np.array([[-1e300], [1e300]]), np.arange(2))
 
 
 # ---------------------------------------------------------------- interpolation
@@ -594,17 +705,13 @@ def test_vector_measure_json_roundtrip():
     one re/im reader and writer and come back bitwise."""
     rng = np.random.default_rng(3)
     eta = random_deriv_measure(rng, 2, 2, 1)
-    text = json.dumps([[complex_to_json(v) for v in vam.vectors] for _, vam in eta.components])
-    comps = {
-        alpha: [(x, complex_from_json(obj, "'v'")) for x, obj in zip(vam.points, objs)]
-        for (alpha, vam), objs in zip(eta.components, json.loads(text))
-    }
-    back = DerivVectorMeasure(2, 2, eta.q, comps)
-    assert len(back.components) == len(eta.components)
-    for (a1, v1), (a2, v2) in zip(eta.components, back.components):
-        assert a1 == a2
-        assert np.array_equal(v1.points, v2.points)
-        assert np.array_equal(v1.vectors, v2.vectors)
+    text = json.dumps([complex_to_json(v) for v in eta.vectors])
+    back = VectorAtomMeasure(
+        2, 2, [(x, complex_from_json(obj, "'v'")) for x, obj in zip(eta.points, json.loads(text))],
+        alphas=eta.alphas, q=eta.q,
+    )
+    for name in ("alphas", "points", "vectors"):
+        assert getattr(back, name).tobytes() == getattr(eta, name).tobytes()
 
 
 def test_vector_measure_json_rejects_unknown_field():
