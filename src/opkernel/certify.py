@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DuplicatePoints, InvalidGrid, InvalidMatrix, InvalidParameter, InvalidVector
-from .hermitian import PSD_TOL, Frozen, _eigh_checked, hermitian_part, psd_margin
+from .hermitian import PSD_TOL, Frozen, hermitian_part, psd_margin
 from .kernel import (
     DUPLICATE_POINT_TOL,
     BlockGram,
@@ -191,7 +191,7 @@ def demo_counterexample_shifted_gaussian(w, seed: int = 0) -> CounterexampleResu
         g = hermitian_part((np.conj(vs) * (blocks @ vs)).sum(axis=1).T.reshape(4, 6, 6))
         if not np.all(np.isfinite(g)):
             raise InvalidMatrix("matrix has non-finite entries")
-        floor = float(_eigh_checked(g)[0][:, 0].min())
+        floor = float(psd_margin(g)[0].min())
         if floor > PROJECTION_FLOOR_TOL:
             break
     params = {"w": [float(c) for c in kernel.w], "seed": int(seed), "design_n": 6}

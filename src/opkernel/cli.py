@@ -34,7 +34,7 @@ from .certify import (
     probe_strict_pd,
 )
 from .errors import InputError, InvalidGrid, NumericalError, SchemaError
-from .hermitian import PSD_TOL, min_eigenvalue
+from .hermitian import PSD_TOL, eigen_hermitian
 from .kernel import (
     DUPLICATE_POINT_TOL,
     PlaneWaveMeasure,
@@ -251,9 +251,9 @@ def cmd_gram(args) -> int:
         g = gram(kernel, pts, tol=args.tols["duplicate"])
     else:
         g = deriv_gram(kernel, pts, q, tol=args.tols["duplicate"])
-    lo = min_eigenvalue(g.matrix)
+    lo = float(eigen_hermitian(g.matrix).eigenvalues[0])
     meta = _gram_layout(g, q)
-    meta["min_eigenvalue"] = float(lo)
+    meta["min_eigenvalue"] = lo
     if args.format == "csv":
         if not args.output:
             raise SchemaError("--format csv needs --output PATH for the matrix")

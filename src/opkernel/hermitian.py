@@ -9,6 +9,7 @@ of matrices, so a measure's atoms are validated with one call.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -93,26 +94,33 @@ def _as_hermitian(a) -> HermitianMatrix:
 
 
 def _frobenius(x: np.ndarray) -> np.ndarray:
-    """Frobenius norms over the last two axes. A matrix whose sum of squares
-    overflows (entries above about 1e154) is divided by its largest entry
-    first, so its norm stays finite."""
-    with np.errstate(over="ignore"):
+    """Frobenius norms over the last two axes, without a warning. A matrix
+    whose sum of squares overflows (entries above about 1e154) is divided by
+    its largest entry first, so its norm is inf only when the norm itself
+    leaves the float range (and not finite for entries that are not)."""
+    with np.errstate(over="ignore", invalid="ignore"):
         n = np.asarray(np.linalg.norm(x, axis=(-2, -1)))
-    big = np.isinf(n)
-    if big.any():
-        xs = x[big] if x.ndim > 2 else x[None]
-        top = np.max(np.abs(xs), axis=(-2, -1))
-        n[big] = top * np.linalg.norm(xs / top[:, None, None], axis=(-2, -1))
+        big = np.isinf(n)
+        if big.any():
+            xs = x[big] if x.ndim > 2 else x[None]
+            top = np.max(np.abs(xs), axis=(-2, -1))
+            n[big] = top * np.linalg.norm(xs / top[:, None, None], axis=(-2, -1))
     return n
 
 
 def _eigh_checked(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """np.linalg.eigh over the last two axes of Hermitian h, with the
-    reconstruction and unitarity residuals of every matrix enforced."""
+    reconstruction and unitarity residuals of every matrix enforced. An
+    eigenvalue outside the float range, or a residual that is not a number,
+    raises NumericalFailure."""
     w, v = np.linalg.eigh(h)
+    if not np.all(np.isfinite(w)):
+        raise NumericalFailure("eigendecomposition: an eigenvalue overflows the float range")
     vh = np.conj(np.swapaxes(v, -1, -2))
     scale = np.maximum(1.0, _frobenius(h))
-    if np.any(_frobenius((v * w[..., None, :]) @ vh - h) > EIG_RECON_TOL * scale):
+    with np.errstate(over="ignore", invalid="ignore"):
+        recon = (v * w[..., None, :]) @ vh - h
+    if not np.all(_frobenius(recon) <= EIG_RECON_TOL * scale):
         raise NumericalFailure("eigendecomposition reconstruction residual too large")
     if np.any(np.linalg.norm(vh @ v - np.eye(h.shape[-1]), axis=(-2, -1)) > EIG_UNITARY_TOL):
         raise NumericalFailure("eigenvector matrix is not unitary to tolerance")
@@ -131,20 +139,10 @@ def eigen_hermitian(a: HermitianMatrix | np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(eigenvalues=w, eigenvectors=v)
 
 
-def min_eigenvalue(a: HermitianMatrix | np.ndarray) -> float:
-    """Smallest eigenvalue (eigenvalues of a Hermitian matrix are real)."""
-    return float(eigen_hermitian(a).eigenvalues[0])
-
-
-def trace(a: HermitianMatrix | np.ndarray) -> float:
-    """Real trace (the diagonal of a Hermitian matrix is real)."""
-    a = _as_hermitian(a)
-    return float(np.trace(a.entries).real)
-
-
 def psd_margin(a: HermitianMatrix | np.ndarray) -> tuple:
     """(lambda_min, max(1, trace), a unit eigenvector of lambda_min): every
-    eigenvalue verdict compares lambda_min against tol * max(1, trace).
+    eigenvalue verdict compares lambda_min against tol * max(1, trace), so a
+    trace that overflows raises NumericalFailure.
 
     One matrix gives two floats and a vector. A stack (..., n, n) of
     Hermitian matrices, such as hermitian_part returns, is taken as given,
@@ -152,7 +150,10 @@ def psd_margin(a: HermitianMatrix | np.ndarray) -> tuple:
     stacked = isinstance(a, np.ndarray) and a.ndim > 2
     h = a if stacked else _as_hermitian(a).entries
     w, v = _eigh_checked(h)
-    tr = np.trace(h, axis1=-2, axis2=-1).real
+    with np.errstate(over="ignore"):
+        tr = np.trace(h, axis1=-2, axis2=-1).real
+    if not np.all(np.isfinite(tr)):
+        raise NumericalFailure("PSD check: the trace overflows the float range")
     if stacked:
         return w[..., 0], np.maximum(1.0, tr), v[..., 0]
     return float(w[0]), max(1.0, float(tr)), v[:, 0].copy()
@@ -175,13 +176,19 @@ def cholesky_psd(a: HermitianMatrix | np.ndarray, jitter: float = 0.0) -> np.nda
     a pivot loop run, which clamps pivots within 1e-10*scale of zero and
     zeroes their column (exact for genuinely PSD inputs) and raises NotPSD
     carrying the index of a pivot below -1e-10*scale. Either way the
-    residual ||L L^H - (A + jitter I)||_F <= 1e-10 * scale is enforced.
+    residual ||L L^H - (A + jitter I)||_F <= 1e-10 * scale is enforced, with
+    scale = max(1, ||A + jitter I||_F); a scale that overflows raises
+    NumericalFailure.
     """
     a = _as_hermitian(a)
     if not np.isfinite(jitter) or jitter < 0.0:
         raise InvalidMatrix("jitter must be a finite nonnegative real")
-    m = a.entries + jitter * np.eye(a.dim)
-    scale = max(1.0, float(_frobenius(m)))
+    with np.errstate(over="ignore"):
+        m = a.entries + jitter * np.eye(a.dim)
+    norm = float(_frobenius(m))
+    if not math.isfinite(norm):
+        raise NumericalFailure("Cholesky factorization: the matrix norm overflows the float range")
+    scale = max(1.0, norm)
     try:
         low = np.linalg.cholesky(m)
     except np.linalg.LinAlgError:

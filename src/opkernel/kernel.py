@@ -54,7 +54,6 @@ from .profiles import (
     RadialProfile,
     jet_eval,
     jet_for_multi_index,
-    multi_index_order,
     multi_indices_up_to,
     profile_value,
     sjet_derivatives,
@@ -270,10 +269,17 @@ def _check_point(x, m: int) -> np.ndarray:
     return x
 
 
+def _difference(x, y, m: int) -> np.ndarray:
+    """x - y of two checked points; a difference that overflows is inf, so
+    it counts as far, as in pair_diffs."""
+    x, y = _check_point(x, m), _check_point(y, m)
+    with np.errstate(over="ignore"):
+        return x - y
+
+
 def kernel_eval(kernel: OperatorKernel, x, y) -> np.ndarray:
     """K(x, y) as an ell x ell complex matrix (Hermitian only when x = y)."""
-    d = _check_point(x, kernel.m) - _check_point(y, kernel.m)
-    return kernel.eval_diffs(d[None, :])[0]
+    return kernel.eval_diffs(_difference(x, y, kernel.m)[None, :])[0]
 
 
 def radial_function_eval(kernel: OperatorKernel, t: float) -> np.ndarray:
@@ -301,12 +307,9 @@ def kernel_deriv_eval(kernel: OperatorKernel, alpha: MultiIndex, beta: MultiInde
     """
     alpha = validate_multi_index(alpha, kernel.m)
     beta = validate_multi_index(beta, kernel.m)
-    total_order = multi_index_order(alpha) + multi_index_order(beta)
-    if total_order > JET_ORDER_CAP:
-        raise UnsupportedJet(f"derivative order {total_order} exceeds cap {JET_ORDER_CAP}")
-    d = _check_point(x, kernel.m) - _check_point(y, kernel.m)
-    gamma = tuple(a + b for a, b in zip(alpha, beta))
-    return (-1.0) ** multi_index_order(beta) * kernel.deriv_diffs([gamma], d[None, :])[0, 0]
+    gamma = validate_multi_index(map(sum, zip(alpha, beta)), kernel.m, JET_ORDER_CAP)
+    d = _difference(x, y, kernel.m)
+    return (-1.0) ** sum(beta) * kernel.deriv_diffs([gamma], d[None, :])[0, 0]
 
 
 # ----------------------------------------------------------------------
@@ -419,11 +422,12 @@ def deriv_blocks(kernel: OperatorKernel, diffs: np.ndarray, p: np.ndarray, alpha
     gamma = alpha + beta are formed over the distinct multi-indices only; one
     deriv_diffs call, blocks gathered by array indexing. Not symmetrized."""
     n, ell, nrows = math.isqrt(diffs.shape[0]), kernel.ell, len(p)
-    idx, which = np.unique(alphas, axis=0, return_inverse=True)
+    first, which = unique_rows(alphas)
+    idx = alphas[first]
     sums = (idx[:, None, :] + idx[None, :, :]).reshape(-1, kernel.m)
-    gammas, rank = np.unique(sums, axis=0, return_inverse=True)
-    vals = kernel.deriv_diffs([tuple(g) for g in gammas.tolist()], diffs).reshape(len(gammas), n, n, ell, ell)
-    which, rank = which.reshape(-1), rank.reshape(len(idx), len(idx))
+    first, rank = unique_rows(sums)
+    vals = kernel.deriv_diffs([tuple(g) for g in sums[first].tolist()], diffs).reshape(first.size, n, n, ell, ell)
+    rank = rank.reshape(len(idx), len(idx))
     signs = np.where(idx.sum(axis=1) % 2, -1.0, 1.0)[which]
     blocks = vals[rank[which[:, None], which[None, :]], p[:, None], p[None, :]]
     blocks = blocks * signs[None, :, None, None]  # (row, column, i, j)

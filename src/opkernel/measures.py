@@ -51,13 +51,16 @@ def unique_rows(keys: np.ndarray, in_order: bool = False) -> tuple[np.ndarray, n
 def merge_rows(keys: np.ndarray, values: np.ndarray, in_order: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Sum the values of equal key rows: unique_rows's first indices, and per
     distinct key the sum of its values in input order, starting from the
-    first value (not from zero, so a lone -0.0 stays -0.0)."""
+    first value (not from zero, so a lone -0.0 stays -0.0). A sum that
+    leaves the float range is left not finite, without a warning, for the
+    caller to check."""
     first, inverse = unique_rows(keys, in_order)
     sums = values[first]
     if first.size < keys.shape[0]:
         later = np.ones(keys.shape[0], dtype=bool)
         later[first] = False
-        np.add.at(sums, inverse[later], values[later])  # one add per row, in row order
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.add.at(sums, inverse[later], values[later])  # one add per row, in row order
     return first, sums
 
 

@@ -54,7 +54,7 @@ from .errors import (
     NotPSD,
     NumericalFailure,
 )
-from .hermitian import Frozen, HermitianMatrix, _frobenius, cholesky_psd, solve_cholesky, trace
+from .hermitian import Frozen, HermitianMatrix, _frobenius, cholesky_psd, solve_cholesky
 from .kernel import (
     DUPLICATE_POINT_TOL,
     OperatorKernel,
@@ -69,7 +69,6 @@ from .measures import merge_rows, stack_atoms, unique_rows
 from .profiles import (
     JET_ORDER_CAP,
     MultiIndex,
-    multi_index_order,
     multi_indices_up_to,
     validate_multi_index,
 )
@@ -154,13 +153,6 @@ class RkhsElement:
     vectors: np.ndarray
 
 
-def embed(kernel: OperatorKernel, eta: VectorAtomMeasure) -> RkhsElement:
-    """Embed a derivative vector measure as an element of the kernel space."""
-    if eta.m != kernel.m or eta.ell != kernel.ell:
-        raise InvalidVector("measure dimensions do not match the kernel")
-    return RkhsElement(kernel=kernel, alphas=eta.alphas, points=eta.points, vectors=eta.vectors)
-
-
 def rkhs_eval(element: RkhsElement, y) -> np.ndarray:
     """Value of the element at y: sum_i (d^{alpha_i}_1 K)(x_i, y)^H v_i."""
     return rkhs_deriv_eval(element, (0,) * element.kernel.m, y)
@@ -201,10 +193,10 @@ def _conj_blocks(k: OperatorKernel, alphas: np.ndarray, points: np.ndarray, beta
     if not gammas.any():
         blocks = k.eval_diffs(diffs).reshape(na, npt, k.ell, k.ell)
     else:
-        distinct, rank = np.unique(gammas, axis=0, return_inverse=True)
-        vals = k.deriv_diffs([tuple(g) for g in distinct.tolist()], diffs)
-        vals = vals.reshape(len(distinct), na, npt, k.ell, k.ell)
-        blocks = (-1.0) ** multi_index_order(beta) * vals[rank.reshape(-1), np.arange(na)]
+        first, rank = unique_rows(gammas)
+        vals = k.deriv_diffs([tuple(g) for g in gammas[first].tolist()], diffs)
+        vals = vals.reshape(first.size, na, npt, k.ell, k.ell)
+        blocks = (-1.0) ** sum(beta) * vals[rank, np.arange(na)]
     return blocks.conj()
 
 
@@ -361,7 +353,7 @@ def _ridge_solve(
     float range raises NumericalFailure."""
     if ridge is None:
         with np.errstate(over="ignore"):
-            tr = trace(mat)
+            tr = float(np.trace(mat.entries).real)
         if math.isfinite(tr):
             ridge = 1e-10 * tr / mat.dim
         else:
@@ -413,13 +405,14 @@ def hermite_interpolate(
     (rows of the derivative block Gram restricted to the requested pairs),
     solves (M + ridge I) c = targets, and returns the element with atoms
     (alpha_i, x_i, c_i), so rkhs_deriv_eval(element, alpha_i, x_i) ~ target_i.
-    Two data with the same alpha at points closer than tol raise
-    DuplicatePoints.
+    The diagonal pairs each datum with itself (gamma = 2 alpha_i), so
+    |alpha_i| is capped at half the jet cap. Two data with the same alpha at
+    points closer than tol raise DuplicatePoints.
     """
     parsed = []
     for x, alpha, tgt in data:
         x = np.asarray(x, dtype=float)
-        alpha = validate_multi_index(alpha, kernel.m, JET_ORDER_CAP)
+        alpha = validate_multi_index(alpha, kernel.m, JET_ORDER_CAP // 2)
         tgt = np.asarray(tgt, dtype=complex)
         if x.shape != (kernel.m,) or not np.all(np.isfinite(x)):
             raise InvalidVector(f"data point must be a finite vector of length {kernel.m}")

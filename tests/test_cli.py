@@ -584,17 +584,19 @@ def test_interp_hermite_data(tmp_path):
     assert alphas == [[0], [1]]
 
 
-@pytest.mark.parametrize("order", [9, 2**63, 2**64])
+@pytest.mark.parametrize("order", [5, 9, 2**63, 2**64])
 def test_interp_hermite_alpha_past_the_jet_cap_exits_two(tmp_path, capsys, order):
     """An alpha of 2**63 once became uint64 in np.stack, where alpha + alpha
     wraps to 0: interp exited 0 with the order-0 interpolant. 2**64 exited 1
-    with a numpy TypeError. Both are now refused as 9 is."""
+    with a numpy TypeError. Both are now refused as 9 is. The system pairs
+    each datum with itself (gamma = 2 alpha), so the cap on |alpha| is half
+    the jet cap: 5 is refused by name, not later by the jet tables."""
     obj = {"kernel": GAUSS_SCALAR, "data": [{"x": [0.0], "alpha": [order], "target": {"re": [1.0]}}]}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, rep = run(tmp_path, ["interp"], obj)
     assert code == 2 and rep is None
-    assert capsys.readouterr().err == "error: derivative order exceeds cap 8\n"
+    assert capsys.readouterr().err == "error: derivative order exceeds cap 4\n"
 
 
 @pytest.mark.parametrize("obj", [
@@ -689,6 +691,50 @@ def test_kernel_overflow_is_a_numerical_failure(tmp_path, capsys, command, obj, 
     err = capsys.readouterr().err
     assert code == 4 and rep is None and not caught
     assert err.startswith(f"numerical failure: {stage}") and err.count("\n") == 1
+
+
+_HUGE_GAUSS = _one_atom({"kind": "gaussian"}, "omega", 1.0, 1e308)
+_CLOSE = [[0.0], [1e-5]]
+
+
+@pytest.mark.parametrize("command, obj, stage", [
+    # a Gram trace of about 3e308 made the scale max(1, trace) inf, so any
+    # lambda_min passed "lambda_min <= tol * scale": probe exited 3, and
+    # classify exited 0 with "consistent": false
+    ("probe", {"kernel": _HUGE_GAUSS, "n": 3, "trials": 2}, "PSD check: the trace overflows"),
+    ("classify", {**_HUGE_GAUSS, "n": 3, "trials": 2}, "PSD check: the trace overflows"),
+    # lambda_max = 2e308 came back inf and its residual NaN, which passed
+    ("gram", {"kernel": _HUGE_GAUSS, "points": _CLOSE}, "eigendecomposition: an eigenvalue overflows"),
+    # ||M||_F = 2e308 made the Cholesky residual bound inf
+    ("interp", {"kernel": _HUGE_GAUSS, "points": _CLOSE, "targets": {"re": [[1.0], [2.0]]}},
+     "Cholesky factorization: the matrix norm overflows"),
+    ("interp", {"kernel": _HUGE_GAUSS, "data": [{"x": x, "alpha": [0], "target": {"re": [1.0]}} for x in _CLOSE]},
+     "Cholesky factorization: the matrix norm overflows"),
+    # the atoms' PSD check sums the diagonal 1e308 + 1e308
+    ("eval", {"kernel": {**GAUSS_IDENTITY2, "ambient_dim": 1, "measure": {"dim": 2, "atoms": [
+        {"omega": 1.0, "G": {"re": [[1e308, 0.0], [0.0, 1e308]]}}]}}, "x": [0.0], "y": [1.0]},
+     "PSD check: the trace overflows"),
+])
+def test_eigensolve_overflow_is_a_numerical_failure(tmp_path, capsys, command, obj, stage):
+    """An eigenvalue, trace or Cholesky scale past the float range exits 4
+    with one line naming the stage. Each of these once exited 0 or 3 with
+    RuntimeWarnings."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, rep = run(tmp_path, [command], obj)
+    err = capsys.readouterr().err
+    assert code == 4 and rep is None
+    assert err.startswith(f"numerical failure: {stage}") and err.count("\n") == 1
+
+
+def test_gram_of_two_far_huge_blocks_still_solves(tmp_path, capsys):
+    """At distance 100 the Gram is diag(1e308, 1e308): its eigenvalues and
+    Frobenius norm are finite, and gram reads no trace."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, rep = run(tmp_path, ["gram"], {"kernel": _HUGE_GAUSS, "points": [[0.0], [100.0]]})
+    assert code == 0 and capsys.readouterr().err == ""
+    assert rep["result"]["min_eigenvalue"] == 1e308
 
 
 def test_interp_unknown_experiment(tmp_path):

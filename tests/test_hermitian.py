@@ -6,17 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from opkernel.errors import InvalidMatrix, NotPSD
+from opkernel.errors import InvalidMatrix, NotPSD, NumericalFailure
 from opkernel.hermitian import (
     HermitianMatrix,
+    _frobenius,
     cholesky_psd,
     eigen_hermitian,
     hermitian_part,
     is_psd,
     psd_margin,
-    min_eigenvalue,
     solve_cholesky,
-    trace,
 )
 from opkernel.kernel import gram, radial_kernel
 from opkernel.measures import OperatorMeasure
@@ -94,21 +93,21 @@ def test_hermitian_part_bitwise_equals_halved_sum():
 
 
 def test_min_eigenvalue_diag():
-    assert min_eigenvalue(H([[4, 0], [0, 9]])) == pytest.approx(4.0, abs=1e-12)
+    assert eigen_hermitian(H([[4, 0], [0, 9]])).eigenvalues[0] == pytest.approx(4.0, abs=1e-12)
 
 
 def test_min_eigenvalue_rank1():
-    assert min_eigenvalue(H([[1, 1], [1, 1]])) == pytest.approx(0.0, abs=1e-12)
+    assert eigen_hermitian(H([[1, 1], [1, 1]])).eigenvalues[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_min_eigenvalue_closed_form():
-    assert min_eigenvalue(H([[2, 1], [1, 2]])) == pytest.approx(1.0, abs=1e-12)
+    assert eigen_hermitian(H([[2, 1], [1, 2]])).eigenvalues[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_trace_cases():
-    assert trace(H(np.eye(4))) == 4.0
-    assert trace(H([[4, 0], [0, 9]])) == 13.0
-    assert trace(H(np.zeros((2, 2)))) == 0.0
+    assert np.trace(H(np.eye(4)).entries).real == 4.0
+    assert np.trace(H([[4, 0], [0, 9]]).entries).real == 13.0
+    assert np.trace(H(np.zeros((2, 2))).entries).real == 0.0
 
 
 # ---------------------------------------------------------------- is_psd
@@ -171,6 +170,65 @@ def test_measure_atoms_are_judged_by_psd_margin(monkeypatch):
     monkeypatch.setattr(measures, "psd_margin", spy)
     OperatorMeasure(2, [(1.0, np.eye(2)), (2.0, np.eye(2)), (1.0, np.eye(2))])
     assert seen == [(3, 2, 2)]
+
+
+# ---------------------------------------------------------------- overflow
+
+# every entry finite, but lambda_max = 2e308 and ||.||_F = 2e308 are not
+ALL_1E308 = [[1e308, 1e308], [1e308, 1e308]]
+
+
+def test_frobenius_overflows_to_inf_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _frobenius(np.array(ALL_1E308, dtype=complex)) == np.inf
+        assert _frobenius(np.array([[1e308, 0.0], [0.0, 1e308]])) == 1e308 * np.sqrt(2.0)
+
+
+def test_an_eigenvalue_past_the_float_range_is_a_numerical_failure():
+    """eigh returns lambda_max = inf here; its reconstruction residual was
+    NaN, which compared false against the tolerance and passed."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailure, match="^eigendecomposition: an eigenvalue overflows the float range$"):
+            eigen_hermitian(H(ALL_1E308))
+        with pytest.raises(NumericalFailure, match="^eigendecomposition: an eigenvalue"):
+            psd_margin(np.stack([np.eye(2, dtype=complex), np.array(ALL_1E308, dtype=complex)]))
+
+
+def test_a_nan_reconstruction_residual_is_a_numerical_failure(monkeypatch):
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: (eigh(h)[0], np.full(h.shape, np.nan, dtype=complex)))
+    with pytest.raises(NumericalFailure, match="^eigendecomposition reconstruction residual too large$"):
+        eigen_hermitian(H(np.eye(2)))
+
+
+def test_a_trace_past_the_float_range_is_a_numerical_failure():
+    """diag(1e308, 1e308) has finite eigenvalues but trace 2e308: the scale
+    max(1, trace) was inf, so lambda_min <= tol * scale held for any lambda."""
+    big = H(np.diag([1e308, 1e308]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert eigen_hermitian(big).eigenvalues.tolist() == [1e308, 1e308]
+        for a in (big, big.entries[None]):
+            with pytest.raises(NumericalFailure, match="^PSD check: the trace overflows the float range$"):
+                psd_margin(a)
+        with pytest.raises(NumericalFailure, match="^PSD check: the trace"):
+            is_psd(big)
+
+
+def test_a_cholesky_scale_past_the_float_range_is_a_numerical_failure():
+    """||M||_F = 2e308 made the residual bound inf, so it could never trip."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(
+            NumericalFailure, match="^Cholesky factorization: the matrix norm overflows the float range$"
+        ):
+            cholesky_psd(H(ALL_1E308))
+        # a jitter that takes a diagonal entry past the float range
+        with pytest.raises(NumericalFailure, match="^Cholesky factorization: the matrix norm"):
+            cholesky_psd(H([[1.7e308]]), jitter=1.7e308)
+        assert cholesky_psd(H(np.diag([1e308, 1e308])))[1, 1] == 1e154
 
 
 # ---------------------------------------------------------------- cholesky
@@ -249,7 +307,7 @@ def test_cholesky_default_ridge_at_cond_1e11():
     kernel = radial_kernel(RadialProfile.gaussian(), OperatorMeasure(1, [(1.5, np.eye(1))]), 1)
     pts = np.sort(np.random.default_rng(0).uniform(-2.0, 2.0, 40))[:, None]
     g = gram(kernel, pts).matrix
-    m = g.entries + 1e-10 * trace(g) / g.dim * np.eye(g.dim)
+    m = g.entries + 1e-10 * np.trace(g.entries).real / g.dim * np.eye(g.dim)
     assert 1e11 <= np.linalg.cond(m) <= 1e12
     low = cholesky_psd(HermitianMatrix(m))
     assert np.all(np.diagonal(low).real > 0.0)
@@ -278,7 +336,7 @@ def test_min_eigenvalue_unitary_invariance(seed, dim):
     a = random_hermitian(seed, dim)
     u = eigen_hermitian(random_hermitian(seed + 1, dim)).eigenvectors
     conj = HermitianMatrix(u @ a.entries @ u.conj().T)
-    assert min_eigenvalue(conj) == pytest.approx(min_eigenvalue(a), abs=1e-10)
+    assert psd_margin(conj)[0] == pytest.approx(psd_margin(a)[0], abs=1e-10)
 
 
 @given(st.integers(0, 10_000), st.integers(1, 5))

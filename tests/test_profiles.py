@@ -39,6 +39,7 @@ from opkernel.profiles import (
     profile_value,
     sjet_derivatives,
     williamson_construct,
+    _signed_difference,
     _stencil_values,
 )
 
@@ -766,3 +767,35 @@ def test_ell_cm_second_difference_overflow_is_a_numerical_failure():
         warnings.simplefilter("error")
         with pytest.raises(NumericalFailure, match="^second difference of D overflows the float range$"):
             ell_cm_check(spike, 3, np.array([1.0, 2.0, 3.0, 4.0]), h=1.0)
+
+
+def _old_signed_difference(vals, n, offset):
+    """The binomial weights and forward difference that the cm and ell-cm
+    checks each built before they shared _signed_difference."""
+    coeffs = np.array([(-1) ** (n - j) * math.comb(n, j) for j in range(n + 1)], dtype=float)
+    fd = vals[:, offset : n + 1 + offset] @ coeffs
+    assert np.all(np.isfinite(fd))
+    return (-1.0) ** n * fd
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_signed_difference_matches_the_weights_it_replaced(seed):
+    """(-1)^n Delta_h^n bit for bit as the two checks formed it, for every
+    order up to the cap and the three offsets of ell-cm's D."""
+    rng = np.random.default_rng(seed)
+    t = np.linspace(0.5, 3.0, 9)[:, None] + 0.01 * np.arange(MAX_DIFFERENCE_ORDER + 3)
+    tables = (rng.normal(size=t.shape), np.exp(-t), 2.0 + np.sin(t), 1e300 * rng.uniform(size=t.shape))
+    for vals in tables:
+        for n in range(MAX_DIFFERENCE_ORDER + 1):
+            for offset in range(3):
+                got = _signed_difference(vals, n, offset)
+                assert got.tobytes() == _old_signed_difference(vals, n, offset).tobytes()
+
+
+def test_signed_difference_overflow_names_its_order():
+    vals = np.array([[1.7e308, -1.7e308, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _signed_difference(vals, 0, 2).tolist() == [0.0]
+        with pytest.raises(NumericalFailure, match="^forward difference of order 1 overflows the float range$"):
+            _signed_difference(vals, 1)

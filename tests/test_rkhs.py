@@ -24,8 +24,8 @@ from opkernel.kernel import OperatorKernel, PlaneWaveMeasure, kernel_deriv_eval,
 from opkernel.measures import OperatorMeasure
 from opkernel.profiles import RadialProfile, multi_indices_up_to
 from opkernel.rkhs import (
+    RkhsElement,
     VectorAtomMeasure,
-    embed,
     hermite_interpolate,
     interpolate,
     quadratic_form,
@@ -45,6 +45,11 @@ DIAG_GAUSS = radial_kernel(
 
 def plain_measure(kernel, atoms):
     return VectorAtomMeasure(kernel.m, kernel.ell, atoms)
+
+
+def embed(kernel, eta):
+    """The element sum_i (d^{alpha_i}_1 K)(x_i, .)^H v_i of the measure's atoms."""
+    return RkhsElement(kernel, eta.alphas, eta.points, eta.vectors)
 
 
 def random_deriv_measure(rng, m, ell, q):
