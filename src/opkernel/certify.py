@@ -53,7 +53,7 @@ from .measures import (
     classify_radial,
 )
 from .profiles import RadialProfile
-from .rkhs import VectorAtomMeasure, quadratic_form, quadratic_form_detail
+from .rkhs import VectorAtomMeasure, quadratic_form_detail
 
 PROBE_TOL = 1e-10
 PROJECTION_FLOOR_TOL = 1e-8
@@ -66,10 +66,11 @@ MAX_BUMP_GRID_N = 8192
 MAX_BUMP_BOX = 1e6
 # Radial-bump atoms, counted as the grid points where the bump phi1 > 0: the
 # Gram holds (2 atoms)^2 complex entries and its pairwise pass atoms^2 2 x 2
-# blocks (64 MiB each at the cap). At the cap a demo peaks near 300 MiB at
-# grid 2048 and 900 MiB at grid 8192, where the grid_n^2 cosine table and the
-# phases of the distinct differences grow; grid 8192 at box 1.2 (6822 atoms)
-# needed over 2 GiB. The benchmark's largest is 366 atoms.
+# blocks (64 MiB each at the cap). At the cap a demo peaks near 140 MiB
+# (tracemalloc) at grid 2048, in the Gram assembly, and near 515 MiB at grid
+# 8192, in the grid_n^2 cosine table (512 MiB) that is freed before the
+# Gram; grid 8192 at box 1.2 (6822 atoms) once needed over 2 GiB. The
+# benchmark's largest is 366 atoms.
 MAX_BUMP_ATOMS = 1024
 # Probe design size: each trial forms n^2 differences and eigensolves an
 # (n*ell)^2 Gram, O(n^3) time; the benchmark's largest n is 40.
@@ -173,7 +174,7 @@ def demo_counterexample_shifted_gaussian(w, seed: int = 0) -> CounterexampleResu
     e1 = np.array([1.0, 0.0], dtype=complex)
     e2 = np.array([0.0, 1.0], dtype=complex)
     eta = VectorAtomMeasure(m, 2, points=np.stack([origin, shift]), vectors=np.stack([e1, -e2]))
-    mixed = quadratic_form(kernel, eta)
+    mixed = quadratic_form_detail(kernel, [eta])[0].value
     # the projections v, one per column
     vs = np.stack([e1, e2, e1 + e2, e1 + 1j * e2], axis=1)
 
@@ -207,6 +208,20 @@ def _bump(x: np.ndarray) -> np.ndarray:
     xi = x[inside]
     out[inside] = np.exp(-1.0 / (1.0 - xi * xi))
     return out
+
+
+def _cosine_transforms(x: np.ndarray, xis: np.ndarray, f: np.ndarray, g: np.ndarray):
+    """The real sums f @ C and g @ C over the table C[i, k] = cos(x_i xi_k),
+    for weighted bumps f and g that vanish outside |x| < 1. The rows of C
+    outside stay zero, so each GEMV keeps the full table's shape and its
+    bits; the rows inside (one run, as x is sorted) are written in place,
+    and the table is freed on return."""
+    cosines = np.zeros((x.size, xis.size))
+    inside = np.flatnonzero(np.abs(x) < 1.0)
+    if inside.size:
+        rows = cosines[inside[0] : inside[-1] + 1]
+        np.cos(np.multiply.outer(x[inside[0] : inside[-1] + 1], xis, out=rows), out=rows)
+    return f @ cosines, g @ cosines
 
 
 def demo_counterexample_radial_bump(
@@ -255,15 +270,7 @@ def demo_counterexample_radial_bump(
     xiw = np.full(grid_n, dxi)
     xiw[0] = xiw[-1] = dxi / 2.0
 
-    # real trapezoid cosine transforms sum_i phi(x_i) cos(x_i xi) wts_i; the
-    # rows outside |x| < 1, where both bumps vanish, stay zero, so the GEMV
-    # keeps the full table's shape and its bits
-    inside = np.abs(x) < 1.0
-    cosines = np.zeros((grid_n, grid_n))
-    cosines[inside] = np.cos(np.outer(x[inside], xis))
-    a = (phi1 * wts) @ cosines
-    b = (phi2 * wts) @ cosines
-
+    a, b = _cosine_transforms(x, xis, phi1 * wts, phi2 * wts)
     u = np.stack([b, -a], axis=1)
     gs = xiw[:, None, None] * (u[:, :, None] * u[:, None, :])
     kernel = plane_wave_kernel(PlaneWaveMeasure(2, 1, xis=xis[:, None], gs=gs))

@@ -19,7 +19,9 @@ from .errors import InvalidMatrix, NotPSD, NumericalFailure
 
 # Relative PSD tolerance: cutoffs scale with max(1, trace).
 PSD_TOL = 1e-10
-# Eigendecomposition quality requirements, relative to max(1, ||A||_F).
+# Eigendecomposition quality requirements, relative to max(1, ||A||_F); the
+# reconstruction residual of an A whose norm overflows is taken on A divided
+# by its largest entry.
 EIG_RECON_TOL = 1e-12
 EIG_UNITARY_TOL = 1e-12
 
@@ -35,15 +37,20 @@ class Frozen:
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
-    """(A + A^H)/2 over the last two axes. Where that sum is not finite (it
-    overflows above about 9e307), the halves are added instead; elsewhere
-    halving first would drop the last bit of a subnormal entry."""
-    b = np.conj(np.swapaxes(a, -1, -2))
+    """(A + A^H)/2 over the last two axes, as a new C-ordered array: A^H is
+    written into it, then A is added and the sum halved in place, so no other
+    array of its size is made. Where that sum is not finite (it overflows
+    above about 9e307), the halves are added instead; elsewhere halving first
+    would drop the last bit of a subnormal entry."""
+    # the layout is part of the result: the eigensolves and products
+    # downstream round differently on a Fortran-ordered matrix
+    h = np.conj(np.swapaxes(a, -1, -2), out=np.empty(a.shape, dtype=a.dtype))
     with np.errstate(over="ignore", invalid="ignore"):
-        h = (a + b) / 2
+        h += a
+        h /= 2
     big = ~np.isfinite(h)
     if big.any():
-        h[big] = a[big] / 2 + b[big] / 2
+        h[big] = a[big] / 2 + np.conj(np.swapaxes(a, -1, -2))[big] / 2
     return h
 
 
@@ -110,17 +117,25 @@ def _frobenius(x: np.ndarray) -> np.ndarray:
 
 def _eigh_checked(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """np.linalg.eigh over the last two axes of Hermitian h, with the
-    reconstruction and unitarity residuals of every matrix enforced. An
-    eigenvalue outside the float range, or a residual that is not a number,
-    raises NumericalFailure."""
+    reconstruction and unitarity residuals of every matrix enforced (a
+    matrix whose Frobenius norm overflows is checked divided by its largest
+    entry, with its eigenvalues). An eigenvalue outside the float range, or
+    a residual that is not a number, raises NumericalFailure."""
     w, v = np.linalg.eigh(h)
     if not np.all(np.isfinite(w)):
         raise NumericalFailure("eigendecomposition: an eigenvalue overflows the float range")
     vh = np.conj(np.swapaxes(v, -1, -2))
-    scale = np.maximum(1.0, _frobenius(h))
+    norm, hs, ws = _frobenius(h), h, w
+    big = np.isinf(norm)
+    if big.any():
+        # a norm past the float range would make any residual pass: check
+        # such a matrix and its eigenvalues divided by its largest entry
+        top = np.where(big, np.max(np.maximum(np.abs(h.real), np.abs(h.imag)), axis=(-2, -1)), 1.0)
+        hs, ws = h / top[..., None, None], w / top[..., None]
+        norm = _frobenius(hs)
     with np.errstate(over="ignore", invalid="ignore"):
-        recon = (v * w[..., None, :]) @ vh - h
-    if not np.all(_frobenius(recon) <= EIG_RECON_TOL * scale):
+        recon = (v * ws[..., None, :]) @ vh - hs
+    if not np.all(_frobenius(recon) <= EIG_RECON_TOL * np.maximum(1.0, norm)):
         raise NumericalFailure("eigendecomposition reconstruction residual too large")
     if np.any(np.linalg.norm(vh @ v - np.eye(h.shape[-1]), axis=(-2, -1)) > EIG_UNITARY_TOL):
         raise NumericalFailure("eigenvector matrix is not unitary to tolerance")

@@ -84,6 +84,11 @@ MAX_JET_TABLE_ENTRIES = 2**24
 # and the row sort of the measure's frequencies, which takes memory per
 # coordinate even with no atoms. The benchmark's largest m is 3.
 MAX_AMBIENT_DIM = 1024
+# Plane-wave phases formed at a time, by a block of rows of a kernel batch
+# (rows x atoms) and by a block of frequencies of route 2 in rkhs (atoms x
+# frequencies): no phase table grows with the whole batch, whose table at
+# the benchmark's grid-2048 bump demo would hold 722 x 2048 phases (23 MiB).
+_PHASE_BLOCK_ENTRIES = 2**16
 
 
 class PlaneWaveMeasure(Frozen):
@@ -184,12 +189,17 @@ class OperatorKernel(Frozen):
     def _blocks(self, diffs: np.ndarray, sq: np.ndarray | None = None) -> np.ndarray:
         """F(d) for every row, evaluated directly; sq holds the squared norms
         a radial kernel needs. An empty measure gives zero blocks."""
+        gs = self.measure.gs
         if self.kind == "plane_wave":
-            vals = _phases(diffs, self.measure.xis)
+            out = np.empty((diffs.shape[0], self.ell, self.ell), dtype=complex)
+            for rows in _row_blocks(diffs.shape[0], gs.shape[0]):
+                vals = _phases(diffs[rows], self.measure.xis)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    out[rows] = np.einsum("pa,aij->pij", vals, gs)
         else:
             vals = profile_value(self.profile, self.measure.omegas, np.sqrt(sq)).astype(complex)
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = np.einsum("pa,aij->pij", vals, self.measure.gs)
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = np.einsum("pa,aij->pij", vals, gs)
         if not np.all(np.isfinite(out)):
             raise NumericalFailure("kernel blocks (family values times atom matrices) overflow the float range")
         return out
@@ -232,6 +242,18 @@ class OperatorKernel(Frozen):
         if not np.all(np.isfinite(out)):
             raise NumericalFailure("derivative kernel blocks (jets times atom matrices) overflow the float range")
         return out.reshape(shape)
+
+
+def _row_blocks(nrows: int, natoms: int) -> list[slice]:
+    """Consecutive slices covering nrows rows, each of about
+    _PHASE_BLOCK_ENTRIES / natoms rows and never of one row (unless nrows is
+    1): a one-row product d @ xi is a GEMV, which rounds differently from
+    the GEMM rows of a larger block when m > 1."""
+    step = max(2, _PHASE_BLOCK_ENTRIES // max(1, natoms))
+    starts = list(range(0, nrows, step))
+    if len(starts) > 1 and nrows - starts[-1] < 2:
+        starts.pop()
+    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [nrows])]
 
 
 def _phases(diffs: np.ndarray, xis: np.ndarray) -> np.ndarray:
@@ -388,11 +410,11 @@ def _check_points(
 def gram(kernel: OperatorKernel, points, tol: float = DUPLICATE_POINT_TOL) -> BlockGram:
     """Assemble and symmetrize the block Gram (q = 0) at pairwise-distinct points."""
     pts, diffs = _check_points(points, kernel.m, tol, kernel.ell)
-    n = pts.shape[0]
-    blocks = kernel.eval_diffs(diffs).reshape(n, n, kernel.ell, kernel.ell)
-    big = blocks.transpose(0, 2, 1, 3).reshape(n * kernel.ell, n * kernel.ell)
+    n, ell = pts.shape[0], kernel.ell
+    # one chain, so the blocks are freed once the Gram is laid out
+    big = kernel.eval_diffs(diffs).reshape(n, n, ell, ell).transpose(0, 2, 1, 3).reshape(n * ell, n * ell)
     zero = ((0,) * kernel.m,)
-    return BlockGram(points=pts, ell=kernel.ell, q=0, multi_indices=zero, matrix=HermitianMatrix(big))
+    return BlockGram(points=pts, ell=ell, q=0, multi_indices=zero, matrix=HermitianMatrix(big))
 
 
 def deriv_gram(kernel: OperatorKernel, points, q: int, tol: float = DUPLICATE_POINT_TOL) -> BlockGram:

@@ -19,18 +19,19 @@ keeps the same three arrays. rkhs_deriv_eval evaluates an element
 at a batch of points with one call to the kernel's batched primitives, over
 all atom-minus-point differences.
 
-quadratic_form always computes Q twice and asserts the two routes agree to
-1e-12 * scale; the check is never skipped. Route 1 is w^H M w against the
-derivative block Gram. Route 2 never reads the Gram. For a plane-wave kernel
-K(x, y) = sum_a e^{-i (x - y) . xi_a} G_a it is the frequency-side sum
-sum_a u_a^H G_a u_a, u_a = sum_c (i xi_a)^alpha_c e^{i x_c . xi_a} v_c, read
-from the measure's atoms without a kernel block, so it also checks the
-kernel values. For radial and other kernels it pairs the embedded function
-against the measure, one batched evaluation per distinct alpha, from the raw
+quadratic_form_detail always computes Q twice and asserts the two routes
+agree to 1e-12 * scale; the check is never skipped. Route 1 is w^H M w
+against the derivative block Gram. Route 2 never reads the Gram. For a
+plane-wave kernel K(x, y) = sum_a e^{-i (x - y) . xi_a} G_a it is the
+frequency-side sum sum_a u_a^H G_a u_a, u_a = sum_c (i xi_a)^alpha_c
+e^{i x_c . xi_a} v_c, read from the measure's atoms without a kernel block,
+a block of frequencies at a time, so it also checks the kernel values.
+For radial and other kernels it pairs the embedded function against the
+measure, one batched evaluation per distinct alpha, from the raw
 unsymmetrized blocks in its own summation order: that checks the Gram's
 assembly, not the kernel values. Measures with the same atom points (the
 radial-bump demo's mixed and reference measures) share one Gram and one
-route-2 table, and each measure's two routes stay independent.
+route-2 pass, and each measure's two routes stay independent.
 
 Interpolation solves (Gram + ridge I) c = targets by PSD Cholesky and
 returns the combination as an element of the kernel space, so evaluation
@@ -56,6 +57,7 @@ from .errors import (
 )
 from .hermitian import Frozen, HermitianMatrix, _frobenius, cholesky_psd, solve_cholesky
 from .kernel import (
+    _PHASE_BLOCK_ENTRIES,
     DUPLICATE_POINT_TOL,
     OperatorKernel,
     check_gram_size,
@@ -208,8 +210,14 @@ class QuadraticFormDetail:
 
 
 def quadratic_form_detail(kernel: OperatorKernel, etas) -> tuple[QuadraticFormDetail, ...]:
-    """Quadratic form of each measure in etas against the kernel, with its
-    scale and dual-route residual; see quadratic_form.
+    """The (real) quadratic form of each derivative vector measure in etas
+    against the kernel, with its scale and dual-route residual.
+
+    Computed as w^H M w against the derivative block Gram AND independently
+    by route 2 (see the module docstring); the two routes must agree to
+    1e-12 * scale (scale = max(1, sum ||v_i||^2 * max(1, largest Gram
+    diagonal))) or NumericalFailure is raised. For the PSD kernels
+    constructed by this package the value is >= -1e-9 * scale.
 
     The measures must share q and their alphas and points rows (as bytes,
     so -0.0 is not 0.0), or InvalidParameter is raised. The Gram and the
@@ -302,32 +310,26 @@ def _frequency_route(kernel: OperatorKernel, etas, pts: np.ndarray, atom_point: 
     factor e^{-i x_0 . xi_a} cancels in Q, and far from the origin it would
     cost the phases their accuracy."""
     xis, gs = kernel.measure.xis, kernel.measure.gs
-    with np.errstate(over="ignore", invalid="ignore"):
-        theta = (pts - pts[0]) @ xis.T
-    if not np.all(np.isfinite(theta)):
-        raise NumericalFailure("plane-wave phase (x - x0) . xi overflows the float range")
-    # one row per atom: (i xi)^alpha e^{i (x - x0) . xi}
-    lift = np.exp(1j * theta)[atom_point]
+    with np.errstate(over="ignore"):
+        offsets = pts - pts[0]
     alphas = etas[0].alphas
-    if alphas.any():
-        lift *= np.prod((1j * xis) ** alphas[:, None, :], axis=2)
-    values = []
-    for eta in etas:
-        u = lift.T @ eta.vectors
-        values.append(complex(np.sum(np.conj(u) * np.einsum("aij,aj->ai", gs, u))))
+    values = [0j] * len(etas)
+    # a block of frequencies at a time, so no (atoms x frequencies) table is built
+    step = max(1, _PHASE_BLOCK_ENTRIES // len(atom_point))
+    for lo in range(0, xis.shape[0], step):
+        freqs = xis[lo : lo + step]
+        with np.errstate(over="ignore", invalid="ignore"):
+            theta = offsets @ freqs.T
+        if not np.all(np.isfinite(theta)):
+            raise NumericalFailure("plane-wave phase (x - x0) . xi overflows the float range")
+        # one row per atom: (i xi)^alpha e^{i (x - x0) . xi}
+        lift = np.exp(1j * theta[atom_point])
+        if alphas.any():
+            lift *= np.prod((1j * freqs) ** alphas[:, None, :], axis=2)
+        for e, eta in enumerate(etas):
+            u = lift.T @ eta.vectors
+            values[e] += complex(np.sum(np.conj(u) * np.einsum("aij,aj->ai", gs[lo : lo + step], u)))
     return values
-
-
-def quadratic_form(kernel: OperatorKernel, eta: VectorAtomMeasure) -> float:
-    """The (real) quadratic form of a derivative vector measure.
-
-    Computed as w^H M w against the derivative block Gram AND independently
-    by embedding eta and pairing the resulting function against eta; the two
-    routes must agree to 1e-12 * scale (scale = max(1, sum ||v_i||^2 *
-    max(1, largest Gram diagonal))) or NumericalFailure is raised. For the
-    PSD kernels constructed by this package the value is >= -1e-9 * scale.
-    """
-    return quadratic_form_detail(kernel, [eta])[0].value
 
 
 # ----------------------------------------------------------------------

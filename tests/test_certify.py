@@ -405,6 +405,21 @@ def test_bump_weights_match_the_full_cosine_table(monkeypatch, grid_n, box):
     assert np.array_equal(measures[0].xis, expected.xis) and np.array_equal(measures[0].gs, expected.gs)
 
 
+def test_bump_demo_working_set_is_bounded_by_the_gram():
+    """The grid-2048 demo of the benchmark (366 atoms, a 732-row Gram):
+    the 32 MiB cosine table is freed before the Gram is built, and the
+    phases are formed a block of rows or frequencies at a time. Its peak
+    was 80.8 MiB when the table and two (rows x atoms) phase tables of
+    22.6 MiB each were live together."""
+    tracemalloc.start()
+    try:
+        demo_counterexample_radial_bump(grid_n=2048, box=5.6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20
+
+
 # ---------------------------------------------------------------- probe
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from opkernel.errors import InvalidMatrix, NotPSD, NumericalFailure
 from opkernel.hermitian import (
     HermitianMatrix,
+    _eigh_checked,
     _frobenius,
     cholesky_psd,
     eigen_hermitian,
@@ -86,7 +87,12 @@ def test_hermitian_part_bitwise_equals_halved_sum():
         a[0, 0, 1] = complex(-0.0, 5e-324)
         expected = (a + np.conj(np.swapaxes(a, 1, 2))) / 2
         assert hermitian_part(a).tobytes() == expected.tobytes()
-        assert H(a[1]).entries.tobytes() == expected[1].tobytes()
+        # C-ordered whatever the input's layout: the layout changes the bits
+        # of the eigensolves and products downstream
+        for b in (a[1], np.asfortranarray(a[1])):
+            entries = H(b).entries
+            assert entries.flags.c_contiguous
+            assert entries.tobytes() == expected[1].tobytes()
 
 
 # ---------------------------------------------------------------- min eig / trace
@@ -201,6 +207,26 @@ def test_a_nan_reconstruction_residual_is_a_numerical_failure(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", lambda h: (eigh(h)[0], np.full(h.shape, np.nan, dtype=complex)))
     with pytest.raises(NumericalFailure, match="^eigendecomposition reconstruction residual too large$"):
         eigen_hermitian(H(np.eye(2)))
+
+
+def test_a_wrong_eigenpair_is_caught_where_the_norm_overflows(monkeypatch):
+    """||h||_F is inf here while both eigenvalues (1.4e308, 1.6e308) are
+    finite, so a residual bound of tol * ||h||_F passed any eigenpair; the
+    residual is now taken on h over its largest entry."""
+    h = np.array([[1.5e308, 1e307], [1e307, 1.5e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isinf(_frobenius(H(h).entries))
+        assert eigen_hermitian(H(h)).eigenvalues.tolist() == pytest.approx([1.4e308, 1.6e308], rel=1e-15)
+        # in a stack, only the matrix whose norm overflows is rescaled
+        w, _ = _eigh_checked(np.stack([np.eye(2, dtype=complex), H(h).entries]))
+        assert w[:, 0].tolist() == pytest.approx([1.0, 1.4e308], rel=1e-15)
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: (eigh(a)[0] * [1.0, 0.95], eigh(a)[1]))
+        with pytest.raises(NumericalFailure, match="^eigendecomposition reconstruction residual too large$"):
+            eigen_hermitian(H(h))
+        with pytest.raises(NumericalFailure, match="^eigendecomposition reconstruction residual too large$"):
+            _eigh_checked(H(h).entries[None])
 
 
 def test_a_trace_past_the_float_range_is_a_numerical_failure():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from opkernel import kernel as kernel_module
 from opkernel.errors import (
     DuplicatePoints,
     InvalidMeasure,
@@ -670,6 +671,25 @@ def test_plane_wave_eval_diffs_mirrors_pairs_bitwise(m):
         for nrows in (40, 64, 65, 300):
             diffs = _pair_rows(rng, m, 12, nrows)
             assert _same_bits(k.eval_diffs(diffs), _direct_plane_wave(measure, diffs))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_plane_wave_eval_diffs_in_row_blocks_bitwise(monkeypatch, m):
+    """With a small phase block the rows are evaluated a few at a time (40
+    rows at 3 per block leave one row, which joins the block before it),
+    on the direct path and on the mirrored one with its re-evaluated
+    blocks, still bit for bit the one-shot product."""
+    monkeypatch.setattr(kernel_module, "_PHASE_BLOCK_ENTRIES", 15)
+    test_plane_wave_eval_diffs_mirrors_pairs_bitwise(m)
+
+
+def test_phase_row_blocks_never_hold_one_row(monkeypatch):
+    """A one-row block would round d @ xi as a GEMV; a one-row remainder
+    joins the block before it, and only a one-row batch is one row."""
+    monkeypatch.setattr(kernel_module, "_PHASE_BLOCK_ENTRIES", 6)
+    sizes = {n: [b.stop - b.start for b in kernel_module._row_blocks(n, 3)] for n in (1, 2, 3, 6, 7)}
+    assert sizes == {1: [1], 2: [2], 3: [3], 6: [2, 2, 2], 7: [2, 2, 3]}
+    assert [b.stop - b.start for b in kernel_module._row_blocks(5, 0)] == [5]
 
 
 def _diagonal_measure(rng, m, natoms=64):

@@ -28,7 +28,6 @@ from opkernel.rkhs import (
     VectorAtomMeasure,
     hermite_interpolate,
     interpolate,
-    quadratic_form,
     quadratic_form_detail,
     rkhs_deriv_eval,
     rkhs_eval,
@@ -325,7 +324,7 @@ def test_quadratic_form_two_points_at_distance():
         SCALAR_GAUSS,
         [(np.array([0.0]), np.array([1.0])), (np.array([100.0]), np.array([1.0]))],
     )
-    assert quadratic_form(SCALAR_GAUSS, eta) == pytest.approx(2.0, abs=1e-12)
+    assert quadratic_form_detail(SCALAR_GAUSS, [eta])[0].value == pytest.approx(2.0, abs=1e-12)
 
 
 def test_quadratic_form_first_derivative_component():
@@ -334,14 +333,14 @@ def test_quadratic_form_first_derivative_component():
     eta = VectorAtomMeasure(
         1, 1, [(np.array([0.0]), np.array([2.0])), (np.array([0.0]), np.array([1.0]))], alphas=[(1,), (0,)], q=1
     )
-    assert quadratic_form(SCALAR_GAUSS, eta) == pytest.approx(9.0, abs=1e-12)
+    assert quadratic_form_detail(SCALAR_GAUSS, [eta])[0].value == pytest.approx(9.0, abs=1e-12)
 
 
 def test_quadratic_form_scales_with_modulus_squared():
     base = plain_measure(SCALAR_GAUSS, [(np.array([0.0]), np.array([1.0]))])
     scaled = plain_measure(SCALAR_GAUSS, [(np.array([0.0]), np.array([3.0j]))])
-    q0 = quadratic_form(SCALAR_GAUSS, base)
-    q1 = quadratic_form(SCALAR_GAUSS, scaled)
+    q0 = quadratic_form_detail(SCALAR_GAUSS, [base])[0].value
+    q1 = quadratic_form_detail(SCALAR_GAUSS, [scaled])[0].value
     assert q1 == pytest.approx(9.0 * q0, rel=1e-13)
 
 
@@ -355,7 +354,7 @@ def test_quadratic_form_detail_reports_scale():
 def test_quadratic_form_rejects_mismatched_dims():
     eta = plain_measure(SCALAR_GAUSS, [(np.array([0.0]), np.array([1.0]))])
     with pytest.raises(InvalidVector):
-        quadratic_form(DIAG_GAUSS, eta)
+        quadratic_form_detail(DIAG_GAUSS, [eta])
 
 
 @given(st.integers(0, 10_000), st.integers(0, 2))
@@ -592,6 +591,15 @@ def test_frequency_route_agrees_without_kernel_blocks(monkeypatch, m, q, shift):
     assert detail.value == pytest.approx(expected, abs=1e-12 * detail.scale)
 
 
+@pytest.mark.parametrize("q", [0, 1, 2])
+@pytest.mark.parametrize("m", [1, 2])
+def test_frequency_route_over_blocks_of_one_frequency(monkeypatch, m, q):
+    """Route 2 summed one frequency at a time, derivative atoms included:
+    the same agreement as in one block."""
+    monkeypatch.setattr(rkhs_module, "_PHASE_BLOCK_ENTRIES", 1)
+    test_frequency_route_agrees_without_kernel_blocks(monkeypatch, m, q, 1e6)
+
+
 @pytest.mark.parametrize("mutation, q", [("extra phase", 0), ("extra phase", 1), ("blocks x 1.7", 0)])
 def test_frequency_route_catches_a_wrong_kernel_value(monkeypatch, mutation, q):
     """A wrong plane-wave kernel value moves the Gram route and not the
@@ -616,7 +624,7 @@ def test_frequency_route_refuses_an_overflowing_phase():
     kernel = plane_wave_kernel(PlaneWaveMeasure(1, 1, [(np.array([1e10]), np.eye(1))]))
     eta = plain_measure(kernel, [(np.array([-1e300]), np.array([1.0])), (np.array([1e300]), np.array([1.0]))])
     with pytest.raises(NumericalFailure, match="plane-wave phase"):
-        quadratic_form(kernel, eta)
+        quadratic_form_detail(kernel, [eta])
     with pytest.raises(NumericalFailure, match=r"plane-wave phase \(x - x0\) \. xi overflows"):
         rkhs_module._frequency_route(kernel, [eta], np.array([[-1e300], [1e300]]), np.arange(2))
 
