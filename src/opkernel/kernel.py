@@ -25,8 +25,9 @@ Block Grams: for points x_1..x_n, the block Gram at jet order q carries one
 block row/column per (point, multi-index) pair with |alpha| <= q in
 graded-lexicographic order, block ((mu,alpha),(nu,beta)) being
 d^alpha_1 d^beta_2 K(x_mu, x_nu). The plain Gram of blocks K(x_mu, x_nu)
-is q = 0, whose one multi-index is (0,...,0). Grams are symmetrized on
-assembly.
+is q = 0, whose one multi-index is (0,...,0). deriv_blocks assembles the
+blocks of any (point, multi-index) rows and columns for every caller, and
+block_matrix lays them out. Grams are symmetrized on assembly.
 """
 
 from __future__ import annotations
@@ -412,17 +413,15 @@ def gram(kernel: OperatorKernel, points, tol: float = DUPLICATE_POINT_TOL) -> Bl
     pts, diffs = _check_points(points, kernel.m, tol, kernel.ell)
     n, ell = pts.shape[0], kernel.ell
     # one chain, so the blocks are freed once the Gram is laid out
-    big = kernel.eval_diffs(diffs).reshape(n, n, ell, ell).transpose(0, 2, 1, 3).reshape(n * ell, n * ell)
+    big = block_matrix(kernel.eval_diffs(diffs).reshape(n, n, ell, ell))
     zero = ((0,) * kernel.m,)
     return BlockGram(points=pts, ell=ell, q=0, multi_indices=zero, matrix=HermitianMatrix(big))
 
 
 def deriv_gram(kernel: OperatorKernel, points, q: int, tol: float = DUPLICATE_POINT_TOL) -> BlockGram:
     """Assemble the block Gram at jet order q (2q <= cap); q = 0 is gram.
-
-    One deriv_diffs call over all n^2 differences gives every gamma = alpha +
-    beta; block ((mu,alpha),(nu,beta)) is (-1)^|beta| times its gamma slab.
-    """
+    The blocks come from deriv_blocks, one row and column per (point,
+    multi-index) pair."""
     q = int(q)
     if q < 0 or 2 * q > JET_ORDER_CAP:
         raise UnsupportedJet(f"need 0 <= 2q <= {JET_ORDER_CAP}, got q={q}")
@@ -433,27 +432,38 @@ def deriv_gram(kernel: OperatorKernel, points, q: int, tol: float = DUPLICATE_PO
         raise UnsupportedJet("derivative Grams need a kernel with analytic jets")
     n = pts.shape[0]
     idxs = multi_indices_up_to(kernel.m, q)
-    big = deriv_blocks(kernel, diffs, np.repeat(np.arange(n), len(idxs)), np.tile(idxs, (n, 1)))
+    rows = (np.repeat(np.arange(n), len(idxs)), np.tile(idxs, (n, 1)))
+    big = block_matrix(deriv_blocks(kernel, diffs.reshape(n, n, kernel.m), rows, rows))
     return BlockGram(points=pts, ell=kernel.ell, q=q, multi_indices=idxs, matrix=HermitianMatrix(big))
 
 
-def deriv_blocks(kernel: OperatorKernel, diffs: np.ndarray, p: np.ndarray, alphas: np.ndarray) -> np.ndarray:
-    """Square block matrix with block (r, c) = d^alphas[r]_1 d^alphas[c]_2
-    K(x_p[r], x_p[c]), given the pair_diffs differences of the points, each
-    row's point index p (rows,) and multi-index alphas (rows, m). The sums
-    gamma = alpha + beta are formed over the distinct multi-indices only; one
-    deriv_diffs call, blocks gathered by array indexing. Not symmetrized."""
-    n, ell, nrows = math.isqrt(diffs.shape[0]), kernel.ell, len(p)
-    first, which = unique_rows(alphas)
-    idx = alphas[first]
-    sums = (idx[:, None, :] + idx[None, :, :]).reshape(-1, kernel.m)
+def deriv_blocks(kernel, diffs: np.ndarray, rows, cols) -> np.ndarray:
+    """Blocks d^alpha_1 d^beta_2 K(x_i, y_j) = (-1)^|beta| (d^(alpha+beta) F)(x_i - y_j),
+    shape (len(rows), len(cols), ell, ell), from the (nx, ny, m) differences
+    x_i - y_j; rows (i, alpha) and cols (j, beta) are each a pair (point
+    indices (k,), multi-indices (k, m)). Where every alpha + beta is zero the
+    blocks come from eval_diffs, so kernels without jets work at order 0;
+    otherwise one deriv_diffs call covers the sums of the distinct alphas
+    and betas. Not symmetrized."""
+    (pr, alphas), (pc, betas) = rows, cols
+    nx, ny, m = diffs.shape
+    diffs, ell = diffs.reshape(nx * ny, m), kernel.ell
+    (ra, which_r), (cb, which_c) = unique_rows(alphas), unique_rows(betas)
+    a, b = alphas[ra], betas[cb]
+    sums = (a[:, None, :] + b[None, :, :]).reshape(-1, m)
+    if not sums.any():
+        return kernel.eval_diffs(diffs).reshape(nx, ny, ell, ell)[pr[:, None], pc[None, :]]
     first, rank = unique_rows(sums)
-    vals = kernel.deriv_diffs([tuple(g) for g in sums[first].tolist()], diffs).reshape(first.size, n, n, ell, ell)
-    rank = rank.reshape(len(idx), len(idx))
-    signs = np.where(idx.sum(axis=1) % 2, -1.0, 1.0)[which]
-    blocks = vals[rank[which[:, None], which[None, :]], p[:, None], p[None, :]]
-    blocks = blocks * signs[None, :, None, None]  # (row, column, i, j)
-    return blocks.transpose(0, 2, 1, 3).reshape(nrows * ell, nrows * ell)
+    vals = kernel.deriv_diffs([tuple(g) for g in sums[first].tolist()], diffs).reshape(first.size, nx, ny, ell, ell)
+    signs = np.where(b.sum(axis=1) % 2, -1.0, 1.0)[which_c]
+    gamma = rank.reshape(len(a), len(b))[which_r[:, None], which_c[None, :]]
+    return vals[gamma, pr[:, None], pc[None, :]] * signs[None, :, None, None]
+
+
+def block_matrix(blocks: np.ndarray) -> np.ndarray:
+    """The matrix of a (rows, cols, ell, ell) block table: entry
+    (r * ell + i, c * ell + j) is blocks[r, c, i, j]."""
+    return blocks.transpose(0, 2, 1, 3).reshape(blocks.shape[0] * blocks.shape[2], -1)
 
 
 # ----------------------------------------------------------------------

@@ -102,7 +102,8 @@ def merge_psd_atoms(dim: int, keys: np.ndarray, gs, describe) -> tuple[np.ndarra
     first, merged = merge_rows(keys, h)
     if not np.all(np.isfinite(merged)):
         raise InvalidMatrix("matrix has non-finite entries")
-    keep = np.trace(merged, axis1=1, axis2=2).real > 0.0
+    with np.errstate(over="ignore"):  # a trace that overflows is inf, and positive
+        keep = np.trace(merged, axis1=1, axis2=2).real > 0.0
     kept = keys[first][keep], merged[keep]
     for a in kept:
         a.setflags(write=False)

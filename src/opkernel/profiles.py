@@ -75,9 +75,9 @@ _RESCALE_EXP = 330  # recurrence values past 2^330 are scaled by 2^-330
 
 # Jets are capped at total derivative order 8.
 JET_ORDER_CAP = 8
-# Askey ell: no memory grows with it, but it enters float arithmetic as the
-# exponent ell - 1, which a Python integer past about 1e308 cannot. The
-# benchmark's largest is 3.
+# Askey ell, and the ell of a Williamson truncated power: no memory grows
+# with it, but it enters float arithmetic as the exponent ell - 1, which a
+# Python integer past about 1e308 cannot. The benchmark's largest is 3.
 MAX_ASKEY_ELL = 1_000_000
 # Omega m: no memory grows with it either, but the Neumann weights
 # (nu+1)_{k-1} / k! of the recurrence, nu = m/2 - 1, overflow near
@@ -477,8 +477,8 @@ def williamson_construct(atoms, ell: int):
     Nonnegative mixtures of truncated-power profiles; a negative weight or
     scale raises InvalidMeasure. Returns a scalar callable.
     """
-    if not (isinstance(ell, int) and ell >= 2):
-        raise InvalidParameter("ell must be an integer >= 2")
+    if not (isinstance(ell, int) and 2 <= ell <= MAX_ASKEY_ELL):
+        raise InvalidParameter(f"ell must be an integer in [2, {MAX_ASKEY_ELL}]")
     checked = []
     for r, lam in atoms:
         r, lam = float(r), float(lam)

@@ -16,8 +16,8 @@ of strict positive definiteness (and for q > 0, of the derivative kind).
 A VectorAtomMeasure keeps its atoms as the arrays alphas (A, m), points
 (A, m) and vectors (A, ell), merged in one pass, and an embedded element
 keeps the same three arrays. rkhs_deriv_eval evaluates an element
-at a batch of points with one call to the kernel's batched primitives, over
-all atom-minus-point differences.
+at a batch of points with one kernel.deriv_blocks call over all
+atom-minus-point differences.
 
 quadratic_form_detail always computes Q twice and asserts the two routes
 agree to 1e-12 * scale; the check is never skipped. Route 1 is w^H M w
@@ -26,12 +26,13 @@ plane-wave kernel K(x, y) = sum_a e^{-i (x - y) . xi_a} G_a it is the
 frequency-side sum sum_a u_a^H G_a u_a, u_a = sum_c (i xi_a)^alpha_c
 e^{i x_c . xi_a} v_c, read from the measure's atoms without a kernel block,
 a block of frequencies at a time, so it also checks the kernel values.
-For radial and other kernels it pairs the embedded function against the
-measure, one batched evaluation per distinct alpha, from the raw
-unsymmetrized blocks in its own summation order: that checks the Gram's
-assembly, not the kernel values. Measures with the same atom points (the
-radial-bump demo's mixed and reference measures) share one Gram and one
-route-2 pass, and each measure's two routes stay independent.
+For radial and other kernels it pairs rkhs_deriv_eval of the embedded
+function against the measure, one batched evaluation per run of atoms with
+one alpha, from the raw unsymmetrized blocks of kernel.deriv_blocks in its
+own summation order: that checks the Gram's layout, not the kernel values.
+Measures with the same atom points (the radial-bump demo's mixed and
+reference measures) share one Gram, and one frequency-side pass for plane
+waves; each measure's two routes stay independent.
 
 Interpolation solves (Gram + ridge I) c = targets by PSD Cholesky and
 returns the combination as an element of the kernel space, so evaluation
@@ -60,6 +61,7 @@ from .kernel import (
     _PHASE_BLOCK_ENTRIES,
     DUPLICATE_POINT_TOL,
     OperatorKernel,
+    block_matrix,
     check_gram_size,
     close_pair,
     deriv_blocks,
@@ -164,10 +166,8 @@ def rkhs_deriv_eval(element: RkhsElement, beta: MultiIndex, y) -> np.ndarray:
     """Derivative of the element: sum_i (d^{alpha_i}_1 d^beta_2 K)(x_i, y)^H v_i,
     at one point y (m,) -> (ell,) or at a batch (k, m) -> (k, ell).
 
-    All atom-minus-point differences go through one kernel call: eval_diffs
-    when every alpha_i + beta is zero (so kernels without jets work at order
-    0), otherwise one deriv_diffs over the distinct gamma = alpha_i + beta,
-    each block times (-1)^|beta|.
+    The blocks come from deriv_blocks over all atom-minus-point
+    differences, so kernels without jets evaluate at order 0.
     """
     k = element.kernel
     beta = validate_multi_index(beta, k.m, JET_ORDER_CAP)
@@ -179,27 +179,12 @@ def rkhs_deriv_eval(element: RkhsElement, beta: MultiIndex, y) -> np.ndarray:
         raise InvalidPoint(f"expected a point in R^{k.m} or a (k, {k.m}) batch, got shape {np.shape(y)}")
     if not np.all(np.isfinite(ys)):
         raise InvalidPoint("point has non-finite entries")
-    # out[j] = sum_i K_i(x_i, y_j)^H v_i
-    out = np.einsum("ijba,ib->ja", _conj_blocks(k, element.alphas, element.points, beta, ys), element.vectors)
-    return out[0] if single else out
-
-
-def _conj_blocks(k: OperatorKernel, alphas: np.ndarray, points: np.ndarray, beta: MultiIndex, ys: np.ndarray):
-    """Conjugated blocks conj((d^{alpha_i}_1 d^beta_2 K)(x_i, y_j)), shape
-    (A, k, ell, ell), for atoms (alphas, points) and validated points ys."""
-    na, npt = points.shape[0], ys.shape[0]
-    # row (i, j) is x_i - y_j, the row-major layout of pair_diffs
     with np.errstate(over="ignore"):
-        diffs = (points[:, None, :] - ys[None, :, :]).reshape(na * npt, k.m)
-    gammas = alphas + np.array(beta)
-    if not gammas.any():
-        blocks = k.eval_diffs(diffs).reshape(na, npt, k.ell, k.ell)
-    else:
-        first, rank = unique_rows(gammas)
-        vals = k.deriv_diffs([tuple(g) for g in gammas[first].tolist()], diffs)
-        vals = vals.reshape(first.size, na, npt, k.ell, k.ell)
-        blocks = (-1.0) ** sum(beta) * vals[rank, np.arange(na)]
-    return blocks.conj()
+        diffs = element.points[:, None, :] - ys[None, :, :]
+    rows, cols = (np.arange(len(diffs)), element.alphas), (np.arange(len(ys)), np.tile(beta, (len(ys), 1)))
+    # out[j] = sum_i K_i(x_i, y_j)^H v_i
+    out = np.einsum("ijba,ib->ja", deriv_blocks(k, diffs, rows, cols).conj(), element.vectors)
+    return out[0] if single else out
 
 
 @dataclass(frozen=True)
@@ -220,10 +205,10 @@ def quadratic_form_detail(kernel: OperatorKernel, etas) -> tuple[QuadraticFormDe
     constructed by this package the value is >= -1e-9 * scale.
 
     The measures must share q and their alphas and points rows (as bytes,
-    so -0.0 is not 0.0), or InvalidParameter is raised. The Gram and the
-    route-2 blocks are built once; each measure's vectors go through the
-    operations a lone measure gets, so each detail is bitwise its
-    one-measure detail."""
+    so -0.0 is not 0.0), or InvalidParameter is raised. The Gram, and the
+    plane-wave route 2's phases, are built once; each measure's vectors go
+    through the operations a lone measure gets, so each detail is bitwise
+    its one-measure detail."""
     etas = tuple(etas)
 
     def atoms(eta):
@@ -263,14 +248,14 @@ def quadratic_form_detail(kernel: OperatorKernel, etas) -> tuple[QuadraticFormDe
             q2c = _frequency_route(kernel, etas, pts, atom_point)
         else:
             # route 2: embed, then pair the function against the measure, one
-            # batched evaluation per distinct alpha. Uses raw unsymmetrized
-            # kernel blocks and a different summation order, and never reads
-            # `mat`, so agreement genuinely cross-checks the Gram assembly.
-            q2c = [0.0 + 0.0j] * len(etas)
-            for alpha, lo, hi in runs:
-                cblocks = _conj_blocks(kernel, alphas, allpts, alpha, allpts[lo:hi])
-                for e, eta in enumerate(etas):
-                    values = np.einsum("ijba,ib->ja", cblocks, eta.vectors)
+            # batched evaluation per run of atoms with one alpha. Uses raw
+            # unsymmetrized kernel blocks and a different summation order, and
+            # never reads `mat`, so agreement cross-checks the Gram assembly.
+            q2c = [0j] * len(etas)
+            for e, eta in enumerate(etas):
+                f = RkhsElement(kernel, alphas, allpts, eta.vectors)
+                for alpha, lo, hi in runs:
+                    values = rkhs_deriv_eval(f, alpha, allpts[lo:hi])
                     q2c[e] += complex(np.sum(np.conj(eta.vectors[lo:hi]) * values))
 
     details = []
@@ -424,14 +409,16 @@ def hermite_interpolate(
     if not parsed:
         raise InvalidParameter("hermite_interpolate needs at least one datum")
     xs, alphas, tgts = (np.stack(col) for col in zip(*parsed))
-    check_gram_size(len(parsed), kernel.m, len(parsed) * kernel.ell, "derivative Gram")
+    n = len(parsed)
+    check_gram_size(n, kernel.m, n * kernel.ell, "derivative Gram")
     diffs, sq = pair_diffs(xs)
     pair = close_pair(sq, tol, np.all(alphas[:, None] == alphas[None, :], axis=2))
     if pair is not None:
         i, j = pair
         raise DuplicatePoints(f"data {i} and {j} request alpha {parsed[i][1]} at points closer than {tol}")
 
-    mat = HermitianMatrix(deriv_blocks(kernel, diffs, np.arange(len(parsed)), alphas))
+    rows = (np.arange(n), alphas)
+    mat = HermitianMatrix(block_matrix(deriv_blocks(kernel, diffs.reshape(n, n, kernel.m), rows, rows)))
     c, residual, ridge = _ridge_solve(mat, tgts.reshape(-1), kernel.ell, ridge, "derivative Gram")
-    element = RkhsElement(kernel=kernel, alphas=alphas, points=xs, vectors=c.reshape(len(parsed), kernel.ell))
+    element = RkhsElement(kernel=kernel, alphas=alphas, points=xs, vectors=c.reshape(n, kernel.ell))
     return InterpolationResult(element=element, residual=residual, ridge=ridge)

@@ -6,7 +6,28 @@ import numpy as np
 
 from opkernel.errors import UnsupportedJet
 from opkernel.kernel import OperatorKernel, kernel_deriv_eval
+from opkernel.measures import unique_rows
 from opkernel.profiles import JET_ORDER_CAP, MultiIndex, validate_multi_index
+
+
+def conj_blocks(k, alphas: np.ndarray, points: np.ndarray, beta: MultiIndex, ys: np.ndarray) -> np.ndarray:
+    """Conjugated blocks conj((d^{alpha_i}_1 d^beta_2 K)(x_i, y_j)), shape
+    (A, k, ell, ell), for atoms (alphas, points) and validated points ys,
+    assembled apart from deriv_blocks: its own gamma gather, sign rule and
+    order-0 rule."""
+    na, npt = points.shape[0], ys.shape[0]
+    # row (i, j) is x_i - y_j, the row-major layout of pair_diffs
+    with np.errstate(over="ignore"):
+        diffs = (points[:, None, :] - ys[None, :, :]).reshape(na * npt, k.m)
+    gammas = alphas + np.array(beta)
+    if not gammas.any():
+        blocks = k.eval_diffs(diffs).reshape(na, npt, k.ell, k.ell)
+    else:
+        first, rank = unique_rows(gammas)
+        vals = k.deriv_diffs([tuple(g) for g in gammas[first].tolist()], diffs)
+        vals = vals.reshape(first.size, na, npt, k.ell, k.ell)
+        blocks = (-1.0) ** sum(beta) * vals[rank, np.arange(na)]
+    return blocks.conj()
 
 
 def deriv_diag_identity_check(kernel: OperatorKernel, alpha: MultiIndex, beta: MultiIndex) -> float:

@@ -584,6 +584,32 @@ def test_interp_hermite_data(tmp_path):
     assert alphas == [[0], [1]]
 
 
+_G_COMPLEX2 = {"re": [[2.0, 0.5], [0.5, 1.0]], "im": [[0.0, 0.3], [-0.3, 0.0]]}
+
+
+@pytest.mark.parametrize("family, key, where", [
+    ({"kind": "gaussian"}, "omega", 0.7),
+    ({"kind": "omega", "m": 3}, "omega", 1.3),
+    ({"kind": "askey", "ell": 3}, "omega", 0.4),
+    ({"kind": "plane_wave"}, "xi", [0.5, -1.0]),
+])
+def test_interp_hermite_at_order_zero_is_plain_interp(tmp_path, family, key, where):
+    """Hermite data that are all of order 0 take their blocks from
+    eval_diffs, as plain interp does, so the result is the same byte for
+    byte. They once went through the jet tables, and askey kernels, which
+    have none, exited 2 with "askey kernels have no analytic jets"."""
+    kernel = {"family": family, "ambient_dim": 2, "measure": {"dim": 2, "atoms": [{key: where, "G": _G_COMPLEX2}]}}
+    points = [[0.0, 0.0], [0.5, -0.25], [-1.0, 0.75], [0.3, 0.9]]
+    targets = [[1.0, -0.5], [0.25, 2.0], [-1.5, 0.0], [0.75, 0.5]]
+    plain = {"kernel": kernel, "points": points, "targets": {"re": targets}}
+    data = [{"x": x, "alpha": [0, 0], "target": {"re": t}} for x, t in zip(points, targets)]
+    code, rep = run(tmp_path, ["interp"], plain)
+    assert code == 0
+    code, hermite = run(tmp_path, ["interp"], {"kernel": kernel, "data": data})
+    assert code == 0
+    assert json.dumps(hermite["result"]) == json.dumps(rep["result"])
+
+
 @pytest.mark.parametrize("order", [5, 9, 2**63, 2**64])
 def test_interp_hermite_alpha_past_the_jet_cap_exits_two(tmp_path, capsys, order):
     """An alpha of 2**63 once became uint64 in np.stack, where alpha + alpha
@@ -895,6 +921,21 @@ def test_monotone_difference_order_above_cap_exits_two(tmp_path, capsys, monkeyp
     err = capsys.readouterr().err
     assert code == 2 and rep is None
     assert err == f"error: {field} must be an integer in [{low}, {MAX_DIFFERENCE_ORDER}]\n"
+
+
+def test_monotone_williamson_ell_past_the_cap_exits_two(tmp_path, capsys):
+    """The exponent ell - 1 of a Williamson truncated power enters float
+    arithmetic, as askey's does: ell = 10**400 ended in an OverflowError
+    traceback (exit 1), and 10**7 exited 0. At the askey cap it runs; past
+    it the function is refused with one line."""
+    def obj(ell):
+        return {"function": {"williamson": {"atoms": [[1.0, 1.0]], "ell": ell}}, "mode": "cm"}
+
+    code, rep = run(tmp_path, ["monotone"], obj(MAX_ASKEY_ELL))
+    assert code == 0 and rep["result"]["ok"]
+    for ell in (MAX_ASKEY_ELL + 1, 10**400):
+        assert _refused_small(tmp_path, ["monotone"], obj(ell)) < 2**20
+        assert capsys.readouterr().err == f"error: ell must be an integer in [2, {MAX_ASKEY_ELL}]\n"
 
 
 class _Reached(Exception):

@@ -5,20 +5,28 @@ or 4 without a Python warning; exits 2 and 4 write exactly one stderr line,
 and every report parses as strict JSON (no NaN, no Infinity). The numbers
 run from the smallest subnormal to the largest finite doubles, so overflow
 in any stage (kernel values, eigensolves, traces, Cholesky scales,
-interpolation solves) has to surface as a typed failure, not as a warning
-or a wrong verdict.
+interpolation solves, difference stencils) has to surface as a typed
+failure, not as a warning or a wrong verdict. Integer fields past their
+caps, up to 10**400, must be refused with exit 2 before anything of their
+size is allocated.
 """
 
 import contextlib
 import io
 import json
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from opkernel.cli import main
+from opkernel.certify import MAX_BUMP_GRID_N, MAX_PROBE_DIM, MAX_PROBE_N, MAX_PROBE_TRIALS
+from opkernel.cli import MAX_MONOTONE_GRID_NUM, main
+from opkernel.kernel import MAX_AMBIENT_DIM
+from opkernel.measures import MAX_MEASURE_DIM
+from opkernel.profiles import JET_ORDER_CAP, MAX_ASKEY_ELL, MAX_DIFFERENCE_ORDER, MAX_OMEGA_M
 
 MAGNITUDES = (0.0, 5e-324, 1e-300, 1e-12, 0.5, 1.0, 3.0, 369.0, 1e4, 1e6, 1e154, 1e300, 1e308)
 CONTRACT = settings(max_examples=500, derandomize=True, database=None, deadline=None)
@@ -68,64 +76,100 @@ def _targets(n, ell):
 
 
 @st.composite
+def monotone_descriptors(draw):
+    """A monotone descriptor: a named function or a Williamson mixture, and
+    a grid that is often not increasing or not positive."""
+    function = draw(st.sampled_from(("exp-neg", "inv-1p", "two-plus-sin", "williamson")))
+    if function == "williamson":
+        atoms = draw(st.lists(st.lists(signed, min_size=2, max_size=2), min_size=1, max_size=2))
+        function = {"williamson": {"atoms": atoms, "ell": draw(st.integers(2, 4))}}
+    obj = {"function": function, "mode": draw(st.sampled_from(("cm", "ell-cm")))}
+    if draw(st.booleans()):
+        obj["grid"] = {"start": draw(signed), "stop": draw(signed), "num": draw(st.integers(1, 5))}
+    if draw(st.booleans()):
+        obj["h"] = draw(nonneg)
+    if obj["mode"] == "cm":
+        obj["nmax"] = draw(st.integers(0, 6))
+    elif function == "exp-neg" or draw(st.booleans()):
+        obj["ell"] = draw(st.integers(2, 4))
+    return obj
+
+
+@st.composite
 def commands(draw):
-    """(command, descriptor) over eval, gram, deriv-gram, plain and Hermite
-    interp, probe and classify."""
+    """(argv, descriptor) over eval, gram, deriv-gram, plain and Hermite
+    interp, probe, classify, monotone and both demos; the descriptor is None
+    where the command takes no --input."""
+    command = draw(st.sampled_from(("eval", "eval-t", "gram", "deriv-gram", "interp", "hermite", "probe", "classify",
+                                    "monotone", "shifted-gaussian", "radial-bump")))
+    if command == "monotone":
+        return ["monotone"], draw(monotone_descriptors())
+    if command == "shifted-gaussian":
+        w = ",".join(repr(x) for x in draw(st.lists(signed, min_size=1, max_size=2)))
+        return ["demo", "shifted-gaussian", f"--w={w}", "--seed", str(draw(st.integers(0, 3)))], None
+    if command == "radial-bump":
+        grid_n = draw(st.sampled_from((128, 129, 200)))
+        box = draw(st.sampled_from((1.5, 3.0)) | nonneg)
+        return ["demo", "radial-bump", "--grid-n", str(grid_n), f"--box={box!r}"], None
     kern = draw(kernels())
     m, ell = kern["ambient_dim"], kern["measure"]["dim"]
-    command = draw(st.sampled_from(("eval", "eval-t", "gram", "deriv-gram", "interp", "hermite", "probe", "classify")))
     if command == "eval":
-        return "eval", {"kernel": kern, "x": draw(_vector(m)), "y": draw(_vector(m))}
+        return ["eval"], {"kernel": kern, "x": draw(_vector(m)), "y": draw(_vector(m))}
     if command == "eval-t":
-        return "eval", {"kernel": kern, "t": draw(signed)}
+        return ["eval"], {"kernel": kern, "t": draw(signed)}
     if command == "gram":
-        return "gram", {"kernel": kern, "points": draw(_points(m))}
+        return ["gram"], {"kernel": kern, "points": draw(_points(m))}
     if command == "deriv-gram":
-        return "deriv-gram", {"kernel": kern, "points": draw(_points(m)), "q": draw(st.integers(0, 2))}
+        return ["deriv-gram"], {"kernel": kern, "points": draw(_points(m)), "q": draw(st.integers(0, 2))}
     if command == "interp":
         pts = draw(_points(m))
         obj = {"kernel": kern, "points": pts, "targets": draw(_targets(len(pts), ell))}
         if draw(st.booleans()):
             obj["ridge"] = draw(signed)
-        return "interp", obj
+        return ["interp"], obj
     if command == "hermite":
         datum = st.fixed_dictionaries({
             "x": _vector(m),
             "alpha": st.lists(st.integers(0, 5), min_size=m, max_size=m),
             "target": _targets(1, ell).map(lambda t: {"re": t["re"][0]}),
         })
-        return "interp", {"kernel": kern, "data": draw(st.lists(datum, min_size=1, max_size=3))}
+        return ["interp"], {"kernel": kern, "data": draw(st.lists(datum, min_size=1, max_size=3))}
     size = {"n": draw(st.integers(2, 3)), "trials": draw(st.integers(1, 2))}
     if command == "probe":
         if draw(st.booleans()):
             size["box"] = draw(nonneg)
-        return "probe", {"kernel": kern, **size}
-    return "classify", {**kern, **size}
+        return ["probe"], {"kernel": kern, **size}
+    return ["classify"], {**kern, **size}
 
 
 def _refuse_constant(name):
     raise ValueError(f"report holds {name}")
 
 
-def run(command, obj):
-    """(exit code, stderr, report text or None, warnings) of one main() call."""
+def run(argv, obj):
+    """(exit code, stderr, report text or None, warnings, traced allocation
+    peak) of one main() call; obj, if not None, is written to --input."""
     with tempfile.TemporaryDirectory() as tmp:
         src, out = Path(tmp) / "in.json", Path(tmp) / "out.json"
-        src.write_text(json.dumps(obj))
+        argv = [*argv, "--output", str(out), "--no-timestamp"]
+        if obj is not None:
+            src.write_text(json.dumps(obj))
+            argv += ["--input", str(src)]
         err = io.StringIO()
-        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
-            warnings.simplefilter("always")
-            with contextlib.redirect_stdout(io.StringIO()):
-                code = main([command, "--input", str(src), "--output", str(out), "--no-timestamp"])
+        tracemalloc.start()
+        try:
+            with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+                warnings.simplefilter("always")
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         report = out.read_text() if out.exists() else None
-    return code, err.getvalue(), report, [str(w.message) for w in caught]
+    return code, err.getvalue(), report, [str(w.message) for w in caught], peak
 
 
-@given(commands())
-@CONTRACT
-def test_every_command_keeps_the_exit_contract(case):
-    command, obj = case
-    code, err, report, caught = run(command, obj)
+def check_contract(code, err, report, caught):
     assert code in (0, 2, 3, 4), (code, err)
     assert not caught, caught
     if code in (2, 4):
@@ -134,3 +178,86 @@ def test_every_command_keeps_the_exit_contract(case):
         assert report is None
     else:
         json.loads(report, parse_constant=_refuse_constant)
+
+
+@given(commands())
+@CONTRACT
+def test_every_command_keeps_the_exit_contract(case):
+    code, err, report, caught, _ = run(*case)
+    check_contract(code, err, report, caught)
+
+
+# Integers past each field's range: one past the cap, the C integer limits,
+# and 10**400, which no float holds; and below the field's minimum.
+BEYOND = (2**31, 2**63, 2**64, 10**20, 10**400, -1, -(10**400))
+_GAUSS = {"family": {"kind": "gaussian"}, "ambient_dim": 1,
+          "measure": {"dim": 1, "atoms": [{"omega": 1.0, "G": {"re": [[1.0]]}}]}}
+_PLANE_WAVE = {"family": {"kind": "plane_wave"}, "ambient_dim": 1, "measure": {"dim": 1, "atoms": []}}
+_PROBE = {"kernel": _GAUSS, "n": 2, "trials": 1}
+_CLASSIFY = {**_GAUSS, "n": 2, "trials": 1}
+_EVAL = {"kernel": _GAUSS, "x": [0.0], "y": [0.5]}
+_MONOTONE = {"function": "exp-neg", "mode": "cm", "nmax": 2, "grid": {"start": 0.5, "stop": 5.0, "num": 10}}
+_WILLIAMSON = {"function": {"williamson": {"atoms": [[1.0, 1.0]], "ell": 3}}, "mode": "cm"}
+
+
+def _with(obj, path, value):
+    """A copy of obj with the field at path (a tuple of keys) set to value."""
+    obj = json.loads(json.dumps(obj))
+    inner = obj
+    for key in path[:-1]:
+        inner = inner[key]
+    inner[path[-1]] = value
+    return obj
+
+
+# field: (first value past its cap, argv, a descriptor that runs, and the
+# path of the field in it; or None and the option that takes the value)
+INTEGER_FIELDS = {
+    "probe n": (MAX_PROBE_N + 1, ["probe"], _PROBE, ("n",)),
+    "probe trials": (MAX_PROBE_TRIALS + 1, ["probe"], _PROBE, ("trials",)),
+    "classify n": (MAX_PROBE_N + 1, ["classify"], _CLASSIFY, ("n",)),
+    "classify trials": (MAX_PROBE_TRIALS + 1, ["classify"], _CLASSIFY, ("trials",)),
+    "classify ambient_dim": (MAX_PROBE_DIM + 1, ["classify"], _CLASSIFY, ("ambient_dim",)),
+    "deriv-gram q": (JET_ORDER_CAP // 2 + 1, ["deriv-gram"], {"kernel": _GAUSS, "points": [[0.0]], "q": 1}, ("q",)),
+    "radial dim": (MAX_MEASURE_DIM + 1, ["gram"], {"kernel": _GAUSS, "points": [[0.0]]}, ("kernel", "measure", "dim")),
+    "plane-wave dim": (MAX_MEASURE_DIM + 1, ["gram"], {"kernel": _PLANE_WAVE, "points": [[0.0]]},
+                       ("kernel", "measure", "dim")),
+    "askey ell": (MAX_ASKEY_ELL + 1, ["eval"], _with(_EVAL, ("kernel", "family"), {"kind": "askey", "ell": 3}),
+                  ("kernel", "family", "ell")),
+    "omega m": (MAX_OMEGA_M + 1, ["eval"], _with(_EVAL, ("kernel", "family"), {"kind": "omega", "m": 3}),
+                ("kernel", "family", "m")),
+    "eval-t ambient_dim": (MAX_AMBIENT_DIM + 1, ["eval"], {"kernel": _GAUSS, "t": 0.5}, ("kernel", "ambient_dim")),
+    "grid num": (MAX_MONOTONE_GRID_NUM + 1, ["monotone"], _MONOTONE, ("grid", "num")),
+    "nmax": (MAX_DIFFERENCE_ORDER + 1, ["monotone"], _MONOTONE, ("nmax",)),
+    "ell-cm ell": (MAX_DIFFERENCE_ORDER + 1, ["monotone"], {**_MONOTONE, "mode": "ell-cm", "ell": 3}, ("ell",)),
+    "williamson ell": (MAX_ASKEY_ELL + 1, ["monotone"], _WILLIAMSON, ("function", "williamson", "ell")),
+    "--grid-n": (MAX_BUMP_GRID_N + 1, ["demo", "radial-bump"], None, "--grid-n"),
+    "--m": (2, ["demo", "radial-bump"], None, "--m"),
+}
+
+
+@given(st.sampled_from(sorted(INTEGER_FIELDS)), st.integers(0, len(BEYOND)))
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+def test_integers_past_every_cap_are_refused_before_allocation(field, which):
+    """Each integer field, at one past its cap, at the C integer limits, at
+    10**400 and below its minimum, exits 2 with one line, having traced
+    under 1 MiB of allocations."""
+    past, argv, obj, where = INTEGER_FIELDS[field]
+    value = past if which == len(BEYOND) else BEYOND[which]
+    if obj is None:
+        argv = [*argv, f"{where}={value}"]
+    else:
+        obj = _with(obj, where, value)
+    code, err, report, caught, peak = run(argv, obj)
+    check_contract(code, err, report, caught)
+    assert code == 2, err
+    assert peak < 2**20, peak
+
+
+@pytest.mark.parametrize("field", sorted(INTEGER_FIELDS))
+def test_the_integer_field_descriptors_run(field):
+    """The descriptors above run as given, so a refusal comes from the field."""
+    _, argv, obj, _ = INTEGER_FIELDS[field]
+    code, err, report, caught, _ = run(argv, obj)
+    check_contract(code, err, report, caught)
+    assert code == 0, err

@@ -21,6 +21,7 @@ from opkernel.kernel import (
     OperatorKernel,
     PlaneWaveMeasure,
     _check_points,
+    block_matrix,
     deriv_blocks,
     deriv_gram,
     gram,
@@ -437,24 +438,32 @@ def test_deriv_gram_hermitian_block_symmetry():
     assert np.allclose(mat, mat.conj().T, atol=1e-15)
 
 
-def _deriv_blocks_oracle(kernel, diffs, rows):
-    """deriv_blocks as it was with per-entry tuple sums and rank lookups."""
+def _deriv_blocks_oracle(kernel, diffs, rows, cols=None):
+    """deriv_blocks as it was with per-entry tuple sums and rank lookups;
+    cols defaults to rows."""
+    cols = rows if cols is None else cols
     n, ell = math.isqrt(diffs.shape[0]), kernel.ell
-    sums = [[tuple(a + b for a, b in zip(alpha, beta)) for _, beta in rows] for _, alpha in rows]
+    sums = [[tuple(a + b for a, b in zip(alpha, beta)) for _, beta in cols] for _, alpha in rows]
     gammas = sorted({gamma for row in sums for gamma in row})
     rank = {gamma: r for r, gamma in enumerate(gammas)}
     vals = kernel.deriv_diffs(gammas, diffs).reshape(len(gammas), n, n, ell, ell)
-    p = np.array([i for i, _ in rows])
-    signs = np.array([(-1.0) ** sum(beta) for _, beta in rows])
-    blocks = vals[np.array([[rank[g] for g in row] for row in sums]), p[:, None], p[None, :]]
+    p, pc = np.array([i for i, _ in rows]), np.array([j for j, _ in cols])
+    signs = np.array([(-1.0) ** sum(beta) for _, beta in cols])
+    blocks = vals[np.array([[rank[g] for g in row] for row in sums]), p[:, None], pc[None, :]]
     blocks = blocks * signs[None, :, None, None]
-    return blocks.transpose(0, 2, 1, 3).reshape(len(rows) * ell, len(rows) * ell)
+    return blocks.transpose(0, 2, 1, 3).reshape(len(rows) * ell, len(cols) * ell)
 
 
-def _deriv_blocks_of_rows(kernel, diffs, rows):
-    """deriv_blocks on a list of (point index, multi-index) rows."""
-    p = np.array([i for i, _ in rows])
-    return deriv_blocks(kernel, diffs, p, np.array([alpha for _, alpha in rows]).reshape(len(rows), kernel.m))
+def _deriv_blocks_of_rows(kernel, diffs, rows, cols=None):
+    """deriv_blocks on lists of (point index, multi-index) rows and columns
+    (cols defaults to rows), laid out by block_matrix."""
+    n = math.isqrt(diffs.shape[0])
+
+    def pairs(entries):
+        return np.array([i for i, _ in entries]), np.array([alpha for _, alpha in entries]).reshape(-1, kernel.m)
+
+    cols = rows if cols is None else cols
+    return block_matrix(deriv_blocks(kernel, diffs.reshape(n, n, kernel.m), pairs(rows), pairs(cols)))
 
 
 @pytest.mark.parametrize("m, q", [(1, 4), (2, 2), (3, 1)])
@@ -462,7 +471,7 @@ def test_deriv_blocks_match_the_tuple_sums(m, q):
     """Sums over the distinct multi-indices gather the same blocks, bit for
     bit, for full derivative Grams and for Hermite-style rows: a shuffled
     subset, rows drawn with repeats in any order, and one multi-index on
-    every row."""
+    every row; and for rows and columns that differ."""
     rng = np.random.default_rng(40 + m)
     pts = rng.uniform(-1.0, 1.0, size=(4, m))
     diffs = pair_diffs(pts)[0]
@@ -475,6 +484,9 @@ def test_deriv_blocks_match_the_tuple_sums(m, q):
         for rows in (full, shuffled, repeated, single):
             got = _deriv_blocks_of_rows(k, diffs, rows)
             assert got.tobytes() == _deriv_blocks_oracle(k, diffs, rows).tobytes()
+        for rows, cols in ((shuffled, repeated), (single, full), (repeated, single)):
+            got = _deriv_blocks_of_rows(k, diffs, rows, cols)
+            assert got.tobytes() == _deriv_blocks_oracle(k, diffs, rows, cols).tobytes()
 
 
 def test_deriv_gram_matches_the_oracle_rows():
@@ -505,7 +517,7 @@ def test_deriv_blocks_memory_before_kernel_values(monkeypatch):
     tracemalloc.start()
     try:
         with pytest.raises(Reached) as info:
-            deriv_blocks(k, diffs, p, alphas)
+            deriv_blocks(k, diffs.reshape(1024, 1024, 1), (p, alphas), (p, alphas))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -47,6 +47,18 @@ def test_zero_atom_pruned_but_remembered():
     assert 0.5 not in mu.omegas
 
 
+def test_merged_atom_whose_trace_overflows_is_kept_without_a_warning():
+    """diag(0, 1e308) and diag(1e308, 0) at one support merge to
+    diag(1e308, 1e308), whose trace overflows: the prune check took it with
+    numpy's "overflow encountered in reduce". The atom is kept, as a trace of
+    inf is positive."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mu = OperatorMeasure(2, [(0.0, np.diag([0.0, 1e308])), (0.0, np.diag([1e308, 0.0]))])
+    assert mu.omegas.tolist() == [0.0]
+    assert mu.gs[0].tolist() == np.diag([1e308, 1e308]).astype(complex).tolist()
+
+
 def test_rejects_negative_support():
     with pytest.raises(InvalidMeasure):
         OperatorMeasure(2, [(-1.0, I2)])

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from opkernel import kernel as kernel_module
 from opkernel import rkhs as rkhs_module
+from opkernel.certify import ShiftedPairKernel
 from opkernel.errors import (
     DuplicatePoints,
     InvalidParameter,
@@ -33,6 +34,8 @@ from opkernel.rkhs import (
     rkhs_eval,
 )
 from opkernel.schema import complex_from_json, complex_to_json
+
+from kernel_oracles import conj_blocks
 
 SCALAR_GAUSS = radial_kernel(
     RadialProfile.gaussian(), OperatorMeasure(1, [(1.0, np.array([[1.0]]))]), 1
@@ -127,6 +130,61 @@ def test_rkhs_deriv_eval_matches_per_atom_loop(family, m):
                 assert np.max(np.abs(got - expected)) <= 1e-13 * scale
     plain = embed(kernel, VectorAtomMeasure(m, 2, points=eta.points[:2], vectors=eta.vectors[:2]))
     assert np.max(np.abs(rkhs_eval(plain, ys)[2] - _per_atom_deriv_eval(plain, (0,) * m, ys[2]))) <= 1e-13
+
+
+def _oracle_deriv_eval(element, beta, ys):
+    """rkhs_deriv_eval on a batch ys, from the conj_blocks oracle."""
+    blocks = conj_blocks(element.kernel, element.alphas, element.points, beta, ys)
+    return np.einsum("ijba,ib->ja", blocks, element.vectors)
+
+
+def _element_at_repeated_points(kernel, rng, alphas, npoints):
+    """An element whose atoms (alphas, in order) sit at npoints shared
+    points, with one (alpha, x) row repeated at the end."""
+    m, ell = kernel.m, kernel.ell
+    shared = rng.uniform(-1, 1, size=(npoints, m))
+    alphas = np.array([*alphas, alphas[0]], dtype=int).reshape(-1, m)
+    points = shared[np.arange(len(alphas)) % npoints]
+    points[-1] = points[0]
+    vectors = rng.normal(size=(len(alphas), ell)) + 1j * rng.normal(size=(len(alphas), ell))
+    return RkhsElement(kernel, alphas, points, vectors)
+
+
+@pytest.mark.parametrize("family", ["gaussian", "omega", "plane_wave"])
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("q", [0, 1, 2])
+def test_rkhs_deriv_eval_matches_the_conj_blocks_oracle_bit_for_bit(family, m, q):
+    """deriv_blocks gives rkhs_deriv_eval the blocks of its old assembly,
+    bit for bit: atoms of every order <= q at repeated points, every beta
+    of order <= 2 (zero included), at one point and at batches of one and
+    of six (over 64 difference rows: eval_diffs evaluates each distinct row
+    once)."""
+    rng = np.random.default_rng([m, q, len(family)])
+    kernel = _kernel(family, rng, m)
+    idxs = multi_indices_up_to(m, q)
+    # at least twelve atoms, so six points give over 64 difference rows
+    el = _element_at_repeated_points(kernel, rng, [idxs[i % len(idxs)] for i in range(max(11, 2 * len(idxs)))], 3)
+    ys = rng.uniform(-1.5, 1.5, size=(6, m))
+    ys[1] = el.points[0]
+    for beta in multi_indices_up_to(m, 2):
+        assert rkhs_deriv_eval(el, beta, ys).tobytes() == _oracle_deriv_eval(el, beta, ys).tobytes()
+        assert rkhs_deriv_eval(el, beta, ys[:1]).tobytes() == _oracle_deriv_eval(el, beta, ys[:1]).tobytes()
+        assert rkhs_deriv_eval(el, beta, ys[2]).tobytes() == _oracle_deriv_eval(el, beta, ys[2:3])[0].tobytes()
+
+
+@pytest.mark.parametrize("kernel", [
+    radial_kernel(RadialProfile.askey(3), OperatorMeasure(2, [(0.5, np.array([[2.0, 1j], [-1j, 1.0]]))]), 2),
+    ShiftedPairKernel([0.4, -0.3]),
+], ids=["askey", "shifted_pair"])
+def test_rkhs_deriv_eval_at_order_zero_matches_the_oracle_without_jets(kernel):
+    """Kernels without jets evaluate at order 0 through eval_diffs, bit for
+    bit as the oracle does."""
+    rng = np.random.default_rng(5)
+    el = _element_at_repeated_points(kernel, rng, [(0, 0)] * 11, 4)
+    ys = rng.uniform(-1.0, 1.0, size=(7, 2))
+    for batch in (ys, ys[:1]):
+        assert rkhs_eval(el, batch).tobytes() == _oracle_deriv_eval(el, (0, 0), batch).tobytes()
+    assert rkhs_eval(el, ys[3]).tobytes() == _oracle_deriv_eval(el, (0, 0), ys[3:4])[0].tobytes()
 
 
 @pytest.mark.parametrize("order", [9, 2**63, 2**64])
