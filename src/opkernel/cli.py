@@ -112,7 +112,7 @@ def family_from_json(obj):
     if kind == "plane_wave":
         _fields(obj, "plane-wave family", ("kind",))
         return None
-    raise SchemaError(f"unknown family kind '{kind}'")
+    raise SchemaError(f"unknown family kind {kind!r}")
 
 
 def plane_wave_measure_from_json(obj, m: int) -> PlaneWaveMeasure:
@@ -145,17 +145,17 @@ def _parse_tols(pairs) -> dict:
     for pair in pairs or ():
         name, sep, value = pair.partition("=")
         if not sep:
-            raise SchemaError(f"--tol wants NAME=VALUE, got '{pair}'")
+            raise SchemaError(f"--tol wants NAME=VALUE, got {pair!r}")
         if name not in tols:
             raise SchemaError(
-                f"unknown tolerance '{name}' (known: {sorted(tols)})"
+                f"unknown tolerance {name!r} (known: {sorted(tols)})"
             )
         try:
             tols[name] = float(value)
         except ValueError as exc:
             raise SchemaError(f"--tol {name} needs a numeric value") from exc
         if not math.isfinite(tols[name]) or tols[name] < 0.0:
-            raise SchemaError(f"--tol {name} must be finite and >= 0, got '{value}'")
+            raise SchemaError(f"--tol {name} must be finite and >= 0, got {value!r}")
     return tols
 
 
@@ -320,7 +320,7 @@ def _parse_w(text: str) -> np.ndarray:
     try:
         return np.array([float(p) for p in text.split(",")], dtype=float)
     except ValueError as exc:
-        raise SchemaError(f"--w wants comma-separated numbers, got '{text}'") from exc
+        raise SchemaError(f"--w wants comma-separated numbers, got {text!r}") from exc
 
 
 def cmd_demo(args) -> int:
@@ -398,7 +398,7 @@ def cmd_interp(args) -> int:
     if isinstance(obj, dict) and "experiment" in obj:
         _fields(obj, "interp input", ("experiment",))
         if obj["experiment"] != "sin-cos":
-            raise SchemaError(f"unknown experiment '{obj['experiment']}'")
+            raise SchemaError(f"unknown experiment {obj['experiment']!r}")
         _emit(args, _report(args, "interp", obj, _sin_cos_experiment(args)))
         return EXIT_OK
     if isinstance(obj, dict) and "data" in obj:
@@ -411,11 +411,10 @@ def cmd_interp(args) -> int:
             alpha_list = _list_field(datum["alpha"], f"datum {i} alpha")
             alpha = tuple(_int_field(a, f"datum {i} alpha") for a in alpha_list)
             tgt = complex_from_json(datum["target"], f"datum {i} 'target'")
+            if tgt.shape != (kernel.ell,):
+                raise SchemaError(f"target must be a vector of length {kernel.ell}")
             data.append((x, alpha, tgt))
-        ridge = args.tols["ridge"]
-        if ridge is None and "ridge" in obj:
-            ridge = _float_field(obj["ridge"], "ridge")
-        res = hermite_interpolate(kernel, data, ridge=ridge, tol=args.tols["duplicate"])
+        solve = functools.partial(hermite_interpolate, kernel, data)
     else:
         _fields(obj, "interp input", ("kernel", "points", "targets"), ("ridge",))
         kernel = kernel_from_json(obj["kernel"])
@@ -425,10 +424,11 @@ def cmd_interp(args) -> int:
             raise SchemaError(
                 f"'targets' must be {pts.shape[0]} x {kernel.ell} (re/im matrices)"
             )
-        ridge = args.tols["ridge"]
-        if ridge is None and "ridge" in obj:
-            ridge = _float_field(obj["ridge"], "ridge")
-        res = interpolate(kernel, pts, targets, ridge=ridge, tol=args.tols["duplicate"])
+        solve = functools.partial(interpolate, kernel, pts, targets)
+    ridge = args.tols["ridge"]
+    if ridge is None and "ridge" in obj:
+        ridge = _float_field(obj["ridge"], "ridge")
+    res = solve(ridge=ridge, tol=args.tols["duplicate"])
     result = {
         "residual": res.residual,
         "ridge": res.ridge,
@@ -461,7 +461,7 @@ def cmd_monotone(args) -> int:
     if isinstance(spec, str):
         if spec not in _NAMED_FUNCTIONS:
             raise SchemaError(
-                f"unknown function '{spec}' (known: {sorted(_NAMED_FUNCTIONS)})"
+                f"unknown function {spec!r} (known: {sorted(_NAMED_FUNCTIONS)})"
             )
         fn = _NAMED_FUNCTIONS[spec]
     else:
@@ -522,7 +522,7 @@ def cmd_monotone(args) -> int:
         }
         ok = res.ok
     else:
-        raise SchemaError(f"unknown mode '{mode}' (want 'cm' or 'ell-cm')")
+        raise SchemaError(f"unknown mode {mode!r} (want 'cm' or 'ell-cm')")
     result["grid"] = {
         "start": float(grid[0]),
         "stop": float(grid[-1]),
@@ -583,6 +583,13 @@ def _nonneg_int(text: str) -> int:
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses a bad argument as any bad input: one `error: ` line, exit 2."""
+
+    def error(self, message):
+        self.exit(EXIT_INPUT, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", metavar="PATH", help="write the report here instead of stdout")
@@ -599,7 +606,7 @@ def build_parser() -> argparse.ArgumentParser:
     matrix = argparse.ArgumentParser(add_help=False, parents=[described])
     matrix.add_argument("--format", choices=("json", "csv"), default="json", help="output format of the matrix")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="opkernel",
         description="operator-valued positive definite kernels: evaluation, "
         "Grams, classification, probes, counterexample demos",

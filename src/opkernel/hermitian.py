@@ -68,7 +68,7 @@ class HermitianMatrix(Frozen):
         a = np.asarray(entries, dtype=complex)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
             raise InvalidMatrix(f"expected a square matrix, got shape {a.shape}")
-        if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+        if not np.isfinite(a).all():
             raise InvalidMatrix("matrix has non-finite entries")
         h = hermitian_part(a)
         h.flags.writeable = False

@@ -25,9 +25,12 @@ Block Grams: for points x_1..x_n, the block Gram at jet order q carries one
 block row/column per (point, multi-index) pair with |alpha| <= q in
 graded-lexicographic order, block ((mu,alpha),(nu,beta)) being
 d^alpha_1 d^beta_2 K(x_mu, x_nu). The plain Gram of blocks K(x_mu, x_nu)
-is q = 0, whose one multi-index is (0,...,0). deriv_blocks assembles the
-blocks of any (point, multi-index) rows and columns for every caller, and
-block_matrix lays them out. Grams are symmetrized on assembly.
+is q = 0, whose one multi-index is (0,...,0). Every block Gram is built
+the same way: _check_points validates the points, refuses a Gram past the
+size caps and duplicate points, and takes the pairwise differences once;
+deriv_blocks assembles the blocks of the (point, multi-index) rows and
+columns, from eval_diffs alone at order 0; block_matrix lays them out.
+Grams are symmetrized on assembly.
 """
 
 from __future__ import annotations
@@ -150,7 +153,7 @@ class OperatorKernel(Frozen):
         (npairs, m) -> (npairs, ell, ell) complex."""
         diffs = np.asarray(diffs, dtype=float)
         with np.errstate(over="ignore"):
-            sq = np.sum(diffs * diffs, axis=1)
+            sq = (diffs * diffs).sum(axis=1)
         # Grids repeat differences heavily (a uniform n-point line has only
         # 2n-1 distinct differences among n^2 pairs), so each distinct key is
         # evaluated once and scattered back. The key is exact: a radial block
@@ -201,7 +204,7 @@ class OperatorKernel(Frozen):
             vals = profile_value(self.profile, self.measure.omegas, np.sqrt(sq)).astype(complex)
             with np.errstate(over="ignore", invalid="ignore"):
                 out = np.einsum("pa,aij->pij", vals, gs)
-        if not np.all(np.isfinite(out)):
+        if not np.isfinite(out).all():
             raise NumericalFailure("kernel blocks (family values times atom matrices) overflow the float range")
         return out
 
@@ -362,77 +365,60 @@ def pair_diffs(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = points.shape[0]
     with np.errstate(over="ignore"):
         diffs = (points[:, None, :] - points[None, :, :]).reshape(n * n, points.shape[1])
-        return diffs, np.sum(diffs * diffs, axis=1)
-
-
-def close_pair(sq: np.ndarray, tol: float, same: np.ndarray | None = None) -> tuple[int, int] | None:
-    """The first pair (i, j), i < j in row-major order, of points closer than
-    tol, given their n^2 squared distances from pair_diffs; an (n, n) mask
-    `same` restricts the pairs that count. None if no pair is that close."""
-    n = math.isqrt(sq.size)
-    i, j = np.divmod(np.flatnonzero(np.sqrt(sq) < tol), n)
-    hit = i < j if same is None else (i < j) & same[i, j]
-    return (int(i[hit][0]), int(j[hit][0])) if hit.any() else None
-
-
-def check_gram_size(n: int, m: int, rows: int, what: str) -> None:
-    """Refuse, with InvalidParameter, a block Gram (`what`) of more than
-    MAX_GRAM_ROWS rows, or n points in R^m whose pair_diffs would hold more
-    than MAX_PAIR_DIFF_ENTRIES floats, before either is allocated."""
-    if rows > MAX_GRAM_ROWS:
-        raise InvalidParameter(f"{what} would have {rows} rows; need <= {MAX_GRAM_ROWS}")
-    if n * n * m > MAX_PAIR_DIFF_ENTRIES:
-        raise InvalidParameter(
-            f"pairwise differences would hold {n * n * m} floats (n^2 x m); need <= {MAX_PAIR_DIFF_ENTRIES}"
-        )
+        return diffs, (diffs * diffs).sum(axis=1)
 
 
 def _check_points(
-    points, m: int, tol: float = DUPLICATE_POINT_TOL, point_rows: int = 1, what: str = "block Gram"
+    points, m: int, tol: float = DUPLICATE_POINT_TOL, point_rows: int = 1, what: str = "block Gram", same=None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Validated (n, m) points and their pair_diffs differences, for a Gram
-    of point_rows rows per point (check_gram_size); two points closer than
-    tol raise DuplicatePoints naming the first such pair."""
+    """Validated (n, m) points and their pair_diffs differences, for a block
+    Gram (`what`) of point_rows rows per point. A Gram of more than
+    MAX_GRAM_ROWS rows, or differences of more than MAX_PAIR_DIFF_ENTRIES
+    floats, raise InvalidParameter before either is allocated. Two points
+    closer than tol raise DuplicatePoints naming the first such pair, i < j
+    in row-major order; given `same`, an (n, k) table of row keys, only
+    points with equal keys count."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
     if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] != m:
         raise InvalidPoint(f"expected an (n, {m}) point array, got shape {pts.shape}")
-    if not np.all(np.isfinite(pts)):
+    if not np.isfinite(pts).all():
         raise InvalidPoint("points have non-finite entries")
-    check_gram_size(pts.shape[0], m, pts.shape[0] * point_rows, what)
+    n = pts.shape[0]
+    if n * point_rows > MAX_GRAM_ROWS:
+        raise InvalidParameter(f"{what} would have {n * point_rows} rows; need <= {MAX_GRAM_ROWS}")
+    if n * n * m > MAX_PAIR_DIFF_ENTRIES:
+        raise InvalidParameter(
+            f"pairwise differences would hold {n * n * m} floats (n^2 x m); need <= {MAX_PAIR_DIFF_ENTRIES}"
+        )
     diffs, sq = pair_diffs(pts)
-    pair = close_pair(sq, tol)
-    if pair is not None:
-        raise DuplicatePoints(f"points {pair[0]} and {pair[1]} coincide to within {tol}")
+    i, j = np.divmod((np.sqrt(sq) < tol).nonzero()[0], n)
+    hit = i < j if same is None else (i < j) & np.all(same[i] == same[j], axis=1)
+    if np.count_nonzero(hit):
+        raise DuplicatePoints(f"points {i[hit][0]} and {j[hit][0]} coincide to within {tol}")
     return pts, diffs
 
 
 def gram(kernel: OperatorKernel, points, tol: float = DUPLICATE_POINT_TOL) -> BlockGram:
-    """Assemble and symmetrize the block Gram (q = 0) at pairwise-distinct points."""
-    pts, diffs = _check_points(points, kernel.m, tol, kernel.ell)
-    n, ell = pts.shape[0], kernel.ell
-    # one chain, so the blocks are freed once the Gram is laid out
-    big = block_matrix(kernel.eval_diffs(diffs).reshape(n, n, ell, ell))
-    zero = ((0,) * kernel.m,)
-    return BlockGram(points=pts, ell=ell, q=0, multi_indices=zero, matrix=HermitianMatrix(big))
+    """The block Gram (q = 0) at pairwise-distinct points: deriv_gram at q = 0."""
+    return deriv_gram(kernel, points, 0, tol)
 
 
 def deriv_gram(kernel: OperatorKernel, points, q: int, tol: float = DUPLICATE_POINT_TOL) -> BlockGram:
-    """Assemble the block Gram at jet order q (2q <= cap); q = 0 is gram.
-    The blocks come from deriv_blocks, one row and column per (point,
-    multi-index) pair."""
+    """Assemble and symmetrize the block Gram at jet order q (2q <= cap) at
+    pairwise-distinct points, one row and column per (point, multi-index)
+    pair. At q = 0 only eval_diffs is needed, so any kernel-shaped object
+    works."""
     q = int(q)
     if q < 0 or 2 * q > JET_ORDER_CAP:
         raise UnsupportedJet(f"need 0 <= 2q <= {JET_ORDER_CAP}, got q={q}")
-    if q == 0:
-        return gram(kernel, points, tol)  # only eval_diffs is needed, so any kernel-shaped object works
-    pts, diffs = _check_points(points, kernel.m, tol, math.comb(kernel.m + q, q) * kernel.ell, "derivative Gram")
-    if not isinstance(kernel, OperatorKernel):
-        raise UnsupportedJet("derivative Grams need a kernel with analytic jets")
-    n = pts.shape[0]
-    idxs = multi_indices_up_to(kernel.m, q)
-    rows = (np.repeat(np.arange(n), len(idxs)), np.tile(idxs, (n, 1)))
+    what = "derivative Gram" if q else "block Gram"
+    pts, diffs = _check_points(points, kernel.m, tol, math.comb(kernel.m + q, q) * kernel.ell, what)
+    n, idxs = pts.shape[0], multi_indices_up_to(kernel.m, q)
+    point, rank = np.divmod(np.arange(n * len(idxs)), len(idxs))
+    rows = (point, np.array(idxs)[rank])
+    # one chain, so the blocks are freed once the Gram is laid out
     big = block_matrix(deriv_blocks(kernel, diffs.reshape(n, n, kernel.m), rows, rows))
     return BlockGram(points=pts, ell=kernel.ell, q=q, multi_indices=idxs, matrix=HermitianMatrix(big))
 
@@ -441,23 +427,35 @@ def deriv_blocks(kernel, diffs: np.ndarray, rows, cols) -> np.ndarray:
     """Blocks d^alpha_1 d^beta_2 K(x_i, y_j) = (-1)^|beta| (d^(alpha+beta) F)(x_i - y_j),
     shape (len(rows), len(cols), ell, ell), from the (nx, ny, m) differences
     x_i - y_j; rows (i, alpha) and cols (j, beta) are each a pair (point
-    indices (k,), multi-indices (k, m)). Where every alpha + beta is zero the
-    blocks come from eval_diffs, so kernels without jets work at order 0;
-    otherwise one deriv_diffs call covers the sums of the distinct alphas
-    and betas. Not symmetrized."""
+    indices (k,), multi-indices (k, m)). Multi-indices are nonnegative, so
+    every alpha + beta is zero exactly when both tables are: then the
+    blocks come from eval_diffs, so kernels without jets work at order 0.
+    Otherwise one deriv_diffs call covers the sums of the distinct alphas
+    and betas, and a kernel without jets raises UnsupportedJet. Not
+    symmetrized."""
     (pr, alphas), (pc, betas) = rows, cols
     nx, ny, m = diffs.shape
     diffs, ell = diffs.reshape(nx * ny, m), kernel.ell
+    if not (np.count_nonzero(alphas) or np.count_nonzero(betas)):
+        blocks = kernel.eval_diffs(diffs).reshape(nx, ny, ell, ell)
+        if _in_order(pr, nx) and _in_order(pc, ny):
+            return blocks
+        return blocks[pr[:, None], pc[None, :]]
+    if not isinstance(kernel, OperatorKernel):
+        raise UnsupportedJet("derivative kernel blocks need a kernel with analytic jets")
     (ra, which_r), (cb, which_c) = unique_rows(alphas), unique_rows(betas)
     a, b = alphas[ra], betas[cb]
     sums = (a[:, None, :] + b[None, :, :]).reshape(-1, m)
-    if not sums.any():
-        return kernel.eval_diffs(diffs).reshape(nx, ny, ell, ell)[pr[:, None], pc[None, :]]
     first, rank = unique_rows(sums)
     vals = kernel.deriv_diffs([tuple(g) for g in sums[first].tolist()], diffs).reshape(first.size, nx, ny, ell, ell)
     signs = np.where(b.sum(axis=1) % 2, -1.0, 1.0)[which_c]
     gamma = rank.reshape(len(a), len(b))[which_r[:, None], which_c[None, :]]
     return vals[gamma, pr[:, None], pc[None, :]] * signs[None, :, None, None]
+
+
+def _in_order(idx: np.ndarray, n: int) -> bool:
+    """Whether the point indices idx are 0, 1, ..., n - 1 (no gather needed)."""
+    return idx.size == n and not np.count_nonzero(idx - np.arange(n))
 
 
 def block_matrix(blocks: np.ndarray) -> np.ndarray:

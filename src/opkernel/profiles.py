@@ -107,6 +107,7 @@ def validate_multi_index(alpha, m: int, q: int | None = None) -> MultiIndex:
     return alpha
 
 
+@functools.lru_cache(maxsize=64)
 def multi_indices_up_to(m: int, q: int) -> tuple[MultiIndex, ...]:
     """All multi-indices of length m with |alpha| <= q, graded lexicographic.
 
@@ -278,7 +279,7 @@ def profile_value(profile: RadialProfile, omegas, t) -> np.ndarray:
     one that overflows counts as far, where a scale-0 atom keeps its t = 0
     value. NaN or negative t, negative or infinite scales: InvalidParameter."""
     omegas, t = np.asarray(omegas, dtype=float), np.asarray(t, dtype=float)
-    if not (np.all(np.isfinite(omegas) & (omegas >= 0.0)) and np.all(t >= 0.0)):
+    if not ((np.isfinite(omegas) & (omegas >= 0.0)).all() and (t >= 0.0).all()):
         raise InvalidParameter("need finite scales >= 0 and distances >= 0 (not NaN)")
     with np.errstate(over="ignore", invalid="ignore"):
         arg = np.where(omegas > 0.0, np.multiply.outer(t * t if profile.kind == "gaussian" else t, omegas), 0.0)

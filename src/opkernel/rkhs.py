@@ -34,9 +34,12 @@ Measures with the same atom points (the radial-bump demo's mixed and
 reference measures) share one Gram, and one frequency-side pass for plane
 waves; each measure's two routes stay independent.
 
-Interpolation solves (Gram + ridge I) c = targets by PSD Cholesky and
-returns the combination as an element of the kernel space, so evaluation
-goes through the same reproducing formulas being tested.
+Interpolation has one body for plain and Hermite data: the rows are
+(point, alpha) pairs, alpha = 0 for plain data, and the system matrix is
+the block Gram of those rows, built as every block Gram is (kernel's
+_check_points, then deriv_blocks). It solves (M + ridge I) c = targets by
+PSD Cholesky and returns the combination as an element of the kernel space,
+so evaluation goes through the same reproducing formulas being tested.
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DuplicatePoints,
     IllConditioned,
     InvalidParameter,
     InvalidPoint,
@@ -61,13 +63,11 @@ from .kernel import (
     _PHASE_BLOCK_ENTRIES,
     DUPLICATE_POINT_TOL,
     OperatorKernel,
+    _check_points,
     block_matrix,
-    check_gram_size,
-    close_pair,
     deriv_blocks,
     deriv_gram,
-    gram,
-    pair_diffs,
+    gram,  # noqa: F401  kept importable as rkhs.gram, which perfbench/tests/test_run.py reads
 )
 from .measures import merge_rows, stack_atoms, unique_rows
 from .profiles import (
@@ -231,13 +231,13 @@ def quadratic_form_detail(kernel: OperatorKernel, etas) -> tuple[QuadraticFormDe
     starts, component = unique_rows(alphas, in_order=True)
     bounds = [*starts.tolist(), len(alphas)]
     runs = [(tuple(alphas[lo].tolist()), lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    dg = deriv_gram(kernel, pts, q)
+    mat = dg.matrix.entries
+    # listed once deriv_gram has refused a Gram past the row cap
     idxs = multi_indices_up_to(kernel.m, q)
     na = len(idxs)
     ell = kernel.ell
     rank = {alpha: a for a, alpha in enumerate(idxs)}
-
-    dg = deriv_gram(kernel, pts, q)
-    mat = dg.matrix.entries
     diag_max = float(np.max(np.abs(np.diag(mat).real))) if mat.size else 1.0
     # every (point, multi-index) slot holds at most one atom vector
     slot = atom_point * na + np.array([rank[alpha] for alpha, _, _ in runs])[component]
@@ -362,23 +362,37 @@ def _ridge_solve(
 
 
 def interpolate(
-    kernel: OperatorKernel, points, targets, ridge: float | None = None, tol: float = DUPLICATE_POINT_TOL
+    kernel: OperatorKernel, points, targets, ridge: float | None = None, tol: float = DUPLICATE_POINT_TOL, alphas=None
 ) -> InterpolationResult:
-    """Solve (Gram + ridge I) c = targets; the element has atoms (0, x_i, c_i).
+    """Solve (M + ridge I) c = targets, M[i,j] = d^{alpha_i}_1 d^{alpha_j}_2 K(x_i, x_j),
+    and return the element with atoms (alpha_i, x_i, c_i), so that
+    rkhs_deriv_eval(element, alpha_i, x_i) ~ target_i.
 
-    targets is an (n, ell) complex array. ridge defaults to
-    1e-10 * trace(Gram)/dim; a Cholesky failure raises IllConditioned.
-    Points closer than tol raise DuplicatePoints.
+    targets is an (n, ell) complex array. alphas gives one multi-index per
+    point, zeros by default (then M is the plain Gram), each checked as
+    Python ints with |alpha_i| <= JET_ORDER_CAP // 2: the diagonal pairs
+    each datum with itself (gamma = 2 alpha_i). ridge defaults to
+    1e-10 * trace(M)/dim; a Cholesky failure raises IllConditioned. Two
+    points with the same alpha closer than tol raise DuplicatePoints.
     """
-    g = gram(kernel, points, tol)
-    n, ell = g.points.shape[0], g.ell
+    m, ell = kernel.m, kernel.ell
+    alps, size_what, solve_what = None, "block Gram", "Gram"
+    if alphas is not None:
+        alps = np.array([validate_multi_index(a, m, JET_ORDER_CAP // 2) for a in alphas], dtype=int).reshape(-1, m)
+        if len(alps) != len(points):
+            raise InvalidVector(f"got {len(alps)} multi-indices for {len(points)} points")
+        size_what = solve_what = "derivative Gram"
+    pts, diffs = _check_points(points, m, tol, ell, size_what, alps)
+    n = pts.shape[0]
+    alps = np.zeros((n, m), dtype=int) if alps is None else alps
     t = np.asarray(targets, dtype=complex)
     if t.shape != (n, ell):
         raise InvalidVector(f"targets must have shape ({n}, {ell}), got {t.shape}")
-    c, residual, ridge = _ridge_solve(g.matrix, t.reshape(n * ell), ell, ridge, "Gram")
-    element = RkhsElement(
-        kernel=kernel, alphas=np.zeros((n, kernel.m), dtype=int), points=g.points, vectors=c.reshape(n, ell)
-    )
+    rows = (np.arange(n), alps)
+    mat = HermitianMatrix(block_matrix(deriv_blocks(kernel, diffs.reshape(n, n, m), rows, rows)))
+    del diffs  # not held through the solve
+    c, residual, ridge = _ridge_solve(mat, t.reshape(n * ell), ell, ridge, solve_what)
+    element = RkhsElement(kernel=kernel, alphas=alps, points=pts, vectors=c.reshape(n, ell))
     return InterpolationResult(element=element, residual=residual, ridge=ridge)
 
 
@@ -386,39 +400,10 @@ def hermite_interpolate(
     kernel: OperatorKernel, data, ridge: float | None = None, tol: float = DUPLICATE_POINT_TOL
 ) -> InterpolationResult:
     """Interpolate values of derivatives: data is a list of (x_i, alpha_i,
-    target_i) with distinct (x_i, alpha_i) pairs and ell-vector targets.
-
-    Builds the square system M[i,j] = d^{alpha_i}_1 d^{alpha_j}_2 K(x_i, x_j)
-    (rows of the derivative block Gram restricted to the requested pairs),
-    solves (M + ridge I) c = targets, and returns the element with atoms
-    (alpha_i, x_i, c_i), so rkhs_deriv_eval(element, alpha_i, x_i) ~ target_i.
-    The diagonal pairs each datum with itself (gamma = 2 alpha_i), so
-    |alpha_i| is capped at half the jet cap. Two data with the same alpha at
-    points closer than tol raise DuplicatePoints.
-    """
-    parsed = []
-    for x, alpha, tgt in data:
-        x = np.asarray(x, dtype=float)
-        alpha = validate_multi_index(alpha, kernel.m, JET_ORDER_CAP // 2)
-        tgt = np.asarray(tgt, dtype=complex)
-        if x.shape != (kernel.m,) or not np.all(np.isfinite(x)):
-            raise InvalidVector(f"data point must be a finite vector of length {kernel.m}")
-        if tgt.shape != (kernel.ell,):
-            raise InvalidVector(f"target must be a vector of length {kernel.ell}")
-        parsed.append((x, alpha, tgt))
-    if not parsed:
+    target_i) with distinct (x_i, alpha_i) pairs and ell-vector targets;
+    interpolate with alphas."""
+    data = list(data)
+    if not data:
         raise InvalidParameter("hermite_interpolate needs at least one datum")
-    xs, alphas, tgts = (np.stack(col) for col in zip(*parsed))
-    n = len(parsed)
-    check_gram_size(n, kernel.m, n * kernel.ell, "derivative Gram")
-    diffs, sq = pair_diffs(xs)
-    pair = close_pair(sq, tol, np.all(alphas[:, None] == alphas[None, :], axis=2))
-    if pair is not None:
-        i, j = pair
-        raise DuplicatePoints(f"data {i} and {j} request alpha {parsed[i][1]} at points closer than {tol}")
-
-    rows = (np.arange(n), alphas)
-    mat = HermitianMatrix(block_matrix(deriv_blocks(kernel, diffs.reshape(n, n, kernel.m), rows, rows)))
-    c, residual, ridge = _ridge_solve(mat, tgts.reshape(-1), kernel.ell, ridge, "derivative Gram")
-    element = RkhsElement(kernel=kernel, alphas=alphas, points=xs, vectors=c.reshape(n, kernel.ell))
-    return InterpolationResult(element=element, residual=residual, ridge=ridge)
+    xs, alphas, targets = zip(*data)
+    return interpolate(kernel, xs, targets, ridge, tol, alphas)

@@ -59,10 +59,15 @@ def _list_field(value, name: str) -> list:
 
 
 def _float_array(value, message: str) -> np.ndarray:
+    """value as a float array; JSON true and false are not numbers, though
+    numpy would read them as 1.0 and 0.0."""
     try:
-        return np.asarray(value, dtype=float)
+        arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(message) from exc
+    if any(type(v) is bool for v in np.asarray(value, dtype=object).flat):
+        raise SchemaError(message)
+    return arr
 
 
 def _point_field(value, name: str, m: int) -> np.ndarray:

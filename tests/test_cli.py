@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from opkernel import certify, cli, kernel as kernel_module, rkhs as rkhs_module
+from opkernel import certify, cli, kernel as kernel_module
 from opkernel.certify import MAX_PROBE_BOX, MAX_PROBE_DIM, MAX_PROBE_N, MAX_PROBE_TRIALS
 from opkernel.cli import MAX_MONOTONE_GRID_NUM, kernel_from_json, main
 from opkernel.errors import InvalidParameter
@@ -1077,15 +1077,15 @@ def _hermite_fields(n):
     return {"data": [{"x": [float(i)], "alpha": [0], "target": {"re": [0.0]}} for i in range(n)]}
 
 
-@pytest.mark.parametrize("argv, fields, module, what", [
-    (["gram"], _gram_fields, kernel_module, "block Gram"),
-    (["interp"], _interp_fields, kernel_module, "block Gram"),
-    (["interp"], _hermite_fields, rkhs_module, "derivative Gram"),
+@pytest.mark.parametrize("argv, fields, what", [
+    (["gram"], _gram_fields, "block Gram"),
+    (["interp"], _interp_fields, "block Gram"),
+    (["interp"], _hermite_fields, "derivative Gram"),
 ], ids=["gram", "interp", "hermite"])
-def test_gram_row_cap_both_sides(tmp_path, capsys, monkeypatch, argv, fields, module, what):
+def test_gram_row_cap_both_sides(tmp_path, capsys, monkeypatch, argv, fields, what):
     """A Gram of MAX_GRAM_ROWS rows reaches the pairwise pass; one row more
     is refused with one line before the pass."""
-    monkeypatch.setattr(module, "pair_diffs", _reached)
+    monkeypatch.setattr(kernel_module, "pair_diffs", _reached)
     with pytest.raises(_Reached):
         run(tmp_path, argv, {"kernel": GAUSS_SCALAR, **fields(MAX_GRAM_ROWS)})
     code, rep = run(tmp_path, argv, {"kernel": GAUSS_SCALAR, **fields(MAX_GRAM_ROWS + 1)})
@@ -1221,6 +1221,46 @@ def test_flags_are_offered_only_where_read(capsys, argv):
         main(argv)
     assert info.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["demo", "radial-bump", "--grid-n", "abc"], "argument --grid-n: invalid int value: 'abc'"),
+    (["probe", "--seed", "-1"], "argument --seed: must be >= 0"),
+    ([], "the following arguments are required: command"),
+], ids=["grid-n-abc", "negative-seed", "no-subcommand"])
+def test_argument_errors_are_one_error_line(capsys, argv, message):
+    """An argument argparse refuses exits 2 with one `error: ` line, as every
+    other refused input does; it once wrote the usage block and a line
+    "opkernel demo: error: ..."."""
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    out = capsys.readouterr()
+    assert out.err == f"error: {message}\n" and out.out == ""
+
+
+def test_help_is_unchanged(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["demo", "--help"])
+    assert info.value.code == 0
+    out = capsys.readouterr()
+    assert out.out.startswith("usage: opkernel demo [-h]") and "--grid-n GRID_N" in out.out and out.err == ""
+
+
+def test_json_booleans_are_not_numbers(tmp_path, capsys):
+    """numpy reads true as 1.0: the point [true] was once taken as x = 1."""
+    code, rep = run(tmp_path, ["eval"], {"kernel": GAUSS_SCALAR, "x": [True], "y": [0.0]})
+    assert code == 2 and rep is None
+    assert capsys.readouterr().err == "error: 'x' must be a list of numbers\n"
+
+
+def test_refused_values_are_quoted_on_one_line(tmp_path, capsys):
+    """A refused string is quoted with its escapes, so a newline in it does
+    not split the message (it once wrote two lines)."""
+    obj = {"kernel": dict(GAUSS_SCALAR, family={"kind": "gauss\nian"}), "x": [0.0], "y": [0.0]}
+    code, rep = run(tmp_path, ["eval"], obj)
+    assert code == 2 and rep is None
+    assert capsys.readouterr().err == "error: unknown family kind 'gauss\\nian'\n"
 
 
 def _golden_input(name):

@@ -261,3 +261,105 @@ def test_the_integer_field_descriptors_run(field):
     code, err, report, caught, _ = run(argv, obj)
     check_contract(code, err, report, caught)
     assert code == 0, err
+
+
+# Valid descriptors holding only required fields, so that every mutation
+# below is malformed: a field of a wrong JSON type (or a string no field
+# takes, spanning two lines), a dropped field, an extra field, or a value
+# nested past the JSON parser's recursion limit (or past numpy's 64
+# dimensions).
+_G = {"re": [[1.0]]}
+_ONE_ATOM = {"dim": 1, "atoms": [{"omega": 1.0, "G": _G}]}
+MALFORMED_BASES = {
+    "eval": (["eval"], _EVAL),
+    "eval-t": (["eval"], {"kernel": {**_GAUSS, "family": {"kind": "omega", "m": 3}}, "t": 0.5}),
+    "gram": (["gram"], {"kernel": {**_PLANE_WAVE, "measure": {"dim": 1, "atoms": [{"xi": [1.0], "G": _G}]}},
+                        "points": [[0.0], [0.5]]}),
+    "deriv-gram": (["deriv-gram"], {"kernel": _GAUSS, "points": [[0.0], [0.5]], "q": 1}),
+    "interp": (["interp"], {"kernel": {**_GAUSS, "family": {"kind": "askey", "ell": 3}}, "points": [[0.0], [0.5]],
+                            "targets": {"re": [[1.0], [0.5]]}}),
+    "hermite": (["interp"], {"kernel": _GAUSS, "data": [{"x": [0.0], "alpha": [1], "target": {"re": [1.0]}}]}),
+    "sin-cos": (["interp"], {"experiment": "sin-cos"}),
+    "probe": (["probe"], {"kernel": _GAUSS}),
+    "classify": (["classify"], {"family": {"kind": "gaussian"}, "ambient_dim": 1, "measure": _ONE_ATOM}),
+    "monotone": (["monotone"], {"function": "exp-neg", "mode": "cm"}),
+    "williamson": (["monotone"], {"function": {"williamson": {"atoms": [[1.0, 1.0]], "ell": 3}}, "mode": "ell-cm"}),
+}
+WRONG_VALUES = (None, True, False, 0, -1.5, "x", "a\nb", [], [1.0], [[1.0]], {}, {"re": [1.0]})
+_DEEP = '"deep"'
+
+
+def _json_class(value):
+    for name, types in (("bool", bool), ("number", (int, float)), ("string", str), ("array", list), ("object", dict)):
+        if isinstance(value, types):
+            return name
+    return "null"
+
+
+def _members(obj, path=()):
+    """(path, value) of every member of a JSON tree, depth first."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield (*path, key), value
+        yield from _members(value, (*path, key))
+
+
+def _drop(obj, path):
+    obj = json.loads(json.dumps(obj))
+    inner = obj
+    for key in path[:-1]:
+        inner = inner[key]
+    del inner[path[-1]]
+    return obj
+
+
+def malformed_descriptors():
+    """(label, argv, descriptor text) of every single mutation of the bases."""
+    for name, (argv, base) in MALFORMED_BASES.items():
+        yield f"{name} extra", argv, json.dumps({**base, "extra": 1})
+        for path, value in _members(base):
+            label = f"{name} {'.'.join(map(str, path))}"
+            for wrong in WRONG_VALUES:
+                if _json_class(wrong) != _json_class(value) or (isinstance(value, str) and wrong == "a\nb"):
+                    yield f"{label} = {wrong!r}", argv, json.dumps(_with(base, path, wrong))
+            if isinstance(path[-1], str):
+                yield f"{label} dropped", argv, json.dumps(_drop(base, path))
+            if isinstance(value, dict):
+                yield f"{label} extra", argv, json.dumps(_with(base, (*path, "extra"), 1))
+            for depth in (70, 100_000):
+                yield f"{label} nested {depth}", argv, json.dumps(_with(base, path, "deep")).replace(
+                    _DEEP, "[" * depth + "]" * depth)
+
+
+def test_malformed_values_are_refused_with_one_line():
+    """Every single mutation of the bases, enumerated in a fixed order,
+    exits 2 with exactly one `error: ` line and no warning. Before the fix,
+    JSON true and false inside number arrays (points, G, xi, targets) were
+    read as 1.0 and 0.0, and an unknown family kind, function, mode or
+    experiment was echoed unquoted, so a string with a newline split the
+    message over two lines."""
+    failures = []
+    count = 0
+    for label, argv, text in malformed_descriptors():
+        count += 1
+        with tempfile.TemporaryDirectory() as tmp:
+            src, out = Path(tmp) / "in.json", Path(tmp) / "out.json"
+            src.write_text(text)
+            err = io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+                warnings.simplefilter("always")
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = main([*argv, "--input", str(src), "--output", str(out), "--no-timestamp"])
+            message = err.getvalue()
+            if code != 2 or message.count("\n") != 1 or not message.startswith("error: ") or caught or out.exists():
+                failures.append((label, code, message, [str(w.message) for w in caught]))
+    assert count > 1000
+    assert not failures, failures
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_BASES))
+def test_the_malformed_bases_run(name):
+    argv, obj = MALFORMED_BASES[name]
+    code, err, report, caught, _ = run(argv, obj)
+    check_contract(code, err, report, caught)
+    assert code == 0, err

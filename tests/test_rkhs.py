@@ -187,6 +187,42 @@ def test_rkhs_deriv_eval_at_order_zero_matches_the_oracle_without_jets(kernel):
     assert rkhs_eval(el, ys[3]).tobytes() == _oracle_deriv_eval(el, (0, 0), ys[3:4])[0].tobytes()
 
 
+def test_quadratic_form_refuses_a_gram_past_the_row_cap_before_enumerating(monkeypatch):
+    """m = 60 and q = 4 give C(64, 4) = 635376 multi-indices: the Gram's row
+    cap refuses them before any is listed (listing them first took 8.8 s and
+    359 MiB)."""
+
+    def unreachable(m, q):
+        raise AssertionError("multi-indices listed past the row cap")
+
+    monkeypatch.setattr(rkhs_module, "multi_indices_up_to", unreachable)
+    monkeypatch.setattr(kernel_module, "multi_indices_up_to", unreachable)
+    m = 60
+    kernel = radial_kernel(RadialProfile.gaussian(), OperatorMeasure(1, [(1.0, np.eye(1))]), m)
+    eta = VectorAtomMeasure(m, 1, [(np.zeros(m), np.ones(1))], alphas=[(0,) * m], q=4)
+    with pytest.raises(InvalidParameter, match="derivative Gram would have 635376 rows"):
+        quadratic_form_detail(kernel, [eta])
+
+
+def test_kernels_without_jets_refuse_nonzero_order():
+    """The shifted pair has no analytic jets: each builder of derivative
+    blocks refuses a nonzero order with UnsupportedJet. rkhs_deriv_eval and
+    hermite_interpolate once raised AttributeError ('ShiftedPairKernel'
+    object has no attribute 'deriv_diffs')."""
+    kernel = ShiftedPairKernel([0.4])
+    el = RkhsElement(kernel, np.zeros((1, 1), dtype=int), np.array([[0.0]]), np.array([[1.0, 0.5j]]))
+    with pytest.raises(UnsupportedJet, match="analytic jets"):
+        rkhs_deriv_eval(el, (1,), [0.3])
+    with pytest.raises(UnsupportedJet, match="analytic jets"):
+        hermite_interpolate(kernel, [(np.array([0.0]), (1,), np.array([1.0, 0.0]))])
+    with pytest.raises(UnsupportedJet, match="analytic jets"):
+        kernel_module.deriv_gram(kernel, np.array([[0.0], [1.0]]), 1)
+    # at order 0 every builder evaluates the shifted pair through eval_diffs
+    assert rkhs_deriv_eval(el, (0,), [0.3]).shape == (2,)
+    res = hermite_interpolate(kernel, [(np.array([0.0]), (0,), np.array([1.0, 0.0]))])
+    assert res.residual <= 1e-12
+
+
 @pytest.mark.parametrize("order", [9, 2**63, 2**64])
 def test_rkhs_deriv_eval_refuses_beta_past_the_jet_cap(order):
     """A beta of 2**64 once reached np.unique as an object array and raised
@@ -712,6 +748,11 @@ def test_interpolate_rejects_bad_targets():
         interpolate(SCALAR_GAUSS, np.array([[0.0]]), np.zeros((2, 1)))
 
 
+def test_interpolate_refuses_alphas_that_do_not_match_the_points():
+    with pytest.raises(InvalidVector, match="got 1 multi-indices for 2 points"):
+        interpolate(SCALAR_GAUSS, np.array([[0.0], [1.0]]), np.zeros((2, 1)), alphas=[(0,)])
+
+
 def test_hermite_single_point_derivative():
     # match f(0) = 1 and f'(0) = 0 jointly; residual must vanish
     res = hermite_interpolate(
@@ -745,8 +786,8 @@ def test_hermite_names_first_duplicate_request_like_the_loop():
     for i in range(12):  # the pairwise loop this guard ran before it was vectorized
         for j in range(i + 1, 12):
             if expected is None and alphas[i] == alphas[j] and np.linalg.norm(xs[i] - xs[j]) < 1e-12:
-                expected = f"data {i} and {j} request alpha {alphas[i]} at points closer than 1e-12"
-    assert expected == "data 1 and 7 request alpha (1, 0) at points closer than 1e-12"
+                expected = f"points {i} and {j} coincide to within 1e-12"
+    assert expected == "points 1 and 7 coincide to within 1e-12"
     kernel = radial_kernel(RadialProfile.gaussian(), OperatorMeasure(1, [(1.0, np.eye(1))]), 2)
     with pytest.raises(DuplicatePoints) as info:
         hermite_interpolate(kernel, data)
