@@ -25,7 +25,11 @@ measure a strictly positive form.
 probe_strict_pd hammers a kernel with seeded random designs and reports the
 smallest Gram eigenvalue seen; classify_and_report runs the exact
 classification and the probe side by side and refuses to let them disagree
-silently.
+silently. The probe's trials run in chunks bounded by _PROBE_CHUNK_ENTRIES:
+_seeded_design, the one design drawer (the shifted-gaussian demo's too),
+takes the chunk's first draws in one stacked pairwise pass and evaluates
+each design once, and one checked eigensolve covers the chunk. Every
+design, eigenvalue, witness and error is the one a per-trial loop gives.
 """
 
 from __future__ import annotations
@@ -35,14 +39,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DuplicatePoints, InvalidGrid, InvalidMatrix, InvalidParameter, InvalidVector
+from .errors import InvalidGrid, InvalidMatrix, InvalidParameter, InvalidVector, NumericalFailure, OpKernelError
 from .hermitian import PSD_TOL, Frozen, hermitian_part, psd_margin
 from .kernel import (
     DUPLICATE_POINT_TOL,
-    BlockGram,
     OperatorKernel,
     PlaneWaveMeasure,
+    _check_size,
+    _close_pairs,
+    block_matrix,
+    deriv_blocks,
     gram,
+    pair_diffs,
     plane_wave_kernel,
     radial_kernel,
 )
@@ -85,6 +93,12 @@ MAX_PROBE_TRIALS = 10_000
 # width 2 * box overflows; the separation floor 1e-2 * box is compared as a
 # squared distance, which overflows past about 1e156. The benchmark's box is 2.
 MAX_PROBE_BOX = 1e6
+# Probe chunk: the trials whose designs are drawn and eigensolved together
+# hold k * n^2 * m difference floats and k * n^2 * ell^2 block entries, at
+# most this many each, or one design where one is larger. A stacked
+# eigensolve saves the per-call overhead of small Grams; from about 32 rows
+# up it is no faster than a loop.
+_PROBE_CHUNK_ENTRIES = 2**13
 
 
 class ShiftedPairKernel(Frozen):
@@ -137,28 +151,63 @@ class CounterexampleResult:
     relative_form: float | None = None
 
 
-def _seeded_design(kernel, n: int, seed_parts, box: float) -> BlockGram:
-    """Block Gram of kernel on n seeded points in [-box, box]^m, redrawn
-    until no two points are closer than the separation floor 1e-2 * box;
-    gram's duplicate check is the floor, so each draw costs one pairwise pass.
-    seed_parts seeds a new stream (SeedSequence(seed_parts)), or is a numpy
-    Generator whose stream the draws continue.
+def _seeded_design(kernel, n: int, rngs, box: float) -> tuple[np.ndarray, np.ndarray]:
+    """Points (k, n, m) and symmetrized block Grams (k, n*ell, n*ell) of
+    kernel on k designs of n points in [-box, box]^m, design i drawn from
+    the numpy Generator rngs[i] and redrawn, up to 64 draws, until no two of
+    its points are closer than the separation floor 1e-2 * box. The first
+    draws of all k designs take one stacked pairwise pass, with gram's
+    duplicate check at the floor, and its differences give the kernel
+    blocks of each design that passes (one deriv_blocks call per design); a
+    design that must be redrawn is redrawn alone, in design order.
+
+    Designs come back in order up to the first that fails: never separated
+    (InvalidParameter), or with kernel blocks that raise or are not finite
+    (InvalidMatrix). When that is the first design its error is raised, so
+    a caller that draws again from the failed design on meets the errors in
+    design order.
 
     The floor keeps near-coincident points from collapsing a genuinely
     strict Gram to numerical zero, which would fake a strictness violation;
     a truly degenerate kernel is singular on every design, so the floor
     costs nothing there. Below box = 1e-10 the floor is the Gram's own
     duplicate tolerance."""
-    if isinstance(seed_parts, np.random.Generator):
-        rng = seed_parts
-    else:
-        rng = np.random.default_rng(np.random.SeedSequence(list(seed_parts)))
-    for _ in range(64):
-        try:
-            return gram(kernel, rng.uniform(-box, box, size=(n, kernel.m)), max(1e-2 * box, DUPLICATE_POINT_TOL))
-        except DuplicatePoints:
-            pass
-    raise InvalidParameter("could not draw a separated design; box too small for n")
+    m, ell, k = kernel.m, kernel.ell, len(rngs)
+    _check_size(n, m, ell, "block Gram")
+    floor = max(1e-2 * box, DUPLICATE_POINT_TOL)
+    rows = (np.arange(n), np.zeros((n, m), dtype=int))
+    points = np.empty((k, n, m))
+    blocks = np.zeros((k, n, n, ell, ell), dtype=complex)
+    errors = [None] * k
+
+    def draw(batch) -> list:
+        """Draw each design of batch once, in one stacked pairwise pass, and
+        evaluate those that separate; the others are returned."""
+        draws = np.array([rngs[i].uniform(-box, box, size=(n, m)) for i in batch])
+        diffs, sq = pair_diffs(draws)
+        close = set(_close_pairs(sq, n, floor)[0].tolist())
+        for d, i in enumerate(batch):
+            if d not in close:
+                points[i] = draws[d]
+                try:
+                    blocks[i] = deriv_blocks(kernel, diffs[d].reshape(n, n, m), rows, rows)
+                except OpKernelError as exc:
+                    errors[i] = exc
+        return [i for d, i in enumerate(batch) if d in close]
+
+    # a design that did not separate is redrawn alone, up to 63 times, in
+    # design order; the first that never does ends the chunk, and no later
+    # design is redrawn
+    for i in draw(range(k)):
+        if all(draw([i]) for _ in range(63)):
+            errors[i] = InvalidParameter("could not draw a separated design; box too small for n")
+            break
+    for i in np.flatnonzero(~np.isfinite(blocks.reshape(k, -1)).all(axis=1)):
+        errors[i] = errors[i] or InvalidMatrix("matrix has non-finite entries")
+    first = next((i for i, exc in enumerate(errors) if exc is not None), k)
+    if first == 0:
+        raise errors[0]
+    return points[:first], hermitian_part(block_matrix(blocks[:first]))
 
 
 def demo_counterexample_shifted_gaussian(w, seed: int = 0) -> CounterexampleResult:
@@ -184,14 +233,13 @@ def demo_counterexample_shifted_gaussian(w, seed: int = 0) -> CounterexampleResu
     for redraws in range(64):
         # the shifted-pair Gram is exactly Hermitian (|-d + 2w| = |d - 2w| in
         # floats), so its blocks are the eval_diffs blocks bit for bit
-        design = _seeded_design(kernel, 6, rng, box=2.0)
-        blocks = design.matrix.entries.reshape(6, 2, 6, 2).transpose(0, 2, 1, 3).reshape(36, 2, 2)
+        _, grams = _seeded_design(kernel, 6, [rng], box=2.0)
+        blocks = grams[0].reshape(6, 2, 6, 2).transpose(0, 2, 1, 3).reshape(36, 2, 2)
         # the (4, 6, 6) stack of projection Grams v^H (b v): the entries of v
         # are 0, +-1 and +-i, so every product is exact and every two-term sum
-        # rounds alike in any order, and the bits are np.vdot(v, b @ v)'s
+        # rounds alike in any order, and the bits are np.vdot(v, b @ v)'s;
+        # the blocks are finite exponentials at most 1, so the sums are too
         g = hermitian_part((np.conj(vs) * (blocks @ vs)).sum(axis=1).T.reshape(4, 6, 6))
-        if not np.all(np.isfinite(g)):
-            raise InvalidMatrix("matrix has non-finite entries")
         floor = float(psd_margin(g)[0].min())
         if floor > PROJECTION_FLOOR_TOL:
             break
@@ -343,7 +391,10 @@ def probe_strict_pd(
 
     A trial violates when min eig <= tol * max(1, trace). Each trial
     derives its own generator from SeedSequence([seed, trial]), so results
-    are deterministic in (seed, trial)."""
+    are deterministic in (seed, trial). The trials run in chunks of at most
+    _PROBE_CHUNK_ENTRIES difference floats and block entries, one
+    _seeded_design call and one checked eigensolve per chunk; a chunk's
+    first error in trial order is the one raised."""
     n, trials, seed = int(n), int(trials), int(seed)
     if not 2 <= n <= MAX_PROBE_N or trials < 1:
         raise InvalidParameter(f"need 2 <= n <= {MAX_PROBE_N} points and trials >= 1")
@@ -356,12 +407,26 @@ def probe_strict_pd(
     if box > MAX_PROBE_BOX:
         raise InvalidParameter(f"need box <= {MAX_PROBE_BOX:g}")
     mins, violation = [], None
-    for t in range(trials):
-        g = _seeded_design(kernel, n, (seed, t), box)
-        lo, scale, vec = psd_margin(g.matrix)
-        mins.append(lo)
-        if violation is None and lo <= tol * scale:
-            violation = ProbeViolation(trial=t, points=g.points, min_eigenvalue=lo, witness=vec)
+    per = max(1, _PROBE_CHUNK_ENTRIES // (n * n * max(kernel.m, kernel.ell**2)))
+    while len(mins) < trials:
+        t = len(mins)
+        rngs = [np.random.default_rng(np.random.SeedSequence([seed, s])) for s in range(t, min(t + per, trials))]
+        points, grams = _seeded_design(kernel, n, rngs, box)
+        try:
+            lo, scale, vecs = psd_margin(grams)
+        except NumericalFailure:
+            # raise what the first failing design alone raises
+            for i in range(len(grams)):
+                psd_margin(grams[i : i + 1])
+            raise
+        mins += lo.tolist()
+        hit = np.flatnonzero(lo <= tol * scale)
+        if violation is None and hit.size:
+            i = hit[0]
+            violation = ProbeViolation(
+                trial=t + int(i), points=points[i].copy(), min_eigenvalue=float(lo[i]), witness=vecs[i].copy()
+            )
+        del points, grams, vecs  # freed before the next chunk is drawn
     return ProbeReport(
         verdict="ViolationFound" if violation is not None else "NoViolationFound",
         trials=trials,

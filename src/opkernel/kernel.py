@@ -27,10 +27,11 @@ graded-lexicographic order, block ((mu,alpha),(nu,beta)) being
 d^alpha_1 d^beta_2 K(x_mu, x_nu). The plain Gram of blocks K(x_mu, x_nu)
 is q = 0, whose one multi-index is (0,...,0). Every block Gram is built
 the same way: _check_points validates the points, refuses a Gram past the
-size caps and duplicate points, and takes the pairwise differences once;
-deriv_blocks assembles the blocks of the (point, multi-index) rows and
-columns, from eval_diffs alone at order 0; block_matrix lays them out.
-Grams are symmetrized on assembly.
+size caps (_check_size) and duplicate points (_close_pairs), and takes the
+pairwise differences once; deriv_blocks assembles the blocks of the
+(point, multi-index) rows and columns, from eval_diffs alone at order 0;
+block_matrix lays them out. Grams are symmetrized on assembly. The probe's
+design drawer in certify runs the same steps over a stack of designs.
 """
 
 from __future__ import annotations
@@ -359,25 +360,46 @@ class BlockGram:
 
 
 def pair_diffs(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All n^2 differences x_i - x_j of an (n, m) array in row-major order,
-    and their squared norms. A difference or a square that overflows is inf,
-    so it counts as far; the overflow is not reported."""
-    n = points.shape[0]
+    """All n^2 differences x_i - x_j of an (..., n, m) array in row-major
+    order, shape (..., n * n, m), and their squared norms (..., n * n); a
+    stack of designs takes one pass. A difference or a square that
+    overflows is inf, so it counts as far; the overflow is not reported."""
+    *lead, n, m = points.shape
     with np.errstate(over="ignore"):
-        diffs = (points[:, None, :] - points[None, :, :]).reshape(n * n, points.shape[1])
-        return diffs, (diffs * diffs).sum(axis=1)
+        diffs = (points[..., :, None, :] - points[..., None, :, :]).reshape(*lead, n * n, m)
+        return diffs, (diffs * diffs).sum(axis=-1)
+
+
+def _close_pairs(sq: np.ndarray, n: int, tol: float) -> tuple[np.ndarray, ...]:
+    """Index arrays (..., i, j) of the pairs i < j of n points closer than
+    tol, in row-major order, from the squared norms (..., n * n) that
+    pair_diffs gives for one design or a stack of them."""
+    *lead, pair = (np.sqrt(sq) < tol).nonzero()
+    i, j = np.divmod(pair, n)
+    keep = i < j
+    return (*(a[keep] for a in lead), i[keep], j[keep])
+
+
+def _check_size(n: int, m: int, point_rows: int, what: str) -> None:
+    """Refuse a block Gram (`what`) of n points in R^m, point_rows rows per
+    point, past MAX_GRAM_ROWS rows or MAX_PAIR_DIFF_ENTRIES difference
+    floats, before either is allocated: InvalidParameter."""
+    if n * point_rows > MAX_GRAM_ROWS:
+        raise InvalidParameter(f"{what} would have {n * point_rows} rows; need <= {MAX_GRAM_ROWS}")
+    if n * n * m > MAX_PAIR_DIFF_ENTRIES:
+        raise InvalidParameter(
+            f"pairwise differences would hold {n * n * m} floats (n^2 x m); need <= {MAX_PAIR_DIFF_ENTRIES}"
+        )
 
 
 def _check_points(
     points, m: int, tol: float = DUPLICATE_POINT_TOL, point_rows: int = 1, what: str = "block Gram", same=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Validated (n, m) points and their pair_diffs differences, for a block
-    Gram (`what`) of point_rows rows per point. A Gram of more than
-    MAX_GRAM_ROWS rows, or differences of more than MAX_PAIR_DIFF_ENTRIES
-    floats, raise InvalidParameter before either is allocated. Two points
-    closer than tol raise DuplicatePoints naming the first such pair, i < j
-    in row-major order; given `same`, an (n, k) table of row keys, only
-    points with equal keys count."""
+    Gram (`what`) of point_rows rows per point, refused past the size caps
+    by _check_size. Two points closer than tol raise DuplicatePoints naming
+    the first such pair, i < j in row-major order; given `same`, an (n, k)
+    table of row keys, only points with equal keys count."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
@@ -386,17 +408,14 @@ def _check_points(
     if not np.isfinite(pts).all():
         raise InvalidPoint("points have non-finite entries")
     n = pts.shape[0]
-    if n * point_rows > MAX_GRAM_ROWS:
-        raise InvalidParameter(f"{what} would have {n * point_rows} rows; need <= {MAX_GRAM_ROWS}")
-    if n * n * m > MAX_PAIR_DIFF_ENTRIES:
-        raise InvalidParameter(
-            f"pairwise differences would hold {n * n * m} floats (n^2 x m); need <= {MAX_PAIR_DIFF_ENTRIES}"
-        )
+    _check_size(n, m, point_rows, what)
     diffs, sq = pair_diffs(pts)
-    i, j = np.divmod((np.sqrt(sq) < tol).nonzero()[0], n)
-    hit = i < j if same is None else (i < j) & np.all(same[i] == same[j], axis=1)
-    if np.count_nonzero(hit):
-        raise DuplicatePoints(f"points {i[hit][0]} and {j[hit][0]} coincide to within {tol}")
+    i, j = _close_pairs(sq, n, tol)
+    if same is not None:
+        hit = np.all(same[i] == same[j], axis=1)
+        i, j = i[hit], j[hit]
+    if i.size:
+        raise DuplicatePoints(f"points {i[0]} and {j[0]} coincide to within {tol}")
     return pts, diffs
 
 
@@ -459,9 +478,11 @@ def _in_order(idx: np.ndarray, n: int) -> bool:
 
 
 def block_matrix(blocks: np.ndarray) -> np.ndarray:
-    """The matrix of a (rows, cols, ell, ell) block table: entry
-    (r * ell + i, c * ell + j) is blocks[r, c, i, j]."""
-    return blocks.transpose(0, 2, 1, 3).reshape(blocks.shape[0] * blocks.shape[2], -1)
+    """The matrix of a (..., rows, cols, ell, ell) block table, over any
+    leading stack axes: entry (r * ell + i, c * ell + j) is
+    blocks[..., r, c, i, j]."""
+    *lead, rows, cols, ell, _ = blocks.shape
+    return np.swapaxes(blocks, -3, -2).reshape(*lead, rows * ell, cols * ell)
 
 
 # ----------------------------------------------------------------------

@@ -13,8 +13,11 @@ from opkernel import certify, cli, kernel as kernel_module
 from opkernel.certify import (
     MAX_BUMP_ATOMS,
     MAX_PROBE_N,
+    PROBE_TOL,
     PROJECTION_FLOOR_TOL,
     ClassificationReport,
+    ProbeReport,
+    ProbeViolation,
     ShiftedPairKernel,
     _seeded_design,
     classify_and_report,
@@ -23,9 +26,18 @@ from opkernel.certify import (
     probe_strict_pd,
     witness_design_mineig,
 )
-from opkernel.errors import InvalidGrid, InvalidParameter
+from opkernel.errors import DuplicatePoints, InvalidGrid, InvalidMatrix, InvalidParameter, NumericalFailure, OpKernelError
 from opkernel.hermitian import HermitianMatrix, eigen_hermitian, psd_margin
-from opkernel.kernel import PlaneWaveMeasure, gram, kernel_eval, pair_diffs, radial_kernel
+from opkernel.kernel import (
+    DUPLICATE_POINT_TOL,
+    PlaneWaveMeasure,
+    deriv_blocks,
+    gram,
+    kernel_eval,
+    pair_diffs,
+    plane_wave_kernel,
+    radial_kernel,
+)
 from opkernel.measures import VERDICT_NOT_STRICT, VERDICT_STRICT, OperatorMeasure
 from opkernel.profiles import RadialProfile
 
@@ -53,31 +65,49 @@ def _seeded_design_loop(m, n, seed_parts, box):
     return None
 
 
+def _rngs(seed, trials):
+    return [np.random.default_rng(np.random.SeedSequence([seed, t])) for t in trials]
+
+
+def _one_design(kernel, n, seed_parts, box):
+    """Points and Gram of the one design drawn from SeedSequence(seed_parts)."""
+    points, grams = _seeded_design(kernel, n, [np.random.default_rng(np.random.SeedSequence(list(seed_parts)))], box)
+    return points[0], grams[0]
+
+
 @given(
     m=st.integers(1, 3),
     n=st.integers(2, 40),
     box=st.sampled_from([0.05, 0.5, 2.0, 4.0]),
     seed=st.integers(0, 2**31 - 1),
     trial=st.integers(0, 40),
+    k=st.integers(1, 6),
 )
-@example(m=1, n=40, box=2.0, seed=0, trial=0)  # refused, as in the strictness workload
+@example(m=1, n=40, box=2.0, seed=0, trial=0, k=1)  # refused, as in the strictness workload
+@example(m=1, n=30, box=2.0, seed=0, trial=0, k=6)  # a refused design after separated ones
 @settings(max_examples=40, deadline=None)
-def test_seeded_design_matches_pairwise_loop(m, n, box, seed, trial):
-    expected = _seeded_design_loop(m, n, (seed, trial), box)
+def test_seeded_design_matches_pairwise_loop(m, n, box, seed, trial, k):
+    """A stack of k designs, one generator each, holds each design's own
+    loop draw and gram's Gram of it, up to the first design the loop
+    refuses; when that is the first, the stack is refused."""
+    expected = [_seeded_design_loop(m, n, (seed, t), box) for t in range(trial, trial + k)]
+    kept = next((i for i, pts in enumerate(expected) if pts is None), k)
     kernel = _scalar_gaussian(m)
-    if expected is None:
+    if kept == 0:
         with pytest.raises(InvalidParameter, match="could not draw a separated design"):
-            _seeded_design(kernel, n, (seed, trial), box)
-    else:
-        g = _seeded_design(kernel, n, (seed, trial), box)
-        assert np.array_equal(g.points, expected)
-        assert np.array_equal(g.matrix.entries, gram(kernel, expected).matrix.entries)
+            _seeded_design(kernel, n, _rngs(seed, range(trial, trial + k)), box)
+        return
+    points, grams = _seeded_design(kernel, n, _rngs(seed, range(trial, trial + k)), box)
+    assert points.shape == (kept, n, m) and grams.shape == (kept, n, n)
+    for pts, g, want in zip(points, grams, expected):
+        assert np.array_equal(pts, want)
+        assert np.array_equal(g, gram(kernel, want).matrix.entries)
 
 
 def test_seeded_design_refuses_crowded_line():
     assert _seeded_design_loop(1, 40, (0, 0), 2.0) is None
     with pytest.raises(InvalidParameter):
-        _seeded_design(_scalar_gaussian(1), 40, (0, 0), 2.0)
+        _one_design(_scalar_gaussian(1), 40, (0, 0), 2.0)
 
 
 def _scalar_gaussian(m):
@@ -88,34 +118,63 @@ def test_seeded_design_floor_never_drops_below_the_duplicate_tolerance():
     """Below box = 1e-10 the separation floor is the Gram's duplicate
     tolerance, so points that gram would call coincident are redrawn."""
     with pytest.raises(InvalidParameter, match="could not draw a separated design"):
-        _seeded_design(_scalar_gaussian(1), 2, (0, 0), 1e-13)
+        _one_design(_scalar_gaussian(1), 2, (0, 0), 1e-13)
 
 
-def test_probe_takes_one_pairwise_pass_per_accepted_design(monkeypatch):
-    """Each design accepted at its first draw costs one pair_diffs call."""
-    n, trials, box = 3, 6, 2.0
-    for t in range(trials):  # every trial's first draw is separated
-        rng = np.random.default_rng(np.random.SeedSequence([0, t]))
-        pts = rng.uniform(-box, box, size=(n, 2))
-        assert min(np.linalg.norm(pts[i] - pts[j]) for i in range(n) for j in range(i)) >= 1e-2 * box
-    calls = []
+def _count_passes(monkeypatch):
+    """Record the stack shape of every pair_diffs call and the difference
+    table of every deriv_blocks call, wherever they are reachable."""
+    calls, blocks = [], []
 
     def counted(points):
         calls.append(points.shape)
         return pair_diffs(points)
 
-    for module in (kernel_module, certify):  # wherever the pass is reachable
+    def counted_blocks(kernel, diffs, rows, cols):
+        blocks.append(diffs.shape)
+        return deriv_blocks(kernel, diffs, rows, cols)
+
+    for module in (kernel_module, certify):
         if getattr(module, "pair_diffs", None) is pair_diffs:
             monkeypatch.setattr(module, "pair_diffs", counted)
+        if getattr(module, "deriv_blocks", None) is deriv_blocks:
+            monkeypatch.setattr(module, "deriv_blocks", counted_blocks)
+    return calls, blocks
+
+
+def test_probe_takes_one_stacked_pairwise_pass_per_chunk_and_one_evaluation_per_design(monkeypatch):
+    """A chunk whose designs are all accepted at their first draw costs one
+    stacked pair_diffs call, and each design one deriv_blocks call (one
+    evaluation per chunk would change the omega kernels' bits)."""
+    n, trials, box = 3, 6, 2.0
+    for t in range(trials):  # every trial's first draw is separated
+        rng = np.random.default_rng(np.random.SeedSequence([0, t]))
+        pts = rng.uniform(-box, box, size=(n, 2))
+        assert min(np.linalg.norm(pts[i] - pts[j]) for i in range(n) for j in range(i)) >= 1e-2 * box
+    calls, blocks = _count_passes(monkeypatch)
     probe_strict_pd(STRICT_K, n=n, trials=trials, seed=0, box=box)
-    assert calls == [(n, 2)] * trials
+    assert calls == [(trials, n, 2)]
+    assert blocks == [(n, n, 2)] * trials
+
+
+def test_a_design_that_never_separates_ends_its_chunk_without_redrawing_later_ones(monkeypatch):
+    """40 points on [-2, 2] never keep the floor: the chunk of 5 designs
+    takes one stacked pass for their first draws (none separates), then the
+    first design's 63 redraws alone, and none of the other four is redrawn."""
+    kernel = _scalar_gaussian(1)
+    assert _per(kernel, 40) == 5 and _draws(1, 40, (0, 0)) is None
+    calls, blocks = _count_passes(monkeypatch)
+    with pytest.raises(InvalidParameter, match="could not draw a separated design"):
+        probe_strict_pd(kernel, n=40, trials=5, seed=0)
+    assert calls == [(5, 40, 1)] + [(1, 40, 1)] * 63
+    assert blocks == []
 
 
 def test_probe_keeps_the_first_violation():
     rep = probe_strict_pd(DEGENERATE_K, n=4, trials=5, seed=3)
     assert rep.violation.trial == 0 and len(rep.min_eigenvalues) == 5
-    g = _seeded_design(DEGENERATE_K, 4, (3, 0), 2.0)
-    assert np.array_equal(rep.violation.points, g.points)
+    points, _ = _one_design(DEGENERATE_K, 4, (3, 0), 2.0)
+    assert np.array_equal(rep.violation.points, points)
     assert rep.violation.min_eigenvalue == rep.min_eigenvalues[0]
 
 
@@ -128,9 +187,9 @@ def test_shifted_pair_gram_blocks_are_the_eval_diffs_blocks(w, seed):
     """The shifted-pair Gram is exactly Hermitian, so symmetrizing it keeps
     every block bitwise equal to eval_diffs at the design's differences."""
     kernel = ShiftedPairKernel(w)
-    g = _seeded_design(kernel, 6, (seed, 0), 2.0)
-    blocks = g.matrix.entries.reshape(6, 2, 6, 2).transpose(0, 2, 1, 3).reshape(36, 2, 2)
-    assert np.array_equal(blocks, kernel.eval_diffs(pair_diffs(g.points)[0]))
+    points, g = _one_design(kernel, 6, (seed, 0), 2.0)
+    blocks = g.reshape(6, 2, 6, 2).transpose(0, 2, 1, 3).reshape(36, 2, 2)
+    assert np.array_equal(blocks, kernel.eval_diffs(pair_diffs(points)[0]))
 
 
 # ---------------------------------------------------------------- shifted pair
@@ -195,13 +254,13 @@ def test_shifted_demo_redraws_a_design_at_the_floor(monkeypatch):
     assert res.params["design_redraws"] == 1
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
-    expected = [_seeded_design(ShiftedPairKernel(w), 6, rng, 2.0).points for _ in range(2)]
+    expected = [_seeded_design(ShiftedPairKernel(w), 6, [rng], 2.0)[0][0] for _ in range(2)]
     drawn = []
 
     def recorded(*args, **kwargs):
-        g = _seeded_design(*args, **kwargs)
-        drawn.append(g.points)
-        return g
+        points, grams = _seeded_design(*args, **kwargs)
+        drawn.append(points[0])
+        return points, grams
 
     monkeypatch.setattr(certify, "_seeded_design", recorded)
     assert demo_counterexample_shifted_gaussian(w, seed=seed) == res
@@ -234,8 +293,8 @@ def _projection_floor_loop(w, seed, floor_tol):
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
     for redraws in range(64):
         floor = np.inf
-        design = _seeded_design(kernel, 6, rng, box=2.0)
-        blocks = design.matrix.entries.reshape(6, 2, 6, 2).transpose(0, 2, 1, 3).reshape(36, 2, 2)
+        _, grams = _seeded_design(kernel, 6, [rng], box=2.0)
+        blocks = grams[0].reshape(6, 2, 6, 2).transpose(0, 2, 1, 3).reshape(36, 2, 2)
         for v in (e1, e2, e1 + e2, e1 + 1j * e2):
             g = np.array([complex(np.vdot(v, b @ v)) for b in blocks]).reshape(6, 6)
             floor = min(floor, eigen_hermitian(HermitianMatrix(g)).eigenvalues[0])
@@ -486,6 +545,257 @@ def test_probe_design_separation_floor():
     assert rep.verdict == "NoViolationFound"
     # every returned min eigenvalue comes from a separated design
     assert all(v > 0 for v in rep.min_eigenvalues)
+
+
+# ---------------------------------------------------------------- chunked probe against the per-trial loop
+
+
+def _design_loop(kernel, n, seed_parts, box):
+    """The design drawer as a per-trial loop: one gram call per draw, whose
+    duplicate check at the separation floor is the redraw test."""
+    rng = np.random.default_rng(np.random.SeedSequence(list(seed_parts)))
+    for _ in range(64):
+        try:
+            return gram(kernel, rng.uniform(-box, box, size=(n, kernel.m)), max(1e-2 * box, DUPLICATE_POINT_TOL))
+        except DuplicatePoints:
+            pass
+    raise InvalidParameter("could not draw a separated design; box too small for n")
+
+
+def _probe_loop(kernel, n, trials, seed, box=2.0, tol=PROBE_TOL):
+    """probe_strict_pd as a per-trial loop: one design, one Gram and one
+    checked eigensolve per trial."""
+    mins, violation = [], None
+    for t in range(trials):
+        g = _design_loop(kernel, n, (seed, t), box)
+        lo, scale, vec = psd_margin(g.matrix)
+        mins.append(lo)
+        if violation is None and lo <= tol * scale:
+            violation = ProbeViolation(trial=t, points=g.points, min_eigenvalue=lo, witness=vec)
+    return ProbeReport(
+        verdict="ViolationFound" if violation is not None else "NoViolationFound",
+        trials=trials,
+        n=n,
+        box=box,
+        seed=seed,
+        tol=tol,
+        min_eigenvalues=tuple(mins),
+        global_min=float(min(mins)),
+        violation=violation,
+    )
+
+
+def _outcome(run):
+    """The bits of a probe report, or the class and message of its error."""
+    try:
+        rep = run()
+    except OpKernelError as exc:
+        return type(exc), str(exc)
+    v = rep.violation
+    witness = None if v is None else (v.trial, v.points.shape, v.points.tobytes(), v.min_eigenvalue.hex(), v.witness.tobytes())
+    return rep.verdict, [x.hex() for x in rep.min_eigenvalues], rep.global_min.hex(), witness
+
+
+def _both(kernel, n, trials, seed, box=2.0):
+    chunked = _outcome(lambda: probe_strict_pd(kernel, n=n, trials=trials, seed=seed, box=box))
+    return chunked, _outcome(lambda: _probe_loop(kernel, n, trials, seed, box))
+
+
+def _per(kernel, n):
+    return max(1, certify._PROBE_CHUNK_ENTRIES // (n * n * max(kernel.m, kernel.ell**2)))
+
+
+def _draws(m, n, seed_parts, box=2.0):
+    """Draws the loop takes for the design of seed_parts (None: refused)."""
+    rng = np.random.default_rng(np.random.SeedSequence(list(seed_parts)))
+    for k in range(1, 65):
+        pts = rng.uniform(-box, box, size=(n, m))
+        if min(np.linalg.norm(pts[i] - pts[j]) for i in range(n) for j in range(i)) >= 1e-2 * box:
+            return k
+    return None
+
+
+ORACLE_KERNELS = {
+    "gaussian": (radial_kernel(RadialProfile.gaussian(), OperatorMeasure(2, [(1.0, np.eye(2)), (0.4, np.diag([2.0, 0.5]))]), 2), 4),
+    "askey": (radial_kernel(RadialProfile.askey(3), OperatorMeasure(1, [(0.6, np.eye(1)), (0.3, np.eye(1))]), 3), 5),
+    "omega": (radial_kernel(RadialProfile.omega(3), OperatorMeasure(1, [(2.0, np.eye(1)), (0.6, np.eye(1))]), 2), 5),
+    "plane_wave": (
+        plane_wave_kernel(PlaneWaveMeasure(2, 2, [([0.5, -1.0], np.eye(2)), ([-2.0, 0.25], np.diag([1.0, 0.0]))])),
+        4,
+    ),
+    "shifted_pair": (ShiftedPairKernel([0.7]), 4),
+    # strict, but some of its 16-point designs fall under the probe tolerance
+    "gaussian_line": (radial_kernel(RadialProfile.gaussian(), OperatorMeasure(1, [(6.0, np.eye(1))]), 1), 16),
+}
+
+
+@pytest.mark.parametrize("name", [k for k in ORACLE_KERNELS if k != "gaussian_line"])
+def test_chunked_probe_is_the_per_trial_loop_at_the_chunk_edges(name):
+    """At the chunk budget, trials one under, at and one over a chunk give
+    the loop's report bit for bit."""
+    kernel, n = ORACLE_KERNELS[name]
+    per = _per(kernel, n)
+    assert per > 1
+    for trials in (per - 1, per, per + 1):
+        chunked, loop = _both(kernel, n, trials, seed=3)
+        assert chunked == loop
+
+
+@pytest.mark.parametrize("per", [1, 2, 3])
+@pytest.mark.parametrize("name", list(ORACLE_KERNELS))
+def test_chunked_probe_is_the_per_trial_loop_in_small_chunks(monkeypatch, name, per):
+    """Chunks of one, two and three designs, patched in through the budget,
+    give the loop's report or error bit for bit."""
+    kernel, n = ORACLE_KERNELS[name]
+    monkeypatch.setattr(certify, "_PROBE_CHUNK_ENTRIES", per * n * n * max(kernel.m, kernel.ell**2))
+    assert _per(kernel, n) == per
+    for trials in sorted({max(1, per - 1), per, per + 1, 3 * per + 1}):
+        for seed in (0, 7):
+            chunked, loop = _both(kernel, n, trials, seed)
+            assert chunked == loop
+
+
+def test_chunked_probe_keeps_a_late_first_violation_and_its_redraws(monkeypatch):
+    """The 1-D gaussian of the golden report: its first violation is at
+    trial 40, inside the second chunk and not at its start, and some of its
+    designs are redrawn inside a chunk. Budgets of 32 and 3 designs per
+    chunk give the loop's report."""
+    kernel, n = ORACLE_KERNELS["gaussian_line"]
+    assert _per(kernel, n) == 32
+    redrawn = [t for t in range(70) if _draws(1, n, (3, t)) > 1]
+    assert any(t % 32 for t in redrawn)
+    rep = probe_strict_pd(kernel, n=n, trials=70, seed=3)
+    assert rep.violation.trial == 40
+    chunked, loop = _both(kernel, n, 70, seed=3)
+    assert chunked == loop
+    monkeypatch.setattr(certify, "_PROBE_CHUNK_ENTRIES", 3 * n * n)
+    chunked, loop = _both(kernel, n, 70, seed=3)
+    assert chunked == loop
+
+
+class _LineKernel:
+    """A kernel-shaped object on the line whose 1 x 1 blocks are f(d)."""
+
+    m, ell = 1, 1
+
+    def __init__(self, f):
+        self.f = f
+
+    def eval_diffs(self, diffs):
+        with np.errstate(invalid="ignore"):
+            return self.f(np.asarray(diffs)[:, 0]).astype(complex)[:, None, None]
+
+
+def test_probe_raises_the_first_error_in_trial_order():
+    """G = 1e308 on the line at n = 30: trial 0 draws a design whose
+    eigensolve overflows, and trial 1 of the same chunk never separates.
+    The loop raises trial 0's numerical failure, and so must the chunk."""
+    kernel = radial_kernel(RadialProfile.gaussian(), OperatorMeasure(1, [(1.0, np.array([[1e308]]))]), 1)
+    assert _draws(1, 30, (0, 0)) is not None and _draws(1, 30, (0, 1)) is None
+    assert _per(kernel, 30) > 2
+    chunked, loop = _both(kernel, 30, 2, seed=0)
+    assert chunked == loop == (NumericalFailure, "eigendecomposition: an eigenvalue overflows the float range")
+
+
+def test_probe_exits_4_on_the_first_trials_failure(tmp_path, capsys):
+    obj = {
+        "kernel": {"family": {"kind": "gaussian"}, "ambient_dim": 1,
+                   "measure": {"dim": 1, "atoms": [{"omega": 1.0, "G": {"re": [[1e308]]}}]}},
+        "n": 30,
+        "trials": 2,
+    }
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps(obj))
+    assert cli.main(["probe", "--seed", "0", "--input", str(path), "--no-timestamp"]) == 4
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "numerical failure: eigendecomposition: an eigenvalue overflows the float range\n"
+
+
+def test_probe_refuses_non_finite_blocks_in_trial_order():
+    """Blocks that are NaN wherever two points are more than 3.5 apart: the
+    first trial with such a pair raises InvalidMatrix, as the loop's
+    HermitianMatrix does, in chunks of one and of many."""
+    kernel = _LineKernel(lambda d: np.where(np.abs(d) > 3.5, np.nan, np.exp(-d * d)))
+    outcomes = []
+    for seed in range(6):
+        chunked, loop = _both(kernel, 4, 5, seed)
+        assert chunked == loop
+        outcomes.append(loop)
+    # some probes refuse at a later trial, some finish
+    assert (InvalidMatrix, "matrix has non-finite entries") in outcomes
+    assert any(o[0] == "NoViolationFound" for o in outcomes)
+    # and one refuses after a first trial whose blocks are finite
+    assert any(
+        outcomes[s][0] is InvalidMatrix and np.ptp(_seeded_design_loop(1, 4, (s, 0), 2.0)) <= 3.5 for s in range(6)
+    )
+
+
+def test_probe_exits_2_on_non_finite_blocks(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(
+        kernel_module.OperatorKernel, "eval_diffs", lambda self, diffs: np.full((len(diffs), 1, 1), np.nan, dtype=complex)
+    )
+    obj = {"kernel": {"family": {"kind": "gaussian"}, "ambient_dim": 1,
+                      "measure": {"dim": 1, "atoms": [{"omega": 1.0, "G": {"re": [[1.0]]}}]}}, "n": 3, "trials": 4}
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps(obj))
+    assert cli.main(["probe", "--input", str(path), "--no-timestamp"]) == 2
+    assert capsys.readouterr().err == "error: matrix has non-finite entries\n"
+
+
+def test_stacked_eigen_failure_names_the_first_failing_trial():
+    """Two-point designs of blocks 1e308 at d = 0 and where |d| > 1: a design
+    with its points at most 1 apart has eigenvalues 1e308 and a trace that
+    overflows; one with them farther apart has an eigenvalue that
+    overflows. A stacked check meets the eigenvalue first; the probe raises
+    what trial 0 alone raises."""
+    kernel = _LineKernel(lambda d: np.where((d == 0.0) | (np.abs(d) > 1.0), 1e308, 0.0))
+
+    def gap(seed, t):
+        pts = _seeded_design_loop(1, 2, (seed, t), 2.0)
+        return abs(pts[0, 0] - pts[1, 0])
+
+    seed = next(s for s in range(100) if gap(s, 0) <= 1.0 < gap(s, 1))
+    _, grams = _seeded_design(kernel, 2, _rngs(seed, range(2)), 2.0)
+    with pytest.raises(NumericalFailure, match="an eigenvalue overflows"):
+        psd_margin(grams)
+    chunked, loop = _both(kernel, 2, 2, seed)
+    assert chunked == loop == (NumericalFailure, "PSD check: the trace overflows the float range")
+
+
+def _peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_probe_memory_does_not_grow_with_trials():
+    """A chunk holds at most one difference table and one block table of
+    the budget's size, and nothing outlives it: 40 trials of 120-row Grams
+    (one design per chunk) peak within 5% of one trial."""
+    kernel = plane_wave_kernel(
+        PlaneWaveMeasure(3, 2, [([0.5, -1.0], np.eye(3)), ([-2.0, 0.25], np.diag([1.0, 0.5, 0.0]))])
+    )
+    assert _per(kernel, 40) == 1
+    probe_strict_pd(kernel, n=40, trials=1, seed=0)  # first-call allocations are not the probe's
+    one = _peak(lambda: probe_strict_pd(kernel, n=40, trials=1, seed=0))
+    forty = _peak(lambda: probe_strict_pd(kernel, n=40, trials=40, seed=0))
+    assert forty <= 1.05 * one
+
+
+def test_probe_chunks_stay_within_the_budget():
+    """At n = 16 on the line a chunk holds 32 designs. 40 trials peak within
+    a small multiple of the budget's complex table, and 400 trials no
+    higher."""
+    kernel, n = ORACLE_KERNELS["gaussian_line"]
+    table = 16 * certify._PROBE_CHUNK_ENTRIES
+    probe_strict_pd(kernel, n=n, trials=1, seed=0)
+    forty = _peak(lambda: probe_strict_pd(kernel, n=n, trials=40, seed=0))
+    many = _peak(lambda: probe_strict_pd(kernel, n=n, trials=400, seed=0))
+    assert forty <= 12 * table
+    assert many <= 1.05 * forty
 
 
 # ---------------------------------------------------------------- witness design

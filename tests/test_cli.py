@@ -1098,7 +1098,8 @@ def test_pair_diff_cap_both_sides(tmp_path, capsys, monkeypatch):
     MAX_PROBE_N points in R^MAX_PROBE_DIM reaches the pairwise pass, and as
     many points in one more dimension are refused before it."""
     assert MAX_PROBE_N**2 * MAX_PROBE_DIM == MAX_PAIR_DIFF_ENTRIES
-    monkeypatch.setattr(kernel_module, "pair_diffs", _reached)
+    for module in (kernel_module, certify):  # the probe's drawer takes its pass in certify
+        monkeypatch.setattr(module, "pair_diffs", _reached)
     with pytest.raises(_Reached):
         run(tmp_path, ["probe"], _probe_obj("probe", dict(GAUSS_SCALAR, ambient_dim=MAX_PROBE_DIM), n=MAX_PROBE_N))
     m = MAX_PROBE_DIM + 1
@@ -1123,17 +1124,19 @@ def _identity_kernel(family, dim, m):
     return {"family": {"kind": family}, "ambient_dim": m, "measure": {"dim": dim, "atoms": [atom]}}
 
 
-@pytest.mark.parametrize("argv, obj, rows", [
-    (["gram"], {"kernel": _identity_kernel("gaussian", 256, 1), "points": _line(64, 1)}, 64 * 256),
-    (["gram"], {"kernel": _identity_kernel("gaussian", 1, 1), "points": _line(20000, 1)}, 20000),
-    (["probe"], {"kernel": _identity_kernel("plane_wave", 256, 2), "n": 64, "trials": 2}, 64 * 256),
-    (["classify"], {**_identity_kernel("gaussian", 256, 2), "n": 64, "trials": 2}, 64 * 256),
+@pytest.mark.parametrize("argv, obj, rows, entry", [
+    (["gram"], {"kernel": _identity_kernel("gaussian", 256, 1), "points": _line(64, 1)}, 64 * 256, (kernel_module, "_check_points")),
+    (["gram"], {"kernel": _identity_kernel("gaussian", 1, 1), "points": _line(20000, 1)}, 20000, (kernel_module, "_check_points")),
+    (["probe"], {"kernel": _identity_kernel("plane_wave", 256, 2), "n": 64, "trials": 2}, 64 * 256, (certify, "_seeded_design")),
+    (["classify"], {**_identity_kernel("gaussian", 256, 2), "n": 64, "trials": 2}, 64 * 256, (certify, "_seeded_design")),
 ], ids=["gram-dim256", "gram-20000-points", "probe-plane-wave-dim256", "classify-dim256"])
-def test_large_block_grams_refused_before_allocating(tmp_path, capsys, monkeypatch, argv, obj, rows):
+def test_large_block_grams_refused_before_allocating(tmp_path, capsys, monkeypatch, argv, obj, rows, entry):
     """Each of these once ended in an _ArrayMemoryError traceback (exit 1)
-    while it allocated 2 to 4 GiB; from the point check on, less than 1 MiB
-    is allocated before the one-line refusal."""
-    original, peaks = kernel_module._check_points, []
+    while it allocated 2 to 4 GiB; from the point check (or the probe's
+    design draw) on, less than 1 MiB is allocated before the one-line
+    refusal."""
+    (module, name), peaks = entry, []
+    original = getattr(module, name)
 
     def measured(*args, **kwargs):
         tracemalloc.reset_peak()
@@ -1143,7 +1146,7 @@ def test_large_block_grams_refused_before_allocating(tmp_path, capsys, monkeypat
         finally:
             peaks.append(tracemalloc.get_traced_memory()[1] - base)
 
-    monkeypatch.setattr(kernel_module, "_check_points", measured)
+    monkeypatch.setattr(module, name, measured)
     tracemalloc.start()
     try:
         code, rep = run(tmp_path, argv, obj)
@@ -1271,11 +1274,13 @@ def _golden_input(name):
     (["probe", "--seed", "5", *_golden_input("probe_gaussian_rank_one")], "probe_gaussian_rank_one", 3),
     (["classify", "--seed", "2", *_golden_input("classify_omega3_strict")], "classify_omega3_strict", 0),
     (["demo", "shifted-gaussian", "--w", "1,0.5", "--seed", "3"], "demo_shifted_gaussian_1_0.5_3", 0),
+    (["probe", "--seed", "3", *_golden_input("probe_gaussian_1d_n16")], "probe_gaussian_1d_n16", 3),
 ])
 def test_strictness_reports_golden_bytes(capsys, argv, name, code):
     """A degenerate probe with its violation witness, a strict
-    classification and a shifted-gaussian demo stay byte for byte the
-    reports in tests/golden."""
+    classification, a shifted-gaussian demo, and a strict 1-D probe whose
+    first false violation (trial 40) sits in the second of its three chunks
+    stay byte for byte the reports in tests/golden."""
     assert main(argv + ["--no-timestamp"]) == code
     assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text()
 

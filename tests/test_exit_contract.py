@@ -14,6 +14,9 @@ size is allocated.
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -252,6 +255,41 @@ def test_integers_past_every_cap_are_refused_before_allocation(field, which):
     check_contract(code, err, report, caught)
     assert code == 2, err
     assert peak < 2**20, peak
+
+
+# Address space of a probe at the caps: it peaks near 480 MB of virtual
+# memory (VmPeak, one BLAS thread or two), nearly all of it the 128 MiB
+# pairwise differences and the 1024-row Gram's eigensolve.
+PROBE_AT_CAPS_ADDRESS_SPACE = 2**30
+
+
+def test_probe_at_the_size_caps_runs_in_bounded_address_space(tmp_path):
+    """A probe at every size cap at once (n = MAX_PROBE_N points in
+    R^MAX_PROBE_DIM, ell = 1, two trials) ends in a verdict in a child
+    process whose address space is limited to about twice its need."""
+    obj = {
+        "kernel": {"family": {"kind": "gaussian"}, "ambient_dim": MAX_PROBE_DIM,
+                   "measure": {"dim": 1, "atoms": [{"omega": 1.0, "G": {"re": [[1.0]]}}]}},
+        "n": MAX_PROBE_N,
+        "trials": 2,
+    }
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps(obj))
+    limit = PROBE_AT_CAPS_ADDRESS_SPACE
+    code = (
+        "import resource, sys\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+        "from opkernel.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "probe", "--input", str(path), "--no-timestamp"],
+        capture_output=True, text=True, env=env, timeout=600,
+    )
+    assert proc.returncode in (0, 3), proc.stderr
+    assert proc.stderr == "" and json.loads(proc.stdout)["result"]["trials"] == 2
 
 
 @pytest.mark.parametrize("field", sorted(INTEGER_FIELDS))
