@@ -27,9 +27,10 @@ smallest Gram eigenvalue seen; classify_and_report runs the exact
 classification and the probe side by side and refuses to let them disagree
 silently. The probe's trials run in chunks bounded by _PROBE_CHUNK_ENTRIES:
 _seeded_design, the one design drawer (the shifted-gaussian demo's too),
-takes the chunk's first draws in one stacked pairwise pass and evaluates
-each design once, and one checked eigensolve covers the chunk. Every
-design, eigenvalue, witness and error is the one a per-trial loop gives.
+takes the chunk's first draws in one stacked pairwise pass and their
+kernel blocks in one deriv_blocks call, and one checked eigensolve covers
+the chunk. Every design, eigenvalue, witness and error is the one a
+per-trial loop gives.
 """
 
 from __future__ import annotations
@@ -157,15 +158,18 @@ def _seeded_design(kernel, n: int, rngs, box: float) -> tuple[np.ndarray, np.nda
     the numpy Generator rngs[i] and redrawn, up to 64 draws, until no two of
     its points are closer than the separation floor 1e-2 * box. The first
     draws of all k designs take one stacked pairwise pass, with gram's
-    duplicate check at the floor, and its differences give the kernel
-    blocks of each design that passes (one deriv_blocks call per design); a
-    design that must be redrawn is redrawn alone, in design order.
+    duplicate check at the floor, and the designs that pass take one
+    deriv_blocks call on their stacked differences: kernel values depend
+    on their own difference alone, so each block is the one gram gives. A
+    design that must be redrawn is redrawn alone, in design order, through
+    a flat pairwise pass and the same call on a stack of one.
 
     Designs come back in order up to the first that fails: never separated
     (InvalidParameter), or with kernel blocks that raise or are not finite
-    (InvalidMatrix). When that is the first design its error is raised, so
-    a caller that draws again from the failed design on meets the errors in
-    design order.
+    (InvalidMatrix). A stacked call that raises is replayed one design at a
+    time, so each design's error is its own. When the first design fails
+    its error is raised, so a caller that draws again from the failed
+    design on meets the errors in design order.
 
     The floor keeps near-coincident points from collapsing a genuinely
     strict Gram to numerical zero, which would fake a strictness violation;
@@ -175,25 +179,37 @@ def _seeded_design(kernel, n: int, rngs, box: float) -> tuple[np.ndarray, np.nda
     m, ell, k = kernel.m, kernel.ell, len(rngs)
     _check_size(n, m, ell, "block Gram")
     floor = max(1e-2 * box, DUPLICATE_POINT_TOL)
-    rows = (np.arange(n), np.zeros((n, m), dtype=int))
     points = np.empty((k, n, m))
     blocks = np.zeros((k, n, n, ell, ell), dtype=complex)
     errors = [None] * k
 
     def draw(batch) -> list:
-        """Draw each design of batch once, in one stacked pairwise pass, and
-        evaluate those that separate; the others are returned."""
+        """Draw each design of batch once, in one pairwise pass (flat for a
+        lone design), and evaluate those that separate in one deriv_blocks
+        call; the others are returned."""
         draws = np.array([rngs[i].uniform(-box, box, size=(n, m)) for i in batch])
-        diffs, sq = pair_diffs(draws)
-        close = set(_close_pairs(sq, n, floor)[0].tolist())
-        for d, i in enumerate(batch):
-            if d not in close:
-                points[i] = draws[d]
+        if len(batch) == 1:
+            diffs, sq = pair_diffs(draws[0])
+            close = {0} if _close_pairs(sq, n, floor)[0].size else set()
+        else:
+            diffs, sq = pair_diffs(draws)
+            close = set(_close_pairs(sq, n, floor)[0].tolist())
+        keep = [d for d in range(len(batch)) if d not in close]
+        if not keep:
+            return batch
+        kept = [batch[d] for d in keep]
+        points[kept] = draws[keep]
+        diffs = diffs.reshape(len(batch), n * n, m)[keep]
+        try:
+            blocks[kept] = _design_blocks(kernel, diffs, n)
+        except OpKernelError:
+            # replayed one design at a time, so each design's error is its own
+            for i, design in zip(kept, diffs):
                 try:
-                    blocks[i] = deriv_blocks(kernel, diffs[d].reshape(n, n, m), rows, rows)
+                    blocks[i] = _design_blocks(kernel, design, n)[0]
                 except OpKernelError as exc:
                     errors[i] = exc
-        return [i for d, i in enumerate(batch) if d in close]
+        return [batch[d] for d in sorted(close)]
 
     # a design that did not separate is redrawn alone, up to 63 times, in
     # design order; the first that never does ends the chunk, and no later
@@ -208,6 +224,17 @@ def _seeded_design(kernel, n: int, rngs, box: float) -> tuple[np.ndarray, np.nda
     if first == 0:
         raise errors[0]
     return points[:first], hermitian_part(block_matrix(blocks[:first]))
+
+
+def _design_blocks(kernel, diffs: np.ndarray, n: int) -> np.ndarray:
+    """Kernel blocks (k, n, n, ell, ell) of k designs of n points from their
+    (k, n * n, m) pair_diffs differences, in one deriv_blocks call on the
+    (k * n, n, m) table: its rows are the stacked points in order, its
+    columns one design's."""
+    m, rows = kernel.m, diffs.size // (n * kernel.m)
+    alphas = np.zeros((rows, m), dtype=int)
+    out = deriv_blocks(kernel, diffs.reshape(rows, n, m), (np.arange(rows), alphas), (np.arange(n), alphas[:n]))
+    return out.reshape(-1, n, n, kernel.ell, kernel.ell)
 
 
 def demo_counterexample_shifted_gaussian(w, seed: int = 0) -> CounterexampleResult:
@@ -393,8 +420,10 @@ def probe_strict_pd(
     derives its own generator from SeedSequence([seed, trial]), so results
     are deterministic in (seed, trial). The trials run in chunks of at most
     _PROBE_CHUNK_ENTRIES difference floats and block entries, one
-    _seeded_design call and one checked eigensolve per chunk; a chunk's
-    first error in trial order is the one raised."""
+    _seeded_design call (one pairwise pass and one deriv_blocks call for
+    the designs' first draws) and one checked eigensolve per chunk; every
+    kernel value is the one gram gives on the trial's design alone, and a
+    chunk's first error in trial order is the one raised."""
     n, trials, seed = int(n), int(trials), int(seed)
     if not 2 <= n <= MAX_PROBE_N or trials < 1:
         raise InvalidParameter(f"need 2 <= n <= {MAX_PROBE_N} points and trials >= 1")

@@ -100,13 +100,18 @@ def _as_hermitian(a) -> HermitianMatrix:
     return a if isinstance(a, HermitianMatrix) else HermitianMatrix(a)
 
 
-def _frobenius(x: np.ndarray) -> np.ndarray:
-    """Frobenius norms over the last two axes, without a warning. A matrix
-    whose sum of squares overflows (entries above about 1e154) is divided by
-    its largest entry first, so its norm is inf only when the norm itself
-    leaves the float range (and not finite for entries that are not)."""
+def _frobenius(x: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
+    """Frobenius norms over the last two axes, without a warning: the square
+    root of the summed conj(x) * x, as np.linalg.norm takes it, with the
+    products written in place into work (an array of x's shape and dtype)
+    or into one new array. A matrix whose sum of squares overflows (entries
+    above about 1e154) is divided by its largest entry first, so its norm is
+    inf only when the norm itself leaves the float range (and not finite for
+    entries that are not)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        n = np.asarray(np.linalg.norm(x, axis=(-2, -1)))
+        sq = np.conj(x, out=work)
+        sq *= x
+        n = np.asarray(np.sqrt(np.add.reduce(sq.real, axis=(-2, -1))))
         big = np.isinf(n)
         if big.any():
             xs = x[big] if x.ndim > 2 else x[None]
@@ -124,7 +129,6 @@ def _eigh_checked(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     w, v = np.linalg.eigh(h)
     if not np.all(np.isfinite(w)):
         raise NumericalFailure("eigendecomposition: an eigenvalue overflows the float range")
-    vh = np.conj(np.swapaxes(v, -1, -2))
     norm, hs, ws = _frobenius(h), h, w
     big = np.isinf(norm)
     if big.any():
@@ -133,13 +137,28 @@ def _eigh_checked(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         top = np.where(big, np.max(np.maximum(np.abs(h.real), np.abs(h.imag)), axis=(-2, -1)), 1.0)
         hs, ws = h / top[..., None, None], w / top[..., None]
         norm = _frobenius(hs)
-    with np.errstate(over="ignore", invalid="ignore"):
-        recon = (v * ws[..., None, :]) @ vh - hs
-    if not np.all(_frobenius(recon) <= EIG_RECON_TOL * np.maximum(1.0, norm)):
+    recon, unitary = _eig_residuals(hs, ws, v)
+    if not np.all(recon <= EIG_RECON_TOL * np.maximum(1.0, norm)):
         raise NumericalFailure("eigendecomposition reconstruction residual too large")
-    if np.any(np.linalg.norm(vh @ v - np.eye(h.shape[-1]), axis=(-2, -1)) > EIG_UNITARY_TOL):
+    if np.any(unitary > EIG_UNITARY_TOL):
         raise NumericalFailure("eigenvector matrix is not unitary to tolerance")
     return w, v
+
+
+def _eig_residuals(h: np.ndarray, w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Frobenius norms of the reconstruction residual (V * w) V^H - h and
+    of the unitarity residual V^H V - I over the last two axes. Besides
+    V^H, two arrays of h's size hold every product, difference and square,
+    in place, in the order of those expressions."""
+    vh = np.conj(np.swapaxes(v, -1, -2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = v * w[..., None, :]
+        res = scaled @ vh
+        res -= h
+    recon = _frobenius(res, work=scaled)
+    np.matmul(vh, v, out=res)
+    res -= np.eye(h.shape[-1])
+    return recon, _frobenius(res, work=scaled)
 
 
 def eigen_hermitian(a: HermitianMatrix | np.ndarray) -> EigenDecomposition:

@@ -19,14 +19,18 @@ vectors u.  With nu = m/2 - 1,
 so Omega_1 = cos and Omega_3(t) = sin(t)/t.  omega_values sums the series
 only for t <= 1 (its terms reach about 8e11 at t=30).  Above that it runs
 Miller's backward recurrence (DLMF 10.74) f_{k-1} = 2 (nu+k)/t f_k - f_{k+1}
-from f_N = 1, f_{N+1} = 0, N ~ t + 30 + 12 t^(1/3), so f_k is proportional
-to J_{nu+k}(t) (values past 2^330 are rescaled), and normalizes it with
-Neumann's sum (DLMF 10.23), free of powers of t and Gamma calls:
+from f_N = 1, f_{N+1} = 0, N = ceil(t + 30 + 12 t^(1/3)), so f_k is
+proportional to J_{nu+k}(t) (values past 2^330 are rescaled), and
+normalizes it with Neumann's sum (DLMF 10.23), free of powers of t and
+Gamma calls:
 
   Omega_m(t) = f_0 / (f_0 + sum_{k>=1} (nu+2k) (nu+1)_{k-1} / k! f_{2k}).
 
-The recurrence tracks its own rounding error (error-free products and
-sums); in plain floats its phase error reaches 4e-13 at t = 1e4.  Beyond
+Every argument starts at its own N, so each value, and every kernel block
+built from it, is a function of its own argument alone: an argument gives
+the same bits alone and in any batch.  The recurrence tracks its own
+rounding error (error-free products and sums); in plain floats its phase
+error reaches 4e-13 at t = 1e4.  Beyond
 OMEGA_T_MAX = 1e4, the range checked against cos and sin(t)/t to 1e-13,
 omega_values raises NumericalFailure instead of returning a number.
 
@@ -214,14 +218,19 @@ def omega_values(m: int, t, kmax: int = 0) -> np.ndarray:
 def _omega_miller(nu: float, t: np.ndarray, kmax: int) -> np.ndarray:
     """Omega_{m+2j}(t), j <= kmax, for t > 1 by the backward recurrence.
 
-    Every element starts at the largest t's start index; starting higher
-    only costs steps, and the steps are shared. Each step carries f and its
-    rounding error e: 2/t = uh + ul with uh of 11 bits, so (nu+k)*uh*f is
-    split exactly (Dekker), then Fast2Sum with the tail (nu+k)*ul*f and
-    TwoSum with -f_{k+1}. The loop body only uses arithmetic operators, so
+    Each element starts at its own index N = ceil(t + 30 + 12 t^(1/3)), so
+    its value depends on its own t alone, never on the rest of the batch.
+    The steps run once over the whole batch, from the largest N down: an
+    element whose N is not reached yet holds an exact zero state, which
+    every step keeps at zero, and takes f_N = 1 at its N. Each step carries
+    f and its rounding error e: 2/t = uh + ul with uh of 11 bits, so
+    (nu+k)*uh*f is split exactly (Dekker), then Fast2Sum with the tail
+    (nu+k)*ul*f and TwoSum with -f_{k+1}. Every 16 steps, values past
+    2^330 are rescaled. The loop body only uses arithmetic operators, so
     one argument runs it on Python floats, free of numpy's per-call cost.
     """
-    top = int(np.ceil(t.max() + 30.0 + 12.0 * np.cbrt(t.max())))
+    starts = np.ceil(t + 30.0 + 12.0 * np.cbrt(t)).astype(int)
+    top = int(starts.max())
     u = 2.0 / t
     c = (2.0**42 + 1.0) * u
     uh = c - (c - u)
@@ -229,36 +238,51 @@ def _omega_miller(nu: float, t: np.ndarray, kmax: int) -> np.ndarray:
     th = th - (th - t)
     ul = ((2.0 - uh * th) - uh * (t - th)) / t  # exact residual of uh * t
     if t.size == 1:
-        u, uh, ul = float(u[0]), float(uh[0]), float(ul[0])
+        u, uh, ul, starts = float(u[0]), float(uh[0]), float(ul[0]), top
+        levels, later = [top], []
+    else:
+        # the distinct N, descending, and the elements of each N below the
+        # first as runs of one sort (N < 2^15 up to OMEGA_T_MAX, and int16
+        # keys sort by radix)
+        counts = np.bincount(starts)
+        levels = np.flatnonzero(counts)[::-1].tolist()
+        order = np.argsort(-starts.astype(np.int16), kind="stable")
+        ends = np.cumsum(counts[levels]).tolist()
+        later = [order[lo:hi] for lo, hi in zip(ends, ends[1:])]
     # Neumann weights (nu+2j) (nu+1)_{j-1} / j! of f_{2j}
     j = np.arange(1, top // 2 + 1)
     poch = np.cumprod(np.concatenate([[1.0], (nu + j[:-1]) / (j[:-1] + 1)]))
     weight = [0.0] + ((nu + 2 * j) * poch).tolist()
     zero = uh * 0.0
-    f, f1, e, e1, norm = zero + 1.0, zero, zero, zero, zero  # f_k, f_{k+1}, errors
+    f, f1, e, e1, norm = zero + (starts == top), zero, zero, zero, zero  # f_k, f_{k+1}, errors
     low = [zero] * (kmax + 1)
-    for k in range(top, 0, -1):
-        if k % 2 == 0:
-            norm = norm + weight[k // 2] * (f + e)
-        if k <= kmax:
-            low[k] = f + e
-        ah = (nu + k) * uh
-        al = (nu + k) * ul
-        p = ah * f
-        split = _DEKKER * f
-        fh = split - (split - f)
-        perr = (ah * fh - p) + ah * (f - fh)
-        tail = al * f
-        q = p + tail
-        qerr = tail - (q - p)
-        s = q - f1
-        back = s - q
-        serr = (q - (s - back)) - (f1 + back)
-        f1, e1, f, e = f, e, s, ((ah + al) * e - e1) + (perr + qerr + serr)
-        if k % 16 == 0:
-            sc = 2.0 ** (-_RESCALE_EXP * (abs(f) > 2.0**_RESCALE_EXP))
-            f, f1, e, e1, norm = f * sc, f1 * sc, e * sc, e1 * sc, norm * sc
-            low = [x * sc for x in low]
+    for start, stop, run in zip(levels, levels[1:] + [0], [None] + later):
+        if run is not None:
+            f[run] = 1.0  # f is the last step's new array
+        for k in range(start, stop, -1):
+            if k % 2 == 0:
+                norm = norm + weight[k // 2] * (f + e)
+            if k <= kmax:
+                low[k] = f + e
+            ah = (nu + k) * uh
+            al = (nu + k) * ul
+            p = ah * f
+            split = _DEKKER * f
+            fh = split - (split - f)
+            perr = (ah * fh - p) + ah * (f - fh)
+            tail = al * f
+            q = p + tail
+            qerr = tail - (q - p)
+            s = q - f1
+            back = s - q
+            serr = (q - (s - back)) - (f1 + back)
+            f1, e1, f, e = f, e, s, ((ah + al) * e - e1) + (perr + qerr + serr)
+            if k % 16 == 0:
+                big = abs(f) > 2.0**_RESCALE_EXP  # a bool for one argument
+                if big is True or (big is not False and big.any()):
+                    sc = 2.0 ** (-_RESCALE_EXP * big)
+                    f, f1, e, e1, norm = f * sc, f1 * sc, e * sc, e1 * sc, norm * sc
+                    low = [x * sc for x in low]
     low[0] = f + e
     scale = np.divide(1.0, norm + low[0])  # a zero sum gives inf, caught by the caller
     out = np.empty((kmax + 1, t.size))

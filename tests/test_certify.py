@@ -142,10 +142,10 @@ def _count_passes(monkeypatch):
     return calls, blocks
 
 
-def test_probe_takes_one_stacked_pairwise_pass_per_chunk_and_one_evaluation_per_design(monkeypatch):
+def test_probe_takes_one_stacked_pairwise_pass_and_one_evaluation_per_chunk(monkeypatch):
     """A chunk whose designs are all accepted at their first draw costs one
-    stacked pair_diffs call, and each design one deriv_blocks call (one
-    evaluation per chunk would change the omega kernels' bits)."""
+    stacked pair_diffs call and one deriv_blocks call on the (k * n, n, m)
+    table of their differences."""
     n, trials, box = 3, 6, 2.0
     for t in range(trials):  # every trial's first draw is separated
         rng = np.random.default_rng(np.random.SeedSequence([0, t]))
@@ -154,19 +154,34 @@ def test_probe_takes_one_stacked_pairwise_pass_per_chunk_and_one_evaluation_per_
     calls, blocks = _count_passes(monkeypatch)
     probe_strict_pd(STRICT_K, n=n, trials=trials, seed=0, box=box)
     assert calls == [(trials, n, 2)]
-    assert blocks == [(n, n, 2)] * trials
+    assert blocks == [(trials * n, n, 2)]
+
+
+def test_redrawn_designs_take_a_flat_pass_and_an_evaluation_of_one(monkeypatch):
+    """The 1-D gaussian line at n = 16, seed 3: the designs that pass at
+    their first draw take one evaluation together, and each redrawn design
+    a flat pairwise pass per redraw and one evaluation of its own."""
+    kernel, n = ORACLE_KERNELS["gaussian_line"]
+    draws = [_draws(1, n, (3, t)) for t in range(32)]
+    redrawn = [k for k in draws if k > 1]
+    assert redrawn and _per(kernel, n) == 32
+    calls, blocks = _count_passes(monkeypatch)
+    probe_strict_pd(kernel, n=n, trials=32, seed=3)
+    assert calls == [(32, n, 1)] + [(n, 1)] * sum(k - 1 for k in redrawn)
+    assert blocks == [((32 - len(redrawn)) * n, n, 1)] + [(n, n, 1)] * len(redrawn)
 
 
 def test_a_design_that_never_separates_ends_its_chunk_without_redrawing_later_ones(monkeypatch):
     """40 points on [-2, 2] never keep the floor: the chunk of 5 designs
     takes one stacked pass for their first draws (none separates), then the
-    first design's 63 redraws alone, and none of the other four is redrawn."""
+    first design's 63 redraws alone, each a flat pass, and none of the
+    other four is redrawn."""
     kernel = _scalar_gaussian(1)
     assert _per(kernel, 40) == 5 and _draws(1, 40, (0, 0)) is None
     calls, blocks = _count_passes(monkeypatch)
     with pytest.raises(InvalidParameter, match="could not draw a separated design"):
         probe_strict_pd(kernel, n=40, trials=5, seed=0)
-    assert calls == [(5, 40, 1)] + [(1, 40, 1)] * 63
+    assert calls == [(5, 40, 1)] + [(40, 1)] * 63
     assert blocks == []
 
 
@@ -695,6 +710,23 @@ def test_probe_raises_the_first_error_in_trial_order():
     assert _per(kernel, 30) > 2
     chunked, loop = _both(kernel, 30, 2, seed=0)
     assert chunked == loop == (NumericalFailure, "eigendecomposition: an eigenvalue overflows the float range")
+
+
+def test_a_stacked_evaluation_that_raises_names_the_first_failing_designs_own_error():
+    """omega(3) at scale 4000 on the line: a design whose points lie more
+    than 2.5 apart passes OMEGA_T_MAX = 1e4, and the error names its own
+    largest w*t. Trial 1 fails and trial 2, in the same chunk, fails at a
+    larger w*t, which the chunk's one evaluation would name; the probe
+    raises trial 1's own error, as the loop does."""
+    kernel = radial_kernel(RadialProfile.omega(3), OperatorMeasure(1, [(4000.0, np.eye(1))]), 1)
+
+    def spread(seed, t):
+        return np.ptp(_seeded_design_loop(1, 3, (seed, t), 2.0))
+
+    seed = next(s for s in range(200) if spread(s, 0) <= 2.5 < spread(s, 1) < spread(s, 2))
+    chunked, loop = _both(kernel, 3, 3, seed)
+    assert chunked == loop
+    assert chunked[0] is NumericalFailure and f"{4000.0 * spread(seed, 1):.6g}" in chunked[1]
 
 
 def test_probe_exits_4_on_the_first_trials_failure(tmp_path, capsys):

@@ -4,8 +4,9 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from opkernel import hermitian
 from opkernel.errors import InvalidMatrix, NotPSD, NumericalFailure
 from opkernel.hermitian import (
     HermitianMatrix,
@@ -227,6 +228,81 @@ def test_a_wrong_eigenpair_is_caught_where_the_norm_overflows(monkeypatch):
             eigen_hermitian(H(h))
         with pytest.raises(NumericalFailure, match="^eigendecomposition reconstruction residual too large$"):
             _eigh_checked(H(h).entries[None])
+
+
+def _residuals_by_expression(h, w, v):
+    """The reconstruction and unitarity residual norms as plain expressions:
+    each product and difference a new array, each norm np.linalg.norm's,
+    with _frobenius's fallback where a sum of squares overflows."""
+    vh = np.conj(np.swapaxes(v, -1, -2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        recon = (v * w[..., None, :]) @ vh - h
+        norm = np.asarray(np.linalg.norm(recon, axis=(-2, -1)))
+        big = np.isinf(norm)
+        if big.any():
+            xs = recon[big] if recon.ndim > 2 else recon[None]
+            top = np.max(np.abs(xs), axis=(-2, -1))
+            norm[big] = top * np.linalg.norm(xs / top[:, None, None], axis=(-2, -1))
+    return norm, np.linalg.norm(vh @ v - np.eye(h.shape[-1]), axis=(-2, -1))
+
+
+@given(
+    k=st.integers(1, 6),
+    dim=st.integers(1, 20),
+    scale=st.sampled_from([1.0, 1e-200, 1e150, 1e300, "overflow"]),
+    seed=st.integers(0, 2**32 - 1),
+    stacked=st.booleans(),
+)
+@example(k=3, dim=4, scale="overflow", seed=0, stacked=True)
+@example(k=1, dim=2, scale="overflow", seed=1, stacked=False)
+@settings(max_examples=60, deadline=None)
+def test_eigen_residuals_are_the_plain_expressions_bit_for_bit(k, dim, scale, seed, stacked):
+    """The residuals, computed in place in two buffers, are the plain
+    expressions' bit for bit: on stacks and on single matrices, and on the
+    branch that checks a matrix whose norm overflows divided by its largest
+    entry (eigenvalues 1.3e308 to 1.5e308, whose norm passes the float range
+    from two rows on)."""
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.normal(size=(k, dim, dim)) + 1j * rng.normal(size=(k, dim, dim)))[0]
+    if scale == "overflow":
+        lam = rng.uniform(1.3, 1.5, size=(k, 1, dim))
+        h = hermitian_part((q * lam) @ np.conj(np.swapaxes(q, -1, -2))) * 1e308
+    else:
+        h = hermitian_part(rng.normal(size=(k, dim, dim)) + 1j * rng.normal(size=(k, dim, dim))) * scale
+    h = h if stacked else h[0]
+    seen, residuals = [], hermitian._eig_residuals
+
+    def spy(*args):
+        seen.append((args, residuals(*args)))
+        return seen[-1][1]
+
+    with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        patch.setattr(hermitian, "_eig_residuals", spy)
+        try:
+            _eigh_checked(h)
+        except NumericalFailure:
+            pass  # the residuals were still taken
+    ((hs, ws, v), (recon, unitary)), = seen
+    if scale == "overflow" and dim > 1:
+        assert hs is not h and np.isinf(_frobenius(h)).all()
+    want_recon, want_unitary = _residuals_by_expression(hs, ws, v)
+    assert recon.tobytes() == want_recon.tobytes() and recon.shape == want_recon.shape
+    assert unitary.tobytes() == want_unitary.tobytes() and unitary.shape == want_unitary.shape
+
+
+@pytest.mark.parametrize("layout", ["c", "transposed", "column", "real"])
+def test_frobenius_is_np_linalg_norm_bit_for_bit(layout):
+    """Through a work array or its own, _frobenius gives np.linalg.norm's
+    bits, on C-ordered stacks, transposed views, column reshapes and real
+    arrays."""
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=(5, 9, 9)) + 1j * rng.normal(size=(5, 9, 9))
+    x = {"c": x, "transposed": np.swapaxes(x, -1, -2), "column": x.reshape(-1, 3, 1), "real": x.real}[layout]
+    want = np.linalg.norm(x, axis=(-2, -1))
+    assert _frobenius(x).tobytes() == want.tobytes()
+    if x.flags.c_contiguous:
+        assert _frobenius(x, work=np.empty_like(x)).tobytes() == want.tobytes()
 
 
 def test_a_trace_past_the_float_range_is_a_numerical_failure():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from opkernel import kernel as kernel_module
+from opkernel.certify import ShiftedPairKernel
 from opkernel.errors import (
     DuplicatePoints,
     InvalidMeasure,
@@ -147,11 +148,48 @@ def test_eval_diffs_dedup_matches_row_by_row(family, m, design):
     k = _dedup_kernel(family, m)
     batched = k.eval_diffs(diffs)
     # each row is evaluated next to the farthest difference, as two rows
-    # (too few to de-duplicate): the omega recurrence starts from the largest
-    # argument of its batch, and a one-row product takes another BLAS path
+    # (too few to de-duplicate): a one-row plane-wave product takes another
+    # BLAS path
     far = diffs[np.argmax(np.sum(diffs * diffs, axis=1))]
     for i, d in enumerate(diffs):
         assert np.array_equal(batched[i], k.eval_diffs(np.stack([d, far]))[0])
+
+
+def _batch_kernel(family, m, rng):
+    """A kernel of the family on R^m with three atoms of ell = 2 (one at
+    scale 0 for the radial families), or the shifted pair."""
+    if family == "shifted_pair":
+        return ShiftedPairKernel(rng.uniform(-1.0, 1.0, size=m))
+    atoms = [(w, _random_psd(rng, 2)) for w in (0.0, float(rng.uniform(0.2, 1.0)), float(rng.uniform(1.0, 1.7)))]
+    if family == "plane_wave":
+        return plane_wave_kernel(PlaneWaveMeasure(2, m, [(rng.normal(size=m) * 2.0, g) for _, g in atoms]))
+    profile = {
+        "gaussian": RadialProfile.gaussian(),
+        "askey": RadialProfile.askey(m + 2),
+        "omega": RadialProfile.omega(int(rng.integers(1, 8))),
+    }[family]
+    return radial_kernel(profile, OperatorMeasure(2, atoms), m)
+
+
+@given(
+    family=st.sampled_from(["gaussian", "askey", "omega", "plane_wave", "shifted_pair"]),
+    m=st.integers(1, 3),
+    sizes=st.lists(st.integers(2, 10), min_size=2, max_size=4),
+    box=st.sampled_from([0.3, 4.0, 1500.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_eval_diffs_of_a_concatenation_is_each_batch_bit_for_bit(family, m, sizes, box, seed):
+    """The pairwise differences of a few designs, evaluated in one batch,
+    give each design's own blocks bit for bit: every kernel value depends on
+    its own difference alone, whatever else its batch holds (omega
+    arguments up to about 9000, past and under the 64-row de-duplication)."""
+    rng = np.random.default_rng(seed)
+    kernel = _batch_kernel(family, m, rng)
+    batches = [pair_diffs(rng.uniform(-box, box, size=(n, m)))[0] for n in sizes]
+    whole = kernel.eval_diffs(np.concatenate(batches))
+    parts = np.concatenate([kernel.eval_diffs(b) for b in batches])
+    assert whole.shape == parts.shape and whole.tobytes() == parts.tobytes()
 
 
 # ---------------------------------------------------------------- duplicate guard

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.special import gamma as sp_gamma, jv
 
 from opkernel.errors import InvalidGrid, InvalidParameter, NumericalFailure, UnsupportedJet
@@ -352,6 +352,23 @@ def test_omega_jet_orders_match_bessel():
         vals = omega_values(m, ts, 8)
         for j in range(9):
             assert np.max(np.abs(vals[j] - omega_bessel_oracle(m + 2 * j, ts))) <= 1e-11
+
+
+@given(
+    m=st.integers(1, 7),
+    t=st.lists(st.floats(0.0, OMEGA_T_MAX), min_size=1, max_size=12),
+    kmax=st.integers(0, 3),
+)
+@example(m=3, t=[0.0, 3.0, 300.0], kmax=0)
+@example(m=5, t=[1.0, 1.5, OMEGA_T_MAX, 2.0], kmax=3)
+@settings(max_examples=30, deadline=None)
+def test_omega_values_of_a_batch_are_each_elements_own(m, t, kmax):
+    """Each value of a batch is the one its argument gives alone, bit for
+    bit: the recurrence starts every element at its own index."""
+    t = np.array(t)
+    batch = omega_values(m, t, kmax)
+    for i in range(t.size):
+        assert batch[:, i].tobytes() == omega_values(m, t[i : i + 1], kmax)[:, 0].tobytes()
 
 
 def test_omega_values_shape_and_symmetry():
