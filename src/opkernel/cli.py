@@ -65,6 +65,7 @@ from .schema import (
     complex_from_json,
     complex_to_json,
     report_text,
+    write_report,
 )
 
 EXIT_OK = 0
@@ -174,12 +175,13 @@ def _report(args, command: str, input_obj, result: dict) -> dict:
 
 
 def _emit(args, rep: dict) -> None:
-    text = report_text(rep) + "\n"
+    """Write the report to --output or stdout, one row block of each matrix
+    at a time; every check has run before the first byte."""
     if args.output:
         with open(args.output, "w") as fh:
-            fh.write(text)
+            write_report(rep, fh)
     else:
-        sys.stdout.write(text)
+        write_report(rep, sys.stdout)
 
 
 def _load_input(args):
@@ -225,7 +227,7 @@ def _gram_layout(g, q=None) -> dict:
         "n_points": int(g.points.shape[0]),
         "ell": g.ell,
         "dim": g.matrix.dim,
-        "points": [[float(c) for c in p] for p in g.points],
+        "points": g.points,
     }
     if q is None:
         layout["row_layout"] = "point_index * ell + component"
@@ -247,6 +249,8 @@ def cmd_gram(args) -> int:
         q = None
     kernel = kernel_from_json(obj["kernel"])
     pts = _points_field(obj["points"], "points", kernel.m)
+    if args.format == "csv" and not args.output:
+        raise SchemaError("--format csv needs --output PATH for the matrix")
     if q is None:
         g = gram(kernel, pts, tol=args.tols["duplicate"])
     else:
@@ -255,10 +259,8 @@ def cmd_gram(args) -> int:
     meta = _gram_layout(g, q)
     meta["min_eigenvalue"] = lo
     if args.format == "csv":
-        if not args.output:
-            raise SchemaError("--format csv needs --output PATH for the matrix")
         with open(args.output, "w") as fh:
-            fh.write(gram_to_csv(g, q))
+            gram_to_csv(g, fh, q)
         sidecar = _report(args, args.command, obj, meta)
         with open(args.output + ".meta.json", "w") as fh:
             fh.write(report_text(sidecar) + "\n")
@@ -434,7 +436,7 @@ def cmd_interp(args) -> int:
         "ridge": res.ridge,
         "coefficients": [
             {"alpha": alpha, "x": x, "v": complex_to_json(v)}
-            for alpha, x, v in zip(res.element.alphas.tolist(), res.element.points.tolist(), res.element.vectors)
+            for alpha, x, v in zip(res.element.alphas.tolist(), res.element.points, res.element.vectors)
         ],
     }
     _emit(args, _report(args, "interp", obj, result))
@@ -548,7 +550,7 @@ def _probe_json(rep) -> dict:
     if rep.violation is not None:
         out["violation"] = {
             "trial": rep.violation.trial,
-            "points": [[float(c) for c in p] for p in rep.violation.points],
+            "points": rep.violation.points,
             "min_eigenvalue": rep.violation.min_eigenvalue,
             "witness": complex_to_json(rep.violation.witness),
         }

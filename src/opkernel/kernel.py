@@ -36,7 +36,6 @@ design drawer in certify runs the same steps over a stack of designs.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -490,34 +489,31 @@ def block_matrix(blocks: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
-def gram_to_csv(g: BlockGram, q: int | None = None) -> str:
-    """Row-major CSV of the (complex) Gram, each entry flattened to a
-    're,im' pair of cells, preceded by '#' header lines naming the layout:
-    the plain Gram's layout when q is None (the gram command), the jet-order
-    layout otherwise (deriv-gram)."""
-    buf = io.StringIO()
+def gram_to_csv(g: BlockGram, fh, q: int | None = None) -> None:
+    """Write the row-major CSV of the (complex) Gram to the text file fh,
+    each entry flattened to a 're,im' pair of cells, preceded by '#' header
+    lines naming the layout: the plain Gram's layout when q is None (the gram
+    command), the jet-order layout otherwise (deriv-gram). Rows are written
+    one row block at a time."""
     n = g.points.shape[0]
     if q is None:
-        buf.write(f"# block gram: {n} points, ell={g.ell}, dim={g.matrix.dim}\n")
-        buf.write("# row = point_index * ell + component\n")
+        fh.write(f"# block gram: {n} points, ell={g.ell}, dim={g.matrix.dim}\n")
+        fh.write("# row = point_index * ell + component\n")
     else:
-        buf.write(
+        fh.write(
             f"# deriv block gram: {n} points, jet order q={g.q}, "
             f"{len(g.multi_indices)} multi-indices, ell={g.ell}, "
             f"dim={g.matrix.dim}\n"
         )
-        buf.write("# row = (point_index * n_indices + index_rank) * ell + component\n")
-        buf.write(
+        fh.write("# row = (point_index * n_indices + index_rank) * ell + component\n")
+        fh.write(
             "# multi-indices (graded lex): "
             + ";".join(str(list(a)).replace(" ", "") for a in g.multi_indices)
             + "\n"
         )
-    buf.write("# points: " + ";".join(",".join(repr(float(v)) for v in p) for p in g.points) + "\n")
-    buf.write("# each complex entry is a re,im cell pair\n")
-    mat = g.matrix.entries
-    cells = np.empty((mat.shape[0], 2 * mat.shape[1]))
-    cells[:, 0::2] = mat.real
-    cells[:, 1::2] = mat.imag
-    for row in float_reprs(cells).tolist():
-        buf.write(",".join(row) + "\n")
-    return buf.getvalue()
+    fh.write("# points: " + ";".join(",".join(repr(float(v)) for v in p) for p in g.points) + "\n")
+    fh.write("# each complex entry is a re,im cell pair\n")
+    # a C-ordered complex array viewed as floats holds re, im of each entry in turn
+    cells = np.ascontiguousarray(g.matrix.entries).view(float)
+    for block in float_reprs(cells):
+        fh.write("\n".join(map(",".join, block)) + "\n")

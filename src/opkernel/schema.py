@@ -6,9 +6,15 @@ fields, wrong types, ragged arrays and non-finite numbers are refused the
 same way everywhere, with SchemaError (exit code 2). Complex arrays are
 objects {"re": [..], "im": [..]} with "im" optional and of the same shape.
 
-Reports are written by `report_text`, which gives the bytes of
-json.dumps(obj, indent=2, sort_keys=True) without its pure-Python encoder;
-`float_reprs` formats the float matrices of reports and Gram CSVs.
+Reports are written by `write_report`, which streams the bytes of
+json.dumps(obj, indent=2, sort_keys=True) to a text file without its
+pure-Python encoder; `report_text` gives the same bytes as one string, for
+small reports. Report trees hold numpy arrays as they are. A finite 2-D
+float array (a Gram, a point list) is formatted straight from the array by
+`float_reprs`, one block of rows at a time, and each block is written as
+soon as it is formatted: no matrix becomes a nested list, and no report one
+whole string. Other arrays are written as their tolist(). Gram CSV cells
+come from `float_reprs` too.
 """
 
 from __future__ import annotations
@@ -103,8 +109,9 @@ def complex_from_json(obj, what: str) -> np.ndarray:
 
 
 def complex_to_json(a: np.ndarray) -> dict:
-    """{"re": .., "im": ..} nested lists of the real and imaginary parts."""
-    return {"re": a.real.tolist(), "im": a.imag.tolist()}
+    """{"re": .., "im": ..}: the real and imaginary parts of a as float
+    arrays, for the report writer."""
+    return {"re": a.real, "im": a.imag}
 
 
 # ----------------------------------------------------------------------
@@ -112,38 +119,50 @@ def complex_to_json(a: np.ndarray) -> dict:
 # ----------------------------------------------------------------------
 
 _INDENT = "  "
-# the C encoder, for scalars and flat lists of numbers: stdlib's spelling
-# of NaN, Infinity, ints, bools and None
+# the C encoder, for scalars and lists of numbers: stdlib's spelling of NaN,
+# Infinity, ints, bools and None
 _COMPACT = JSONEncoder(separators=(",", ":")).encode
+# types whose compact text holds no comma, bracket or quote
+_SCALARS = {float, int, bool, type(None)}
+# Entries of a float matrix formatted at a time (one row at least): a report
+# or Gram CSV being written holds one row block of a matrix as text, never
+# the whole matrix.
+_ROW_BLOCK_ENTRIES = 2**12
 
 
-def float_reprs(a: np.ndarray) -> np.ndarray:
-    """repr() of every entry of a finite float array, as an object array of
-    the same shape. Each distinct magnitude is formatted once: for finite x,
-    repr(-x) == "-" + repr(x), -0.0 included, so a Hermitian Gram (re
-    symmetric, im antisymmetric) costs half its entries."""
-    a = np.asarray(a, dtype=float)
+def float_reprs(a: np.ndarray):
+    """repr() of every entry of a finite 2-D float array with at least one
+    column, in blocks of rows of at most _ROW_BLOCK_ENTRIES entries: each
+    block a list of rows, each row a list of str. Each distinct magnitude of
+    the whole array is formatted once: for finite x, repr(-x) == "-" +
+    repr(x), -0.0 included, so a Hermitian Gram (re symmetric, im
+    antisymmetric) costs half its entries.
+
+    With at most a.size / 4 distinct magnitudes, the negative text of each
+    is made once too (a.size / 2 strings at most). With more, negative
+    entries are prefixed block by block, and the table keeps one string per
+    magnitude."""
     mags, inverse = np.unique(np.abs(a).ravel(), return_inverse=True)
-    texts = [repr(m) for m in mags.tolist()]
-    table = np.array(texts + ["-" + t for t in texts], dtype=object)
-    return table[inverse.reshape(a.shape) + len(texts) * np.signbit(a)]
+    texts = np.empty(mags.size, dtype=object)
+    for lo in range(0, mags.size, _ROW_BLOCK_ENTRIES):  # never a list of every magnitude
+        chunk = mags[lo : lo + _ROW_BLOCK_ENTRIES].tolist()
+        texts[lo : lo + len(chunk)] = list(map(repr, chunk))
+    signed = np.concatenate([texts, "-" + texts]) if 4 * mags.size <= a.size else None
+    inverse = inverse.reshape(a.shape)
+    step = max(1, _ROW_BLOCK_ENTRIES // a.shape[1])
+    for lo in range(0, a.shape[0], step):
+        neg = np.signbit(a[lo : lo + step])
+        if signed is not None:
+            yield signed[inverse[lo : lo + step] + mags.size * neg].tolist()
+            continue
+        block = texts[inverse[lo : lo + step]]
+        block[neg] = "-" + block[neg]
+        yield block.tolist()
 
 
-def _float_matrix(rows) -> np.ndarray | None:
-    """rows as an array when it is a nonempty rectangular list of nonempty
-    lists of finite floats, else None."""
-    if not all(isinstance(row, (list, tuple)) for row in rows):
-        return None
-    width = len(rows[0])
-    if not width or any(len(row) != width for row in rows):
-        return None
-    if set(map(type, chain.from_iterable(rows))) != {float}:
-        return None
-    a = np.array(rows, dtype=float)
-    return a if np.isfinite(a).all() else None
-
-
-def _write(obj, level: int, out) -> None:
+def _write(obj, level: int, out, flush) -> None:
+    """Append the text of obj at indent level to out; call flush after each
+    row block of a float matrix."""
     if isinstance(obj, str):
         out(encode_basestring_ascii(obj))
     elif isinstance(obj, dict):
@@ -154,29 +173,43 @@ def _write(obj, level: int, out) -> None:
         sep = "{"
         for key in sorted(obj):
             out(sep + pad + encode_basestring_ascii(key) + ": ")
-            _write(obj[key], level + 1, out)
+            _write(obj[key], level + 1, out, flush)
             sep = ","
         out("\n" + _INDENT * level + "}")
+    elif isinstance(obj, np.ndarray):
+        if obj.ndim != 2 or not obj.size or obj.dtype != float or not np.isfinite(obj).all():
+            _write(obj.tolist(), level, out, flush)
+            return
+        pad = "\n" + _INDENT * (level + 1)
+        inner = "\n" + _INDENT * (level + 2)
+        sep = "["
+        between = pad + "]," + pad + "[" + inner
+        for block in float_reprs(obj):
+            out(sep + pad + "[" + inner + between.join(map(("," + inner).join, block)) + pad + "]")
+            flush()
+            sep = ","
+        out("\n" + _INDENT * level + "]")
     elif isinstance(obj, (list, tuple)):
         if not obj:
             out("[]")
             return
         pad = "\n" + _INDENT * (level + 1)
         close = "\n" + _INDENT * level + "]"
-        if not any(isinstance(v, (str, dict, list, tuple)) for v in obj):
+        types = set(map(type, obj))
+        if types <= _SCALARS:
             out("[" + pad + _COMPACT(obj)[1:-1].replace(",", "," + pad) + close)
             return
-        matrix = _float_matrix(obj)
-        if matrix is not None:
+        if types <= {list, tuple} and all(obj) and set(map(type, chain.from_iterable(obj))) <= _SCALARS:
+            # nonempty rows of scalars: one C encoder call, split between rows
             inner = "\n" + _INDENT * (level + 2)
-            rows = float_reprs(matrix).tolist()
-            rows = ("[" + inner + ("," + inner).join(row) + pad + "]" for row in rows)
+            rows = _COMPACT(obj)[2:-2].split("],[")
+            rows = ("[" + inner + row.replace(",", "," + inner) + pad + "]" for row in rows)
             out("[" + pad + ("," + pad).join(rows) + close)
             return
         sep = "["
         for v in obj:
             out(sep + pad)
-            _write(v, level + 1, out)
+            _write(v, level + 1, out, flush)
             sep = ","
         out(close)
     else:
@@ -185,7 +218,22 @@ def _write(obj, level: int, out) -> None:
 
 def report_text(obj) -> str:
     """json.dumps(obj, indent=2, sort_keys=True), byte for byte, for trees
-    of dicts with str keys, lists, tuples and JSON scalars."""
+    of dicts with str keys, lists, tuples, numpy arrays (as their tolist())
+    and JSON scalars."""
     chunks: list[str] = []
-    _write(obj, 0, chunks.append)
+    _write(obj, 0, chunks.append, lambda: None)
     return "".join(chunks)
+
+
+def write_report(obj, fh) -> None:
+    """Write report_text(obj) and a newline to the text file fh, each row
+    block of a float matrix as soon as it is formatted."""
+    chunks: list[str] = []
+
+    def flush():
+        fh.write("".join(chunks))
+        chunks.clear()
+
+    _write(obj, 0, chunks.append, flush)
+    chunks.append("\n")
+    flush()

@@ -178,6 +178,25 @@ def test_gram_csv_needs_output(tmp_path):
     assert main(argv) == 2
 
 
+@pytest.mark.parametrize("command, q", [("gram", None), ("deriv-gram", 1)])
+def test_csv_without_output_is_refused_before_the_gram(tmp_path, capsys, monkeypatch, command, q):
+    """Refused once the descriptor is parsed, before any Gram or eigensolve:
+    a kernel whose values overflow (exit 4 with --output) gets exit 2 too."""
+    kern = {
+        "family": {"kind": "plane_wave"},
+        "ambient_dim": 1,
+        "measure": {"dim": 1, "atoms": [{"xi": [1e300], "G": {"re": [[1.0]]}}]},
+    }
+    obj = {"kernel": kern, "points": [[0.0], [1e10]]} | ({} if q is None else {"q": q})
+    path = write_json(tmp_path, "in.json", obj)
+    assert main([command, "--input", path, "--format", "csv", "--output", str(tmp_path / "g.csv")]) == 4
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "deriv_gram", None)
+    monkeypatch.setattr(cli, "gram", None)
+    assert main([command, "--input", path, "--format", "csv"]) == 2
+    assert capsys.readouterr().err == "error: --format csv needs --output PATH for the matrix\n"
+
+
 def test_gram_csv_writes_matrix_and_sidecar(tmp_path, capsys):
     out = tmp_path / "g.csv"
     argv = [

@@ -1,5 +1,6 @@
 """Operator kernels: pointwise values, derivative kernels, block Grams."""
 
+import io
 import math
 import tracemalloc
 import warnings
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from opkernel import kernel as kernel_module
+from opkernel import kernel as kernel_module, schema
 from opkernel.certify import ShiftedPairKernel
 from opkernel.errors import (
     DuplicatePoints,
@@ -586,10 +587,16 @@ def test_projection_commutes_with_mixing():
 # ---------------------------------------------------------------- CSV
 
 
+def _csv(g, q=None):
+    buf = io.StringIO()
+    gram_to_csv(g, buf, q)
+    return buf.getvalue()
+
+
 def test_gram_csv_layout():
     mu = OperatorMeasure(1, [(1.0, np.array([[1.0]]))])
     k = radial_kernel(RadialProfile.gaussian(), mu, 1)
-    text = gram_to_csv(gram(k, np.array([[0.0]])))
+    text = _csv(gram(k, np.array([[0.0]])))
     lines = text.strip().split("\n")
     assert lines[0].startswith("# block gram: 1 points, ell=1")
     assert lines[-1] == "1.0,0.0"
@@ -599,7 +606,7 @@ def test_gram_csv_header_follows_the_commands_q():
     """One q = 0 record: the gram command's header without q, the
     deriv-gram header with q = 0; the cells are the same."""
     g = gram(GAUSS_12, np.array([[0.0], [0.5]]))
-    plain, jet = gram_to_csv(g), gram_to_csv(g, 0)
+    plain, jet = _csv(g), _csv(g, 0)
     assert plain.splitlines()[:2] == ["# block gram: 2 points, ell=2, dim=4", "# row = point_index * ell + component"]
     assert jet.splitlines()[:3] == [
         "# deriv block gram: 2 points, jet order q=0, 1 multi-indices, ell=2, dim=4",
@@ -635,21 +642,48 @@ def test_csv_body_matches_repr_loop_plane_wave_deriv_gram():
     pw = plane_wave_kernel(PlaneWaveMeasure(2, 2, atoms))
     dg = deriv_gram(pw, rng.uniform(-1.0, 1.0, size=(4, 2)), q=1)
     assert np.any(dg.matrix.entries.imag != 0.0)
-    assert _csv_body(gram_to_csv(dg, 1)) == _csv_body_oracle(dg.matrix.entries)
+    assert _csv_body(_csv(dg, 1)) == _csv_body_oracle(dg.matrix.entries)
 
 
 def test_csv_body_matches_repr_loop_signed_zeros():
     a = np.array([[1.0, complex(-0.0, -0.0), 0.5j], [complex(-0.0, 0.0), 2.0, -0.0], [-0.5j, -0.0, 3.0]])
     g = BlockGram(points=np.array([[0.0], [1.0], [2.0]]), ell=1, q=0, multi_indices=((0,),), matrix=HermitianMatrix(a))
     assert np.signbit(g.matrix.entries.real).any() and np.signbit(g.matrix.entries.imag).any()
-    assert _csv_body(gram_to_csv(g)) == _csv_body_oracle(g.matrix.entries)
+    assert _csv_body(_csv(g)) == _csv_body_oracle(g.matrix.entries)
+
+
+@pytest.mark.parametrize("dim", [44, 45, 46, 91])
+def test_streamed_csv_body_matches_repr_loop_across_row_blocks(dim):
+    """A dim-row Gram has 2 * dim cells a row, so a row block holds
+    k = budget // (2 * dim) rows: 46, 45 and 44 rows at dims 44, 45 and 46
+    (one block, one full block, a full block and two rows), and 22 at dim 91
+    (four blocks and three rows). Each body write holds one row block."""
+    rng = np.random.default_rng(dim)
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    a[rng.random((dim, dim)) < 0.1] = complex(-0.0, -0.0)
+    g = BlockGram(
+        points=rng.normal(size=(dim, 1)), ell=1, q=0, multi_indices=((0,),), matrix=HermitianMatrix(a + a.conj().T)
+    )
+    writes = []
+
+    class Sink(io.StringIO):
+        def write(self, text):
+            writes.append(text)
+            return super().write(text)
+
+    fh = Sink()
+    gram_to_csv(g, fh)
+    assert _csv_body(fh.getvalue()) == _csv_body_oracle(g.matrix.entries)
+    k = schema._ROW_BLOCK_ENTRIES // (2 * dim)
+    body = [w.count("\n") for w in writes if not w.startswith("#")]
+    assert body == [k] * (dim // k) + ([dim % k] if dim % k else [])
 
 
 def test_deriv_gram_csv_headers_and_roundtrip():
     mu = OperatorMeasure(1, [(1.0, np.array([[1.0]]))])
     k = radial_kernel(RadialProfile.gaussian(), mu, 1)
     dg = deriv_gram(k, np.array([[0.0], [0.5]]), q=1)
-    text = gram_to_csv(dg, 1)
+    text = _csv(dg, 1)
     lines = text.strip().split("\n")
     header = [ln for ln in lines if ln.startswith("#")]
     data = [ln for ln in lines if not ln.startswith("#")]

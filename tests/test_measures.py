@@ -20,7 +20,7 @@ from opkernel.measures import (
     total_operator,
 )
 from opkernel.profiles import RadialProfile
-from opkernel.schema import complex_to_json
+from opkernel.schema import complex_to_json, report_text
 
 I2 = np.eye(2)
 E1 = np.array([1.0, 0.0])
@@ -357,7 +357,7 @@ def test_json_roundtrip():
         "dim": mu.dim,
         "atoms": [{"omega": omega, "G": complex_to_json(g)} for omega, g in zip(mu.omegas.tolist(), mu.gs)],
     }
-    back = measure_from_json(json.loads(json.dumps(written)))
+    back = measure_from_json(json.loads(report_text(written)))
     assert np.array_equal(mu.omegas, back.omegas)
     assert np.array_equal(mu.gs, back.gs)
 

@@ -33,7 +33,7 @@ from opkernel.rkhs import (
     rkhs_deriv_eval,
     rkhs_eval,
 )
-from opkernel.schema import complex_from_json, complex_to_json
+from opkernel.schema import complex_from_json, complex_to_json, report_text
 
 from kernel_oracles import conj_blocks
 
@@ -819,7 +819,7 @@ def test_vector_measure_json_roundtrip():
     one re/im reader and writer and come back bitwise."""
     rng = np.random.default_rng(3)
     eta = random_deriv_measure(rng, 2, 2, 1)
-    text = json.dumps([complex_to_json(v) for v in eta.vectors])
+    text = report_text([complex_to_json(v) for v in eta.vectors])
     back = VectorAtomMeasure(
         2, 2, [(x, complex_from_json(obj, "'v'")) for x, obj in zip(eta.points, json.loads(text))],
         alphas=eta.alphas, q=eta.q,
