@@ -27,10 +27,10 @@ smallest Gram eigenvalue seen; classify_and_report runs the exact
 classification and the probe side by side and refuses to let them disagree
 silently. The probe's trials run in chunks bounded by _PROBE_CHUNK_ENTRIES:
 _seeded_design, the one design drawer (the shifted-gaussian demo's too),
-takes the chunk's first draws in one stacked pairwise pass and their
-kernel blocks in one deriv_blocks call, and one checked eigensolve covers
-the chunk. Every design, eigenvalue, witness and error is the one a
-per-trial loop gives.
+draws every design of the chunk first (the first draws in one stacked
+pairwise pass) and then takes the kernel blocks of all of them in one
+deriv_blocks call; one checked eigensolve covers the chunk. Every design,
+eigenvalue, witness and error is the one a per-trial loop gives.
 """
 
 from __future__ import annotations
@@ -156,84 +156,71 @@ def _seeded_design(kernel, n: int, rngs, box: float) -> tuple[np.ndarray, np.nda
     """Points (k, n, m) and symmetrized block Grams (k, n*ell, n*ell) of
     kernel on k designs of n points in [-box, box]^m, design i drawn from
     the numpy Generator rngs[i] and redrawn, up to 64 draws, until no two of
-    its points are closer than the separation floor 1e-2 * box. The first
-    draws of all k designs take one stacked pairwise pass, with gram's
-    duplicate check at the floor, and the designs that pass take one
-    deriv_blocks call on their stacked differences: kernel values depend
-    on their own difference alone, so each block is the one gram gives. A
-    design that must be redrawn is redrawn alone, in design order, through
-    a flat pairwise pass and the same call on a stack of one.
+    its points are closer than the separation floor 1e-2 * box. The designs
+    are drawn first and evaluated after: the first draws of all k take one
+    stacked pairwise pass, with gram's duplicate check at the floor, and a
+    design that must be redrawn is redrawn alone, in design order, each
+    redraw a flat pairwise pass whose points and differences replace its
+    own. Then the designs take one deriv_blocks call on their stacked
+    differences: kernel values depend on their own difference alone, so
+    each block is the one gram gives.
 
     Designs come back in order up to the first that fails: never separated
-    (InvalidParameter), or with kernel blocks that raise or are not finite
-    (InvalidMatrix). A stacked call that raises is replayed one design at a
-    time, so each design's error is its own. When the first design fails
-    its error is raised, so a caller that draws again from the failed
-    design on meets the errors in design order.
+    (InvalidParameter; no later design is redrawn or evaluated), or with
+    kernel blocks that raise or are not finite (InvalidMatrix). A stacked
+    call that raises is replayed one design at a time, so each design's
+    error is its own. When the first design fails its error is raised, so a
+    caller that draws again from the failed design on meets the errors in
+    design order.
 
     The floor keeps near-coincident points from collapsing a genuinely
     strict Gram to numerical zero, which would fake a strictness violation;
     a truly degenerate kernel is singular on every design, so the floor
     costs nothing there. Below box = 1e-10 the floor is the Gram's own
     duplicate tolerance."""
-    m, ell, k = kernel.m, kernel.ell, len(rngs)
-    _check_size(n, m, ell, "block Gram")
+    m, k = kernel.m, len(rngs)
+    _check_size(n, m, kernel.ell, "block Gram")
     floor = max(1e-2 * box, DUPLICATE_POINT_TOL)
-    points = np.empty((k, n, m))
-    blocks = np.zeros((k, n, n, ell, ell), dtype=complex)
-    errors = [None] * k
-
-    def draw(batch) -> list:
-        """Draw each design of batch once, in one pairwise pass (flat for a
-        lone design), and evaluate those that separate in one deriv_blocks
-        call; the others are returned."""
-        draws = np.array([rngs[i].uniform(-box, box, size=(n, m)) for i in batch])
-        if len(batch) == 1:
-            diffs, sq = pair_diffs(draws[0])
-            close = {0} if _close_pairs(sq, n, floor)[0].size else set()
+    points = np.array([rng.uniform(-box, box, size=(n, m)) for rng in rngs])
+    diffs, sq = pair_diffs(points)
+    for i in sorted(set(_close_pairs(sq, n, floor)[0].tolist())):
+        for _ in range(63):
+            points[i] = rngs[i].uniform(-box, box, size=(n, m))
+            diffs[i], sq = pair_diffs(points[i])
+            if not _close_pairs(sq, n, floor)[0].size:
+                break
         else:
-            diffs, sq = pair_diffs(draws)
-            close = set(_close_pairs(sq, n, floor)[0].tolist())
-        keep = [d for d in range(len(batch)) if d not in close]
-        if not keep:
-            return batch
-        kept = [batch[d] for d in keep]
-        points[kept] = draws[keep]
-        diffs = diffs.reshape(len(batch), n * n, m)[keep]
-        try:
-            blocks[kept] = _design_blocks(kernel, diffs, n)
-        except OpKernelError:
-            # replayed one design at a time, so each design's error is its own
-            for i, design in zip(kept, diffs):
-                try:
-                    blocks[i] = _design_blocks(kernel, design, n)[0]
-                except OpKernelError as exc:
-                    errors[i] = exc
-        return [batch[d] for d in sorted(close)]
-
-    # a design that did not separate is redrawn alone, up to 63 times, in
-    # design order; the first that never does ends the chunk, and no later
-    # design is redrawn
-    for i in draw(range(k)):
-        if all(draw([i]) for _ in range(63)):
-            errors[i] = InvalidParameter("could not draw a separated design; box too small for n")
+            k, error = i, InvalidParameter("could not draw a separated design; box too small for n")
             break
-    for i in np.flatnonzero(~np.isfinite(blocks.reshape(k, -1)).all(axis=1)):
-        errors[i] = errors[i] or InvalidMatrix("matrix has non-finite entries")
-    first = next((i for i, exc in enumerate(errors) if exc is not None), k)
-    if first == 0:
-        raise errors[0]
-    return points[:first], hermitian_part(block_matrix(blocks[:first]))
+    if k == 0:
+        raise error
+    try:
+        blocks = _design_blocks(kernel, diffs[:k], n)
+    except OpKernelError:
+        # replayed one design at a time, so each design's error is its own
+        blocks = []
+        for design in diffs[:k]:
+            try:
+                blocks.append(_design_blocks(kernel, design, n))
+            except OpKernelError as exc:
+                k, error = len(blocks), exc
+                break
+        if not blocks:
+            raise error
+        blocks = np.concatenate(blocks)
+    return points[:k], hermitian_part(block_matrix(blocks))
 
 
 def _design_blocks(kernel, diffs: np.ndarray, n: int) -> np.ndarray:
     """Kernel blocks (k, n, n, ell, ell) of k designs of n points from their
     (k, n * n, m) pair_diffs differences, in one deriv_blocks call on the
     (k * n, n, m) table: its rows are the stacked points in order, its
-    columns one design's."""
+    columns one design's. Blocks that are not finite raise InvalidMatrix."""
     m, rows = kernel.m, diffs.size // (n * kernel.m)
     alphas = np.zeros((rows, m), dtype=int)
     out = deriv_blocks(kernel, diffs.reshape(rows, n, m), (np.arange(rows), alphas), (np.arange(n), alphas[:n]))
+    if not np.isfinite(out).all():
+        raise InvalidMatrix("matrix has non-finite entries")
     return out.reshape(-1, n, n, kernel.ell, kernel.ell)
 
 
@@ -420,10 +407,10 @@ def probe_strict_pd(
     derives its own generator from SeedSequence([seed, trial]), so results
     are deterministic in (seed, trial). The trials run in chunks of at most
     _PROBE_CHUNK_ENTRIES difference floats and block entries, one
-    _seeded_design call (one pairwise pass and one deriv_blocks call for
-    the designs' first draws) and one checked eigensolve per chunk; every
-    kernel value is the one gram gives on the trial's design alone, and a
-    chunk's first error in trial order is the one raised."""
+    _seeded_design call (one deriv_blocks call, redrawn designs included)
+    and one checked eigensolve per chunk; every kernel value is the one
+    gram gives on the trial's design alone, and a chunk's first error in
+    trial order is the one raised."""
     n, trials, seed = int(n), int(trials), int(seed)
     if not 2 <= n <= MAX_PROBE_N or trials < 1:
         raise InvalidParameter(f"need 2 <= n <= {MAX_PROBE_N} points and trials >= 1")

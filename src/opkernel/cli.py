@@ -64,7 +64,6 @@ from .schema import (
     _points_field,
     complex_from_json,
     complex_to_json,
-    report_text,
     write_report,
 )
 
@@ -263,7 +262,7 @@ def cmd_gram(args) -> int:
             gram_to_csv(g, fh, q)
         sidecar = _report(args, args.command, obj, meta)
         with open(args.output + ".meta.json", "w") as fh:
-            fh.write(report_text(sidecar) + "\n")
+            write_report(sidecar, fh)
         sys.stdout.write(
             f"wrote {args.output} and {args.output}.meta.json "
             f"(dim {g.matrix.dim}, min eigenvalue {lo!r})\n"

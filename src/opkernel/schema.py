@@ -7,14 +7,13 @@ same way everywhere, with SchemaError (exit code 2). Complex arrays are
 objects {"re": [..], "im": [..]} with "im" optional and of the same shape.
 
 Reports are written by `write_report`, which streams the bytes of
-json.dumps(obj, indent=2, sort_keys=True) to a text file without its
-pure-Python encoder; `report_text` gives the same bytes as one string, for
-small reports. Report trees hold numpy arrays as they are. A finite 2-D
-float array (a Gram, a point list) is formatted straight from the array by
-`float_reprs`, one block of rows at a time, and each block is written as
-soon as it is formatted: no matrix becomes a nested list, and no report one
-whole string. Other arrays are written as their tolist(). Gram CSV cells
-come from `float_reprs` too.
+json.dumps(obj, indent=2, sort_keys=True) and a newline to a text file
+without its pure-Python encoder. Report trees hold numpy arrays as they
+are. A finite 2-D float array (a Gram, a point list) is formatted straight
+from the array by `float_reprs`, one block of rows at a time, and each
+block is written as soon as it is formatted: no matrix becomes a nested
+list, and no report one whole string. Other arrays are written as their
+tolist(). Gram CSV cells come from `float_reprs` too.
 """
 
 from __future__ import annotations
@@ -216,18 +215,11 @@ def _write(obj, level: int, out, flush) -> None:
         out(_COMPACT(obj))
 
 
-def report_text(obj) -> str:
-    """json.dumps(obj, indent=2, sort_keys=True), byte for byte, for trees
-    of dicts with str keys, lists, tuples, numpy arrays (as their tolist())
-    and JSON scalars."""
-    chunks: list[str] = []
-    _write(obj, 0, chunks.append, lambda: None)
-    return "".join(chunks)
-
-
 def write_report(obj, fh) -> None:
-    """Write report_text(obj) and a newline to the text file fh, each row
-    block of a float matrix as soon as it is formatted."""
+    """Write json.dumps(obj, indent=2, sort_keys=True) and a newline to the
+    text file fh, byte for byte, each row block of a float matrix as soon as
+    it is formatted. obj is a tree of dicts with str keys, lists, tuples,
+    numpy arrays (as their tolist()) and JSON scalars."""
     chunks: list[str] = []
 
     def flush():

@@ -157,10 +157,10 @@ def test_probe_takes_one_stacked_pairwise_pass_and_one_evaluation_per_chunk(monk
     assert blocks == [(trials * n, n, 2)]
 
 
-def test_redrawn_designs_take_a_flat_pass_and_an_evaluation_of_one(monkeypatch):
-    """The 1-D gaussian line at n = 16, seed 3: the designs that pass at
-    their first draw take one evaluation together, and each redrawn design
-    a flat pairwise pass per redraw and one evaluation of its own."""
+def test_redrawn_designs_take_flat_passes_and_the_chunk_one_evaluation(monkeypatch):
+    """The 1-D gaussian line at n = 16, seed 3: each redrawn design takes a
+    flat pairwise pass per redraw, and the whole chunk, redrawn designs
+    included, one deriv_blocks call on the (32 * n, n, 1) table."""
     kernel, n = ORACLE_KERNELS["gaussian_line"]
     draws = [_draws(1, n, (3, t)) for t in range(32)]
     redrawn = [k for k in draws if k > 1]
@@ -168,7 +168,34 @@ def test_redrawn_designs_take_a_flat_pass_and_an_evaluation_of_one(monkeypatch):
     calls, blocks = _count_passes(monkeypatch)
     probe_strict_pd(kernel, n=n, trials=32, seed=3)
     assert calls == [(32, n, 1)] + [(n, 1)] * sum(k - 1 for k in redrawn)
-    assert blocks == [((32 - len(redrawn)) * n, n, 1)] + [(n, n, 1)] * len(redrawn)
+    assert blocks == [(32 * n, n, 1)]
+
+
+def _drawn_states(m, n, seed_parts, draws, box=2.0):
+    """The bit generator state of SeedSequence(seed_parts) after draws
+    designs of n points in R^m."""
+    rng = np.random.default_rng(np.random.SeedSequence(list(seed_parts)))
+    for _ in range(draws):
+        rng.uniform(-box, box, size=(n, m))
+    return rng.bit_generator.state
+
+
+def test_a_design_that_never_separates_after_earlier_ones_ends_the_chunk_unevaluated(monkeypatch):
+    """30 points on [-2, 2], seed 0: design 0 separates at its 40th draw
+    and design 1 never does. The chunk of 6 takes one stacked pass for the
+    first draws, flat passes for the redraws of designs 0 and 1 only (63
+    of them design 1's), and one evaluation, of design 0; designs 2 to 5
+    are neither redrawn nor evaluated."""
+    kernel, n = _scalar_gaussian(1), 30
+    assert [_draws(1, n, (0, t)) for t in range(2)] == [40, None]
+    rngs = _rngs(0, range(6))
+    calls, blocks = _count_passes(monkeypatch)
+    points, grams = _seeded_design(kernel, n, rngs, 2.0)
+    assert points.shape == (1, n, 1) and grams.shape == (1, n, n)
+    assert calls == [(6, n, 1)] + [(n, 1)] * (39 + 63)
+    assert blocks == [(n, n, 1)]
+    taken = [40, 64, 1, 1, 1, 1]
+    assert [rng.bit_generator.state for rng in rngs] == [_drawn_states(1, n, (0, t), d) for t, d in enumerate(taken)]
 
 
 def test_a_design_that_never_separates_ends_its_chunk_without_redrawing_later_ones(monkeypatch):

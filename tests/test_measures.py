@@ -1,6 +1,7 @@
 """Operator measures: construction, projections, exact classification."""
 
 import copy
+import io
 import json
 import warnings
 
@@ -20,7 +21,7 @@ from opkernel.measures import (
     total_operator,
 )
 from opkernel.profiles import RadialProfile
-from opkernel.schema import complex_to_json, report_text
+from opkernel.schema import complex_to_json, write_report
 
 I2 = np.eye(2)
 E1 = np.array([1.0, 0.0])
@@ -357,7 +358,9 @@ def test_json_roundtrip():
         "dim": mu.dim,
         "atoms": [{"omega": omega, "G": complex_to_json(g)} for omega, g in zip(mu.omegas.tolist(), mu.gs)],
     }
-    back = measure_from_json(json.loads(report_text(written)))
+    fh = io.StringIO()
+    write_report(written, fh)
+    back = measure_from_json(json.loads(fh.getvalue()))
     assert np.array_equal(mu.omegas, back.omegas)
     assert np.array_equal(mu.gs, back.gs)
 

@@ -1,5 +1,6 @@
 """RKHS elements: embeddings, dual-route quadratic forms, interpolation."""
 
+import io
 import json
 import math
 import warnings
@@ -33,7 +34,7 @@ from opkernel.rkhs import (
     rkhs_deriv_eval,
     rkhs_eval,
 )
-from opkernel.schema import complex_from_json, complex_to_json, report_text
+from opkernel.schema import complex_from_json, complex_to_json, write_report
 
 from kernel_oracles import conj_blocks
 
@@ -819,9 +820,10 @@ def test_vector_measure_json_roundtrip():
     one re/im reader and writer and come back bitwise."""
     rng = np.random.default_rng(3)
     eta = random_deriv_measure(rng, 2, 2, 1)
-    text = report_text([complex_to_json(v) for v in eta.vectors])
+    fh = io.StringIO()
+    write_report([complex_to_json(v) for v in eta.vectors], fh)
     back = VectorAtomMeasure(
-        2, 2, [(x, complex_from_json(obj, "'v'")) for x, obj in zip(eta.points, json.loads(text))],
+        2, 2, [(x, complex_from_json(obj, "'v'")) for x, obj in zip(eta.points, json.loads(fh.getvalue()))],
         alphas=eta.alphas, q=eta.q,
     )
     for name in ("alphas", "points", "vectors"):
