@@ -29,8 +29,11 @@ silently. The probe's trials run in chunks bounded by _PROBE_CHUNK_ENTRIES:
 _seeded_design, the one design drawer (the shifted-gaussian demo's too),
 draws every design of the chunk first (the first draws in one stacked
 pairwise pass) and then takes the kernel blocks of all of them in one
-deriv_blocks call; one checked eigensolve covers the chunk. Every design,
-eigenvalue, witness and error is the one a per-trial loop gives.
+deriv_blocks call; one checked eigensolve covers the chunk. A chunk is all
+or nothing: when its drawing, evaluation or eigensolve raises, the probe
+runs one trial per chunk from the chunk's first trial on, so the first
+failing trial raises its own error. Every design, eigenvalue, witness and
+error is the one a per-trial loop gives.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidGrid, InvalidMatrix, InvalidParameter, InvalidVector, NumericalFailure, OpKernelError
+from .errors import InvalidGrid, InvalidMatrix, InvalidParameter, InvalidVector, OpKernelError
 from .hermitian import PSD_TOL, Frozen, hermitian_part, psd_margin
 from .kernel import (
     DUPLICATE_POINT_TOL,
@@ -162,16 +165,15 @@ def _seeded_design(kernel, n: int, rngs, box: float) -> tuple[np.ndarray, np.nda
     design that must be redrawn is redrawn alone, in design order, each
     redraw a flat pairwise pass whose points and differences replace its
     own. Then the designs take one deriv_blocks call on their stacked
-    differences: kernel values depend on their own difference alone, so
-    each block is the one gram gives.
+    differences, the (k * n, n, m) table whose rows are the stacked points
+    in order and whose columns are one design's: kernel values depend on
+    their own difference alone, so each block is the one gram gives.
 
-    Designs come back in order up to the first that fails: never separated
-    (InvalidParameter; no later design is redrawn or evaluated), or with
-    kernel blocks that raise or are not finite (InvalidMatrix). A stacked
-    call that raises is replayed one design at a time, so each design's
-    error is its own. When the first design fails its error is raised, so a
-    caller that draws again from the failed design on meets the errors in
-    design order.
+    All k designs come back, or the first error met is raised: a design
+    that never separates (InvalidParameter; no later design is redrawn),
+    then an evaluation that raises or blocks that are not finite
+    (InvalidMatrix). A caller that needs the first error in design order
+    draws the designs again one at a time.
 
     The floor keeps near-coincident points from collapsing a genuinely
     strict Gram to numerical zero, which would fake a strictness violation;
@@ -190,38 +192,12 @@ def _seeded_design(kernel, n: int, rngs, box: float) -> tuple[np.ndarray, np.nda
             if not _close_pairs(sq, n, floor)[0].size:
                 break
         else:
-            k, error = i, InvalidParameter("could not draw a separated design; box too small for n")
-            break
-    if k == 0:
-        raise error
-    try:
-        blocks = _design_blocks(kernel, diffs[:k], n)
-    except OpKernelError:
-        # replayed one design at a time, so each design's error is its own
-        blocks = []
-        for design in diffs[:k]:
-            try:
-                blocks.append(_design_blocks(kernel, design, n))
-            except OpKernelError as exc:
-                k, error = len(blocks), exc
-                break
-        if not blocks:
-            raise error
-        blocks = np.concatenate(blocks)
-    return points[:k], hermitian_part(block_matrix(blocks))
-
-
-def _design_blocks(kernel, diffs: np.ndarray, n: int) -> np.ndarray:
-    """Kernel blocks (k, n, n, ell, ell) of k designs of n points from their
-    (k, n * n, m) pair_diffs differences, in one deriv_blocks call on the
-    (k * n, n, m) table: its rows are the stacked points in order, its
-    columns one design's. Blocks that are not finite raise InvalidMatrix."""
-    m, rows = kernel.m, diffs.size // (n * kernel.m)
-    alphas = np.zeros((rows, m), dtype=int)
-    out = deriv_blocks(kernel, diffs.reshape(rows, n, m), (np.arange(rows), alphas), (np.arange(n), alphas[:n]))
-    if not np.isfinite(out).all():
+            raise InvalidParameter("could not draw a separated design; box too small for n")
+    alphas = np.zeros((k * n, m), dtype=int)
+    blocks = deriv_blocks(kernel, diffs.reshape(k * n, n, m), (np.arange(k * n), alphas), (np.arange(n), alphas[:n]))
+    if not np.isfinite(blocks).all():
         raise InvalidMatrix("matrix has non-finite entries")
-    return out.reshape(-1, n, n, kernel.ell, kernel.ell)
+    return points, hermitian_part(block_matrix(blocks.reshape(k, n, n, kernel.ell, kernel.ell)))
 
 
 def demo_counterexample_shifted_gaussian(w, seed: int = 0) -> CounterexampleResult:
@@ -409,8 +385,9 @@ def probe_strict_pd(
     _PROBE_CHUNK_ENTRIES difference floats and block entries, one
     _seeded_design call (one deriv_blocks call, redrawn designs included)
     and one checked eigensolve per chunk; every kernel value is the one
-    gram gives on the trial's design alone, and a chunk's first error in
-    trial order is the one raised."""
+    gram gives on the trial's design alone. A chunk that raises is drawn
+    again one trial at a time, and so is every later trial, so the error
+    raised is the first failing trial's own."""
     n, trials, seed = int(n), int(trials), int(seed)
     if not 2 <= n <= MAX_PROBE_N or trials < 1:
         raise InvalidParameter(f"need 2 <= n <= {MAX_PROBE_N} points and trials >= 1")
@@ -427,14 +404,15 @@ def probe_strict_pd(
     while len(mins) < trials:
         t = len(mins)
         rngs = [np.random.default_rng(np.random.SeedSequence([seed, s])) for s in range(t, min(t + per, trials))]
-        points, grams = _seeded_design(kernel, n, rngs, box)
         try:
+            points, grams = _seeded_design(kernel, n, rngs, box)
             lo, scale, vecs = psd_margin(grams)
-        except NumericalFailure:
-            # raise what the first failing design alone raises
-            for i in range(len(grams)):
-                psd_margin(grams[i : i + 1])
-            raise
+        except OpKernelError:
+            if len(rngs) == 1:
+                raise
+            # one trial per chunk from here on, so the first failing trial raises its own error
+            per = 1
+            continue
         mins += lo.tolist()
         hit = np.flatnonzero(lo <= tol * scale)
         if violation is None and hit.size:

@@ -2,8 +2,8 @@
 
 The toolkit funnels every matrix through HermitianMatrix, which symmetrizes
 on construction, so downstream code never has to re-check adjoint symmetry.
-Matrices stay small (block Grams of a few hundred rows at most), so plain
-dense algorithms are fine. The checked eigensolver also works over stacks
+Matrices stay at desk scale (block Grams of at most kernel.MAX_GRAM_ROWS =
+2048 rows), so plain dense algorithms are fine. The checked eigensolver also works over stacks
 of matrices, so a measure's atoms are validated with one call.
 """
 

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from opkernel import certify, cli, kernel as kernel_module
 from opkernel.certify import (
@@ -88,17 +88,16 @@ def _one_design(kernel, n, seed_parts, box):
 @settings(max_examples=40, deadline=None)
 def test_seeded_design_matches_pairwise_loop(m, n, box, seed, trial, k):
     """A stack of k designs, one generator each, holds each design's own
-    loop draw and gram's Gram of it, up to the first design the loop
-    refuses; when that is the first, the stack is refused."""
+    loop draw and gram's Gram of it when the loop separates every one;
+    when the loop refuses any of them, the stack is refused."""
     expected = [_seeded_design_loop(m, n, (seed, t), box) for t in range(trial, trial + k)]
-    kept = next((i for i, pts in enumerate(expected) if pts is None), k)
     kernel = _scalar_gaussian(m)
-    if kept == 0:
+    if any(pts is None for pts in expected):
         with pytest.raises(InvalidParameter, match="could not draw a separated design"):
             _seeded_design(kernel, n, _rngs(seed, range(trial, trial + k)), box)
         return
     points, grams = _seeded_design(kernel, n, _rngs(seed, range(trial, trial + k)), box)
-    assert points.shape == (kept, n, m) and grams.shape == (kept, n, n)
+    assert points.shape == (k, n, m) and grams.shape == (k, n, n)
     for pts, g, want in zip(points, grams, expected):
         assert np.array_equal(pts, want)
         assert np.array_equal(g, gram(kernel, want).matrix.entries)
@@ -183,32 +182,40 @@ def _drawn_states(m, n, seed_parts, draws, box=2.0):
 def test_a_design_that_never_separates_after_earlier_ones_ends_the_chunk_unevaluated(monkeypatch):
     """30 points on [-2, 2], seed 0: design 0 separates at its 40th draw
     and design 1 never does. The chunk of 6 takes one stacked pass for the
-    first draws, flat passes for the redraws of designs 0 and 1 only (63
-    of them design 1's), and one evaluation, of design 0; designs 2 to 5
-    are neither redrawn nor evaluated."""
+    first draws and flat passes for the redraws of designs 0 and 1 only (63
+    of them design 1's), and raises unevaluated; designs 2 to 5 are never
+    redrawn. The probe then replays one trial per chunk: trial 0 takes its
+    stacked pass, its 39 redraws and its one evaluation, and trial 1 its
+    stacked pass and 63 redraws, which raise."""
     kernel, n = _scalar_gaussian(1), 30
-    assert [_draws(1, n, (0, t)) for t in range(2)] == [40, None]
+    assert [_draws(1, n, (0, t)) for t in range(2)] == [40, None] and _per(kernel, n) >= 6
     rngs = _rngs(0, range(6))
     calls, blocks = _count_passes(monkeypatch)
-    points, grams = _seeded_design(kernel, n, rngs, 2.0)
-    assert points.shape == (1, n, 1) and grams.shape == (1, n, n)
-    assert calls == [(6, n, 1)] + [(n, 1)] * (39 + 63)
-    assert blocks == [(n, n, 1)]
+    with pytest.raises(InvalidParameter, match="could not draw a separated design"):
+        _seeded_design(kernel, n, rngs, 2.0)
+    stacked = [(6, n, 1)] + [(n, 1)] * (39 + 63)
+    assert calls == stacked and blocks == []
     taken = [40, 64, 1, 1, 1, 1]
     assert [rng.bit_generator.state for rng in rngs] == [_drawn_states(1, n, (0, t), d) for t, d in enumerate(taken)]
+    calls.clear()
+    with pytest.raises(InvalidParameter, match="could not draw a separated design"):
+        probe_strict_pd(kernel, n=n, trials=6, seed=0)
+    assert calls == stacked + [(1, n, 1)] + [(n, 1)] * 39 + [(1, n, 1)] + [(n, 1)] * 63
+    assert blocks == [(n, n, 1)]
 
 
 def test_a_design_that_never_separates_ends_its_chunk_without_redrawing_later_ones(monkeypatch):
     """40 points on [-2, 2] never keep the floor: the chunk of 5 designs
     takes one stacked pass for their first draws (none separates), then the
     first design's 63 redraws alone, each a flat pass, and none of the
-    other four is redrawn."""
+    other four is redrawn. The per-trial replay draws trial 0 alone, in a
+    stacked pass of one and 63 flat redraws, and raises."""
     kernel = _scalar_gaussian(1)
     assert _per(kernel, 40) == 5 and _draws(1, 40, (0, 0)) is None
     calls, blocks = _count_passes(monkeypatch)
     with pytest.raises(InvalidParameter, match="could not draw a separated design"):
         probe_strict_pd(kernel, n=40, trials=5, seed=0)
-    assert calls == [(5, 40, 1)] + [(40, 1)] * 63
+    assert calls == [(5, 40, 1)] + [(40, 1)] * 63 + [(1, 40, 1)] + [(40, 1)] * 63
     assert blocks == []
 
 
@@ -819,6 +826,62 @@ def test_stacked_eigen_failure_names_the_first_failing_trial():
         psd_margin(grams)
     chunked, loop = _both(kernel, 2, 2, seed)
     assert chunked == loop == (NumericalFailure, "PSD check: the trace overflows the float range")
+
+
+class _Crowded:
+    """A generator whose every draw puts all its points at the origin."""
+
+    def uniform(self, low, high, size):
+        return np.zeros(size)
+
+
+_INJECTED = {
+    "crowded": InvalidParameter,  # the failing trial's design never separates
+    "nan": InvalidMatrix,  # its blocks are not finite
+    "raise": NumericalFailure,  # its evaluation raises
+    "eigh": NumericalFailure,  # its eigensolve overflows
+}
+
+
+@given(per=st.integers(1, 6), n=st.integers(3, 6), seed=st.integers(0, 2**31 - 1), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_chunked_probe_errors_are_the_per_trial_loops(per, n, seed, data):
+    """Chunks of one to six designs, and a failure injected at one drawn
+    trial, or at two of different or equal kinds, keyed on the trial's
+    generator or on the differences of its design: the chunked probe
+    raises the loop's error, class and message, which is the first
+    failing trial's own. An evaluation that raises names the injection it
+    checks first, so a stacked one can name a later trial."""
+    trials = data.draw(st.integers(1, 14))
+    failing = data.draw(st.lists(st.integers(0, trials - 1), min_size=1, max_size=2, unique=True))
+    kinds = data.draw(st.lists(st.sampled_from(sorted(_INJECTED)), min_size=len(failing), max_size=len(failing)))
+    designs = {t: _seeded_design_loop(1, n, (seed, t), 2.0) for t, kind in zip(failing, kinds) if kind != "crowded"}
+    assume(all(pts is not None for pts in designs.values()))
+    marks = {t: np.abs(pts - pts.T)[~np.eye(n, dtype=bool)] for t, pts in designs.items()}
+
+    def f(d):
+        out = np.exp(-d * d)
+        for t, kind in zip(failing, kinds):
+            hit = np.isin(np.abs(d), marks[t]) if t in marks else False
+            if kind == "raise" and np.any(hit):
+                raise NumericalFailure(f"kernel evaluation fails on trial {t}")
+            out = np.where(hit, np.nan if kind == "nan" else 1e308, out)
+        return out
+
+    real_rng = np.random.default_rng
+    crowded = [[seed, t] for t, kind in zip(failing, kinds) if kind == "crowded"]
+
+    def rng(seq):
+        return _Crowded() if list(seq.entropy) in crowded else real_rng(seq)
+
+    kernel = _LineKernel(f)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(certify, "_PROBE_CHUNK_ENTRIES", per * n * n)
+        assert _per(kernel, n) == per
+        mp.setattr(np.random, "default_rng", rng)
+        chunked, loop = _both(kernel, n, trials, seed)
+    assert chunked == loop
+    assert loop[0] is _INJECTED[kinds[failing.index(min(failing))]]
 
 
 def _peak(run):

@@ -261,6 +261,27 @@ def test_integers_past_every_cap_are_refused_before_allocation(field, which):
 # memory (VmPeak, one BLAS thread or two), nearly all of it the 128 MiB
 # pairwise differences and the 1024-row Gram's eigensolve.
 PROBE_AT_CAPS_ADDRESS_SPACE = 2**30
+# Address space of the bump demo at its atom cap (grid 2048 at box 1.998,
+# MAX_BUMP_ATOMS = 1024 atoms): VmPeak near 280 MB at one BLAS thread, in
+# the 2048-row Gram assembly; under 250 MiB it runs out of memory.
+BUMP_AT_CAP_ADDRESS_SPACE = 2**29
+
+
+def _run_in_address_space(limit, argv):
+    """`opkernel argv` in a child process at one BLAS thread whose address
+    space (RLIMIT_AS) is limited to `limit` bytes; the limit is set in the
+    child only."""
+    code = (
+        "import resource, sys\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+        "from opkernel.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv, "--no-timestamp"], capture_output=True, text=True, env=env, timeout=600
+    )
 
 
 def test_probe_at_the_size_caps_runs_in_bounded_address_space(tmp_path):
@@ -275,21 +296,18 @@ def test_probe_at_the_size_caps_runs_in_bounded_address_space(tmp_path):
     }
     path = tmp_path / "probe.json"
     path.write_text(json.dumps(obj))
-    limit = PROBE_AT_CAPS_ADDRESS_SPACE
-    code = (
-        "import resource, sys\n"
-        f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
-        "from opkernel.cli import main\n"
-        "sys.exit(main(sys.argv[1:]))\n"
-    )
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-c", code, "probe", "--input", str(path), "--no-timestamp"],
-        capture_output=True, text=True, env=env, timeout=600,
-    )
+    proc = _run_in_address_space(PROBE_AT_CAPS_ADDRESS_SPACE, ["probe", "--input", str(path)])
     assert proc.returncode in (0, 3), proc.stderr
     assert proc.stderr == "" and json.loads(proc.stdout)["result"]["trials"] == 2
+
+
+def test_bump_demo_at_the_atom_cap_runs_in_bounded_address_space():
+    """The bump demo at its atom cap reproduces the cancellation in a child
+    process whose address space is limited to about twice its need."""
+    proc = _run_in_address_space(BUMP_AT_CAP_ADDRESS_SPACE, ["demo", "radial-bump", "--grid-n", "2048", "--box", "1.998"])
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)["result"]
+    assert proc.stderr == "" and result["params"]["grid_n"] == 2048 and result["reproduced"] is True
 
 
 @pytest.mark.parametrize("field", sorted(INTEGER_FIELDS))
