@@ -28,10 +28,10 @@ classification and the probe side by side and refuses to let them disagree
 silently. The probe's trials run in chunks bounded by _PROBE_CHUNK_ENTRIES:
 _seeded_design, the one design drawer (the shifted-gaussian demo's too),
 draws every design of the chunk first (the first draws in one stacked
-pairwise pass) and then takes the kernel blocks of all of them in one
-deriv_blocks call; one checked eigensolve covers the chunk. A chunk is all
-or nothing: when its drawing, evaluation or eigensolve raises, the probe
-runs one trial per chunk from the chunk's first trial on, so the first
+pairwise pass), builds their Grams in one pass of gram's assembler, and
+one checked eigensolve covers the chunk. A chunk is all or
+nothing: when its drawing, evaluation or eigensolve raises, the probe runs
+one trial per chunk from the chunk's first trial on, so the first
 failing trial raises its own error. Every design, eigenvalue, witness and
 error is the one a per-trial loop gives.
 """
@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidGrid, InvalidMatrix, InvalidParameter, InvalidVector, OpKernelError
+from .errors import InvalidGrid, InvalidParameter, InvalidVector, OpKernelError
 from .hermitian import PSD_TOL, Frozen, hermitian_part, psd_margin
 from .kernel import (
     DUPLICATE_POINT_TOL,
@@ -51,8 +51,7 @@ from .kernel import (
     PlaneWaveMeasure,
     _check_size,
     _close_pairs,
-    block_matrix,
-    deriv_blocks,
+    _hermitian_gram,
     gram,
     pair_diffs,
     plane_wave_kernel,
@@ -156,7 +155,7 @@ class CounterexampleResult:
 
 
 def _seeded_design(kernel, n: int, rngs, box: float) -> tuple[np.ndarray, np.ndarray]:
-    """Points (k, n, m) and symmetrized block Grams (k, n*ell, n*ell) of
+    """Points (k, n, m) and Hermitian block Grams (k, n*ell, n*ell) of
     kernel on k designs of n points in [-box, box]^m, design i drawn from
     the numpy Generator rngs[i] and redrawn, up to 64 draws, until no two of
     its points are closer than the separation floor 1e-2 * box. The designs
@@ -164,10 +163,10 @@ def _seeded_design(kernel, n: int, rngs, box: float) -> tuple[np.ndarray, np.nda
     stacked pairwise pass, with gram's duplicate check at the floor, and a
     design that must be redrawn is redrawn alone, in design order, each
     redraw a flat pairwise pass whose points and differences replace its
-    own. Then the designs take one deriv_blocks call on their stacked
-    differences, the (k * n, n, m) table whose rows are the stacked points
-    in order and whose columns are one design's: kernel values depend on
-    their own difference alone, so each block is the one gram gives.
+    own. Then gram's assembler builds all k Grams in one pass over their
+    stacked differences (drawn points repeat no difference, so none is
+    de-duplicated); kernel values depend on their own difference alone, so
+    each Gram is gram's.
 
     All k designs come back, or the first error met is raised: a design
     that never separates (InvalidParameter; no later design is redrawn),
@@ -193,11 +192,7 @@ def _seeded_design(kernel, n: int, rngs, box: float) -> tuple[np.ndarray, np.nda
                 break
         else:
             raise InvalidParameter("could not draw a separated design; box too small for n")
-    alphas = np.zeros((k * n, m), dtype=int)
-    blocks = deriv_blocks(kernel, diffs.reshape(k * n, n, m), (np.arange(k * n), alphas), (np.arange(n), alphas[:n]))
-    if not np.isfinite(blocks).all():
-        raise InvalidMatrix("matrix has non-finite entries")
-    return points, hermitian_part(block_matrix(blocks.reshape(k, n, n, kernel.ell, kernel.ell)))
+    return points, _hermitian_gram(kernel, points, diffs)
 
 
 def demo_counterexample_shifted_gaussian(w, seed: int = 0) -> CounterexampleResult:
@@ -383,7 +378,7 @@ def probe_strict_pd(
     derives its own generator from SeedSequence([seed, trial]), so results
     are deterministic in (seed, trial). The trials run in chunks of at most
     _PROBE_CHUNK_ENTRIES difference floats and block entries, one
-    _seeded_design call (one deriv_blocks call, redrawn designs included)
+    _seeded_design call (one assembly pass, redrawn designs included)
     and one checked eigensolve per chunk; every kernel value is the one
     gram gives on the trial's design alone. A chunk that raises is drawn
     again one trial at a time, and so is every later trial, so the error

@@ -656,6 +656,9 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except MemoryError as exc:  # numpy's names the allocation that failed
+        print(f"numerical failure: out of memory: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 def entry() -> None:

@@ -1,10 +1,11 @@
 """Dense Hermitian linear algebra for small complex matrices.
 
-The toolkit funnels every matrix through HermitianMatrix, which symmetrizes
-on construction, so downstream code never has to re-check adjoint symmetry.
-Matrices stay at desk scale (block Grams of at most kernel.MAX_GRAM_ROWS =
-2048 rows), so plain dense algorithms are fine. The checked eigensolver also works over stacks
-of matrices, so a measure's atoms are validated with one call.
+HermitianMatrix symmetrizes matrices from outside on construction and wraps
+a plain block Gram, Hermitian by construction, as it is, so downstream code
+never re-checks adjoint symmetry. Matrices stay at desk scale (block Grams
+of at most kernel.MAX_GRAM_ROWS = 2048 rows), so plain dense algorithms are
+fine. The checked eigensolver also works over stacks of matrices, so a
+measure's atoms are validated with one call.
 """
 
 from __future__ import annotations
@@ -36,21 +37,22 @@ class Frozen:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
 
-def hermitian_part(a: np.ndarray) -> np.ndarray:
-    """(A + A^H)/2 over the last two axes, as a new C-ordered array: A^H is
-    written into it, then A is added and the sum halved in place, so no other
-    array of its size is made. Where that sum is not finite (it overflows
-    above about 9e307), the halves are added instead; elsewhere halving first
-    would drop the last bit of a subnormal entry."""
+def hermitian_part(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """(A + B^H)/2 over the last two axes (B = A: the Hermitian part), as a
+    new C-ordered array: B^H is written into it, then A is added and the sum
+    halved in place, so no other array of its size is made. Where that sum is
+    not finite (it overflows above about 9e307), the halves are added
+    instead; elsewhere halving first would drop the last bit of a subnormal."""
+    b = a if b is None else b
     # the layout is part of the result: the eigensolves and products
     # downstream round differently on a Fortran-ordered matrix
-    h = np.conj(np.swapaxes(a, -1, -2), out=np.empty(a.shape, dtype=a.dtype))
+    h = np.conj(np.swapaxes(b, -1, -2), out=np.empty(a.shape, dtype=a.dtype))
     with np.errstate(over="ignore", invalid="ignore"):
         h += a
         h /= 2
     big = ~np.isfinite(h)
     if big.any():
-        h[big] = a[big] / 2 + np.conj(np.swapaxes(a, -1, -2))[big] / 2
+        h[big] = a[big] / 2 + np.conj(np.swapaxes(b, -1, -2))[big] / 2
     return h
 
 
@@ -73,6 +75,14 @@ class HermitianMatrix(Frozen):
         h = hermitian_part(a)
         h.flags.writeable = False
         object.__setattr__(self, "entries", h)
+
+    @classmethod
+    def built(cls, h: np.ndarray) -> "HermitianMatrix":
+        """Wrap h, Hermitian by construction, as it is: no copy, no symmetrizing."""
+        self = object.__new__(cls)
+        h.flags.writeable = False
+        object.__setattr__(self, "entries", h)
+        return self
 
     @property
     def dim(self) -> int:

@@ -9,8 +9,7 @@ Hermitian in the kernel sense, K(y, x) = K(x, y)^H.
 Measures keep their atoms as arrays, so OperatorKernel.eval_diffs makes one
 family evaluation and one einsum over all atoms: profiles.profile_value, the
 one batched evaluator of the radial families, or the plane-wave phases. The
-radial function F(t) is eval_diffs at t e_1. Plane waves satisfy F(-d) =
-F(d)^H bit for bit, so a large batch evaluates one row of each pair d, -d.
+radial function F(t) is eval_diffs at t e_1.
 
 Derivative kernels: for translation-invariant K(x, y) = F(x - y),
 
@@ -25,17 +24,19 @@ Block Grams: for points x_1..x_n, the block Gram at jet order q carries one
 block row/column per (point, multi-index) pair with |alpha| <= q in
 graded-lexicographic order, block ((mu,alpha),(nu,beta)) being
 d^alpha_1 d^beta_2 K(x_mu, x_nu). The plain Gram of blocks K(x_mu, x_nu)
-is q = 0, whose one multi-index is (0,...,0). Every block Gram is built
-the same way: _check_points validates the points, refuses a Gram past the
-size caps (_check_size) and duplicate points (_close_pairs), and takes the
-pairwise differences once; deriv_blocks assembles the blocks of the
-(point, multi-index) rows and columns, from eval_diffs alone at order 0;
-block_matrix lays them out. Grams are symmetrized on assembly. The probe's
-design drawer in certify runs the same steps over a stack of designs.
+is q = 0, whose one multi-index is (0,...,0). Every block Gram starts with
+_check_points: point checks, the size caps (_check_size), and one pairwise
+pass (pair_diffs) over the pairs i <= j, or over all n^2 where
+deriv_blocks takes them, with the duplicate check (_close_pairs). A plain
+Gram is built Hermitian from that upper triangle (_hermitian_gram), as is
+every probe design in certify; at q >= 1 deriv_blocks assembles the blocks
+of the (point, multi-index) rows and columns, block_matrix lays them out
+and HermitianMatrix symmetrizes them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -43,6 +44,7 @@ import numpy as np
 
 from .errors import (
     DuplicatePoints,
+    InvalidMatrix,
     InvalidMeasure,
     InvalidParameter,
     InvalidPoint,
@@ -50,7 +52,7 @@ from .errors import (
     NumericalFailure,
     UnsupportedJet,
 )
-from .hermitian import Frozen, HermitianMatrix
+from .hermitian import Frozen, HermitianMatrix, hermitian_part
 from .measures import OperatorMeasure, merge_psd_atoms, stack_atoms, unique_rows
 from .profiles import (
     JET_ORDER_CAP,
@@ -88,11 +90,13 @@ MAX_JET_TABLE_ENTRIES = 2**24
 # and the row sort of the measure's frequencies, which takes memory per
 # coordinate even with no atoms. The benchmark's largest m is 3.
 MAX_AMBIENT_DIM = 1024
-# Plane-wave phases formed at a time, by a block of rows of a kernel batch
-# (rows x atoms) and by a block of frequencies of route 2 in rkhs (atoms x
-# frequencies): no phase table grows with the whole batch, whose table at
-# the benchmark's grid-2048 bump demo would hold 722 x 2048 phases (23 MiB).
-_PHASE_BLOCK_ENTRIES = 2**16
+# Entries formed at a time: plane-wave phases, by a block of rows of a kernel
+# batch (rows x atoms) and by a block of frequencies of route 2 in rkhs (atoms
+# x frequencies), and pair-table entries (pairs x entries per pair) by
+# pair_diffs and the plain Gram's writes. No such table grows with the whole
+# batch: at the benchmark's grid-2048 bump demo the phases alone would hold
+# 722 x 2048 entries (23 MiB).
+_BLOCK_ENTRIES = 2**16
 
 
 class PlaneWaveMeasure(Frozen):
@@ -150,49 +154,9 @@ class OperatorKernel(Frozen):
 
     def eval_diffs(self, diffs: np.ndarray) -> np.ndarray:
         """Kernel blocks F(d) for a batch of difference vectors, shape
-        (npairs, m) -> (npairs, ell, ell) complex."""
+        (npairs, m) -> (npairs, ell, ell) complex, each evaluated directly.
+        An empty measure gives zero blocks."""
         diffs = np.asarray(diffs, dtype=float)
-        with np.errstate(over="ignore"):
-            sq = (diffs * diffs).sum(axis=1)
-        # Grids repeat differences heavily (a uniform n-point line has only
-        # 2n-1 distinct differences among n^2 pairs), so each distinct key is
-        # evaluated once and scattered back. The key is exact: a radial block
-        # is computed from the squared norm alone, so rows with equal squared
-        # norms (d and -d among them) get bitwise equal blocks; a plane-wave
-        # block is computed from its own row, which is then the key.
-        if diffs.shape[0] > 64:
-            first, inverse = unique_rows(sq[:, None] if self.kind == "radial" else diffs)
-            if first.size <= diffs.shape[0] // 2:
-                if self.kind == "plane_wave":
-                    return self._plane_wave_pairs(diffs[first])[inverse]
-                return self._blocks(diffs[first], sq[first])[inverse]
-        return self._blocks(diffs, sq)
-
-    def _plane_wave_pairs(self, diffs: np.ndarray) -> np.ndarray:
-        """Plane-wave blocks at distinct rows, one row of each pair d, -d
-        evaluated (its first nonzero entry positive): the phases of -d are the
-        exact conjugates of those of d and every G is exactly Hermitian, so
-        F(-d) = F(d)^H."""
-        n = diffs.shape[0]
-        lead = np.take_along_axis(diffs, np.argmax(diffs != 0.0, axis=1)[:, None], axis=1)[:, 0]
-        first, inverse = unique_rows(np.where(lead[:, None] < 0.0, -diffs, diffs))
-        # a single GEMV row rounds d @ xi differently from GEMM rows when m > 1
-        if first.size == n or first.size < 2:
-            return self._blocks(diffs)
-        out = self._blocks(diffs[first])[inverse]
-        flip = first[inverse] != np.arange(n)
-        out[flip] = np.conj(np.swapaxes(out[flip], 1, 2))
-        # the mirror is bitwise except for the sign of an exact zero, so a
-        # flipped block with a zero part is evaluated itself, next to its
-        # partner to keep the batch at two rows or more
-        redo = np.flatnonzero(flip & np.any((out.real == 0.0) | (out.imag == 0.0), axis=(1, 2)))
-        if redo.size:
-            out[redo] = self._blocks(np.concatenate([diffs[redo], diffs[first[inverse[redo]]]]))[: redo.size]
-        return out
-
-    def _blocks(self, diffs: np.ndarray, sq: np.ndarray | None = None) -> np.ndarray:
-        """F(d) for every row, evaluated directly; sq holds the squared norms
-        a radial kernel needs. An empty measure gives zero blocks."""
         gs = self.measure.gs
         if self.kind == "plane_wave":
             out = np.empty((diffs.shape[0], self.ell, self.ell), dtype=complex)
@@ -201,6 +165,8 @@ class OperatorKernel(Frozen):
                 with np.errstate(over="ignore", invalid="ignore"):
                     out[rows] = np.einsum("pa,aij->pij", vals, gs)
         else:
+            with np.errstate(over="ignore"):
+                sq = (diffs * diffs).sum(axis=1)
             vals = profile_value(self.profile, self.measure.omegas, np.sqrt(sq)).astype(complex)
             with np.errstate(over="ignore", invalid="ignore"):
                 out = np.einsum("pa,aij->pij", vals, gs)
@@ -250,10 +216,10 @@ class OperatorKernel(Frozen):
 
 def _row_blocks(nrows: int, natoms: int) -> list[slice]:
     """Consecutive slices covering nrows rows, each of about
-    _PHASE_BLOCK_ENTRIES / natoms rows and never of one row (unless nrows is
+    _BLOCK_ENTRIES / natoms rows and never of one row (unless nrows is
     1): a one-row product d @ xi is a GEMV, which rounds differently from
     the GEMM rows of a larger block when m > 1."""
-    step = max(2, _PHASE_BLOCK_ENTRIES // max(1, natoms))
+    step = max(2, _BLOCK_ENTRIES // max(1, natoms))
     starts = list(range(0, nrows, step))
     if len(starts) > 1 and nrows - starts[-1] < 2:
         starts.pop()
@@ -358,25 +324,60 @@ class BlockGram:
     matrix: HermitianMatrix
 
 
-def pair_diffs(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All n^2 differences x_i - x_j of an (..., n, m) array in row-major
-    order, shape (..., n * n, m), and their squared norms (..., n * n); a
-    stack of designs takes one pass. A difference or a square that
-    overflows is inf, so it counts as far; the overflow is not reported."""
+def pair_diffs(points: np.ndarray, full: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The differences x_i - x_j of the pairs i <= j of an (..., n, m) array
+    in row-major order, shape (..., n (n + 1) / 2, m), or given full of all
+    n^2 pairs, shape (..., n, n, m), and the squared norms of the pairs i <=
+    j; a stack of designs takes one pass, a block of rows at a time. A
+    difference or a square that overflows is inf (far), unreported."""
     *lead, n, m = points.shape
+    if full:
+        with np.errstate(over="ignore"):
+            diffs = points[..., :, None, :] - points[..., None, :, :]
+            return diffs, (diffs * diffs).sum(axis=-1)[..., np.arange(n)[:, None] <= np.arange(n)]
+    diffs = np.empty((*lead, n * (n + 1) // 2, m))
+    sq = np.empty(diffs.shape[:-1])
     with np.errstate(over="ignore"):
-        diffs = (points[..., :, None, :] - points[..., None, :, :]).reshape(*lead, n * n, m)
-        return diffs, (diffs * diffs).sum(axis=-1)
+        for rows, i, j in _pair_blocks(n, m * math.prod(lead)):
+            d = np.subtract(points[..., i, :], points[..., j, :], out=diffs[..., rows, :])
+            sq[..., rows] = (d * d).sum(axis=-1)
+    return diffs, sq
+
+
+def _pair_blocks(n: int, width: int):
+    """The pairs i <= j of n points in row-major order, in blocks of whole
+    rows of about _BLOCK_ENTRIES / width pairs: per block, its rows of the
+    pair table (a slice) and the point indices i and j of each pair."""
+    step, at = max(1, _BLOCK_ENTRIES // max(1, n * width)), 0
+    for lo in range(0, n, step):
+        i, j = _pair_rows(n, lo, min(n, lo + step))
+        yield slice(at, at + i.size), i, j
+        at += i.size
+
+
+@functools.lru_cache(maxsize=1)
+def _pair_rows(n: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only point indices i and j of the pairs i <= j with lo <= i < hi;
+    the last block is kept, so a Gram of one block builds its pairs once."""
+    i, j = np.nonzero(np.arange(lo, hi)[:, None] <= np.arange(n))
+    i += lo
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
 
 
 def _close_pairs(sq: np.ndarray, n: int, tol: float) -> tuple[np.ndarray, ...]:
     """Index arrays (..., i, j) of the pairs i < j of n points closer than
-    tol, in row-major order, from the squared norms (..., n * n) that
-    pair_diffs gives for one design or a stack of them."""
-    *lead, pair = (np.sqrt(sq) < tol).nonzero()
-    i, j = np.divmod(pair, n)
-    keep = i < j
-    return (*(a[keep] for a in lead), i[keep], j[keep])
+    tol, in row-major order, from pair_diffs' squared norms of one design or
+    a stack of them."""
+    close = np.sqrt(sq) < tol
+    if np.count_nonzero(close) == close.size * 2 // (n + 1):  # the pairs i = j alone (tol > 0)
+        return tuple(np.zeros((close.ndim + 1, 0), dtype=np.intp))
+    r = np.arange(n)
+    starts = r * n - r * (r - 1) // 2
+    close[..., starts] = False  # the pairs i = j
+    *lead, pair = close.nonzero()
+    i = np.searchsorted(starts, pair, side="right") - 1
+    return (*lead, i, pair - starts[i] + i)
 
 
 def _check_size(n: int, m: int, point_rows: int, what: str) -> None:
@@ -392,13 +393,14 @@ def _check_size(n: int, m: int, point_rows: int, what: str) -> None:
 
 
 def _check_points(
-    points, m: int, tol: float = DUPLICATE_POINT_TOL, point_rows: int = 1, what: str = "block Gram", same=None
+    points, m: int, tol: float = DUPLICATE_POINT_TOL, point_rows: int = 1, what: str = "block Gram", same=None, full=False
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Validated (n, m) points and their pair_diffs differences, for a block
-    Gram (`what`) of point_rows rows per point, refused past the size caps
-    by _check_size. Two points closer than tol raise DuplicatePoints naming
-    the first such pair, i < j in row-major order; given `same`, an (n, k)
-    table of row keys, only points with equal keys count."""
+    """Validated (n, m) points and their pair_diffs differences (given full,
+    of all n^2 pairs), for a block Gram (`what`) of point_rows rows per point,
+    refused past the size caps by _check_size. Two points closer than tol
+    raise DuplicatePoints naming the first such pair, i < j in row-major
+    order; given `same`, an (n, k) table of row keys, only points with equal
+    keys count."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
@@ -408,7 +410,7 @@ def _check_points(
         raise InvalidPoint("points have non-finite entries")
     n = pts.shape[0]
     _check_size(n, m, point_rows, what)
-    diffs, sq = pair_diffs(pts)
+    diffs, sq = pair_diffs(pts, full)
     i, j = _close_pairs(sq, n, tol)
     if same is not None:
         hit = np.all(same[i] == same[j], axis=1)
@@ -424,21 +426,86 @@ def gram(kernel: OperatorKernel, points, tol: float = DUPLICATE_POINT_TOL) -> Bl
 
 
 def deriv_gram(kernel: OperatorKernel, points, q: int, tol: float = DUPLICATE_POINT_TOL) -> BlockGram:
-    """Assemble and symmetrize the block Gram at jet order q (2q <= cap) at
-    pairwise-distinct points, one row and column per (point, multi-index)
-    pair. At q = 0 only eval_diffs is needed, so any kernel-shaped object
-    works."""
+    """The Hermitian block Gram at jet order q (2q <= cap) at pairwise-distinct
+    points, one row and column per (point, multi-index) pair: at q = 0 built
+    from the upper triangle by _hermitian_gram, from eval_diffs alone, so any
+    kernel-shaped object works; at q >= 1 symmetrized from deriv_blocks."""
     q = int(q)
     if q < 0 or 2 * q > JET_ORDER_CAP:
         raise UnsupportedJet(f"need 0 <= 2q <= {JET_ORDER_CAP}, got q={q}")
     what = "derivative Gram" if q else "block Gram"
-    pts, diffs = _check_points(points, kernel.m, tol, math.comb(kernel.m + q, q) * kernel.ell, what)
-    n, idxs = pts.shape[0], multi_indices_up_to(kernel.m, q)
-    point, rank = np.divmod(np.arange(n * len(idxs)), len(idxs))
-    rows = (point, np.array(idxs)[rank])
-    # one chain, so the blocks are freed once the Gram is laid out
-    big = block_matrix(deriv_blocks(kernel, diffs.reshape(n, n, kernel.m), rows, rows))
-    return BlockGram(points=pts, ell=kernel.ell, q=q, multi_indices=idxs, matrix=HermitianMatrix(big))
+    pts, diffs = _check_points(points, kernel.m, tol, math.comb(kernel.m + q, q) * kernel.ell, what, full=q > 0)
+    idxs = multi_indices_up_to(kernel.m, q)
+    if q == 0:
+        matrix = HermitianMatrix.built(_hermitian_gram(kernel, pts, diffs))
+    else:
+        point, rank = np.divmod(np.arange(pts.shape[0] * len(idxs)), len(idxs))
+        rows = (point, np.array(idxs)[rank])
+        # one chain, so the blocks are freed once the Gram is laid out
+        matrix = HermitianMatrix(block_matrix(deriv_blocks(kernel, diffs, rows, rows)))
+    return BlockGram(points=pts, ell=kernel.ell, q=q, multi_indices=idxs, matrix=matrix)
+
+
+def _distinct(kernel, diffs: np.ndarray):
+    """unique_rows' (first, inverse) over the rows of a difference table when
+    at most half are distinct (a grid), else None. The key is exact: a radial
+    block is computed from the squared norm alone (as eval_diffs takes it),
+    any other from its own row; equal rows have equal squared norms."""
+    if diffs.shape[0] <= 64:
+        return None
+    with np.errstate(over="ignore"):
+        sq = (diffs * diffs).sum(axis=1)
+    half, ordered = diffs.shape[0] // 2, np.sort(sq)
+    if np.count_nonzero(ordered[1:] != ordered[:-1]) >= half:  # more than half the squared norms differ
+        return None
+    first, inverse = unique_rows(sq[:, None] if getattr(kernel, "kind", None) == "radial" else diffs)
+    return (first, inverse) if first.size <= half else None
+
+
+def _hermitian_gram(kernel, points: np.ndarray, diffs: np.ndarray) -> np.ndarray:
+    """The plain block Grams (..., n ell, n ell) at (..., n, m) points, bit for
+    bit hermitian_part of the full block table, from pair_diffs' differences:
+    _mirrored symmetrizes the blocks of the pairs i <= j (of one design, each
+    distinct row once), and each is written once, a block of pairs at a time."""
+    *lead, n, m = points.shape
+    ell, stack, flat = kernel.ell, math.prod(lead), diffs.reshape(-1, m)
+    first, inverse = (None if lead else _distinct(kernel, flat)) or (slice(None), None)
+    upper, lower = (h.reshape(stack, -1, ell, ell) for h in _mirrored(kernel, flat[first]))
+    out = np.empty((*lead, n * ell, n * ell), dtype=complex)
+    grid, design = out.reshape(stack, n, ell, n, ell), np.arange(stack)[:, None]
+    for pairs, i, j in _pair_blocks(n, ell * ell * stack):
+        take = pairs if inverse is None else inverse[pairs]
+        grid[design, i, :, j, :] = upper[:, take]
+        grid[design, j, :, i, :] = lower[:, take]
+    return out
+
+
+def _mirrored(kernel, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """hermitian_part's blocks (F + G^H)/2 and (G + F^H)/2 of the blocks F =
+    F(d) at differences d = x_i - x_j and their raw lower blocks G = F(x_j -
+    x_i), evaluated at 0.0 - d (x_j - x_i bit for bit but where +0.0 meets
+    -0.0; -d turns +0.0 into -0.0) with F. A radial G is F; a plane-wave G
+    is F^H but for the sign of an exact zero, so only its blocks holding one
+    (those at d = 0 among them) are evaluated, which halves the phases.
+    Blocks that are not finite raise InvalidMatrix."""
+    kind = getattr(kernel, "kind", None)
+    adjoint = kind == "plane_wave" and len(d) > 64  # fewer calls for a small batch to evaluate G with F
+    f = kernel.eval_diffs(d if kind == "radial" or adjoint else np.concatenate([d, 0.0 - d]))
+    if not np.isfinite(f).all():
+        raise InvalidMatrix("matrix has non-finite entries")
+    if kind == "radial":
+        h = hermitian_part(f)
+        return h, h
+    if adjoint:
+        g = np.conj(np.swapaxes(f, -1, -2))
+        redo = ~d.any(axis=-1) | np.any((g.real == 0.0) | (g.imag == 0.0), axis=(-2, -1))
+        if redo.any():  # a lone row goes next to its partner: alone, d @ xi rounds as a GEMV
+            back = 0.0 - d[redo]
+            g[redo] = kernel.eval_diffs(np.concatenate([back, d[redo]]) if len(back) == 1 else back)[: len(back)]
+        return hermitian_part(f, g), hermitian_part(g, f)
+    fg = f.reshape(2, -1, *f.shape[1:])
+    h = hermitian_part(fg, fg[::-1])
+    return h[0], h[1]
 
 
 def deriv_blocks(kernel, diffs: np.ndarray, rows, cols) -> np.ndarray:
@@ -447,15 +514,16 @@ def deriv_blocks(kernel, diffs: np.ndarray, rows, cols) -> np.ndarray:
     x_i - y_j; rows (i, alpha) and cols (j, beta) are each a pair (point
     indices (k,), multi-indices (k, m)). Multi-indices are nonnegative, so
     every alpha + beta is zero exactly when both tables are: then the
-    blocks come from eval_diffs, so kernels without jets work at order 0.
-    Otherwise one deriv_diffs call covers the sums of the distinct alphas
-    and betas, and a kernel without jets raises UnsupportedJet. Not
-    symmetrized."""
+    blocks come from eval_diffs (each distinct row once, _distinct), so
+    kernels without jets work at order 0. Otherwise one deriv_diffs call
+    covers the sums of the distinct alphas and betas, and a kernel without
+    jets raises UnsupportedJet. Not symmetrized."""
     (pr, alphas), (pc, betas) = rows, cols
     nx, ny, m = diffs.shape
     diffs, ell = diffs.reshape(nx * ny, m), kernel.ell
     if not (np.count_nonzero(alphas) or np.count_nonzero(betas)):
-        blocks = kernel.eval_diffs(diffs).reshape(nx, ny, ell, ell)
+        first, inverse = _distinct(kernel, diffs) or (slice(None), slice(None))
+        blocks = kernel.eval_diffs(diffs[first])[inverse].reshape(nx, ny, ell, ell)
         if _in_order(pr, nx) and _in_order(pc, ny):
             return blocks
         return blocks[pr[:, None], pc[None, :]]

@@ -29,7 +29,8 @@ a block of frequencies at a time, so it also checks the kernel values.
 For radial and other kernels it pairs rkhs_deriv_eval of the embedded
 function against the measure, one batched evaluation per run of atoms with
 one alpha, from the raw unsymmetrized blocks of kernel.deriv_blocks in its
-own summation order: that checks the Gram's layout, not the kernel values.
+own summation order: that checks the Gram's assembly (at q = 0 another
+assembler's), not the kernel values.
 Measures with the same atom points (the radial-bump demo's mixed and
 reference measures) share one Gram, and one frequency-side pass for plane
 waves; each measure's two routes stay independent.
@@ -60,7 +61,7 @@ from .errors import (
 )
 from .hermitian import Frozen, HermitianMatrix, _frobenius, cholesky_psd, solve_cholesky
 from .kernel import (
-    _PHASE_BLOCK_ENTRIES,
+    _BLOCK_ENTRIES,
     DUPLICATE_POINT_TOL,
     OperatorKernel,
     _check_points,
@@ -231,8 +232,7 @@ def quadratic_form_detail(kernel: OperatorKernel, etas) -> tuple[QuadraticFormDe
     starts, component = unique_rows(alphas, in_order=True)
     bounds = [*starts.tolist(), len(alphas)]
     runs = [(tuple(alphas[lo].tolist()), lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    dg = deriv_gram(kernel, pts, q)
-    mat = dg.matrix.entries
+    mat = deriv_gram(kernel, pts, q).matrix.entries
     # listed once deriv_gram has refused a Gram past the row cap
     idxs = multi_indices_up_to(kernel.m, q)
     na = len(idxs)
@@ -242,6 +242,16 @@ def quadratic_form_detail(kernel: OperatorKernel, etas) -> tuple[QuadraticFormDe
     # every (point, multi-index) slot holds at most one atom vector
     slot = atom_point * na + np.array([rank[alpha] for alpha, _, _ in runs])[component]
 
+    # route 1: w^H M w against the derivative block Gram, one matrix-vector
+    # product per measure; the Gram is released before route 2
+    q1s = []
+    for eta in etas:
+        w = np.zeros(n * na * ell, dtype=complex)
+        w[slot[:, None] * ell + np.arange(ell)] += eta.vectors
+        with np.errstate(over="ignore", invalid="ignore"):
+            q1s.append(complex(np.vdot(w, mat @ w)))
+    del mat
+
     # a form that overflows is refused below, by the stage it overflows in
     with np.errstate(over="ignore", invalid="ignore"):
         if kernel.kind == "plane_wave":
@@ -250,7 +260,7 @@ def quadratic_form_detail(kernel: OperatorKernel, etas) -> tuple[QuadraticFormDe
             # route 2: embed, then pair the function against the measure, one
             # batched evaluation per run of atoms with one alpha. Uses raw
             # unsymmetrized kernel blocks and a different summation order, and
-            # never reads `mat`, so agreement cross-checks the Gram assembly.
+            # never reads the Gram, so agreement cross-checks its assembly.
             q2c = [0j] * len(etas)
             for e, eta in enumerate(etas):
                 f = RkhsElement(kernel, alphas, allpts, eta.vectors)
@@ -259,17 +269,10 @@ def quadratic_form_detail(kernel: OperatorKernel, etas) -> tuple[QuadraticFormDe
                     q2c[e] += complex(np.sum(np.conj(eta.vectors[lo:hi]) * values))
 
     details = []
-    for eta, z2 in zip(etas, q2c):
-        w = np.zeros(n * na * ell, dtype=complex)
-        w[slot[:, None] * ell + np.arange(ell)] += eta.vectors
+    for eta, q1c, z2 in zip(etas, q1s, q2c):
         sum_v2 = 0.0  # per-atom vdot: a stacked |v|^2 rounds differently for ell > 1
         for v in eta.vectors:
             sum_v2 += float(np.vdot(v, v).real)
-
-        # route 1: w^H M w against the derivative block Gram, one
-        # matrix-vector product per measure
-        with np.errstate(over="ignore", invalid="ignore"):
-            q1c = complex(np.vdot(w, mat @ w))
         q1, q2 = q1c.real, z2.real
         scale = max(1.0, sum_v2 * max(1.0, diag_max))
         stages = [name for name, x in (("gram route", q1c), ("pairing route", q2), ("scale", scale))
@@ -300,7 +303,7 @@ def _frequency_route(kernel: OperatorKernel, etas, pts: np.ndarray, atom_point: 
     alphas = etas[0].alphas
     values = [0j] * len(etas)
     # a block of frequencies at a time, so no (atoms x frequencies) table is built
-    step = max(1, _PHASE_BLOCK_ENTRIES // len(atom_point))
+    step = max(1, _BLOCK_ENTRIES // len(atom_point))
     for lo in range(0, xis.shape[0], step):
         freqs = xis[lo : lo + step]
         with np.errstate(over="ignore", invalid="ignore"):
@@ -382,14 +385,14 @@ def interpolate(
         if len(alps) != len(points):
             raise InvalidVector(f"got {len(alps)} multi-indices for {len(points)} points")
         size_what = solve_what = "derivative Gram"
-    pts, diffs = _check_points(points, m, tol, ell, size_what, alps)
+    pts, diffs = _check_points(points, m, tol, ell, size_what, alps, full=True)
     n = pts.shape[0]
     alps = np.zeros((n, m), dtype=int) if alps is None else alps
     t = np.asarray(targets, dtype=complex)
     if t.shape != (n, ell):
         raise InvalidVector(f"targets must have shape ({n}, {ell}), got {t.shape}")
     rows = (np.arange(n), alps)
-    mat = HermitianMatrix(block_matrix(deriv_blocks(kernel, diffs.reshape(n, n, m), rows, rows)))
+    mat = HermitianMatrix(block_matrix(deriv_blocks(kernel, diffs, rows, rows)))
     del diffs  # not held through the solve
     c, residual, ridge = _ridge_solve(mat, t.reshape(n * ell), ell, ridge, solve_what)
     element = RkhsElement(kernel=kernel, alphas=alps, points=pts, vectors=c.reshape(n, ell))

@@ -5,9 +5,21 @@ import math
 import numpy as np
 
 from opkernel.errors import UnsupportedJet
-from opkernel.kernel import OperatorKernel, kernel_deriv_eval
+from opkernel.hermitian import hermitian_part
+from opkernel.kernel import OperatorKernel, block_matrix, deriv_blocks, kernel_deriv_eval
 from opkernel.measures import unique_rows
 from opkernel.profiles import JET_ORDER_CAP, MultiIndex, validate_multi_index
+
+
+def full_table_gram(kernel, points: np.ndarray) -> np.ndarray:
+    """The plain block Gram of kernel at (n, m) points as it was assembled
+    before it was built from its upper triangle: every block of the n^2
+    pair table from deriv_blocks at order 0, laid out by block_matrix, then
+    symmetrized as a whole by hermitian_part."""
+    rows = (np.arange(len(points)), np.zeros(points.shape, dtype=int))
+    with np.errstate(over="ignore"):
+        diffs = points[:, None, :] - points[None, :, :]
+    return hermitian_part(block_matrix(deriv_blocks(kernel, diffs, rows, rows)))
 
 
 def conj_blocks(k, alphas: np.ndarray, points: np.ndarray, beta: MultiIndex, ys: np.ndarray) -> np.ndarray:

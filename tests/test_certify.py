@@ -31,7 +31,7 @@ from opkernel.hermitian import HermitianMatrix, eigen_hermitian, psd_margin
 from opkernel.kernel import (
     DUPLICATE_POINT_TOL,
     PlaneWaveMeasure,
-    deriv_blocks,
+    _hermitian_gram,
     gram,
     kernel_eval,
     pair_diffs,
@@ -121,30 +121,38 @@ def test_seeded_design_floor_never_drops_below_the_duplicate_tolerance():
 
 
 def _count_passes(monkeypatch):
-    """Record the stack shape of every pair_diffs call and the difference
-    table of every deriv_blocks call, wherever they are reachable."""
+    """Record the stack shape of every pair_diffs call, and the difference
+    table of every plain-Gram assembly followed by the rows of each kernel
+    evaluation, wherever they are reachable."""
     calls, blocks = [], []
+    evaluate = kernel_module.OperatorKernel.eval_diffs
 
     def counted(points):
         calls.append(points.shape)
         return pair_diffs(points)
 
-    def counted_blocks(kernel, diffs, rows, cols):
+    def counted_gram(kernel, points, diffs):
         blocks.append(diffs.shape)
-        return deriv_blocks(kernel, diffs, rows, cols)
+        return _hermitian_gram(kernel, points, diffs)
+
+    def counted_eval(self, diffs):
+        blocks.append(("eval", len(diffs)))
+        return evaluate(self, diffs)
 
     for module in (kernel_module, certify):
         if getattr(module, "pair_diffs", None) is pair_diffs:
             monkeypatch.setattr(module, "pair_diffs", counted)
-        if getattr(module, "deriv_blocks", None) is deriv_blocks:
-            monkeypatch.setattr(module, "deriv_blocks", counted_blocks)
+        if getattr(module, "_hermitian_gram", None) is _hermitian_gram:
+            monkeypatch.setattr(module, "_hermitian_gram", counted_gram)
+    monkeypatch.setattr(kernel_module.OperatorKernel, "eval_diffs", counted_eval)
     return calls, blocks
 
 
 def test_probe_takes_one_stacked_pairwise_pass_and_one_evaluation_per_chunk(monkeypatch):
     """A chunk whose designs are all accepted at their first draw costs one
-    stacked pair_diffs call and one deriv_blocks call on the (k * n, n, m)
-    table of their differences."""
+    stacked pair_diffs call over the pairs i <= j and one assembly of the
+    (k, n (n + 1) / 2, m) table of their differences, with one kernel
+    evaluation of all its rows."""
     n, trials, box = 3, 6, 2.0
     for t in range(trials):  # every trial's first draw is separated
         rng = np.random.default_rng(np.random.SeedSequence([0, t]))
@@ -153,13 +161,14 @@ def test_probe_takes_one_stacked_pairwise_pass_and_one_evaluation_per_chunk(monk
     calls, blocks = _count_passes(monkeypatch)
     probe_strict_pd(STRICT_K, n=n, trials=trials, seed=0, box=box)
     assert calls == [(trials, n, 2)]
-    assert blocks == [(trials * n, n, 2)]
+    assert blocks == [(trials, 6, 2), ("eval", trials * 6)]
 
 
 def test_redrawn_designs_take_flat_passes_and_the_chunk_one_evaluation(monkeypatch):
     """The 1-D gaussian line at n = 16, seed 3: each redrawn design takes a
     flat pairwise pass per redraw, and the whole chunk, redrawn designs
-    included, one deriv_blocks call on the (32 * n, n, 1) table."""
+    included, one assembly of the (32, 136, 1) table and one kernel
+    evaluation."""
     kernel, n = ORACLE_KERNELS["gaussian_line"]
     draws = [_draws(1, n, (3, t)) for t in range(32)]
     redrawn = [k for k in draws if k > 1]
@@ -167,7 +176,7 @@ def test_redrawn_designs_take_flat_passes_and_the_chunk_one_evaluation(monkeypat
     calls, blocks = _count_passes(monkeypatch)
     probe_strict_pd(kernel, n=n, trials=32, seed=3)
     assert calls == [(32, n, 1)] + [(n, 1)] * sum(k - 1 for k in redrawn)
-    assert blocks == [(32 * n, n, 1)]
+    assert blocks == [(32, 136, 1), ("eval", 32 * 136)]
 
 
 def _drawn_states(m, n, seed_parts, draws, box=2.0):
@@ -185,8 +194,8 @@ def test_a_design_that_never_separates_after_earlier_ones_ends_the_chunk_unevalu
     first draws and flat passes for the redraws of designs 0 and 1 only (63
     of them design 1's), and raises unevaluated; designs 2 to 5 are never
     redrawn. The probe then replays one trial per chunk: trial 0 takes its
-    stacked pass, its 39 redraws and its one evaluation, and trial 1 its
-    stacked pass and 63 redraws, which raise."""
+    stacked pass, its 39 redraws and its one assembly and evaluation, and
+    trial 1 its stacked pass and 63 redraws, which raise."""
     kernel, n = _scalar_gaussian(1), 30
     assert [_draws(1, n, (0, t)) for t in range(2)] == [40, None] and _per(kernel, n) >= 6
     rngs = _rngs(0, range(6))
@@ -201,7 +210,7 @@ def test_a_design_that_never_separates_after_earlier_ones_ends_the_chunk_unevalu
     with pytest.raises(InvalidParameter, match="could not draw a separated design"):
         probe_strict_pd(kernel, n=n, trials=6, seed=0)
     assert calls == stacked + [(1, n, 1)] + [(n, 1)] * 39 + [(1, n, 1)] + [(n, 1)] * 63
-    assert blocks == [(n, n, 1)]
+    assert blocks == [(1, 465, 1), ("eval", 465)]
 
 
 def test_a_design_that_never_separates_ends_its_chunk_without_redrawing_later_ones(monkeypatch):
@@ -238,7 +247,7 @@ def test_shifted_pair_gram_blocks_are_the_eval_diffs_blocks(w, seed):
     kernel = ShiftedPairKernel(w)
     points, g = _one_design(kernel, 6, (seed, 0), 2.0)
     blocks = g.reshape(6, 2, 6, 2).transpose(0, 2, 1, 3).reshape(36, 2, 2)
-    assert np.array_equal(blocks, kernel.eval_diffs(pair_diffs(points)[0]))
+    assert np.array_equal(blocks, kernel.eval_diffs((points[:, None, :] - points[None, :, :]).reshape(36, -1)))
 
 
 # ---------------------------------------------------------------- shifted pair

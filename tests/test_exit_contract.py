@@ -262,9 +262,13 @@ def test_integers_past_every_cap_are_refused_before_allocation(field, which):
 # pairwise differences and the 1024-row Gram's eigensolve.
 PROBE_AT_CAPS_ADDRESS_SPACE = 2**30
 # Address space of the bump demo at its atom cap (grid 2048 at box 1.998,
-# MAX_BUMP_ATOMS = 1024 atoms): VmPeak near 280 MB at one BLAS thread, in
-# the 2048-row Gram assembly; under 250 MiB it runs out of memory.
+# MAX_BUMP_ATOMS = 1024 atoms): VmPeak near 226 MiB at one BLAS thread (274
+# MiB while its Gram was assembled from the full block table), and about 166
+# MiB before it allocates its 64 MiB Gram; importing numpy and the package
+# takes about 100 MiB.
 BUMP_AT_CAP_ADDRESS_SPACE = 2**29
+# Below the demo's need and well above the import's: the Gram's allocation fails.
+BUMP_OUT_OF_MEMORY_ADDRESS_SPACE = 192 * 2**20
 
 
 def _run_in_address_space(limit, argv):
@@ -308,6 +312,16 @@ def test_bump_demo_at_the_atom_cap_runs_in_bounded_address_space():
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)["result"]
     assert proc.stderr == "" and result["params"]["grid_n"] == 2048 and result["reproduced"] is True
+
+
+def test_bump_demo_out_of_memory_is_a_numerical_failure():
+    """The same demo under a limit below its need exits 4 with one line
+    naming the allocation that failed, and writes no report."""
+    argv = ["demo", "radial-bump", "--grid-n", "2048", "--box", "1.998"]
+    proc = _run_in_address_space(BUMP_OUT_OF_MEMORY_ADDRESS_SPACE, argv)
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stdout == "" and len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("numerical failure: out of memory: Unable to allocate ")
 
 
 @pytest.mark.parametrize("field", sorted(INTEGER_FIELDS))

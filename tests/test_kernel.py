@@ -7,17 +7,18 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from opkernel import kernel as kernel_module, schema
-from opkernel.certify import ShiftedPairKernel
+from opkernel.certify import ShiftedPairKernel, _seeded_design
 from opkernel.errors import (
     DuplicatePoints,
     InvalidMeasure,
     NotRadial,
+    OpKernelError,
     UnsupportedJet,
 )
-from opkernel.hermitian import HermitianMatrix, eigen_hermitian, psd_margin
+from opkernel.hermitian import HermitianMatrix, eigen_hermitian, hermitian_part, psd_margin
 from opkernel.kernel import (
     BlockGram,
     OperatorKernel,
@@ -38,7 +39,7 @@ from opkernel.kernel import (
 from opkernel.measures import OperatorMeasure
 from opkernel.profiles import RadialProfile, multi_indices_up_to, profile_value
 
-from kernel_oracles import deriv_diag_identity_check
+from kernel_oracles import deriv_diag_identity_check, full_table_gram
 
 GAUSS_12 = radial_kernel(
     RadialProfile.gaussian(), OperatorMeasure(2, [(1.0, np.diag([1.0, 2.0]))]), 1
@@ -105,12 +106,20 @@ def test_plane_wave_measure_rejects_indefinite():
 # ---------------------------------------------------------------- eval_diffs dedup
 
 
+def _table_blocks(kernel, diffs):
+    """The blocks of a table of difference rows as deriv_blocks takes them at
+    order 0: each distinct row evaluated once (kernel._distinct) and
+    scattered back."""
+    rows = (np.arange(len(diffs)), np.zeros(diffs.shape, dtype=int))
+    return deriv_blocks(kernel, diffs[:, None, :], rows, (np.arange(1), np.zeros((1, kernel.m), dtype=int)))[:, 0]
+
+
 def test_eval_diffs_dedup_is_bitwise_exact():
     rng = np.random.default_rng(11)
     distinct = rng.normal(size=(10, 1))
     tiled = np.tile(distinct, (20, 1))  # 200 rows, 10 unique -> dedup path
     k = random_gaussian_kernel(rng, 2, 1, 3)
-    batched = k.eval_diffs(tiled)
+    batched = _table_blocks(k, tiled)
     for i in range(200):
         single = k.eval_diffs(tiled[i : i + 1])[0]  # 1 row: plain path
         assert np.array_equal(batched[i], single)
@@ -147,7 +156,7 @@ def test_eval_diffs_dedup_matches_row_by_row(family, m, design):
         pts = np.random.default_rng(7).uniform(-2.0, 2.0, size=(14, m))
     diffs = (pts[:, None, :] - pts[None, :, :]).reshape(-1, m)
     k = _dedup_kernel(family, m)
-    batched = k.eval_diffs(diffs)
+    batched = _table_blocks(k, diffs)
     # each row is evaluated next to the farthest difference, as two rows
     # (too few to de-duplicate): a one-row plane-wave product takes another
     # BLAS path
@@ -226,8 +235,10 @@ def test_check_points_matches_pairwise_loop(m, n, box, planted, seed):
         assert str(info.value) == str(exc)
     else:
         checked, diffs = _check_points(pts, m)
-        assert np.array_equal(checked, pts)
-        assert np.array_equal(diffs, (pts[:, None, :] - pts[None, :, :]).reshape(n * n, m))
+        i, j = np.triu_indices(n)  # the pairs i <= j in row-major order
+        assert np.array_equal(checked, pts) and np.array_equal(diffs, pts[i] - pts[j])
+        checked, diffs = _check_points(pts, m, full=True)
+        assert np.array_equal(checked, pts) and np.array_equal(diffs, pts[:, None, :] - pts[None, :, :])
 
 
 def test_check_points_names_first_pair_in_row_major_order():
@@ -513,7 +524,7 @@ def test_deriv_blocks_match_the_tuple_sums(m, q):
     every row; and for rows and columns that differ."""
     rng = np.random.default_rng(40 + m)
     pts = rng.uniform(-1.0, 1.0, size=(4, m))
-    diffs = pair_diffs(pts)[0]
+    diffs = (pts[:, None, :] - pts[None, :, :]).reshape(-1, m)
     idxs = multi_indices_up_to(m, q)
     full = [(mu, alpha) for mu in range(4) for alpha in idxs]
     shuffled = [full[i] for i in rng.permutation(len(full))[: len(full) // 2]]
@@ -534,7 +545,7 @@ def test_deriv_gram_matches_the_oracle_rows():
     pts = rng.uniform(-1.0, 1.0, size=(3, 2))
     dg = deriv_gram(k, pts, q=2)
     rows = [(mu, alpha) for mu in range(3) for alpha in dg.multi_indices]
-    expected = HermitianMatrix(_deriv_blocks_oracle(k, pair_diffs(pts)[0], rows)).entries
+    expected = HermitianMatrix(_deriv_blocks_oracle(k, (pts[:, None, :] - pts[None, :, :]).reshape(-1, 2), rows)).entries
     assert dg.matrix.entries.tobytes() == expected.tobytes()
 
 
@@ -551,12 +562,13 @@ def test_deriv_blocks_memory_before_kernel_values(monkeypatch):
 
     monkeypatch.setattr(OperatorKernel, "deriv_diffs", stop)
     k = random_gaussian_kernel(np.random.default_rng(1), 1, 1, 1)
-    diffs = pair_diffs(np.arange(1024.0)[:, None])[0]
+    pts = np.arange(1024.0)[:, None]
+    diffs = pts[:, None, :] - pts[None, :, :]
     p, alphas = np.repeat(np.arange(1024), 2), np.tile([[0], [1]], (1024, 1))
     tracemalloc.start()
     try:
         with pytest.raises(Reached) as info:
-            deriv_blocks(k, diffs.reshape(1024, 1024, 1), (p, alphas), (p, alphas))
+            deriv_blocks(k, diffs, (p, alphas), (p, alphas))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -744,33 +756,45 @@ def _plane_wave_measures(rng, m):
     return generic + [real, constant]
 
 
+def _direct_mirrored(measure, diffs):
+    """hermitian_part's upper and lower blocks of each row d from direct
+    evaluations: F at d and G at 0.0 - d."""
+    f, g = _direct_plane_wave(measure, diffs), _direct_plane_wave(measure, 0.0 - diffs)
+    return hermitian_part(f, g), hermitian_part(g, f)
+
+
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_plane_wave_eval_diffs_mirrors_pairs_bitwise(m):
-    """eval_diffs evaluates one row of each +-d pair and mirrors the other
-    (above the 64-row de-dup threshold); every block must carry the bits of
-    its own direct evaluation, signed zeros included."""
+    """A table of +-d rows, de-duplicated above 64 rows, gives every block
+    the bits of its own direct evaluation, and the plain Gram's mirror of
+    each block (above 64 rows its adjoint, re-evaluated at 0.0 - d where it
+    holds an exact zero or d = 0; else evaluated at 0.0 - d with it) gives
+    the symmetrized blocks of direct evaluations at d and at 0.0 - d,
+    signed zeros included."""
     rng = np.random.default_rng(100 + m)
     for measure in _plane_wave_measures(rng, m):
         k = plane_wave_kernel(measure)
         for nrows in (40, 64, 65, 300):
             diffs = _pair_rows(rng, m, 12, nrows)
-            assert _same_bits(k.eval_diffs(diffs), _direct_plane_wave(measure, diffs))
+            assert _same_bits(_table_blocks(k, diffs), _direct_plane_wave(measure, diffs))
+            for got, want in zip(kernel_module._mirrored(k, diffs), _direct_mirrored(measure, diffs)):
+                assert _same_bits(got, want)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_plane_wave_eval_diffs_in_row_blocks_bitwise(monkeypatch, m):
     """With a small phase block the rows are evaluated a few at a time (40
     rows at 3 per block leave one row, which joins the block before it),
-    on the direct path and on the mirrored one with its re-evaluated
+    on the de-duplicated table and in the mirror with its re-evaluated
     blocks, still bit for bit the one-shot product."""
-    monkeypatch.setattr(kernel_module, "_PHASE_BLOCK_ENTRIES", 15)
+    monkeypatch.setattr(kernel_module, "_BLOCK_ENTRIES", 15)
     test_plane_wave_eval_diffs_mirrors_pairs_bitwise(m)
 
 
 def test_phase_row_blocks_never_hold_one_row(monkeypatch):
     """A one-row block would round d @ xi as a GEMV; a one-row remainder
     joins the block before it, and only a one-row batch is one row."""
-    monkeypatch.setattr(kernel_module, "_PHASE_BLOCK_ENTRIES", 6)
+    monkeypatch.setattr(kernel_module, "_BLOCK_ENTRIES", 6)
     sizes = {n: [b.stop - b.start for b in kernel_module._row_blocks(n, 3)] for n in (1, 2, 3, 6, 7)}
     assert sizes == {1: [1], 2: [2], 3: [3], 6: [2, 2, 2], 7: [2, 2, 3]}
     assert [b.stop - b.start for b in kernel_module._row_blocks(5, 0)] == [5]
@@ -785,25 +809,31 @@ def _diagonal_measure(rng, m, natoms=64):
 
 
 def test_plane_wave_eval_diffs_single_pair_batch():
-    """A large batch holding only d and -d has one canonical row; it is still
-    evaluated as a batch of two or more rows, which round d @ xi like every
-    other batch."""
+    """A large table holding only d and -d has two distinct rows; they are
+    evaluated as a batch of two rows, which round d @ xi like every other
+    batch."""
     rng = np.random.default_rng(7)
     measure = _plane_wave_measures(rng, 3)[1]
     for d in rng.normal(size=(20, 3)):
         diffs = np.tile([d, -d], (50, 1))
-        assert _same_bits(plane_wave_kernel(measure).eval_diffs(diffs), _direct_plane_wave(measure, diffs))
+        assert _same_bits(_table_blocks(plane_wave_kernel(measure), diffs), _direct_plane_wave(measure, diffs))
 
 
-def test_plane_wave_eval_diffs_redoes_one_mirrored_block_in_a_batch():
-    """One mirrored block with a zero part is re-evaluated as a batch row too."""
+def test_plane_wave_eval_diffs_redoes_one_mirrored_block_in_a_batch(monkeypatch):
+    """A mirror of 70 rows takes adjoints, and its one block to re-evaluate
+    (the zero row's) is evaluated next to its partner, as a batch row of
+    two: alone, d @ xi would round as a GEMV. With diagonal G every block
+    holds exact zeros and is re-evaluated."""
     rng = np.random.default_rng(9)
-    measure = _diagonal_measure(rng, 3)
-    for _ in range(20):
-        base = rng.normal(size=(10, 3))
-        base[:, 0] = np.abs(base[:, 0])
-        diffs = np.repeat(np.vstack([base, -base[:1]]), 7, axis=0)
-        assert _same_bits(plane_wave_kernel(measure).eval_diffs(diffs), _direct_plane_wave(measure, diffs))
+    calls, evaluate = [], OperatorKernel.eval_diffs
+    monkeypatch.setattr(OperatorKernel, "eval_diffs", lambda self, d: calls.append(len(d)) or evaluate(self, d))
+    for measure, redone in ((_plane_wave_measures(rng, 3)[1], 2), (_diagonal_measure(rng, 3), 70)):
+        for _ in range(10):
+            diffs = np.vstack([np.zeros(3), rng.normal(size=(69, 3))])
+            calls.clear()
+            got = kernel_module._mirrored(plane_wave_kernel(measure), diffs)
+            assert calls == [70, redone]
+            assert all(_same_bits(a, b) for a, b in zip(got, _direct_mirrored(measure, diffs)))
 
 
 def test_plane_wave_eval_diffs_row_by_row_m1():
@@ -815,3 +845,121 @@ def test_plane_wave_eval_diffs_row_by_row_m1():
         diffs = _pair_rows(rng, 1, 12, 300)
         rows = np.stack([k.eval_diffs(d[None, :])[0] for d in diffs])
         assert _same_bits(k.eval_diffs(diffs), rows)
+
+
+# ---------------------------------------------------------------- plain Grams from the upper triangle
+
+
+class _SignedPhaseKernel:
+    """A kernel-shaped plane wave e^{-i d_1} on R^m whose phase is the first
+    coordinate itself, not a product summed from +0.0 (as BLAS and np.sum
+    start), so the sign of an exact zero in a difference reaches its block;
+    of kind "plane_wave" or of none."""
+
+    def __init__(self, m, kind):
+        self.m, self.ell, self.kind = m, 1, kind
+
+    def eval_diffs(self, diffs):
+        return np.exp(-1j * np.asarray(diffs)[:, 0])[:, None, None]
+
+
+def _triangle_kernel(family, m, ell, complex_g, big, rng):
+    """A kernel for the full-table oracle: radial atoms at scales 0, 0.7 and
+    1.6 with real or complex G; plane waves at frequencies in {-1, 0, 1}^m
+    with diagonal G when real, so blocks hold exact zeros; the shifted pair;
+    or the signed-zero phase, mirrored as a plane wave or evaluated. With big, one atom whose G has an entry 9e307
+    (and a finite trace), so the Gram's halved sums take the overflow branch."""
+    if family == "shifted_pair":
+        return ShiftedPairKernel(rng.integers(-2, 3, size=m) / 2.0 + 0.25)
+    if family.startswith("signed_"):
+        return _SignedPhaseKernel(m, "plane_wave" if family == "signed_plane_wave" else None)
+
+    def weight():
+        if big:
+            g = np.diag([9e307] + [1.0] * (ell - 1)).astype(complex)
+            g[0, 1:] = 1e150 * (0.6 + 0.8j if complex_g else 1.0)
+            return g + np.triu(g, 1).conj().T
+        b = rng.normal(size=(ell, ell)) + (1j * rng.normal(size=(ell, ell)) if complex_g else 0.0)
+        return np.diag(rng.uniform(0.5, 2.0, size=ell)) if family == "plane_wave" and not complex_g else b.conj().T @ b
+
+    if family == "plane_wave":
+        atoms = [(rng.integers(-1, 2, size=m).astype(float), weight()) for _ in range(1 if big else 3)]
+        return plane_wave_kernel(PlaneWaveMeasure(ell, m, atoms))
+    profile = {"gaussian": RadialProfile.gaussian(), "askey": RadialProfile.askey(m + 2), "omega": RadialProfile.omega(3)}
+    return radial_kernel(profile[family], OperatorMeasure(ell, [(w, weight()) for w in ([0.7] if big else [0.0, 0.7, 1.6])]), m)
+
+
+def _triangle_points(design, n, m, rng):
+    """n points in R^m: a grid in lexicographic order (its points share
+    coordinates and its differences repeat), the grid shuffled, or random."""
+    if design == "random":
+        return rng.uniform(-2.0, 2.0, size=(n, m))
+    side = math.ceil(n ** (1.0 / m))
+    grid = np.stack(np.meshgrid(*[np.arange(side) * 0.75] * m, indexing="ij"), axis=-1).reshape(-1, m)[:n]
+    return grid[rng.permutation(n)] if design == "shuffled" else grid
+
+
+def _int64_outcome(build):
+    """The int64 view of a built Gram, which tells -0.0 from 0.0, or the
+    class and message of the error building it raised."""
+    try:
+        return build().view(np.int64).tobytes()
+    except OpKernelError as exc:
+        return type(exc), str(exc)
+
+
+@given(
+    family=st.sampled_from(
+        ["gaussian", "askey", "omega", "plane_wave", "shifted_pair", "signed_phase", "signed_plane_wave"]
+    ),
+    m=st.integers(1, 3),
+    ell=st.integers(1, 3),
+    complex_g=st.booleans(),
+    big=st.booleans(),
+    design=st.sampled_from(["sorted", "shuffled", "random"]),
+    n=st.integers(1, 20),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+# past 64 distinct rows the plane-wave mirror takes adjoints and re-evaluates
+# blocks holding an exact zero, the diagonal's among them
+@example(family="signed_plane_wave", m=3, ell=1, complex_g=False, big=False, design="shuffled", n=11, seed=0)
+@example(family="plane_wave", m=2, ell=2, complex_g=False, big=False, design="random", n=16, seed=1)
+@example(family="plane_wave", m=3, ell=3, complex_g=True, big=True, design="shuffled", n=20, seed=2)
+def test_plain_grams_are_the_full_table_assembly_bit_for_bit(family, m, ell, complex_g, big, design, n, seed):
+    """gram, a stack of probe designs and the shifted-gaussian demo's design
+    give, as int64 views, the Grams that the full n^2 block table gives once
+    laid out and symmetrized (kernel_oracles.full_table_gram), or the same
+    error: radial families at ell 1-3 with real or complex G and a scale-0
+    atom, plane waves whose blocks hold exact zeros, the shifted pair, a
+    phase that keeps the sign of a zero; grids sorted and shuffled
+    (de-duplicated above 64 pairs) and random points; entries near 9e307."""
+    rng = np.random.default_rng(seed)
+    kernel = _triangle_kernel(family, m, ell, complex_g, big, rng)
+    pts = _triangle_points(design, n, m, rng)
+    assert _int64_outcome(lambda: gram(kernel, pts).matrix.entries) == _int64_outcome(lambda: full_table_gram(kernel, pts))
+    size = 6 if family == "shifted_pair" else 2 + n % 5  # the shifted-gaussian demo draws 6 points
+    rngs = [np.random.default_rng(np.random.SeedSequence([seed, t])) for t in range(1 + n % 3)]
+    points, grams = _seeded_design(kernel, size, rngs, 2.0)
+    for p, g in zip(points, grams):
+        assert g.view(np.int64).tobytes() == _int64_outcome(lambda: full_table_gram(kernel, p))
+
+
+def test_plain_gram_at_the_bump_atom_cap_holds_little_beyond_its_matrix():
+    """deriv_gram at q = 0 on the radial-bump design at its atom cap (the
+    1024 points |x| < 1 of a 2048-point grid over [-1.998, 1.998], a
+    2048-row plane-wave Gram of 64 MiB) peaks at no more than 1.25 times its
+    matrix: no n^2-block table, layout copy or symmetrized copy is made."""
+    x = np.linspace(-1.998, 1.998, 2048)
+    xis = np.linspace(-32.0, 32.0, 2048)[:, None]
+    u = np.random.default_rng(0).normal(size=(2048, 2))
+    kernel = plane_wave_kernel(PlaneWaveMeasure(2, 1, xis=xis, gs=u[:, :, None] * u[:, None, :]))
+    pts = x[np.abs(x) < 1.0][:, None]
+    tracemalloc.start()
+    try:
+        g = deriv_gram(kernel, pts, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.matrix.entries.nbytes == 64 * 2**20
+    assert peak <= 1.25 * g.matrix.entries.nbytes, peak / 2**20

@@ -677,7 +677,7 @@ def test_frequency_route_agrees_without_kernel_blocks(monkeypatch, m, q, shift):
 
     def gram_then_refuse(k, pts, q):
         g = real(k, pts, q)
-        for name in ("eval_diffs", "deriv_diffs", "_plane_wave_pairs"):
+        for name in ("eval_diffs", "deriv_diffs"):
             monkeypatch.setattr(OperatorKernel, name, refuse)
         monkeypatch.setattr(kernel_module, "_phases", refuse)
         return g
@@ -693,7 +693,7 @@ def test_frequency_route_agrees_without_kernel_blocks(monkeypatch, m, q, shift):
 def test_frequency_route_over_blocks_of_one_frequency(monkeypatch, m, q):
     """Route 2 summed one frequency at a time, derivative atoms included:
     the same agreement as in one block."""
-    monkeypatch.setattr(rkhs_module, "_PHASE_BLOCK_ENTRIES", 1)
+    monkeypatch.setattr(rkhs_module, "_BLOCK_ENTRIES", 1)
     test_frequency_route_agrees_without_kernel_blocks(monkeypatch, m, q, 1e6)
 
 
@@ -709,8 +709,8 @@ def test_frequency_route_catches_a_wrong_kernel_value(monkeypatch, mutation, q):
         phases = kernel_module._phases
         monkeypatch.setattr(kernel_module, "_phases", lambda diffs, xis: phases(diffs, xis) * np.exp(-0.5j * diffs[:, :1]))
     else:
-        blocks = OperatorKernel._blocks
-        monkeypatch.setattr(OperatorKernel, "_blocks", lambda self, *args: 1.7 * blocks(self, *args))
+        blocks = OperatorKernel.eval_diffs
+        monkeypatch.setattr(OperatorKernel, "eval_diffs", lambda self, diffs: 1.7 * blocks(self, diffs))
     with pytest.raises(NumericalFailure, match="routes disagree"):
         quadratic_form_detail(kernel, [eta])
 
