@@ -1,11 +1,11 @@
 """Dense Hermitian linear algebra for small complex matrices.
 
-HermitianMatrix symmetrizes matrices from outside on construction and wraps
-a plain block Gram, Hermitian by construction, as it is, so downstream code
-never re-checks adjoint symmetry. Matrices stay at desk scale (block Grams
-of at most kernel.MAX_GRAM_ROWS = 2048 rows), so plain dense algorithms are
-fine. The checked eigensolver also works over stacks of matrices, so a
-measure's atoms are validated with one call.
+HermitianMatrix symmetrizes other matrices on construction and wraps every
+block Gram, Hermitian by construction (kernel._hermitian_gram), as it is,
+so downstream code never re-checks adjoint symmetry. Matrices stay at desk
+scale (block Grams of at most kernel.MAX_GRAM_ROWS = 2048 rows), so plain
+dense algorithms are fine. The checked eigensolver also works over stacks
+of matrices, so a measure's atoms are validated with one call.
 """
 
 from __future__ import annotations
@@ -60,9 +60,9 @@ class HermitianMatrix(Frozen):
     """Immutable square complex matrix, exactly self-adjoint.
 
     Construction symmetrizes via hermitian_part, which also zeroes the
-    imaginary part of the diagonal exactly (x + conj(x) has imag 0 in
-    IEEE arithmetic). Non-finite or non-square input raises InvalidMatrix.
-    """
+    imaginary part of the diagonal exactly (x + conj(x) has imag 0 in IEEE
+    arithmetic). Non-finite or non-square input raises InvalidMatrix. Block
+    Grams are Hermitian by construction and wrapped by built instead."""
 
     __slots__ = ("entries",)
 

@@ -26,12 +26,11 @@ graded-lexicographic order, block ((mu,alpha),(nu,beta)) being
 d^alpha_1 d^beta_2 K(x_mu, x_nu). The plain Gram of blocks K(x_mu, x_nu)
 is q = 0, whose one multi-index is (0,...,0). Every block Gram starts with
 _check_points: point checks, the size caps (_check_size), and one pairwise
-pass (pair_diffs) over the pairs i <= j, or over all n^2 where
-deriv_blocks takes them, with the duplicate check (_close_pairs). A plain
-Gram is built Hermitian from that upper triangle (_hermitian_gram), as is
-every probe design in certify; at q >= 1 deriv_blocks assembles the blocks
-of the (point, multi-index) rows and columns, block_matrix lays them out
-and HermitianMatrix symmetrizes them.
+pass (pair_diffs) over the pairs i <= j with the duplicate check
+(_close_pairs). One assembler, _hermitian_gram, builds every block Gram
+Hermitian from that upper triangle: plain and derivative Grams, every
+probe design in certify, and interpolation systems in rkhs. deriv_blocks
+gives the raw blocks of rectangular tables (rkhs' route 2).
 """
 
 from __future__ import annotations
@@ -70,9 +69,9 @@ from .schema import float_reprs
 # Two points closer than this are treated as duplicates in Gram assembly.
 DUPLICATE_POINT_TOL = 1e-12
 # Block Gram rows: n * ell for a plain Gram, n * C(m + q, q) * ell at jet
-# order q, one ell per datum for Hermite data. The Gram and its kernel blocks
-# hold rows^2 complex entries (64 MiB each at the cap), and the number of
-# multi-indices is not bounded by the input; the benchmark's largest is 732.
+# order q, one ell per datum for Hermite data. The Gram holds rows^2 complex
+# entries (64 MiB at the cap), and the number of multi-indices is not bounded
+# by the input; the benchmark's largest is 732.
 MAX_GRAM_ROWS = 2048
 # Floats n^2 * m of the pairwise differences of n points in R^m (128 MiB at
 # the cap, where the probe's n = 1024 and m = 16 sit); the benchmark's largest
@@ -93,7 +92,7 @@ MAX_AMBIENT_DIM = 1024
 # Entries formed at a time: plane-wave phases, by a block of rows of a kernel
 # batch (rows x atoms) and by a block of frequencies of route 2 in rkhs (atoms
 # x frequencies), and pair-table entries (pairs x entries per pair) by
-# pair_diffs and the plain Gram's writes. No such table grows with the whole
+# pair_diffs and every Gram's writes. No such table grows with the whole
 # batch: at the benchmark's grid-2048 bump demo the phases alone would hold
 # 722 x 2048 entries (23 MiB).
 _BLOCK_ENTRIES = 2**16
@@ -324,17 +323,12 @@ class BlockGram:
     matrix: HermitianMatrix
 
 
-def pair_diffs(points: np.ndarray, full: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def pair_diffs(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The differences x_i - x_j of the pairs i <= j of an (..., n, m) array
-    in row-major order, shape (..., n (n + 1) / 2, m), or given full of all
-    n^2 pairs, shape (..., n, n, m), and the squared norms of the pairs i <=
-    j; a stack of designs takes one pass, a block of rows at a time. A
+    in row-major order, shape (..., n (n + 1) / 2, m), and their squared
+    norms; a stack of designs takes one pass, a block of rows at a time. A
     difference or a square that overflows is inf (far), unreported."""
     *lead, n, m = points.shape
-    if full:
-        with np.errstate(over="ignore"):
-            diffs = points[..., :, None, :] - points[..., None, :, :]
-            return diffs, (diffs * diffs).sum(axis=-1)[..., np.arange(n)[:, None] <= np.arange(n)]
     diffs = np.empty((*lead, n * (n + 1) // 2, m))
     sq = np.empty(diffs.shape[:-1])
     with np.errstate(over="ignore"):
@@ -393,14 +387,13 @@ def _check_size(n: int, m: int, point_rows: int, what: str) -> None:
 
 
 def _check_points(
-    points, m: int, tol: float = DUPLICATE_POINT_TOL, point_rows: int = 1, what: str = "block Gram", same=None, full=False
+    points, m: int, tol: float = DUPLICATE_POINT_TOL, point_rows: int = 1, what: str = "block Gram", same=None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Validated (n, m) points and their pair_diffs differences (given full,
-    of all n^2 pairs), for a block Gram (`what`) of point_rows rows per point,
-    refused past the size caps by _check_size. Two points closer than tol
-    raise DuplicatePoints naming the first such pair, i < j in row-major
-    order; given `same`, an (n, k) table of row keys, only points with equal
-    keys count."""
+    """Validated (n, m) points and their pair_diffs differences, for a block
+    Gram (`what`) of point_rows rows per point, refused past the size caps by
+    _check_size. Two points closer than tol raise DuplicatePoints naming the
+    first such pair, i < j in row-major order; given `same`, an (n, k) table
+    of row keys, only points with equal keys count."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
@@ -410,7 +403,7 @@ def _check_points(
         raise InvalidPoint("points have non-finite entries")
     n = pts.shape[0]
     _check_size(n, m, point_rows, what)
-    diffs, sq = pair_diffs(pts, full)
+    diffs, sq = pair_diffs(pts)
     i, j = _close_pairs(sq, n, tol)
     if same is not None:
         hit = np.all(same[i] == same[j], axis=1)
@@ -427,23 +420,17 @@ def gram(kernel: OperatorKernel, points, tol: float = DUPLICATE_POINT_TOL) -> Bl
 
 def deriv_gram(kernel: OperatorKernel, points, q: int, tol: float = DUPLICATE_POINT_TOL) -> BlockGram:
     """The Hermitian block Gram at jet order q (2q <= cap) at pairwise-distinct
-    points, one row and column per (point, multi-index) pair: at q = 0 built
-    from the upper triangle by _hermitian_gram, from eval_diffs alone, so any
-    kernel-shaped object works; at q >= 1 symmetrized from deriv_blocks."""
+    points, one row and column per (point, multi-index) pair, built from the
+    upper triangle by _hermitian_gram: at q = 0 from eval_diffs alone, so any
+    kernel-shaped object works; at q >= 1 from deriv_diffs."""
     q = int(q)
     if q < 0 or 2 * q > JET_ORDER_CAP:
         raise UnsupportedJet(f"need 0 <= 2q <= {JET_ORDER_CAP}, got q={q}")
     what = "derivative Gram" if q else "block Gram"
-    pts, diffs = _check_points(points, kernel.m, tol, math.comb(kernel.m + q, q) * kernel.ell, what, full=q > 0)
+    pts, diffs = _check_points(points, kernel.m, tol, math.comb(kernel.m + q, q) * kernel.ell, what)
     idxs = multi_indices_up_to(kernel.m, q)
-    if q == 0:
-        matrix = HermitianMatrix.built(_hermitian_gram(kernel, pts, diffs))
-    else:
-        point, rank = np.divmod(np.arange(pts.shape[0] * len(idxs)), len(idxs))
-        rows = (point, np.array(idxs)[rank])
-        # one chain, so the blocks are freed once the Gram is laid out
-        matrix = HermitianMatrix(block_matrix(deriv_blocks(kernel, diffs, rows, rows)))
-    return BlockGram(points=pts, ell=kernel.ell, q=q, multi_indices=idxs, matrix=matrix)
+    h = _hermitian_gram(kernel, pts, diffs, np.broadcast_to(np.array(idxs), (len(pts), len(idxs), kernel.m)))
+    return BlockGram(points=pts, ell=kernel.ell, q=q, multi_indices=idxs, matrix=HermitianMatrix.built(h))
 
 
 def _distinct(kernel, diffs: np.ndarray):
@@ -462,21 +449,49 @@ def _distinct(kernel, diffs: np.ndarray):
     return (first, inverse) if first.size <= half else None
 
 
-def _hermitian_gram(kernel, points: np.ndarray, diffs: np.ndarray) -> np.ndarray:
-    """The plain block Grams (..., n ell, n ell) at (..., n, m) points, bit for
-    bit hermitian_part of the full block table, from pair_diffs' differences:
-    _mirrored symmetrizes the blocks of the pairs i <= j (of one design, each
-    distinct row once), and each is written once, a block of pairs at a time."""
+def _hermitian_gram(kernel, points: np.ndarray, diffs: np.ndarray, alphas=None) -> np.ndarray:
+    """The block Grams (..., n r ell, n r ell) at (..., n, m) points, point i
+    with a row per multi-index of alphas[i] (alphas (n, r, m), one design)
+    or the zero index (alphas None): hermitian_part of the full block table
+    bit for bit, from pair_diffs' differences d. Each block of the pairs i <=
+    j is symmetrized once with its raw lower block (at order 0 by _mirrored,
+    of one design each distinct row once; else from one deriv_diffs call at d
+    and 0.0 - d, as _mirrored) and written once, a block of pairs at a time."""
     *lead, n, m = points.shape
-    ell, stack, flat = kernel.ell, math.prod(lead), diffs.reshape(-1, m)
-    first, inverse = (None if lead else _distinct(kernel, flat)) or (slice(None), None)
-    upper, lower = (h.reshape(stack, -1, ell, ell) for h in _mirrored(kernel, flat[first]))
-    out = np.empty((*lead, n * ell, n * ell), dtype=complex)
-    grid, design = out.reshape(stack, n, ell, n, ell), np.arange(stack)[:, None]
-    for pairs, i, j in _pair_blocks(n, ell * ell * stack):
-        take = pairs if inverse is None else inverse[pairs]
-        grid[design, i, :, j, :] = upper[:, take]
-        grid[design, j, :, i, :] = lower[:, take]
+    stack, flat, size = math.prod(lead), diffs.reshape(-1, m), kernel.ell * (1 if alphas is None else alphas.shape[1])
+    if alphas is None or not alphas.any():
+        first, inverse = (None if lead else _distinct(kernel, flat)) or (slice(None), None)
+        upper, lower = (h.reshape(stack, -1, size, size) for h in _mirrored(kernel, flat[first]))
+
+        def blocks(pairs, i, j):
+            take = pairs if inverse is None else inverse[pairs]
+            return upper[:, take], lower[:, take]
+
+    else:
+        if not isinstance(kernel, OperatorKernel):
+            raise UnsupportedJet("derivative kernel blocks need a kernel with analytic jets")
+        r, rows = alphas.shape[1], alphas.reshape(-1, m)
+        first, which = unique_rows(rows)
+        sums = (rows[first][:, None, :] + rows[first][None, :, :]).reshape(-1, m)
+        gammas, rank = unique_rows(sums)
+        own = ~np.any((flat != 0.0) | np.signbit(flat), axis=1)  # d = +0.0 (x_i - x_i) is its own mirror
+        vals = kernel.deriv_diffs([tuple(g) for g in sums[gammas].tolist()], np.concatenate([flat, 0.0 - flat[~own]]))
+        mirror = np.where(own, np.arange(len(flat)), len(flat) - 1 + np.cumsum(~own))
+        rank, which = rank.reshape(first.size, first.size), which.reshape(n, r)
+        sign = np.where(rows.sum(axis=1) % 2, -1.0, 1.0).reshape(n, 1, r, 1, 1)
+
+        def blocks(pairs, i, j):
+            p = np.arange(pairs.start, pairs.stop)[:, None, None]
+            gamma = rank[which[i][:, :, None], which[j][:, None, :]]
+            up = (vals[gamma, p] * sign[j]).swapaxes(2, 3).reshape(-1, size, size)
+            low = (vals[gamma.swapaxes(1, 2), mirror[p]] * sign[i]).swapaxes(2, 3).reshape(-1, size, size)
+            return hermitian_part(up, low), hermitian_part(low, up)
+
+    out = np.empty((*lead, n * size, n * size), dtype=complex)
+    grid = out.reshape(stack, n, size, n, size)
+    above, below = grid.transpose(0, 1, 3, 2, 4), grid.transpose(0, 3, 1, 2, 4)  # [:, i, j]: block (i, j), (j, i)
+    for pairs, i, j in _pair_blocks(n, 2 * size * size * stack):  # a pair writes two blocks
+        above[:, i, j], below[:, i, j] = blocks(pairs, i, j)
     return out
 
 
@@ -486,47 +501,40 @@ def _mirrored(kernel, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     x_i), evaluated at 0.0 - d (x_j - x_i bit for bit but where +0.0 meets
     -0.0; -d turns +0.0 into -0.0) with F. A radial G is F; a plane-wave G
     is F^H but for the sign of an exact zero, so only its blocks holding one
-    (those at d = 0 among them) are evaluated, which halves the phases.
-    Blocks that are not finite raise InvalidMatrix."""
+    are evaluated, and none at d = +0.0 (x_i - x_i), where G is F: that
+    halves the phases. Blocks that are not finite raise InvalidMatrix."""
     kind = getattr(kernel, "kind", None)
     adjoint = kind == "plane_wave" and len(d) > 64  # fewer calls for a small batch to evaluate G with F
     f = kernel.eval_diffs(d if kind == "radial" or adjoint else np.concatenate([d, 0.0 - d]))
     if not np.isfinite(f).all():
         raise InvalidMatrix("matrix has non-finite entries")
     if kind == "radial":
-        h = hermitian_part(f)
-        return h, h
+        return (hermitian_part(f),) * 2
     if adjoint:
-        g = np.conj(np.swapaxes(f, -1, -2))
-        redo = ~d.any(axis=-1) | np.any((g.real == 0.0) | (g.imag == 0.0), axis=(-2, -1))
+        g, own = np.conj(np.swapaxes(f, -1, -2)), ~np.any((d != 0.0) | np.signbit(d), axis=-1)  # d = +0.0
+        g[own] = f[own]
+        redo = ~own & np.any((g.real == 0.0) | (g.imag == 0.0), axis=(-2, -1))
         if redo.any():  # a lone row goes next to its partner: alone, d @ xi rounds as a GEMV
             back = 0.0 - d[redo]
             g[redo] = kernel.eval_diffs(np.concatenate([back, d[redo]]) if len(back) == 1 else back)[: len(back)]
         return hermitian_part(f, g), hermitian_part(g, f)
     fg = f.reshape(2, -1, *f.shape[1:])
-    h = hermitian_part(fg, fg[::-1])
-    return h[0], h[1]
+    return tuple(hermitian_part(fg, fg[::-1]))
 
 
-def deriv_blocks(kernel, diffs: np.ndarray, rows, cols) -> np.ndarray:
-    """Blocks d^alpha_1 d^beta_2 K(x_i, y_j) = (-1)^|beta| (d^(alpha+beta) F)(x_i - y_j),
-    shape (len(rows), len(cols), ell, ell), from the (nx, ny, m) differences
-    x_i - y_j; rows (i, alpha) and cols (j, beta) are each a pair (point
-    indices (k,), multi-indices (k, m)). Multi-indices are nonnegative, so
-    every alpha + beta is zero exactly when both tables are: then the
-    blocks come from eval_diffs (each distinct row once, _distinct), so
-    kernels without jets work at order 0. Otherwise one deriv_diffs call
-    covers the sums of the distinct alphas and betas, and a kernel without
-    jets raises UnsupportedJet. Not symmetrized."""
-    (pr, alphas), (pc, betas) = rows, cols
+def deriv_blocks(kernel, diffs: np.ndarray, alphas: np.ndarray, betas: np.ndarray) -> np.ndarray:
+    """The raw blocks d^alpha_i_1 d^beta_j_2 K(x_i, y_j) = (-1)^|beta_j| (d^(alpha_i+beta_j) F)(x_i - y_j),
+    shape (nx, ny, ell, ell), of the (nx, ny, m) differences x_i - y_j and
+    multi-indices alphas (nx, m) and betas (ny, m). Where every alpha + beta
+    is zero (both tables are) they come from eval_diffs, each distinct row
+    once (_distinct), so kernels without jets work at order 0; else from one
+    deriv_diffs call over the sums of the distinct alphas and betas, which a
+    kernel without jets refuses (UnsupportedJet)."""
     nx, ny, m = diffs.shape
     diffs, ell = diffs.reshape(nx * ny, m), kernel.ell
     if not (np.count_nonzero(alphas) or np.count_nonzero(betas)):
         first, inverse = _distinct(kernel, diffs) or (slice(None), slice(None))
-        blocks = kernel.eval_diffs(diffs[first])[inverse].reshape(nx, ny, ell, ell)
-        if _in_order(pr, nx) and _in_order(pc, ny):
-            return blocks
-        return blocks[pr[:, None], pc[None, :]]
+        return kernel.eval_diffs(diffs[first])[inverse].reshape(nx, ny, ell, ell)
     if not isinstance(kernel, OperatorKernel):
         raise UnsupportedJet("derivative kernel blocks need a kernel with analytic jets")
     (ra, which_r), (cb, which_c) = unique_rows(alphas), unique_rows(betas)
@@ -536,20 +544,7 @@ def deriv_blocks(kernel, diffs: np.ndarray, rows, cols) -> np.ndarray:
     vals = kernel.deriv_diffs([tuple(g) for g in sums[first].tolist()], diffs).reshape(first.size, nx, ny, ell, ell)
     signs = np.where(b.sum(axis=1) % 2, -1.0, 1.0)[which_c]
     gamma = rank.reshape(len(a), len(b))[which_r[:, None], which_c[None, :]]
-    return vals[gamma, pr[:, None], pc[None, :]] * signs[None, :, None, None]
-
-
-def _in_order(idx: np.ndarray, n: int) -> bool:
-    """Whether the point indices idx are 0, 1, ..., n - 1 (no gather needed)."""
-    return idx.size == n and not np.count_nonzero(idx - np.arange(n))
-
-
-def block_matrix(blocks: np.ndarray) -> np.ndarray:
-    """The matrix of a (..., rows, cols, ell, ell) block table, over any
-    leading stack axes: entry (r * ell + i, c * ell + j) is
-    blocks[..., r, c, i, j]."""
-    *lead, rows, cols, ell, _ = blocks.shape
-    return np.swapaxes(blocks, -3, -2).reshape(*lead, rows * ell, cols * ell)
+    return vals[gamma, np.arange(nx)[:, None], np.arange(ny)] * signs[None, :, None, None]
 
 
 # ----------------------------------------------------------------------

@@ -28,19 +28,19 @@ e^{i x_c . xi_a} v_c, read from the measure's atoms without a kernel block,
 a block of frequencies at a time, so it also checks the kernel values.
 For radial and other kernels it pairs rkhs_deriv_eval of the embedded
 function against the measure, one batched evaluation per run of atoms with
-one alpha, from the raw unsymmetrized blocks of kernel.deriv_blocks in its
-own summation order: that checks the Gram's assembly (at q = 0 another
-assembler's), not the kernel values.
+one alpha, from the raw blocks of kernel.deriv_blocks in its own summation
+order. The Gram never goes through deriv_blocks, so at every order that
+checks the Gram's assembly (kernel._hermitian_gram), not the kernel values.
 Measures with the same atom points (the radial-bump demo's mixed and
 reference measures) share one Gram, and one frequency-side pass for plane
 waves; each measure's two routes stay independent.
 
-Interpolation has one body for plain and Hermite data: the rows are
-(point, alpha) pairs, alpha = 0 for plain data, and the system matrix is
-the block Gram of those rows, built as every block Gram is (kernel's
-_check_points, then deriv_blocks). It solves (M + ridge I) c = targets by
-PSD Cholesky and returns the combination as an element of the kernel space,
-so evaluation goes through the same reproducing formulas being tested.
+Interpolation has one body for plain and Hermite data: the system matrix M
+is the block Gram of the rows (x_i, alpha_i), alpha = 0 for plain data,
+built Hermitian as every block Gram is (kernel._check_points, then
+kernel._hermitian_gram). It solves (M + ridge I) c = targets by PSD
+Cholesky and returns the combination as an element of the kernel space, so
+evaluation goes through the same reproducing formulas being tested.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ from .kernel import (
     DUPLICATE_POINT_TOL,
     OperatorKernel,
     _check_points,
-    block_matrix,
+    _hermitian_gram,
     deriv_blocks,
     deriv_gram,
     gram,  # noqa: F401  kept importable as rkhs.gram, which perfbench/tests/test_run.py reads
@@ -182,9 +182,8 @@ def rkhs_deriv_eval(element: RkhsElement, beta: MultiIndex, y) -> np.ndarray:
         raise InvalidPoint("point has non-finite entries")
     with np.errstate(over="ignore"):
         diffs = element.points[:, None, :] - ys[None, :, :]
-    rows, cols = (np.arange(len(diffs)), element.alphas), (np.arange(len(ys)), np.tile(beta, (len(ys), 1)))
-    # out[j] = sum_i K_i(x_i, y_j)^H v_i
-    out = np.einsum("ijba,ib->ja", deriv_blocks(k, diffs, rows, cols).conj(), element.vectors)
+    conj_blocks = deriv_blocks(k, diffs, element.alphas, np.tile(beta, (len(ys), 1))).conj()
+    out = np.einsum("ijba,ib->ja", conj_blocks, element.vectors)  # out[j] = sum_i K_i(x_i, y_j)^H v_i
     return out[0] if single else out
 
 
@@ -385,14 +384,13 @@ def interpolate(
         if len(alps) != len(points):
             raise InvalidVector(f"got {len(alps)} multi-indices for {len(points)} points")
         size_what = solve_what = "derivative Gram"
-    pts, diffs = _check_points(points, m, tol, ell, size_what, alps, full=True)
+    pts, diffs = _check_points(points, m, tol, ell, size_what, alps)
     n = pts.shape[0]
     alps = np.zeros((n, m), dtype=int) if alps is None else alps
     t = np.asarray(targets, dtype=complex)
     if t.shape != (n, ell):
         raise InvalidVector(f"targets must have shape ({n}, {ell}), got {t.shape}")
-    rows = (np.arange(n), alps)
-    mat = HermitianMatrix(block_matrix(deriv_blocks(kernel, diffs, rows, rows)))
+    mat = HermitianMatrix.built(_hermitian_gram(kernel, pts, diffs, alps[:, None, :]))
     del diffs  # not held through the solve
     c, residual, ridge = _ridge_solve(mat, t.reshape(n * ell), ell, ridge, solve_what)
     element = RkhsElement(kernel=kernel, alphas=alps, points=pts, vectors=c.reshape(n, ell))

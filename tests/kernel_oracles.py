@@ -6,20 +6,30 @@ import numpy as np
 
 from opkernel.errors import UnsupportedJet
 from opkernel.hermitian import hermitian_part
-from opkernel.kernel import OperatorKernel, block_matrix, deriv_blocks, kernel_deriv_eval
+from opkernel.kernel import OperatorKernel, deriv_blocks, kernel_deriv_eval
 from opkernel.measures import unique_rows
 from opkernel.profiles import JET_ORDER_CAP, MultiIndex, validate_multi_index
 
 
-def full_table_gram(kernel, points: np.ndarray) -> np.ndarray:
-    """The plain block Gram of kernel at (n, m) points as it was assembled
-    before it was built from its upper triangle: every block of the n^2
-    pair table from deriv_blocks at order 0, laid out by block_matrix, then
-    symmetrized as a whole by hermitian_part."""
-    rows = (np.arange(len(points)), np.zeros(points.shape, dtype=int))
+def block_matrix(blocks: np.ndarray) -> np.ndarray:
+    """The matrix of a (rows, cols, ell, ell) block table: entry (r * ell +
+    i, c * ell + j) is blocks[r, c, i, j]."""
+    rows, cols, ell, _ = blocks.shape
+    return np.swapaxes(blocks, 1, 2).reshape(rows * ell, cols * ell)
+
+
+def full_table_gram(kernel, points: np.ndarray, alphas: np.ndarray | None = None) -> np.ndarray:
+    """The block Gram of kernel at (n, m) points as it was assembled before
+    it was built from its upper triangle: every block of the n^2 pair table
+    from deriv_blocks, laid out by block_matrix, then symmetrized as a whole
+    by hermitian_part. Point i has one row per multi-index of alphas[i]
+    (alphas (n, r, m)), or the one row of the zero index (alphas None)."""
+    n, m = points.shape
+    alphas = np.zeros((n, 1, m), dtype=int) if alphas is None else alphas
+    rows = np.repeat(points, alphas.shape[1], axis=0)  # the point of each row
     with np.errstate(over="ignore"):
-        diffs = points[:, None, :] - points[None, :, :]
-    return hermitian_part(block_matrix(deriv_blocks(kernel, diffs, rows, rows)))
+        diffs = rows[:, None, :] - rows[None, :, :]
+    return hermitian_part(block_matrix(deriv_blocks(kernel, diffs, alphas.reshape(-1, m), alphas.reshape(-1, m))))
 
 
 def conj_blocks(k, alphas: np.ndarray, points: np.ndarray, beta: MultiIndex, ys: np.ndarray) -> np.ndarray:

@@ -24,7 +24,6 @@ from opkernel.kernel import (
     OperatorKernel,
     PlaneWaveMeasure,
     _check_points,
-    block_matrix,
     deriv_blocks,
     deriv_gram,
     gram,
@@ -39,7 +38,7 @@ from opkernel.kernel import (
 from opkernel.measures import OperatorMeasure
 from opkernel.profiles import RadialProfile, multi_indices_up_to, profile_value
 
-from kernel_oracles import deriv_diag_identity_check, full_table_gram
+from kernel_oracles import block_matrix, deriv_diag_identity_check, full_table_gram
 
 GAUSS_12 = radial_kernel(
     RadialProfile.gaussian(), OperatorMeasure(2, [(1.0, np.diag([1.0, 2.0]))]), 1
@@ -110,8 +109,7 @@ def _table_blocks(kernel, diffs):
     """The blocks of a table of difference rows as deriv_blocks takes them at
     order 0: each distinct row evaluated once (kernel._distinct) and
     scattered back."""
-    rows = (np.arange(len(diffs)), np.zeros(diffs.shape, dtype=int))
-    return deriv_blocks(kernel, diffs[:, None, :], rows, (np.arange(1), np.zeros((1, kernel.m), dtype=int)))[:, 0]
+    return deriv_blocks(kernel, diffs[:, None, :], np.zeros(diffs.shape, dtype=int), np.zeros((1, kernel.m), dtype=int))[:, 0]
 
 
 def test_eval_diffs_dedup_is_bitwise_exact():
@@ -237,8 +235,6 @@ def test_check_points_matches_pairwise_loop(m, n, box, planted, seed):
         checked, diffs = _check_points(pts, m)
         i, j = np.triu_indices(n)  # the pairs i <= j in row-major order
         assert np.array_equal(checked, pts) and np.array_equal(diffs, pts[i] - pts[j])
-        checked, diffs = _check_points(pts, m, full=True)
-        assert np.array_equal(checked, pts) and np.array_equal(diffs, pts[:, None, :] - pts[None, :, :])
 
 
 def test_check_points_names_first_pair_in_row_major_order():
@@ -506,14 +502,13 @@ def _deriv_blocks_oracle(kernel, diffs, rows, cols=None):
 
 def _deriv_blocks_of_rows(kernel, diffs, rows, cols=None):
     """deriv_blocks on lists of (point index, multi-index) rows and columns
-    (cols defaults to rows), laid out by block_matrix."""
+    (cols defaults to rows), each row and column its own entry of the
+    difference table, laid out by block_matrix."""
     n = math.isqrt(diffs.shape[0])
-
-    def pairs(entries):
-        return np.array([i for i, _ in entries]), np.array([alpha for _, alpha in entries]).reshape(-1, kernel.m)
-
     cols = rows if cols is None else cols
-    return block_matrix(deriv_blocks(kernel, diffs.reshape(n, n, kernel.m), pairs(rows), pairs(cols)))
+    table = diffs.reshape(n, n, kernel.m)[np.array([i for i, _ in rows])][:, np.array([j for j, _ in cols])]
+    alphas, betas = (np.array([alpha for _, alpha in entries]).reshape(-1, kernel.m) for entries in (rows, cols))
+    return block_matrix(deriv_blocks(kernel, table, alphas, betas))
 
 
 @pytest.mark.parametrize("m, q", [(1, 4), (2, 2), (3, 1)])
@@ -550,9 +545,9 @@ def test_deriv_gram_matches_the_oracle_rows():
 
 
 def test_deriv_blocks_memory_before_kernel_values(monkeypatch):
-    """At the row cap (1024 points, m = 1, q = 1: 2048 rows) the gamma
-    sums are formed over the two distinct multi-indices, not over all
-    2048^2 row pairs, which peaked near 200 MiB before any kernel value."""
+    """At the row cap (1024 points, m = 1, q = 1: 2048 rows and columns)
+    the gamma sums are formed over the two distinct multi-indices, not over
+    all 2048^2 row pairs, which peaked near 200 MiB before any kernel value."""
 
     class Reached(Exception):
         pass
@@ -562,13 +557,13 @@ def test_deriv_blocks_memory_before_kernel_values(monkeypatch):
 
     monkeypatch.setattr(OperatorKernel, "deriv_diffs", stop)
     k = random_gaussian_kernel(np.random.default_rng(1), 1, 1, 1)
-    pts = np.arange(1024.0)[:, None]
+    pts = np.repeat(np.arange(1024.0), 2)[:, None]
     diffs = pts[:, None, :] - pts[None, :, :]
-    p, alphas = np.repeat(np.arange(1024), 2), np.tile([[0], [1]], (1024, 1))
+    alphas = np.tile([[0], [1]], (1024, 1))
     tracemalloc.start()
     try:
         with pytest.raises(Reached) as info:
-            deriv_blocks(k, diffs, (p, alphas), (p, alphas))
+            deriv_blocks(k, diffs, alphas, alphas)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -768,9 +763,9 @@ def test_plane_wave_eval_diffs_mirrors_pairs_bitwise(m):
     """A table of +-d rows, de-duplicated above 64 rows, gives every block
     the bits of its own direct evaluation, and the plain Gram's mirror of
     each block (above 64 rows its adjoint, re-evaluated at 0.0 - d where it
-    holds an exact zero or d = 0; else evaluated at 0.0 - d with it) gives
-    the symmetrized blocks of direct evaluations at d and at 0.0 - d,
-    signed zeros included."""
+    holds an exact zero, and the block itself at d = +0.0; else evaluated at
+    0.0 - d with it) gives the symmetrized blocks of direct evaluations at d
+    and at 0.0 - d, signed zeros included."""
     rng = np.random.default_rng(100 + m)
     for measure in _plane_wave_measures(rng, m):
         k = plane_wave_kernel(measure)
@@ -820,19 +815,22 @@ def test_plane_wave_eval_diffs_single_pair_batch():
 
 
 def test_plane_wave_eval_diffs_redoes_one_mirrored_block_in_a_batch(monkeypatch):
-    """A mirror of 70 rows takes adjoints, and its one block to re-evaluate
-    (the zero row's) is evaluated next to its partner, as a batch row of
-    two: alone, d @ xi would round as a GEMV. With diagonal G every block
-    holds exact zeros and is re-evaluated."""
+    """A mirror of 70 rows takes adjoints, and at its zero row (the
+    diagonal's d = +0.0, whose mirror 0.0 - d is itself) it takes F itself:
+    with one frequency at 0 no block is re-evaluated. With diagonal G every
+    other block holds exact zeros and is re-evaluated; a lone block to
+    re-evaluate is evaluated next to its partner, as a batch row of two:
+    alone, d @ xi would round as a GEMV."""
     rng = np.random.default_rng(9)
     calls, evaluate = [], OperatorKernel.eval_diffs
     monkeypatch.setattr(OperatorKernel, "eval_diffs", lambda self, d: calls.append(len(d)) or evaluate(self, d))
-    for measure, redone in ((_plane_wave_measures(rng, 3)[1], 2), (_diagonal_measure(rng, 3), 70)):
+    cases = ((_plane_wave_measures(rng, 3)[1], 69, []), (_diagonal_measure(rng, 3), 69, [69]), (_diagonal_measure(rng, 3), 1, [2]))
+    for measure, nonzero, redone in cases:
         for _ in range(10):
-            diffs = np.vstack([np.zeros(3), rng.normal(size=(69, 3))])
+            diffs = np.vstack([np.zeros((70 - nonzero, 3)), rng.normal(size=(nonzero, 3))])
             calls.clear()
             got = kernel_module._mirrored(plane_wave_kernel(measure), diffs)
-            assert calls == [70, redone]
+            assert calls == [70, *redone]
             assert all(_same_bits(a, b) for a, b in zip(got, _direct_mirrored(measure, diffs)))
 
 
@@ -863,14 +861,39 @@ class _SignedPhaseKernel:
         return np.exp(-1j * np.asarray(diffs)[:, 0])[:, None, None]
 
 
+class _SignedJetKernel(OperatorKernel):
+    """An OperatorKernel on R^m, so both assemblies take its jets, whose
+    table (d^gamma F)(d) = -(1 + |gamma|) e^{-i d_1} I is an assembly probe,
+    not a derivative: like _SignedPhaseKernel it keeps the sign of an exact
+    zero of d_1, which the jets of the real families lose. The real part is
+    negative, so the sign of a zero imaginary part survives the complex
+    products by (-1)^|beta| (x * 0 is -0.0 for x < 0)."""
+
+    def __init__(self, m, ell):
+        super().__init__("signed", None, PlaneWaveMeasure(ell, m), m)
+
+    def deriv_diffs(self, gammas, diffs):
+        phase = np.exp(-1j * np.asarray(diffs)[:, 0])[None, :, None, None]
+        scale = np.array([-1.0 - sum(g) for g in gammas])[:, None, None, None] * np.ones((self.ell, self.ell))
+        out = np.empty(np.broadcast_shapes(phase.shape, scale.shape), dtype=complex)
+        out.real, out.imag = scale * phase.real, scale * phase.imag  # real products keep the sign of a zero
+        return out
+
+    def eval_diffs(self, diffs):
+        return self.deriv_diffs([(0,) * self.m], diffs)[0]
+
+
 def _triangle_kernel(family, m, ell, complex_g, big, rng):
     """A kernel for the full-table oracle: radial atoms at scales 0, 0.7 and
     1.6 with real or complex G; plane waves at frequencies in {-1, 0, 1}^m
     with diagonal G when real, so blocks hold exact zeros; the shifted pair;
-    or the signed-zero phase, mirrored as a plane wave or evaluated. With big, one atom whose G has an entry 9e307
+    or the signed-zero phase, mirrored as a plane wave or evaluated, or with
+    jets (_SignedJetKernel). With big, one atom whose G has an entry 9e307
     (and a finite trace), so the Gram's halved sums take the overflow branch."""
     if family == "shifted_pair":
         return ShiftedPairKernel(rng.integers(-2, 3, size=m) / 2.0 + 0.25)
+    if family == "signed_jets":
+        return _SignedJetKernel(m, ell)
     if family.startswith("signed_"):
         return _SignedPhaseKernel(m, "plane_wave" if family == "signed_plane_wave" else None)
 
@@ -891,11 +914,16 @@ def _triangle_kernel(family, m, ell, complex_g, big, rng):
 
 def _triangle_points(design, n, m, rng):
     """n points in R^m: a grid in lexicographic order (its points share
-    coordinates and its differences repeat), the grid shuffled, or random."""
+    coordinates and its differences repeat), the grid shuffled, random
+    points, or a grid around the origin whose zero coordinates are -0.0 or
+    0.0 at random (so +0.0 meets -0.0 in differences)."""
     if design == "random":
         return rng.uniform(-2.0, 2.0, size=(n, m))
     side = math.ceil(n ** (1.0 / m))
-    grid = np.stack(np.meshgrid(*[np.arange(side) * 0.75] * m, indexing="ij"), axis=-1).reshape(-1, m)[:n]
+    axis = (np.arange(side) - side // 2) * 0.75 if design == "signed_zero" else np.arange(side) * 0.75
+    grid = np.stack(np.meshgrid(*[axis] * m, indexing="ij"), axis=-1).reshape(-1, m)[:n]
+    if design == "signed_zero":
+        grid[(grid == 0.0) & (rng.random(grid.shape) < 0.5)] = -0.0
     return grid[rng.permutation(n)] if design == "shuffled" else grid
 
 
@@ -910,39 +938,80 @@ def _int64_outcome(build):
 
 @given(
     family=st.sampled_from(
-        ["gaussian", "askey", "omega", "plane_wave", "shifted_pair", "signed_phase", "signed_plane_wave"]
+        ["gaussian", "askey", "omega", "plane_wave", "shifted_pair", "signed_phase", "signed_plane_wave", "signed_jets"]
     ),
     m=st.integers(1, 3),
     ell=st.integers(1, 3),
     complex_g=st.booleans(),
     big=st.booleans(),
-    design=st.sampled_from(["sorted", "shuffled", "random"]),
+    design=st.sampled_from(["sorted", "shuffled", "random", "signed_zero"]),
     n=st.integers(1, 20),
+    q=st.integers(0, 2),
     seed=st.integers(0, 2**32 - 1),
 )
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=250, deadline=None)
 # past 64 distinct rows the plane-wave mirror takes adjoints and re-evaluates
-# blocks holding an exact zero, the diagonal's among them
-@example(family="signed_plane_wave", m=3, ell=1, complex_g=False, big=False, design="shuffled", n=11, seed=0)
-@example(family="plane_wave", m=2, ell=2, complex_g=False, big=False, design="random", n=16, seed=1)
-@example(family="plane_wave", m=3, ell=3, complex_g=True, big=True, design="shuffled", n=20, seed=2)
-def test_plain_grams_are_the_full_table_assembly_bit_for_bit(family, m, ell, complex_g, big, design, n, seed):
-    """gram, a stack of probe designs and the shifted-gaussian demo's design
-    give, as int64 views, the Grams that the full n^2 block table gives once
-    laid out and symmetrized (kernel_oracles.full_table_gram), or the same
-    error: radial families at ell 1-3 with real or complex G and a scale-0
-    atom, plane waves whose blocks hold exact zeros, the shifted pair, a
-    phase that keeps the sign of a zero; grids sorted and shuffled
-    (de-duplicated above 64 pairs) and random points; entries near 9e307."""
+# blocks holding an exact zero, but not the diagonal's
+@example(family="signed_plane_wave", m=3, ell=1, complex_g=False, big=False, design="shuffled", n=11, q=0, seed=0)
+@example(family="plane_wave", m=2, ell=2, complex_g=False, big=False, design="random", n=16, q=0, seed=1)
+@example(family="plane_wave", m=3, ell=3, complex_g=True, big=True, design="shuffled", n=20, q=0, seed=2)
+# jets at +0.0 meeting -0.0, and entries near 9e307 whose halved sums take the overflow branch
+@example(family="gaussian", m=2, ell=2, complex_g=True, big=False, design="signed_zero", n=9, q=2, seed=3)
+@example(family="plane_wave", m=2, ell=2, complex_g=False, big=False, design="signed_zero", n=16, q=1, seed=4)
+@example(family="omega", m=1, ell=2, complex_g=True, big=True, design="sorted", n=5, q=1, seed=5)
+@example(family="signed_jets", m=2, ell=2, complex_g=False, big=False, design="sorted", n=6, q=1, seed=6)
+def test_plain_grams_are_the_full_table_assembly_bit_for_bit(family, m, ell, complex_g, big, design, n, q, seed):
+    """deriv_gram at q = 0-2, Hermite systems (one multi-index per datum,
+    the first point repeated at another one), a stack of probe designs and
+    the shifted-gaussian demo's design give, as int64 views, the Grams that
+    the full n^2 block table gives once laid out and symmetrized
+    (kernel_oracles.full_table_gram), or the same error: radial families at
+    ell 1-3 with real or complex G and a scale-0 atom, plane waves whose
+    blocks hold exact zeros, the shifted pair, a phase that keeps the sign
+    of a zero, also in jets; grids sorted and shuffled (de-duplicated above
+    64 pairs), random points and grids whose zeros are -0.0 or 0.0; entries
+    near 9e307. A kernel that keeps the sign of a zero is checked only where
+    +0.0 never meets -0.0: the assembler mirrors x_i - x_j as 0.0 - (x_i -
+    x_j), which is x_j - x_i bit for bit elsewhere."""
     rng = np.random.default_rng(seed)
     kernel = _triangle_kernel(family, m, ell, complex_g, big, rng)
-    pts = _triangle_points(design, n, m, rng)
-    assert _int64_outcome(lambda: gram(kernel, pts).matrix.entries) == _int64_outcome(lambda: full_table_gram(kernel, pts))
+    pts = _triangle_points("sorted" if design == "signed_zero" and family.startswith("signed_") else design, n, m, rng)
+    idxs = np.array(multi_indices_up_to(m, q))
+    got = _int64_outcome(lambda: deriv_gram(kernel, pts, q).matrix.entries)
+    assert got == _int64_outcome(lambda: full_table_gram(kernel, pts, np.broadcast_to(idxs, (n, len(idxs), m))))
+    if q:
+        xs, alphas = np.concatenate([pts, pts[:1]]), idxs[rng.integers(0, len(idxs), size=n + 1)]
+        alphas[-1] = 1 - np.minimum(alphas[0], 1)  # another multi-index at the first point
+
+        def hermite():
+            checked, diffs = _check_points(xs, m, same=alphas)
+            return kernel_module._hermitian_gram(kernel, checked, diffs, alphas[:, None, :])
+
+        assert _int64_outcome(hermite) == _int64_outcome(lambda: full_table_gram(kernel, xs, alphas[:, None, :]))
     size = 6 if family == "shifted_pair" else 2 + n % 5  # the shifted-gaussian demo draws 6 points
     rngs = [np.random.default_rng(np.random.SeedSequence([seed, t])) for t in range(1 + n % 3)]
     points, grams = _seeded_design(kernel, size, rngs, 2.0)
     for p, g in zip(points, grams):
         assert g.view(np.int64).tobytes() == _int64_outcome(lambda: full_table_gram(kernel, p))
+
+
+def test_deriv_gram_at_the_row_cap_holds_little_beyond_its_matrix():
+    """deriv_gram at q = 2 on 341 random points in R^2 (2046 rows, the
+    row-cap deriv-gram shape, a 64 MiB matrix) peaks at no more than 1.75
+    times its matrix (about 1.51 measured): besides the matrix it holds the
+    jets of the pairs i <= j and of their mirrors, and one block of pairs at
+    a time. The n^2 block table, its layout copy and its symmetrized copy
+    peaked at 2.95 times."""
+    kernel = radial_kernel(RadialProfile.gaussian(), OperatorMeasure(1, [(1.0, np.eye(1))]), 2)
+    pts = np.random.default_rng(0).uniform(-3.0, 3.0, size=(341, 2))
+    tracemalloc.start()
+    try:
+        g = deriv_gram(kernel, pts, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.matrix.entries.shape == (2046, 2046)
+    assert peak <= 1.75 * g.matrix.entries.nbytes, peak / 2**20
 
 
 def test_plain_gram_at_the_bump_atom_cap_holds_little_beyond_its_matrix():
