@@ -28,9 +28,10 @@ is q = 0, whose one multi-index is (0,...,0). Every block Gram starts with
 _check_points: point checks, the size caps (_check_size), and one pairwise
 pass (pair_diffs) over the pairs i <= j with the duplicate check
 (_close_pairs). One assembler, _hermitian_gram, builds every block Gram
-Hermitian from that upper triangle: plain and derivative Grams, every
-probe design in certify, and interpolation systems in rkhs. deriv_blocks
-gives the raw blocks of rectangular tables (rkhs' route 2).
+from the blocks of that upper triangle, each lower block the adjoint of
+its upper one: plain and derivative Grams, every probe design in certify,
+and interpolation systems in rkhs. deriv_blocks gives the raw blocks of
+rectangular tables (rkhs' route 2).
 """
 
 from __future__ import annotations
@@ -420,9 +421,10 @@ def gram(kernel: OperatorKernel, points, tol: float = DUPLICATE_POINT_TOL) -> Bl
 
 def deriv_gram(kernel: OperatorKernel, points, q: int, tol: float = DUPLICATE_POINT_TOL) -> BlockGram:
     """The Hermitian block Gram at jet order q (2q <= cap) at pairwise-distinct
-    points, one row and column per (point, multi-index) pair, built from the
-    upper triangle by _hermitian_gram: at q = 0 from eval_diffs alone, so any
-    kernel-shaped object works; at q >= 1 from deriv_diffs."""
+    points, one row and column per (point, multi-index) pair, built by
+    _hermitian_gram from the upper blocks and their adjoints: at q = 0 from
+    eval_diffs alone, so any kernel-shaped object works; at q >= 1 from
+    deriv_diffs."""
     q = int(q)
     if q < 0 or 2 * q > JET_ORDER_CAP:
         raise UnsupportedJet(f"need 0 <= 2q <= {JET_ORDER_CAP}, got q={q}")
@@ -452,20 +454,26 @@ def _distinct(kernel, diffs: np.ndarray):
 def _hermitian_gram(kernel, points: np.ndarray, diffs: np.ndarray, alphas=None) -> np.ndarray:
     """The block Grams (..., n r ell, n r ell) at (..., n, m) points, point i
     with a row per multi-index of alphas[i] (alphas (n, r, m), one design)
-    or the zero index (alphas None): hermitian_part of the full block table
-    bit for bit, from pair_diffs' differences d. Each block of the pairs i <=
-    j is symmetrized once with its raw lower block (at order 0 by _mirrored,
-    of one design each distinct row once; else from one deriv_diffs call at d
-    and 0.0 - d, as _mirrored) and written once, a block of pairs at a time."""
+    or the zero index (alphas None), from the blocks at pair_diffs' d =
+    x_i - x_j of the pairs i <= j alone (at order 0 from eval_diffs, of one
+    design each distinct row once; else from one deriv_diffs call, signed
+    (-1)^|beta|), each written once, a block of pairs at a time. Block (i,
+    j), i < j, is the raw block, block (i, i) its hermitian_part, block (j,
+    i) the adjoint of block (i, j) with zeros +0.0. A radial block at order
+    0 is Hermitian: its hermitian_part is block (i, j) and block (j, i)."""
     *lead, n, m = points.shape
     stack, flat, size = math.prod(lead), diffs.reshape(-1, m), kernel.ell * (1 if alphas is None else alphas.shape[1])
+    radial = False
     if alphas is None or not alphas.any():
         first, inverse = (None if lead else _distinct(kernel, flat)) or (slice(None), None)
-        upper, lower = (h.reshape(stack, -1, size, size) for h in _mirrored(kernel, flat[first]))
+        table = kernel.eval_diffs(flat[first])
+        if not np.isfinite(table).all():
+            raise InvalidMatrix("matrix has non-finite entries")
+        radial = getattr(kernel, "kind", None) == "radial"
+        table = (hermitian_part(table) if radial else table).reshape(stack, -1, size, size)
 
         def blocks(pairs, i, j):
-            take = pairs if inverse is None else inverse[pairs]
-            return upper[:, take], lower[:, take]
+            return table[:, pairs if inverse is None else inverse[pairs]]
 
     else:
         if not isinstance(kernel, OperatorKernel):
@@ -474,52 +482,25 @@ def _hermitian_gram(kernel, points: np.ndarray, diffs: np.ndarray, alphas=None) 
         first, which = unique_rows(rows)
         sums = (rows[first][:, None, :] + rows[first][None, :, :]).reshape(-1, m)
         gammas, rank = unique_rows(sums)
-        own = ~np.any((flat != 0.0) | np.signbit(flat), axis=1)  # d = +0.0 (x_i - x_i) is its own mirror
-        vals = kernel.deriv_diffs([tuple(g) for g in sums[gammas].tolist()], np.concatenate([flat, 0.0 - flat[~own]]))
-        mirror = np.where(own, np.arange(len(flat)), len(flat) - 1 + np.cumsum(~own))
+        vals = kernel.deriv_diffs([tuple(g) for g in sums[gammas].tolist()], flat)
         rank, which = rank.reshape(first.size, first.size), which.reshape(n, r)
         sign = np.where(rows.sum(axis=1) % 2, -1.0, 1.0).reshape(n, 1, r, 1, 1)
 
         def blocks(pairs, i, j):
-            p = np.arange(pairs.start, pairs.stop)[:, None, None]
             gamma = rank[which[i][:, :, None], which[j][:, None, :]]
-            up = (vals[gamma, p] * sign[j]).swapaxes(2, 3).reshape(-1, size, size)
-            low = (vals[gamma.swapaxes(1, 2), mirror[p]] * sign[i]).swapaxes(2, 3).reshape(-1, size, size)
-            return hermitian_part(up, low), hermitian_part(low, up)
+            up = vals[gamma, np.arange(pairs.start, pairs.stop)[:, None, None]] * sign[j]
+            return up.swapaxes(2, 3).reshape(1, -1, size, size)
 
     out = np.empty((*lead, n * size, n * size), dtype=complex)
     grid = out.reshape(stack, n, size, n, size)
     above, below = grid.transpose(0, 1, 3, 2, 4), grid.transpose(0, 3, 1, 2, 4)  # [:, i, j]: block (i, j), (j, i)
-    for pairs, i, j in _pair_blocks(n, 2 * size * size * stack):  # a pair writes two blocks
-        above[:, i, j], below[:, i, j] = blocks(pairs, i, j)
+    for pairs, i, j in _pair_blocks(n, 2 * size * size * stack):  # a block and its adjoint per pair
+        up = blocks(pairs, i, j)
+        below[:, i, j] = up if radial else np.conj(up.swapaxes(-1, -2)) + 0.0  # -0.0 + 0.0 is +0.0
+        if not radial:
+            up[:, i == j] = hermitian_part(up[:, i == j])
+        above[:, i, j] = up  # after below: block (i, i) is its hermitian_part
     return out
-
-
-def _mirrored(kernel, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """hermitian_part's blocks (F + G^H)/2 and (G + F^H)/2 of the blocks F =
-    F(d) at differences d = x_i - x_j and their raw lower blocks G = F(x_j -
-    x_i), evaluated at 0.0 - d (x_j - x_i bit for bit but where +0.0 meets
-    -0.0; -d turns +0.0 into -0.0) with F. A radial G is F; a plane-wave G
-    is F^H but for the sign of an exact zero, so only its blocks holding one
-    are evaluated, and none at d = +0.0 (x_i - x_i), where G is F: that
-    halves the phases. Blocks that are not finite raise InvalidMatrix."""
-    kind = getattr(kernel, "kind", None)
-    adjoint = kind == "plane_wave" and len(d) > 64  # fewer calls for a small batch to evaluate G with F
-    f = kernel.eval_diffs(d if kind == "radial" or adjoint else np.concatenate([d, 0.0 - d]))
-    if not np.isfinite(f).all():
-        raise InvalidMatrix("matrix has non-finite entries")
-    if kind == "radial":
-        return (hermitian_part(f),) * 2
-    if adjoint:
-        g, own = np.conj(np.swapaxes(f, -1, -2)), ~np.any((d != 0.0) | np.signbit(d), axis=-1)  # d = +0.0
-        g[own] = f[own]
-        redo = ~own & np.any((g.real == 0.0) | (g.imag == 0.0), axis=(-2, -1))
-        if redo.any():  # a lone row goes next to its partner: alone, d @ xi rounds as a GEMV
-            back = 0.0 - d[redo]
-            g[redo] = kernel.eval_diffs(np.concatenate([back, d[redo]]) if len(back) == 1 else back)[: len(back)]
-        return hermitian_part(f, g), hermitian_part(g, f)
-    fg = f.reshape(2, -1, *f.shape[1:])
-    return tuple(hermitian_part(fg, fg[::-1]))
 
 
 def deriv_blocks(kernel, diffs: np.ndarray, alphas: np.ndarray, betas: np.ndarray) -> np.ndarray:

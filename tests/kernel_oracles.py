@@ -18,18 +18,49 @@ def block_matrix(blocks: np.ndarray) -> np.ndarray:
     return np.swapaxes(blocks, 1, 2).reshape(rows * ell, cols * ell)
 
 
-def full_table_gram(kernel, points: np.ndarray, alphas: np.ndarray | None = None) -> np.ndarray:
-    """The block Gram of kernel at (n, m) points as it was assembled before
-    it was built from its upper triangle: every block of the n^2 pair table
-    from deriv_blocks, laid out by block_matrix, then symmetrized as a whole
-    by hermitian_part. Point i has one row per multi-index of alphas[i]
-    (alphas (n, r, m)), or the one row of the zero index (alphas None)."""
+def _full_table(kernel, points: np.ndarray, alphas: np.ndarray | None) -> np.ndarray:
+    """The matrix of every raw block of the n^2 pair table from deriv_blocks,
+    laid out by block_matrix: point i has one row per multi-index of
+    alphas[i] (alphas (n, r, m)), or the one row of the zero index (alphas
+    None)."""
     n, m = points.shape
     alphas = np.zeros((n, 1, m), dtype=int) if alphas is None else alphas
     rows = np.repeat(points, alphas.shape[1], axis=0)  # the point of each row
     with np.errstate(over="ignore"):
         diffs = rows[:, None, :] - rows[None, :, :]
-    return hermitian_part(block_matrix(deriv_blocks(kernel, diffs, alphas.reshape(-1, m), alphas.reshape(-1, m))))
+    return block_matrix(deriv_blocks(kernel, diffs, alphas.reshape(-1, m), alphas.reshape(-1, m)))
+
+
+def upper_triangle_gram(raw: np.ndarray, n: int, radial0: bool = False) -> np.ndarray:
+    """The block Gram of n points that a raw block matrix (every block of the
+    n^2 pair table, laid out) gives by the upper-triangle rule, each block
+    taken on its own: block (i, j), i < j, raw; a point's own block (i, i)
+    through hermitian_part; block (j, i) the adjoint of block (i, j), its
+    zeros +0.0. With radial0 (radial blocks at order 0) every block is its
+    own hermitian_part."""
+    size = raw.shape[0] // n
+    blocks = np.swapaxes(raw.reshape(n, size, n, size), 1, 2)  # blocks[i, j] is block (i, j)
+    out = hermitian_part(blocks)
+    if not radial0:
+        i, j = np.triu_indices(n, 1)
+        out[i, j] = blocks[i, j]
+        out[j, i] = np.conj(np.swapaxes(blocks[i, j], -1, -2)) + 0.0
+    return np.swapaxes(out, 1, 2).reshape(raw.shape)
+
+
+def full_table_gram(kernel, points: np.ndarray, alphas: np.ndarray | None = None) -> np.ndarray:
+    """The block Gram of kernel at (n, m) points by the upper-triangle rule
+    (upper_triangle_gram), each block taken from the full n^2 pair table
+    (_full_table): the bits the assembler must give."""
+    radial0 = getattr(kernel, "kind", None) == "radial" and (alphas is None or not alphas.any())
+    return upper_triangle_gram(_full_table(kernel, points, alphas), len(points), radial0)
+
+
+def symmetrized_full_table_gram(kernel, points: np.ndarray, alphas: np.ndarray | None = None) -> np.ndarray:
+    """The block Gram as it was assembled before the lower blocks became the
+    adjoints of the upper ones: the full n^2 pair table (_full_table),
+    symmetrized as a whole by hermitian_part."""
+    return hermitian_part(_full_table(kernel, points, alphas))
 
 
 def conj_blocks(k, alphas: np.ndarray, points: np.ndarray, beta: MultiIndex, ys: np.ndarray) -> np.ndarray:

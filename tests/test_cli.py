@@ -1031,9 +1031,9 @@ def test_deriv_gram_row_cap_refuses_before_enumerating(tmp_path, capsys, monkeyp
 
 def test_deriv_gram_jet_tables_refused_before_allocating(tmp_path, capsys, monkeypatch):
     """1024 points (m = 1, q = 1) against 60 atoms would need jet tables of
-    3 gammas x 1024^2 pairs x 60 atoms (480 MiB per gamma): deriv_diffs
-    refuses them with exit 2 before it allocates anything (the command once
-    ran out of memory)."""
+    3 gammas x 524,800 pairs i <= j x 60 atoms (240 MiB per gamma):
+    deriv_diffs refuses them with exit 2 before it allocates anything (the
+    command once ran out of memory)."""
     original, peaks = kernel_module.OperatorKernel.deriv_diffs, []
 
     def measured(self, gammas, diffs):
@@ -1053,7 +1053,7 @@ def test_deriv_gram_jet_tables_refused_before_allocating(tmp_path, capsys, monke
     finally:
         tracemalloc.stop()
     assert code == 2 and rep is None
-    entries = 3 * 1024**2 * 60
+    entries = 3 * (1024 * 1025 // 2) * 60
     assert capsys.readouterr().err == (
         f"error: jet tables would hold {entries} entries (gammas x pairs x atoms); need <= {MAX_JET_TABLE_ENTRIES}\n"
     )
@@ -1065,14 +1065,14 @@ def test_deriv_gram_jet_tables_refused_before_allocating(tmp_path, capsys, monke
     ("plane_wave", "xi", ([1.0], [2.0])),
 ])
 def test_jet_table_cap_both_sides(monkeypatch, family, key, scales):
-    """Two points, q = 1 (gammas 0, 1, 2) and two atoms: 3 x 4 x 2 = 24
-    entries pass a cap of 24 and are refused at 23."""
+    """Two points, q = 1 (gammas 0, 1, 2) and two atoms: 3 gammas x 3 pairs
+    i <= j x 2 atoms = 18 entries pass a cap of 18 and are refused at 17."""
     atoms = [{key: w, "G": {"re": [[1.0]]}} for w in scales]
     k = kernel_from_json({"family": {"kind": family}, "measure": {"dim": 1, "atoms": atoms}, "ambient_dim": 1})
-    monkeypatch.setattr(kernel_module, "MAX_JET_TABLE_ENTRIES", 24)
+    monkeypatch.setattr(kernel_module, "MAX_JET_TABLE_ENTRIES", 18)
     deriv_gram(k, np.array([[0.0], [0.5]]), q=1)
-    monkeypatch.setattr(kernel_module, "MAX_JET_TABLE_ENTRIES", 23)
-    with pytest.raises(InvalidParameter, match="jet tables would hold 24 entries"):
+    monkeypatch.setattr(kernel_module, "MAX_JET_TABLE_ENTRIES", 17)
+    with pytest.raises(InvalidParameter, match="jet tables would hold 18 entries"):
         deriv_gram(k, np.array([[0.0], [0.5]]), q=1)
 
 

@@ -519,14 +519,16 @@ def _pinned_case(family, q, seed):
 # (value, scale, route_gap) as float.hex, computed when a derivative measure
 # was a family of one order-0 measure per alpha (rows grouped by alpha); the
 # route gaps of omega (2, 2) and (2, 3) were re-pinned when each Omega value
-# came to depend on its own argument alone, not on the rest of its batch
+# came to depend on its own argument alone, not on the rest of its batch; the
+# value and route gap of gaussian (2, 1) moved by one ulp of the value when
+# the Gram's lower blocks became the adjoints of its upper ones
 _PINNED_FORMS = {
     ('gaussian', 1, 0): ('0x1.0a95728979d92p+3', '0x1.8239b9547307bp+3', '0x0.0p+0'),
     ('gaussian', 1, 1): ('0x1.d274233805262p+5', '0x1.fb6937b7b7eb0p+5', '0x0.0p+0'),
     ('gaussian', 1, 2): ('0x1.0a54a7ec742a9p+8', '0x1.2e1a3ecaeda11p+9', '0x1.0000000000000p-44'),
     ('gaussian', 1, 3): ('0x1.85f8286109684p+8', '0x1.42215862effa6p+9', '0x0.0p+0'),
     ('gaussian', 2, 0): ('0x1.513042d9b154bp+6', '0x1.8f26fbbcb3beep+7', '0x1.0000000000000p-46'),
-    ('gaussian', 2, 1): ('0x1.bb49953afcd19p+9', '0x1.6efcaec81a6fep+10', '0x0.0p+0'),
+    ('gaussian', 2, 1): ('0x1.bb49953afcd1ap+9', '0x1.6efcaec81a6fep+10', '0x1.0000000000000p-43'),
     ('gaussian', 2, 2): ('0x1.f07ff1998b2d6p+9', '0x1.d9e2ca8ab632cp+11', '0x1.0000000000000p-42'),
     ('gaussian', 2, 3): ('0x1.0f630dfd87c86p+12', '0x1.1c51ae394dd35p+13', '0x0.0p+0'),
     ('omega', 1, 0): ('0x1.03a645b8468a4p+3', '0x1.53bc3015671b9p+4', '0x0.0p+0'),
