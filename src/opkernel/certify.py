@@ -28,12 +28,15 @@ classification and the probe side by side and refuses to let them disagree
 silently. The probe's trials run in chunks bounded by _PROBE_CHUNK_ENTRIES:
 _seeded_design, the one design drawer (the shifted-gaussian demo's too),
 draws every design of the chunk first (the first draws in one stacked
-pairwise pass), builds their Grams in one pass of gram's assembler, and
-one checked eigensolve covers the chunk. A chunk is all or
-nothing: when its drawing, evaluation or eigensolve raises, the probe runs
-one trial per chunk from the chunk's first trial on, so the first
-failing trial raises its own error. Every design, eigenvalue, witness and
-error is the one a per-trial loop gives.
+pairwise pass), then builds their Grams in one pass of gram's assembler,
+and one checked eigensolve covers the chunk. A plane-wave kernel
+K(x, y) = sum_a e^{-i (x - y) . xi_a} G_a is read through its finite-rank
+factor instead: each design's Gram is F F^H, F with r = sum_a rank G_a
+columns, and one checked SVD of the chunk's factors gives lambda_min. A
+chunk is all or nothing: when its drawing, evaluation, eigensolve or SVD
+raises, the probe runs one trial per chunk from the chunk's first trial
+on, so the first failing trial raises its own error. Every design,
+eigenvalue, witness and error is the one a per-trial loop gives.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidGrid, InvalidParameter, InvalidVector, OpKernelError
-from .hermitian import PSD_TOL, Frozen, hermitian_part, psd_margin
+from .hermitian import PSD_TOL, Frozen, _eigh_checked, factor_margin, hermitian_part, psd_margin
 from .kernel import (
     DUPLICATE_POINT_TOL,
     OperatorKernel,
@@ -52,6 +55,7 @@ from .kernel import (
     _check_size,
     _close_pairs,
     _hermitian_gram,
+    _phases,
     gram,
     pair_diffs,
     plane_wave_kernel,
@@ -83,8 +87,10 @@ MAX_BUMP_BOX = 1e6
 # Gram; grid 8192 at box 1.2 (6822 atoms) once needed over 2 GiB. The
 # benchmark's largest is 366 atoms.
 MAX_BUMP_ATOMS = 1024
-# Probe design size: each trial forms n^2 differences and eigensolves an
-# (n*ell)^2 Gram, O(n^3) time; the benchmark's largest n is 40.
+# Probe design size: each trial forms n^2 differences, and eigensolves an
+# (n*ell)^2 Gram or takes the SVD of an (n*ell) x r plane-wave factor with
+# its square (n*ell)^2 left factor: O(n^3) time either way (O(n^2 r) where
+# the factor is wider). The benchmark's largest n is 40.
 MAX_PROBE_N = 1024
 # Probe dimension: no input bounds a drawn design, and each trial holds n^2 * m
 # difference coordinates (128 MB at n = MAX_PROBE_N); the benchmark's largest m is 3.
@@ -98,9 +104,11 @@ MAX_PROBE_TRIALS = 10_000
 MAX_PROBE_BOX = 1e6
 # Probe chunk: the trials whose designs are drawn and eigensolved together
 # hold k * n^2 * m difference floats and k * n^2 * ell^2 block entries, at
-# most this many each, or one design where one is larger. A stacked
-# eigensolve saves the per-call overhead of small Grams; from about 32 rows
-# up it is no faster than a loop.
+# most this many each, or one design where one is larger. A plane-wave
+# chunk, factored by an SVD instead, holds k * n ell * max(n ell, r) entries
+# of its factors F (n ell x r) and of the SVD's square left factor under
+# the same budget. A stacked eigensolve or SVD saves the per-call overhead
+# of small designs; from about 32 rows up it is no faster than a loop.
 _PROBE_CHUNK_ENTRIES = 2**13
 
 
@@ -155,24 +163,22 @@ class CounterexampleResult:
 
 
 def _seeded_design(kernel, n: int, rngs, box: float) -> tuple[np.ndarray, np.ndarray]:
-    """Points (k, n, m) and Hermitian block Grams (k, n*ell, n*ell) of
-    kernel on k designs of n points in [-box, box]^m, design i drawn from
-    the numpy Generator rngs[i] and redrawn, up to 64 draws, until no two of
-    its points are closer than the separation floor 1e-2 * box. The designs
-    are drawn first and evaluated after: the first draws of all k take one
-    stacked pairwise pass, with gram's duplicate check at the floor, and a
-    design that must be redrawn is redrawn alone, in design order, each
-    redraw a flat pairwise pass whose points and differences replace its
-    own. Then gram's assembler builds all k Grams in one pass over their
-    stacked differences (drawn points repeat no difference, so none is
-    de-duplicated); kernel values depend on their own difference alone, so
-    each Gram is gram's.
+    """Points (k, n, m) of k designs of n points in [-box, box]^m, for a
+    block Gram of kernel, and their pair_diffs differences (k, n (n + 1) /
+    2, m): design i is drawn from the numpy Generator rngs[i] and redrawn,
+    up to 64 draws, until no two of its points are closer than the
+    separation floor 1e-2 * box. The first draws of all k take one stacked
+    pairwise pass, with gram's duplicate check at the floor, and a design
+    that must be redrawn is redrawn alone, in design order, each redraw a
+    flat pairwise pass whose points and differences replace its own. Given
+    them, gram's assembler (_hermitian_gram) builds all k Grams in one pass
+    (drawn points repeat no difference, so none is de-duplicated); kernel
+    values depend on their own difference alone, so each Gram is gram's.
 
-    All k designs come back, or the first error met is raised: a design
-    that never separates (InvalidParameter; no later design is redrawn),
-    then an evaluation that raises or blocks that are not finite
-    (InvalidMatrix). A caller that needs the first error in design order
-    draws the designs again one at a time.
+    All k designs come back, or the first design that never separates
+    raises InvalidParameter, and no later design is redrawn. A caller that
+    needs the first error in design order draws the designs again one at a
+    time.
 
     The floor keeps near-coincident points from collapsing a genuinely
     strict Gram to numerical zero, which would fake a strictness violation;
@@ -192,7 +198,28 @@ def _seeded_design(kernel, n: int, rngs, box: float) -> tuple[np.ndarray, np.nda
                 break
         else:
             raise InvalidParameter("could not draw a separated design; box too small for n")
-    return points, _hermitian_gram(kernel, points, diffs)
+    return points, diffs
+
+
+def _atom_factors(measure: PlaneWaveMeasure) -> tuple[np.ndarray, np.ndarray]:
+    """The factors G_a = B_a B_a^H of a plane-wave measure's atoms, from one
+    checked eigensolve of the stack: the columns sqrt(w) v of the
+    eigenvalues w > 0, side by side as one (ell, r) matrix, and the atom of
+    each column (r,). An eigenvalue <= 0 (the measure admits them down to
+    -PSD_TOL * max(1, trace)) is dropped: each atom is read as its PSD part."""
+    w, v = _eigh_checked(measure.gs)
+    atom, col = np.nonzero(w > 0.0)
+    return atom, (v[atom, :, col] * np.sqrt(w[atom, col])[:, None]).T
+
+
+def _design_factors(xis: np.ndarray, atom: np.ndarray, b: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """The factors F (k, n ell, r) with F F^H the plane-wave block Gram of
+    each of k designs (k, n, m): row (i, c) holds e^{-i x_i . xi_a} B_a[c, :]
+    for each atom a, so (F F^H)[(i, c), (j, d)] = sum_a e^{-i (x_i - x_j) .
+    xi_a} G_a[c, d]. A phase x . xi that overflows raises NumericalFailure."""
+    k, n, m = points.shape
+    phases = _phases(points.reshape(k * n, m), xis, "x").reshape(k, n, 1, -1)
+    return (phases[..., atom] * b).reshape(k, n * b.shape[0], b.shape[1])
 
 
 def demo_counterexample_shifted_gaussian(w, seed: int = 0) -> CounterexampleResult:
@@ -218,8 +245,8 @@ def demo_counterexample_shifted_gaussian(w, seed: int = 0) -> CounterexampleResu
     for redraws in range(64):
         # the shifted-pair Gram is exactly Hermitian (|-d + 2w| = |d - 2w| in
         # floats), so its blocks are the eval_diffs blocks bit for bit
-        _, grams = _seeded_design(kernel, 6, [rng], box=2.0)
-        blocks = grams[0].reshape(6, 2, 6, 2).transpose(0, 2, 1, 3).reshape(36, 2, 2)
+        points, diffs = _seeded_design(kernel, 6, [rng], box=2.0)
+        blocks = _hermitian_gram(kernel, points, diffs)[0].reshape(6, 2, 6, 2).transpose(0, 2, 1, 3).reshape(36, 2, 2)
         # the (4, 6, 6) stack of projection Grams v^H (b v): the entries of v
         # are 0, +-1 and +-i, so every product is exact and every two-term sum
         # rounds alike in any order, and the bits are np.vdot(v, b @ v)'s;
@@ -378,11 +405,15 @@ def probe_strict_pd(
     derives its own generator from SeedSequence([seed, trial]), so results
     are deterministic in (seed, trial). The trials run in chunks of at most
     _PROBE_CHUNK_ENTRIES difference floats and block entries, one
-    _seeded_design call (one assembly pass, redrawn designs included)
-    and one checked eigensolve per chunk; every kernel value is the one
-    gram gives on the trial's design alone. A chunk that raises is drawn
-    again one trial at a time, and so is every later trial, so the error
-    raised is the first failing trial's own."""
+    _seeded_design call per chunk (redrawn designs included). A radial or
+    shifted-pair chunk takes one assembly pass, every kernel value the one
+    gram gives on the trial's design alone, and one checked eigensolve. A
+    plane-wave chunk takes one checked SVD of its designs' factors F
+    (_design_factors, from the atoms' factors computed once per probe) in
+    hermitian.factor_margin: min eig is exactly 0.0 where F has more rows
+    n * ell than columns r, else sigma_min(F)^2. A chunk that raises is
+    drawn again one trial at a time, and so is every later trial, so the
+    error raised is the first failing trial's own."""
     n, trials, seed = int(n), int(trials), int(seed)
     if not 2 <= n <= MAX_PROBE_N or trials < 1:
         raise InvalidParameter(f"need 2 <= n <= {MAX_PROBE_N} points and trials >= 1")
@@ -394,14 +425,22 @@ def probe_strict_pd(
         raise InvalidParameter("box must be finite and > 0")
     if box > MAX_PROBE_BOX:
         raise InvalidParameter(f"need box <= {MAX_PROBE_BOX:g}")
+    plane_wave = getattr(kernel, "kind", None) == "plane_wave"
+    factors = _atom_factors(kernel.measure) if plane_wave else None
+    r = factors[1].shape[1] if plane_wave else 0
     mins, violation = [], None
-    per = max(1, _PROBE_CHUNK_ENTRIES // (n * n * max(kernel.m, kernel.ell**2)))
+    per = max(1, _PROBE_CHUNK_ENTRIES // (n * max(n * kernel.m, n * kernel.ell**2, kernel.ell * r)))
     while len(mins) < trials:
         t = len(mins)
         rngs = [np.random.default_rng(np.random.SeedSequence([seed, s])) for s in range(t, min(t + per, trials))]
         try:
-            points, grams = _seeded_design(kernel, n, rngs, box)
-            lo, scale, vecs = psd_margin(grams)
+            points, diffs = _seeded_design(kernel, n, rngs, box)
+            if plane_wave:
+                design = _design_factors(kernel.measure.xis, *factors, points)
+            else:
+                design = _hermitian_gram(kernel, points, diffs)
+            del diffs  # freed before the eigensolve or SVD
+            lo, scale, vecs = (factor_margin if plane_wave else psd_margin)(design)
         except OpKernelError:
             if len(rngs) == 1:
                 raise
@@ -415,7 +454,7 @@ def probe_strict_pd(
             violation = ProbeViolation(
                 trial=t + int(i), points=points[i].copy(), min_eigenvalue=float(lo[i]), witness=vecs[i].copy()
             )
-        del points, grams, vecs  # freed before the next chunk is drawn
+        del points, design, vecs  # freed before the next chunk is drawn
     return ProbeReport(
         verdict="ViolationFound" if violation is not None else "NoViolationFound",
         trials=trials,

@@ -6,6 +6,8 @@ so downstream code never re-checks adjoint symmetry. Matrices stay at desk
 scale (block Grams of at most kernel.MAX_GRAM_ROWS = 2048 rows), so plain
 dense algorithms are fine. The checked eigensolver also works over stacks
 of matrices, so a measure's atoms are validated with one call.
+factor_margin reads a Gram's eigenvalue margin from a factor F of it,
+F F^H, through one checked SVD, without forming the Gram.
 """
 
 from __future__ import annotations
@@ -201,6 +203,47 @@ def psd_margin(a: HermitianMatrix | np.ndarray) -> tuple:
     if stacked:
         return w[..., 0], np.maximum(1.0, tr), v[..., 0]
     return float(w[0]), max(1.0, float(tr)), v[:, 0].copy()
+
+
+def factor_margin(f: np.ndarray) -> tuple:
+    """psd_margin of the Grams F F^H of a stack (..., N, r) of factors F,
+    read from one SVD F = U S V^H, with U square, without forming a Gram:
+    lambda_min is exactly 0.0 where N > r (F F^H has rank at most r) and
+    sigma_min^2 otherwise, the scale is max(1, ||F||_F^2) (the Gram's
+    trace), and the witness U[..., :, -1] is a unit vector with
+    F F^H u = lambda_min u. V^H keeps min(N, r) rows, so no array holds
+    more than N * max(N, r) entries.
+
+    The guards keep psd_margin's form and bounds: a scale that overflows
+    raises the trace's NumericalFailure; the reconstruction residual
+    ||U S V^H - F||_F must stay within EIG_RECON_TOL * max(1, ||F||_F), the
+    unitarity residuals U^H U - I and V^H (V^H)^H - I within
+    EIG_UNITARY_TOL, and the witness's own form ||F^H u||^2 within
+    EIG_RECON_TOL * scale of lambda_min."""
+    norm = _frobenius(f)
+    with np.errstate(over="ignore"):
+        scale = np.maximum(1.0, norm * norm)
+    if not np.all(np.isfinite(scale)):
+        raise NumericalFailure("PSD check: the trace overflows the float range")
+    try:
+        u, s, vh = np.linalg.svd(f, full_matrices=f.shape[-2] > f.shape[-1])
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure("singular value decomposition did not converge") from exc
+    k = s.shape[-1]
+    recon = _frobenius((u[..., :k] * s[..., None, :]) @ vh[..., :k, :] - f)
+    if not np.all(recon <= EIG_RECON_TOL * np.maximum(1.0, norm)):
+        raise NumericalFailure("singular value decomposition reconstruction residual too large")
+    for res in (np.conj(np.swapaxes(u, -1, -2)) @ u, vh @ np.conj(np.swapaxes(vh, -1, -2))):
+        diag = np.arange(res.shape[-1])
+        res[..., diag, diag] -= 1.0
+        if np.any(_frobenius(res) > EIG_UNITARY_TOL):
+            raise NumericalFailure("singular vector matrix is not unitary to tolerance")
+    witness = u[..., -1]
+    lam = np.zeros(norm.shape) if f.shape[-2] > k else s[..., -1] ** 2
+    form = _frobenius(np.conj(np.swapaxes(f, -1, -2)) @ witness[..., None]) ** 2
+    if not np.all(np.abs(form - lam) <= EIG_RECON_TOL * scale):
+        raise NumericalFailure("witness form ||F^H u||^2 differs from lambda_min beyond tolerance")
+    return lam, scale, witness
 
 
 def is_psd(a: HermitianMatrix | np.ndarray, tol: float = PSD_TOL) -> PsdCheck:

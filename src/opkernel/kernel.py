@@ -226,13 +226,14 @@ def _row_blocks(nrows: int, natoms: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [nrows])]
 
 
-def _phases(diffs: np.ndarray, xis: np.ndarray) -> np.ndarray:
-    """exp(-i d . xi) for every difference row d and frequency xi, (npairs,
-    natoms). A phase d . xi that overflows has no value: NumericalFailure."""
+def _phases(diffs: np.ndarray, xis: np.ndarray, name: str = "d") -> np.ndarray:
+    """exp(-i d . xi) for every row d (a difference, or a point named x) and
+    frequency xi, (nrows, natoms). A phase d . xi that overflows has no
+    value: NumericalFailure, naming the row as name."""
     with np.errstate(over="ignore", invalid="ignore"):
         arg = -1j * diffs @ xis.T
     if not np.all(np.isfinite(arg.imag)):
-        raise NumericalFailure("plane-wave phase d . xi overflows the float range")
+        raise NumericalFailure(f"plane-wave phase {name} . xi overflows the float range")
     return np.exp(arg)
 
 

@@ -27,10 +27,11 @@ from opkernel.certify import (
     witness_design_mineig,
 )
 from opkernel.errors import DuplicatePoints, InvalidGrid, InvalidMatrix, InvalidParameter, NumericalFailure, OpKernelError
-from opkernel.hermitian import HermitianMatrix, eigen_hermitian, psd_margin
+from opkernel.hermitian import HermitianMatrix, eigen_hermitian, factor_margin, psd_margin
 from opkernel.kernel import (
     DUPLICATE_POINT_TOL,
     PlaneWaveMeasure,
+    _check_points,
     _hermitian_gram,
     gram,
     kernel_eval,
@@ -71,8 +72,8 @@ def _rngs(seed, trials):
 
 def _one_design(kernel, n, seed_parts, box):
     """Points and Gram of the one design drawn from SeedSequence(seed_parts)."""
-    points, grams = _seeded_design(kernel, n, [np.random.default_rng(np.random.SeedSequence(list(seed_parts)))], box)
-    return points[0], grams[0]
+    points, diffs = _seeded_design(kernel, n, [np.random.default_rng(np.random.SeedSequence(list(seed_parts)))], box)
+    return points[0], _hermitian_gram(kernel, points, diffs)[0]
 
 
 @given(
@@ -88,18 +89,21 @@ def _one_design(kernel, n, seed_parts, box):
 @settings(max_examples=40, deadline=None)
 def test_seeded_design_matches_pairwise_loop(m, n, box, seed, trial, k):
     """A stack of k designs, one generator each, holds each design's own
-    loop draw and gram's Gram of it when the loop separates every one;
-    when the loop refuses any of them, the stack is refused."""
+    loop draw and its pair_diffs differences, from which gram's assembler
+    builds gram's Gram of it, when the loop separates every one; when the
+    loop refuses any of them, the stack is refused."""
     expected = [_seeded_design_loop(m, n, (seed, t), box) for t in range(trial, trial + k)]
     kernel = _scalar_gaussian(m)
     if any(pts is None for pts in expected):
         with pytest.raises(InvalidParameter, match="could not draw a separated design"):
             _seeded_design(kernel, n, _rngs(seed, range(trial, trial + k)), box)
         return
-    points, grams = _seeded_design(kernel, n, _rngs(seed, range(trial, trial + k)), box)
-    assert points.shape == (k, n, m) and grams.shape == (k, n, n)
-    for pts, g, want in zip(points, grams, expected):
+    points, diffs = _seeded_design(kernel, n, _rngs(seed, range(trial, trial + k)), box)
+    assert points.shape == (k, n, m) and diffs.shape == (k, n * (n + 1) // 2, m)
+    grams = _hermitian_gram(kernel, points, diffs)
+    for pts, d, g, want in zip(points, diffs, grams, expected):
         assert np.array_equal(pts, want)
+        assert np.array_equal(d, pair_diffs(want)[0])
         assert np.array_equal(g, gram(kernel, want).matrix.entries)
 
 
@@ -351,8 +355,8 @@ def _projection_floor_loop(w, seed, floor_tol):
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
     for redraws in range(64):
         floor = np.inf
-        _, grams = _seeded_design(kernel, 6, [rng], box=2.0)
-        blocks = grams[0].reshape(6, 2, 6, 2).transpose(0, 2, 1, 3).reshape(36, 2, 2)
+        points, _ = _seeded_design(kernel, 6, [rng], box=2.0)
+        blocks = gram(kernel, points[0]).matrix.entries.reshape(6, 2, 6, 2).transpose(0, 2, 1, 3).reshape(36, 2, 2)
         for v in (e1, e2, e1 + e2, e1 + 1j * e2):
             g = np.array([complex(np.vdot(v, b @ v)) for b in blocks]).reshape(6, 6)
             floor = min(floor, eigen_hermitian(HermitianMatrix(g)).eigenvalues[0])
@@ -609,27 +613,61 @@ def test_probe_design_separation_floor():
 
 
 def _design_loop(kernel, n, seed_parts, box):
-    """The design drawer as a per-trial loop: one gram call per draw, whose
-    duplicate check at the separation floor is the redraw test."""
+    """The design drawer as a per-trial loop: one point check per draw
+    (gram's _check_points), whose duplicate check at the separation floor
+    is the redraw test."""
     rng = np.random.default_rng(np.random.SeedSequence(list(seed_parts)))
     for _ in range(64):
         try:
-            return gram(kernel, rng.uniform(-box, box, size=(n, kernel.m)), max(1e-2 * box, DUPLICATE_POINT_TOL))
+            return _check_points(rng.uniform(-box, box, size=(n, kernel.m)), kernel.m, max(1e-2 * box, DUPLICATE_POINT_TOL))[0]
         except DuplicatePoints:
             pass
     raise InvalidParameter("could not draw a separated design; box too small for n")
 
 
-def _probe_loop(kernel, n, trials, seed, box=2.0, tol=PROBE_TOL):
-    """probe_strict_pd as a per-trial loop: one design, one Gram and one
-    checked eigensolve per trial."""
+def _gram_trial(kernel, n, seed_parts, box):
+    """One probe trial from gram's Gram and one checked eigensolve: the
+    design, lambda_min, max(1, trace), the witness, and the Gram."""
+    points = _design_loop(kernel, n, seed_parts, box)
+    g = gram(kernel, points).matrix
+    return (points, *psd_margin(g), g.entries)
+
+
+def _factor(kernel, points):
+    """The plane-wave factor F of a design, atom by atom: each atom's
+    eigensolve alone, the columns sqrt(w) v of its eigenvalues w > 0, and
+    the rows (i, c) e^{-i x_i . xi_a} B_a[c, :]; F F^H is the block Gram."""
+    phases = kernel_module._phases(points, kernel.measure.xis)
+    blocks = []
+    for a, g in enumerate(kernel.measure.gs):
+        w, v = np.linalg.eigh(g)
+        b = v[:, w > 0.0] * np.sqrt(w[w > 0.0])
+        blocks.append(phases[:, a, None, None] * b)
+    f = np.concatenate(blocks, axis=2) if blocks else np.zeros((len(points), kernel.ell, 0), dtype=complex)
+    return f.reshape(len(points) * kernel.ell, -1)
+
+
+def _factor_trial(kernel, n, seed_parts, box):
+    """One plane-wave probe trial from its factor: lambda_min is 0.0 when F
+    has more rows than columns and sigma_min^2 otherwise, the witness is the
+    last left singular vector, the scale max(1, ||F||_F^2)."""
+    points = _design_loop(kernel, n, seed_parts, box)
+    f = _factor(kernel, points)
+    u, s, _ = np.linalg.svd(f, full_matrices=f.shape[0] > f.shape[1])
+    lo = 0.0 if f.shape[0] > f.shape[1] else float(s[-1] ** 2)
+    return points, lo, max(1.0, float(np.linalg.norm(f)) ** 2), u[:, -1]
+
+
+def _probe_loop(kernel, n, trials, seed, box=2.0, tol=PROBE_TOL, trial=_gram_trial):
+    """probe_strict_pd as a per-trial loop: one design per trial, and its
+    Gram's checked eigensolve (_gram_trial) or its factor's SVD
+    (_factor_trial)."""
     mins, violation = [], None
     for t in range(trials):
-        g = _design_loop(kernel, n, (seed, t), box)
-        lo, scale, vec = psd_margin(g.matrix)
+        points, lo, scale, vec = trial(kernel, n, (seed, t), box)[:4]
         mins.append(lo)
         if violation is None and lo <= tol * scale:
-            violation = ProbeViolation(trial=t, points=g.points, min_eigenvalue=lo, witness=vec)
+            violation = ProbeViolation(trial=t, points=points, min_eigenvalue=lo, witness=vec)
     return ProbeReport(
         verdict="ViolationFound" if violation is not None else "NoViolationFound",
         trials=trials,
@@ -655,8 +693,11 @@ def _outcome(run):
 
 
 def _both(kernel, n, trials, seed, box=2.0):
+    """The chunked probe and its per-trial loop: the factor loop for a
+    plane-wave kernel, the Gram loop for any other."""
     chunked = _outcome(lambda: probe_strict_pd(kernel, n=n, trials=trials, seed=seed, box=box))
-    return chunked, _outcome(lambda: _probe_loop(kernel, n, trials, seed, box))
+    trial = _factor_trial if getattr(kernel, "kind", None) == "plane_wave" else _gram_trial
+    return chunked, _outcome(lambda: _probe_loop(kernel, n, trials, seed, box, trial=trial))
 
 
 def _per(kernel, n):
@@ -711,6 +752,85 @@ def test_chunked_probe_is_the_per_trial_loop_in_small_chunks(monkeypatch, name, 
         for seed in (0, 7):
             chunked, loop = _both(kernel, n, trials, seed)
             assert chunked == loop
+
+
+def _assert_factor_probe_is_the_gram_loop(kernel, n, trials, seed, box=2.0):
+    """The plane-wave probe, which reads its factor, against the Gram loop:
+    the same verdict, trial count and first violation, its design bit for
+    bit, each lambda_min within 1e-12 max(1, trace) of the Gram's, and the
+    Gram form v^H G v of each trial's factor witness, and of the reported
+    violation's, within the same bound of the reported lambda_min."""
+    rep = probe_strict_pd(kernel, n=n, trials=trials, seed=seed, box=box)
+    loop = _probe_loop(kernel, n, trials, seed, box)
+    assert (rep.verdict, rep.trials, len(rep.min_eigenvalues)) == (loop.verdict, loop.trials, len(loop.min_eigenvalues))
+    assert (rep.violation is None) == (loop.violation is None)
+    for t, lo in enumerate(rep.min_eigenvalues):
+        points, lo_gram, scale, _, g = _gram_trial(kernel, n, (seed, t), box)
+        factor_points, _, _, u = _factor_trial(kernel, n, (seed, t), box)
+        assert np.array_equal(factor_points, points)
+        bound = 1e-12 * scale
+        assert abs(lo - lo_gram) <= bound
+        assert abs(np.vdot(u, g @ u).real - lo) <= bound
+        if rep.violation is not None and rep.violation.trial == t:
+            assert t == loop.violation.trial and np.array_equal(rep.violation.points, loop.violation.points)
+            v = rep.violation.witness
+            assert abs(np.vdot(v, g @ v).real - rep.violation.min_eigenvalue) <= bound
+    return rep
+
+
+def test_plane_wave_probe_is_the_gram_loop_within_tolerance_at_the_chunk_edges():
+    kernel, n = ORACLE_KERNELS["plane_wave"]
+    per = _per(kernel, n)
+    for trials in (per - 1, per, per + 1):
+        rep = _assert_factor_probe_is_the_gram_loop(kernel, n, trials, seed=3)
+        # 4 points at ell = 2 against r = 3 columns: singular by rank
+        assert rep.verdict == "ViolationFound" and rep.min_eigenvalues == (0.0,) * trials
+
+
+def _plane_wave_kernel(m, ell, ranks, seed):
+    """A plane-wave kernel on R^m whose atom a, at a normal frequency, is
+    B B^H for a normal complex B of ranks[a] <= ell columns (rank 0: a zero
+    atom, pruned)."""
+    rng = np.random.default_rng(seed)
+    xis = rng.normal(0.0, 2.0, size=(len(ranks), m))
+    gs = np.zeros((len(ranks), ell, ell), dtype=complex)
+    for g, r in zip(gs, ranks):
+        b = rng.normal(size=(ell, r)) + 1j * rng.normal(size=(ell, r))
+        g[...] = b @ b.conj().T
+    return plane_wave_kernel(PlaneWaveMeasure(ell, m, xis=xis, gs=gs))
+
+
+@st.composite
+def _plane_wave_probes(draw):
+    """A plane-wave kernel of up to four atoms and a probe of it, n ell
+    below, at or above r = sum(ranks)."""
+    m, ell = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    ranks = draw(st.lists(st.integers(0, ell), max_size=4))
+    kernel = _plane_wave_kernel(m, ell, ranks, draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, max(2, sum(ranks) // ell + 2)))
+    return kernel, n, draw(st.integers(1, 6)), draw(st.integers(0, 2**31 - 1)), draw(st.sampled_from([0.5, 2.0, 4.0]))
+
+
+@given(case=_plane_wave_probes())
+@example(case=(_plane_wave_kernel(2, 2, [2, 2, 2], 0), 3, 5, 0, 2.0))  # n ell = r = 6
+@example(case=(_plane_wave_kernel(1, 1, [1, 1, 1, 1], 1), 3, 5, 1, 2.0))  # n ell = 3 < r = 4
+@example(case=(_plane_wave_kernel(3, 3, [3, 3], 2), 3, 5, 2, 2.0))  # n ell = 9 > r = 6
+# n ell = 9 against rank 8: a roundoff eigenvalue > 0 of the rank-2 atom keeps a ninth column
+@example(case=(_plane_wave_kernel(3, 3, [3, 2, 3], 2), 3, 5, 2, 2.0))
+@example(case=(_plane_wave_kernel(2, 2, [0], 3), 3, 2, 3, 2.0))  # every atom pruned: r = 0
+@settings(max_examples=60, deadline=None)
+def test_plane_wave_probe_is_the_gram_loop_within_tolerance(case):
+    """Over drawn plane-wave measures, atom ranks and designs: the factor
+    probe agrees with the Gram loop (_assert_factor_probe_is_the_gram_loop)
+    and is its own per-trial factor loop bit for bit. A design with more
+    rows n ell than the factor has columns prints 0.0."""
+    kernel, n, trials, seed, box = case
+    rep = _assert_factor_probe_is_the_gram_loop(kernel, n, trials, seed, box)
+    chunked, loop = _both(kernel, n, trials, seed, box)
+    assert chunked == loop
+    r = certify._atom_factors(kernel.measure)[1].shape[1]
+    if n * kernel.ell > r:
+        assert rep.min_eigenvalues == (0.0,) * trials
 
 
 def test_chunked_probe_keeps_a_late_first_violation_and_its_redraws(monkeypatch):
@@ -786,6 +906,64 @@ def test_probe_exits_4_on_the_first_trials_failure(tmp_path, capsys):
     assert out.out == "" and out.err == "numerical failure: eigendecomposition: an eigenvalue overflows the float range\n"
 
 
+def _plane_wave_probe(tmp_path, capsys, m, atoms, **fields):
+    """Exit code, stdout and stderr of `probe --seed 0` on a plane-wave
+    kernel on R^m with the given atoms."""
+    dim = len(atoms[0]["G"]["re"])
+    obj = {"kernel": {"family": {"kind": "plane_wave"}, "ambient_dim": m, "measure": {"dim": dim, "atoms": atoms}}, **fields}
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps(obj))
+    code = cli.main(["probe", "--seed", "0", "--input", str(path), "--no-timestamp"])
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+@pytest.mark.parametrize("m, atoms, fields, message", [
+    # |x| xi and |x - y| xi both pass the float range at box 1e6: every design overflows, at its points and at
+    # its differences alike
+    (1, [{"xi": [1e305], "G": {"re": [[1.0]]}}], {"n": 2, "trials": 1, "box": 1e6},
+     "plane-wave phase x . xi overflows the float range"),
+    (2, [{"xi": [1e305, 0.0], "G": {"re": [[1.0]]}}], {"n": 3, "trials": 3, "box": 1e6},
+     "plane-wave phase x . xi overflows the float range"),
+    # G = 1e308: the factor's scale ||F||_F^2 = 3e308, the Gram's trace, overflows (the assembled Gram's
+    # eigensolve met an eigenvalue that overflows first)
+    (1, [{"xi": [1.0], "G": {"re": [[1e308]]}}], {"n": 3, "trials": 2}, "PSD check: the trace overflows the float range"),
+])
+def test_plane_wave_probe_overflows_exit_4_with_one_line(tmp_path, capsys, m, atoms, fields, message):
+    code, out, err = _plane_wave_probe(tmp_path, capsys, m, atoms, **fields)
+    assert code == 4 and out == "" and err == f"numerical failure: {message}\n"
+
+
+def test_pruned_plane_wave_probe_is_singular_by_rank(tmp_path, capsys):
+    """A measure whose only atom is zero is pruned: the factor has no
+    column, so every design's Gram is 0 and every trial prints 0.0 (exit 3)."""
+    atoms = [{"xi": [1.0, 0.5], "G": {"re": [[0.0, 0.0], [0.0, 0.0]]}}]
+    code, out, err = _plane_wave_probe(tmp_path, capsys, 2, atoms, n=3, trials=3)
+    res = json.loads(out)["result"]
+    assert code == 3 and err == ""
+    assert res["min_eigenvalues"] == [0.0] * 3 and res["global_min"] == 0.0 and res["violation"]["min_eigenvalue"] == 0.0
+
+
+@pytest.mark.parametrize("breach, message", [
+    ("eigh", "^eigendecomposition reconstruction residual too large$"),
+    ("svd", "^singular value decomposition reconstruction residual too large$"),
+])
+def test_plane_wave_probe_guards_its_atom_eigensolve_and_its_svds(monkeypatch, breach, message):
+    """Eigenvalues of the atoms, or singular values of a design's factor,
+    off by 1e-3 raise NumericalFailure from the probe."""
+    kernel, n = ORACLE_KERNELS["plane_wave"]
+    solve = getattr(np.linalg, breach)
+
+    def breached(a, **kwargs):
+        out = list(solve(a, **kwargs))
+        out[0 if breach == "eigh" else 1] = out[0 if breach == "eigh" else 1] * 1.001
+        return tuple(out)
+
+    monkeypatch.setattr(np.linalg, breach, breached)
+    with pytest.raises(NumericalFailure, match=message):
+        probe_strict_pd(kernel, n=n, trials=2, seed=0)
+
+
 def test_probe_refuses_non_finite_blocks_in_trial_order():
     """Blocks that are NaN wherever two points are more than 3.5 apart: the
     first trial with such a pair raises InvalidMatrix, as the loop's
@@ -830,9 +1008,9 @@ def test_stacked_eigen_failure_names_the_first_failing_trial():
         return abs(pts[0, 0] - pts[1, 0])
 
     seed = next(s for s in range(100) if gap(s, 0) <= 1.0 < gap(s, 1))
-    _, grams = _seeded_design(kernel, 2, _rngs(seed, range(2)), 2.0)
+    points, diffs = _seeded_design(kernel, 2, _rngs(seed, range(2)), 2.0)
     with pytest.raises(NumericalFailure, match="an eigenvalue overflows"):
-        psd_margin(grams)
+        psd_margin(_hermitian_gram(kernel, points, diffs))
     chunked, loop = _both(kernel, 2, 2, seed)
     assert chunked == loop == (NumericalFailure, "PSD check: the trace overflows the float range")
 
@@ -902,18 +1080,30 @@ def _peak(run):
         tracemalloc.stop()
 
 
-def test_probe_memory_does_not_grow_with_trials():
-    """A chunk holds at most one difference table and one block table of
-    the budget's size, and nothing outlives it: 40 trials of 120-row Grams
-    (one design per chunk) peak within 5% of one trial."""
-    kernel = plane_wave_kernel(
-        PlaneWaveMeasure(3, 2, [([0.5, -1.0], np.eye(3)), ([-2.0, 0.25], np.diag([1.0, 0.5, 0.0]))])
-    )
+def _assert_probe_memory_is_flat(kernel):
+    """40 trials of 40 points, one design per chunk, peak within 5% of one
+    trial."""
     assert _per(kernel, 40) == 1
     probe_strict_pd(kernel, n=40, trials=1, seed=0)  # first-call allocations are not the probe's
     one = _peak(lambda: probe_strict_pd(kernel, n=40, trials=1, seed=0))
     forty = _peak(lambda: probe_strict_pd(kernel, n=40, trials=40, seed=0))
     assert forty <= 1.05 * one
+
+
+def test_probe_memory_does_not_grow_with_trials():
+    """A plane-wave chunk holds at most one difference table and one factor
+    (120 rows, with its SVD) of the budget's size, and nothing outlives it."""
+    _assert_probe_memory_is_flat(
+        plane_wave_kernel(PlaneWaveMeasure(3, 2, [([0.5, -1.0], np.eye(3)), ([-2.0, 0.25], np.diag([1.0, 0.5, 0.0]))]))
+    )
+
+
+def test_probe_gram_memory_does_not_grow_with_trials():
+    """A radial chunk holds at most one difference table and one 120-row
+    Gram, with its eigensolve, and nothing outlives it."""
+    _assert_probe_memory_is_flat(
+        radial_kernel(RadialProfile.gaussian(), OperatorMeasure(3, [(1.0, np.eye(3)), (0.4, np.diag([2.0, 0.5, 1.0]))]), 2)
+    )
 
 
 def test_probe_chunks_stay_within_the_budget():
@@ -927,6 +1117,22 @@ def test_probe_chunks_stay_within_the_budget():
     many = _peak(lambda: probe_strict_pd(kernel, n=n, trials=400, seed=0))
     assert forty <= 12 * table
     assert many <= 1.05 * forty
+
+
+def test_wide_plane_wave_factors_share_the_chunk_budget(monkeypatch):
+    """64 rank-one atoms against 4 points at ell = 1: a factor has r = 64
+    columns, wider than the Gram's 4 rows, so a chunk holds 8192 / (4 * 64)
+    = 32 designs' factors where 512 Grams would fit."""
+    kernel = _plane_wave_kernel(1, 1, [1] * 64, 0)
+    shapes = []
+
+    def recorded(f):
+        shapes.append(f.shape)
+        return factor_margin(f)
+
+    monkeypatch.setattr(certify, "factor_margin", recorded)
+    probe_strict_pd(kernel, n=4, trials=40, seed=0)
+    assert shapes == [(32, 4, 64), (8, 4, 64)]
 
 
 # ---------------------------------------------------------------- witness design

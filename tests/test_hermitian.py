@@ -14,6 +14,7 @@ from opkernel.hermitian import (
     _frobenius,
     cholesky_psd,
     eigen_hermitian,
+    factor_margin,
     hermitian_part,
     is_psd,
     psd_margin,
@@ -177,6 +178,97 @@ def test_measure_atoms_are_judged_by_psd_margin(monkeypatch):
     monkeypatch.setattr(measures, "psd_margin", spy)
     OperatorMeasure(2, [(1.0, np.eye(2)), (2.0, np.eye(2)), (1.0, np.eye(2))])
     assert seen == [(3, 2, 2)]
+
+
+# ---------------------------------------------------------------- factor margin
+
+
+def _factors(seed, k, rows, cols):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(k, rows, cols)) + 1j * rng.normal(size=(k, rows, cols))
+
+
+@pytest.mark.parametrize("rows, cols", [(6, 2), (6, 5), (4, 4), (3, 5), (4, 0)])
+def test_factor_margin_is_the_margin_of_the_gram(rows, cols):
+    """A factor with more rows than columns gives lambda_min exactly 0.0,
+    any other sigma_min^2. Against psd_margin of the Gram F F^H: lambda_min
+    within 1e-12 max(1, trace), the scale its trace, and the witness a unit
+    vector whose Gram form is lambda_min."""
+    f = _factors(10 * rows + cols, 3, rows, cols)
+    lam, scale, vec = factor_margin(f)
+    grams = hermitian_part(f @ np.conj(np.swapaxes(f, -1, -2)))
+    g_lam, g_scale, _ = psd_margin(grams)
+    assert lam.shape == scale.shape == (3,) and vec.shape == (3, rows)
+    if rows > cols:
+        assert lam.tolist() == [0.0] * 3
+    assert np.all(np.abs(lam - g_lam) <= 1e-12 * g_scale)
+    assert scale == pytest.approx(g_scale, rel=1e-14)
+    for g, v, lo, sc in zip(grams, vec, lam, scale):
+        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
+        assert abs(np.vdot(v, g @ v).real - lo) <= 1e-12 * sc
+
+
+def test_a_factor_scale_past_the_float_range_is_the_trace_failure():
+    """||F||_F = 1.7e154 is finite, but the scale ||F||_F^2, the Gram's
+    trace 3e308, is not."""
+    f = np.full((1, 3, 1), 1e154, dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isfinite(_frobenius(f)).all()
+        with pytest.raises(NumericalFailure, match="^PSD check: the trace overflows the float range$"):
+            factor_margin(f)
+
+
+def _breach(what):
+    """An SVD whose singular values, or the last column of U or row of V^H,
+    are off by 1e-3; or one that fails."""
+    svd = np.linalg.svd
+
+    def breached(a, **kwargs):
+        if what == "converge":
+            raise np.linalg.LinAlgError("SVD did not converge")
+        u, s, vh = (x.copy() for x in svd(a, **kwargs))
+        {"s": s, "U": u[..., -1], "V": vh[..., -1, :]}[what][...] *= 1.001
+        return u, s, vh
+
+    return breached
+
+
+# U's last column spans the null space of a taller factor, and V^H's last row
+# goes with the singular value 0 of a wide factor with a zero row: the
+# reconstruction reads neither, so only the unitarity residual sees them
+_WIDE_SINGULAR = np.array([[[1.0, 2.0, 0.0, 1.0j], [0.0, 0.0, 0.0, 0.0]]])
+
+
+@pytest.mark.parametrize("what, f, message", [
+    ("s", _factors(5, 2, 4, 2), "^singular value decomposition reconstruction residual too large$"),
+    ("U", _factors(5, 2, 4, 2), "^singular vector matrix is not unitary to tolerance$"),
+    ("V", _WIDE_SINGULAR, "^singular vector matrix is not unitary to tolerance$"),
+    ("converge", _factors(5, 2, 4, 2), "^singular value decomposition did not converge$"),
+], ids=["s", "U", "V", "converge"])
+def test_factor_margin_guards_its_svd(monkeypatch, what, f, message):
+    factor_margin(f)
+    monkeypatch.setattr(np.linalg, "svd", _breach(what))
+    with pytest.raises(NumericalFailure, match=message):
+        factor_margin(f)
+
+
+def test_factor_margin_checks_the_witness_form(monkeypatch):
+    """F = I_2: sigma_min raised by 1.3e-12 keeps the reconstruction
+    residual (1.3e-12) within 1e-12 ||F||_F = 1.41e-12, but puts lambda_min
+    2.6e-12 from the witness's form ||F^H u||^2 = 1, past 1e-12 times the
+    scale 2."""
+    f = np.eye(2, dtype=complex)[None]
+    assert factor_margin(f)[0] == pytest.approx([1.0], abs=1e-15)
+    svd = np.linalg.svd
+
+    def raised(a, **kwargs):
+        u, s, vh = svd(a, **kwargs)
+        return u, s + [0.0, 1.3e-12], vh
+
+    monkeypatch.setattr(np.linalg, "svd", raised)
+    with pytest.raises(NumericalFailure, match=r"^witness form \|\|F\^H u\|\|\^2 differs from lambda_min beyond tolerance$"):
+        factor_margin(f)
 
 
 # ---------------------------------------------------------------- overflow

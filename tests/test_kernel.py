@@ -924,7 +924,8 @@ def _triangle_cases(family, m, ell, complex_g, big, design, n, q, seed):
     build): deriv_gram at jet order q; at q >= 1 a Hermite system (one
     multi-index per datum, the first point repeated at another one); and
     the Grams of a stack of probe designs, or of the shifted-gaussian demo's
-    design, each drawn by certify._seeded_design. A kernel that keeps the
+    design, each drawn by certify._seeded_design and built from its
+    differences. A kernel that keeps the
     sign of a zero takes a sorted grid for signed_zero: de-duplication keys
     rows as floats (-0.0 == 0.0), and the oracle's n^2 table and the
     assembler's pair table pass its 64-row threshold at different n."""
@@ -944,7 +945,8 @@ def _triangle_cases(family, m, ell, complex_g, big, design, n, q, seed):
         cases.append((xs, alphas[:, None, :], hermite))
     size = 6 if family == "shifted_pair" else 2 + n % 5  # the shifted-gaussian demo draws 6 points
     rngs = [np.random.default_rng(np.random.SeedSequence([seed, t])) for t in range(1 + n % 3)]
-    points, grams = _seeded_design(kernel, size, rngs, 2.0)
+    points, diffs = _seeded_design(kernel, size, rngs, 2.0)
+    grams = kernel_module._hermitian_gram(kernel, points, diffs)
     return kernel, cases + [(p, None, lambda g=g: g) for p, g in zip(points, grams)]
 
 
