@@ -27,12 +27,14 @@ smallest Gram eigenvalue seen; classify_and_report runs the exact
 classification and the probe side by side and refuses to let them disagree
 silently. The probe's trials run in chunks bounded by _PROBE_CHUNK_ENTRIES:
 _seeded_design, the one design drawer (the shifted-gaussian demo's too),
-draws every design of the chunk first (the first draws in one stacked
-pairwise pass), then builds their Grams in one pass of gram's assembler,
-and one checked eigensolve covers the chunk. A plane-wave kernel
+draws every design of the chunk (the first draws in one stacked pairwise
+pass) and returns their points and pairwise differences; the probe then
+builds the chunk's Grams in one pass of gram's assembler, and one checked
+eigensolve covers the chunk. A plane-wave kernel
 K(x, y) = sum_a e^{-i (x - y) . xi_a} G_a is read through its finite-rank
 factor instead: each design's Gram is F F^H, F with r = sum_a rank G_a
-columns, and one checked SVD of the chunk's factors gives lambda_min. A
+columns (each rank cut as np.linalg.matrix_rank cuts it), and one checked
+SVD of the chunk's factors gives lambda_min. A
 chunk is all or nothing: when its drawing, evaluation, eigensolve or SVD
 raises, the probe runs one trial per chunk from the chunk's first trial
 on, so the first failing trial raises its own error. Every design,
@@ -204,11 +206,13 @@ def _seeded_design(kernel, n: int, rngs, box: float) -> tuple[np.ndarray, np.nda
 def _atom_factors(measure: PlaneWaveMeasure) -> tuple[np.ndarray, np.ndarray]:
     """The factors G_a = B_a B_a^H of a plane-wave measure's atoms, from one
     checked eigensolve of the stack: the columns sqrt(w) v of the
-    eigenvalues w > 0, side by side as one (ell, r) matrix, and the atom of
-    each column (r,). An eigenvalue <= 0 (the measure admits them down to
-    -PSD_TOL * max(1, trace)) is dropped: each atom is read as its PSD part."""
+    eigenvalues w > ell * eps * lambda_max(G_a), side by side as one (ell, r)
+    matrix, and the atom of each column (r,). That is np.linalg.matrix_rank's
+    default cut: an eigenvalue at or below it is the roundoff of an exact
+    zero, or negative (the measure admits those down to -PSD_TOL * max(1,
+    trace)), and is dropped, so each atom is read as its PSD part."""
     w, v = _eigh_checked(measure.gs)
-    atom, col = np.nonzero(w > 0.0)
+    atom, col = np.nonzero(w > measure.dim * np.finfo(float).eps * w[:, -1:])
     return atom, (v[atom, :, col] * np.sqrt(w[atom, col])[:, None]).T
 
 
@@ -475,7 +479,7 @@ def witness_design_mineig(kernel: OperatorKernel):
     this eigenvalue sits at numerical zero (<= 1e-9 * scale)."""
     pts = np.zeros((2, kernel.m))
     pts[1, 0] = 1.0
-    return psd_margin(gram(kernel, pts).matrix)[:2]
+    return psd_margin(gram(kernel, pts).matrix.entries)[:2]
 
 
 @dataclass(frozen=True)

@@ -254,7 +254,7 @@ def cmd_gram(args) -> int:
         g = gram(kernel, pts, tol=args.tols["duplicate"])
     else:
         g = deriv_gram(kernel, pts, q, tol=args.tols["duplicate"])
-    lo = float(eigen_hermitian(g.matrix).eigenvalues[0])
+    lo = float(eigen_hermitian(g.matrix.entries)[0][0])
     meta = _gram_layout(g, q)
     meta["min_eigenvalue"] = lo
     if args.format == "csv":

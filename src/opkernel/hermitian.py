@@ -1,8 +1,10 @@
 """Dense Hermitian linear algebra for small complex matrices.
 
-HermitianMatrix symmetrizes other matrices on construction and wraps every
-block Gram, Hermitian by construction (kernel._hermitian_gram), as it is,
-so downstream code never re-checks adjoint symmetry. Matrices stay at desk
+Every function here takes the array it is given as Hermitian: every block
+Gram is built Hermitian (kernel._hermitian_gram) and measures.merge_psd_atoms
+symmetrizes the atom matrices that come from outside, so no matrix is
+symmetrized again on its way to an eigensolve or a factorization.
+HermitianMatrix is the read-only holder of a block Gram. Matrices stay at desk
 scale (block Grams of at most kernel.MAX_GRAM_ROWS = 2048 rows), so plain
 dense algorithms are fine. The checked eigensolver also works over stacks
 of matrices, so a measure's atoms are validated with one call.
@@ -13,7 +15,6 @@ F F^H, through one checked SVD, without forming the Gram.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -49,67 +50,34 @@ def hermitian_part(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     # the layout is part of the result: the eigensolves and products
     # downstream round differently on a Fortran-ordered matrix
     h = np.conj(np.swapaxes(b, -1, -2), out=np.empty(a.shape, dtype=a.dtype))
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite input stays so, for the caller to check
         h += a
         h /= 2
-    big = ~np.isfinite(h)
-    if big.any():
-        h[big] = a[big] / 2 + np.conj(np.swapaxes(b, -1, -2))[big] / 2
+        big = ~np.isfinite(h)
+        if big.any():
+            h[big] = a[big] / 2 + np.conj(np.swapaxes(b, -1, -2))[big] / 2
     return h
 
 
 class HermitianMatrix(Frozen):
-    """Immutable square complex matrix, exactly self-adjoint.
-
-    Construction symmetrizes via hermitian_part, which also zeroes the
-    imaginary part of the diagonal exactly (x + conj(x) has imag 0 in IEEE
-    arithmetic). Non-finite or non-square input raises InvalidMatrix. Block
-    Grams are Hermitian by construction and wrapped by built instead."""
+    """A block Gram, Hermitian by construction, held read-only as it is: no
+    copy, no symmetrizing."""
 
     __slots__ = ("entries",)
 
-    def __init__(self, entries):
-        a = np.asarray(entries, dtype=complex)
-        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-            raise InvalidMatrix(f"expected a square matrix, got shape {a.shape}")
-        if not np.isfinite(a).all():
-            raise InvalidMatrix("matrix has non-finite entries")
-        h = hermitian_part(a)
+    def __init__(self, h: np.ndarray):
         h.flags.writeable = False
         object.__setattr__(self, "entries", h)
-
-    @classmethod
-    def built(cls, h: np.ndarray) -> "HermitianMatrix":
-        """Wrap h, Hermitian by construction, as it is: no copy, no symmetrizing."""
-        self = object.__new__(cls)
-        h.flags.writeable = False
-        object.__setattr__(self, "entries", h)
-        return self
 
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
-
-    def __repr__(self):
-        return f"HermitianMatrix(dim={self.dim})"
-
-
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Eigenvalues ascending; columns of eigenvectors are the eigenvectors."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 class PsdCheck(NamedTuple):
     ok: bool
     min_eigenvalue: float
     witness: np.ndarray | None  # unit eigenvector when not ok
-
-
-def _as_hermitian(a) -> HermitianMatrix:
-    return a if isinstance(a, HermitianMatrix) else HermitianMatrix(a)
 
 
 def _frobenius(x: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
@@ -173,34 +141,29 @@ def _eig_residuals(h: np.ndarray, w: np.ndarray, v: np.ndarray) -> tuple[np.ndar
     return recon, _frobenius(res, work=scaled)
 
 
-def eigen_hermitian(a: HermitianMatrix | np.ndarray) -> EigenDecomposition:
-    """Full eigendecomposition A = V diag(w) V^H with w ascending.
+def eigen_hermitian(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Full eigendecomposition A = V diag(w) V^H of Hermitian a, as (w, V)
+    with w ascending.
 
     The decomposition quality is enforced, not assumed: reconstruction and
     unitarity residuals beyond tolerance raise NumericalFailure.
     """
-    w, v = _eigh_checked(_as_hermitian(a).entries)
-    w.flags.writeable = False
-    v.flags.writeable = False
-    return EigenDecomposition(eigenvalues=w, eigenvectors=v)
+    return _eigh_checked(a)
 
 
-def psd_margin(a: HermitianMatrix | np.ndarray) -> tuple:
-    """(lambda_min, max(1, trace), a unit eigenvector of lambda_min): every
-    eigenvalue verdict compares lambda_min against tol * max(1, trace), so a
-    trace that overflows raises NumericalFailure.
+def psd_margin(a: np.ndarray) -> tuple:
+    """(lambda_min, max(1, trace), a unit eigenvector of lambda_min) of
+    Hermitian a: every eigenvalue verdict compares lambda_min against
+    tol * max(1, trace), so a trace that overflows raises NumericalFailure.
 
-    One matrix gives two floats and a vector. A stack (..., n, n) of
-    Hermitian matrices, such as hermitian_part returns, is taken as given,
-    with one checked eigensolve, and gives arrays over its leading axes."""
-    stacked = isinstance(a, np.ndarray) and a.ndim > 2
-    h = a if stacked else _as_hermitian(a).entries
-    w, v = _eigh_checked(h)
+    One matrix gives two floats and a vector. A stack (..., n, n) takes one
+    checked eigensolve and gives arrays over its leading axes."""
+    w, v = _eigh_checked(a)
     with np.errstate(over="ignore"):
-        tr = np.trace(h, axis1=-2, axis2=-1).real
+        tr = np.trace(a, axis1=-2, axis2=-1).real
     if not np.all(np.isfinite(tr)):
         raise NumericalFailure("PSD check: the trace overflows the float range")
-    if stacked:
+    if a.ndim > 2:
         return w[..., 0], np.maximum(1.0, tr), v[..., 0]
     return float(w[0]), max(1.0, float(tr)), v[:, 0].copy()
 
@@ -246,7 +209,7 @@ def factor_margin(f: np.ndarray) -> tuple:
     return lam, scale, witness
 
 
-def is_psd(a: HermitianMatrix | np.ndarray, tol: float = PSD_TOL) -> PsdCheck:
+def is_psd(a: np.ndarray, tol: float = PSD_TOL) -> PsdCheck:
     """PSD test: min eigenvalue >= -tol * max(1, trace).
 
     On failure the witness is a unit eigenvector of the offending eigenvalue.
@@ -256,8 +219,8 @@ def is_psd(a: HermitianMatrix | np.ndarray, tol: float = PSD_TOL) -> PsdCheck:
     return PsdCheck(ok, lam, None if ok else vec)
 
 
-def cholesky_psd(a: HermitianMatrix | np.ndarray, jitter: float = 0.0) -> np.ndarray:
-    """Lower Cholesky factor of A + jitter*I, tolerant of PSD rank deficiency.
+def cholesky_psd(a: np.ndarray, jitter: float = 0.0) -> np.ndarray:
+    """Lower Cholesky factor of A + jitter*I, A Hermitian, tolerant of PSD rank deficiency.
 
     LAPACK factors every positive definite input. Only when it refuses does
     a pivot loop run, which clamps pivots within 1e-10*scale of zero and
@@ -267,11 +230,10 @@ def cholesky_psd(a: HermitianMatrix | np.ndarray, jitter: float = 0.0) -> np.nda
     scale = max(1, ||A + jitter I||_F); a scale that overflows raises
     NumericalFailure.
     """
-    a = _as_hermitian(a)
     if not np.isfinite(jitter) or jitter < 0.0:
         raise InvalidMatrix("jitter must be a finite nonnegative real")
     with np.errstate(over="ignore"):
-        m = a.entries + jitter * np.eye(a.dim)
+        m = a + jitter * np.eye(a.shape[0])
     norm = float(_frobenius(m))
     if not math.isfinite(norm):
         raise NumericalFailure("Cholesky factorization: the matrix norm overflows the float range")

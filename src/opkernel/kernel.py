@@ -433,7 +433,7 @@ def deriv_gram(kernel: OperatorKernel, points, q: int, tol: float = DUPLICATE_PO
     pts, diffs = _check_points(points, kernel.m, tol, math.comb(kernel.m + q, q) * kernel.ell, what)
     idxs = multi_indices_up_to(kernel.m, q)
     h = _hermitian_gram(kernel, pts, diffs, np.broadcast_to(np.array(idxs), (len(pts), len(idxs), kernel.m)))
-    return BlockGram(points=pts, ell=kernel.ell, q=q, multi_indices=idxs, matrix=HermitianMatrix.built(h))
+    return BlockGram(points=pts, ell=kernel.ell, q=q, multi_indices=idxs, matrix=HermitianMatrix(h))
 
 
 def _distinct(kernel, diffs: np.ndarray):

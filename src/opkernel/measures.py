@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidMatrix, InvalidMeasure, NotRadial, NumericalFailure
-from .hermitian import PSD_TOL, Frozen, HermitianMatrix, hermitian_part, psd_margin
+from .hermitian import PSD_TOL, Frozen, hermitian_part, psd_margin
 from .profiles import RadialProfile
 from .schema import _fields, _float_field, _int_field, _list_field, complex_from_json
 
@@ -69,7 +69,7 @@ def stack_atoms(items, shape: tuple, dtype, error) -> np.ndarray:
     array; error(item_shape) is raised for the first item of another shape."""
     if isinstance(items, np.ndarray) and items.shape[1:] == shape:
         return items.astype(dtype)
-    arrs = [g.entries if isinstance(g, HermitianMatrix) else np.asarray(g, dtype=dtype) for g in items]
+    arrs = [np.asarray(g, dtype=dtype) for g in items]
     for a in arrs:
         if a.shape != shape:
             raise error(a.shape)
@@ -145,15 +145,16 @@ class OperatorMeasure(Frozen):
         return f"OperatorMeasure(dim={self.dim}, atoms={len(self)})"
 
 
-def total_operator(measure: OperatorMeasure) -> HermitianMatrix:
-    """Sum of the atom matrices at positive supports (omega = 0 dropped)."""
+def total_operator(measure: OperatorMeasure) -> np.ndarray:
+    """Sum of the atom matrices at positive supports (omega = 0 dropped):
+    exactly Hermitian, as every atom is."""
     total = np.zeros((measure.dim, measure.dim), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         for g in measure.gs[measure.omegas != 0.0]:
             total = total + g
     if not np.all(np.isfinite(total)):
         raise NumericalFailure("total operator (sum of atom matrices) overflows the float range")
-    return HermitianMatrix(total)
+    return total
 
 
 VERDICT_STRICT = "StrictlyPD_and_Universal"

@@ -59,7 +59,7 @@ from .errors import (
     NotPSD,
     NumericalFailure,
 )
-from .hermitian import Frozen, HermitianMatrix, _frobenius, cholesky_psd, solve_cholesky
+from .hermitian import Frozen, _frobenius, cholesky_psd, solve_cholesky
 from .kernel import (
     _BLOCK_ENTRIES,
     DUPLICATE_POINT_TOL,
@@ -332,7 +332,7 @@ class InterpolationResult:
 
 
 def _ridge_solve(
-    mat: HermitianMatrix, rhs: np.ndarray, ell: int, ridge: float | None, what: str
+    mat: np.ndarray, rhs: np.ndarray, ell: int, ridge: float | None, what: str
 ) -> tuple[np.ndarray, float, float]:
     """Solve (mat + ridge I) c = rhs by PSD Cholesky: (c, residual, ridge),
     the residual being the largest ell-block norm of (mat + ridge I) c - rhs,
@@ -342,11 +342,11 @@ def _ridge_solve(
     float range raises NumericalFailure."""
     if ridge is None:
         with np.errstate(over="ignore"):
-            tr = float(np.trace(mat.entries).real)
+            tr = float(np.trace(mat).real)
         if math.isfinite(tr):
-            ridge = 1e-10 * tr / mat.dim
+            ridge = 1e-10 * tr / mat.shape[0]
         else:
-            ridge = 1e-10 * float(np.sum(mat.entries.diagonal().real / mat.dim))
+            ridge = 1e-10 * float(np.sum(mat.diagonal().real / mat.shape[0]))
     ridge = float(ridge)
     if not math.isfinite(ridge) or ridge < 0.0:
         raise InvalidParameter("ridge must be finite and >= 0")
@@ -356,7 +356,7 @@ def _ridge_solve(
         raise IllConditioned(f"{what} factorization failed ({exc}); increase the ridge") from exc
     c = solve_cholesky(low, rhs)
     with np.errstate(over="ignore", invalid="ignore"):
-        resid = mat.entries @ c + ridge * c - rhs
+        resid = mat @ c + ridge * c - rhs
     # a non-finite solution leaves a non-finite residual
     if not np.all(np.isfinite(resid)):
         raise NumericalFailure(f"{what} solve overflows the float range")
@@ -390,7 +390,7 @@ def interpolate(
     t = np.asarray(targets, dtype=complex)
     if t.shape != (n, ell):
         raise InvalidVector(f"targets must have shape ({n}, {ell}), got {t.shape}")
-    mat = HermitianMatrix.built(_hermitian_gram(kernel, pts, diffs, alps[:, None, :]))
+    mat = _hermitian_gram(kernel, pts, diffs, alps[:, None, :])
     del diffs  # not held through the solve
     c, residual, ridge = _ridge_solve(mat, t.reshape(n * ell), ell, ridge, solve_what)
     element = RkhsElement(kernel=kernel, alphas=alps, points=pts, vectors=c.reshape(n, ell))

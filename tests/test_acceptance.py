@@ -18,7 +18,7 @@ from opkernel.certify import (
     demo_counterexample_shifted_gaussian,
 )
 from opkernel.cli import main
-from opkernel.hermitian import HermitianMatrix, is_psd, psd_margin
+from opkernel.hermitian import hermitian_part, is_psd, psd_margin
 from opkernel.kernel import deriv_gram, gram, kernel_deriv_eval, radial_kernel
 from opkernel.measures import (
     VERDICT_NOT_STRICT,
@@ -95,11 +95,11 @@ def test_c03_psd_sweep():
         n = int(rng.integers(2, 9))
         pts = rng.uniform(-2, 2, size=(n, m))
         g = gram(k, pts)
-        lam, scale, _ = psd_margin(g.matrix)
+        lam, scale, _ = psd_margin(g.matrix.entries)
         worst_gram = min(worst_gram, lam / scale)
         for q in (1, 2):
             dg = deriv_gram(k, pts, q=q)
-            dlam, dscale, _ = psd_margin(dg.matrix)
+            dlam, dscale, _ = psd_margin(dg.matrix.entries)
             worst_deriv = min(worst_deriv, dlam / dscale)
     ok = worst_gram >= -1e-10 and worst_deriv >= -1e-9
     report(
@@ -274,13 +274,13 @@ def test_c09_radon_nikodym():
             atoms.append((float(j), b.conj().T @ b))
         mu = OperatorMeasure(dim, atoms)
         weights = np.trace(mu.gs, axis1=1, axis2=2).real
-        densities = [HermitianMatrix(g / w) for g, w in zip(mu.gs, weights)]
-        recon = sum(w * d.entries for w, d in zip(weights, densities))
+        densities = [hermitian_part(g / w) for g, w in zip(mu.gs, weights)]
+        recon = sum(w * d for w, d in zip(weights, densities))
         total = mu.gs.sum(axis=0)
         err = np.max(np.abs(recon - total)) / max(1.0, np.max(np.abs(total)))
         worst_recon = max(worst_recon, err)
         for d in densities:
-            worst_trace = max(worst_trace, abs(np.trace(d.entries).real - 1.0))
+            worst_trace = max(worst_trace, abs(np.trace(d).real - 1.0))
             all_psd = all_psd and is_psd(d).ok
     eps = np.finfo(float).eps
     ok = worst_recon <= 4 * eps and worst_trace <= 1e-14 and all_psd

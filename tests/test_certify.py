@@ -27,7 +27,7 @@ from opkernel.certify import (
     witness_design_mineig,
 )
 from opkernel.errors import DuplicatePoints, InvalidGrid, InvalidMatrix, InvalidParameter, NumericalFailure, OpKernelError
-from opkernel.hermitian import HermitianMatrix, eigen_hermitian, factor_margin, psd_margin
+from opkernel.hermitian import eigen_hermitian, factor_margin, hermitian_part, psd_margin
 from opkernel.kernel import (
     DUPLICATE_POINT_TOL,
     PlaneWaveMeasure,
@@ -293,10 +293,10 @@ def test_shifted_demo_vector_shift():
 def test_shifted_gram_has_exact_null_direction():
     """On {0, 2w} the 4x4 block Gram annihilates (e1, -e2)/sqrt(2)."""
     k = ShiftedPairKernel([1.0])
-    dec = eigen_hermitian(gram(k, np.array([[0.0], [2.0]])).matrix)
-    assert abs(dec.eigenvalues[0]) <= 1e-12
+    w, v = eigen_hermitian(gram(k, np.array([[0.0], [2.0]])).matrix.entries)
+    assert abs(w[0]) <= 1e-12
     target = np.array([1.0, 0.0, 0.0, -1.0]) / np.sqrt(2.0)
-    overlap = abs(np.vdot(dec.eigenvectors[:, 0], target))
+    overlap = abs(np.vdot(v[:, 0], target))
     assert overlap == pytest.approx(1.0, abs=1e-10)
 
 
@@ -359,7 +359,7 @@ def _projection_floor_loop(w, seed, floor_tol):
         blocks = gram(kernel, points[0]).matrix.entries.reshape(6, 2, 6, 2).transpose(0, 2, 1, 3).reshape(36, 2, 2)
         for v in (e1, e2, e1 + e2, e1 + 1j * e2):
             g = np.array([complex(np.vdot(v, b @ v)) for b in blocks]).reshape(6, 6)
-            floor = min(floor, eigen_hermitian(HermitianMatrix(g)).eigenvalues[0])
+            floor = min(floor, eigen_hermitian(hermitian_part(g))[0][0])
         if floor > floor_tol:
             break
     return float(floor), redraws
@@ -629,19 +629,21 @@ def _gram_trial(kernel, n, seed_parts, box):
     """One probe trial from gram's Gram and one checked eigensolve: the
     design, lambda_min, max(1, trace), the witness, and the Gram."""
     points = _design_loop(kernel, n, seed_parts, box)
-    g = gram(kernel, points).matrix
-    return (points, *psd_margin(g), g.entries)
+    g = gram(kernel, points).matrix.entries
+    return (points, *psd_margin(g), g)
 
 
 def _factor(kernel, points):
     """The plane-wave factor F of a design, atom by atom: each atom's
-    eigensolve alone, the columns sqrt(w) v of its eigenvalues w > 0, and
-    the rows (i, c) e^{-i x_i . xi_a} B_a[c, :]; F F^H is the block Gram."""
+    eigensolve alone, the columns sqrt(w) v of its eigenvalues w > ell eps
+    lambda_max (np.linalg.matrix_rank's default cut), and the rows (i, c)
+    e^{-i x_i . xi_a} B_a[c, :]; F F^H is the block Gram."""
     phases = kernel_module._phases(points, kernel.measure.xis)
     blocks = []
     for a, g in enumerate(kernel.measure.gs):
         w, v = np.linalg.eigh(g)
-        b = v[:, w > 0.0] * np.sqrt(w[w > 0.0])
+        keep = w > len(w) * np.finfo(float).eps * w[-1]
+        b = v[:, keep] * np.sqrt(w[keep])
         blocks.append(phases[:, a, None, None] * b)
     f = np.concatenate(blocks, axis=2) if blocks else np.zeros((len(points), kernel.ell, 0), dtype=complex)
     return f.reshape(len(points) * kernel.ell, -1)
@@ -815,7 +817,7 @@ def _plane_wave_probes(draw):
 @example(case=(_plane_wave_kernel(2, 2, [2, 2, 2], 0), 3, 5, 0, 2.0))  # n ell = r = 6
 @example(case=(_plane_wave_kernel(1, 1, [1, 1, 1, 1], 1), 3, 5, 1, 2.0))  # n ell = 3 < r = 4
 @example(case=(_plane_wave_kernel(3, 3, [3, 3], 2), 3, 5, 2, 2.0))  # n ell = 9 > r = 6
-# n ell = 9 against rank 8: a roundoff eigenvalue > 0 of the rank-2 atom keeps a ninth column
+# n ell = 9 against rank 8: the rank-2 atom's roundoff eigenvalue is cut
 @example(case=(_plane_wave_kernel(3, 3, [3, 2, 3], 2), 3, 5, 2, 2.0))
 @example(case=(_plane_wave_kernel(2, 2, [0], 3), 3, 2, 3, 2.0))  # every atom pruned: r = 0
 @settings(max_examples=60, deadline=None)
@@ -831,6 +833,22 @@ def test_plane_wave_probe_is_the_gram_loop_within_tolerance(case):
     r = certify._atom_factors(kernel.measure)[1].shape[1]
     if n * kernel.ell > r:
         assert rep.min_eigenvalues == (0.0,) * trials
+
+
+def test_atom_factors_cut_roundoff_eigenvalues_at_the_matrix_rank_tolerance():
+    """Three 3 x 3 atoms of ranks 3, 2 and 3: the rank-2 atom's third
+    eigenvalue is roundoff of an exact zero, and the cut at ell eps
+    lambda_max drops it, so the factor has the measure's rank r = 8 columns
+    and every 3-point design (9 rows) prints exactly 0.0, not sigma_min^2 of
+    a ninth, roundoff column."""
+    kernel = _plane_wave_kernel(3, 3, [3, 2, 3], 2)
+    atom, b = certify._atom_factors(kernel.measure)
+    counts = np.bincount(atom)
+    assert sorted(counts.tolist()) == [2, 3, 3] and b.shape == (3, 8)
+    w = np.linalg.eigvalsh(kernel.measure.gs[np.argmin(counts)])
+    assert 0.0 < w[0] <= 3 * np.finfo(float).eps * w[-1]
+    rep = probe_strict_pd(kernel, n=3, trials=5, seed=2)
+    assert rep.verdict == "ViolationFound" and rep.min_eigenvalues == (0.0,) * 5
 
 
 def test_chunked_probe_keeps_a_late_first_violation_and_its_redraws(monkeypatch):
@@ -966,8 +984,8 @@ def test_plane_wave_probe_guards_its_atom_eigensolve_and_its_svds(monkeypatch, b
 
 def test_probe_refuses_non_finite_blocks_in_trial_order():
     """Blocks that are NaN wherever two points are more than 3.5 apart: the
-    first trial with such a pair raises InvalidMatrix, as the loop's
-    HermitianMatrix does, in chunks of one and of many."""
+    first trial with such a pair raises InvalidMatrix, as the loop's gram
+    does, in chunks of one and of many."""
     kernel = _LineKernel(lambda d: np.where(np.abs(d) > 3.5, np.nan, np.exp(-d * d)))
     outcomes = []
     for seed in range(6):
@@ -1221,5 +1239,5 @@ def test_shifted_kernel_gram_is_psd():
     rng = np.random.default_rng(4)
     pts = rng.uniform(-2, 2, size=(5, 1))
     g = gram(k, pts)
-    lam, scale, _ = psd_margin(g.matrix)
+    lam, scale, _ = psd_margin(g.matrix.entries)
     assert lam >= -1e-12 * scale
