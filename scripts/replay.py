@@ -1,20 +1,23 @@
 #!/usr/bin/env python3
 """Replay the benchmark's commands on a source tree, and diff two replays.
 
-    python scripts/replay.py run TREE OUT [--seeds 42 43] [--cycles 0 1] [--workloads NAME ...]
+    python scripts/replay.py run TREE OUT [--seeds 42 43] [--cycles 0 1]
     python scripts/replay.py diff A B
 
-`run` builds the commands of the chosen seeds and cycles from this
-checkout's perfbench/workloads.py, imported read-only, so that every tree
-replays the same commands. It runs each command in this process on TREE's
+`run` takes the commands of the chosen seeds and cycles, on all four
+workloads, from this checkout's perfbench/workloads.py, and writes their
+descriptors and builds their argv with perfbench/run.py's Runner, both
+loaded read-only, so that every tree replays the commands the benchmark
+runs. Runner.invoke runs each command in this process on TREE's
 `opkernel.cli.main`, from the command's own directory under OUT with
 relative input and output paths and --no-timestamp, so that no output
 names a directory or a time. For each command it records in
-OUT/records.json the exit code, stdout, stderr, the Python warnings and any
-exception that escaped main(); the descriptor, report, CSV and sidecar
-stay in OUT/<workload>/s<seed>c<cycle>/. OUT must be empty or absent. The
-BLAS thread setting is the caller's: run once more with
-OPENBLAS_NUM_THREADS=1 to cover both settings. No bytecode is written.
+OUT/records.json the exit code, stdout, stderr (stripped, as Runner.invoke
+returns it), the Python warnings and any exception that escaped main();
+the descriptor, report, CSV and sidecar stay in
+OUT/<workload>/s<seed>c<cycle>/. OUT must be empty or absent. The BLAS
+thread setting is the caller's: run once more with OPENBLAS_NUM_THREADS=1
+to cover both settings. No bytecode is written.
 
 `diff` lists every command whose record differs between two replays, by
 workload and command kind, and then a count per workload and kind. For a
@@ -45,11 +48,14 @@ RECORDS = "records.json"
 FIELDS = ("rc", "error", "stdout", "stderr", "warnings")
 
 
-def _workloads():
-    """This checkout's perfbench/workloads.py, loaded without writing bytecode."""
-    spec = importlib.util.spec_from_file_location("replay_workloads", ROOT / "perfbench" / "workloads.py")
+def _bench():
+    """This checkout's perfbench/run.py, loaded without writing bytecode;
+    its `wl` is perfbench/workloads.py."""
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, str(ROOT / "perfbench"))  # run.py imports its siblings from here
+    spec = importlib.util.spec_from_file_location("replay_bench", ROOT / "perfbench" / "run.py")
     module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up here
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 
@@ -64,53 +70,54 @@ def _cli(tree: Path):
     return cli
 
 
-def _invoke(cli, argv) -> dict:
-    """One main() call: its exit code, escaped exception, output and warnings."""
-    rc, error = None, None
-    out, err = io.StringIO(), io.StringIO()
+class _KeepStdout:
+    """TREE's cli, whose main() keeps the stdout that Runner.invoke discards."""
+
+    def __init__(self, cli):
+        self.cli = cli
+        self.stdout = ""
+
+    def main(self, argv):
+        out = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(out):
+                return self.cli.main(argv)
+        finally:
+            self.stdout = out.getvalue()
+
+
+def _invoke(runner, argv) -> dict:
+    """One Runner.invoke call: exit code, escaped exception, output and warnings."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        try:
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                rc = cli.main(argv)
-        except SystemExit as exc:
-            rc = exc.code if isinstance(exc.code, int) else 1
-        except Exception as exc:  # a traceback out of main is part of the record
-            error = f"{type(exc).__name__}: {exc}"
+        rc, error, _, stderr = runner.invoke(argv)
     found = [f"{w.category.__name__}: {w.message}" for w in caught]
-    return {"rc": rc, "error": error, "stdout": out.getvalue(), "stderr": err.getvalue(), "warnings": found}
+    return {"rc": rc, "error": error, "stdout": runner.cli.stdout, "stderr": stderr, "warnings": found}
 
 
 def run(args) -> int:
-    sys.dont_write_bytecode = True
+    bench = _bench()
     out = Path(args.out).resolve()
     if out.exists() and any(out.iterdir()):
         raise SystemExit(f"error: {out} is not empty")
-    wl = args.wl
-    cli = _cli(Path(args.tree))
+    cli = _KeepStdout(_cli(Path(args.tree)))
     records = []
     home = os.getcwd()
     try:
-        for workload in args.workloads:
+        for workload in bench.wl.WORKLOADS:
             for seed in args.seeds:
                 for index in args.cycles:
                     where = Path(workload) / f"s{seed}c{index}"
                     (out / where).mkdir(parents=True)
                     os.chdir(out / where)
-                    for i, spec in enumerate(wl.cycle(workload, seed, index)):
-                        argv = list(spec.args)
-                        if spec.descriptor is not None:
-                            Path(f"in{i}.json").write_text(json.dumps(spec.descriptor))
-                            argv += ["--input", f"in{i}.json"]
-                        report = f"out{i}.csv" if spec.csv else f"out{i}.json"
-                        argv += ["--output", report, "--no-timestamp"]
-                        if spec.csv:
-                            argv += ["--format", "csv"]
+                    runner = bench.Runner(cli, Path("."))  # "." keeps every path relative
+                    jobs = runner.prepare(bench.wl.cycle(workload, seed, index))
+                    for i, (spec, argv, report) in enumerate(jobs):
                         rec = {"workload": workload, "seed": seed, "cycle": index, "index": i, "kind": spec.kind}
                         rec["argv"] = argv
-                        rec.update(_invoke(cli, argv))
-                        names = [report, report + ".meta.json"] if spec.csv else [report]
-                        rec["files"] = [str(where / name) for name in names if Path(name).exists()]
+                        rec.update(_invoke(runner, argv))
+                        files = bench._output_files(report, spec.csv)
+                        rec["files"] = [str(where / f) for f in files if f.exists()]
                         records.append(rec)
                     os.chdir(home)
     finally:
@@ -234,7 +241,6 @@ def diff(args) -> int:
 
 
 def main(argv=None) -> int:
-    wl = _workloads()
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = p.add_subparsers(dest="command", required=True)
     r = sub.add_parser("run", help="replay the commands on TREE into OUT")
@@ -242,8 +248,7 @@ def main(argv=None) -> int:
     r.add_argument("out", help="empty or absent directory for the records and reports")
     r.add_argument("--seeds", type=int, nargs="+", default=[42, 43])
     r.add_argument("--cycles", type=int, nargs="+", default=[0, 1])
-    r.add_argument("--workloads", nargs="+", choices=wl.WORKLOADS, default=list(wl.WORKLOADS))
-    r.set_defaults(func=run, wl=wl)
+    r.set_defaults(func=run)
     d = sub.add_parser("diff", help="list the commands whose records differ between two replays")
     d.add_argument("a")
     d.add_argument("b")

@@ -846,7 +846,7 @@ def test_atom_factors_cut_roundoff_eigenvalues_at_the_matrix_rank_tolerance():
     counts = np.bincount(atom)
     assert sorted(counts.tolist()) == [2, 3, 3] and b.shape == (3, 8)
     w = np.linalg.eigvalsh(kernel.measure.gs[np.argmin(counts)])
-    assert 0.0 < w[0] <= 3 * np.finfo(float).eps * w[-1]
+    assert abs(w[0]) <= 3 * np.finfo(float).eps * w[-1]
     rep = probe_strict_pd(kernel, n=3, trials=5, seed=2)
     assert rep.verdict == "ViolationFound" and rep.min_eigenvalues == (0.0,) * 5
 
